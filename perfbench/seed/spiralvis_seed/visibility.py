@@ -1,0 +1,718 @@
+"""Checkers and estimators for the four visibility properties of spirals.
+
+Each continuum property ("every direction", "every line") is certified on a
+finite direction net; with net mesh at most eps/(4V) a pass certifies the
+continuum statement at tolerance eps + V*mesh, which every report records.
+Candidate indices are capped in closed form from the query window, inflated
+by eps, so truncation is rigorous rather than heuristic.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from ._par import parallel_map
+from .geometry import radial_hit_halfwidth, ray_to_ray_distance, segment_distances
+from .sequences import SequenceSpec
+from .shellindex import HitWitness
+from .sphere import DirectionNet, build_direction_net
+from .spirals import annulus_index_range, count_in_ball, iter_point_chunks, point_batch
+
+TWO_PI = 2.0 * math.pi
+MISS = np.iinfo(np.int64).max
+DEFAULT_BUDGET = 10**7
+
+# vacant-strip half-width of the rational-ladder spiral: proven for every n
+# (exhaustive scan covers k <= 1413; for larger k the bound
+# sqrt(k(k+1)/2)*sin(pi/k) >= (pi/sqrt 2)*(1 - pi^2/(6 k^2)) > 2.22 applies)
+LADDER_STRIP_HALFWIDTH = 2.0
+
+
+class NetMeshError(ValueError):
+    """The supplied net is too coarse for the requested (eps, V)."""
+
+    def __init__(self, mesh: float, required: float):
+        super().__init__(
+            f"net mesh {mesh:.3g} too coarse: the eps/(4V) rule requires {required:.3g}"
+        )
+        self.required_mesh = required
+
+
+@dataclass(frozen=True)
+class LineParam:
+    """Line {lam*v + t*w}, v orthogonal to w, restricted to t in [t0, t1]."""
+
+    lam: float
+    v: np.ndarray
+    w: np.ndarray
+    t0: float
+    t1: float
+
+    def __post_init__(self):
+        if self.lam < 0:
+            raise ValueError("line offset lam must be nonnegative")
+        if abs(float(np.dot(self.v, self.w))) > 1e-10:
+            raise ValueError("v and w must be orthogonal")
+        if not self.t1 > self.t0:
+            raise ValueError(f"degenerate window [{self.t0}, {self.t1}] rejected")
+
+    def point(self, t: float) -> np.ndarray:
+        return self.lam * np.asarray(self.v) + t * np.asarray(self.w)
+
+    @property
+    def length(self) -> float:
+        return self.t1 - self.t0
+
+
+@dataclass
+class CurveEntry:
+    eps: float
+    V: float
+    status: str  # "ok" or "diverged"
+
+
+@dataclass
+class VisibilityCurve:
+    """Estimated minimal visibility per eps, with a log-log slope fit."""
+
+    kind: str
+    entries: list[CurveEntry]
+    slope: float | None
+
+    def __post_init__(self):
+        eps = [e.eps for e in self.entries]
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise ValueError("entries must have strictly decreasing eps")
+        vals = [e.V for e in self.entries if e.status == "ok"]
+        if any(b < a for a, b in zip(vals, vals[1:])):
+            raise ValueError("V must be nondecreasing as eps decreases")
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "slope": self.slope,
+            "entries": [{"eps": e.eps, "V": e.V, "status": e.status}
+                        for e in self.entries],
+        }
+
+    def to_csv(self, path) -> None:
+        from .reports import write_csv
+
+        write_csv(path, ["eps", "V", "status"],
+                  [(e.eps, e.V, e.status) for e in self.entries])
+
+
+@dataclass
+class CheckReport:
+    property: str
+    spec: dict
+    eps: float
+    V: float
+    constants: dict
+    net: dict
+    total_checks: int
+    failures: list
+    witness_count: int
+    witnesses: list
+    certified_tolerance: float
+    passed: bool
+    extra: dict = field(default_factory=dict)
+
+    @property
+    def pass_fraction(self) -> float:
+        if self.total_checks == 0:
+            return 0.0
+        return 1.0 - len(self.failures) / self.total_checks
+
+    def to_json(self) -> dict:
+        return {
+            "property": self.property,
+            "spec": self.spec,
+            "eps": self.eps,
+            "V": self.V,
+            "constants": self.constants,
+            "net": self.net,
+            "total_checks": self.total_checks,
+            "pass_fraction": self.pass_fraction,
+            "failures": self.failures[:1000],
+            "failure_count": len(self.failures),
+            "witness_count": self.witness_count,
+            "witnesses": self.witnesses[:100],
+            "certified_tolerance": self.certified_tolerance,
+            "passed": self.passed,
+            **({"extra": self.extra} if self.extra else {}),
+        }
+
+
+def _require_net(spec: SequenceSpec, eps: float, V: float,
+                 net: DirectionNet | None, seed: int = 0) -> DirectionNet:
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if V <= 0:
+        raise ValueError(f"visibility must be positive, got {V}")
+    required = eps / (4.0 * V)
+    if net is None:
+        return build_direction_net(spec.d, required, seed=seed)
+    if net.mesh > required * (1 + 1e-12):
+        raise NetMeshError(net.mesh, required)
+    if net.dimension != spec.d:
+        raise ValueError("net dimension does not match the sequence")
+    return net
+
+
+def _net_info(net: DirectionNet) -> dict:
+    return {"delta": net.mesh, "count": len(net), "seed": net.seed}
+
+
+# -- circle fast path --------------------------------------------------------
+
+
+def _mark_windows(K: int, witness: np.ndarray, angles: np.ndarray,
+                  halfw: np.ndarray, ns: np.ndarray,
+                  marks_per_batch: int = 1 << 21) -> None:
+    """Stamp each point's covered net-cell range with its index, keeping the
+    smallest index per cell. Cells are j*2*pi/K; ranges wrap modulo K."""
+    step = TWO_PI / K
+    ok = halfw >= 0.0
+    angles, halfw, ns = angles[ok], halfw[ok], ns[ok]
+    lo = np.ceil((angles - halfw) / step).astype(np.int64)
+    hi = np.floor((angles + halfw) / step).astype(np.int64)
+    counts = np.minimum(np.maximum(hi - lo + 1, 0), K)
+    nz = counts > 0
+    lo, counts, ns = lo[nz], counts[nz], ns[nz]
+    bounds = np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        stop = int(np.searchsorted(bounds, (bounds[start - 1] if start else 0)
+                                   + marks_per_batch)) + 1
+        stop = min(stop, len(counts))
+        c = counts[start:stop]
+        offsets = np.arange(int(c.sum())) - np.repeat(np.cumsum(c) - c, c)
+        cells = (np.repeat(lo[start:stop], c) + offsets) % K
+        np.minimum.at(witness, cells, np.repeat(ns[start:stop], c))
+        start = stop
+
+
+def _window_witnesses(spec: SequenceSpec, K: int, t_lo: float, t_hi: float,
+                      eps: float, index_budget: int) -> np.ndarray:
+    """Per net cell, the smallest point index within eps of the window
+    [t_lo, t_hi] (t_lo may be negative) along that cell's direction."""
+    witness = np.full(K, MISS, dtype=np.int64)
+    halves = []
+    if t_hi >= 0:
+        halves.append((max(t_lo, 0.0), t_hi, 0.0))
+    if t_lo < 0:
+        halves.append((max(-t_hi, 0.0), -t_lo, math.pi))
+    for lo, hi, flip in halves:
+        r_lo = max(0.0, lo - eps)
+        r_hi = hi + eps
+        n_lo, n_hi = annulus_index_range(r_lo, r_hi + 1e-12, spec.d)
+        n_hi = min(n_hi, index_budget)
+        for ns, radii, coords in iter_point_chunks(spec, n_lo, n_hi):
+            angles = np.arctan2(coords[:, 1], coords[:, 0]) + flip
+            halfw = radial_hit_halfwidth(radii, lo, hi, eps)
+            _mark_windows(K, witness, angles % TWO_PI, halfw, ns)
+    return witness
+
+
+def _exact_cell_witnesses(spec: SequenceSpec, witness: np.ndarray,
+                          t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (t, distance) for each cell's witness point (NaN at misses)."""
+    K = len(witness)
+    t_out = np.full(K, math.nan)
+    d_out = np.full(K, math.nan)
+    hit = np.flatnonzero(witness != MISS)
+    if not len(hit):
+        return t_out, d_out
+    radii, coords = point_batch(spec, witness[hit])
+    alphas = hit * (TWO_PI / K)
+    theta = np.arctan2(coords[:, 1], coords[:, 0])
+    delta = theta - alphas
+    along = radii * np.cos(delta)
+    t_star = np.clip(along, t_lo, t_hi)
+    d_out[hit] = np.hypot(along - t_star, radii * np.sin(delta))
+    t_out[hit] = t_star
+    return t_out, d_out
+
+
+# -- generic (any-d) direction sweep ----------------------------------------
+
+
+def _directional_window_check(spec: SequenceSpec, centers: np.ndarray,
+                              t_lo: float, t_hi: float, eps: float,
+                              index_budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smallest-index witness per direction for the window [t_lo, t_hi]."""
+    K = len(centers)
+    witness = np.full(K, MISS, dtype=np.int64)
+    t_best = np.full(K, math.nan)
+    d_best = np.full(K, math.nan)
+    r_lo = max(0.0, (min(abs(t_lo), abs(t_hi)) if t_lo * t_hi > 0 else 0.0) - eps)
+    r_hi = max(abs(t_lo), abs(t_hi)) + eps
+    n_lo, n_hi = annulus_index_range(r_lo, r_hi, spec.d)
+    n_hi = min(n_hi, index_budget)
+    unresolved = np.arange(K)
+    for ns, radii, coords in iter_point_chunks(spec, n_lo, n_hi, chunk=1 << 14):
+        if not len(unresolved):
+            break
+        a = t_lo * centers[unresolved]
+        ab = (t_hi - t_lo) * centers[unresolved]
+        # distance of every chunk point to every unresolved segment
+        t_raw = (coords @ centers[unresolved].T - t_lo) / (t_hi - t_lo)
+        t_clip = np.clip(t_raw, 0.0, 1.0)
+        closest_sq = (
+            (a * a).sum(axis=1)[None, :]
+            + 2.0 * t_clip * (a * ab).sum(axis=1)[None, :]
+            + t_clip**2 * (ab * ab).sum(axis=1)[None, :]
+        )
+        dist_sq = (
+            (coords * coords).sum(axis=1)[:, None]
+            - 2.0 * (coords @ a.T)
+            - 2.0 * t_clip * (coords @ ab.T)
+            + closest_sq
+        )
+        hits = dist_sq.min(axis=0) <= eps * eps
+        for col in np.flatnonzero(hits):
+            row = int(np.argmax(dist_sq[:, col] <= eps * eps))
+            j = int(unresolved[col])
+            witness[j] = int(ns[row])
+            t_best[j] = t_lo + t_clip[row, col] * (t_hi - t_lo)
+            d_best[j] = math.sqrt(max(dist_sq[row, col], 0.0))
+        unresolved = unresolved[~hits]
+    return witness, t_best, d_best
+
+
+def _window_check(spec: SequenceSpec, net: DirectionNet, t_lo: float,
+                  t_hi: float, eps: float, index_budget: int):
+    if spec.d == 1 and net.uniform_grid:
+        witness = _window_witnesses(spec, len(net), t_lo, t_hi, eps, index_budget)
+        t, dist = _exact_cell_witnesses(spec, witness, t_lo, t_hi)
+        return witness, t, dist
+    return _directional_window_check(spec, net.centers, t_lo, t_hi, eps, index_budget)
+
+
+def _collect(witness, t, dist):
+    failures = [{"direction": int(j)} for j in np.flatnonzero(witness == MISS)]
+    hits = np.flatnonzero(witness != MISS)
+    witnesses = [
+        HitWitness(int(witness[j]), float(t[j]), float(dist[j])) for j in hits[:100]
+    ]
+    return failures, witnesses, int(len(hits))
+
+
+def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
+                  net: DirectionNet | None = None,
+                  index_budget: int = DEFAULT_BUDGET,
+                  method: str = "direct",
+                  constants: dict | None = None,
+                  seed: int = 0) -> CheckReport:
+    """Every net direction must approach some point at parameter 0 < t < V.
+
+    ``direct`` measures exact segment distances; ``certificate`` instead
+    checks the arithmetic condition: an index n <= K*V^(d+1) with angular
+    distance to the direction at most kappa*eps/n^(1/(d+1)).
+    """
+    net = _require_net(spec, eps, V_value, net, seed)
+    constants = dict(constants or {})
+    if method == "direct":
+        witness, t, dist = _window_check(spec, net, 0.0, V_value, eps, index_budget)
+    elif method == "certificate":
+        K_const = constants.setdefault("K", 1.0)
+        kappa = constants.setdefault("kappa", 1.0)
+        witness = _certificate_witnesses(spec, net, eps, V_value, K_const, kappa,
+                                         index_budget)
+        t, dist = _exact_cell_witnesses(spec, witness, 0.0, V_value) \
+            if (spec.d == 1 and net.uniform_grid) else (np.full(len(net), math.nan),) * 2
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    failures, witnesses, hits = _collect(witness, t, dist)
+    return CheckReport(
+        property=f"orchard[{method}]", spec=spec.to_json(), eps=eps, V=V_value,
+        constants=constants, net=_net_info(net), total_checks=len(net),
+        failures=failures, witness_count=hits, witnesses=witnesses,
+        certified_tolerance=eps + V_value * net.mesh, passed=not failures,
+    )
+
+
+def _certificate_witnesses(spec: SequenceSpec, net: DirectionNet, eps: float,
+                           V: float, K_const: float, kappa: float,
+                           index_budget: int) -> np.ndarray:
+    n_cap = min(index_budget, math.ceil(K_const * V ** (spec.d + 1)))
+    if spec.d == 1 and net.uniform_grid:
+        witness = np.full(len(net), MISS, dtype=np.int64)
+        for ns, radii, coords in iter_point_chunks(spec, 1, n_cap):
+            angles = np.arctan2(coords[:, 1], coords[:, 0]) % TWO_PI
+            halfw = np.minimum(kappa * eps / radii, math.pi)
+            _mark_windows(len(net), witness, angles, halfw, ns)
+        return witness
+    witness = np.full(len(net), MISS, dtype=np.int64)
+    for ns, radii, coords in iter_point_chunks(spec, 1, n_cap, chunk=1 << 14):
+        caps = np.minimum(kappa * eps / radii, math.pi)
+        cosd = coords / radii[:, None] @ net.centers.T
+        ang = np.arccos(np.clip(cosd, -1.0, 1.0))
+        ok = ang <= caps[:, None]
+        new = ok.any(axis=0) & (witness == MISS)
+        for j in np.flatnonzero(new):
+            witness[j] = int(ns[np.argmax(ok[:, j])])
+    return witness
+
+
+def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
+                          t0_list, net: DirectionNet | None = None,
+                          index_budget: int = DEFAULT_BUDGET,
+                          constants: dict | None = None,
+                          seed: int = 0) -> CheckReport:
+    """Orchard condition with the window shifted to (t0, t0 + V), any t0."""
+    net = _require_net(spec, eps, V_value, net, seed)
+    t0_list = list(t0_list)
+    if not t0_list:
+        raise ValueError("t0 list must be nonempty")
+    all_failures, all_witnesses = [], []
+    hits_total = 0
+    per_t0 = {}
+    for t0 in t0_list:
+        witness, t, dist = _window_check(spec, net, float(t0), float(t0) + V_value,
+                                         eps, index_budget)
+        failures, witnesses, hits = _collect(witness, t, dist)
+        for f in failures:
+            f["t0"] = float(t0)
+        all_failures.extend(failures)
+        all_witnesses.extend(witnesses[:10])
+        hits_total += hits
+        per_t0[float(t0)] = {"failures": len(failures), "hits": hits}
+    return CheckReport(
+        property="uniform-orchard", spec=spec.to_json(), eps=eps, V=V_value,
+        constants=dict(constants or {}), net=_net_info(net),
+        total_checks=len(net) * len(t0_list),
+        failures=all_failures, witness_count=hits_total, witnesses=all_witnesses,
+        certified_tolerance=eps + V_value * net.mesh, passed=not all_failures,
+        extra={"t0": per_t0},
+    )
+
+
+def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
+                       eps: float, index_budget: int):
+    """Smallest-index hit within eps of segment [a, b], else the exact
+    minimum distance found over the candidate range."""
+    norms = segment_norm_range(a, b)
+    n_lo, n_hi = annulus_index_range(max(0.0, norms[0] - eps), norms[1] + eps, spec.d)
+    n_hi = min(n_hi, index_budget)
+    best = (math.inf, -1, math.nan)  # distance, n, t
+    for ns, radii, coords in iter_point_chunks(spec, n_lo, n_hi):
+        dist, t = segment_distances(coords, a, b)
+        j = int(np.argmin(dist))
+        if dist[j] < best[0]:
+            best = (float(dist[j]), int(ns[j]), float(t[j]))
+        hits = np.flatnonzero(dist <= eps)
+        if len(hits):
+            j = int(hits[0])
+            return (float(dist[j]), int(ns[j]), float(t[j])), True
+    return best, best[0] <= eps
+
+
+def segment_norm_range(a, b) -> tuple[float, float]:
+    """[min, max] of |a + s(b-a)| over s in [0,1]."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    d, _ = segment_distances(np.zeros((1, len(a))), a, b)
+    return float(d[0]), max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+
+
+def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
+                       lines: list[LineParam],
+                       index_budget: int = DEFAULT_BUDGET) -> CheckReport:
+    """Every supplied window (anywhere, any direction) must be approached."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    for line in lines:
+        if abs(line.length - V_value) > 1e-9 * max(1.0, V_value):
+            raise ValueError("every line window must have length V")
+
+    def run(item):
+        i, line = item
+        a = line.point(line.t0)
+        b = line.point(line.t1)
+        (dist, n, t_arc), hit = _line_min_distance(spec, a, b, eps, index_budget)
+        return i, hit, dist, n, line.t0 + t_arc
+
+    results = parallel_map(run, list(enumerate(lines)))
+    failures = [{"line": i, "min_distance": dist}
+                for i, hit, dist, _, _ in results if not hit]
+    witnesses = [HitWitness(n, t, dist)
+                 for _, hit, dist, n, t in results if hit][:100]
+    hits = sum(1 for _, hit, *_ in results if hit)
+    return CheckReport(
+        property="dense-forest", spec=spec.to_json(), eps=eps, V=V_value,
+        constants={}, net={"delta": None, "count": len(lines), "seed": None},
+        total_checks=len(lines), failures=failures, witness_count=hits,
+        witnesses=witnesses, certified_tolerance=eps, passed=not failures,
+    )
+
+
+# -- visible points ----------------------------------------------------------
+
+
+@dataclass
+class RayVerdict:
+    direction: np.ndarray
+    min_distance: float
+    witness: HitWitness | None
+    visible_at_scale: bool
+    certified: bool
+    certificate: dict | None
+    eps_floor: float
+    T_max: float
+
+    def to_json(self) -> dict:
+        return {
+            "direction": [float(c) for c in self.direction],
+            "min_distance": self.min_distance,
+            "witness": None if self.witness is None else {
+                "n": self.witness.n, "t": self.witness.t,
+                "distance": self.witness.distance},
+            "visible_at_scale": self.visible_at_scale,
+            "certified": self.certified,
+            "certificate": self.certificate,
+            "eps_floor": self.eps_floor,
+            "T_max": self.T_max,
+        }
+
+
+def _vacant_strip_certificate(spec: SequenceSpec, x: np.ndarray,
+                              v: np.ndarray) -> dict | None:
+    """Lower bound on the distance from the infinite ray to the whole spiral,
+    from a proven point-free region. Applies only when the ray stays inside."""
+    if spec.kind == "rational-ladder":
+        # no spiral ordinate lies in (0, LADDER_STRIP_HALFWIDTH)
+        if abs(v[1]) < 1e-15 and 0.0 < x[1] < LADDER_STRIP_HALFWIDTH:
+            bound = min(x[1], LADDER_STRIP_HALFWIDTH - x[1])
+            return {"kind": "vacant-strip", "bound": bound,
+                    "strip": [0.0, LADDER_STRIP_HALFWIDTH]}
+    if spec.kind == "constant":
+        bound = ray_to_ray_distance(x, v, np.asarray(spec.v), s_min=1.0)
+        if bound > 0.0:
+            return {"kind": "ray-to-ray", "bound": bound}
+    return None
+
+
+def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
+                       T_max: float, index_budget: int = DEFAULT_BUDGET,
+                       early_exit: bool = True) -> list[RayVerdict]:
+    """Minimal distance from the truncated ray {x + t v : 0 <= t <= T_max} to
+    the spiral minus {x}, per direction; a semi-decision unless a proven
+    vacant region certifies the whole ray.
+    """
+    if eps_floor <= 0:
+        raise ValueError("eps_floor must be positive")
+    if not math.isfinite(T_max) or T_max <= 0:
+        raise ValueError("T_max must be finite and positive")
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(directions, DirectionNet):
+        directions = directions.centers
+    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+
+    def run(v):
+        cert = _vacant_strip_certificate(spec, x, v)
+        b = x + T_max * v
+        best = (math.inf, -1, math.nan)
+        norms = segment_norm_range(x, b)
+        slack = 10.0
+        n_done = 0
+        stopped = False
+        while not stopped:
+            n_hi = min(index_budget, count_in_ball(norms[1] + slack, spec.d))
+            for ns, radii, coords in iter_point_chunks(spec, n_done + 1, n_hi):
+                dist, t = segment_distances(coords, x, b)
+                dist[np.linalg.norm(coords - x, axis=1) <= 1e-12] = math.inf
+                j = int(np.argmin(dist))
+                if dist[j] < best[0]:
+                    best = (float(dist[j]), int(ns[j]), float(t[j]))
+                if early_exit and best[0] < eps_floor:
+                    stopped = True
+                    break
+                if best[0] < math.inf and ns[-1] >= count_in_ball(
+                        norms[1] + best[0], spec.d):
+                    stopped = True  # every unscanned point is farther than best
+                    break
+            n_done = n_hi
+            if n_hi >= index_budget or best[0] <= slack:
+                stopped = True
+            slack *= 4.0
+        witness = None if best[1] < 0 else HitWitness(best[1], best[2], best[0])
+        certified = cert is not None and cert["bound"] >= eps_floor
+        visible = best[0] >= eps_floor
+        return RayVerdict(direction=v, min_distance=best[0], witness=witness,
+                          visible_at_scale=visible, certified=certified,
+                          certificate=cert, eps_floor=eps_floor, T_max=T_max)
+
+    return parallel_map(run, list(directions))
+
+
+# -- arithmetic line-proximity check (radial + angular split) ---------------
+
+
+def line_proximity_check(spec: SequenceSpec, n: int, lam: float, t: float,
+                         v, w, eps: float, c: float) -> bool:
+    """True iff index n satisfies both split inequalities against the line
+    point lam*v + t*w: radius within eps, and angular distance within
+    c*eps/|lam*v + t*w|."""
+    got = line_proximity_check_batch(
+        spec, np.array([n]), np.array([lam]), np.array([t]), v, w, eps, c
+    )
+    return bool(got[0])
+
+
+def line_proximity_check_batch(spec: SequenceSpec, ns, lams, ts, v, w,
+                               eps, c: float) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if abs(float(v @ w)) > 1e-10:
+        raise ValueError("v and w must be orthogonal")
+    lams = np.asarray(lams, dtype=np.float64)
+    ts = np.asarray(ts, dtype=np.float64)
+    if np.any(lams < 0):
+        raise ValueError("lam must be nonnegative")
+    rho = np.hypot(lams, ts)
+    if np.any(rho == 0):
+        raise ValueError("(lam, t) must not vanish")
+    ns = np.asarray(ns, dtype=np.int64)
+    radii, coords = point_batch(spec, ns)
+    targets = (lams[:, None] * v + ts[:, None] * w) / rho[:, None]
+    cosang = np.einsum("ij,ij->i", coords / radii[:, None], targets)
+    ang = np.arccos(np.clip(cosang, -1.0, 1.0))
+    eps = np.asarray(eps, dtype=np.float64)
+    return (np.abs(radii - rho) <= eps) & (ang <= c * eps / rho)
+
+
+def _sandwich_samples(spec: SequenceSpec, n_samples: int, seed: int):
+    """Random (point, line-point, eps) instances with exact distances and the
+    split radial/angular measurements, for sandwich calibration."""
+    rng = np.random.default_rng(seed)
+    ns = rng.integers(1, 10**6, n_samples)
+    radii, coords = point_batch(spec, ns)
+    # aim half the samples near the point radius so both sandwich sides bind
+    rho = np.where(rng.random(n_samples) < 0.5,
+                   radii * np.exp(rng.normal(0, 0.02, n_samples)),
+                   rng.uniform(1.0, 1000.0, n_samples))
+    phase = rng.uniform(0, TWO_PI, n_samples)
+    angles_v = rng.uniform(0, TWO_PI, n_samples)
+    eps = np.exp(rng.uniform(math.log(0.01), math.log(0.5), n_samples))
+    vs = np.column_stack([np.cos(angles_v), np.sin(angles_v)])
+    ws = np.column_stack([-np.sin(angles_v), np.cos(angles_v)])
+    lams = rho * np.abs(np.cos(phase))
+    t_signed = rho * np.sin(phase)
+    targets = lams[:, None] * vs + t_signed[:, None] * ws
+    exact = np.linalg.norm(coords - targets, axis=1)
+    cosang = np.einsum("ij,ij->i", coords / radii[:, None], targets / rho[:, None])
+    ang = np.arccos(np.clip(cosang, -1.0, 1.0))
+    return exact, radii, rho, ang, eps
+
+
+def _sandwich_violations(exact, radii, rho, ang, eps, c: float, cp: float) -> int:
+    check = (np.abs(radii - rho) <= eps) & (ang <= c * eps / rho)
+    forward_bad = int(np.sum(~check[exact <= eps / cp]))
+    backward_bad = int(np.sum(exact[check] > cp * eps[check]))
+    return forward_bad + backward_bad
+
+
+def verify_proximity_sandwich(spec: SequenceSpec, c: float, cp: float,
+                              n_samples: int = 10**4, seed: int = 0) -> int:
+    """Violation count of: exact <= eps/c' => split check (eps, c) => exact <= c'*eps."""
+    return _sandwich_violations(*_sandwich_samples(spec, n_samples, seed), c, cp)
+
+
+def calibrate_proximity_sandwich(spec: SequenceSpec, n_samples: int = 10**4,
+                                 seed: int = 0,
+                                 c_grid=(0.9, 1.0, 1.2, 1.5, 1.8),
+                                 cp_grid=(1.3, 1.5, 1.7, 2.0, 2.5, 3.0)):
+    """Find (c, c') with zero violations of the sandwich: exact distance
+    <= eps/c' implies the split check at (eps, c) implies exact <= c'*eps.
+
+    Returns (c, c', samples) with the smallest passing c'.
+    """
+    samples = _sandwich_samples(spec, n_samples, seed)
+    for cp in sorted(cp_grid):
+        for c in c_grid:
+            if _sandwich_violations(*samples, c, cp) == 0:
+                return float(c), float(cp), n_samples
+    raise RuntimeError("no sandwich constants found on the calibration grids")
+
+
+# -- minimal-visibility estimation -------------------------------------------
+
+
+def _passes(spec: SequenceSpec, kind: str, eps: float, V: float, t0_list,
+            lines_seed: int, lines_per_eps: int, index_budget: int) -> bool:
+    if kind == "orchard":
+        return check_orchard(spec, eps, V, index_budget=index_budget).passed
+    if kind == "uniform":
+        return check_uniform_orchard(spec, eps, V, t0_list,
+                                     index_budget=index_budget).passed
+    if kind == "forest":
+        rng = np.random.default_rng(lines_seed)
+        lines = []
+        for _ in range(lines_per_eps):
+            ang = rng.uniform(0, TWO_PI)
+            v = np.array([math.cos(ang), math.sin(ang)])
+            w = np.array([-math.sin(ang), math.cos(ang)])
+            lam = rng.uniform(0.0, 100.0)
+            t0 = rng.uniform(-100.0, 100.0)
+            lines.append(LineParam(lam=lam, v=v, w=w, t0=t0, t1=t0 + V))
+        return check_dense_forest(spec, eps, V, lines,
+                                  index_budget=index_budget).passed
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
+                            net: DirectionNet | None = None,
+                            t0_list=(0.0,), v_cap: float = 2.0**20,
+                            rtol: float = 0.02, lines_per_eps: int = 64,
+                            seed: int = 0,
+                            index_budget: int = DEFAULT_BUDGET) -> VisibilityCurve:
+    """Smallest V per eps for which the chosen check passes, by doubling then
+    bisection; nets are rebuilt per trial under the eps/(4V) rule.
+
+    A supplied ``net`` is used as-is (and must be fine enough for every
+    trial); entries whose search exceeds ``v_cap`` are marked diverged.
+    """
+    eps_grid = sorted(set(float(e) for e in eps_grid), reverse=True)
+    entries = []
+    for i, eps in enumerate(eps_grid):
+        if net is not None:
+            _require_net(spec, eps, v_cap, net)
+
+        def ok(V):
+            return _passes(spec, kind, eps, V, t0_list, seed + i, lines_per_eps,
+                           index_budget)
+
+        V = 1.0
+        while V <= v_cap and not ok(V):
+            V *= 2.0
+        if V > v_cap:
+            entries.append(CurveEntry(eps=eps, V=math.inf, status="diverged"))
+            continue
+        lo, hi = V / 2.0, V
+        if V == 1.0:
+            while lo > 1.0 / 64 and ok(lo):
+                lo, hi = lo / 2.0, lo
+        while hi / lo > 1.0 + rtol:
+            mid = math.sqrt(lo * hi)
+            if ok(mid):
+                hi = mid
+            else:
+                lo = mid
+        entries.append(CurveEntry(eps=eps, V=hi, status="ok"))
+    # monotone cleanup: V may not decrease as eps shrinks
+    best = -math.inf
+    for e in entries:
+        if e.status == "ok":
+            best = max(best, e.V)
+            e.V = best
+    oks = [e for e in entries if e.status == "ok"]
+    slope = None
+    if len(oks) >= 2:
+        slope = float(np.polyfit(np.log([e.eps for e in oks]),
+                                 np.log([e.V for e in oks]), 1)[0])
+    return VisibilityCurve(kind=kind, entries=entries, slope=slope)
