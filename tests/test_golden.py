@@ -1,0 +1,60 @@
+"""Frozen CLI payloads: each argv must reproduce its stored JSON byte for byte.
+
+Regenerate after an intended output change with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import math
+from pathlib import Path
+
+import pytest
+
+from spiralvis.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES = {
+    "orchard-ladder": ["orchard", "--seq", "rational-ladder", "--eps", "0.1",
+                       "--V", "125.7"],
+    "orchard-ladder-certificate": ["orchard", "--seq", "rational-ladder",
+                                   "--method", "certificate", "--eps", "0.2",
+                                   "--V", "63"],
+    "uniform-golden": ["uniform", "--seq", "golden-angle", "--eps", "0.1",
+                       "--V", "50", "--t0", "0,100"],
+    "uniform-fibonacci-sphere": ["uniform", "--seq", "fibonacci-sphere", "--d", "2",
+                                 "--eps", "0.2", "--V", "0.5"],
+    "forest-random-lines": ["forest", "--seq", "golden-angle", "--eps", "0.1",
+                            "--V", "44", "--lines", "5", "--seed", "3"],
+    "forest-strip-line": ["forest", "--seq", "rational-ladder", "--eps", "0.5",
+                          "--V", "20", "--line", f"1.0,{math.pi / 2!r},10,30"],
+    "visible-strip-ray": ["visible", "--seq", "rational-ladder", "--x", "0,1",
+                          "--dir", "1,0", "--eps-floor", "0.5", "--Tmax", "300"],
+    "visible-golden-ray": ["visible", "--seq", "golden-angle", "--x", "0.3,0.1",
+                           "--dir", "0.6,0.8", "--eps-floor", "0.2", "--Tmax", "100"],
+    "delone-badness": ["delone", "--T", "10", "--probe-res", "1.0",
+                       "--badness-Q", "100"],
+    "covering": ["covering", "--m", "0,1000", "--N", "100,1000"],
+    "criterion": ["criterion", "--eps", "0.2,0.1"],
+    "defvisi": ["defvisi", "--eps", "0.2,0.1", "--x-grid", "1,2,4,8"],
+}
+
+
+def render(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_payload(name):
+    want = (GOLDEN_DIR / f"{name}.json").read_text()
+    assert render(CASES[name]) == want
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN_DIR / f"{name}.json").write_text(render(argv))
