@@ -30,7 +30,6 @@ from .sequences import (
     star_discrepancy,
     triangular_decompose,
 )
-from .shellindex import HitWitness, ShellIndex, build_index
 from .sphere import (
     DirectionNet,
     SphericalCap,
@@ -51,6 +50,7 @@ from .spirals import (
 )
 from .visibility import (
     CheckReport,
+    HitWitness,
     LineParam,
     NetMeshError,
     RayVerdict,

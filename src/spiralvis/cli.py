@@ -26,6 +26,7 @@ from .reports import dump_json
 from .sequences import GOLDEN_RATIO, SequenceSpec
 from .spirals import (
     PunctureSpec,
+    PunctureUnresolvedError,
     count_in_ball,
     iter_point_chunks,
     point_batch,
@@ -38,6 +39,7 @@ from .visibility import (
     check_dense_forest,
     check_orchard,
     check_uniform_orchard,
+    random_lines,
     visible_point_test,
 )
 
@@ -148,30 +150,16 @@ def _cmd_uniform(ns):
     return {"reports": [r.to_json() for r in reports]}, failed
 
 
-def _random_lines(rng, count, V, lam_max, t0_range):
-    lines = []
-    for _ in range(count):
-        ang = rng.uniform(0, TWO_PI)
-        v = np.array([math.cos(ang), math.sin(ang)])
-        w = np.array([-math.sin(ang), math.cos(ang)])
-        t0 = rng.uniform(*t0_range)
-        lines.append(LineParam(lam=rng.uniform(0, lam_max), v=v, w=w,
-                               t0=t0, t1=t0 + V))
-    return lines
-
-
 def _cmd_forest(ns):
     spec = _spec_from_args(ns)
     eps, V = ns.eps[0], ns.V[0]
     lines = []
     for text in ns.line or []:
-        lam, ang, t0, t1 = _floats(text)
-        v = np.array([math.cos(ang), math.sin(ang)])
-        w = np.array([-math.sin(ang), math.cos(ang)])
-        lines.append(LineParam(lam=lam, v=v, w=w, t0=t0, t1=t1))
+        lam, angle, t0, t1 = _floats(text)
+        lines.append(LineParam.at_angle(lam, angle, t0, t1))
     if ns.lines:
-        rng = np.random.default_rng(ns.seed)
-        lines.extend(_random_lines(rng, ns.lines, V, ns.lam_max, (-100.0, 100.0)))
+        lines.extend(random_lines(np.random.default_rng(ns.seed), ns.lines, V,
+                                  ns.lam_max))
     if not lines:
         raise SystemExit("forest needs --line or --lines")
     report = check_dense_forest(spec, eps, V, lines, index_budget=ns.budget)
@@ -184,10 +172,8 @@ def _cmd_visible(ns):
     dirs = np.array([_point(t) / np.linalg.norm(_point(t)) for t in ns.dir])
     verdicts = visible_point_test(spec, x, dirs, ns.eps_floor, ns.Tmax,
                                   index_budget=ns.budget)
-    payload = {"verdicts": [v.to_json() for v in verdicts]}
     # --assert fails when no direction is visible at this scale
-    failed = not any(v.visible_at_scale for v in verdicts)
-    return payload, failed
+    return {"verdicts": verdicts}, not any(v.visible_at_scale for v in verdicts)
 
 
 def _cmd_covering(ns):
@@ -225,7 +211,7 @@ def _cmd_defvisi(ns):
 def _cmd_delone(ns):
     spec = _spec_from_args(ns)
     rep = delone_report(spec, ns.T, ns.probe_res, index_budget=ns.budget)
-    payload = {"report": rep.to_json()}
+    payload = {"report": rep}
     if ns.badness_Q:
         payload["badness"] = {"theta": spec.theta, "Q": ns.badness_Q,
                               "value": badness(spec.theta, ns.badness_Q)}
@@ -387,7 +373,7 @@ def main(argv=None) -> int:
             parser.error(f"{ns.subcommand} requires --{name}")
     try:
         payload, failed = ns.func(ns)
-    except (ValueError, IndexError, FileNotFoundError) as exc:
+    except (ValueError, IndexError, FileNotFoundError, PunctureUnresolvedError) as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error raises SystemExit(2)
     payload["config"] = _config_payload(ns)

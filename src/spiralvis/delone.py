@@ -111,15 +111,6 @@ class DeloneReport:
     probe_resolution: float
     n_points: int
 
-    def to_json(self) -> dict:
-        return {
-            "T": self.T,
-            "packing": self.packing,
-            "covering": self.covering,
-            "probe_resolution": self.probe_resolution,
-            "n_points": self.n_points,
-        }
-
 
 def min_pairwise_distance(coords: np.ndarray) -> float:
     """Exact minimum pairwise distance of radius-sorted points.

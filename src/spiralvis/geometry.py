@@ -29,16 +29,6 @@ def segment_distances(points: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray]
     return np.linalg.norm(pts - closest, axis=1), t * length
 
 
-def min_segment_distance(points: np.ndarray, a, b) -> float:
-    d, _ = segment_distances(points, a, b)
-    return float(d.min()) if len(d) else math.inf
-
-
-def distance_origin_to_segment(a, b) -> float:
-    d, _ = segment_distances(np.zeros((1, len(np.atleast_1d(a)))), a, b)
-    return float(d[0])
-
-
 def ray_to_ray_distance(x, v, u, s_min: float = 0.0) -> float:
     """Exact distance between the ray {x + t v : t >= 0} and {s u : s >= s_min}.
 

@@ -204,11 +204,6 @@ def sequence_term(spec: SequenceSpec, n: int) -> np.ndarray:
     return direction_batch(spec, np.array([n]))[0]
 
 
-def ladder_fractions(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, p) for the rational-ladder; exposed for exact-arithmetic tests."""
-    return triangular_decompose_batch(ns)
-
-
 def star_discrepancy(values: np.ndarray) -> float:
     """Star discrepancy of a sample in [0, 1): max deviation of the empirical CDF."""
     xs = np.sort(np.asarray(values, dtype=np.float64))

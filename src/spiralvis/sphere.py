@@ -25,11 +25,6 @@ def unit_vector(coords) -> np.ndarray:
     return v / norm
 
 
-def circle_point(angle: float) -> np.ndarray:
-    """Point (cos a, sin a) on the unit circle."""
-    return np.array([math.cos(angle), math.sin(angle)])
-
-
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
@@ -45,11 +40,6 @@ def geodesic_distance(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     _check_same_dim(a, b)
     return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-
-
-def geodesic_distances(centers: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Geodesic distance from each row of ``centers`` to ``v`` (vectorized)."""
-    return np.arccos(np.clip(centers @ np.asarray(v, dtype=np.float64), -1.0, 1.0))
 
 
 def polar_distance(r: float, a, rho: float, b) -> float:

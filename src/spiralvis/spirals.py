@@ -7,6 +7,7 @@ a sparse family of annuli) and the point-dump file formats.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -232,7 +233,19 @@ def write_points_binary(path: str | Path, d: int, n_lo: int, n_hi: int,
 
 
 def read_points_binary(path: str | Path) -> tuple[int, int, int, np.ndarray]:
+    """Inverse of ``write_points_binary``; a header that disagrees with the
+    file size is a ValueError."""
     with open(path, "rb") as fh:
-        d, n_lo, n_hi = (int(x) for x in np.frombuffer(fh.read(24), dtype="<i8"))
-        coords = np.frombuffer(fh.read(), dtype="<f8").reshape(n_hi - n_lo + 1, d + 1)
-    return d, n_lo, n_hi, coords.copy()
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ValueError(f"{path}: truncated header")
+        d, n_lo, n_hi = (int(x) for x in np.frombuffer(header, dtype="<i8"))
+        if d < 1 or n_lo < 1 or n_hi < n_lo - 1:
+            raise ValueError(f"{path}: bad header d={d}, n_lo={n_lo}, n_hi={n_hi}")
+        shape = (n_hi - n_lo + 1, d + 1)
+        payload = os.fstat(fh.fileno()).st_size - 24
+        if payload != shape[0] * shape[1] * 8:
+            raise ValueError(f"{path}: {payload} payload bytes, header needs "
+                             f"{shape[0] * shape[1] * 8}")
+        coords = np.fromfile(fh, dtype="<f8", count=shape[0] * shape[1])
+    return d, n_lo, n_hi, coords.reshape(shape)

@@ -17,7 +17,6 @@ import numpy as np
 from ._par import parallel_map
 from .geometry import radial_hit_halfwidth, ray_to_ray_distance, segment_distances
 from .sequences import SequenceSpec
-from .shellindex import HitWitness
 from .sphere import DirectionNet, build_direction_net
 from .spirals import annulus_index_range, count_in_ball, iter_point_chunks, point_batch
 
@@ -42,6 +41,15 @@ class NetMeshError(ValueError):
 
 
 @dataclass(frozen=True)
+class HitWitness:
+    """A point within reach of a query window: index, arc parameter, distance."""
+
+    n: int
+    t: float
+    distance: float
+
+
+@dataclass(frozen=True)
 class LineParam:
     """Line {lam*v + t*w}, v orthogonal to w, restricted to t in [t0, t1]."""
 
@@ -58,6 +66,13 @@ class LineParam:
             raise ValueError("v and w must be orthogonal")
         if not self.t1 > self.t0:
             raise ValueError(f"degenerate window [{self.t0}, {self.t1}] rejected")
+
+    @classmethod
+    def at_angle(cls, lam: float, angle: float, t0: float, t1: float) -> "LineParam":
+        """The window with v at ``angle`` and w = v turned a quarter counterclockwise."""
+        v = np.array([math.cos(angle), math.sin(angle)])
+        w = np.array([-math.sin(angle), math.cos(angle)])
+        return cls(lam=lam, v=v, w=w, t0=t0, t1=t1)
 
     def point(self, t: float) -> np.ndarray:
         return self.lam * np.asarray(self.v) + t * np.asarray(self.w)
@@ -465,20 +480,6 @@ class RayVerdict:
     eps_floor: float
     T_max: float
 
-    def to_json(self) -> dict:
-        return {
-            "direction": [float(c) for c in self.direction],
-            "min_distance": self.min_distance,
-            "witness": None if self.witness is None else {
-                "n": self.witness.n, "t": self.witness.t,
-                "distance": self.witness.distance},
-            "visible_at_scale": self.visible_at_scale,
-            "certified": self.certified,
-            "certificate": self.certificate,
-            "eps_floor": self.eps_floor,
-            "T_max": self.T_max,
-        }
-
 
 def _vacant_strip_certificate(spec: SequenceSpec, x: np.ndarray,
                               v: np.ndarray) -> dict | None:
@@ -643,23 +644,27 @@ def calibrate_proximity_sandwich(spec: SequenceSpec, n_samples: int = 10**4,
 # -- minimal-visibility estimation -------------------------------------------
 
 
+def random_lines(rng, count: int, V: float, lam_max: float = 100.0) -> list[LineParam]:
+    """``count`` length-V windows in the plane; each draws its angle, then t0
+    in [-100, 100], then lam in [0, lam_max]."""
+    lines = []
+    for _ in range(count):
+        angle = rng.uniform(0, TWO_PI)
+        t0 = rng.uniform(-100.0, 100.0)
+        lines.append(LineParam.at_angle(rng.uniform(0, lam_max), angle, t0, t0 + V))
+    return lines
+
+
 def _passes(spec: SequenceSpec, kind: str, eps: float, V: float, t0_list,
-            lines_seed: int, lines_per_eps: int, index_budget: int) -> bool:
+            lines_seed: int, lines_per_eps: int, index_budget: int,
+            net: DirectionNet | None) -> bool:
     if kind == "orchard":
-        return check_orchard(spec, eps, V, index_budget=index_budget).passed
+        return check_orchard(spec, eps, V, net=net, index_budget=index_budget).passed
     if kind == "uniform":
-        return check_uniform_orchard(spec, eps, V, t0_list,
+        return check_uniform_orchard(spec, eps, V, t0_list, net=net,
                                      index_budget=index_budget).passed
     if kind == "forest":
-        rng = np.random.default_rng(lines_seed)
-        lines = []
-        for _ in range(lines_per_eps):
-            ang = rng.uniform(0, TWO_PI)
-            v = np.array([math.cos(ang), math.sin(ang)])
-            w = np.array([-math.sin(ang), math.cos(ang)])
-            lam = rng.uniform(0.0, 100.0)
-            t0 = rng.uniform(-100.0, 100.0)
-            lines.append(LineParam(lam=lam, v=v, w=w, t0=t0, t1=t0 + V))
+        lines = random_lines(np.random.default_rng(lines_seed), lines_per_eps, V)
         return check_dense_forest(spec, eps, V, lines,
                                   index_budget=index_budget).passed
     raise ValueError(f"unknown kind {kind!r}")
@@ -672,10 +677,12 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
                             seed: int = 0,
                             index_budget: int = DEFAULT_BUDGET) -> VisibilityCurve:
     """Smallest V per eps for which the chosen check passes, by doubling then
-    bisection; nets are rebuilt per trial under the eps/(4V) rule.
+    bisection; without ``net``, each trial builds its own under the eps/(4V)
+    rule.
 
-    A supplied ``net`` is used as-is (and must be fine enough for every
-    trial); entries whose search exceeds ``v_cap`` are marked diverged.
+    A supplied ``net`` is used by every orchard and uniform trial, so it must
+    meet the eps/(4V) rule at ``V = v_cap``; entries whose search exceeds
+    ``v_cap`` are marked diverged.
     """
     eps_grid = sorted(set(float(e) for e in eps_grid), reverse=True)
     entries = []
@@ -685,7 +692,7 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
 
         def ok(V):
             return _passes(spec, kind, eps, V, t0_list, seed + i, lines_per_eps,
-                           index_budget)
+                           index_budget, net)
 
         V = 1.0
         while V <= v_cap and not ok(V):

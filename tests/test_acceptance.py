@@ -12,7 +12,7 @@ import pytest
 from spiralvis import (
     SequenceSpec,
     LineParam,
-    build_index,
+    annulus_index_range,
     calibrate_proximity_sandwich,
     check_dense_forest,
     check_orchard,
@@ -28,6 +28,7 @@ from spiralvis.cli import main as cli_main
 from spiralvis.geometry import segment_distances
 from spiralvis.sequences import triangular_decompose_batch
 from spiralvis.spirals import iter_point_chunks
+from spiralvis.visibility import _line_min_distance
 
 BUDGET = 10**7
 
@@ -153,25 +154,60 @@ def test_criterion_5(golden, constant_seq):
     assert verdict.visible_at_scale and verdict.certified
 
 
+def _assert_scan_matches_brute(spec, coords, a, b, eps):
+    """The production forest scan against a brute-force pass over every index
+    of the closed-form candidate annulus, widened by 1 in radius to show that
+    no point outside the annulus comes within eps."""
+    foot = np.clip(-(a @ (b - a)) / ((b - a) @ (b - a)), 0.0, 1.0)
+    r_lo = float(np.linalg.norm(a + foot * (b - a)))
+    r_hi = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+    n_lo, n_hi = annulus_index_range(max(0.0, r_lo - eps), r_hi + eps, spec.d)
+    w_lo, w_hi = annulus_index_range(max(0.0, r_lo - eps - 1.0), r_hi + eps + 1.0,
+                                     spec.d)
+    assert w_hi <= len(coords)
+    ns = np.arange(w_lo, w_hi + 1)
+    dist, t = segment_distances(coords[w_lo - 1:w_hi], a, b)
+    inside = (ns >= n_lo) & (ns <= n_hi)
+    assert not np.any(dist[~inside] <= eps)
+    (got_dist, got_n, got_t), hit = _line_min_distance(spec, a, b, eps, BUDGET)
+    brute_min = float(dist[inside].min()) if inside.any() else math.inf
+    assert hit == (brute_min <= eps)
+    if hit:
+        j = int(np.flatnonzero(inside & (dist <= eps))[0])
+        assert got_n == ns[j]
+        assert got_t == pytest.approx(float(t[j]), abs=1e-12)
+        assert got_dist == pytest.approx(float(dist[j]), abs=1e-12)
+    else:
+        assert got_dist == pytest.approx(brute_min, abs=1e-12)
+
+
 @criterion("6 oracle-equivalence")
-def test_criterion_6(golden):
-    ns = np.arange(1, 10**5 + 1, dtype=np.int64)
-    _, coords = point_batch(golden, ns)
-    index = build_index((ns, coords))
+def test_criterion_6(golden, ladder, fib_sphere):
+    _, coords = point_batch(golden, np.arange(1, 512**2 + 1, dtype=np.int64))
     rng = np.random.default_rng(7)
     for _ in range(1000):
         a = rng.uniform(-300, 300, 2)
         b = a + rng.uniform(-50, 50, 2)
         eps = rng.uniform(0.05, 2.0)
-        got = [w.n for w in index.within_segment(a, b, eps)]
-        dist, _ = segment_distances(coords, a, b)
-        assert got == ns[dist <= eps].tolist()  # no false pos/neg
+        _assert_scan_matches_brute(golden, coords, a, b, eps)
     for _ in range(1000):
         angles = rng.uniform(0, 2 * math.pi, rng.integers(2, 40))
         pts = np.column_stack([np.cos(angles), np.sin(angles)])
         exact = covering_radius(pts, d=1).value
         approx = covering_radius(pts, d=1, mode="net", resolution=0.05)
         assert abs(approx.value - exact) <= approx.resolution
+    _, coords = point_batch(fib_sphere, np.arange(1, 44**3 + 1, dtype=np.int64))
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        a = rng.uniform(-15, 15, 3)
+        b = a + rng.uniform(-8, 8, 3)
+        eps = rng.uniform(0.1, 1.5)
+        rng.uniform(-10, 10, 3), rng.uniform(0.2, 3.0)  # unused draws fix the segment stream
+        _assert_scan_matches_brute(fib_sphere, coords, a, b, eps)
+    # misses inside the ladder's vacant strip scan several chunks
+    _, coords = point_batch(ladder, np.arange(1, 800**2 + 1, dtype=np.int64))
+    for a, b in (((10.0, 1.0), (610.0, 1.0)), ((-700.0, 1.5), (700.0, 1.5))):
+        _assert_scan_matches_brute(ladder, coords, np.array(a), np.array(b), 0.5)
 
 
 @criterion("7 covering-criterion-consistency")

@@ -147,7 +147,7 @@ def test_config_defaults_and_flag_precedence(tmp_path, capsys):
     assert json.loads(out)["reports"][0]["V"] == 126.0
 
 
-def test_bad_arguments_exit_2(capsys):
+def test_bad_arguments_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["orchard"])  # missing --eps/--V
     assert err.value.code == 2
@@ -157,6 +157,12 @@ def test_bad_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["orchard", "--eps", "0.1", "--V", "50", "--d", "3"])  # bad kind/d
     assert err.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:  # every replacement stays in the region
+        main(["puncture", "--seq", "constant", "--v", "0,1", "--v0", "0,1",
+              "--n", "50", "--out", str(tmp_path / "p.csv")])
+    assert err.value.code == 2
+    assert "puncture unresolved" in capsys.readouterr().err
 
 
 def test_environment_thread_cap(monkeypatch):

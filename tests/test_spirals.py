@@ -181,3 +181,41 @@ def test_point_dump_round_trips(tmp_path, golden):
 def test_binary_dump_validates_shape(tmp_path):
     with pytest.raises(ValueError):
         write_points_binary(tmp_path / "x.bin", 1, 1, 10, np.zeros((5, 2)))
+
+
+def _raw_dump(path, header, n_floats):
+    path.write_bytes(np.array(header, dtype="<i8").tobytes()
+                     + np.zeros(n_floats, dtype="<f8").tobytes())
+    return path
+
+
+def test_binary_dump_rejects_truncated_file(tmp_path):
+    path = _raw_dump(tmp_path / "x.bin", [1, 1, 10], 19)
+    with pytest.raises(ValueError):
+        read_points_binary(path)
+    (tmp_path / "h.bin").write_bytes(b"\x01" * 10)
+    with pytest.raises(ValueError):
+        read_points_binary(tmp_path / "h.bin")
+
+
+def test_binary_dump_rejects_trailing_bytes(tmp_path):
+    path = _raw_dump(tmp_path / "x.bin", [1, 1, 10], 21)
+    with pytest.raises(ValueError):
+        read_points_binary(path)
+
+
+def test_binary_dump_rejects_negative_row_count(tmp_path):
+    # n_hi = n_lo - 2 would be -1 rows; 5 rows of payload must not rescue it
+    path = _raw_dump(tmp_path / "x.bin", [1, 3, 1], 10)
+    with pytest.raises(ValueError):
+        read_points_binary(path)
+    empty = _raw_dump(tmp_path / "e.bin", [1, 3, 2], 0)
+    d, lo, hi, coords = read_points_binary(empty)
+    assert (d, lo, hi) == (1, 3, 2) and coords.shape == (0, 2)
+
+
+def test_binary_dump_rejects_bad_dimension(tmp_path):
+    for d in (0, -2):
+        path = _raw_dump(tmp_path / f"d{d}.bin", [d, 1, 10], 10)
+        with pytest.raises(ValueError):
+            read_points_binary(path)

@@ -322,6 +322,22 @@ def test_estimate_uniform_golden_slope(golden):
     assert all(e.status == "ok" for e in curve.entries)
 
 
+def test_estimate_uses_supplied_net(golden, monkeypatch):
+    import spiralvis.visibility as vis
+
+    net = build_direction_net(1, 0.2 / (4 * 64.0))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a net was built although one was supplied")
+
+    monkeypatch.setattr(vis, "build_direction_net", no_build)
+    for kind in ("orchard", "uniform"):
+        curve = estimate_min_visibility(golden, kind, [0.2], net=net, v_cap=64.0,
+                                        t0_list=(0.0, 100.0))
+        assert curve.entries[0].status == "ok"
+        assert curve.entries[0].V <= 64.0
+
+
 def test_estimate_rejects_duplicate_eps(golden):
     curve = estimate_min_visibility(golden, "orchard", [0.2, 0.2, 0.1])
     assert len(curve.entries) == 2  # deduplicated, strictly decreasing
