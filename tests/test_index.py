@@ -1,163 +1,44 @@
+"""The forest scan's segment query against brute force over every stored
+point: a hit is the smallest index within eps, a miss means no stored point
+comes within eps."""
+
 import numpy as np
 import pytest
 
-from spiralvis import build_index, point_batch
+from spiralvis import point_batch
 from spiralvis.geometry import segment_distances
-from spiralvis.shellindex import ShellIndex
+from spiralvis.visibility import _line_min_distance
 
 
-@pytest.fixture(scope="module")
-def golden_100k(golden):
+def _assert_first_witness_matches_brute(spec, ns, coords, a, b, eps):
+    (got_dist, got_n, got_t), hit = _line_min_distance(spec, a, b, eps, len(ns))
+    dist, t = segment_distances(coords, a, b)
+    want = np.flatnonzero(dist <= eps)
+    assert hit == bool(len(want))
+    if hit:
+        j = int(want[0])
+        assert got_n == int(ns[j])
+        assert got_dist == pytest.approx(float(dist[j]), abs=1e-12)
+        assert got_t == pytest.approx(float(t[j]), abs=1e-12)
+
+
+def test_within_segment_matches_brute(golden):
     ns = np.arange(1, 10**5 + 1, dtype=np.int64)
     _, coords = point_batch(golden, ns)
-    return ns, coords, build_index((ns, coords))
-
-
-@pytest.fixture(scope="module")
-def ladder_1m(ladder):
-    ns = np.arange(1, 10**6 + 1, dtype=np.int64)
-    _, coords = point_batch(ladder, ns)
-    return ns, coords, build_index((ns, coords))
-
-
-def test_empty_input_rejected():
-    with pytest.raises(ValueError):
-        build_index([])
-    with pytest.raises(ValueError):
-        ShellIndex(np.array([], dtype=np.int64), np.zeros((0, 2)))
-
-
-def test_single_point_nearest(golden):
-    from spiralvis import spiral_point
-    idx = build_index([spiral_point(golden, 1)])
-    n, d = idx.nearest(np.array([50.0, 50.0]))
-    assert n == 1
-    assert d == pytest.approx(np.linalg.norm(np.array([50.0, 50.0])
-                                             - spiral_point(golden, 1).coords))
-
-
-def test_nearest_matches_brute(ladder):
-    ns = np.arange(1, 10**4 + 1, dtype=np.int64)
-    _, coords = point_batch(ladder, ns)
-    idx = build_index((ns, coords))
-    n, d = idx.nearest(np.array([1.01, 0.0]))
-    assert n == 1
-    assert d == pytest.approx(0.01, abs=1e-12)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        q = rng.uniform(-110, 110, 2)
-        n, d = idx.nearest(q)
-        brute = np.linalg.norm(coords - q, axis=1)
-        assert d == pytest.approx(float(brute.min()), abs=1e-12)
-        assert n == int(ns[np.argmin(brute)])
-
-
-def test_within_ball_matches_brute(golden_100k):
-    ns, coords, idx = golden_100k
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        q = rng.uniform(-320, 320, 2)
-        r = rng.uniform(0.1, 5.0)
-        got = set(ns[idx.within_ball(q, r)].tolist())
-        want = set(ns[np.linalg.norm(coords - q, axis=1) <= r].tolist())
-        assert got == want
-
-
-def test_within_segment_matches_brute(golden_100k):
-    ns, coords, idx = golden_100k
     rng = np.random.default_rng(7)
     for _ in range(200):
         a = rng.uniform(-300, 300, 2)
         b = a + rng.uniform(-50, 50, 2)
         eps = rng.uniform(0.05, 2.0)
-        got = idx.within_segment(a, b, eps)
-        dist, t = segment_distances(coords, a, b)
-        want = np.flatnonzero(dist <= eps)
-        assert [w.n for w in got] == ns[want].tolist()
-        for w, p in zip(got, want):
-            assert w.distance == pytest.approx(float(dist[p]), abs=1e-12)
-            assert w.t == pytest.approx(float(t[p]), abs=1e-12)
-
-
-def test_within_segment_through_origin(golden_100k):
-    # the line through the origin exercises the angular wrap handling
-    ns, coords, idx = golden_100k
-    a = np.array([-40.0, -40.0])
-    b = np.array([35.0, 35.0])
-    got = {w.n for w in idx.within_segment(a, b, 1.0)}
-    dist, _ = segment_distances(coords, a, b)
-    assert got == set(ns[dist <= 1.0].tolist())
-
-
-def test_degenerate_segment_is_ball_query(golden_100k):
-    ns, coords, idx = golden_100k
-    q = coords[123]
-    got = idx.within_segment(q, q, 0.9)
-    want = np.linalg.norm(coords - q, axis=1) <= 0.9
-    assert {w.n for w in got} == set(ns[want].tolist())
-    assert all(w.t == 0.0 for w in got)
-
-
-def test_witnesses_sorted_by_index(golden_100k):
-    _, _, idx = golden_100k
-    got = idx.within_segment(np.array([0.0, 0.0]), np.array([100.0, 0.0]), 1.5)
-    got_ns = [w.n for w in got]
-    assert got_ns == sorted(got_ns)
-
-
-def test_point_on_segment_example(ladder):
-    # spec example: the segment [(0,0),(2,0)] passes through point n=1
-    ns = np.arange(1, 10**4 + 1, dtype=np.int64)
-    idx = build_index((ns, point_batch(ladder, ns)[1]))
-    hits = idx.within_segment(np.zeros(2), np.array([2.0, 0.0]), 0.1)
-    first = hits[0]
-    assert first.n == 1
-    assert first.distance == pytest.approx(0.0, abs=1e-12)
-    assert first.t == pytest.approx(1.0, abs=1e-12)
-
-
-def test_vacant_strip_segment_empty(ladder_1m):
-    # no ladder point comes within 0.5 of the segment y=1, x in [10, 20]
-    _, _, idx = ladder_1m
-    hits = idx.within_segment(np.array([10.0, 1.0]), np.array([20.0, 1.0]), 0.5)
-    assert hits == []
-
-
-def test_query_cost_proportional_to_tube(ladder_1m):
-    # visited buckets stay proportional to tube area / cell area
-    _, _, idx = ladder_1m
-    idx.reset_stats()
-    a, b, eps = np.array([120.0, 30.0]), np.array([150.0, 45.0]), 1.0
-    idx.within_segment(a, b, eps)
-    length = float(np.linalg.norm(b - a))
-    tube_cells = (length + 2 * eps + 2 * idx.shell_width) * \
-                 (2 * eps + 2 * idx.shell_width) / idx.shell_width**2
-    assert idx.stats["buckets_visited"] <= 8 * tube_cells
-    # and far fewer candidates than stored points were touched
-    assert idx.stats["candidates_checked"] < len(idx) / 100
-
-
-def test_bucket_retrievability(golden_100k):
-    ns, coords, idx = golden_100k
-    rng = np.random.default_rng(8)
-    for i in rng.integers(0, len(ns), 200):
-        got = idx.within_ball(coords[i], 1e-9)
-        assert int(ns[i]) in set(ns[got].tolist())
+        _assert_first_witness_matches_brute(golden, ns, coords, a, b, eps)
 
 
 def test_d2_index_matches_brute(fib_sphere):
     ns = np.arange(1, 5001, dtype=np.int64)
     _, coords = point_batch(fib_sphere, ns)
-    idx = build_index((ns, coords))
     rng = np.random.default_rng(9)
     for _ in range(40):
         a = rng.uniform(-15, 15, 3)
         b = a + rng.uniform(-8, 8, 3)
         eps = rng.uniform(0.1, 1.5)
-        got = {w.n for w in idx.within_segment(a, b, eps)}
-        dist, _ = segment_distances(coords, a, b)
-        assert got == set(ns[dist <= eps].tolist())
-        q = rng.uniform(-10, 10, 3)
-        r = rng.uniform(0.2, 3.0)
-        got_ball = set(ns[idx.within_ball(q, r)].tolist())
-        assert got_ball == set(ns[np.linalg.norm(coords - q, axis=1) <= r].tolist())
+        _assert_first_witness_matches_brute(fib_sphere, ns, coords, a, b, eps)
