@@ -35,6 +35,10 @@ CASES = {
                            "--dir", "0.6,0.8", "--eps-floor", "0.2", "--Tmax", "100"],
     "delone-badness": ["delone", "--T", "10", "--probe-res", "1.0",
                        "--badness-Q", "100"],
+    "delone-ladder": ["delone", "--seq", "rational-ladder", "--T", "25",
+                      "--probe-res", "0.5"],
+    "delone-fibonacci-sphere": ["delone", "--seq", "fibonacci-sphere", "--d", "2",
+                                "--T", "6", "--probe-res", "0.5"],
     "covering": ["covering", "--m", "0,1000", "--N", "100,1000"],
     "criterion": ["criterion", "--eps", "0.2,0.1"],
     "defvisi": ["defvisi", "--eps", "0.2,0.1", "--x-grid", "1,2,4,8"],
