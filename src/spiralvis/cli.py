@@ -24,6 +24,7 @@ from .delone import badness, delone_report
 from .plotting import scatter_svg
 from .reports import dump_json
 from .sequences import GOLDEN_RATIO, SequenceSpec
+from .sphere import unit_vector
 from .spirals import (
     PunctureSpec,
     PunctureUnresolvedError,
@@ -103,6 +104,9 @@ def _cmd_plot(ns):
             report = json.load(fh)
         if "reports" in report:  # unwrap a CLI payload
             report = report["reports"][0]
+        if "spec" not in report:
+            raise ValueError(f"--overlay-json {ns.overlay_json} holds no check "
+                             "report with a 'spec' (orchard, uniform or forest)")
         count = report.get("net", {}).get("count")
         for f in report.get("failures", []):
             if count and "direction" in f:
@@ -169,7 +173,7 @@ def _cmd_forest(ns):
 def _cmd_visible(ns):
     spec = _spec_from_args(ns)
     x = _point(ns.x)
-    dirs = np.array([_point(t) / np.linalg.norm(_point(t)) for t in ns.dir])
+    dirs = np.array([unit_vector(_point(t)) for t in ns.dir])
     verdicts = visible_point_test(spec, x, dirs, ns.eps_floor, ns.Tmax,
                                   index_budget=ns.budget)
     # --assert fails when no direction is visible at this scale

@@ -129,6 +129,19 @@ def test_plot_overlay_from_report(tmp_path, capsys):
     assert "<line" in svg.read_text()  # failing directions drawn as rays
 
 
+def test_plot_overlay_without_spec_exits_2(tmp_path, capsys):
+    report = tmp_path / "vis.json"
+    code, _ = run(capsys, "visible", "--x", "0,1", "--dir", "1,0", "--Tmax", "20",
+                  "--out", str(report))
+    assert code == 0
+    svg = tmp_path / "overlay.svg"
+    with pytest.raises(SystemExit) as err:
+        main(["plot", "--T", "10", "--overlay-json", str(report), "--out", str(svg)])
+    assert err.value.code == 2
+    assert "'spec'" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_byte_identical_reports(capsys):
     _, a = run(capsys, "orchard", "--eps", "0.1", "--V", "50", "--seed", "3")
     _, b = run(capsys, "orchard", "--eps", "0.1", "--V", "50", "--seed", "3")
@@ -163,6 +176,14 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
               "--n", "50", "--out", str(tmp_path / "p.csv")])
     assert err.value.code == 2
     assert "puncture unresolved" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:  # a zero direction has no unit vector
+        main(["visible", "--x", "0,1", "--dir", "1,0", "--dir", "0,0", "--Tmax", "50"])
+    assert err.value.code == 2
+    for argv in (["--T", "inf"], ["--T", "nan"], ["--probe-res", "nan"]):
+        with pytest.raises(SystemExit) as err:
+            main(["delone", *argv])
+        assert err.value.code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_environment_thread_cap(monkeypatch):

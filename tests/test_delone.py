@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spiralvis import SequenceSpec, badness, delone_report, point_batch
+from spiralvis import SequenceSpec, badness, delone, delone_report, point_batch
 from spiralvis.delone import (
+    _probe_grid,
     brute_badness,
     covering_estimate,
     liouville_like,
@@ -108,3 +111,86 @@ def test_delone_report_validates_args(golden):
         delone_report(golden, 0.5, 0.1)
     with pytest.raises(ValueError):
         delone_report(golden, 10.0, 0.0)
+
+
+@pytest.mark.parametrize("T, res", [(math.inf, 0.5), (math.nan, 0.5), (-math.inf, 0.5),
+                                    (10.0, math.nan), (10.0, math.inf)])
+def test_delone_report_rejects_non_finite(golden, T, res):
+    with pytest.raises(ValueError, match="finite"):
+        delone_report(golden, T, res)
+
+
+def covering_oracle(coords, T, resolution):
+    """All-pairs probes x points scan: every probe against every point."""
+    probes = _probe_grid(T, resolution, coords.shape[1])
+    covering = 0.0
+    for pchunk in np.array_split(probes, max(1, len(probes) // 2048)):
+        dmin = np.full(len(pchunk), math.inf)
+        for cchunk in np.array_split(coords, max(1, len(coords) // 4096)):
+            diff = pchunk[:, None, :] - cchunk[None, :, :]
+            np.minimum(dmin, np.sqrt((diff * diff).sum(axis=2)).min(axis=1), out=dmin)
+        covering = max(covering, float(dmin.max()))
+    return covering
+
+
+@st.composite
+def clouds(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 300))
+    T = draw(st.floats(1.5, 8.0))
+    res = draw(st.floats(0.3, 1.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "shell", "clusters"]))
+    if shape == "uniform":
+        coords = rng.uniform(-T, T, (n, dim))
+    elif shape == "shell":  # empty centre
+        v = rng.normal(size=(n, dim))
+        coords = v / np.linalg.norm(v, axis=1, keepdims=True)
+        coords *= T * rng.uniform(0.7, 1.0, (n, 1))
+    else:  # tight clusters with far outliers
+        centres = rng.uniform(-T, T, (draw(st.integers(1, 4)), dim))
+        coords = centres[rng.integers(len(centres), size=n)]
+        coords = coords + rng.normal(scale=0.02, size=(n, dim))
+        far = rng.random(n) < 0.1
+        coords[far] = rng.uniform(-30 * T, 30 * T, (int(far.sum()), dim))
+    return coords, T, res
+
+
+@settings(max_examples=150, deadline=None)
+@given(clouds())
+def test_covering_estimate_equals_all_pairs_oracle(cloud):
+    coords, T, res = cloud
+    assert covering_estimate(coords, T, res) == covering_oracle(coords, T, res)
+
+
+def _count_fallback(monkeypatch):
+    seen = []
+    brute = delone._brute_min_distance
+
+    def spy(probes, coords):
+        seen.append(len(probes))
+        return brute(probes, coords)
+
+    monkeypatch.setattr(delone, "_brute_min_distance", spy)
+    return seen
+
+
+def test_covering_estimate_all_probes_fall_back(monkeypatch):
+    # every point lies far outside B(0, T): no probe's block holds a point
+    # within one cell side, so every probe is measured against every point
+    rng = np.random.default_rng(5)
+    T, res = 6.0, 0.5
+    v = rng.normal(size=(40, 3))
+    coords = 50 * T * v / np.linalg.norm(v, axis=1, keepdims=True)
+    seen = _count_fallback(monkeypatch)
+    got = covering_estimate(coords, T, res)
+    assert seen == [len(_probe_grid(T, res, 3))]
+    assert got == covering_oracle(coords, T, res)
+
+
+def test_covering_estimate_golden_needs_no_fallback(monkeypatch, golden):
+    ns = np.arange(1, 901, dtype=np.int64)
+    _, coords = point_batch(golden, ns)
+    seen = _count_fallback(monkeypatch)
+    assert covering_estimate(coords, 30.0, 0.5) == GOLDEN_T30_COVERING
+    assert seen == []
