@@ -1,12 +1,14 @@
 """Frozen CLI payloads: each argv must reproduce its stored JSON byte for byte.
 
 Regenerate after an intended output change with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py [NAME ...]`` (every case when no
+name is given) and review the diff.
 """
 
 import contextlib
 import io
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +61,11 @@ def test_golden_payload(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}; "
+                 f"known: {', '.join(sorted(CASES))}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        (GOLDEN_DIR / f"{name}.json").write_text(render(argv))
+    for name in names:
+        (GOLDEN_DIR / f"{name}.json").write_text(render(CASES[name]))
