@@ -79,17 +79,17 @@ def _config_payload(ns) -> dict:
 
 def _cmd_generate(ns):
     spec = _spec_from_args(ns)
-    rows_n, rows_x = [], []
     n_hi = min(ns.n, ns.budget)
+    if n_hi < 1:
+        raise ValueError(f"generate needs at least one point, got --n {ns.n} "
+                         f"and --budget {ns.budget}")
+    all_x = np.empty((n_hi, spec.d + 1))  # filled in place: one copy of the points
     for idx, _, coords in iter_point_chunks(spec, 1, n_hi):
-        rows_n.append(idx)
-        rows_x.append(coords)
-    all_n = np.concatenate(rows_n)
-    all_x = np.vstack(rows_x)
+        all_x[idx[0] - 1:idx[-1]] = coords
     if ns.out.endswith(".bin"):
         write_points_binary(ns.out, spec.d, 1, n_hi, all_x)
     else:
-        write_points_csv(ns.out, all_n, all_x)
+        write_points_csv(ns.out, np.arange(1, n_hi + 1, dtype=np.int64), all_x)
     return {"written": ns.out, "points": int(n_hi)}, False
 
 
@@ -107,12 +107,15 @@ def _cmd_plot(ns):
         if "spec" not in report:
             raise ValueError(f"--overlay-json {ns.overlay_json} holds no check "
                              "report with a 'spec' (orchard, uniform or forest)")
+        rspec = SequenceSpec.from_json(report["spec"])
+        if rspec.d != 1:  # direction indices of an S^d net are not circle angles
+            raise ValueError(f"--overlay-json {ns.overlay_json} holds a d={rspec.d} "
+                             "report; only circle (d=1) reports can be overlaid")
         count = report.get("net", {}).get("count")
         for f in report.get("failures", []):
             if count and "direction" in f:
                 ang = f["direction"] * TWO_PI / count
                 rays.append((0.0, 0.0, math.cos(ang), math.sin(ang)))
-        rspec = SequenceSpec.from_json(report["spec"])
         wit_n = [w["n"] for w in report.get("witnesses", [])]
         if wit_n:
             _, wc = point_batch(rspec, np.array(wit_n, dtype=np.int64))
@@ -135,8 +138,7 @@ def _zip_eps_v(ns):
 def _cmd_orchard(ns):
     spec = _spec_from_args(ns)
     reports = [
-        check_orchard(spec, eps, V, index_budget=ns.budget, method=ns.method,
-                      seed=ns.seed)
+        check_orchard(spec, eps, V, index_budget=ns.budget, method=ns.method)
         for eps, V in _zip_eps_v(ns)
     ]
     failed = not all(r.passed for r in reports)
@@ -146,8 +148,7 @@ def _cmd_orchard(ns):
 def _cmd_uniform(ns):
     spec = _spec_from_args(ns)
     reports = [
-        check_uniform_orchard(spec, eps, V, ns.t0, index_budget=ns.budget,
-                              seed=ns.seed)
+        check_uniform_orchard(spec, eps, V, ns.t0, index_budget=ns.budget)
         for eps, V in _zip_eps_v(ns)
     ]
     failed = not all(r.passed for r in reports)

@@ -6,6 +6,7 @@ Directions live on the d-sphere embedded in R^(d+1) as float64 arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -72,6 +73,11 @@ class SphericalCap:
         return geodesic_distance(self.center, v) <= self.radius
 
 
+def _sphere_area(d: int) -> float:
+    """Surface area of S^d."""
+    return 2 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
+
+
 def _cap_packing_count_bound(d: int) -> float:
     """Upper bound on the number of pairwise-(3*delta/4)-separated directions,
     as a multiple of delta^-d.
@@ -79,9 +85,7 @@ def _cap_packing_count_bound(d: int) -> float:
     From disjoint caps of radius 3*delta/8 and sin(t) >= (2/pi) t on [0, pi/2]:
     count <= C1(d) * (4*pi/(3*delta))^d with C1 = 2 d surf(S^d)/(pi surf(S^(d-1))).
     """
-    surf_d = 2 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
-    surf_dm1 = 2 * math.pi ** (d / 2) / math.gamma(d / 2) if d >= 1 else 2.0
-    c1 = 2 * d * surf_d / (math.pi * surf_dm1)
+    c1 = 2 * d * _sphere_area(d) / (math.pi * _sphere_area(d - 1))
     return c1 * (4 * math.pi / 3) ** d
 
 
@@ -89,14 +93,16 @@ def _cap_packing_count_bound(d: int) -> float:
 class DirectionNet:
     """Finite delta-covering of S^d by cap centers.
 
-    ``uniform_grid`` marks the exact equally-spaced circle net (d=1), whose
-    centers are at angles j * 2*pi/len(centers).
+    ``covering_radius`` is the net's proved covering radius: every direction
+    lies within that geodesic distance of some center, and it is at most
+    ``mesh``. ``uniform_grid`` marks the exact equally-spaced circle net
+    (d=1), whose centers are at angles j * 2*pi/len(centers).
     """
 
     dimension: int
     mesh: float
     centers: np.ndarray
-    seed: int | None = None
+    covering_radius: float
     c_net: float = field(default=0.0)
     uniform_grid: bool = False
 
@@ -116,70 +122,77 @@ class DirectionNet:
     def count_bound_ok(self) -> bool:
         return len(self.centers) <= self.c_net * self.mesh ** (-self.dimension)
 
-    def covering_defect(self, n_samples: int, seed: int = 0) -> float:
-        """Max distance from ``n_samples`` random directions to the net.
-
-        Zero defect within the mesh certifies covering only statistically;
-        for d=1 the uniform grid covers exactly.
-        """
-        rng = np.random.default_rng(seed)
-        samples = rng.standard_normal((n_samples, self.dimension + 1))
-        samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-        worst = 0.0
-        for chunk in np.array_split(samples, max(1, n_samples // 4096)):
-            dots = chunk @ self.centers.T
-            nearest = np.arccos(np.clip(dots.max(axis=1), -1.0, 1.0))
-            worst = max(worst, float(nearest.max()))
-        return worst
-
 
 def _uniform_circle_net(delta: float) -> DirectionNet:
     count = max(1, math.ceil(math.pi / delta))
     angles = np.arange(count) * (2 * math.pi / count)
     centers = np.column_stack([np.cos(angles), np.sin(angles)])
-    return DirectionNet(dimension=1, mesh=delta, centers=centers, seed=None, uniform_grid=True)
+    return DirectionNet(dimension=1, mesh=delta, centers=centers,
+                        covering_radius=math.pi / count, uniform_grid=True)
 
 
-def _greedy_sphere_net(d: int, delta: float, seed: int) -> DirectionNet:
-    """Farthest-point thinning of a dense random sample.
+def _project(grids) -> np.ndarray:
+    """Points (1, g_1, ..., g_d) of the face x_0 = 1, normalized onto S^d."""
+    pts = np.stack([np.ones(grids[0].size)] + [g.ravel() for g in grids], axis=1)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
-    Greedy selection at pairwise separation 3*delta/4 over a sample whose fill
-    distance is ~delta/4 yields a delta-covering with packing-bounded count.
+
+def _cube_face(d: int, m: int) -> tuple[np.ndarray, float]:
+    """The m^d equiangular cells of the cube face x_0 = 1: their centers on
+    S^d and the largest center-to-vertex angle over all of them.
+
+    A cell is bounded by great spheres through the origin, so it is convex;
+    below pi/2 the farthest point of a convex spherical cell from its center
+    is a vertex. So that angle is exactly the largest distance from a point
+    of a cell to the cell's own center: a proved covering radius for the
+    face. (A point's nearest center may be a neighbour's, and nearer.)
     """
-    rng = np.random.default_rng(seed)
-    target = 0.75 * delta
-    fill = delta / 4.0
-    # sample size so that random fill distance is well under `fill`
-    n_cand = int(min(4e5, max(4000, 40.0 / fill**d * (d + 1))))
-    cand = rng.standard_normal((n_cand, d + 1))
-    cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+    step = (math.pi / 2) / m
+    edges = np.tan(-math.pi / 4 + step * np.arange(m + 1))
+    edges[0], edges[-1] = -1.0, 1.0  # the faces must meet exactly
+    mids = np.tan(-math.pi / 4 + step * (np.arange(m) + 0.5))
+    centers = _project(np.meshgrid(*[mids] * d, indexing="ij"))
+    widest = 0.0
+    for corner in itertools.product((0, 1), repeat=d):
+        verts = _project(np.meshgrid(*[edges[c:m + c] for c in corner], indexing="ij"))
+        widest = max(widest, float(np.linalg.norm(verts - centers, axis=1).max()))
+    return centers, 2.0 * math.asin(widest / 2.0)
 
-    min_dot = np.full(n_cand, -1.0)  # cos of distance to nearest chosen center
-    cos_target = math.cos(target)
-    centers = []
-    idx = 0  # start from the first sample
+
+def _cube_sphere_net(d: int, delta: float) -> DirectionNet:
+    """Equiangular gnomonic cube ("cubed sphere") net of S^d: 2(d+1) faces
+    with m^d cells each, centers at the cell midpoints, m the smallest grid
+    whose covering radius is at most delta.
+
+    The scan starts from an area bound: 2(d+1) m^d caps of radius delta must
+    cover S^d, and a cap's area is at most area(S^(d-1)) delta^d / d, so no
+    smaller m can qualify.
+    """
+    m = max(1, math.floor(
+        (d * _sphere_area(d) / (2 * (d + 1) * _sphere_area(d - 1))) ** (1 / d) / delta))
     while True:
-        c = cand[idx]
-        centers.append(c)
-        np.maximum(min_dot, cand @ c, out=min_dot)
-        if len(centers) % 64 == 0:  # drop candidates that are already covered
-            keep = min_dot < cos_target
-            cand, min_dot = cand[keep], min_dot[keep]
-            if not len(cand):
-                break
-        if not len(min_dot):
+        face, radius = _cube_face(d, m)
+        if radius <= delta:
             break
-        idx = int(np.argmin(min_dot))
-        if min_dot[idx] >= cos_target:
-            break
-    return DirectionNet(dimension=d, mesh=delta, centers=np.array(centers), seed=seed)
+        m += 1
+    # the other faces are exact images of x_0 = 1 under signed coordinate swaps
+    faces = []
+    for axis in range(d + 1):
+        for sign in (1.0, -1.0):
+            img = np.empty_like(face)
+            img[:, axis] = sign * face[:, 0]
+            img[:, [i for i in range(d + 1) if i != axis]] = face[:, 1:]
+            faces.append(img)
+    return DirectionNet(dimension=d, mesh=delta, centers=np.concatenate(faces),
+                        covering_radius=radius)
 
 
 def build_direction_net(d: int, delta: float, seed: int = 0) -> DirectionNet:
-    """Build a delta-covering of S^d.
+    """Build a delta-covering of S^d with a proved covering radius.
 
-    d=1 uses the exact uniform angle grid; d>=2 uses a seeded greedy packing
-    promoted to a covering. Deterministic for a fixed seed.
+    d=1 uses the exact uniform angle grid; d>=2 uses the equiangular cube
+    sphere. Both are seedless: ``seed`` is accepted for old callers and
+    ignored.
     """
     if not delta > 0:
         raise ValueError(f"net mesh must be positive, got {delta}")
@@ -189,4 +202,4 @@ def build_direction_net(d: int, delta: float, seed: int = 0) -> DirectionNet:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
     if d == 1:
         return _uniform_circle_net(delta)
-    return _greedy_sphere_net(d, delta, seed)
+    return _cube_sphere_net(d, delta)

@@ -229,7 +229,7 @@ def write_points_binary(path: str | Path, d: int, n_lo: int, n_hi: int,
                          f"({n_hi - n_lo + 1}, {d + 1})")
     with open(path, "wb") as fh:
         fh.write(np.array([d, n_lo, n_hi], dtype="<i8").tobytes())
-        fh.write(coords.tobytes())
+        fh.write(coords.data)  # the array's own buffer, not a bytes copy
 
 
 def read_points_binary(path: str | Path) -> tuple[int, int, int, np.ndarray]:

@@ -1,10 +1,17 @@
 """Checkers and estimators for the four visibility properties of spirals.
 
 Each continuum property ("every direction", "every line") is certified on a
-finite direction net; with net mesh at most eps/(4V) a pass certifies the
-continuum statement at tolerance eps + V*mesh, which every report records.
-Candidate indices are capped in closed form from the query window, inflated
-by eps, so truncation is rigorous rather than heuristic.
+finite direction net whose covering radius is proved (the uniform circle grid
+for d=1, the cube sphere of ``sphere.build_direction_net`` for d>=2); with
+net mesh at most eps/(4V) a pass certifies the continuum statement at
+tolerance eps + V*mesh, which every report records. Candidate indices are
+capped in closed form from the query window, inflated by eps, so truncation
+is rigorous rather than heuristic.
+
+Window sweeps turn each point into a cap of directions it reaches
+(``geometry.radial_hit_halfwidth``): on the circle the caps are stamped into
+the grid as index intervals (``_mark_windows``); on S^d, d>=2, each center
+is tested against the caps of the points in index order (``_cap_witnesses``).
 """
 
 from __future__ import annotations
@@ -163,14 +170,14 @@ class CheckReport:
 
 
 def _require_net(spec: SequenceSpec, eps: float, V: float,
-                 net: DirectionNet | None, seed: int = 0) -> DirectionNet:
+                 net: DirectionNet | None) -> DirectionNet:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if V <= 0:
         raise ValueError(f"visibility must be positive, got {V}")
     required = eps / (4.0 * V)
     if net is None:
-        return build_direction_net(spec.d, required, seed=seed)
+        return build_direction_net(spec.d, required)
     if net.mesh > required * (1 + 1e-12):
         raise NetMeshError(net.mesh, required)
     if net.dimension != spec.d:
@@ -179,7 +186,7 @@ def _require_net(spec: SequenceSpec, eps: float, V: float,
 
 
 def _net_info(net: DirectionNet) -> dict:
-    return {"delta": net.mesh, "count": len(net), "seed": net.seed}
+    return {"delta": net.mesh, "count": len(net), "seed": None}
 
 
 # -- circle fast path --------------------------------------------------------
@@ -256,46 +263,72 @@ def _exact_cell_witnesses(spec: SequenceSpec, witness: np.ndarray,
 # -- generic (any-d) direction sweep ----------------------------------------
 
 
+def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int,
+                   caps, pairs_per_block: int = 1 << 21) -> np.ndarray:
+    """Smallest index in [n_lo, n_hi] per center whose point lies in that
+    center's cap: u.c >= cos(h) for the point's direction u and half-width
+    h, with ``caps(radii)`` giving the half-widths about c and about -c
+    (None when that side is not tested; negative half-widths never hit).
+
+    Points are read in index order, in blocks of at most ``pairs_per_block``
+    point-center pairs; centers resolved by a block leave the sweep.
+    """
+    witness = np.full(len(centers), MISS, dtype=np.int64)
+    open_ = np.arange(len(centers))
+    columns = np.ascontiguousarray(centers.T)  # a transposed view multiplies ~6x slower
+    lo = max(1, n_lo)
+    while lo <= n_hi and len(open_):
+        hi = min(n_hi, lo + max(1, pairs_per_block // len(open_)) - 1)
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        lo = hi + 1
+        radii, coords = point_batch(spec, ns)
+        sides = [(sign, h) for sign, h in zip((1.0, -1.0), caps(radii)) if h is not None]
+        reach = np.any([h >= 0.0 for _, h in sides], axis=0)
+        if not reach.any():
+            continue
+        ns, radii, coords = ns[reach], radii[reach], coords[reach]
+        dots = (coords / radii[:, None]) @ columns[:, open_]
+        inside = np.zeros(dots.shape, dtype=bool)
+        for sign, h in sides:
+            h = h[reach]
+            cos_h = np.where(h < 0.0, np.inf, np.where(h >= math.pi, -np.inf, np.cos(h)))
+            inside |= dots >= cos_h[:, None] if sign > 0 else dots <= -cos_h[:, None]
+        hit = inside.any(axis=0)
+        witness[open_[hit]] = ns[np.argmax(inside, axis=0)[hit]]
+        open_ = open_[~hit]
+    return witness
+
+
 def _directional_window_check(spec: SequenceSpec, centers: np.ndarray,
                               t_lo: float, t_hi: float, eps: float,
                               index_budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smallest-index witness per direction for the window [t_lo, t_hi]."""
-    K = len(centers)
-    witness = np.full(K, MISS, dtype=np.int64)
-    t_best = np.full(K, math.nan)
-    d_best = np.full(K, math.nan)
-    r_lo = max(0.0, (min(abs(t_lo), abs(t_hi)) if t_lo * t_hi > 0 else 0.0) - eps)
-    r_hi = max(abs(t_lo), abs(t_hi)) + eps
-    n_lo, n_hi = annulus_index_range(r_lo, r_hi, spec.d)
-    n_hi = min(n_hi, index_budget)
-    unresolved = np.arange(K)
-    for ns, radii, coords in iter_point_chunks(spec, n_lo, n_hi, chunk=1 << 14):
-        if not len(unresolved):
-            break
-        a = t_lo * centers[unresolved]
-        ab = (t_hi - t_lo) * centers[unresolved]
-        # distance of every chunk point to every unresolved segment
-        t_raw = (coords @ centers[unresolved].T - t_lo) / (t_hi - t_lo)
-        t_clip = np.clip(t_raw, 0.0, 1.0)
-        closest_sq = (
-            (a * a).sum(axis=1)[None, :]
-            + 2.0 * t_clip * (a * ab).sum(axis=1)[None, :]
-            + t_clip**2 * (ab * ab).sum(axis=1)[None, :]
-        )
-        dist_sq = (
-            (coords * coords).sum(axis=1)[:, None]
-            - 2.0 * (coords @ a.T)
-            - 2.0 * t_clip * (coords @ ab.T)
-            + closest_sq
-        )
-        hits = dist_sq.min(axis=0) <= eps * eps
-        for col in np.flatnonzero(hits):
-            row = int(np.argmax(dist_sq[:, col] <= eps * eps))
-            j = int(unresolved[col])
-            witness[j] = int(ns[row])
-            t_best[j] = t_lo + t_clip[row, col] * (t_hi - t_lo)
-            d_best[j] = math.sqrt(max(dist_sq[row, col], 0.0))
-        unresolved = unresolved[~hits]
+    """Smallest-index witness per direction for the window [t_lo, t_hi], with
+    its exact (t, distance); NaN at misses.
+
+    As in ``_window_witnesses``, a window with t_lo < 0 is split at the
+    origin and its negative half is tested against -c.
+    """
+    fwd = (max(t_lo, 0.0), t_hi) if t_hi >= 0 else None
+    back = (max(-t_hi, 0.0), -t_lo) if t_lo < 0 else None
+    halves = [h for h in (fwd, back) if h is not None]
+    r_lo = max(0.0, min(lo for lo, _ in halves) - eps)
+    r_hi = max(hi for _, hi in halves) + eps
+    n_lo, n_hi = annulus_index_range(r_lo, r_hi + 1e-12, spec.d)
+
+    def caps(radii):
+        return [None if half is None else radial_hit_halfwidth(radii, *half, eps)
+                for half in (fwd, back)]
+
+    witness = _cap_witnesses(spec, centers, n_lo, min(n_hi, index_budget), caps)
+    t_best = np.full(len(centers), math.nan)
+    d_best = np.full(len(centers), math.nan)
+    hit = np.flatnonzero(witness != MISS)
+    if len(hit):
+        _, coords = point_batch(spec, witness[hit])
+        c = centers[hit]
+        t = np.clip(np.einsum("ij,ij->i", coords, c), t_lo, t_hi)
+        t_best[hit] = t
+        d_best[hit] = np.linalg.norm(coords - t[:, None] * c, axis=1)
     return witness, t_best, d_best
 
 
@@ -321,15 +354,14 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
                   net: DirectionNet | None = None,
                   index_budget: int = DEFAULT_BUDGET,
                   method: str = "direct",
-                  constants: dict | None = None,
-                  seed: int = 0) -> CheckReport:
+                  constants: dict | None = None) -> CheckReport:
     """Every net direction must approach some point at parameter 0 < t < V.
 
     ``direct`` measures exact segment distances; ``certificate`` instead
     checks the arithmetic condition: an index n <= K*V^(d+1) with angular
     distance to the direction at most kappa*eps/n^(1/(d+1)).
     """
-    net = _require_net(spec, eps, V_value, net, seed)
+    net = _require_net(spec, eps, V_value, net)
     constants = dict(constants or {})
     if method == "direct":
         witness, t, dist = _window_check(spec, net, 0.0, V_value, eps, index_budget)
@@ -362,25 +394,16 @@ def _certificate_witnesses(spec: SequenceSpec, net: DirectionNet, eps: float,
             halfw = np.minimum(kappa * eps / radii, math.pi)
             _mark_windows(len(net), witness, angles, halfw, ns)
         return witness
-    witness = np.full(len(net), MISS, dtype=np.int64)
-    for ns, radii, coords in iter_point_chunks(spec, 1, n_cap, chunk=1 << 14):
-        caps = np.minimum(kappa * eps / radii, math.pi)
-        cosd = coords / radii[:, None] @ net.centers.T
-        ang = np.arccos(np.clip(cosd, -1.0, 1.0))
-        ok = ang <= caps[:, None]
-        new = ok.any(axis=0) & (witness == MISS)
-        for j in np.flatnonzero(new):
-            witness[j] = int(ns[np.argmax(ok[:, j])])
-    return witness
+    return _cap_witnesses(spec, net.centers, 1, n_cap,
+                          lambda radii: [np.minimum(kappa * eps / radii, math.pi), None])
 
 
 def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
                           t0_list, net: DirectionNet | None = None,
                           index_budget: int = DEFAULT_BUDGET,
-                          constants: dict | None = None,
-                          seed: int = 0) -> CheckReport:
+                          constants: dict | None = None) -> CheckReport:
     """Orchard condition with the window shifted to (t0, t0 + V), any t0."""
-    net = _require_net(spec, eps, V_value, net, seed)
+    net = _require_net(spec, eps, V_value, net)
     t0_list = list(t0_list)
     if not t0_list:
         raise ValueError("t0 list must be nonempty")

@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from spiralvis import SequenceSpec, point_batch
 from spiralvis.cli import main
+from spiralvis.spirals import write_points_binary
 
 
 def run(capsys, *argv):
@@ -29,6 +32,19 @@ def test_generate_binary(tmp_path, capsys):
     d, lo, hi, coords = read_points_binary(out)
     assert (d, lo, hi) == (1, 1, 64)
     assert coords.shape == (64, 2)
+
+
+def test_generate_binary_bytes(tmp_path, capsys):
+    out = tmp_path / "pts.bin"
+    code, _ = run(capsys, "generate", "--seq", "fibonacci-sphere", "--d", "2",
+                  "--n", "700", "--out", str(out))
+    assert code == 0
+    _, coords = point_batch(SequenceSpec("fibonacci-sphere", d=2),
+                            np.arange(1, 701, dtype=np.int64))
+    want = tmp_path / "want.bin"
+    write_points_binary(want, 2, 1, 700, coords)
+    header = np.array([2, 1, 700], dtype="<i8").tobytes()
+    assert out.read_bytes() == want.read_bytes() == header + coords.astype("<f8").tobytes()
 
 
 def test_orchard_assert_passes(capsys):
@@ -142,6 +158,19 @@ def test_plot_overlay_without_spec_exits_2(tmp_path, capsys):
     assert not svg.exists()
 
 
+def test_plot_overlay_of_sphere_report_exits_2(tmp_path, capsys):
+    report = tmp_path / "sphere.json"
+    code, _ = run(capsys, "uniform", "--seq", "fibonacci-sphere", "--d", "2",
+                  "--eps", "0.2", "--V", "0.5", "--out", str(report))
+    assert code == 0
+    svg = tmp_path / "overlay.svg"
+    with pytest.raises(SystemExit) as err:
+        main(["plot", "--T", "10", "--overlay-json", str(report), "--out", str(svg)])
+    assert err.value.code == 2
+    assert "d=2" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_byte_identical_reports(capsys):
     _, a = run(capsys, "orchard", "--eps", "0.1", "--V", "50", "--seed", "3")
     _, b = run(capsys, "orchard", "--eps", "0.1", "--V", "50", "--seed", "3")
@@ -166,6 +195,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["generate", "--n", "10"])  # missing --out
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:  # nothing to write
+        main(["generate", "--n", "0", "--out", str(tmp_path / "none.bin")])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["orchard", "--eps", "0.1", "--V", "50", "--d", "3"])  # bad kind/d

@@ -1,15 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from spiralvis import (
+    SequenceSpec,
     SphericalCap,
     build_direction_net,
+    check_orchard,
     geodesic_distance,
     polar_distance,
     unit_vector,
 )
+from spiralvis.sphere import _cube_face
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -131,6 +135,7 @@ def test_circle_net_exact_grid():
 
     fine = build_direction_net(1, 0.01)
     assert math.pi / 0.01 <= len(fine) <= 2 * math.pi / 0.01
+    assert fine.covering_radius == math.pi / len(fine) <= 0.01
     gaps = np.diff(sorted(fine.angles))
     assert gaps.max() == pytest.approx(gaps.min(), rel=1e-9)
 
@@ -142,16 +147,96 @@ def test_net_rejects_bad_mesh():
         build_direction_net(2, 4.0)
 
 
+def covering_defect(net, directions) -> float:
+    """Sampled oracle: the largest distance from ``directions`` to the net.
+
+    Zero defect within the mesh certifies covering only statistically; the
+    net's own ``covering_radius`` is the proved value.
+    """
+    worst = 0.0
+    for chunk in np.array_split(directions, max(1, len(directions) // 4096)):
+        dots = chunk @ net.centers.T
+        worst = max(worst, float(np.arccos(np.clip(dots.max(axis=1), -1.0, 1.0)).max()))
+    return worst
+
+
+def cube_probes(rng, count, dim):
+    """Random directions plus the cube's corners and edge midpoints, where
+    the cube-sphere net's coarsest cells meet."""
+    special = [np.array(p, dtype=np.float64)
+               for p in itertools.product((-1.0, 0.0, 1.0), repeat=dim)
+               if sum(map(abs, p)) >= 2]
+    special = np.array([p / np.linalg.norm(p) for p in special])
+    return np.vstack([random_units(rng, count, dim), special])
+
+
 def test_sphere_net_covers_and_respects_count_bound():
-    net = build_direction_net(2, 0.2, seed=1)
+    net = build_direction_net(2, 0.2)
     assert net.count_bound_ok()
-    assert net.covering_defect(10**5, seed=9) <= 0.2
+    assert covering_defect(net, random_units(np.random.default_rng(9), 10**5, 3)) <= 0.2
 
 
-def test_sphere_net_deterministic_by_seed():
-    a = build_direction_net(2, 0.3, seed=5)
-    b = build_direction_net(2, 0.3, seed=5)
-    c = build_direction_net(2, 0.3, seed=6)
-    assert np.array_equal(a.centers, b.centers)
-    assert a.seed == 5
-    assert not np.array_equal(a.centers, c.centers)
+@pytest.mark.parametrize("delta", [0.3, 0.1, 0.04, 0.02, 0.01])
+def test_sphere_net_radius_within_mesh(delta):
+    net = build_direction_net(2, delta)
+    assert net.covering_radius <= delta
+    assert net.count_bound_ok()
+    # m is the smallest grid reaching delta: one cell fewer per side misses it
+    m = math.isqrt(len(net) // 6)
+    assert 6 * m * m == len(net)
+    assert m == 1 or _cube_face(2, m - 1)[1] > delta
+
+
+def cube_cells(m):
+    """Vertex directions of each cell of the equiangular m x m grid on each of
+    the six cube faces, shape (6 m^2, 4, 3)."""
+    edges = np.tan(np.linspace(-math.pi / 4, math.pi / 4, m + 1))
+    edges[0], edges[-1] = -1.0, 1.0
+    cells = []
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            for i in range(m):
+                for j in range(m):
+                    quad = [np.insert([edges[a], edges[b]], axis, sign)
+                            for a, b in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))]
+                    cells.append([p / np.linalg.norm(p) for p in quad])
+    return np.array(cells)
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.1])
+def test_sphere_net_radius_is_largest_cell_circumradius(delta):
+    net = build_direction_net(2, delta)
+    cells = cube_cells(math.isqrt(len(net) // 6))
+    middle = cells.sum(axis=1)
+    middle /= np.linalg.norm(middle, axis=1, keepdims=True)
+    owner = np.argmax(middle @ net.centers.T, axis=1)
+    assert sorted(owner) == list(range(len(net)))  # one center per cell
+    widest = max(geodesic_distance(net.centers[k], v)
+                 for k, quad in zip(owner, cells) for v in quad)
+    assert widest == pytest.approx(net.covering_radius, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, delta", [(2, 0.3), (2, 0.1), (2, 0.04), (3, 0.2)])
+def test_sphere_net_sampled_defect_within_radius(d, delta):
+    net = build_direction_net(d, delta)
+    probes = cube_probes(np.random.default_rng(9), 20_000, d + 1)
+    # 1e-12 absorbs the rounding of arccos at a probe lying on a cell vertex
+    assert covering_defect(net, probes) <= net.covering_radius + 1e-12
+
+
+def test_d3_constant_net_count_bound():
+    spec = SequenceSpec("constant", d=3, v=np.array([1.0, 2.0, 2.0, 4.0]))
+    net = build_direction_net(3, 0.1)
+    assert net.count_bound_ok()
+    assert net.covering_radius <= 0.1
+    rep = check_orchard(spec, 0.2, 0.5)  # builds the same eps/(4V) = 0.1 net
+    assert rep.net == {"delta": 0.1, "count": len(net), "seed": None}
+
+
+def test_sphere_net_is_seedless():
+    a = build_direction_net(2, 0.3)
+    for seed in (5, 6):
+        b = build_direction_net(2, 0.3, seed=seed)
+        assert np.array_equal(a.centers, b.centers)
+        assert a.covering_radius == b.covering_radius
+    assert np.allclose(np.linalg.norm(a.centers, axis=1), 1.0, atol=1e-15)

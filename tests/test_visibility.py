@@ -6,6 +6,7 @@ import pytest
 from spiralvis import (
     LineParam,
     NetMeshError,
+    SequenceSpec,
     build_direction_net,
     calibrate_proximity_sandwich,
     check_dense_forest,
@@ -18,8 +19,12 @@ from spiralvis import (
     verify_proximity_sandwich,
     visible_point_test,
 )
+from spiralvis.geometry import radial_hit_halfwidth, segment_distances
+from spiralvis.spirals import count_in_ball, point_batch
 from spiralvis.visibility import (
     MISS,
+    _cap_witnesses,
+    _certificate_witnesses,
     _directional_window_check,
     _window_witnesses,
 )
@@ -123,6 +128,90 @@ def test_uniform_negative_window_matches_generic(golden, ladder):
                                                    eps, 10**6)
             assert np.array_equal(fast != MISS, slow != MISS)
             assert np.array_equal(fast, slow)
+
+
+def _brute_window_witnesses(spec, centers, t_lo, t_hi, eps):
+    """Per center, the smallest index whose point is within eps of the window
+    {t c : t_lo <= t <= t_hi}, from segment_distances over every point whose
+    radius is within eps + 1 of the window's radii; also which centers have
+    a pair within 1e-9 of eps, where float rounding may decide either way."""
+    near = 0.0 if t_lo < 0 < t_hi else min(abs(t_lo), abs(t_hi))
+    n_lo = count_in_ball(max(0.0, near - eps - 1.0), spec.d) + 1
+    ns = np.arange(n_lo, count_in_ball(max(abs(t_lo), abs(t_hi)) + eps + 1.0, spec.d) + 1)
+    _, coords = point_batch(spec, ns)
+    witness = np.full(len(centers), MISS, dtype=np.int64)
+    tie = np.zeros(len(centers), dtype=bool)
+    for j, c in enumerate(centers):
+        dist, _ = segment_distances(coords, t_lo * c, t_hi * c)
+        close = np.flatnonzero(dist <= eps)
+        if len(close):
+            witness[j] = ns[close[0]]
+        tie[j] = np.any(np.abs(dist - eps) <= 1e-9)
+    return witness, tie
+
+
+def test_sphere_sweep_matches_brute(fib_sphere):
+    const3 = SequenceSpec("constant", d=3, v=build_direction_net(3, 1.0).centers[7])
+    rng = np.random.default_rng(12)
+    cases = 0
+    for spec, delta in ((fib_sphere, 0.2), (const3, 1.0)):
+        centers = build_direction_net(spec.d, delta).centers
+        for where in ("negative", "straddling 0", "far"):
+            eps = float(rng.uniform(0.2, 0.9))
+            V = float(rng.uniform(1.0, 3.0))
+            t0 = {"negative": -V - rng.uniform(0.5, 5.0),
+                  "straddling 0": -rng.uniform(0.1, V - 0.1),
+                  "far": rng.uniform(20.0, 22.0)}[where]
+            witness, t, dist = _directional_window_check(spec, centers, t0, t0 + V,
+                                                         eps, 10**7)
+            want, tie = _brute_window_witnesses(spec, centers, t0, t0 + V, eps)
+            assert tie.sum() <= 2
+            assert np.array_equal(witness[~tie], want[~tie])
+            hit = np.flatnonzero(witness != MISS)
+            assert len(hit) and len(hit) < len(centers)
+            _, pts = point_batch(spec, witness[hit])
+            c = centers[hit]
+            assert np.all((t[hit] >= t0) & (t[hit] <= t0 + V))
+            assert np.allclose(np.linalg.norm(pts - t[hit, None] * c, axis=1),
+                               dist[hit], rtol=0, atol=1e-12)
+            assert np.all(dist[hit] <= eps + 1e-9)
+            assert np.all(np.isnan(t[witness == MISS]))
+            cases += 1
+    assert cases == 6
+
+
+def test_cap_sweep_blocks_agree(fib_sphere):
+    # blocks of a few pairs resolve centers across many blocks; one block
+    # holding every pair sees them all at once
+    centers = build_direction_net(2, 0.1).centers
+
+    def caps(radii):
+        return [radial_hit_halfwidth(radii, 2.0, 4.0, 0.5),
+                radial_hit_halfwidth(radii, 0.0, 1.5, 0.5)]
+
+    whole = _cap_witnesses(fib_sphere, centers, 1, 300, caps, pairs_per_block=10**9)
+    assert 0 < np.sum(whole != MISS) < len(centers)
+    for block in (1, 700, 20_000):
+        got = _cap_witnesses(fib_sphere, centers, 1, 300, caps, pairs_per_block=block)
+        assert np.array_equal(got, whole)
+
+
+def test_sphere_certificate_matches_arccos_formula(fib_sphere):
+    # the parent's rule: n <= K V^3 whose direction is within
+    # min(kappa eps / r, pi) of the center, by arccos of the clipped dot
+    net = build_direction_net(2, 0.1)
+    for eps, V, K_const, kappa in ((0.2, 12.0, 1.0, 1.0), (0.3, 9.0, 0.5, 2.5)):
+        got = _certificate_witnesses(fib_sphere, net, eps, V, K_const, kappa, 10**7)
+        ns = np.arange(1, math.ceil(K_const * V ** 3) + 1)
+        radii, coords = point_batch(fib_sphere, ns)
+        caps = np.minimum(kappa * eps / radii, math.pi)
+        ang = np.arccos(np.clip(coords / radii[:, None] @ net.centers.T, -1.0, 1.0))
+        ok = ang <= caps[:, None]
+        want = np.where(ok.any(axis=0), ns[np.argmax(ok, axis=0)], MISS)
+        tie = np.any(np.abs(ang - caps[:, None]) <= 1e-9, axis=0)
+        assert tie.sum() <= 2
+        assert np.array_equal(got[~tie], want[~tie])
+        assert 0 < np.sum(got != MISS) < len(net)
 
 
 def test_monotonicity_in_eps_and_V(golden):
