@@ -25,7 +25,13 @@ from ._par import parallel_map
 from .geometry import radial_hit_halfwidth, ray_to_ray_distance, segment_distances
 from .sequences import SequenceSpec
 from .sphere import DirectionNet, build_direction_net
-from .spirals import annulus_index_range, count_in_ball, iter_point_chunks, point_batch
+from .spirals import (
+    CHUNK,
+    annulus_index_range,
+    count_in_ball,
+    iter_point_chunks,
+    point_batch,
+)
 
 TWO_PI = 2.0 * math.pi
 MISS = np.iinfo(np.int64).max
@@ -271,14 +277,15 @@ def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int
     (None when that side is not tested; negative half-widths never hit).
 
     Points are read in index order, in blocks of at most ``pairs_per_block``
-    point-center pairs; centers resolved by a block leave the sweep.
+    point-center pairs (and at most ``CHUNK`` points); centers resolved by a
+    block leave the sweep.
     """
     witness = np.full(len(centers), MISS, dtype=np.int64)
     open_ = np.arange(len(centers))
     columns = np.ascontiguousarray(centers.T)  # a transposed view multiplies ~6x slower
     lo = max(1, n_lo)
     while lo <= n_hi and len(open_):
-        hi = min(n_hi, lo + max(1, pairs_per_block // len(open_)) - 1)
+        hi = min(n_hi, lo + min(CHUNK, max(1, pairs_per_block // len(open_))) - 1)
         ns = np.arange(lo, hi + 1, dtype=np.int64)
         lo = hi + 1
         radii, coords = point_batch(spec, ns)
