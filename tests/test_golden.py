@@ -33,8 +33,14 @@ CASES = {
                           "--V", "20", "--line", f"1.0,{math.pi / 2!r},10,30"],
     "visible-strip-ray": ["visible", "--seq", "rational-ladder", "--x", "0,1",
                           "--dir", "1,0", "--eps-floor", "0.5", "--Tmax", "300"],
+    "visible-ladder-ray-chunk2": ["visible", "--seq", "rational-ladder", "--x", "0,1",
+                                  "--dir=-1,0.001", "--eps-floor", "0.5",
+                                  "--Tmax", "2000"],
     "visible-golden-ray": ["visible", "--seq", "golden-angle", "--x", "0.3,0.1",
                            "--dir", "0.6,0.8", "--eps-floor", "0.2", "--Tmax", "100"],
+    "forest-ladder-lines": ["forest", "--seq", "rational-ladder", "--eps", "0.5",
+                            "--V", "44", "--line=1.5,1.5707963267948966,-700,-656",
+                            "--lines", "6", "--seed", "3"],
     "delone-badness": ["delone", "--T", "10", "--probe-res", "1.0",
                        "--badness-Q", "100"],
     "delone-ladder": ["delone", "--seq", "rational-ladder", "--T", "25",
