@@ -157,6 +157,9 @@ def _cmd_uniform(ns):
 
 def _cmd_forest(ns):
     spec = _spec_from_args(ns)
+    if spec.d != 1:
+        raise ValueError(f"forest windows (--line, --lines) are planar, but --seq "
+                         f"{spec.kind} lies in R^{spec.d + 1}; use a d=1 sequence")
     eps, V = ns.eps[0], ns.V[0]
     lines = []
     for text in ns.line or []:
@@ -173,6 +176,11 @@ def _cmd_forest(ns):
 
 def _cmd_visible(ns):
     spec = _spec_from_args(ns)
+    for flag, text in [("--x", ns.x)] + [("--dir", t) for t in ns.dir]:
+        count = len(_floats(text))
+        if count != spec.d + 1:
+            raise ValueError(f"{flag} {text} has {count} coordinates; "
+                             f"a d={spec.d} spiral lies in R^{spec.d + 1}")
     x = _point(ns.x)
     dirs = np.array([unit_vector(_point(t)) for t in ns.dir])
     verdicts = visible_point_test(spec, x, dirs, ns.eps_floor, ns.Tmax,
@@ -376,6 +384,9 @@ def main(argv=None) -> int:
     for name in required.get(ns.subcommand, []):
         if getattr(ns, name, None) is None:
             parser.error(f"{ns.subcommand} requires --{name}")
+    if ns.budget < 1:
+        parser.error(f"--budget caps the sequence indices and must be at least 1, "
+                     f"got {ns.budget}")
     try:
         payload, failed = ns.func(ns)
     except (ValueError, IndexError, FileNotFoundError, PunctureUnresolvedError) as exc:

@@ -12,6 +12,17 @@ Window sweeps turn each point into a cap of directions it reaches
 (``geometry.radial_hit_halfwidth``): on the circle the caps are stamped into
 the grid as index intervals (``_mark_windows``); on S^d, d>=2, each center
 is tested against the caps of the points in index order (``_cap_witnesses``).
+
+Segment scans (the forest windows and the visible-point rays) take their
+points from one candidate source, ``_segment_candidates``: blocks, in index
+order, holding every index of a range whose point lies within a reach D of
+the segment. It has two back-ends. On the rational ladder, shell k's points
+sit at angles 2*pi*p/k, so the candidates are a closed-form p-interval per
+shell and per sub-segment inside the shell's annulus widened by D, O(shells)
+work instead of O(points). Every other kind reads the whole range in index
+order. One exact filter (``geometry.segment_distances`` on the yielded
+points) decides; a miss doubles D until a candidate lies within it, which
+makes the reported minimum exact.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import numpy as np
 
 from ._par import parallel_map
 from .geometry import radial_hit_halfwidth, ray_to_ray_distance, segment_distances
-from .sequences import SequenceSpec
+from .sequences import SequenceSpec, triangular_decompose
 from .sphere import DirectionNet, build_direction_net
 from .spirals import (
     CHUNK,
@@ -437,24 +448,156 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
     )
 
 
+# -- segment scans: one candidate source, one exact filter ------------------
+
+
+NO_POINT = (math.inf, -1, math.nan)  # (distance, n, t) before any point is seen
+
+
+def _segment_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
+                        reach: float, n_lo: int, n_hi: int):
+    """(ns, radii, coords) blocks, in index order, holding every index of
+    [n_lo, n_hi] whose point lies within ``reach`` of the segment [a, b].
+
+    The rational ladder gives such a set in closed form
+    (``_ladder_candidates``); for any other kind it is the whole range.
+    """
+    if spec.kind == "rational-ladder":
+        return _ladder_candidates(spec, a, b, reach, n_lo, n_hi)
+    return iter_point_chunks(spec, n_lo, n_hi)
+
+
+def _ladder_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
+                       reach: float, n_lo: int, n_hi: int):
+    """Shell k of the ladder holds n = k(k+1)/2 + p, 0 <= p <= k, at angle
+    2*pi*p/k (p = k shares angle 0 with p = 0) and radii in [r1, r2]. A shell
+    point within ``reach`` of the segment is within reach of the segment's
+    part inside the annulus [r1 - reach, r2 + reach], which is at most two
+    sub-segments, and its angle lies within asin(reach / (r1 - reach)) of
+    theirs. That gives one p-interval per sub-segment, padded by one step;
+    shells with r1 <= 2*reach are taken whole. Blocks hold at most CHUNK
+    points.
+    """
+    ab = b - a
+    length_sq = float(ab @ ab)
+    near, far = segment_norm_range(a, b)
+    pad = 1e-9 * (1.0 + far)  # float slack on radii; the exact filter decides
+    lo, hi = annulus_index_range(max(0.0, near - reach - pad), far + reach + pad, 1)
+    lo, hi = max(lo, n_lo), min(hi, n_hi)
+    if hi < lo:
+        return
+    if length_sq == 0.0:
+        yield from iter_point_chunks(spec, lo, hi)
+        return
+    k = np.arange(triangular_decompose(lo).k, triangular_decompose(hi).k + 1,
+                  dtype=np.int64)
+    base = k * (k + 1) // 2
+    r_in = np.sqrt(base) - reach - pad
+    r_out = np.sqrt(base + k) + reach + pad
+    # |a + s*ab|^2 = h^2 + |ab|^2 * (s - foot)^2
+    foot = -float(a @ ab) / length_sq
+    h = abs(float(a[0] * ab[1] - a[1] * ab[0])) / math.sqrt(length_sq)
+    s_out = np.sqrt(np.maximum(0.0, (r_out - h) * (r_out + h)) / length_sq)
+    r_cut = np.maximum(r_in, 0.0)
+    s_in = np.sqrt(np.maximum(0.0, (r_cut - h) * (r_cut + h)) / length_sq)
+    widen = np.arcsin(reach / np.maximum(r_in, reach))
+    starts, counts = [], []
+    for s0, s1 in ((np.maximum(foot - s_out, 0.0), np.minimum(foot - s_in, 1.0)),
+                   (np.maximum(foot + s_in, 0.0), np.minimum(foot + s_out, 1.0))):
+        q0 = a + s0[:, None] * ab
+        q1 = a + s1[:, None] * ab
+        theta = np.arctan2(q0[:, 1], q0[:, 0])
+        turn = np.arctan2(q0[:, 0] * q1[:, 1] - q0[:, 1] * q1[:, 0],
+                          np.einsum("ij,ij->i", q0, q1))
+        j_lo = np.ceil((theta + np.minimum(turn, 0.0) - widen) * k / TWO_PI) - 1
+        j_hi = np.floor((theta + np.maximum(turn, 0.0) + widen) * k / TWO_PI) + 1
+        starts.append(j_lo.astype(np.int64))
+        counts.append(np.where((s0 <= s1) & (r_out >= h),
+                               (j_hi - j_lo + 1).astype(np.int64), 0))
+    whole = (((r_in <= reach) & (counts[0] + counts[1] > 0))
+             | (counts[0] >= k) | (counts[1] >= k))
+    starts[0] = np.where(whole, 0, starts[0])
+    counts = [np.where(whole, k, counts[0]), np.where(whole, 0, counts[1])]
+    bounds = np.cumsum(counts[0] + counts[1] + 2)  # a span has at most one p = k twin
+    first = 0
+    while first < len(k):
+        start = bounds[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(bounds, start + CHUNK, side="right")))
+        sel = slice(first, last)
+        ns = np.unique(np.concatenate(
+            [_shell_span_indices(k[sel], base[sel], j[sel], c[sel])
+             for j, c in zip(starts, counts)]))
+        ns = ns[(ns >= lo) & (ns <= hi)]
+        for i in range(0, len(ns), CHUNK):
+            radii, coords = point_batch(spec, ns[i:i + CHUNK])
+            yield ns[i:i + CHUNK], radii, coords
+        first = last
+
+
+def _shell_span_indices(k, base, j0, count) -> np.ndarray:
+    """Indices base + (j mod k) for j in [j0, j0 + count), plus the p = k twin
+    of every p = 0."""
+    offsets = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+    kk = np.repeat(k, count)
+    p = (np.repeat(j0, count) + offsets) % kk
+    ns = np.repeat(base, count) + p
+    return np.concatenate([ns, ns[p == 0] + kk[p == 0]])
+
+
+def _exact_distances(coords, a, b, exclude=None):
+    """Distances and arc parameters to the segment [a, b]; a point at
+    ``exclude`` gets distance inf."""
+    dist, t = segment_distances(coords, a, b)
+    if exclude is not None:
+        dist[np.linalg.norm(coords - exclude, axis=1) <= 1e-12] = math.inf
+    return dist, t
+
+
+def _candidate_distances(spec, a, b, reach, n_lo, n_hi, exclude=None):
+    """The exact filter over ``_segment_candidates``: (ns, dist, t) blocks."""
+    for ns, _, coords in _segment_candidates(spec, a, b, reach, n_lo, n_hi):
+        yield (ns, *_exact_distances(coords, a, b, exclude))
+
+
+def _closer(best, ns, dist, t):
+    """``best`` or the block's first nearest point, whichever is strictly nearer."""
+    j = int(np.argmin(dist))
+    return (float(dist[j]), int(ns[j]), float(t[j])) if dist[j] < best[0] else best
+
+
+def _nearest(spec, a, b, reach, n_lo, n_hi, exclude=None):
+    """(distance, n, t) of the point of [n_lo, n_hi] nearest the segment
+    [a, b], smallest index on ties. The reach doubles until a candidate lies
+    within it, so every point at the minimum is a candidate, or until the
+    source yields every index."""
+    while True:
+        best, seen = NO_POINT, 0
+        for ns, dist, t in _candidate_distances(spec, a, b, reach, n_lo, n_hi, exclude):
+            best = _closer(best, ns, dist, t)
+            seen += len(ns)
+        if best[0] <= reach or seen >= n_hi - n_lo + 1:
+            return best
+        reach *= 2.0
+
+
 def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
                        eps: float, index_budget: int):
     """Smallest-index hit within eps of segment [a, b], else the exact
-    minimum distance found over the candidate range."""
+    minimum distance over the candidate range, smallest index on ties."""
     norms = segment_norm_range(a, b)
     n_lo, n_hi = annulus_index_range(max(0.0, norms[0] - eps), norms[1] + eps, spec.d)
     n_hi = min(n_hi, index_budget)
-    best = (math.inf, -1, math.nan)  # distance, n, t
-    for ns, radii, coords in iter_point_chunks(spec, n_lo, n_hi):
-        dist, t = segment_distances(coords, a, b)
-        j = int(np.argmin(dist))
-        if dist[j] < best[0]:
-            best = (float(dist[j]), int(ns[j]), float(t[j]))
+    best, seen = NO_POINT, 0
+    for ns, dist, t in _candidate_distances(spec, a, b, eps, n_lo, n_hi):
         hits = np.flatnonzero(dist <= eps)
         if len(hits):
             j = int(hits[0])
             return (float(dist[j]), int(ns[j]), float(t[j])), True
-    return best, best[0] <= eps
+        best = _closer(best, ns, dist, t)
+        seen += len(ns)
+    if seen < n_hi - n_lo + 1:  # the source left out points farther than eps
+        best = _nearest(spec, a, b, 2.0 * eps, n_lo, n_hi)
+    return best, False
 
 
 def segment_norm_range(a, b) -> tuple[float, float]:
@@ -535,42 +678,21 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
     the spiral minus {x}, per direction; a semi-decision unless a proven
     vacant region certifies the whole ray.
     """
-    if eps_floor <= 0:
-        raise ValueError("eps_floor must be positive")
+    if not 0 < eps_floor < math.inf:
+        raise ValueError(f"eps_floor must be finite and positive, got {eps_floor}")
     if not math.isfinite(T_max) or T_max <= 0:
         raise ValueError("T_max must be finite and positive")
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"ray origin must be finite, got {x}")
     if isinstance(directions, DirectionNet):
         directions = directions.centers
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    scan = _ladder_ray_scan if spec.kind == "rational-ladder" else _slack_ray_scan
 
     def run(v):
         cert = _vacant_strip_certificate(spec, x, v)
-        b = x + T_max * v
-        best = (math.inf, -1, math.nan)
-        norms = segment_norm_range(x, b)
-        slack = 10.0
-        n_done = 0
-        stopped = False
-        while not stopped:
-            n_hi = min(index_budget, count_in_ball(norms[1] + slack, spec.d))
-            for ns, radii, coords in iter_point_chunks(spec, n_done + 1, n_hi):
-                dist, t = segment_distances(coords, x, b)
-                dist[np.linalg.norm(coords - x, axis=1) <= 1e-12] = math.inf
-                j = int(np.argmin(dist))
-                if dist[j] < best[0]:
-                    best = (float(dist[j]), int(ns[j]), float(t[j]))
-                if early_exit and best[0] < eps_floor:
-                    stopped = True
-                    break
-                if best[0] < math.inf and ns[-1] >= count_in_ball(
-                        norms[1] + best[0], spec.d):
-                    stopped = True  # every unscanned point is farther than best
-                    break
-            n_done = n_hi
-            if n_hi >= index_budget or best[0] <= slack:
-                stopped = True
-            slack *= 4.0
+        best = scan(spec, x, x + T_max * v, eps_floor, index_budget, early_exit)
         witness = None if best[1] < 0 else HitWitness(best[1], best[2], best[0])
         certified = cert is not None and cert["bound"] >= eps_floor
         visible = best[0] >= eps_floor
@@ -579,6 +701,60 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
                           certificate=cert, eps_floor=eps_floor, T_max=T_max)
 
     return parallel_map(run, list(directions))
+
+
+def _slack_rounds(far: float, index_budget: int, d: int):
+    """The ray scan's rounds as (slack, n_hi): round i reads the indices up to
+    radius far + slack, slack = 10 * 4^i, clipped by the budget, in CHUNK
+    blocks starting after the previous round's n_hi."""
+    slack = 10.0
+    while True:
+        yield slack, min(index_budget, count_in_ball(far + slack, d))
+        slack *= 4.0
+
+
+def _slack_ray_scan(spec, x, b, eps_floor, index_budget, early_exit):
+    """Reads every index in rounds of growing radius (``_slack_rounds``) until
+    no unread point can be nearer than the best so far, or, with
+    ``early_exit``, until a point comes within eps_floor."""
+    far = segment_norm_range(x, b)[1]
+    best = NO_POINT
+    n_done = 0
+    for slack, n_hi in _slack_rounds(far, index_budget, spec.d):
+        for ns, radii, coords in iter_point_chunks(spec, n_done + 1, n_hi):
+            best = _closer(best, ns, *_exact_distances(coords, x, b, exclude=x))
+            if early_exit and best[0] < eps_floor:
+                return best
+            if best[0] < math.inf and ns[-1] >= count_in_ball(far + best[0], spec.d):
+                return best  # every unscanned point is farther than best
+        n_done = n_hi
+        if n_hi >= index_budget or best[0] <= slack:
+            return best
+
+
+def _ladder_ray_scan(spec, x, b, eps_floor, index_budget, early_exit):
+    """``_slack_ray_scan``'s result from closed-form candidates. With a first
+    index m below eps_floor, that scan stops at the end of the CHUNK block
+    holding m, so its result is the minimum up to there; otherwise it is the
+    minimum over [1, index_budget]."""
+    if early_exit:
+        for ns, dist, _ in _candidate_distances(spec, x, b, eps_floor, 1, index_budget,
+                                                exclude=x):
+            below = np.flatnonzero(dist < eps_floor)
+            if len(below):
+                end = _slack_block_end(int(ns[below[0]]), segment_norm_range(x, b)[1],
+                                       index_budget, spec.d)
+                return _nearest(spec, x, b, eps_floor, 1, end, exclude=x)
+    return _nearest(spec, x, b, eps_floor, 1, index_budget, exclude=x)
+
+
+def _slack_block_end(m: int, far: float, index_budget: int, d: int) -> int:
+    """Last index of the block that holds m in ``_slack_ray_scan``."""
+    n_done = 0
+    for _, n_hi in _slack_rounds(far, index_budget, d):
+        if m <= n_hi:
+            return min(n_hi, n_done + CHUNK * ((m - n_done - 1) // CHUNK + 1))
+        n_done = n_hi
 
 
 # -- arithmetic line-proximity check (radial + angular split) ---------------

@@ -216,6 +216,23 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             main(["delone", *argv])
         assert err.value.code == 2
     assert "finite" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:  # an empty index range is no verdict
+        main(["visible", "--seq", "rational-ladder", "--x", "0,1", "--dir", "1,0",
+              "--budget", "-3", "--Tmax", "50"])
+    assert err.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+    for argv, problem in (
+            (["visible", "--x", "0,1,2", "--dir", "1,0"], "--x 0,1,2 has 3 coordinates"),
+            (["visible", "--x", "0,1", "--dir", "1,0", "--dir", "1"],
+             "--dir 1 has 1 coordinates"),
+            (["visible", "--seq", "fibonacci-sphere", "--d", "2", "--x", "0,1",
+              "--dir", "1,0,0"], "--x 0,1 has 2 coordinates"),
+            (["forest", "--seq", "fibonacci-sphere", "--d", "2", "--eps", "0.2",
+              "--V", "5", "--lines", "2"], "planar")):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert problem in capsys.readouterr().err
 
 
 def test_environment_thread_cap(monkeypatch):

@@ -1,13 +1,24 @@
 """The forest scan's segment query against brute force over every stored
 point: a hit is the smallest index within eps, a miss means no stored point
-comes within eps."""
+comes within eps. On the rational ladder, whose candidates come in closed
+form, the segment query and the visible-ray scan are also pinned exactly."""
+
+import math
 
 import numpy as np
 import pytest
 
-from spiralvis import point_batch
+from spiralvis import annulus_index_range, point_batch
 from spiralvis.geometry import segment_distances
-from spiralvis.visibility import _line_min_distance
+from spiralvis.sphere import unit_vector
+from spiralvis.spirals import CHUNK, count_in_ball, iter_point_chunks
+from spiralvis.visibility import (
+    HitWitness,
+    _line_min_distance,
+    _segment_candidates,
+    segment_norm_range,
+    visible_point_test,
+)
 
 
 def _assert_first_witness_matches_brute(spec, ns, coords, a, b, eps):
@@ -42,3 +53,141 @@ def test_d2_index_matches_brute(fib_sphere):
         b = a + rng.uniform(-8, 8, 3)
         eps = rng.uniform(0.1, 1.5)
         _assert_first_witness_matches_brute(fib_sphere, ns, coords, a, b, eps)
+
+
+# -- rational ladder: closed-form candidates --------------------------------
+
+
+def test_ladder_segments_match_brute(ladder):
+    """Hits are the smallest index within eps; misses report the minimum over
+    the candidate annulus exactly, as a pass over every stored point does."""
+    ns = np.arange(1, 420**2 + 1, dtype=np.int64)
+    _, coords = point_batch(ladder, ns)
+    rng = np.random.default_rng(17)
+    outcomes = []
+    for i in range(200):
+        eps = rng.uniform(0.05, 1.0)
+        if i % 4 == 0:  # inside the vacant strip 0 < y < 2
+            y = rng.uniform(0.1, 1.9)
+            a = np.array([rng.uniform(-250, 250), y])
+            b = np.array([a[0] + rng.choice([-1, 1]) * rng.uniform(5, 150), y])
+        elif i % 4 == 1:  # across the strip
+            a = np.array([rng.uniform(-250, 250), rng.uniform(-6, 0)])
+            b = a + np.array([rng.uniform(-20, 20), rng.uniform(2, 8)])
+        else:
+            a = rng.uniform(-250, 250, 2)
+            b = a + rng.uniform(-30, 30, 2)
+        near, far = segment_norm_range(a, b)
+        n_lo, n_hi = annulus_index_range(max(0.0, near - eps), far + eps, 1)
+        assert n_hi <= len(ns)
+        dist, t = segment_distances(coords, a, b)
+        inside = (ns >= n_lo) & (ns <= n_hi)
+        assert not np.any(dist[~inside] <= eps)
+        (got_dist, got_n, got_t), hit = _line_min_distance(ladder, a, b, eps, len(ns))
+        want = np.flatnonzero(dist <= eps)
+        assert hit == bool(len(want))
+        j = int(want[0]) if hit else n_lo - 1 + int(np.argmin(dist[inside]))
+        assert (got_n, got_dist, got_t) == (int(ns[j]), float(dist[j]), float(t[j]))
+        outcomes.append(hit)
+    assert 20 <= sum(outcomes) <= 180  # both hits and misses are exercised
+
+
+def test_ladder_candidates_cover_every_point_within_reach(ladder):
+    """The closed-form source yields, in index order and in blocks of at most
+    CHUNK, the stored coordinates of every index within reach, for reaches
+    from well below to well above the shell spacing."""
+    ns = np.arange(1, 300**2 + 1, dtype=np.int64)
+    _, coords = point_batch(ladder, ns)
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        a = rng.uniform(-200, 200, 2)
+        b = a + rng.uniform(-40, 40, 2)
+        reach = math.exp(rng.uniform(math.log(0.05), math.log(60.0)))
+        n_lo, n_hi = sorted(int(n) for n in rng.integers(1, len(ns) + 1, 2))
+        blocks = list(_segment_candidates(ladder, a, b, reach, n_lo, n_hi))
+        got = np.concatenate([blk[0] for blk in blocks]) if blocks else ns[:0]
+        assert all(0 < len(blk[0]) <= CHUNK for blk in blocks)
+        assert np.all(np.diff(got) > 0) and np.all((got >= n_lo) & (got <= n_hi))
+        for blk_ns, _, blk_coords in blocks:
+            assert np.array_equal(blk_coords, coords[blk_ns - 1])
+        dist, _ = segment_distances(coords[n_lo - 1:n_hi], a, b)
+        within = ns[n_lo - 1:n_hi][dist <= reach]
+        assert np.all(np.isin(within, got))
+        if reach <= 1.0:
+            assert len(got) <= max(1000, (n_hi - n_lo + 1) // 20)
+
+
+def _slack_loop_oracle(spec, x, v, eps_floor, T_max, index_budget, early_exit=True):
+    """visible_point_test's scan over every index before ladder candidates:
+    rounds of growing radius read in CHUNK blocks, stopping at the first
+    block with a point below eps_floor or once no unread point can be nearer."""
+    b = x + T_max * v
+    best = (math.inf, -1, math.nan)
+    norms = segment_norm_range(x, b)
+    slack = 10.0
+    n_done = 0
+    stopped = False
+    while not stopped:
+        n_hi = min(index_budget, count_in_ball(norms[1] + slack, spec.d))
+        for ns, radii, coords in iter_point_chunks(spec, n_done + 1, n_hi):
+            dist, t = segment_distances(coords, x, b)
+            dist[np.linalg.norm(coords - x, axis=1) <= 1e-12] = math.inf
+            j = int(np.argmin(dist))
+            if dist[j] < best[0]:
+                best = (float(dist[j]), int(ns[j]), float(t[j]))
+            if early_exit and best[0] < eps_floor:
+                stopped = True
+                break
+            if best[0] < math.inf and ns[-1] >= count_in_ball(
+                    norms[1] + best[0], spec.d):
+                stopped = True
+                break
+        n_done = n_hi
+        if n_hi >= index_budget or best[0] <= slack:
+            stopped = True
+        slack *= 4.0
+    return best
+
+
+def _assert_ray_matches_oracle(spec, x, v, eps_floor, T_max, budget=10**7,
+                               early_exit=True):
+    v = unit_vector(np.asarray(v, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    got = visible_point_test(spec, x, v[None, :], eps_floor, T_max,
+                             index_budget=budget, early_exit=early_exit)[0]
+    dist, n, t = _slack_loop_oracle(spec, x, v, eps_floor, T_max, budget, early_exit)
+    assert got.min_distance == dist
+    assert got.witness == (None if n < 0 else HitWitness(n, t, dist))
+    return got
+
+
+def test_ladder_rays_match_chunked_scan(ladder):
+    x = (0.0, 1.0)
+    # first hit n=524287, in the second block
+    got = _assert_ray_matches_oracle(ladder, x, (-1, 0.001), 0.5, 2000.0)
+    assert got.witness.n == 524287
+    # the budget clips below that hit: the minimum over [1, budget]
+    got = _assert_ray_matches_oracle(ladder, x, (-1, 0.001), 0.5, 2000.0,
+                                     budget=400_000)
+    assert got.visible_at_scale and got.witness.n <= 400_000
+    # outside the budget's disk of radius 100: the reach doubles to about 30
+    got = _assert_ray_matches_oracle(ladder, (130.0, 0.0), (0, 1), 0.5, 50.0,
+                                     budget=10**4)
+    assert got.min_distance > 20.0
+    got = _assert_ray_matches_oracle(ladder, x, (1, 0.0015), 0.5, 2000.0)
+    assert got.witness.n > 3 * 10**6
+    got = _assert_ray_matches_oracle(ladder, x, (1, 0.001), 0.5, 2000.0)
+    assert got.visible_at_scale and got.min_distance == pytest.approx(1.0009995, abs=1e-7)
+    got = _assert_ray_matches_oracle(ladder, x, (1, 0), 0.5, 1000.0)
+    assert (got.min_distance, got.witness.n) == (1.0, 1)
+    _assert_ray_matches_oracle(ladder, x, (1, 0), 0.5, 300.0, early_exit=False)
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        origin = rng.uniform(-40, 40, 2)
+        ang = rng.uniform(0, 2 * math.pi)
+        _assert_ray_matches_oracle(ladder, origin, (math.cos(ang), math.sin(ang)),
+                                   rng.uniform(0.05, 1.5), rng.uniform(20, 400))
+    # a ray from a spiral point does not report that point
+    p = point_batch(ladder, np.array([40]))[1][0]
+    got = _assert_ray_matches_oracle(ladder, p, (0.6, 0.8), 0.3, 100.0)
+    assert got.witness.n != 40

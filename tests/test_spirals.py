@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiralvis import (
     PunctureSpec,
@@ -72,6 +74,29 @@ def test_annulus_range_exact_boundaries():
         assert Fraction(n_hi + 1) > hi_pow
         if n_hi < n_lo:
             assert n_hi == n_lo - 1
+
+
+# radii up to 1e4: arbitrary floats, integers (whose powers are exact
+# boundaries), their float neighbours, and float square roots of indices
+RADII = st.one_of(
+    st.floats(0.0, 1e4),
+    st.integers(0, 10**4).map(float),
+    st.integers(1, 10**4).map(lambda m: math.nextafter(float(m), 0.0)),
+    st.integers(0, 10**4).map(lambda m: math.nextafter(float(m), math.inf)),
+    st.integers(0, 10**8).map(lambda n: math.sqrt(n)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=st.sampled_from([1, 2]), radii=st.lists(RADII, min_size=2, max_size=2))
+def test_annulus_range_fraction_oracle(d, radii):
+    r, R = sorted(radii)
+    n_lo, n_hi = annulus_index_range(r, R, d)
+    lo_pow, hi_pow = Fraction(r) ** (d + 1), Fraction(R) ** (d + 1)
+    # n_lo: the least n >= 1 with n >= r^(d+1); n_hi: the greatest n <= R^(d+1)
+    assert n_lo >= 1 and Fraction(n_lo) >= lo_pow
+    assert n_lo == 1 or Fraction(n_lo - 1) < lo_pow
+    assert Fraction(n_hi) <= hi_pow < Fraction(n_hi + 1)
 
 
 def test_annulus_range_rejects_bad_args():

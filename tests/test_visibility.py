@@ -383,6 +383,13 @@ def test_visible_validates_args(golden):
     with pytest.raises(ValueError):
         visible_point_test(golden, np.zeros(2), np.array([[1.0, 0]]),
                            eps_floor=0.1, T_max=math.inf)
+    for eps_floor in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps_floor"):
+            visible_point_test(golden, np.zeros(2), np.array([[1.0, 0]]),
+                               eps_floor=eps_floor, T_max=10.0)
+    with pytest.raises(ValueError, match="origin"):
+        visible_point_test(golden, np.array([math.nan, 0.0]), np.array([[1.0, 0]]),
+                           eps_floor=0.1, T_max=10.0)
 
 
 # -- minimal-visibility estimation -------------------------------------------
