@@ -9,9 +9,9 @@ capped in closed form from the query window, inflated by eps, so truncation
 is rigorous rather than heuristic.
 
 Window sweeps turn each point into a cap of directions it reaches
-(``geometry.radial_hit_halfwidth``): on the circle the caps are stamped into
-the grid as index intervals (``_mark_windows``); on S^d, d>=2, each center
-is tested against the caps of the points in index order (``_cap_witnesses``).
+(``geometry.radial_hit_halfwidth``) and read points in index order until no
+direction is open: on the circle only open cells are written, so the first
+writer is the witness (``_circle_sweep``); on S^d open centers are tested.
 
 Segment scans (the forest windows and the visible-point rays) take their
 points from one candidate source, ``_segment_candidates``: blocks, in index
@@ -84,6 +84,9 @@ class LineParam:
     t1: float
 
     def __post_init__(self):
+        for name in ("lam", "t0", "t1", "v", "w"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"line {name} must be finite, got {getattr(self, name)}")
         if self.lam < 0:
             raise ValueError("line offset lam must be nonnegative")
         if abs(float(np.dot(self.v, self.w))) > 1e-10:
@@ -94,6 +97,8 @@ class LineParam:
     @classmethod
     def at_angle(cls, lam: float, angle: float, t0: float, t1: float) -> "LineParam":
         """The window with v at ``angle`` and w = v turned a quarter counterclockwise."""
+        if not math.isfinite(angle):
+            raise ValueError(f"line angle must be finite, got {angle}")
         v = np.array([math.cos(angle), math.sin(angle)])
         w = np.array([-math.sin(angle), math.cos(angle)])
         return cls(lam=lam, v=v, w=w, t0=t0, t1=t1)
@@ -190,8 +195,8 @@ def _require_net(spec: SequenceSpec, eps: float, V: float,
                  net: DirectionNet | None) -> DirectionNet:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if V <= 0:
-        raise ValueError(f"visibility must be positive, got {V}")
+    if not 0 < V < math.inf:
+        raise ValueError(f"visibility V must be finite and positive, got {V}")
     required = eps / (4.0 * V)
     if net is None:
         return build_direction_net(spec.d, required)
@@ -209,83 +214,100 @@ def _net_info(net: DirectionNet) -> dict:
 # -- circle fast path --------------------------------------------------------
 
 
-def _mark_windows(K: int, witness: np.ndarray, angles: np.ndarray,
-                  halfw: np.ndarray, ns: np.ndarray,
-                  marks_per_batch: int = 1 << 21) -> None:
-    """Stamp each point's covered net-cell range with its index, keeping the
-    smallest index per cell. Cells are j*2*pi/K; ranges wrap modulo K."""
+def _mark_windows(K: int, is_open, angles: np.ndarray, halfw: np.ndarray, write,
+                  marks_per_batch: int | None = None) -> None:
+    """Hand ``write(at, cells)`` each row ``at`` (a point; columns are more
+    arcs of it) with the open cells j*2*pi/K within halfw of its angle, in
+    blocks of at most ``marks_per_batch`` pairs (default K within [2^18,
+    2^20]); before each, a prefix count over ``is_open()`` turns every arc
+    into a run of ranks in the list of open cells."""
     step = TWO_PI / K
-    ok = halfw >= 0.0
-    angles, halfw, ns = angles[ok], halfw[ok], ns[ok]
     lo = np.ceil((angles - halfw) / step).astype(np.int64)
     hi = np.floor((angles + halfw) / step).astype(np.int64)
-    counts = np.minimum(np.maximum(hi - lo + 1, 0), K)
-    nz = counts > 0
-    lo, counts, ns = lo[nz], counts[nz], ns[nz]
-    bounds = np.cumsum(counts)
-    start = 0
-    while start < len(counts):
-        stop = int(np.searchsorted(bounds, (bounds[start - 1] if start else 0)
-                                   + marks_per_batch)) + 1
-        stop = min(stop, len(counts))
-        c = counts[start:stop]
-        offsets = np.arange(int(c.sum())) - np.repeat(np.cumsum(c) - c, c)
-        cells = (np.repeat(lo[start:stop], c) + offsets) % K
-        np.minimum.at(witness, cells, np.repeat(ns[start:stop], c))
-        start = stop
+    counts = np.where(halfw < 0.0, 0, np.clip(hi - lo + 1, 0, K)).ravel()
+    at, lo = np.indices(lo.shape)[0].ravel(), lo.ravel() % K
+    while len(lo):
+        is_open_now = is_open()
+        prefix = np.concatenate(([0], np.cumsum(is_open_now)))
+        if not (R := int(prefix[-1])):
+            return
+        wrap = lo + counts > K
+        runs = prefix[lo + counts - K * wrap] - prefix[lo] + R * wrap
+        bounds = np.cumsum(runs)
+        stop = max(1, int(np.searchsorted(
+            bounds, marks_per_batch or min(max(K, 1 << 18), 1 << 20), side="right")))
+        c = runs[:stop]
+        ranks = np.repeat(prefix[lo[:stop]] - bounds[:stop] + c, c) + np.arange(bounds[stop - 1])
+        write(np.repeat(at[:stop], c), np.flatnonzero(is_open_now)[ranks % R])
+        lo, counts, at = lo[stop:], counts[stop:], at[stop:]
 
 
-def _window_witnesses(spec: SequenceSpec, K: int, t_lo: float, t_hi: float,
-                      eps: float, index_budget: int) -> np.ndarray:
-    """Per net cell, the smallest point index within eps of the window
-    [t_lo, t_hi] (t_lo may be negative) along that cell's direction."""
+def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
+                 index_budget: int):
+    """(n_lo, n_hi, arcs): the window split at the origin, its t < 0 half as
+    [max(-t_hi, 0), -t_lo] along -c (flip pi); the halves' index range (their
+    annuli widened by eps, budget-clipped) and (flip, reach(ns, radii)) each."""
+    ranges, arcs = [], []
+    halves = [(0.0, max(t_lo, 0.0), t_hi)] if t_hi >= 0 else []
+    halves += [(math.pi, max(-t_hi, 0.0), -t_lo)] if t_lo < 0 else []
+    for flip, lo, hi in halves:
+        n_lo, n_hi = annulus_index_range(max(0.0, lo - eps), hi + eps + 1e-12, spec.d)
+        ranges.append((n_lo, min(n_hi, index_budget)))
+        arcs.append((flip, lambda ns, radii, lo=lo, hi=hi, r=ranges[-1]: np.where(
+            (ns >= r[0]) & (ns <= r[1]), radial_hit_halfwidth(radii, lo, hi, eps), -1.0)))
+    return min(r[0] for r in ranges), max(r[1] for r in ranges), arcs
+
+
+def _circle_sweep(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
+                  is_open, write) -> None:
+    """Hand ``write(ns, radii, theta, cells)`` the cells within reach(ns,
+    radii) of each point's angle theta + flip, per (flip, reach) in ``arcs``,
+    in index order; ``is_open(r)`` names the cells that points of radius r or
+    more may still change, and the sweep stops when it names none."""
+    for ns, radii, coords in iter_point_chunks(spec, n_lo, n_hi, CHUNK // 4):
+        theta = np.arctan2(coords[:, 1], coords[:, 0])
+        _mark_windows(K, lambda: is_open(radii[0]),
+                      np.column_stack([(theta + flip) % TWO_PI for flip, _ in arcs]),
+                      np.column_stack([reach(ns, radii) for _, reach in arcs]),
+                      lambda at, cells: write(ns[at], radii[at], theta[at], cells))
+        if not is_open(radii[-1]).any():
+            return
+
+
+def _circle_witnesses(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
+                      t_lo: float, t_hi: float):
+    """Per cell, the first index of the sweep to reach it, with its exact
+    (t, distance) on [t_lo, t_hi]; open cells are the unwritten ones."""
     witness = np.full(K, MISS, dtype=np.int64)
-    halves = []
-    if t_hi >= 0:
-        halves.append((max(t_lo, 0.0), t_hi, 0.0))
-    if t_lo < 0:
-        halves.append((max(-t_hi, 0.0), -t_lo, math.pi))
-    for lo, hi, flip in halves:
-        r_lo = max(0.0, lo - eps)
-        r_hi = hi + eps
-        n_lo, n_hi = annulus_index_range(r_lo, r_hi + 1e-12, spec.d)
-        n_hi = min(n_hi, index_budget)
-        for ns, radii, coords in iter_point_chunks(spec, n_lo, n_hi):
-            angles = np.arctan2(coords[:, 1], coords[:, 0]) + flip
-            halfw = radial_hit_halfwidth(radii, lo, hi, eps)
-            _mark_windows(K, witness, angles % TWO_PI, halfw, ns)
-    return witness
+    radius, theta = np.full(K, math.nan), np.full(K, math.nan)
+
+    def write(ns, radii, angles, cells):
+        # numpy assigns repeated cells in order; reversed, the smallest index stays
+        cells = cells[::-1]
+        witness[cells], radius[cells], theta[cells] = ns[::-1], radii[::-1], angles[::-1]
+
+    _circle_sweep(spec, K, n_lo, n_hi, arcs, lambda r: witness == MISS, write)
+    return witness, *_exact_cell_witnesses(radius, theta, t_lo, t_hi)
 
 
-def _exact_cell_witnesses(spec: SequenceSpec, witness: np.ndarray,
+def _exact_cell_witnesses(radius: np.ndarray, theta: np.ndarray,
                           t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (t, distance) for each cell's witness point (NaN at misses)."""
-    K = len(witness)
-    t_out = np.full(K, math.nan)
-    d_out = np.full(K, math.nan)
-    hit = np.flatnonzero(witness != MISS)
-    if not len(hit):
-        return t_out, d_out
-    radii, coords = point_batch(spec, witness[hit])
-    alphas = hit * (TWO_PI / K)
-    theta = np.arctan2(coords[:, 1], coords[:, 0])
-    delta = theta - alphas
-    along = radii * np.cos(delta)
+    """Exact (t, distance) of each cell's witness from its radius and angle."""
+    delta = theta - np.arange(len(theta)) * (TWO_PI / len(theta))
+    along = radius * np.cos(delta)
     t_star = np.clip(along, t_lo, t_hi)
-    d_out[hit] = np.hypot(along - t_star, radii * np.sin(delta))
-    t_out[hit] = t_star
-    return t_out, d_out
+    return t_star, np.hypot(along - t_star, radius * np.sin(delta))
 
 
 # -- generic (any-d) direction sweep ----------------------------------------
 
 
 def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int,
-                   caps, pairs_per_block: int = 1 << 21) -> np.ndarray:
+                   arcs, pairs_per_block: int = 1 << 21) -> np.ndarray:
     """Smallest index in [n_lo, n_hi] per center whose point lies in that
     center's cap: u.c >= cos(h) for the point's direction u and half-width
-    h, with ``caps(radii)`` giving the half-widths about c and about -c
-    (None when that side is not tested; negative half-widths never hit).
+    h = reach(ns, radii), per (flip, reach) in ``arcs``, about c for flip 0
+    and about -c for flip pi (negative half-widths never hit).
 
     Points are read in index order, in blocks of at most ``pairs_per_block``
     point-center pairs (and at most ``CHUNK`` points); centers resolved by a
@@ -300,7 +322,7 @@ def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int
         ns = np.arange(lo, hi + 1, dtype=np.int64)
         lo = hi + 1
         radii, coords = point_batch(spec, ns)
-        sides = [(sign, h) for sign, h in zip((1.0, -1.0), caps(radii)) if h is not None]
+        sides = [(math.cos(flip), h(ns, radii)) for flip, h in arcs]
         reach = np.any([h >= 0.0 for _, h in sides], axis=0)
         if not reach.any():
             continue
@@ -323,21 +345,10 @@ def _directional_window_check(spec: SequenceSpec, centers: np.ndarray,
     """Smallest-index witness per direction for the window [t_lo, t_hi], with
     its exact (t, distance); NaN at misses.
 
-    As in ``_window_witnesses``, a window with t_lo < 0 is split at the
-    origin and its negative half is tested against -c.
+    The window is split at the origin as in ``_window_arcs``; its negative
+    half is tested against -c.
     """
-    fwd = (max(t_lo, 0.0), t_hi) if t_hi >= 0 else None
-    back = (max(-t_hi, 0.0), -t_lo) if t_lo < 0 else None
-    halves = [h for h in (fwd, back) if h is not None]
-    r_lo = max(0.0, min(lo for lo, _ in halves) - eps)
-    r_hi = max(hi for _, hi in halves) + eps
-    n_lo, n_hi = annulus_index_range(r_lo, r_hi + 1e-12, spec.d)
-
-    def caps(radii):
-        return [None if half is None else radial_hit_halfwidth(radii, *half, eps)
-                for half in (fwd, back)]
-
-    witness = _cap_witnesses(spec, centers, n_lo, min(n_hi, index_budget), caps)
+    witness = _cap_witnesses(spec, centers, *_window_arcs(spec, t_lo, t_hi, eps, index_budget))
     t_best = np.full(len(centers), math.nan)
     d_best = np.full(len(centers), math.nan)
     hit = np.flatnonzero(witness != MISS)
@@ -353,9 +364,8 @@ def _directional_window_check(spec: SequenceSpec, centers: np.ndarray,
 def _window_check(spec: SequenceSpec, net: DirectionNet, t_lo: float,
                   t_hi: float, eps: float, index_budget: int):
     if spec.d == 1 and net.uniform_grid:
-        witness = _window_witnesses(spec, len(net), t_lo, t_hi, eps, index_budget)
-        t, dist = _exact_cell_witnesses(spec, witness, t_lo, t_hi)
-        return witness, t, dist
+        return _circle_witnesses(spec, len(net), *_window_arcs(spec, t_lo, t_hi, eps,
+                                                               index_budget), t_lo, t_hi)
     return _directional_window_check(spec, net.centers, t_lo, t_hi, eps, index_budget)
 
 
@@ -386,10 +396,8 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
     elif method == "certificate":
         K_const = constants.setdefault("K", 1.0)
         kappa = constants.setdefault("kappa", 1.0)
-        witness = _certificate_witnesses(spec, net, eps, V_value, K_const, kappa,
-                                         index_budget)
-        t, dist = _exact_cell_witnesses(spec, witness, 0.0, V_value) \
-            if (spec.d == 1 and net.uniform_grid) else (np.full(len(net), math.nan),) * 2
+        witness, t, dist = _certificate_witnesses(spec, net, eps, V_value, K_const,
+                                                  kappa, index_budget)
     else:
         raise ValueError(f"unknown method {method!r}")
     failures, witnesses, hits = _collect(witness, t, dist)
@@ -403,17 +411,12 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
 
 def _certificate_witnesses(spec: SequenceSpec, net: DirectionNet, eps: float,
                            V: float, K_const: float, kappa: float,
-                           index_budget: int) -> np.ndarray:
+                           index_budget: int):
     n_cap = min(index_budget, math.ceil(K_const * V ** (spec.d + 1)))
+    arcs = [(0.0, lambda ns, radii: np.minimum(kappa * eps / radii, math.pi))]
     if spec.d == 1 and net.uniform_grid:
-        witness = np.full(len(net), MISS, dtype=np.int64)
-        for ns, radii, coords in iter_point_chunks(spec, 1, n_cap):
-            angles = np.arctan2(coords[:, 1], coords[:, 0]) % TWO_PI
-            halfw = np.minimum(kappa * eps / radii, math.pi)
-            _mark_windows(len(net), witness, angles, halfw, ns)
-        return witness
-    return _cap_witnesses(spec, net.centers, 1, n_cap,
-                          lambda radii: [np.minimum(kappa * eps / radii, math.pi), None])
+        return _circle_witnesses(spec, len(net), 1, n_cap, arcs, 0.0, V)
+    return _cap_witnesses(spec, net.centers, 1, n_cap, arcs), *(np.full(len(net), math.nan),) * 2
 
 
 def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
@@ -423,8 +426,8 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
     """Orchard condition with the window shifted to (t0, t0 + V), any t0."""
     net = _require_net(spec, eps, V_value, net)
     t0_list = list(t0_list)
-    if not t0_list:
-        raise ValueError("t0 list must be nonempty")
+    if not t0_list or not all(math.isfinite(t0) for t0 in t0_list):
+        raise ValueError(f"window starts t0 must be finite and nonempty, got {t0_list}")
     all_failures, all_witnesses = [], []
     hits_total = 0
     per_t0 = {}
@@ -861,6 +864,55 @@ def random_lines(rng, count: int, V: float, lam_max: float = 100.0) -> list[Line
     return lines
 
 
+def _reach_offsets(along, perp, eps: float, t0: float):
+    """max(a - t0, 0) for points at (along, perp) whose eps-disc covers [a, b]
+    of the line; inf where it misses or b < t0."""
+    half = np.sqrt(np.maximum(eps * eps - perp * perp, 0.0))
+    return np.where((np.abs(perp) <= eps) & (along + half >= t0),
+                    np.maximum(along - half - t0, 0.0), math.inf)
+
+
+def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
+                  V: float, index_budget: int) -> np.ndarray:
+    """Per net direction, the least W (min of ``_reach_offsets``) with
+    [t0, t0 + W] within eps of a point, or above V. Points of radius
+    r > 2*eps - t0 have a >= r - 2*eps, so a direction at most r - 3*eps - t0
+    is settled."""
+    best = np.full(len(net), math.inf)
+
+    def unsettled(r):
+        return best > (r - 3.0 * eps - t0 if r > 3.0 * eps - t0 else -math.inf)
+
+    def write(ns, radii, theta, cells):
+        delta = theta - cells * (TWO_PI / len(net))
+        np.minimum.at(best, cells, _reach_offsets(radii * np.cos(delta),
+                                                  radii * np.sin(delta), eps, t0))
+
+    n_lo, n_hi, arcs = _window_arcs(spec, t0, t0 + V, eps, index_budget)
+    if spec.d == 1 and net.uniform_grid:
+        _circle_sweep(spec, len(net), n_lo, n_hi, arcs, unsettled, write)
+        return best
+    for _, radii, coords in iter_point_chunks(spec, n_lo, n_hi,
+                                              max(1, (1 << 21) // len(net))):
+        along = coords @ net.centers.T
+        perp = np.sqrt(np.maximum(radii[:, None] ** 2 - along**2, 0.0))
+        np.minimum(best, _reach_offsets(along, perp, eps, t0).min(axis=0), out=best)
+    return best
+
+
+def _line_reach(spec: SequenceSpec, line: LineParam, eps: float,
+                index_budget: int) -> float:
+    """``_window_reach`` for one forest window, from one candidate pass."""
+    a, b = line.point(line.t0), line.point(line.t1)
+    near, far = segment_norm_range(a, b)
+    n_lo, n_hi = annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
+    best = math.inf
+    for _, _, coords in _segment_candidates(spec, a, b, eps, n_lo, min(n_hi, index_budget)):
+        offsets = _reach_offsets(coords @ line.w, coords @ line.v - line.lam, eps, line.t0)
+        best = min(best, float(np.min(offsets, initial=math.inf)))
+    return best
+
+
 def _passes(spec: SequenceSpec, kind: str, eps: float, V: float, t0_list,
             lines_seed: int, lines_per_eps: int, index_budget: int,
             net: DirectionNet | None) -> bool:
@@ -882,41 +934,48 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
                             rtol: float = 0.02, lines_per_eps: int = 64,
                             seed: int = 0,
                             index_budget: int = DEFAULT_BUDGET) -> VisibilityCurve:
-    """Smallest V per eps for which the chosen check passes, by doubling then
-    bisection; without ``net``, each trial builds its own under the eps/(4V)
-    rule.
+    """Smallest V per eps for which the chosen check passes, computed: a
+    point whose eps-disc covers [a, b] of a direction's line reaches the
+    window [t0, t0 + V] iff b >= t0 and a <= t0 + V, so V is the max over
+    directions and t0s (or seeded forest windows) of a min over points of
+    max(a - t0, 0). It is read on the eps/(4V) net of a bound doubled from
+    the previous entry's V, and one check (``_passes``) on that net confirms
+    it; while that fails V grows by 1 + rtol, so ``rtol`` is that step.
 
-    A supplied ``net`` is used by every orchard and uniform trial, so it must
-    meet the eps/(4V) rule at ``V = v_cap``; entries whose search exceeds
-    ``v_cap`` are marked diverged.
+    A supplied ``net`` is used as given, so it must meet the eps/(4V) rule at
+    ``V = v_cap``; entries whose V exceeds ``v_cap`` are marked diverged.
     """
     eps_grid = sorted(set(float(e) for e in eps_grid), reverse=True)
     entries = []
+    bound = 1.0
     for i, eps in enumerate(eps_grid):
         if net is not None:
             _require_net(spec, eps, v_cap, net)
-
-        def ok(V):
-            return _passes(spec, kind, eps, V, t0_list, seed + i, lines_per_eps,
-                           index_budget, net)
-
-        V = 1.0
-        while V <= v_cap and not ok(V):
-            V *= 2.0
+        while True:  # V on the eps/(4*bound) net, the bound doubling until V fits
+            if kind == "forest":
+                lines = random_lines(np.random.default_rng(seed + i), lines_per_eps, bound)
+                grid, reaches = None, (_line_reach(spec, line, eps, index_budget)
+                                       for line in lines)
+            else:
+                grid = net if net is not None else build_direction_net(spec.d, eps / (4 * bound))
+                reaches = (float(_window_reach(spec, grid, t0, eps, bound, index_budget).max())
+                           for t0 in (t0_list if kind == "uniform" else [0.0]))
+            V = 0.0
+            for reach in reaches:
+                if (V := max(V, reach)) > bound:
+                    break
+            if V <= bound or bound >= v_cap:
+                break
+            bound = min(2.0 * bound, v_cap)
+        V = max(V * (1.0 + 1e-9), 2.0**-6)  # float rounding may miss the exact boundary
+        while V <= v_cap and not _passes(spec, kind, eps, V, t0_list, seed + i,
+                                         lines_per_eps, index_budget, grid):
+            V, grid = V * (1.0 + rtol), net
         if V > v_cap:
             entries.append(CurveEntry(eps=eps, V=math.inf, status="diverged"))
             continue
-        lo, hi = V / 2.0, V
-        if V == 1.0:
-            while lo > 1.0 / 64 and ok(lo):
-                lo, hi = lo / 2.0, lo
-        while hi / lo > 1.0 + rtol:
-            mid = math.sqrt(lo * hi)
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        entries.append(CurveEntry(eps=eps, V=hi, status="ok"))
+        entries.append(CurveEntry(eps=eps, V=V, status="ok"))
+        bound = V
     # monotone cleanup: V may not decrease as eps shrinks
     best = -math.inf
     for e in entries:

@@ -228,7 +228,19 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["visible", "--seq", "fibonacci-sphere", "--d", "2", "--x", "0,1",
               "--dir", "1,0,0"], "--x 0,1 has 2 coordinates"),
             (["forest", "--seq", "fibonacci-sphere", "--d", "2", "--eps", "0.2",
-              "--V", "5", "--lines", "2"], "planar")):
+              "--V", "5", "--lines", "2"], "planar"),
+            # non-finite window input, each named in the message
+            (["uniform", "--seq", "golden-angle", "--eps", "0.1", "--V", "50",
+              "--t0", "nan"], "t0 must be finite"),
+            (["uniform", "--seq", "golden-angle", "--eps", "0.1", "--V", "50",
+              "--t0", "0,inf"], "t0 must be finite"),
+            (["orchard", "--eps", "0.1", "--V", "inf"], "V must be finite"),
+            (["forest", "--eps", "0.1", "--V", "20", "--line", "1,nan,10,30"],
+             "angle must be finite"),
+            (["forest", "--eps", "0.1", "--V", "20", "--line", "nan,0,10,30"],
+             "lam must be finite"),
+            (["forest", "--eps", "0.1", "--V", "inf", "--lines", "2"],
+             "t1 must be finite")):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

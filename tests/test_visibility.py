@@ -26,7 +26,7 @@ from spiralvis.visibility import (
     _cap_witnesses,
     _certificate_witnesses,
     _directional_window_check,
-    _window_witnesses,
+    _window_check,
 )
 
 TWO_PI = 2 * math.pi
@@ -123,7 +123,7 @@ def test_uniform_negative_window_matches_generic(golden, ladder):
             eps = float(rng.uniform(0.2, 0.9))
             t0 = float(rng.uniform(-30, 20))
             V = float(rng.uniform(5, 40))
-            fast = _window_witnesses(spec, len(net), t0, t0 + V, eps, 10**6)
+            fast, _, _ = _window_check(spec, net, t0, t0 + V, eps, 10**6)
             slow, _, _ = _directional_window_check(spec, net.centers, t0, t0 + V,
                                                    eps, 10**6)
             assert np.array_equal(fast != MISS, slow != MISS)
@@ -184,15 +184,12 @@ def test_cap_sweep_blocks_agree(fib_sphere):
     # blocks of a few pairs resolve centers across many blocks; one block
     # holding every pair sees them all at once
     centers = build_direction_net(2, 0.1).centers
-
-    def caps(radii):
-        return [radial_hit_halfwidth(radii, 2.0, 4.0, 0.5),
-                radial_hit_halfwidth(radii, 0.0, 1.5, 0.5)]
-
-    whole = _cap_witnesses(fib_sphere, centers, 1, 300, caps, pairs_per_block=10**9)
+    arcs = [(0.0, lambda ns, radii: radial_hit_halfwidth(radii, 2.0, 4.0, 0.5)),
+            (math.pi, lambda ns, radii: radial_hit_halfwidth(radii, 0.0, 1.5, 0.5))]
+    whole = _cap_witnesses(fib_sphere, centers, 1, 300, arcs, pairs_per_block=10**9)
     assert 0 < np.sum(whole != MISS) < len(centers)
     for block in (1, 700, 20_000):
-        got = _cap_witnesses(fib_sphere, centers, 1, 300, caps, pairs_per_block=block)
+        got = _cap_witnesses(fib_sphere, centers, 1, 300, arcs, pairs_per_block=block)
         assert np.array_equal(got, whole)
 
 
@@ -201,7 +198,7 @@ def test_sphere_certificate_matches_arccos_formula(fib_sphere):
     # min(kappa eps / r, pi) of the center, by arccos of the clipped dot
     net = build_direction_net(2, 0.1)
     for eps, V, K_const, kappa in ((0.2, 12.0, 1.0, 1.0), (0.3, 9.0, 0.5, 2.5)):
-        got = _certificate_witnesses(fib_sphere, net, eps, V, K_const, kappa, 10**7)
+        got, _, _ = _certificate_witnesses(fib_sphere, net, eps, V, K_const, kappa, 10**7)
         ns = np.arange(1, math.ceil(K_const * V ** 3) + 1)
         radii, coords = point_batch(fib_sphere, ns)
         caps = np.minimum(kappa * eps / radii, math.pi)
@@ -294,6 +291,14 @@ def test_line_param_validation():
     with pytest.raises(ValueError):
         LineParam(lam=1.0, v=np.array([1.0, 0]), w=np.array([0, 1.0]),
                   t0=2.0, t1=2.0)
+    for field, lam, t0, t1 in (("lam", math.nan, 0.0, 1.0), ("t0", 0.0, -math.inf, 1.0),
+                               ("t1", 0.0, 0.0, math.nan)):
+        with pytest.raises(ValueError, match=f"line {field} must be finite"):
+            LineParam(lam=lam, v=np.array([1.0, 0]), w=np.array([0, 1.0]), t0=t0, t1=t1)
+    with pytest.raises(ValueError, match="line v must be finite"):
+        LineParam(lam=0.0, v=np.array([math.nan, 0]), w=np.array([0, 1.0]), t0=0.0, t1=1.0)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        LineParam.at_angle(0.0, math.inf, 0.0, 1.0)
 
 
 # -- arithmetic split check ---------------------------------------------------
