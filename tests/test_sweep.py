@@ -168,17 +168,21 @@ def _brute_reach(spec, centers, eps, t0, n_max):
     """Per direction c, the min over points 1..n_max of max(a - t0, 0), [a, b]
     the stretch of t c within eps of the point, over points with b >= t0
     (inf if a direction has no such point)."""
-    radii, coords = point_batch(spec, np.arange(1, n_max + 1))
-    if spec.d == 1:
-        theta = np.arctan2(coords[:, 1], coords[:, 0])
-        delta = theta[:, None] - np.arange(len(centers)) * (TWO_PI / len(centers))
-        along, perp = radii[:, None] * np.cos(delta), radii[:, None] * np.sin(delta)
-    else:
-        along = coords @ centers.T
-        perp = np.sqrt(np.maximum(radii[:, None] ** 2 - along**2, 0.0))
-    half = np.sqrt(np.maximum(eps * eps - perp * perp, 0.0))
-    ok = (np.abs(perp) <= eps) & (along + half >= t0)
-    return np.where(ok, np.maximum(along - half - t0, 0.0), math.inf).min(axis=0)
+    best = np.full(len(centers), math.inf)
+    for radii, coords in (point_batch(spec, np.arange(lo, min(lo + 256, n_max + 1)))
+                          for lo in range(1, n_max + 1, 256)):
+        if spec.d == 1:
+            theta = np.arctan2(coords[:, 1], coords[:, 0])
+            delta = theta[:, None] - np.arange(len(centers)) * (TWO_PI / len(centers))
+            along, perp = radii[:, None] * np.cos(delta), radii[:, None] * np.sin(delta)
+        else:
+            along = coords @ centers.T
+            perp = np.sqrt(np.maximum(radii[:, None] ** 2 - along**2, 0.0))
+        half = np.sqrt(np.maximum(eps * eps - perp * perp, 0.0))
+        ok = (np.abs(perp) <= eps) & (along + half >= t0)
+        need = np.where(ok, np.maximum(along - half - t0, 0.0), math.inf)
+        best = np.minimum(best, need.min(axis=0))
+    return best
 
 
 @pytest.mark.parametrize("kind, d, delta, eps, t0", [
@@ -234,15 +238,20 @@ def test_line_reach_matches_brute(golden, ladder):
 
 @pytest.mark.parametrize("kind, eps_grid, t0_list", [
     ("orchard", [0.2, 0.1], (0.0,)),
-    ("uniform", [0.2], (0.0, 100.0)),
+    ("uniform", [0.2], (0.0, 30.0, -10.0)),
 ])
-def test_estimate_passes_at_V_and_fails_one_step_below(golden, kind, eps_grid, t0_list):
+def test_estimate_on_supplied_net(golden, kind, eps_grid, t0_list):
+    # V is the brute max over the net's cells and the t0s (one part in 1e9
+    # above it); its check passes there and fails one step below
     rtol, v_cap = 0.02, 64.0
     net = build_direction_net(1, min(eps_grid) / (4 * v_cap))
     curve = estimate_min_visibility(golden, kind, eps_grid, net=net, v_cap=v_cap,
                                     t0_list=t0_list, rtol=rtol)
     for i, e in enumerate(curve.entries):
         assert e.status == "ok"
+        want = max(_brute_reach(golden, net.centers, e.eps, t0, math.ceil(
+            (abs(t0) + e.V + 1.0) ** 2)).max() for t0 in t0_list)
+        assert e.V == pytest.approx(want * (1 + 1e-9), rel=1e-12)
         for V, passes in ((e.V, True), (e.V / (1 + rtol), False)):
             assert _passes(golden, kind, e.eps, V, t0_list, i, 64, DEFAULT_BUDGET,
                            net) is passes
