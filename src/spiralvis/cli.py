@@ -131,7 +131,8 @@ def _zip_eps_v(ns):
     if len(v_list) == 1:
         v_list = v_list * len(eps_list)
     if len(v_list) != len(eps_list):
-        raise SystemExit("--eps and --V must have matching lengths")
+        raise ValueError(f"--eps and --V must have matching lengths, got "
+                         f"{len(eps_list)} and {len(v_list)} values")
     return list(zip(eps_list, v_list))
 
 
@@ -160,16 +161,22 @@ def _cmd_forest(ns):
     if spec.d != 1:
         raise ValueError(f"forest windows (--line, --lines) are planar, but --seq "
                          f"{spec.kind} lies in R^{spec.d + 1}; use a d=1 sequence")
-    eps, V = ns.eps[0], ns.V[0]
+    if len(ns.eps) != 1 or len(ns.V) != 1:
+        raise ValueError(f"forest checks one window size: give one --eps and one --V, "
+                         f"got {len(ns.eps)} and {len(ns.V)} values")
+    (eps,), (V,) = ns.eps, ns.V
     lines = []
     for text in ns.line or []:
-        lam, angle, t0, t1 = _floats(text)
-        lines.append(LineParam.at_angle(lam, angle, t0, t1))
+        values = _floats(text)
+        if len(values) != 4:
+            raise ValueError(f"--line {text} has {len(values)} values; "
+                             "a --line needs lam,angle,t0,t1")
+        lines.append(LineParam.at_angle(*values))
     if ns.lines:
         lines.extend(random_lines(np.random.default_rng(ns.seed), ns.lines, V,
                                   ns.lam_max))
     if not lines:
-        raise SystemExit("forest needs --line or --lines")
+        raise ValueError("forest needs --line or --lines")
     report = check_dense_forest(spec, eps, V, lines, index_budget=ns.budget)
     return {"reports": [report.to_json()]}, not report.passed
 

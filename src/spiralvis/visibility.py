@@ -16,13 +16,15 @@ writer is the witness (``_circle_sweep``); on S^d open centers are tested.
 Segment scans (the forest windows and the visible-point rays) take their
 points from one candidate source, ``_segment_candidates``: blocks, in index
 order, holding every index of a range whose point lies within a reach D of
-the segment. It has two back-ends. On the rational ladder, shell k's points
-sit at angles 2*pi*p/k, so the candidates are a closed-form p-interval per
-shell and per sub-segment inside the shell's annulus widened by D, O(shells)
-work instead of O(points). Every other kind reads the whole range in index
-order. One exact filter (``geometry.segment_distances`` on the yielded
-points) decides; a miss doubles D until a candidate lies within it, which
-makes the reported minimum exact.
+the segment, taken from the segment's annulus widened by D. On the rational
+ladder, shell k's points sit at angles 2*pi*p/k, so the candidates are a
+closed-form p-interval per shell and per sub-segment, O(shells) work instead
+of O(points); every other kind reads the annulus whole, starting with a
+small block. One exact filter (``geometry.segment_distances``) and one
+query (``_first_hit``) serve both scans: the smallest index within eps,
+else the exact minimum over the range, for which D grows until a candidate
+lies within it. A forest window's range is its eps-widened annulus; a ray's
+is [1, budget], and its eps is just below eps_floor.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .sphere import DirectionNet, build_direction_net
 from .spirals import (
     CHUNK,
     annulus_index_range,
-    count_in_ball,
     iter_point_chunks,
     point_batch,
 )
@@ -423,24 +424,24 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
                           t0_list, net: DirectionNet | None = None,
                           index_budget: int = DEFAULT_BUDGET,
                           constants: dict | None = None) -> CheckReport:
-    """Orchard condition with the window shifted to (t0, t0 + V), any t0."""
+    """Orchard condition with the window shifted to (t0, t0 + V), for each
+    distinct t0 in first-seen order."""
     net = _require_net(spec, eps, V_value, net)
-    t0_list = list(t0_list)
+    t0_list = list(dict.fromkeys(float(t0) for t0 in t0_list))
     if not t0_list or not all(math.isfinite(t0) for t0 in t0_list):
         raise ValueError(f"window starts t0 must be finite and nonempty, got {t0_list}")
     all_failures, all_witnesses = [], []
     hits_total = 0
     per_t0 = {}
     for t0 in t0_list:
-        witness, t, dist = _window_check(spec, net, float(t0), float(t0) + V_value,
-                                         eps, index_budget)
+        witness, t, dist = _window_check(spec, net, t0, t0 + V_value, eps, index_budget)
         failures, witnesses, hits = _collect(witness, t, dist)
         for f in failures:
-            f["t0"] = float(t0)
+            f["t0"] = t0
         all_failures.extend(failures)
         all_witnesses.extend(witnesses[:10])
         hits_total += hits
-        per_t0[float(t0)] = {"failures": len(failures), "hits": hits}
+        per_t0[t0] = {"failures": len(failures), "hits": hits}
     return CheckReport(
         property="uniform-orchard", spec=spec.to_json(), eps=eps, V=V_value,
         constants=dict(constants or {}), net=_net_info(net),
@@ -455,6 +456,7 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
 
 
 NO_POINT = (math.inf, -1, math.nan)  # (distance, n, t) before any point is seen
+FIRST_BLOCK = 1 << 12
 
 
 def _segment_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
@@ -462,33 +464,39 @@ def _segment_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
     """(ns, radii, coords) blocks, in index order, holding every index of
     [n_lo, n_hi] whose point lies within ``reach`` of the segment [a, b].
 
-    The rational ladder gives such a set in closed form
-    (``_ladder_candidates``); for any other kind it is the whole range.
+    Only the indices of the segment's annulus widened by ``reach`` are read.
+    The rational ladder narrows them to a closed-form set
+    (``_ladder_candidates``); any other kind reads them all, a first block of
+    FIRST_BLOCK points, so that a hit near the start reads few, then CHUNK
+    blocks.
     """
+    near, far = segment_norm_range(a, b)
+    pad = 1e-9 * (1.0 + far)  # float slack on radii; the exact filter decides
+    lo, hi = annulus_index_range(max(0.0, near - reach - pad), far + reach + pad, spec.d)
+    lo, hi = max(lo, n_lo), min(hi, n_hi)
     if spec.kind == "rational-ladder":
-        return _ladder_candidates(spec, a, b, reach, n_lo, n_hi)
-    return iter_point_chunks(spec, n_lo, n_hi)
+        yield from _ladder_candidates(spec, a, b, reach, pad, lo, hi)
+    elif lo <= hi:
+        yield from iter_point_chunks(spec, lo, min(hi, lo + FIRST_BLOCK - 1), FIRST_BLOCK)
+        yield from iter_point_chunks(spec, lo + FIRST_BLOCK, hi)
 
 
 def _ladder_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
-                       reach: float, n_lo: int, n_hi: int):
+                       reach: float, pad: float, lo: int, hi: int):
     """Shell k of the ladder holds n = k(k+1)/2 + p, 0 <= p <= k, at angle
     2*pi*p/k (p = k shares angle 0 with p = 0) and radii in [r1, r2]. A shell
     point within ``reach`` of the segment is within reach of the segment's
     part inside the annulus [r1 - reach, r2 + reach], which is at most two
     sub-segments, and its angle lies within asin(reach / (r1 - reach)) of
     theirs. That gives one p-interval per sub-segment, padded by one step;
-    shells with r1 <= 2*reach are taken whole. Blocks hold at most CHUNK
-    points.
+    shells with r1 <= 2*reach are taken whole. Radii carry ``pad`` of float
+    slack, and only indices in [lo, hi] are yielded, in blocks of at most
+    CHUNK points.
     """
-    ab = b - a
-    length_sq = float(ab @ ab)
-    near, far = segment_norm_range(a, b)
-    pad = 1e-9 * (1.0 + far)  # float slack on radii; the exact filter decides
-    lo, hi = annulus_index_range(max(0.0, near - reach - pad), far + reach + pad, 1)
-    lo, hi = max(lo, n_lo), min(hi, n_hi)
     if hi < lo:
         return
+    ab = b - a
+    length_sq = float(ab @ ab)
     if length_sq == 0.0:
         yield from iter_point_chunks(spec, lo, hi)
         return
@@ -583,15 +591,12 @@ def _nearest(spec, a, b, reach, n_lo, n_hi, exclude=None):
         reach *= 2.0
 
 
-def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
-                       eps: float, index_budget: int):
-    """Smallest-index hit within eps of segment [a, b], else the exact
-    minimum distance over the candidate range, smallest index on ties."""
-    norms = segment_norm_range(a, b)
-    n_lo, n_hi = annulus_index_range(max(0.0, norms[0] - eps), norms[1] + eps, spec.d)
-    n_hi = min(n_hi, index_budget)
+def _first_hit(spec, a, b, eps, n_lo, n_hi, exclude=None):
+    """((distance, n, t), hit): the smallest index of [n_lo, n_hi] within eps
+    of the segment [a, b], else the exact minimum over the range, smallest
+    index on ties; a point at ``exclude`` is left out."""
     best, seen = NO_POINT, 0
-    for ns, dist, t in _candidate_distances(spec, a, b, eps, n_lo, n_hi):
+    for ns, dist, t in _candidate_distances(spec, a, b, eps, n_lo, n_hi, exclude):
         hits = np.flatnonzero(dist <= eps)
         if len(hits):
             j = int(hits[0])
@@ -599,8 +604,19 @@ def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
         best = _closer(best, ns, dist, t)
         seen += len(ns)
     if seen < n_hi - n_lo + 1:  # the source left out points farther than eps
-        best = _nearest(spec, a, b, 2.0 * eps, n_lo, n_hi)
+        # every point at the minimum lies within the best distance seen
+        reach = best[0] if best[0] < math.inf else 2.0 * eps
+        best = _nearest(spec, a, b, reach, n_lo, n_hi, exclude)
     return best, False
+
+
+def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
+                       eps: float, index_budget: int):
+    """``_first_hit`` for a forest window: over the indices of its annulus
+    widened by eps, up to the budget."""
+    near, far = segment_norm_range(a, b)
+    n_lo, n_hi = annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
+    return _first_hit(spec, a, b, eps, n_lo, min(n_hi, index_budget))
 
 
 def segment_norm_range(a, b) -> tuple[float, float]:
@@ -675,10 +691,11 @@ def _vacant_strip_certificate(spec: SequenceSpec, x: np.ndarray,
 
 
 def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
-                       T_max: float, index_budget: int = DEFAULT_BUDGET,
-                       early_exit: bool = True) -> list[RayVerdict]:
-    """Minimal distance from the truncated ray {x + t v : 0 <= t <= T_max} to
-    the spiral minus {x}, per direction; a semi-decision unless a proven
+                       T_max: float, index_budget: int = DEFAULT_BUDGET) -> list[RayVerdict]:
+    """Per direction v, the spiral's approach to the truncated ray
+    {x + t v : 0 <= t <= T_max}, x itself left out: the smallest index of
+    [1, index_budget] at distance below eps_floor, else the exact minimum
+    over that range, smallest index on ties. A semi-decision unless a proven
     vacant region certifies the whole ray.
     """
     if not 0 < eps_floor < math.inf:
@@ -691,11 +708,11 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
     if isinstance(directions, DirectionNet):
         directions = directions.centers
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    scan = _ladder_ray_scan if spec.kind == "rational-ladder" else _slack_ray_scan
+    below = float(np.nextafter(eps_floor, 0.0))  # dist <= below iff dist < eps_floor
 
     def run(v):
         cert = _vacant_strip_certificate(spec, x, v)
-        best = scan(spec, x, x + T_max * v, eps_floor, index_budget, early_exit)
+        best, _ = _first_hit(spec, x, x + T_max * v, below, 1, index_budget, exclude=x)
         witness = None if best[1] < 0 else HitWitness(best[1], best[2], best[0])
         certified = cert is not None and cert["bound"] >= eps_floor
         visible = best[0] >= eps_floor
@@ -704,60 +721,6 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
                           certificate=cert, eps_floor=eps_floor, T_max=T_max)
 
     return parallel_map(run, list(directions))
-
-
-def _slack_rounds(far: float, index_budget: int, d: int):
-    """The ray scan's rounds as (slack, n_hi): round i reads the indices up to
-    radius far + slack, slack = 10 * 4^i, clipped by the budget, in CHUNK
-    blocks starting after the previous round's n_hi."""
-    slack = 10.0
-    while True:
-        yield slack, min(index_budget, count_in_ball(far + slack, d))
-        slack *= 4.0
-
-
-def _slack_ray_scan(spec, x, b, eps_floor, index_budget, early_exit):
-    """Reads every index in rounds of growing radius (``_slack_rounds``) until
-    no unread point can be nearer than the best so far, or, with
-    ``early_exit``, until a point comes within eps_floor."""
-    far = segment_norm_range(x, b)[1]
-    best = NO_POINT
-    n_done = 0
-    for slack, n_hi in _slack_rounds(far, index_budget, spec.d):
-        for ns, radii, coords in iter_point_chunks(spec, n_done + 1, n_hi):
-            best = _closer(best, ns, *_exact_distances(coords, x, b, exclude=x))
-            if early_exit and best[0] < eps_floor:
-                return best
-            if best[0] < math.inf and ns[-1] >= count_in_ball(far + best[0], spec.d):
-                return best  # every unscanned point is farther than best
-        n_done = n_hi
-        if n_hi >= index_budget or best[0] <= slack:
-            return best
-
-
-def _ladder_ray_scan(spec, x, b, eps_floor, index_budget, early_exit):
-    """``_slack_ray_scan``'s result from closed-form candidates. With a first
-    index m below eps_floor, that scan stops at the end of the CHUNK block
-    holding m, so its result is the minimum up to there; otherwise it is the
-    minimum over [1, index_budget]."""
-    if early_exit:
-        for ns, dist, _ in _candidate_distances(spec, x, b, eps_floor, 1, index_budget,
-                                                exclude=x):
-            below = np.flatnonzero(dist < eps_floor)
-            if len(below):
-                end = _slack_block_end(int(ns[below[0]]), segment_norm_range(x, b)[1],
-                                       index_budget, spec.d)
-                return _nearest(spec, x, b, eps_floor, 1, end, exclude=x)
-    return _nearest(spec, x, b, eps_floor, 1, index_budget, exclude=x)
-
-
-def _slack_block_end(m: int, far: float, index_budget: int, d: int) -> int:
-    """Last index of the block that holds m in ``_slack_ray_scan``."""
-    n_done = 0
-    for _, n_hi in _slack_rounds(far, index_budget, d):
-        if m <= n_hi:
-            return min(n_hi, n_done + CHUNK * ((m - n_done - 1) // CHUNK + 1))
-        n_done = n_hi
 
 
 # -- arithmetic line-proximity check (radial + angular split) ---------------
@@ -904,10 +867,8 @@ def _line_reach(spec: SequenceSpec, line: LineParam, eps: float,
                 index_budget: int) -> float:
     """``_window_reach`` for one forest window, from one candidate pass."""
     a, b = line.point(line.t0), line.point(line.t1)
-    near, far = segment_norm_range(a, b)
-    n_lo, n_hi = annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
     best = math.inf
-    for _, _, coords in _segment_candidates(spec, a, b, eps, n_lo, min(n_hi, index_budget)):
+    for _, _, coords in _segment_candidates(spec, a, b, eps, 1, index_budget):
         offsets = _reach_offsets(coords @ line.w, coords @ line.v - line.lam, eps, line.t0)
         best = min(best, float(np.min(offsets, initial=math.inf)))
     return best

@@ -78,6 +78,17 @@ def test_visible_reports_strip_distance(capsys):
     assert v["certified"] is True
 
 
+def test_uniform_repeated_t0_is_checked_once(capsys):
+    reports = []
+    for t0 in ("0,0", "0"):
+        code, out = run(capsys, "uniform", "--seq", "golden-angle", "--eps", "0.2",
+                        "--V", "25", "--t0", t0)
+        assert code == 0
+        reports.append(json.loads(out)["reports"])
+    assert reports[0] == reports[1]
+    assert reports[0][0]["total_checks"] == reports[0][0]["net"]["count"]
+
+
 def test_uniform_and_covering_and_criterion(capsys):
     code, out = run(capsys, "uniform", "--eps", "0.1", "--V", "50",
                     "--t0", "0,100", "--assert")
@@ -240,7 +251,15 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["forest", "--eps", "0.1", "--V", "20", "--line", "nan,0,10,30"],
              "lam must be finite"),
             (["forest", "--eps", "0.1", "--V", "inf", "--lines", "2"],
-             "t1 must be finite")):
+             "t1 must be finite"),
+            # argument shapes the checks cannot run on
+            (["orchard", "--eps", "0.1,0.2", "--V", "1,2,3"],
+             "--eps and --V must have matching lengths"),
+            (["forest", "--eps", "0.1", "--V", "20"], "forest needs --line or --lines"),
+            (["forest", "--eps", "0.1", "--V", "20", "--line", "1,2,3"],
+             "a --line needs lam,angle,t0,t1"),
+            (["forest", "--eps", "0.1,0.5", "--V", "44", "--lines", "2"],
+             "one --eps and one --V")):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

@@ -1,7 +1,9 @@
 """The forest scan's segment query against brute force over every stored
 point: a hit is the smallest index within eps, a miss means no stored point
 comes within eps. On the rational ladder, whose candidates come in closed
-form, the segment query and the visible-ray scan are also pinned exactly."""
+form, the segment query is also pinned exactly, and so is the visible-ray
+verdict on the ladder and the golden angle: the first index below eps_floor,
+else the minimum over the budget."""
 
 import math
 
@@ -11,7 +13,7 @@ import pytest
 from spiralvis import annulus_index_range, point_batch
 from spiralvis.geometry import segment_distances
 from spiralvis.sphere import unit_vector
-from spiralvis.spirals import CHUNK, count_in_ball, iter_point_chunks
+from spiralvis.spirals import CHUNK
 from spiralvis.visibility import (
     HitWitness,
     _line_min_distance,
@@ -117,77 +119,89 @@ def test_ladder_candidates_cover_every_point_within_reach(ladder):
             assert len(got) <= max(1000, (n_hi - n_lo + 1) // 20)
 
 
-def _slack_loop_oracle(spec, x, v, eps_floor, T_max, index_budget, early_exit=True):
-    """visible_point_test's scan over every index before ladder candidates:
-    rounds of growing radius read in CHUNK blocks, stopping at the first
-    block with a point below eps_floor or once no unread point can be nearer."""
+def _brute_ray(spec, x, v, eps_floor, T_max, budget):
+    """The ray verdict from point_batch over [1, budget] in index order, x
+    left out: the first index below eps_floor, else the minimum, smallest
+    index on ties. It stops once a radius exceeds the segment's far end plus
+    the best distance so far, since no later point can come nearer."""
     b = x + T_max * v
+    far = segment_norm_range(x, b)[1]
     best = (math.inf, -1, math.nan)
-    norms = segment_norm_range(x, b)
-    slack = 10.0
-    n_done = 0
-    stopped = False
-    while not stopped:
-        n_hi = min(index_budget, count_in_ball(norms[1] + slack, spec.d))
-        for ns, radii, coords in iter_point_chunks(spec, n_done + 1, n_hi):
-            dist, t = segment_distances(coords, x, b)
-            dist[np.linalg.norm(coords - x, axis=1) <= 1e-12] = math.inf
-            j = int(np.argmin(dist))
-            if dist[j] < best[0]:
-                best = (float(dist[j]), int(ns[j]), float(t[j]))
-            if early_exit and best[0] < eps_floor:
-                stopped = True
-                break
-            if best[0] < math.inf and ns[-1] >= count_in_ball(
-                    norms[1] + best[0], spec.d):
-                stopped = True
-                break
-        n_done = n_hi
-        if n_hi >= index_budget or best[0] <= slack:
-            stopped = True
-        slack *= 4.0
+    for lo in range(1, budget + 1, CHUNK):
+        ns = np.arange(lo, min(budget, lo + CHUNK - 1) + 1, dtype=np.int64)
+        radii, coords = point_batch(spec, ns)
+        dist, t = segment_distances(coords, x, b)
+        dist[np.linalg.norm(coords - x, axis=1) <= 1e-12] = math.inf
+        below = np.flatnonzero(dist < eps_floor)
+        if len(below):
+            j = int(below[0])
+            return float(dist[j]), int(ns[j]), float(t[j])
+        j = int(np.argmin(dist))
+        if dist[j] < best[0]:
+            best = (float(dist[j]), int(ns[j]), float(t[j]))
+        if radii[-1] > far + best[0]:
+            break
     return best
 
 
-def _assert_ray_matches_oracle(spec, x, v, eps_floor, T_max, budget=10**7,
-                               early_exit=True):
+def _assert_ray_matches_brute(spec, x, v, eps_floor, T_max, budget=10**7):
     v = unit_vector(np.asarray(v, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
     got = visible_point_test(spec, x, v[None, :], eps_floor, T_max,
-                             index_budget=budget, early_exit=early_exit)[0]
-    dist, n, t = _slack_loop_oracle(spec, x, v, eps_floor, T_max, budget, early_exit)
+                             index_budget=budget)[0]
+    dist, n, t = _brute_ray(spec, x, v, eps_floor, T_max, budget)
     assert got.min_distance == dist
     assert got.witness == (None if n < 0 else HitWitness(n, t, dist))
     return got
 
 
-def test_ladder_rays_match_chunked_scan(ladder):
+def test_ladder_rays_match_brute(ladder):
     x = (0.0, 1.0)
-    # first hit n=524287, in the second block
-    got = _assert_ray_matches_oracle(ladder, x, (-1, 0.001), 0.5, 2000.0)
+    # first hit n=524287, in the second 2^18-point block
+    got = _assert_ray_matches_brute(ladder, x, (-1, 0.001), 0.5, 2000.0)
     assert got.witness.n == 524287
     # the budget clips below that hit: the minimum over [1, budget]
-    got = _assert_ray_matches_oracle(ladder, x, (-1, 0.001), 0.5, 2000.0,
-                                     budget=400_000)
+    got = _assert_ray_matches_brute(ladder, x, (-1, 0.001), 0.5, 2000.0,
+                                    budget=400_000)
     assert got.visible_at_scale and got.witness.n <= 400_000
     # outside the budget's disk of radius 100: the reach doubles to about 30
-    got = _assert_ray_matches_oracle(ladder, (130.0, 0.0), (0, 1), 0.5, 50.0,
-                                     budget=10**4)
+    got = _assert_ray_matches_brute(ladder, (130.0, 0.0), (0, 1), 0.5, 50.0,
+                                    budget=10**4)
     assert got.min_distance > 20.0
-    got = _assert_ray_matches_oracle(ladder, x, (1, 0.0015), 0.5, 2000.0)
+    got = _assert_ray_matches_brute(ladder, x, (1, 0.0015), 0.5, 2000.0)
     assert got.witness.n > 3 * 10**6
-    got = _assert_ray_matches_oracle(ladder, x, (1, 0.001), 0.5, 2000.0)
+    got = _assert_ray_matches_brute(ladder, x, (1, 0.001), 0.5, 2000.0)
     assert got.visible_at_scale and got.min_distance == pytest.approx(1.0009995, abs=1e-7)
-    got = _assert_ray_matches_oracle(ladder, x, (1, 0), 0.5, 1000.0)
+    got = _assert_ray_matches_brute(ladder, x, (1, 0), 0.5, 1000.0)
     assert (got.min_distance, got.witness.n) == (1.0, 1)
-    _assert_ray_matches_oracle(ladder, x, (1, 0), 0.5, 300.0, early_exit=False)
+    _assert_ray_matches_brute(ladder, x, (1, 0), 0.5, 300.0)
     rng = np.random.default_rng(23)
     for _ in range(12):
         origin = rng.uniform(-40, 40, 2)
         ang = rng.uniform(0, 2 * math.pi)
-        _assert_ray_matches_oracle(ladder, origin, (math.cos(ang), math.sin(ang)),
-                                   rng.uniform(0.05, 1.5), rng.uniform(20, 400))
+        _assert_ray_matches_brute(ladder, origin, (math.cos(ang), math.sin(ang)),
+                                  rng.uniform(0.05, 1.5), rng.uniform(20, 400))
     # a ray from a spiral point does not report that point
     p = point_batch(ladder, np.array([40]))[1][0]
-    got = _assert_ray_matches_oracle(ladder, p, (0.6, 0.8), 0.3, 100.0)
+    got = _assert_ray_matches_brute(ladder, p, (0.6, 0.8), 0.3, 100.0)
     assert got.witness.n != 40
+
+
+def test_golden_rays_match_brute(golden):
+    rng = np.random.default_rng(31)
+    hits = 0
+    for _ in range(16):
+        origin = rng.uniform(-40, 40, 2)
+        ang = rng.uniform(0, 2 * math.pi)
+        eps_floor = math.exp(rng.uniform(math.log(0.001), math.log(0.3)))
+        got = _assert_ray_matches_brute(golden, origin, (math.cos(ang), math.sin(ang)),
+                                        eps_floor, rng.uniform(1, 100))
+        hits += not got.visible_at_scale
+    assert 4 <= hits <= 12  # both hits and misses are exercised
+    # a miss whose nearest point, n=2000, lies 0.02 behind the ray's start:
+    # outside the annulus of radii within eps_floor of the segment
+    r, p = point_batch(golden, np.array([2000]))
+    u = p[0] / r[0]
+    got = _assert_ray_matches_brute(golden, p[0] + 0.02 * u, u, 0.01, 1.0)
+    assert got.visible_at_scale and got.witness.n == 2000
+    assert got.min_distance == pytest.approx(0.02, abs=1e-12)

@@ -337,8 +337,7 @@ def test_proximity_sandwich(golden):
 def test_visible_ladder_strip_certified(ladder):
     verdicts = visible_point_test(ladder, np.array([0.0, 1.0]),
                                   np.array([[1.0, 0.0]]), eps_floor=0.5,
-                                  T_max=1e3, index_budget=10**6,
-                                  early_exit=False)
+                                  T_max=1e3, index_budget=10**6)
     v = verdicts[0]
     assert v.visible_at_scale
     assert v.certified
