@@ -708,7 +708,7 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
     if isinstance(directions, DirectionNet):
         directions = directions.centers
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    below = float(np.nextafter(eps_floor, 0.0))  # dist <= below iff dist < eps_floor
+    below = math.nextafter(eps_floor, 0.0)  # dist <= below iff dist < eps_floor
 
     def run(v):
         cert = _vacant_strip_certificate(spec, x, v)

@@ -1,9 +1,9 @@
 """The forest scan's segment query against brute force over every stored
 point: a hit is the smallest index within eps, a miss means no stored point
 comes within eps. On the rational ladder, whose candidates come in closed
-form, the segment query is also pinned exactly, and so is the visible-ray
-verdict on the ladder and the golden angle: the first index below eps_floor,
-else the minimum over the budget."""
+form, the segment query is also pinned exactly. The visible-ray verdict, the
+first index below eps_floor else the minimum over the budget, is pinned
+exactly on the ladder and the golden angle."""
 
 import math
 
