@@ -1,14 +1,17 @@
-"""Frozen CLI payloads: each argv must reproduce its stored JSON byte for byte.
+"""Frozen CLI output: each argv must reproduce its stored JSON payload, and
+each CSV case the file it writes, byte for byte.
 
 Regenerate after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py [NAME ...]`` (every case when no
-name is given) and review the diff.
+name is given; a name in both tables regenerates both files) and review the
+diff.
 """
 
 import contextlib
 import io
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -52,6 +55,15 @@ CASES = {
     "defvisi": ["defvisi", "--eps", "0.2,0.1", "--x-grid", "1,2,4,8"],
 }
 
+# name -> (argv, the flag naming the CSV file it writes)
+CSV_CASES = {
+    "covering": (CASES["covering"], "--csv"),
+    "criterion": (CASES["criterion"], "--csv"),
+    "defvisi": (CASES["defvisi"], "--csv"),
+    "puncture-ladder": (["puncture", "--seq", "rational-ladder", "--v0", "0,1",
+                         "--delta", "0.5", "--n", "300"], "--out"),
+}
+
 
 def render(argv) -> str:
     buf = io.StringIO()
@@ -60,18 +72,35 @@ def render(argv) -> str:
     return buf.getvalue()
 
 
+def render_csv(argv, flag) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        render([*argv, flag, str(path)])
+        return path.read_text()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_payload(name):
     want = (GOLDEN_DIR / f"{name}.json").read_text()
     assert render(CASES[name]) == want
 
 
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_golden_csv(name):
+    want = (GOLDEN_DIR / f"{name}.csv").read_text()
+    assert render_csv(*CSV_CASES[name]) == want
+
+
 if __name__ == "__main__":
-    names = sys.argv[1:] or list(CASES)
-    unknown = sorted(set(names) - set(CASES))
+    known = set(CASES) | set(CSV_CASES)
+    names = sys.argv[1:] or sorted(known)
+    unknown = sorted(set(names) - known)
     if unknown:
         sys.exit(f"unknown golden case(s): {', '.join(unknown)}; "
-                 f"known: {', '.join(sorted(CASES))}")
+                 f"known: {', '.join(sorted(known))}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in names:
-        (GOLDEN_DIR / f"{name}.json").write_text(render(CASES[name]))
+        if name in CASES:
+            (GOLDEN_DIR / f"{name}.json").write_text(render(CASES[name]))
+        if name in CSV_CASES:
+            (GOLDEN_DIR / f"{name}.csv").write_text(render_csv(*CSV_CASES[name]))
