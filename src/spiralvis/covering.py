@@ -138,11 +138,6 @@ class UniformCoveringEstimate:
             ],
         }
 
-    def to_csv(self, path) -> None:
-        from .reports import write_csv
-
-        write_csv(path, ["m", "N", "radius", "scaled"], self.rows)
-
 
 def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
                                resolution: float | None = None,
@@ -198,13 +193,6 @@ class CriterionTable:
             out[eps] = [b / a for a, b in zip(vals, vals[1:]) if a > 0]
         return out
 
-    def to_csv(self, path) -> None:
-        from .reports import write_csv
-
-        write_csv(path, ["eps", "h", "x", "radius", "value", "status"],
-                  [(r["eps"], r["h"], r["x"], r["radius"], r["value"],
-                    r["status"]) for r in self.rows])
-
 
 def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
                               eps_grid=(0.2, 0.1, 0.05), h_mults=(1, 2, 4, 8),
@@ -257,11 +245,6 @@ class CoveringVisibilityCurve:
             "inner": [{"x": x, "sup": s, "h_argmax": h} for x, s, h in self.inner],
             "h_cap": self.h_cap,
         }
-
-    def to_csv(self, path) -> None:
-        from .reports import write_csv
-
-        write_csv(path, ["eps", "V"], self.entries)
 
 
 def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,

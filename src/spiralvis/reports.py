@@ -43,14 +43,11 @@ def dump_json(payload, path: str | Path | None = None) -> str:
     return text
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
+def write_csv(path: str | Path, rows: list[dict]) -> None:
+    """A table of dict rows: the header is the first row's keys, floats are
+    written by repr."""
+    lines = [",".join(rows[0]) if rows else ""]
     for row in rows:
-        cells = []
-        for x in row:
-            if isinstance(x, float):
-                cells.append(repr(x))
-            else:
-                cells.append(str(x))
-        lines.append(",".join(cells))
+        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
+                              for x in row.values()))
     Path(path).write_text("\n".join(lines) + "\n")

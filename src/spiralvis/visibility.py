@@ -143,12 +143,6 @@ class VisibilityCurve:
                         for e in self.entries],
         }
 
-    def to_csv(self, path) -> None:
-        from .reports import write_csv
-
-        write_csv(path, ["eps", "V", "status"],
-                  [(e.eps, e.V, e.status) for e in self.entries])
-
 
 @dataclass
 class CheckReport:
@@ -350,16 +344,22 @@ def _directional_window_check(spec: SequenceSpec, centers: np.ndarray,
     half is tested against -c.
     """
     witness = _cap_witnesses(spec, centers, *_window_arcs(spec, t_lo, t_hi, eps, index_budget))
+    return witness, *_exact_direction_witnesses(spec, centers, witness, t_lo, t_hi)
+
+
+def _exact_direction_witnesses(spec: SequenceSpec, centers: np.ndarray,
+                               witness: np.ndarray, t_lo: float, t_hi: float):
+    """Exact (t, distance) of each direction's witness point p to the window
+    {t c : t_lo <= t <= t_hi}: t = clip(p.c, t_lo, t_hi), distance |p - t c|;
+    NaN at misses."""
     t_best = np.full(len(centers), math.nan)
     d_best = np.full(len(centers), math.nan)
     hit = np.flatnonzero(witness != MISS)
-    if len(hit):
-        _, coords = point_batch(spec, witness[hit])
-        c = centers[hit]
-        t = np.clip(np.einsum("ij,ij->i", coords, c), t_lo, t_hi)
-        t_best[hit] = t
-        d_best[hit] = np.linalg.norm(coords - t[:, None] * c, axis=1)
-    return witness, t_best, d_best
+    _, coords = point_batch(spec, witness[hit])
+    c = centers[hit]
+    t_best[hit] = np.clip(np.einsum("ij,ij->i", coords, c), t_lo, t_hi)
+    d_best[hit] = np.linalg.norm(coords - t_best[hit, None] * c, axis=1)
+    return t_best, d_best
 
 
 def _window_check(spec: SequenceSpec, net: DirectionNet, t_lo: float,
@@ -417,7 +417,8 @@ def _certificate_witnesses(spec: SequenceSpec, net: DirectionNet, eps: float,
     arcs = [(0.0, lambda ns, radii: np.minimum(kappa * eps / radii, math.pi))]
     if spec.d == 1 and net.uniform_grid:
         return _circle_witnesses(spec, len(net), 1, n_cap, arcs, 0.0, V)
-    return _cap_witnesses(spec, net.centers, 1, n_cap, arcs), *(np.full(len(net), math.nan),) * 2
+    witness = _cap_witnesses(spec, net.centers, 1, n_cap, arcs)
+    return witness, *_exact_direction_witnesses(spec, net.centers, witness, 0.0, V)
 
 
 def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
@@ -571,23 +572,28 @@ def _candidate_distances(spec, a, b, reach, n_lo, n_hi, exclude=None):
 
 
 def _closer(best, ns, dist, t):
-    """``best`` or the block's first nearest point, whichever is strictly nearer."""
+    """``best`` or the block's first nearest point, whichever is nearer, the
+    smaller index on ties."""
     j = int(np.argmin(dist))
-    return (float(dist[j]), int(ns[j]), float(t[j])) if dist[j] < best[0] else best
+    return (float(dist[j]), int(ns[j]), float(t[j])) if (dist[j], ns[j]) < best[:2] else best
 
 
-def _nearest(spec, a, b, reach, n_lo, n_hi, exclude=None):
-    """(distance, n, t) of the point of [n_lo, n_hi] nearest the segment
-    [a, b], smallest index on ties. The reach doubles until a candidate lies
-    within it, so every point at the minimum is a candidate, or until the
-    source yields every index."""
+def _nearest(spec, a, b, reach, ranges, exclude=None, best=NO_POINT):
+    """(distance, n, t) of the point nearest the segment [a, b] among ``best``
+    and the indices of ``ranges`` (inclusive (lo, hi) pairs), smallest index
+    on ties. The reach doubles until a candidate lies within it, so every
+    point at the minimum is a candidate, or until the source yields every
+    index."""
+    ranges = [(lo, hi) for lo, hi in ranges if lo <= hi]
+    size = sum(hi - lo + 1 for lo, hi in ranges)
     while True:
-        best, seen = NO_POINT, 0
-        for ns, dist, t in _candidate_distances(spec, a, b, reach, n_lo, n_hi, exclude):
-            best = _closer(best, ns, dist, t)
-            seen += len(ns)
-        if best[0] <= reach or seen >= n_hi - n_lo + 1:
-            return best
+        found, seen = best, 0
+        for lo, hi in ranges:
+            for ns, dist, t in _candidate_distances(spec, a, b, reach, lo, hi, exclude):
+                found = _closer(found, ns, dist, t)
+                seen += len(ns)
+        if found[0] <= reach or seen >= size:
+            return found
         reach *= 2.0
 
 
@@ -595,7 +601,7 @@ def _first_hit(spec, a, b, eps, n_lo, n_hi, exclude=None):
     """((distance, n, t), hit): the smallest index of [n_lo, n_hi] within eps
     of the segment [a, b], else the exact minimum over the range, smallest
     index on ties; a point at ``exclude`` is left out."""
-    best, seen = NO_POINT, 0
+    best, seen, read = NO_POINT, 0, (n_hi + 1, n_hi)
     for ns, dist, t in _candidate_distances(spec, a, b, eps, n_lo, n_hi, exclude):
         hits = np.flatnonzero(dist <= eps)
         if len(hits):
@@ -603,10 +609,14 @@ def _first_hit(spec, a, b, eps, n_lo, n_hi, exclude=None):
             return (float(dist[j]), int(ns[j]), float(t[j])), True
         best = _closer(best, ns, dist, t)
         seen += len(ns)
+        read = (min(read[0], int(ns[0])), int(ns[-1]))
     if seen < n_hi - n_lo + 1:  # the source left out points farther than eps
-        # every point at the minimum lies within the best distance seen
+        # every point at the minimum lies within the best distance seen; when
+        # the blocks read one whole index range, only the rest is read again
         reach = best[0] if best[0] < math.inf else 2.0 * eps
-        best = _nearest(spec, a, b, reach, n_lo, n_hi, exclude)
+        ranges = [(n_lo, read[0] - 1), (read[1] + 1, n_hi)] \
+            if seen == read[1] - read[0] + 1 else [(n_lo, n_hi)]
+        best = _nearest(spec, a, b, reach, ranges, exclude, best)
     return best, False
 
 

@@ -198,6 +198,23 @@ def test_config_defaults_and_flag_precedence(tmp_path, capsys):
     code, out = run(capsys, "orchard", "--seq", "rational-ladder",
                     "--config", str(cfg), "--V", "126", "--eps", "0.1")
     assert json.loads(out)["reports"][0]["V"] == 126.0
+    # a value is parsed by its flag's own parser, as on the command line
+    flags = ["orchard", "--seq", "rational-ladder", "--eps", "0.2", "--V", "70"]
+    _, want = run(capsys, *flags)
+    for text in ('{"eps": 0.2, "V": 70}', '{"eps": "0.2", "V": [70]}'):
+        cfg.write_text(text)
+        code, out = run(capsys, "orchard", "--seq", "rational-ladder", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["reports"] == json.loads(want)["reports"]
+    # flag spellings, a bare switch, repeated flags and a negative coordinate
+    cfg.write_text(json.dumps({"eps-floor": 0.5, "Tmax": 300, "assert": True,
+                               "dir": ["1,0", "-1,0.001"], "x": "0,1"}))
+    _, want = run(capsys, "visible", "--seq", "rational-ladder", "--x", "0,1",
+                  "--dir", "1,0", "--dir=-1,0.001", "--eps-floor", "0.5",
+                  "--Tmax", "300", "--assert")
+    _, out = run(capsys, "visible", "--seq", "rational-ladder", "--config", str(cfg))
+    assert json.loads(out)["verdicts"] == json.loads(want)["verdicts"]
+    assert json.loads(out)["config"]["args"]["assert_"] is True
 
 
 def test_bad_arguments_exit_2(tmp_path, capsys):
@@ -262,6 +279,22 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
              "one --eps and one --V")):
         with pytest.raises(SystemExit) as err:
             main(argv)
+        assert err.value.code == 2
+        assert problem in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    for text, problem in (
+            ('[0.2, 70]', "must hold a JSON object"),
+            ('{"eps": [0.2', "Expecting"),
+            ('{"epss": [0.2], "V": [70]}', "orchard has no flag 'epss'"),
+            ('{"eps-floor": 0.1, "eps": [0.2], "V": [70]}',
+             "orchard has no flag 'eps-floor'"),
+            ('{"eps": [0.2], "V": ["seventy"]}', "argument --V"),
+            (None, "No such file")):
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            main(["orchard", "--seq", "rational-ladder",
+                  "--config", str(cfg if text is not None else tmp_path / "none.json")])
         assert err.value.code == 2
         assert problem in capsys.readouterr().err
 

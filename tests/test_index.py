@@ -13,9 +13,11 @@ import pytest
 from spiralvis import annulus_index_range, point_batch
 from spiralvis.geometry import segment_distances
 from spiralvis.sphere import unit_vector
-from spiralvis.spirals import CHUNK
+from spiralvis.spirals import CHUNK, iter_point_chunks
+from spiralvis import visibility
 from spiralvis.visibility import (
     HitWitness,
+    _closer,
     _line_min_distance,
     _segment_candidates,
     segment_norm_range,
@@ -205,3 +207,44 @@ def test_golden_rays_match_brute(golden):
     got = _assert_ray_matches_brute(golden, p[0] + 0.02 * u, u, 0.01, 1.0)
     assert got.visible_at_scale and got.witness.n == 2000
     assert got.min_distance == pytest.approx(0.02, abs=1e-12)
+
+
+def test_non_ladder_misses_match_brute(golden, constant_seq, monkeypatch):
+    """A miss reads the ray's annulus once: the search for the minimum then
+    reads only the indices outside the range the first pass read."""
+    read = []
+
+    def counting(*args, **kwargs):
+        for block in iter_point_chunks(*args, **kwargs):
+            read.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(visibility, "iter_point_chunks", counting)
+    # the constant sequence's negative control: about 1.0042e6 indices lie
+    # within eps_floor of the ray's radii, and its nearest point n=1 below them
+    got = _assert_ray_matches_brute(constant_seq, (0, 2), (0, 1), 0.1, 1000.0)
+    assert got.visible_at_scale and got.witness.n == 1
+    assert sum(read) <= 1.01e6
+    # nearest points beyond the far end, across the axis and at the start
+    for x, v in (((0.5, -30.0), (0, 1)), ((-3.0, 0.5), (1, 0)), ((40.0, 1.0), (1, 1))):
+        got = _assert_ray_matches_brute(constant_seq, x, v, 0.1, 20.0)
+        assert got.visible_at_scale
+    # a golden-angle miss whose nearest point, n=3000, lies 0.02 past its far end
+    r, p = point_batch(golden, np.array([3000]))
+    u = p[0] / r[0]
+    got = _assert_ray_matches_brute(golden, p[0] - 5.02 * u, u, 0.01, 5.0)
+    assert got.visible_at_scale and got.witness.n == 3000
+    assert got.min_distance == pytest.approx(0.02, abs=1e-12)
+    rng = np.random.default_rng(37)
+    for _ in range(8):
+        origin = rng.uniform(-30, 30, 2)
+        ang = rng.uniform(0, 2 * math.pi)
+        got = _assert_ray_matches_brute(golden, origin, (math.cos(ang), math.sin(ang)),
+                                        1e-4, rng.uniform(1, 10))
+        assert got.visible_at_scale
+
+
+def test_nearest_merge_keeps_the_smaller_index_on_ties():
+    ties = (np.array([4]), np.array([0.5]), np.array([0.0]))
+    assert _closer((0.5, 9, 1.0), *ties) == (0.5, 4, 0.0)
+    assert _closer((0.5, 2, 1.0), *ties) == (0.5, 2, 1.0)

@@ -211,6 +211,27 @@ def test_sphere_certificate_matches_arccos_formula(fib_sphere):
         assert 0 < np.sum(got != MISS) < len(net)
 
 
+def test_sphere_certificate_witnesses_match_brute(fib_sphere):
+    """d=2 certificate witnesses carry their exact (t, distance) to the window
+    [0, V] along their direction, as a dense scan over t finds them."""
+    net = build_direction_net(2, 0.1)
+    V = 12.0
+    witness, t, dist = _certificate_witnesses(fib_sphere, net, 0.5, V, 1.0, 1.0, 10**7)
+    hit = np.flatnonzero(witness != MISS)
+    assert 0 < len(hit) < len(net)
+    assert np.all(np.isnan(np.delete(t, hit))) and np.all(np.isnan(np.delete(dist, hit)))
+    assert np.all((t[hit] >= 0.0) & (t[hit] <= V))
+    grid = np.linspace(0.0, V, 24001)
+    step = grid[1]
+    _, coords = point_batch(fib_sphere, witness[hit])
+    for j, p in zip(hit[::7], coords[::7]):
+        gaps = np.linalg.norm(p - grid[:, None] * net.centers[j], axis=1)
+        k = int(np.argmin(gaps))
+        assert dist[j] <= gaps[k] <= dist[j] + step
+        assert abs(t[j] - grid[k]) <= step
+        assert dist[j] == pytest.approx(np.linalg.norm(p - t[j] * net.centers[j]), abs=1e-12)
+
+
 def test_monotonicity_in_eps_and_V(golden):
     rng = np.random.default_rng(3)
     for _ in range(4):
