@@ -45,9 +45,8 @@ def dump_json(payload, path: str | Path | None = None) -> str:
 
 def write_csv(path: str | Path, rows: list[dict]) -> None:
     """A table of dict rows: the header is the first row's keys, floats are
-    written by repr."""
-    lines = [",".join(rows[0]) if rows else ""]
-    for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row.values()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    written by repr; no rows, no lines."""
+    lines = [",".join(rows[0])] if rows else []
+    lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in row.values())
+              for row in rows]
+    Path(path).write_text("".join(line + "\n" for line in lines))
