@@ -140,6 +140,8 @@ CHECKS = {
 def _cmd_check(spec, ns):
     """One report per (--eps, --V) pair, a single --V serving every --eps;
     --assert fails unless every report passes."""
+    if not ns.eps:
+        raise ValueError(f"{ns.subcommand} needs at least one --eps value to check")
     v_list = ns.V * len(ns.eps) if len(ns.V) == 1 else ns.V
     if len(v_list) != len(ns.eps):
         raise ValueError(f"--eps and --V must have matching lengths, got "
@@ -199,9 +201,13 @@ def _cmd_delone(spec, ns):
 
 
 def _cmd_puncture(spec, ns):
+    n_hi = min(ns.n, ns.budget)
+    if n_hi < 1:
+        raise ValueError(f"puncture needs at least one point, got --n {ns.n} "
+                         f"and --budget {ns.budget}")
     pspec = getattr(PunctureSpec, ns.schedule)(spec, _point(ns.v0), ns.delta, ns.m_lo,
                                                ns.m_hi, scale_constant=ns.strip_C)
-    all_ns, coords = puncture_batch(pspec, 1, min(ns.n, ns.budget))
+    all_ns, coords = puncture_batch(pspec, 1, n_hi)
     moved = int(np.sum(np.any(coords != point_batch(spec, all_ns)[1], axis=1)))
     still_inside = int(pspec.in_region(coords).sum())
     return {**_write_points(ns, spec.d, coords), "redirected": moved,

@@ -15,7 +15,7 @@ def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return "inf" if math.isinf(obj) else ("nan" if math.isnan(obj) else obj)
+        return str(obj) if math.isinf(obj) or math.isnan(obj) else obj
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, (np.integer,)):

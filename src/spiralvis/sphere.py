@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,17 +92,18 @@ def _cap_packing_count_bound(d: int) -> float:
 
 @dataclass
 class DirectionNet:
-    """Finite delta-covering of S^d by cap centers.
+    """Finite delta-covering of S^d by ``count`` cap centers.
 
     ``covering_radius`` is the net's proved covering radius: every direction
     lies within that geodesic distance of some center, and it is at most
     ``mesh``. ``uniform_grid`` marks the exact equally-spaced circle net
-    (d=1), whose centers are at angles j * 2*pi/len(centers).
+    (d=1), whose centers are at angles j * 2*pi/count and are built only when
+    ``centers`` is first read; any other net is made by ``from_centers``.
     """
 
     dimension: int
     mesh: float
-    centers: np.ndarray
+    count: int
     covering_radius: float
     c_net: float = field(default=0.0)
     uniform_grid: bool = False
@@ -110,8 +112,21 @@ class DirectionNet:
         if self.c_net == 0.0:
             self.c_net = 4.0 if self.dimension == 1 else _cap_packing_count_bound(self.dimension)
 
+    @classmethod
+    def from_centers(cls, centers: np.ndarray, **kwargs) -> "DirectionNet":
+        net = cls(count=len(centers), **kwargs)
+        net.centers = centers  # stored over the cached property, never rebuilt
+        return net
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        if not self.uniform_grid:
+            raise AttributeError("a net that is not the uniform circle grid stores its centers")
+        angles = np.arange(self.count) * (2 * math.pi / self.count)
+        return np.column_stack([np.cos(angles), np.sin(angles)])
+
     def __len__(self) -> int:
-        return len(self.centers)
+        return self.count
 
     @property
     def angles(self) -> np.ndarray:
@@ -120,14 +135,12 @@ class DirectionNet:
         return np.arctan2(self.centers[:, 1], self.centers[:, 0]) % (2 * math.pi)
 
     def count_bound_ok(self) -> bool:
-        return len(self.centers) <= self.c_net * self.mesh ** (-self.dimension)
+        return self.count <= self.c_net * self.mesh ** (-self.dimension)
 
 
 def _uniform_circle_net(delta: float) -> DirectionNet:
     count = max(1, math.ceil(math.pi / delta))
-    angles = np.arange(count) * (2 * math.pi / count)
-    centers = np.column_stack([np.cos(angles), np.sin(angles)])
-    return DirectionNet(dimension=1, mesh=delta, centers=centers,
+    return DirectionNet(dimension=1, mesh=delta, count=count,
                         covering_radius=math.pi / count, uniform_grid=True)
 
 
@@ -183,8 +196,8 @@ def _cube_sphere_net(d: int, delta: float) -> DirectionNet:
             img[:, axis] = sign * face[:, 0]
             img[:, [i for i in range(d + 1) if i != axis]] = face[:, 1:]
             faces.append(img)
-    return DirectionNet(dimension=d, mesh=delta, centers=np.concatenate(faces),
-                        covering_radius=radius)
+    return DirectionNet.from_centers(np.concatenate(faces), dimension=d, mesh=delta,
+                                     covering_radius=radius)
 
 
 def build_direction_net(d: int, delta: float, seed: int = 0) -> DirectionNet:

@@ -255,40 +255,42 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
 
 def _circle_sweep(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
                   is_open, write) -> None:
-    """Hand ``write(ns, radii, theta, cells)`` the cells within reach(ns,
-    radii) of each point's angle theta + flip, per (flip, reach) in ``arcs``,
-    in index order; ``is_open(r)`` names the cells that points of radius r or
-    more may still change, and the sweep stops when it names none."""
+    """Hand ``write(ns, radii, theta, at, cells)`` a block's points and the
+    cells within reach(ns, radii) of point ``at``'s angle theta + flip, per
+    (flip, reach) in ``arcs``, in index order; ``is_open(r)`` names the cells
+    that points of radius r or more may still change, and the sweep stops
+    when it names none."""
     for ns, radii, coords in iter_point_chunks(spec, n_lo, n_hi, CHUNK // 4):
         theta = np.arctan2(coords[:, 1], coords[:, 0])
         _mark_windows(K, lambda: is_open(radii[0]),
                       np.column_stack([(theta + flip) % TWO_PI for flip, _ in arcs]),
                       np.column_stack([reach(ns, radii) for _, reach in arcs]),
-                      lambda at, cells: write(ns[at], radii[at], theta[at], cells))
+                      lambda at, cells: write(ns, radii, theta, at, cells))
         if not is_open(radii[-1]).any():
             return
 
 
 def _circle_witnesses(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
                       t_lo: float, t_hi: float):
-    """Per cell, the first index of the sweep to reach it, with its exact
-    (t, distance) on [t_lo, t_hi]; open cells are the unwritten ones."""
+    """(witness, exact): per cell, the first index of the sweep to reach it
+    (open cells are the unwritten ones), and ``exact(cells)``, the exact
+    (t, distance) on [t_lo, t_hi] of those cells' witnesses."""
     witness = np.full(K, MISS, dtype=np.int64)
-    radius, theta = np.full(K, math.nan), np.full(K, math.nan)
 
-    def write(ns, radii, angles, cells):
+    def write(ns, radii, theta, at, cells):
         # numpy assigns repeated cells in order; reversed, the smallest index stays
-        cells = cells[::-1]
-        witness[cells], radius[cells], theta[cells] = ns[::-1], radii[::-1], angles[::-1]
+        witness[cells[::-1]] = ns[at[::-1]]
 
     _circle_sweep(spec, K, n_lo, n_hi, arcs, lambda r: witness == MISS, write)
-    return witness, *_exact_cell_witnesses(radius, theta, t_lo, t_hi)
+    return witness, lambda cells: _exact_cell_witnesses(spec, witness, cells, t_lo, t_hi)
 
 
-def _exact_cell_witnesses(radius: np.ndarray, theta: np.ndarray,
+def _exact_cell_witnesses(spec: SequenceSpec, witness: np.ndarray, cells: np.ndarray,
                           t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (t, distance) of each cell's witness from its radius and angle."""
-    delta = theta - np.arange(len(theta)) * (TWO_PI / len(theta))
+    """Exact (t, distance) of the witnesses of circle cells ``cells`` (all
+    hit), from their points' radii and angles."""
+    radius, coords = point_batch(spec, witness[cells])
+    delta = np.arctan2(coords[:, 1], coords[:, 0]) - cells * (TWO_PI / len(witness))
     along = radius * np.cos(delta)
     t_star = np.clip(along, t_lo, t_hi)
     return t_star, np.hypot(along - t_star, radius * np.sin(delta))
@@ -335,31 +337,28 @@ def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int
 
 
 def _directional_window_check(spec: SequenceSpec, centers: np.ndarray,
-                              t_lo: float, t_hi: float, eps: float,
-                              index_budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smallest-index witness per direction for the window [t_lo, t_hi], with
-    its exact (t, distance); NaN at misses.
+                              t_lo: float, t_hi: float, eps: float, index_budget: int):
+    """(witness, exact): the smallest-index witness per direction for the
+    window [t_lo, t_hi], and ``exact(cells)``, the exact (t, distance) of
+    those directions' witnesses.
 
     The window is split at the origin as in ``_window_arcs``; its negative
     half is tested against -c.
     """
     witness = _cap_witnesses(spec, centers, *_window_arcs(spec, t_lo, t_hi, eps, index_budget))
-    return witness, *_exact_direction_witnesses(spec, centers, witness, t_lo, t_hi)
+    return witness, lambda cells: _exact_direction_witnesses(spec, centers, witness, cells,
+                                                             t_lo, t_hi)
 
 
-def _exact_direction_witnesses(spec: SequenceSpec, centers: np.ndarray,
-                               witness: np.ndarray, t_lo: float, t_hi: float):
-    """Exact (t, distance) of each direction's witness point p to the window
-    {t c : t_lo <= t <= t_hi}: t = clip(p.c, t_lo, t_hi), distance |p - t c|;
-    NaN at misses."""
-    t_best = np.full(len(centers), math.nan)
-    d_best = np.full(len(centers), math.nan)
-    hit = np.flatnonzero(witness != MISS)
-    _, coords = point_batch(spec, witness[hit])
-    c = centers[hit]
-    t_best[hit] = np.clip(np.einsum("ij,ij->i", coords, c), t_lo, t_hi)
-    d_best[hit] = np.linalg.norm(coords - t_best[hit, None] * c, axis=1)
-    return t_best, d_best
+def _exact_direction_witnesses(spec: SequenceSpec, centers: np.ndarray, witness: np.ndarray,
+                               cells: np.ndarray, t_lo: float, t_hi: float):
+    """Exact (t, distance) of the witness point p of each direction c of
+    ``cells`` (all hit) to the window {t c : t_lo <= t <= t_hi}:
+    t = clip(p.c, t_lo, t_hi), distance |p - t c|."""
+    _, coords = point_batch(spec, witness[cells])
+    c = centers[cells]
+    t_best = np.clip(np.einsum("ij,ij->i", coords, c), t_lo, t_hi)
+    return t_best, np.linalg.norm(coords - t_best[:, None] * c, axis=1)
 
 
 def _window_check(spec: SequenceSpec, net: DirectionNet, t_lo: float,
@@ -370,12 +369,14 @@ def _window_check(spec: SequenceSpec, net: DirectionNet, t_lo: float,
     return _directional_window_check(spec, net.centers, t_lo, t_hi, eps, index_budget)
 
 
-def _collect(witness, t, dist):
+def _collect(witness, exact):
+    """Failures, the first 100 hits with their exact (t, distance), and the
+    hit count."""
     failures = [{"direction": int(j)} for j in np.flatnonzero(witness == MISS)]
     hits = np.flatnonzero(witness != MISS)
-    witnesses = [
-        HitWitness(int(witness[j]), float(t[j]), float(dist[j])) for j in hits[:100]
-    ]
+    t, dist = exact(hits[:100])
+    witnesses = [HitWitness(int(witness[j]), float(tj), float(dj))
+                 for j, tj, dj in zip(hits[:100], t, dist)]
     return failures, witnesses, int(len(hits))
 
 
@@ -393,15 +394,14 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
     net = _require_net(spec, eps, V_value, net)
     constants = dict(constants or {})
     if method == "direct":
-        witness, t, dist = _window_check(spec, net, 0.0, V_value, eps, index_budget)
+        found = _window_check(spec, net, 0.0, V_value, eps, index_budget)
     elif method == "certificate":
         K_const = constants.setdefault("K", 1.0)
         kappa = constants.setdefault("kappa", 1.0)
-        witness, t, dist = _certificate_witnesses(spec, net, eps, V_value, K_const,
-                                                  kappa, index_budget)
+        found = _certificate_witnesses(spec, net, eps, V_value, K_const, kappa, index_budget)
     else:
         raise ValueError(f"unknown method {method!r}")
-    failures, witnesses, hits = _collect(witness, t, dist)
+    failures, witnesses, hits = _collect(*found)
     return CheckReport(
         property=f"orchard[{method}]", spec=spec.to_json(), eps=eps, V=V_value,
         constants=constants, net=_net_info(net), total_checks=len(net),
@@ -418,7 +418,8 @@ def _certificate_witnesses(spec: SequenceSpec, net: DirectionNet, eps: float,
     if spec.d == 1 and net.uniform_grid:
         return _circle_witnesses(spec, len(net), 1, n_cap, arcs, 0.0, V)
     witness = _cap_witnesses(spec, net.centers, 1, n_cap, arcs)
-    return witness, *_exact_direction_witnesses(spec, net.centers, witness, 0.0, V)
+    return witness, lambda cells: _exact_direction_witnesses(spec, net.centers, witness,
+                                                             cells, 0.0, V)
 
 
 def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
@@ -435,8 +436,8 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
     hits_total = 0
     per_t0 = {}
     for t0 in t0_list:
-        witness, t, dist = _window_check(spec, net, t0, t0 + V_value, eps, index_budget)
-        failures, witnesses, hits = _collect(witness, t, dist)
+        failures, witnesses, hits = _collect(
+            *_window_check(spec, net, t0, t0 + V_value, eps, index_budget))
         for f in failures:
             f["t0"] = t0
         all_failures.extend(failures)
@@ -856,10 +857,10 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
     def unsettled(r):
         return best > (r - 3.0 * eps - t0 if r > 3.0 * eps - t0 else -math.inf)
 
-    def write(ns, radii, theta, cells):
-        delta = theta - cells * (TWO_PI / len(net))
-        np.minimum.at(best, cells, _reach_offsets(radii * np.cos(delta),
-                                                  radii * np.sin(delta), eps, t0))
+    def write(ns, radii, theta, at, cells):
+        r, delta = radii[at], theta[at] - cells * (TWO_PI / len(net))
+        np.minimum.at(best, cells, _reach_offsets(r * np.cos(delta), r * np.sin(delta),
+                                                  eps, t0))
 
     n_lo, n_hi, arcs = _window_arcs(spec, t0, t0 + V, eps, index_budget)
     if spec.d == 1 and net.uniform_grid:

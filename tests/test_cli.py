@@ -103,6 +103,17 @@ def test_uniform_and_covering_and_criterion(capsys):
     assert code == 0
 
 
+def test_negative_infinity_is_written_as_minus_inf(capsys):
+    # an empty grid leaves the running maximum at -inf, which is not +inf
+    from spiralvis.reports import to_jsonable
+    assert to_jsonable([-math.inf, math.inf, math.nan, np.float64(-math.inf)]) == [
+        "-inf", "inf", "nan", "-inf"]
+    _, out = run(capsys, "covering", "--m", "")
+    assert json.loads(out)["estimate"]["uniform_covering_parameter"] == "-inf"
+    _, out = run(capsys, "criterion", "--eps", "")
+    assert json.loads(out)["table"]["sup"] == "-inf"
+
+
 def test_forest_strip_line_fails(capsys):
     angle = repr(math.pi / 2)
     code, out = run(capsys, "forest", "--seq", "rational-ladder",
@@ -227,6 +238,15 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:  # nothing to write
         main(["generate", "--n", "0", "--out", str(tmp_path / "none.bin")])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:  # nothing to write
+        main(["puncture", "--n", "0", "--out", str(tmp_path / "none.csv")])
+    assert err.value.code == 2
+    assert "--n 0" in capsys.readouterr().err
+    for check in ("orchard", "uniform", "forest"):  # nothing to check
+        with pytest.raises(SystemExit) as err:
+            main([check, "--eps", "", "--V", "5", "--assert"])
+        assert err.value.code == 2
+        assert "--eps" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         main(["orchard", "--eps", "0.1", "--V", "50", "--d", "3"])  # bad kind/d
     assert err.value.code == 2

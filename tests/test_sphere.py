@@ -140,6 +140,24 @@ def test_circle_net_exact_grid():
     assert gaps.max() == pytest.approx(gaps.min(), rel=1e-9)
 
 
+def test_circle_net_centers_built_on_demand():
+    # the centers the circle net stored before they were built on first read
+    for delta in (math.pi, 0.5, 0.003):
+        net = build_direction_net(1, delta)
+        angles = np.arange(len(net)) * (2 * math.pi / len(net))
+        assert np.array_equal(net.centers, np.column_stack([np.cos(angles), np.sin(angles)]))
+        assert net.centers is net.centers
+
+
+def test_circle_net_length_without_centers():
+    # neither len(net) nor a circle check and its report builds the centers
+    net = build_direction_net(1, 0.2 / (4 * 20.0))
+    assert len(net) == math.ceil(math.pi / (0.2 / 80.0)) and net.count_bound_ok()
+    rep = check_orchard(SequenceSpec("golden-angle"), 0.2, 20.0, net=net)
+    assert rep.net["count"] == rep.total_checks == len(net)
+    assert "centers" not in vars(net)
+
+
 def test_net_rejects_bad_mesh():
     with pytest.raises(ValueError):
         build_direction_net(1, 0.0)

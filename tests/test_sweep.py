@@ -88,9 +88,13 @@ def _stamped_window(spec, K, t_lo, t_hi, eps, budget):
 
 
 def _assert_same(got, want):
-    assert np.array_equal(got[0], want[0])
-    for g, w in zip(got[1:], want[1:]):
-        assert np.array_equal(g, w, equal_nan=True)
+    """The witness arrays bit for bit, and the recovered (t, distance) of
+    every hit cell."""
+    witness, exact = got
+    assert np.array_equal(witness, want[0])
+    hit = np.flatnonzero(witness != MISS)
+    for g, w in zip(exact(hit), want[1:]):
+        assert np.array_equal(g, w[hit])
 
 
 def _small_blocks(marks):
@@ -155,7 +159,7 @@ def test_sweep_stops_when_every_cell_is_resolved(ladder, monkeypatch):
             yield block
 
     monkeypatch.setattr(vis, "iter_point_chunks", counting)
-    witness, _, _ = _circle_witnesses(ladder, K, *_window_arcs(ladder, 0.0, V, eps,
+    witness, _ = _circle_witnesses(ladder, K, *_window_arcs(ladder, 0.0, V, eps,
                                                                DEFAULT_BUDGET), 0.0, V)
     assert np.all(witness != MISS)
     assert sum(read) < annulus_index_range(0.0, V + eps, 1)[1] / 4

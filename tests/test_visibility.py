@@ -123,9 +123,8 @@ def test_uniform_negative_window_matches_generic(golden, ladder):
             eps = float(rng.uniform(0.2, 0.9))
             t0 = float(rng.uniform(-30, 20))
             V = float(rng.uniform(5, 40))
-            fast, _, _ = _window_check(spec, net, t0, t0 + V, eps, 10**6)
-            slow, _, _ = _directional_window_check(spec, net.centers, t0, t0 + V,
-                                                   eps, 10**6)
+            fast, _ = _window_check(spec, net, t0, t0 + V, eps, 10**6)
+            slow, _ = _directional_window_check(spec, net.centers, t0, t0 + V, eps, 10**6)
             assert np.array_equal(fast != MISS, slow != MISS)
             assert np.array_equal(fast, slow)
 
@@ -162,20 +161,20 @@ def test_sphere_sweep_matches_brute(fib_sphere):
             t0 = {"negative": -V - rng.uniform(0.5, 5.0),
                   "straddling 0": -rng.uniform(0.1, V - 0.1),
                   "far": rng.uniform(20.0, 22.0)}[where]
-            witness, t, dist = _directional_window_check(spec, centers, t0, t0 + V,
-                                                         eps, 10**7)
+            witness, exact = _directional_window_check(spec, centers, t0, t0 + V,
+                                                       eps, 10**7)
             want, tie = _brute_window_witnesses(spec, centers, t0, t0 + V, eps)
             assert tie.sum() <= 2
             assert np.array_equal(witness[~tie], want[~tie])
             hit = np.flatnonzero(witness != MISS)
             assert len(hit) and len(hit) < len(centers)
+            t, dist = exact(hit)
             _, pts = point_batch(spec, witness[hit])
             c = centers[hit]
-            assert np.all((t[hit] >= t0) & (t[hit] <= t0 + V))
-            assert np.allclose(np.linalg.norm(pts - t[hit, None] * c, axis=1),
-                               dist[hit], rtol=0, atol=1e-12)
-            assert np.all(dist[hit] <= eps + 1e-9)
-            assert np.all(np.isnan(t[witness == MISS]))
+            assert np.all((t >= t0) & (t <= t0 + V))
+            assert np.allclose(np.linalg.norm(pts - t[:, None] * c, axis=1),
+                               dist, rtol=0, atol=1e-12)
+            assert np.all(dist <= eps + 1e-9)
             cases += 1
     assert cases == 6
 
@@ -198,7 +197,7 @@ def test_sphere_certificate_matches_arccos_formula(fib_sphere):
     # min(kappa eps / r, pi) of the center, by arccos of the clipped dot
     net = build_direction_net(2, 0.1)
     for eps, V, K_const, kappa in ((0.2, 12.0, 1.0, 1.0), (0.3, 9.0, 0.5, 2.5)):
-        got, _, _ = _certificate_witnesses(fib_sphere, net, eps, V, K_const, kappa, 10**7)
+        got, _ = _certificate_witnesses(fib_sphere, net, eps, V, K_const, kappa, 10**7)
         ns = np.arange(1, math.ceil(K_const * V ** 3) + 1)
         radii, coords = point_batch(fib_sphere, ns)
         caps = np.minimum(kappa * eps / radii, math.pi)
@@ -216,20 +215,20 @@ def test_sphere_certificate_witnesses_match_brute(fib_sphere):
     [0, V] along their direction, as a dense scan over t finds them."""
     net = build_direction_net(2, 0.1)
     V = 12.0
-    witness, t, dist = _certificate_witnesses(fib_sphere, net, 0.5, V, 1.0, 1.0, 10**7)
+    witness, exact = _certificate_witnesses(fib_sphere, net, 0.5, V, 1.0, 1.0, 10**7)
     hit = np.flatnonzero(witness != MISS)
     assert 0 < len(hit) < len(net)
-    assert np.all(np.isnan(np.delete(t, hit))) and np.all(np.isnan(np.delete(dist, hit)))
-    assert np.all((t[hit] >= 0.0) & (t[hit] <= V))
+    t, dist = exact(hit)
+    assert np.all((t >= 0.0) & (t <= V))
     grid = np.linspace(0.0, V, 24001)
     step = grid[1]
     _, coords = point_batch(fib_sphere, witness[hit])
-    for j, p in zip(hit[::7], coords[::7]):
+    for j, tj, dj, p in zip(hit[::7], t[::7], dist[::7], coords[::7]):
         gaps = np.linalg.norm(p - grid[:, None] * net.centers[j], axis=1)
         k = int(np.argmin(gaps))
-        assert dist[j] <= gaps[k] <= dist[j] + step
-        assert abs(t[j] - grid[k]) <= step
-        assert dist[j] == pytest.approx(np.linalg.norm(p - t[j] * net.centers[j]), abs=1e-12)
+        assert dj <= gaps[k] <= dj + step
+        assert abs(tj - grid[k]) <= step
+        assert dj == pytest.approx(np.linalg.norm(p - tj * net.centers[j]), abs=1e-12)
 
 
 def test_monotonicity_in_eps_and_V(golden):
