@@ -8,6 +8,7 @@ and seeds produce byte-identical outputs. Exit codes: 2 for argument errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,8 +33,7 @@ from .spirals import (
     iter_point_chunks,
     point_batch,
     puncture_batch,
-    write_points_binary,
-    write_points_csv,
+    write_point_blocks,
 )
 from .visibility import (
     LineParam,
@@ -45,6 +45,9 @@ from .visibility import (
 )
 
 
+GENERATE_BLOCK = 1 << 16  # points per block written by generate
+
+
 def _floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
@@ -53,13 +56,11 @@ def _point(text: str) -> np.ndarray:
     return np.array(_floats(text), dtype=np.float64)
 
 
-def _write_points(ns, d: int, coords: np.ndarray) -> dict:
-    """Points 1..len(coords) to --out, binary for a ``.bin`` path, else CSV."""
-    if ns.out.endswith(".bin"):
-        write_points_binary(ns.out, d, 1, len(coords), coords)
-    else:
-        write_points_csv(ns.out, np.arange(1, len(coords) + 1), coords)
-    return {"written": ns.out, "points": len(coords)}
+def _write_points(ns, d: int, n_hi: int, blocks) -> dict:
+    """Points 1..n_hi, as (indices, coords) blocks, to --out: binary for a
+    ``.bin`` path, else CSV."""
+    write_point_blocks(ns.out, d, 1, n_hi, blocks)
+    return {"written": ns.out, "points": n_hi}
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -70,10 +71,9 @@ def _cmd_generate(spec, ns):
     if n_hi < 1:
         raise ValueError(f"generate needs at least one point, got --n {ns.n} "
                          f"and --budget {ns.budget}")
-    all_x = np.empty((n_hi, spec.d + 1))  # filled in place: one copy of the points
-    for idx, _, coords in iter_point_chunks(spec, 1, n_hi):
-        all_x[idx[0] - 1:idx[-1]] = coords
-    return _write_points(ns, spec.d, all_x), False
+    blocks = ((idx, coords) for idx, _, coords in
+              iter_point_chunks(spec, 1, n_hi, GENERATE_BLOCK))
+    return _write_points(ns, spec.d, n_hi, blocks), False
 
 
 def _cmd_plot(spec, ns):
@@ -210,13 +210,15 @@ def _cmd_puncture(spec, ns):
     all_ns, coords = puncture_batch(pspec, 1, n_hi)
     moved = int(np.sum(np.any(coords != point_batch(spec, all_ns)[1], axis=1)))
     still_inside = int(pspec.in_region(coords).sum())
-    return {**_write_points(ns, spec.d, coords), "redirected": moved,
+    written = _write_points(ns, spec.d, n_hi, [(all_ns, coords)])
+    return {**written, "redirected": moved,
             "remaining_in_region": still_inside}, still_inside > 0
 
 
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="spiralvis", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

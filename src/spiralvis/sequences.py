@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -65,18 +66,27 @@ def triangular_decompose_batch(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fractional_multiples(theta: float, ns: np.ndarray) -> np.ndarray:
-    """{n * theta} computed with a split-theta trick.
+    """{n * theta} for the float ``theta``, exact to 2^-53.
 
-    Plain float64 n*theta loses ~n*eps absolute accuracy; splitting theta into
-    a 26-bit head (product exact for n < 2^26) and a tail keeps the fractional
-    part accurate to ~1e-12 for n up to 1e7.
+    theta's fractional part is a dyadic rational; when it is a multiple of
+    2^-64 (every theta of magnitude 2^-12 or more), alpha = {theta} * 2^64
+    is an integer and n * alpha mod 2^64 is 2^64 * {n * theta} exactly, so
+    wrap-around uint64 products give floor({n * theta} * 2^53) / 2^53 for
+    every int64 n. Finer thetas fall back to a split-theta float sum: a
+    26-bit head (product exact for n < 2^26) and a tail, accurate to ~1e-12
+    for n up to 1e7.
     """
-    ns = np.asarray(ns, dtype=np.float64)
-    scale = 2.0**26
-    hi = math.floor(theta * scale) / scale
-    lo = theta - hi
-    frac = (ns * hi) % 1.0 + ns * lo
-    return frac % 1.0
+    alpha = Fraction(theta) % 1 * 2**64
+    if alpha.denominator != 1:
+        ns = np.asarray(ns, dtype=np.float64)
+        scale = 2.0**26
+        hi = math.floor(theta * scale) / scale
+        lo = theta - hi
+        frac = (ns * hi) % 1.0 + ns * lo
+        return frac % 1.0
+    fixed = np.asarray(ns, dtype=np.int64).view(np.uint64) * np.uint64(alpha.numerator)
+    fixed >>= np.uint64(11)
+    return fixed * 2.0**-53
 
 
 def _fibonacci_sphere_block(ns: np.ndarray) -> np.ndarray:
@@ -176,12 +186,8 @@ def direction_batch(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size and ns.min() < 1:
         raise ValueError("indices must be >= 1")
-    if spec.kind == "golden-angle":
-        angles = TWO_PI * fractional_multiples(spec.theta, ns)
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    if spec.kind == "rational-ladder":
-        k, p = triangular_decompose_batch(ns)
-        angles = TWO_PI * (p / k)
+    if spec.kind in ("golden-angle", "rational-ladder"):
+        angles = angle_batch(spec, ns)
         return np.column_stack([np.cos(angles), np.sin(angles)])
     if spec.kind == "fibonacci-sphere":
         return _fibonacci_sphere_block(ns)
@@ -195,6 +201,19 @@ def direction_batch(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
             )
         return pts[ns - 1]
     raise ValueError(f"unknown kind {spec.kind!r}")
+
+
+def angle_batch(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
+    """Polar angles of the planar directions u_n: 2*pi*{n*theta} for
+    golden-angle and 2*pi*p/k for rational-ladder, read in closed form, else
+    the arctan2 of ``direction_batch``."""
+    if spec.kind == "golden-angle":
+        return TWO_PI * fractional_multiples(spec.theta, ns)
+    if spec.kind == "rational-ladder":
+        k, p = triangular_decompose_batch(ns)
+        return TWO_PI * (p / k)
+    u = direction_batch(spec, ns)
+    return np.arctan2(u[:, 1], u[:, 0])
 
 
 def sequence_term(spec: SequenceSpec, n: int) -> np.ndarray:

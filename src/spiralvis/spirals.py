@@ -28,10 +28,16 @@ class PunctureUnresolvedError(RuntimeError):
 
 
 def radius_of_index(n, d: int):
-    """n^(1/(d+1)) via exp(ln(n)/(d+1)) with one Newton polish."""
+    """n^(1/(d+1)): the correctly rounded ``np.sqrt`` for d=1, ``np.cbrt``
+    (within one ulp) for d=2, else exp(ln(n)/(d+1)) with one Newton polish."""
     ns = np.asarray(n, dtype=np.float64)
-    r = np.exp(np.log(ns) / (d + 1))
-    r = r - (r ** (d + 1) - ns) / ((d + 1) * r**d)
+    if d == 1:
+        r = np.sqrt(ns)
+    elif d == 2:
+        r = np.cbrt(ns)
+    else:
+        r = np.exp(np.log(ns) / (d + 1))
+        r = r - (r ** (d + 1) - ns) / ((d + 1) * r**d)
     return r if isinstance(n, np.ndarray) else float(r)
 
 
@@ -208,28 +214,50 @@ def puncture_batch(pspec: PunctureSpec, n_lo: int, n_hi: int) -> tuple[np.ndarra
     return np.concatenate(all_ns), np.vstack(all_coords)
 
 
+def _csv_writer(fh, width: int):
+    """Write the CSV header to ``fh``; return write(ns, coords) for its rows."""
+    fh.write(",".join(["n"] + [f"x{i}" for i in range(width)]) + "\n")
+    return lambda ns, coords: np.savetxt(
+        fh, np.column_stack([np.asarray(ns, dtype=np.float64), coords]),
+        delimiter=",", fmt=["%d"] + ["%.17g"] * width)
+
+
+def _binary_writer(fh, d: int, n_lo: int, n_hi: int):
+    """Write the binary header to ``fh``; return write(ns, coords) for its points."""
+    fh.write(np.array([d, n_lo, n_hi], dtype="<i8").tobytes())
+    # the array's own buffer, not a bytes copy
+    return lambda ns, coords: fh.write(np.ascontiguousarray(coords, dtype="<f8").data)
+
+
 def write_points_csv(path: str | Path, ns: np.ndarray, coords: np.ndarray) -> None:
-    cols = ",".join(["n"] + [f"x{i}" for i in range(coords.shape[1])])
-    body = np.column_stack([np.asarray(ns, dtype=np.float64), coords])
-    np.savetxt(path, body, delimiter=",", header=cols, comments="",
-               fmt=["%d"] + ["%.17g"] * coords.shape[1])
-
-
-def read_points_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return body[:, 0].astype(np.int64), body[:, 1:]
+    with open(path, "w") as fh:
+        _csv_writer(fh, coords.shape[1])(ns, coords)
 
 
 def write_points_binary(path: str | Path, d: int, n_lo: int, n_hi: int,
                         coords: np.ndarray) -> None:
     """Header {d, n_lo, n_hi} as little-endian int64, then (d+1) float64 per point."""
-    coords = np.ascontiguousarray(coords, dtype="<f8")
-    if coords.shape != (n_hi - n_lo + 1, d + 1):
-        raise ValueError(f"coords shape {coords.shape} does not match header "
+    if np.shape(coords) != (n_hi - n_lo + 1, d + 1):
+        raise ValueError(f"coords shape {np.shape(coords)} does not match header "
                          f"({n_hi - n_lo + 1}, {d + 1})")
     with open(path, "wb") as fh:
-        fh.write(np.array([d, n_lo, n_hi], dtype="<i8").tobytes())
-        fh.write(coords.data)  # the array's own buffer, not a bytes copy
+        _binary_writer(fh, d, n_lo, n_hi)(None, coords)
+
+
+def write_point_blocks(path: str | Path, d: int, n_lo: int, n_hi: int, blocks) -> None:
+    """Points n_lo..n_hi, given as (ns, coords) ``blocks`` in index order, to
+    ``path``: the bytes of ``write_points_binary`` for a ``.bin`` path, else
+    those of ``write_points_csv``, holding one block at a time."""
+    binary = str(path).endswith(".bin")
+    with open(path, "wb" if binary else "w") as fh:
+        write = _binary_writer(fh, d, n_lo, n_hi) if binary else _csv_writer(fh, d + 1)
+        for ns, coords in blocks:
+            write(ns, coords)
+
+
+def read_points_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return body[:, 0].astype(np.int64), body[:, 1:]
 
 
 def read_points_binary(path: str | Path) -> tuple[int, int, int, np.ndarray]:

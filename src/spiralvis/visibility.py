@@ -36,13 +36,14 @@ import numpy as np
 
 from ._par import parallel_map
 from .geometry import radial_hit_halfwidth, ray_to_ray_distance, segment_distances
-from .sequences import SequenceSpec, triangular_decompose
+from .sequences import SequenceSpec, angle_batch, triangular_decompose
 from .sphere import DirectionNet, build_direction_net
 from .spirals import (
     CHUNK,
     annulus_index_range,
     iter_point_chunks,
     point_batch,
+    radius_of_index,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -144,6 +145,30 @@ class VisibilityCurve:
         }
 
 
+@dataclass(eq=False)
+class DirectionFailures:
+    """The failing net directions of a check, with the window start of each
+    for shifted windows; their {"direction": j[, "t0": t0]} rows are built
+    only for the entries read."""
+
+    directions: np.ndarray
+    t0: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.directions)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return [self[i] for i in range(len(self))[item]]
+        row = {"direction": int(self.directions[item])}
+        if self.t0 is not None:
+            row["t0"] = float(self.t0[item])
+        return row
+
+    def __iter__(self):
+        return iter(self[:])
+
+
 @dataclass
 class CheckReport:
     property: str
@@ -153,7 +178,7 @@ class CheckReport:
     constants: dict
     net: dict
     total_checks: int
-    failures: list
+    failures: list | DirectionFailures
     witness_count: int
     witnesses: list
     certified_tolerance: float
@@ -255,13 +280,16 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
 
 def _circle_sweep(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
                   is_open, write) -> None:
-    """Hand ``write(ns, radii, theta, at, cells)`` a block's points and the
-    cells within reach(ns, radii) of point ``at``'s angle theta + flip, per
-    (flip, reach) in ``arcs``, in index order; ``is_open(r)`` names the cells
+    """Hand ``write(ns, radii, theta, at, cells)`` a block's indices, radii
+    and polar angles (``angle_batch``) and the cells within reach(ns, radii)
+    of point ``at``'s angle theta + flip, per (flip, reach) in ``arcs``, in
+    index order; ``is_open(r)`` names the cells
     that points of radius r or more may still change, and the sweep stops
     when it names none."""
-    for ns, radii, coords in iter_point_chunks(spec, n_lo, n_hi, CHUNK // 4):
-        theta = np.arctan2(coords[:, 1], coords[:, 0])
+    block = CHUNK // 4
+    for lo in range(max(1, n_lo), n_hi + 1, block):
+        ns = np.arange(lo, min(n_hi, lo + block - 1) + 1, dtype=np.int64)
+        radii, theta = radius_of_index(ns, 1), angle_batch(spec, ns)
         _mark_windows(K, lambda: is_open(radii[0]),
                       np.column_stack([(theta + flip) % TWO_PI for flip, _ in arcs]),
                       np.column_stack([reach(ns, radii) for _, reach in arcs]),
@@ -370,9 +398,9 @@ def _window_check(spec: SequenceSpec, net: DirectionNet, t_lo: float,
 
 
 def _collect(witness, exact):
-    """Failures, the first 100 hits with their exact (t, distance), and the
+    """The failing directions, the first 100 hits with their exact (t, distance), and the
     hit count."""
-    failures = [{"direction": int(j)} for j in np.flatnonzero(witness == MISS)]
+    failures = np.flatnonzero(witness == MISS)
     hits = np.flatnonzero(witness != MISS)
     t, dist = exact(hits[:100])
     witnesses = [HitWitness(int(witness[j]), float(tj), float(dj))
@@ -405,8 +433,8 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
     return CheckReport(
         property=f"orchard[{method}]", spec=spec.to_json(), eps=eps, V=V_value,
         constants=constants, net=_net_info(net), total_checks=len(net),
-        failures=failures, witness_count=hits, witnesses=witnesses,
-        certified_tolerance=eps + V_value * net.mesh, passed=not failures,
+        failures=DirectionFailures(failures), witness_count=hits, witnesses=witnesses,
+        certified_tolerance=eps + V_value * net.mesh, passed=not len(failures),
     )
 
 
@@ -438,18 +466,18 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
     for t0 in t0_list:
         failures, witnesses, hits = _collect(
             *_window_check(spec, net, t0, t0 + V_value, eps, index_budget))
-        for f in failures:
-            f["t0"] = t0
-        all_failures.extend(failures)
+        all_failures.append(failures)
         all_witnesses.extend(witnesses[:10])
         hits_total += hits
         per_t0[t0] = {"failures": len(failures), "hits": hits}
+    failures = DirectionFailures(np.concatenate(all_failures),
+                                 np.repeat(t0_list, [len(f) for f in all_failures]))
     return CheckReport(
         property="uniform-orchard", spec=spec.to_json(), eps=eps, V=V_value,
         constants=dict(constants or {}), net=_net_info(net),
         total_checks=len(net) * len(t0_list),
-        failures=all_failures, witness_count=hits_total, witnesses=all_witnesses,
-        certified_tolerance=eps + V_value * net.mesh, passed=not all_failures,
+        failures=failures, witness_count=hits_total, witnesses=all_witnesses,
+        certified_tolerance=eps + V_value * net.mesh, passed=not len(failures),
         extra={"t0": per_t0},
     )
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from spiralvis import SequenceSpec, point_batch
+from spiralvis import cli
 from spiralvis.cli import main
-from spiralvis.spirals import write_points_binary
+from spiralvis.spirals import write_points_binary, write_points_csv
 
 
 def run(capsys, *argv):
@@ -45,6 +46,43 @@ def test_generate_binary_bytes(tmp_path, capsys):
     write_points_binary(want, 2, 1, 700, coords)
     header = np.array([2, 1, 700], dtype="<i8").tobytes()
     assert out.read_bytes() == want.read_bytes() == header + coords.astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("block", [1000, cli.GENERATE_BLOCK])
+@pytest.mark.parametrize("kind,d", [("golden-angle", 1), ("fibonacci-sphere", 2)])
+def test_streamed_generate_matches_one_shot_dump(tmp_path, capsys, monkeypatch,
+                                                 block, kind, d):
+    monkeypatch.setattr(cli, "GENERATE_BLOCK", block)
+    n = 2 * block + 123  # two full blocks and a partial one
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    _, coords = point_batch(SequenceSpec(kind, d=d), idx)
+    suffixes = (".bin", ".csv") if block < 10_000 else (".bin",)
+    for suffix in suffixes:
+        out, want = tmp_path / f"got{suffix}", tmp_path / f"want{suffix}"
+        code, text = run(capsys, "generate", "--seq", kind, "--d", str(d),
+                         "--n", str(n), "--out", str(out))
+        assert code == 0
+        assert json.loads(text)["points"] == n
+        if suffix == ".bin":
+            write_points_binary(want, d, 1, n, coords)
+        else:
+            write_points_csv(want, idx, coords)
+        assert out.read_bytes() == want.read_bytes()
+
+
+def test_cached_parser_leaves_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    calls = [["uniform", "--seq", "rational-ladder", "--eps", "0.2", "--V", "40"],
+             ["covering", "--N", "100"],
+             ["visible", "--seq", "rational-ladder", "--x", "0,1", "--dir", "1,0",
+              "--Tmax", "50"]]
+    overrides = [["--t0", "0,3"], ["--m", "0,10"], ["--dir", "0,1"]]
+    for argv, extra in zip(calls, overrides):
+        run(capsys, *argv, *extra)
+        after = [run(capsys, *argv)[1] for _ in range(2)]  # defaults, read twice
+        cli.build_parser.cache_clear()
+        _, fresh = run(capsys, *argv)
+        assert after == [fresh, fresh]
 
 
 def test_orchard_assert_passes(capsys):

@@ -1,8 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from spiralvis import (
     GOLDEN_RATIO,
@@ -13,6 +16,7 @@ from spiralvis import (
     triangular_decompose,
 )
 from spiralvis.sequences import (
+    angle_batch,
     fractional_multiples,
     load_sequence_file,
     save_sequence_file,
@@ -64,6 +68,62 @@ def test_fractional_multiples_precision():
     exact = fractions.Fraction(GOLDEN_RATIO) * 10**7
     want = float(exact - math.floor(exact))
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def _fixed_point(theta: float) -> bool:
+    """True when {theta} is a multiple of 2^-64, the fixed-point branch."""
+    return (Fraction(theta) % 1 * 2**64).denominator == 1
+
+
+SMALL_THETAS = st.floats(2.0**-60, 2.0**-11).flatmap(lambda t: st.sampled_from([t, -t]))
+THETAS = (st.sampled_from([GOLDEN_RATIO, GOLDEN_RATIO - 1.0, -GOLDEN_RATIO,
+                           1.0 - GOLDEN_RATIO, 2.0**-11, -(2.0**-12)])
+          | st.floats(-1e6, 1e6, allow_nan=False) | SMALL_THETAS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=THETAS, n=st.integers(-(2**62), 2**62))
+@example(theta=GOLDEN_RATIO, n=2**62)
+@example(theta=GOLDEN_RATIO - 1.0, n=10**7)
+def test_fractional_multiples_fixed_point_is_exact(theta, n):
+    assume(_fixed_point(theta))
+    got = fractional_multiples(theta, np.array([n], dtype=np.int64))[0]
+    assert got == math.floor(Fraction(theta) * n % 1 * 2**53) / 2**53
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=SMALL_THETAS, n=st.integers(0, 10**7))
+@example(theta=1e-5, n=10**7)
+@example(theta=-(2.0**-40) * 3, n=12345)
+def test_fractional_multiples_fine_theta_falls_back(theta, n):
+    # a {theta} finer than 2^-64 keeps the split-float sum, ~1e-12 up to n = 1e7
+    assume(not _fixed_point(theta))
+    got = fractional_multiples(theta, np.array([n], dtype=np.int64))[0]
+    err = abs(got - float(Fraction(theta) * n % 1))
+    assert min(err, 1.0 - err) <= 1e-9
+
+
+def test_fractional_multiples_branches():
+    assert _fixed_point(GOLDEN_RATIO) and _fixed_point(-(2.0**-12))
+    assert not _fixed_point(1e-5) and not _fixed_point(3 * 2.0**-70)
+
+
+@pytest.mark.parametrize("kind", ["golden-angle", "rational-ladder"])
+def test_closed_form_angles_match_arctan2(kind):
+    spec = SequenceSpec(kind)
+    rng = np.random.default_rng(5)
+    ns = np.concatenate([np.arange(1, 5000), rng.integers(1, 10**12, 20000)])
+    got = angle_batch(spec, ns)
+    assert np.all((got >= 0.0) & (got <= TWO_PI))
+    u = direction_batch(spec, ns)
+    gap = (got - np.arctan2(u[:, 1], u[:, 0])) % TWO_PI
+    assert np.max(np.minimum(gap, TWO_PI - gap)) <= 1e-15
+
+
+def test_angles_of_other_kinds_are_arctan2():
+    got = angle_batch(SequenceSpec("constant", d=1, v=np.array([-1.0, -1.0])),
+                      np.arange(1, 4))
+    assert np.all(got == math.atan2(-1.0, -1.0))
 
 
 def test_golden_equidistribution_smoke(golden):

@@ -45,6 +45,22 @@ def test_radius_power_law(d):
     assert np.all(np.abs(r ** (d + 1) - ns) <= 1e-9 * ns)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2**53 - 1))
+def test_radius_d1_is_the_correctly_rounded_sqrt(n):
+    assert radius_of_index(n, 1) == math.sqrt(n)
+    assert radius_of_index(np.array([n], dtype=np.int64), 1)[0] == math.sqrt(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2**53 - 1))
+def test_radius_d2_within_one_ulp_of_the_cube_root(n):
+    r = radius_of_index(np.array([n], dtype=np.int64), 2)[0]
+    assert radius_of_index(n, 2) == r
+    below, above = math.nextafter(r, 0.0), math.nextafter(r, math.inf)
+    assert Fraction(below) ** 3 <= n <= Fraction(above) ** 3
+
+
 @pytest.mark.parametrize("r,R,d,want", [
     (1.0, 2.0, 1, (1, 4)),
     (0.0, 10.0, 1, (1, 100)),
@@ -201,6 +217,15 @@ def test_point_dump_round_trips(tmp_path, golden):
     d, lo, hi, back = read_points_binary(binp)
     assert (d, lo, hi) == (1, 1, 100)
     assert np.array_equal(back, coords)
+
+
+def test_csv_dump_matches_one_savetxt(tmp_path, golden):
+    ns = np.arange(1, 301, dtype=np.int64)
+    _, coords = point_batch(golden, ns)
+    write_points_csv(tmp_path / "got.csv", ns, coords)
+    np.savetxt(tmp_path / "want.csv", np.column_stack([ns.astype(np.float64), coords]),
+               delimiter=",", header="n,x0,x1", comments="", fmt=["%d", "%.17g", "%.17g"])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_binary_dump_validates_shape(tmp_path):

@@ -461,3 +461,24 @@ def test_estimate_uses_supplied_net(golden, monkeypatch):
 def test_estimate_rejects_duplicate_eps(golden):
     curve = estimate_min_visibility(golden, "orchard", [0.2, 0.2, 0.1])
     assert len(curve.entries) == 2  # deduplicated, strictly decreasing
+
+
+def test_failure_rows_are_built_for_the_written_prefix(ladder):
+    # a clipped budget leaves ~11k of the 25k ladder directions unmet
+    eps, V = 0.05, 100.0
+    net = build_direction_net(1, eps / (4 * V))
+    want = {t0: np.flatnonzero(_window_check(ladder, net, t0, t0 + V, eps, 1000)[0] == MISS)
+            for t0 in (0.0, 5.0)}
+    rep = check_orchard(ladder, eps, V, index_budget=1000).to_json()
+    assert rep["failure_count"] == len(want[0.0]) > 1000
+    assert rep["failures"] == [{"direction": int(j)} for j in want[0.0][:1000]]
+    assert rep["pass_fraction"] == 1.0 - len(want[0.0]) / len(net)
+    report = check_uniform_orchard(ladder, eps, V, [0.0, 5.0, 0.0], index_budget=1000)
+    rows = [{"direction": int(j), "t0": t0} for t0 in (0.0, 5.0) for j in want[t0]]
+    assert list(report.failures) == rows
+    assert report.failures[len(want[0.0]) - 1:][:2] == rows[len(want[0.0]) - 1:][:2]
+    rep = report.to_json()
+    assert rep["failures"] == rows[:1000]
+    assert rep["failure_count"] == len(rows)
+    assert rep["pass_fraction"] == 1.0 - len(rows) / (2 * len(net))
+    assert not rep["passed"]
