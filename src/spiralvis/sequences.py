@@ -127,6 +127,8 @@ class SequenceSpec:
             raise ValueError(f"unknown sequence kind {self.kind!r}; expected one of {KINDS}")
         if self.kind in ("golden-angle", "rational-ladder") and self.d != 1:
             raise ValueError(f"{self.kind} requires d=1, got d={self.d}")
+        if self.kind == "golden-angle" and not math.isfinite(self.theta):
+            raise ValueError(f"golden-angle theta must be finite, got {self.theta}")
         if self.kind == "fibonacci-sphere" and self.d != 2:
             raise ValueError(f"fibonacci-sphere requires d=2, got d={self.d}")
         if self.kind == "constant":

@@ -283,9 +283,8 @@ def _circle_sweep(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
     """Hand ``write(ns, radii, theta, at, cells)`` a block's indices, radii
     and polar angles (``angle_batch``) and the cells within reach(ns, radii)
     of point ``at``'s angle theta + flip, per (flip, reach) in ``arcs``, in
-    index order; ``is_open(r)`` names the cells
-    that points of radius r or more may still change, and the sweep stops
-    when it names none."""
+    index order; ``is_open(r)`` names the cells that points of radius r or
+    more may still change, and the sweep stops when it names none."""
     block = CHUNK // 4
     for lo in range(max(1, n_lo), n_hi + 1, block):
         ns = np.arange(lo, min(n_hi, lo + block - 1) + 1, dtype=np.int64)
@@ -398,8 +397,8 @@ def _window_check(spec: SequenceSpec, net: DirectionNet, t_lo: float,
 
 
 def _collect(witness, exact):
-    """The failing directions, the first 100 hits with their exact (t, distance), and the
-    hit count."""
+    """The failing directions, the first 100 hits with their exact
+    (t, distance), and the hit count."""
     failures = np.flatnonzero(witness == MISS)
     hits = np.flatnonzero(witness != MISS)
     t, dist = exact(hits[:100])

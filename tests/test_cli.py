@@ -289,6 +289,11 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         main(["orchard", "--eps", "0.1", "--V", "50", "--d", "3"])  # bad kind/d
     assert err.value.code == 2
     capsys.readouterr()
+    for theta in ("inf", "-inf", "nan"):
+        with pytest.raises(SystemExit) as err:
+            main(["orchard", f"--theta={theta}", "--eps", "0.1", "--V", "50"])
+        assert err.value.code == 2
+        assert "theta must be finite" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:  # every replacement stays in the region
         main(["puncture", "--seq", "constant", "--v", "0,1", "--v0", "0,1",
               "--n", "50", "--out", str(tmp_path / "p.csv")])
