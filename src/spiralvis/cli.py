@@ -41,6 +41,7 @@ from .visibility import (
     check_orchard,
     check_uniform_orchard,
     random_lines,
+    segment_norm_range,
     visible_point_test,
 )
 
@@ -54,6 +55,14 @@ def _floats(text: str) -> list[float]:
 
 def _point(text: str) -> np.ndarray:
     return np.array(_floats(text), dtype=np.float64)
+
+
+def _in_float_range(flags: str, a: np.ndarray, b: np.ndarray) -> None:
+    """Name ``flags`` when the window [a, b] leaves the float range."""
+    try:
+        segment_norm_range(a, b)
+    except ValueError as exc:
+        raise ValueError(f"{flags}: {exc}") from None
 
 
 def _write_points(ns, d: int, n_hi: int, blocks) -> dict:
@@ -118,13 +127,16 @@ def _forest_check(spec, eps, V, ns):
         if len(values) != 4:
             raise ValueError(f"--line {text} has {len(values)} values; "
                              "a --line needs lam,angle,t0,t1")
-        lines.append(LineParam.at_angle(*values))
+        lines.append((f"--line {text}", LineParam.at_angle(*values)))
     if ns.lines:
-        lines.extend(random_lines(np.random.default_rng(ns.seed), ns.lines, V,
-                                  ns.lam_max))
+        lines += [(f"--V {V} with --lam-max {ns.lam_max}", line) for line in
+                  random_lines(np.random.default_rng(ns.seed), ns.lines, V, ns.lam_max)]
     if not lines:
         raise ValueError("forest needs --line or --lines")
-    return check_dense_forest(spec, eps, V, lines, index_budget=ns.budget)
+    for flags, line in lines:
+        _in_float_range(flags, line.point(line.t0), line.point(line.t1))
+    return check_dense_forest(spec, eps, V, [line for _, line in lines],
+                              index_budget=ns.budget)
 
 
 # subcommand -> check(spec, eps, V, ns) -> CheckReport
@@ -156,8 +168,12 @@ def _cmd_visible(spec, ns):
         if count != spec.d + 1:
             raise ValueError(f"{flag} {text} has {count} coordinates; "
                              f"a d={spec.d} spiral lies in R^{spec.d + 1}")
-    dirs = np.array([unit_vector(_point(t)) for t in ns.dir])
-    verdicts = visible_point_test(spec, _point(ns.x), dirs, ns.eps_floor, ns.Tmax,
+    x, dirs = _point(ns.x), np.array([unit_vector(_point(t)) for t in ns.dir])
+    _in_float_range(f"--x {ns.x}", x, x)
+    for text, v in zip(ns.dir, dirs):
+        _in_float_range(f"--Tmax {ns.Tmax} from --x {ns.x} along --dir {text}",
+                        x, x + ns.Tmax * v)
+    verdicts = visible_point_test(spec, x, dirs, ns.eps_floor, ns.Tmax,
                                   index_budget=ns.budget)
     # --assert fails when no direction is visible at this scale
     return {"verdicts": verdicts}, not any(v.visible_at_scale for v in verdicts)
@@ -381,6 +397,8 @@ def main(argv=None) -> int:
         payload, failed = ns.func(spec, ns)
     except (ValueError, IndexError, FileNotFoundError, PunctureUnresolvedError) as exc:
         parser.error(str(exc))
+    except MemoryError as exc:  # e.g. a direction net too fine to allocate
+        parser.error(f"the input needs more memory than is available: {exc}")
     args = {k: v for k, v in sorted(vars(ns).items()) if k != "func"}
     payload["config"] = {"version": __version__, "subcommand": ns.subcommand, "args": args}
     sys.stdout.write(dump_json(payload, None if "out" in required else ns.out))

@@ -10,8 +10,16 @@ is rigorous rather than heuristic.
 
 Window sweeps turn each point into a cap of directions it reaches
 (``geometry.radial_hit_halfwidth``) and read points in index order until no
-direction is open: on the circle only open cells are written, so the first
-writer is the witness (``_circle_sweep``); on S^d open centers are tested.
+direction is open. On the circle grid the orchard, uniform and certificate
+checks are one cover pass (``_circle_cover``): each arc is a run of integer
+cells (``_arc_cells``), one difference array per block of points marks
+every cell the block's runs cover, and those cells leave a K-long open mask;
+the cells left open fail. The reported witnesses, the first writers of the
+first 100 hit cells, are tracked for cells 0-99 during the pass and found by
+a rescan from the start (``_first_writers``) only when one of those fails.
+``_circle_sweep``, which hands each point the still-open cells it reaches
+(``_mark_windows``), serves only the minimal-visibility reach. On S^d open
+centers are tested (``_cap_witnesses``).
 
 Segment scans (the forest windows and the visible-point rays) take their
 points from one candidate source, ``_segment_candidates``: blocks, in index
@@ -231,21 +239,29 @@ def _net_info(net: DirectionNet) -> dict:
     return {"delta": net.mesh, "count": len(net), "seed": None}
 
 
-# -- circle fast path --------------------------------------------------------
+# -- circle cover ------------------------------------------------------------
+
+
+def _arc_cells(K: int, angles: np.ndarray, halfw: np.ndarray):
+    """(at, lo, counts): per arc (row ``at`` of ``angles``; columns are more
+    arcs of that row), the ``counts`` cells j*2*pi/K within halfw of its
+    angle, from cell ``lo`` on, mod K. A negative half-width reaches none and
+    one of pi or more reaches all K."""
+    step = TWO_PI / K
+    lo = np.ceil((angles - halfw) / step).astype(np.int64)
+    hi = np.floor((angles + halfw) / step).astype(np.int64)
+    counts = np.where(halfw < 0.0, 0, np.clip(hi - lo + 1, 0, K)).ravel()
+    return np.indices(lo.shape)[0].ravel(), lo.ravel() % K, counts
 
 
 def _mark_windows(K: int, is_open, angles: np.ndarray, halfw: np.ndarray, write,
                   marks_per_batch: int | None = None) -> None:
     """Hand ``write(at, cells)`` each row ``at`` (a point; columns are more
-    arcs of it) with the open cells j*2*pi/K within halfw of its angle, in
-    blocks of at most ``marks_per_batch`` pairs (default K within [2^18,
-    2^20]); before each, a prefix count over ``is_open()`` turns every arc
-    into a run of ranks in the list of open cells."""
-    step = TWO_PI / K
-    lo = np.ceil((angles - halfw) / step).astype(np.int64)
-    hi = np.floor((angles + halfw) / step).astype(np.int64)
-    counts = np.where(halfw < 0.0, 0, np.clip(hi - lo + 1, 0, K)).ravel()
-    at, lo = np.indices(lo.shape)[0].ravel(), lo.ravel() % K
+    arcs of it) with the open cells of its arcs (``_arc_cells``), in blocks
+    of at most ``marks_per_batch`` pairs (default K within [2^18, 2^20]);
+    before each, a prefix count over ``is_open()`` turns every arc into a run
+    of ranks in the list of open cells."""
+    at, lo, counts = _arc_cells(K, angles, halfw)
     while len(lo):
         is_open_now = is_open()
         prefix = np.concatenate(([0], np.cumsum(is_open_now)))
@@ -278,46 +294,126 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
     return min(r[0] for r in ranges), max(r[1] for r in ranges), arcs
 
 
-def _circle_sweep(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
-                  is_open, write) -> None:
-    """Hand ``write(ns, radii, theta, at, cells)`` a block's indices, radii
-    and polar angles (``angle_batch``) and the cells within reach(ns, radii)
-    of point ``at``'s angle theta + flip, per (flip, reach) in ``arcs``, in
-    index order; ``is_open(r)`` names the cells that points of radius r or
-    more may still change, and the sweep stops when it names none."""
+def _certificate_arcs(spec: SequenceSpec, eps: float, V: float, K_const: float,
+                      kappa: float, index_budget: int):
+    """(1, n_cap, arcs) of the certificate route: each index n <= K*V^(d+1)
+    (budget-clipped) reaches the directions within min(kappa*eps/r, pi) of
+    its own."""
+    n_cap = min(index_budget, math.ceil(K_const * V ** (spec.d + 1)))
+    return 1, n_cap, [(0.0, lambda ns, radii: np.minimum(kappa * eps / radii, math.pi))]
+
+
+def _arc_blocks(spec: SequenceSpec, n_lo: int, n_hi: int, arcs):
+    """(ns, radii, theta, angles, halfw) per block of CHUNK // 4 indices of
+    [n_lo, n_hi], in index order: theta the polar angles (``angle_batch``),
+    and one column of angles theta + flip and one of half-widths
+    reach(ns, radii) per (flip, reach) in ``arcs``."""
     block = CHUNK // 4
     for lo in range(max(1, n_lo), n_hi + 1, block):
         ns = np.arange(lo, min(n_hi, lo + block - 1) + 1, dtype=np.int64)
         radii, theta = radius_of_index(ns, 1), angle_batch(spec, ns)
-        _mark_windows(K, lambda: is_open(radii[0]),
-                      np.column_stack([(theta + flip) % TWO_PI for flip, _ in arcs]),
-                      np.column_stack([reach(ns, radii) for _, reach in arcs]),
+        yield (ns, radii, theta,
+               np.column_stack([(theta + flip) % TWO_PI for flip, _ in arcs]),
+               np.column_stack([reach(ns, radii) for _, reach in arcs]))
+
+
+def _circle_sweep(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
+                  is_open, write) -> None:
+    """Hand ``write(ns, radii, theta, at, cells)`` each block of
+    ``_arc_blocks`` and the cells its point ``at`` reaches (``_mark_windows``);
+    ``is_open(r)`` names the cells that points of radius r or more may still
+    change, and the sweep stops when it names none."""
+    for ns, radii, theta, angles, halfw in _arc_blocks(spec, n_lo, n_hi, arcs):
+        _mark_windows(K, lambda: is_open(radii[0]), angles, halfw,
                       lambda at, cells: write(ns, radii, theta, at, cells))
         if not is_open(radii[-1]).any():
             return
 
 
-def _circle_witnesses(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
-                      t_lo: float, t_hi: float):
-    """(witness, exact): per cell, the first index of the sweep to reach it
-    (open cells are the unwritten ones), and ``exact(cells)``, the exact
-    (t, distance) on [t_lo, t_hi] of those cells' witnesses."""
-    witness = np.full(K, MISS, dtype=np.int64)
+def _cell_runs(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs):
+    """(ns, start, stop) per block of ``_arc_blocks``: one run of cells
+    start..stop-1 (0 <= start < stop <= K) and the index ``ns`` of its point
+    per arc that reaches a cell; an arc that wraps past cell K - 1 is two
+    runs."""
+    for ns, _, _, angles, halfw in _arc_blocks(spec, n_lo, n_hi, arcs):
+        at, lo, counts = _arc_cells(K, angles, halfw)
+        keep = counts > 0
+        at, lo, end = at[keep], lo[keep], lo[keep] + counts[keep]
+        wrap = end > K
+        yield (ns[np.concatenate([at, at[wrap]])],
+               np.concatenate([lo, np.zeros(int(wrap.sum()), dtype=np.int64)]),
+               np.concatenate([np.minimum(end, K), end[wrap] - K]))
 
-    def write(ns, radii, theta, at, cells):
-        # numpy assigns repeated cells in order; reversed, the smallest index stays
-        witness[cells[::-1]] = ns[at[::-1]]
 
-    _circle_sweep(spec, K, n_lo, n_hi, arcs, lambda r: witness == MISS, write)
-    return witness, lambda cells: _exact_cell_witnesses(spec, witness, cells, t_lo, t_hi)
+def _stamp_first(first: np.ndarray, cells: np.ndarray, ns, start, stop) -> None:
+    """Lower each unset ``first[i]`` to the smallest of ``ns`` whose run
+    start..stop-1 holds cells[i] (``cells`` sorted)."""
+    if not len(cells) or first.max() < MISS:
+        return
+    near = (start <= cells[-1]) & (stop > cells[0])
+    ns, i0 = ns[near], np.searchsorted(cells, start[near])
+    c = np.searchsorted(cells, stop[near]) - i0
+    np.minimum.at(first, np.repeat(i0 - np.cumsum(c) + c, c) + np.arange(c.sum()),
+                  np.repeat(ns, c))
 
 
-def _exact_cell_witnesses(spec: SequenceSpec, witness: np.ndarray, cells: np.ndarray,
-                          t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (t, distance) of the witnesses of circle cells ``cells`` (all
-    hit), from their points' radii and angles."""
-    radius, coords = point_batch(spec, witness[cells])
-    delta = np.arctan2(coords[:, 1], coords[:, 0]) - cells * (TWO_PI / len(witness))
+def _circle_cover(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
+                  cells: np.ndarray):
+    """(open, first): the mask of the cells j*2*pi/K that no arc of an index
+    in [n_lo, n_hi] reaches, and the smallest index whose arc reaches each of
+    ``cells`` (sorted; MISS where none does). Per block, a difference array
+    over the block's runs marks every cell they cover, which leaves the open
+    mask; the sweep stops when no cell is open."""
+    open_ = np.ones(K, dtype=bool)
+    first = np.full(len(cells), MISS, dtype=np.int64)
+    for ns, start, stop in _cell_runs(spec, K, n_lo, n_hi, arcs):
+        _stamp_first(first, cells, ns, start, stop)
+        depth = np.bincount(start, minlength=K + 1)
+        depth -= np.bincount(stop, minlength=K + 1)
+        open_ &= np.cumsum(depth[:K]) == 0
+        if not open_.any():
+            break
+    return open_, first
+
+
+def _first_writers(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
+                   cells: np.ndarray) -> np.ndarray:
+    """The smallest index in [n_lo, n_hi] whose arc reaches each of ``cells``
+    (sorted, each reached by some arc), reading only until all are found."""
+    first = np.full(len(cells), MISS, dtype=np.int64)
+    for runs in _cell_runs(spec, K, n_lo, n_hi, arcs):
+        _stamp_first(first, cells, *runs)
+        if first.max(initial=0) < MISS:
+            break
+    return first
+
+
+def _circle_check(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
+                  t_lo: float, t_hi: float):
+    """(failures, witnesses, hits) on the circle grid of K cells: the cells
+    no arc reaches, the first writers of the first 100 hit cells with their
+    exact (t, distance) on [t_lo, t_hi], and the hit count. The cover tracks
+    cells 0-99; only when one of them fails are the first 100 hit cells
+    found again by a rescan from the start."""
+    tracked = np.arange(min(K, 100))
+    open_, first = _circle_cover(spec, K, n_lo, n_hi, arcs, tracked)
+    failures = np.flatnonzero(open_)
+    cells = tracked if first.max(initial=0) < MISS else np.flatnonzero(~open_)[:100]
+    if len(cells) and cells[-1] >= len(tracked):
+        writers = _first_writers(spec, K, n_lo, n_hi, arcs, cells)
+    else:
+        writers = first[cells]
+    t, dist = _exact_cell_witnesses(spec, K, cells, writers, t_lo, t_hi)
+    return failures, _hit_witnesses(writers, t, dist), K - len(failures)
+
+
+def _exact_cell_witnesses(spec: SequenceSpec, K: int, cells: np.ndarray,
+                          writers: np.ndarray, t_lo: float, t_hi: float):
+    """Exact (t, distance) on [t_lo, t_hi] of the witnesses ``writers`` of
+    the circle cells ``cells`` of a K-cell grid, from their points' radii
+    and angles."""
+    radius, coords = point_batch(spec, writers)
+    delta = np.arctan2(coords[:, 1], coords[:, 0]) - cells * (TWO_PI / K)
     along = radius * np.cos(delta)
     t_star = np.clip(along, t_lo, t_hi)
     return t_star, np.hypot(along - t_star, radius * np.sin(delta))
@@ -390,21 +486,26 @@ def _exact_direction_witnesses(spec: SequenceSpec, centers: np.ndarray, witness:
 
 def _window_check(spec: SequenceSpec, net: DirectionNet, t_lo: float,
                   t_hi: float, eps: float, index_budget: int):
+    """(failures, witnesses, hits) of the window [t_lo, t_hi] on ``net``:
+    the cover on the circle grid, the cap sweep on any other net."""
     if spec.d == 1 and net.uniform_grid:
-        return _circle_witnesses(spec, len(net), *_window_arcs(spec, t_lo, t_hi, eps,
-                                                               index_budget), t_lo, t_hi)
-    return _directional_window_check(spec, net.centers, t_lo, t_hi, eps, index_budget)
+        return _circle_check(spec, len(net), *_window_arcs(spec, t_lo, t_hi, eps,
+                                                           index_budget), t_lo, t_hi)
+    return _collect(*_directional_window_check(spec, net.centers, t_lo, t_hi, eps,
+                                               index_budget))
+
+
+def _hit_witnesses(ns, t, dist) -> list[HitWitness]:
+    return [HitWitness(int(n), float(tj), float(dj)) for n, tj, dj in zip(ns, t, dist)]
 
 
 def _collect(witness, exact):
-    """The failing directions, the first 100 hits with their exact
-    (t, distance), and the hit count."""
+    """(failures, witnesses, hits) from a per-direction witness array: the
+    failing directions, the first 100 hits with their exact (t, distance),
+    and the hit count."""
     failures = np.flatnonzero(witness == MISS)
     hits = np.flatnonzero(witness != MISS)
-    t, dist = exact(hits[:100])
-    witnesses = [HitWitness(int(witness[j]), float(tj), float(dj))
-                 for j, tj, dj in zip(hits[:100], t, dist)]
-    return failures, witnesses, int(len(hits))
+    return failures, _hit_witnesses(witness[hits[:100]], *exact(hits[:100])), len(hits)
 
 
 def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
@@ -421,14 +522,15 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
     net = _require_net(spec, eps, V_value, net)
     constants = dict(constants or {})
     if method == "direct":
-        found = _window_check(spec, net, 0.0, V_value, eps, index_budget)
+        failures, witnesses, hits = _window_check(spec, net, 0.0, V_value, eps,
+                                                  index_budget)
     elif method == "certificate":
         K_const = constants.setdefault("K", 1.0)
         kappa = constants.setdefault("kappa", 1.0)
-        found = _certificate_witnesses(spec, net, eps, V_value, K_const, kappa, index_budget)
+        failures, witnesses, hits = _certificate_witnesses(spec, net, eps, V_value,
+                                                           K_const, kappa, index_budget)
     else:
         raise ValueError(f"unknown method {method!r}")
-    failures, witnesses, hits = _collect(*found)
     return CheckReport(
         property=f"orchard[{method}]", spec=spec.to_json(), eps=eps, V=V_value,
         constants=constants, net=_net_info(net), total_checks=len(net),
@@ -440,13 +542,13 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
 def _certificate_witnesses(spec: SequenceSpec, net: DirectionNet, eps: float,
                            V: float, K_const: float, kappa: float,
                            index_budget: int):
-    n_cap = min(index_budget, math.ceil(K_const * V ** (spec.d + 1)))
-    arcs = [(0.0, lambda ns, radii: np.minimum(kappa * eps / radii, math.pi))]
+    """(failures, witnesses, hits) of the certificate route on ``net``."""
+    n_lo, n_hi, arcs = _certificate_arcs(spec, eps, V, K_const, kappa, index_budget)
     if spec.d == 1 and net.uniform_grid:
-        return _circle_witnesses(spec, len(net), 1, n_cap, arcs, 0.0, V)
-    witness = _cap_witnesses(spec, net.centers, 1, n_cap, arcs)
-    return witness, lambda cells: _exact_direction_witnesses(spec, net.centers, witness,
-                                                             cells, 0.0, V)
+        return _circle_check(spec, len(net), n_lo, n_hi, arcs, 0.0, V)
+    witness = _cap_witnesses(spec, net.centers, n_lo, n_hi, arcs)
+    return _collect(witness, lambda cells: _exact_direction_witnesses(
+        spec, net.centers, witness, cells, 0.0, V))
 
 
 def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
@@ -463,8 +565,8 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
     hits_total = 0
     per_t0 = {}
     for t0 in t0_list:
-        failures, witnesses, hits = _collect(
-            *_window_check(spec, net, t0, t0 + V_value, eps, index_budget))
+        failures, witnesses, hits = _window_check(spec, net, t0, t0 + V_value, eps,
+                                                  index_budget)
         all_failures.append(failures)
         all_witnesses.extend(witnesses[:10])
         hits_total += hits
@@ -658,9 +760,15 @@ def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
 
 
 def segment_norm_range(a, b) -> tuple[float, float]:
-    """[min, max] of |a + s(b-a)| over s in [0,1]."""
+    """[min, max] of |a + s(b-a)| over s in [0,1]; a segment whose squared
+    norms |a|^2, |b|^2 or |b - a|^2 overflow is rejected."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        overflows = any(math.isinf(float(p @ p)) for p in (a, b, b - a))
+    if overflows:
+        raise ValueError(f"the segment from {a.tolist()} to {b.tolist()} leaves the "
+                         "float range: its squared norm overflows")
     d, _ = segment_distances(np.zeros((1, len(a))), a, b)
     return float(d[0]), max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
 

@@ -332,6 +332,16 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
              "lam must be finite"),
             (["forest", "--eps", "0.1", "--V", "inf", "--lines", "2"],
              "t1 must be finite"),
+            # windows whose squared norms overflow, each named in the message
+            (["visible", "--seq", "golden-angle", "--x", "0,1", "--dir", "1,0",
+              "--eps-floor", "0.1", "--Tmax", "1e160"], "--Tmax 1e+160"),
+            (["visible", "--seq", "golden-angle", "--x", "1e300,0", "--dir", "1,0",
+              "--eps-floor", "0.1", "--Tmax", "5"], "--x 1e300,0"),
+            (["forest", "--seq", "golden-angle", "--eps", "0.1", "--V", "1e300",
+              "--line=0,0,0,1e300"], "--line 0,0,0,1e300"),
+            # a direction net of 1.3e13 cells cannot be allocated
+            (["orchard", "--seq", "golden-angle", "--eps", "1e-6", "--V", "1e6"],
+             "needs more memory than is available"),
             # argument shapes the checks cannot run on
             (["orchard", "--eps", "0.1,0.2", "--V", "1,2,3"],
              "--eps and --V must have matching lengths"),

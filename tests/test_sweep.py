@@ -1,7 +1,7 @@
-"""The index-order circle sweep and the direct minimal visibility, each
-against an oracle: the sweep against the stamping it replaced (every annulus
-point stamped into every cell it reaches with ``np.minimum.at``, then each
-witness recomputed with ``point_batch``), and the direct V against a
+"""The circle cover and the direct minimal visibility, each against an
+oracle: the cover against the stamping it replaced (every annulus point
+stamped into every cell it reaches with ``np.minimum.at``, then each witness
+recomputed with ``point_batch``), and the direct V against a
 max-over-cells of a min-over-points from stored points and against the
 doubling-then-bisection search it replaced."""
 
@@ -22,11 +22,14 @@ from spiralvis.spirals import annulus_index_range, iter_point_chunks, point_batc
 from spiralvis.visibility import (
     DEFAULT_BUDGET,
     MISS,
+    _certificate_arcs,
     _certificate_witnesses,
-    _circle_witnesses,
+    _circle_check,
+    _first_writers,
     _line_reach,
     _passes,
     _window_arcs,
+    _window_check,
     _window_reach,
 )
 
@@ -87,14 +90,19 @@ def _stamped_window(spec, K, t_lo, t_hi, eps, budget):
     return (witness, *_recomputed(spec, witness, t_lo, t_hi))
 
 
-def _assert_same(got, want):
-    """The witness arrays bit for bit, and the recovered (t, distance) of
-    every hit cell."""
-    witness, exact = got
-    assert np.array_equal(witness, want[0])
+def _assert_same(got, first, want):
+    """The failing cells exactly, the hit count, the 100 reported witnesses
+    with their exact (t, distance), and ``first`` (the rescan's first
+    writer of every hit cell) against the oracle's witness array."""
+    failures, witnesses, hits = got
+    witness, t, dist = want
     hit = np.flatnonzero(witness != MISS)
-    for g, w in zip(exact(hit), want[1:]):
-        assert np.array_equal(g, w[hit])
+    assert np.array_equal(failures, np.flatnonzero(witness == MISS))
+    assert hits == len(hit)
+    top = hit[:100]
+    assert [(w.n, w.t, w.distance) for w in witnesses] == list(
+        zip(witness[top].tolist(), t[top].tolist(), dist[top].tolist()))
+    assert np.array_equal(first(hit), witness[hit])
 
 
 def _small_blocks(marks):
@@ -103,7 +111,7 @@ def _small_blocks(marks):
 
 
 def _small_chunks(points):
-    """The circle sweep reads CHUNK // 4 points per block."""
+    """The circle sweeps read CHUNK // 4 points per block."""
     return mock.patch.object(vis, "CHUNK", 4 * points if points else vis.CHUNK)
 
 
@@ -114,16 +122,16 @@ def _small_chunks(points):
        t0=st.one_of(st.floats(-40.0, 40.0), st.floats(-0.5, 0.0)),
        V=st.floats(0.3, 40.0),
        budget=st.sampled_from([DEFAULT_BUDGET, 1, 40, 700]),
-       marks=st.sampled_from([None, 1, 37]),
        points=st.sampled_from([None, 1, 50]))
-def test_window_sweep_matches_stamping(kind, K, eps, t0, V, budget, marks, points):
+def test_window_sweep_matches_stamping(kind, K, eps, t0, V, budget, points):
     # windows behind, straddling and ahead of the origin; clipping budgets;
-    # blocks down to one pair and one point
+    # blocks down to one point
     spec = SPECS[kind]
-    with _small_blocks(marks), _small_chunks(points):
-        got = _circle_witnesses(spec, K, *_window_arcs(spec, t0, t0 + V, eps, budget),
-                                t0, t0 + V)
-    _assert_same(got, _stamped_window(spec, K, t0, t0 + V, eps, budget))
+    window = _window_arcs(spec, t0, t0 + V, eps, budget)
+    with _small_chunks(points):
+        got = _circle_check(spec, K, *window, t0, t0 + V)
+        _assert_same(got, lambda cells: _first_writers(spec, K, *window, cells),
+                     _stamped_window(spec, K, t0, t0 + V, eps, budget))
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,30 +147,30 @@ def test_certificate_sweep_matches_stamping(kind, count, eps, V, K_const, kappa,
     net = build_direction_net(1, math.pi / (count - 0.5))
     assert len(net) == count
     got = _certificate_witnesses(spec, net, eps, V, K_const, kappa, budget)
+    arcs = _certificate_arcs(spec, eps, V, K_const, kappa, budget)
     n_cap = min(budget, math.ceil(K_const * V**2))
     witness = _stamped(spec, count, [(0.0, 1, n_cap,
                                       lambda r: np.minimum(kappa * eps / r, math.pi))])
-    _assert_same(got, (witness, *_recomputed(spec, witness, 0.0, V)))
+    _assert_same(got, lambda cells: _first_writers(spec, count, *arcs, cells),
+                 (witness, *_recomputed(spec, witness, 0.0, V)))
 
 
 def test_sweep_stops_when_every_cell_is_resolved(ladder, monkeypatch):
-    # the ladder orchard at eps 0.02 resolves every cell by index ~49k, an
-    # eighth of the window's index range
+    # the ladder orchard at eps 0.02 resolves every cell within the first
+    # block of 65,536 points, a sixth of the window's index range
     eps, V = 0.02, 4 * math.pi / 0.02
-    K = len(build_direction_net(1, eps / (4 * V)))
+    net = build_direction_net(1, eps / (4 * V))
     read = []
-    real = vis.iter_point_chunks
+    real = vis.angle_batch
 
-    def counting(*args):
-        for block in real(*args):
-            read.append(len(block[0]))
-            yield block
+    def counting(spec, ns):
+        read.append(len(ns))
+        return real(spec, ns)
 
-    monkeypatch.setattr(vis, "iter_point_chunks", counting)
-    witness, _ = _circle_witnesses(ladder, K, *_window_arcs(ladder, 0.0, V, eps,
-                                                               DEFAULT_BUDGET), 0.0, V)
-    assert np.all(witness != MISS)
-    assert sum(read) < annulus_index_range(0.0, V + eps, 1)[1] / 4
+    monkeypatch.setattr(vis, "angle_batch", counting)
+    failures, witnesses, hits = _window_check(ladder, net, 0.0, V, eps, DEFAULT_BUDGET)
+    assert not len(failures) and hits == len(net) and len(witnesses) == 100
+    assert 0 < sum(read) < annulus_index_range(0.0, V + eps, 1)[1] / 4
 
 
 # -- the direct minimal visibility ------------------------------------------
@@ -218,8 +226,9 @@ def test_window_reach_matches_brute(kind, d, delta, eps, t0, tmp_path):
     want = _brute_reach(spec, net.centers, eps, t0, n_max)
     fits = want <= V
     assert fits.any()
-    for points in (None, 3, 40):  # blocks of a few points stop the sweep early
-        with _small_chunks(points):
+    # blocks of a few points, and of a few marks, stop the sweep early
+    for points, marks in ((None, None), (3, 1), (40, 37)):
+        with _small_chunks(points), _small_blocks(marks):
             got = vis._window_reach(spec, net, t0, eps, V, budget)
         assert np.allclose(got[fits], want[fits], rtol=1e-12, atol=0)
         assert np.all(got[~fits] > V)
