@@ -41,7 +41,7 @@ from .visibility import (
     check_orchard,
     check_uniform_orchard,
     random_lines,
-    segment_norm_range,
+    segment_overflows,
     visible_point_test,
 )
 
@@ -59,10 +59,9 @@ def _point(text: str) -> np.ndarray:
 
 def _in_float_range(flags: str, a: np.ndarray, b: np.ndarray) -> None:
     """Name ``flags`` when the window [a, b] leaves the float range."""
-    try:
-        segment_norm_range(a, b)
-    except ValueError as exc:
-        raise ValueError(f"{flags}: {exc}") from None
+    if segment_overflows(a, b):
+        raise ValueError(f"{flags}: the segment from {a.tolist()} to {b.tolist()} "
+                         "leaves the float range: its squared norm overflows")
 
 
 def _write_points(ns, d: int, n_hi: int, blocks) -> dict:

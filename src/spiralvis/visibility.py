@@ -759,14 +759,20 @@ def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
     return _first_hit(spec, a, b, eps, n_lo, min(n_hi, index_budget))
 
 
+def segment_overflows(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether |a|^2, |b|^2 or |b - a|^2 overflows, which the segment scans
+    form (Python floats overflow to inf without a warning)."""
+    a, b = a.tolist(), b.tolist()
+    return math.isinf(max(sum(x * x for x in a), sum(y * y for y in b),
+                          sum((y - x) * (y - x) for x, y in zip(a, b))))
+
+
 def segment_norm_range(a, b) -> tuple[float, float]:
     """[min, max] of |a + s(b-a)| over s in [0,1]; a segment whose squared
-    norms |a|^2, |b|^2 or |b - a|^2 overflow is rejected."""
+    norms overflow (``segment_overflows``) is rejected."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        overflows = any(math.isinf(float(p @ p)) for p in (a, b, b - a))
-    if overflows:
+    if segment_overflows(a, b):
         raise ValueError(f"the segment from {a.tolist()} to {b.tolist()} leaves the "
                          "float range: its squared norm overflows")
     d, _ = segment_distances(np.zeros((1, len(a))), a, b)
