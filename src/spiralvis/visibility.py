@@ -246,11 +246,13 @@ def _arc_cells(K: int, angles: np.ndarray, halfw: np.ndarray):
     """(at, lo, counts): per arc (row ``at`` of ``angles``; columns are more
     arcs of that row), the ``counts`` cells j*2*pi/K within halfw of its
     angle, from cell ``lo`` on, mod K. A negative half-width reaches none and
-    one of pi or more reaches all K."""
+    one of pi or more reaches all K (rounded, pi/step may fall just short of
+    K/2)."""
     step = TWO_PI / K
     lo = np.ceil((angles - halfw) / step).astype(np.int64)
     hi = np.floor((angles + halfw) / step).astype(np.int64)
-    counts = np.where(halfw < 0.0, 0, np.clip(hi - lo + 1, 0, K)).ravel()
+    counts = np.where(halfw < 0.0, 0,
+                      np.where(halfw >= math.pi, K, np.clip(hi - lo + 1, 0, K))).ravel()
     return np.indices(lo.shape)[0].ravel(), lo.ravel() % K, counts
 
 

@@ -56,7 +56,8 @@ def _stamped(spec, K, parts):
             ok = halfw >= 0.0
             lo = np.ceil((angles[ok] - halfw[ok]) / step).astype(np.int64)
             hi = np.floor((angles[ok] + halfw[ok]) / step).astype(np.int64)
-            counts = np.clip(hi - lo + 1, 0, K)
+            # an arc of half-width pi covers the circle, however pi/step rounds
+            counts = np.where(halfw[ok] >= math.pi, K, np.clip(hi - lo + 1, 0, K))
             offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
             np.minimum.at(witness, (np.repeat(lo, counts) + offsets) % K,
                           np.repeat(ns[ok], counts))
