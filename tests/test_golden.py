@@ -30,6 +30,11 @@ CASES = {
                        "--V", "50", "--t0", "0,100"],
     "uniform-fibonacci-sphere": ["uniform", "--seq", "fibonacci-sphere", "--d", "2",
                                  "--eps", "0.2", "--V", "0.5"],
+    "uniform-fibonacci-sphere-sweep": ["uniform", "--seq", "fibonacci-sphere", "--d", "2",
+                                       "--eps", "0.2", "--V", "1.25", "--t0", "0,10,20"],
+    "orchard-fibonacci-sphere-certificate": ["orchard", "--seq", "fibonacci-sphere",
+                                             "--d", "2", "--method", "certificate",
+                                             "--eps", "0.5", "--V", "3"],
     "forest-random-lines": ["forest", "--seq", "golden-angle", "--eps", "0.1",
                             "--V", "44", "--lines", "5", "--seed", "3"],
     "forest-strip-line": ["forest", "--seq", "rational-ladder", "--eps", "0.5",
