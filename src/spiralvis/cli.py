@@ -157,6 +157,10 @@ def _cmd_check(spec, ns):
     if len(v_list) != len(ns.eps):
         raise ValueError(f"--eps and --V must have matching lengths, got "
                          f"{len(ns.eps)} and {len(v_list)} values")
+    for eps, V in zip(ns.eps, v_list):
+        if ns.subcommand != "forest" and 0 < eps and 0 < V < math.inf and eps / (4 * V) == 0:
+            raise ValueError(f"--eps {eps} and --V {V} ask for a direction net of mesh "
+                             "eps/(4V), which underflows to 0")
     reports = [CHECKS[ns.subcommand](spec, eps, V, ns) for eps, V in zip(ns.eps, v_list)]
     return {"reports": [r.to_json() for r in reports]}, not all(r.passed for r in reports)
 

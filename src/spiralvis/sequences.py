@@ -137,7 +137,11 @@ class SequenceSpec:
             v = np.asarray(self.v, dtype=np.float64)
             if v.size != self.d + 1:
                 raise ValueError(f"constant direction has {v.size} coords, expected {self.d + 1}")
-            self.v = v / np.linalg.norm(v)
+            norm = np.linalg.norm(v)
+            if not 0.0 < norm < math.inf:
+                raise ValueError(f"constant direction v {v.tolist()} cannot be normalized: "
+                                 "it must be finite and nonzero")
+            self.v = v / norm
         if self.kind == "file" and self.path is None:
             raise ValueError("file kind needs a path")
 
@@ -169,13 +173,17 @@ class SequenceSpec:
 
 
 def load_sequence_file(path: str | Path, d: int) -> np.ndarray:
-    """One point per line, d+1 whitespace-separated decimals, normalized on load."""
+    """One point per line, d+1 whitespace-separated decimals, normalized on
+    load; a row that is not finite and nonzero is rejected."""
     pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
     if pts.shape[1] != d + 1:
         raise ValueError(f"{path}: expected {d + 1} columns, found {pts.shape[1]}")
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError(f"{path}: zero vector cannot be normalized")
+    with np.errstate(over="ignore"):  # a row whose norm overflows is rejected below
+        norms = np.linalg.norm(pts, axis=1, keepdims=True)
+    bad = np.flatnonzero(~((norms[:, 0] > 0.0) & (norms[:, 0] < math.inf)))
+    if len(bad):
+        raise ValueError(f"{path}: row {bad[0] + 1} ({' '.join(map(str, pts[bad[0]]))}) "
+                         "cannot be normalized: a point must be finite and nonzero")
     return pts / norms
 
 

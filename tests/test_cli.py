@@ -312,6 +312,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
               "--budget", "-3", "--Tmax", "50"])
     assert err.value.code == 2
     assert "--budget" in capsys.readouterr().err
+    nan_rows = tmp_path / "nan-rows.txt"
+    nan_rows.write_text("0 0 1\nnan 0 1\n")
     for argv, problem in (
             (["visible", "--x", "0,1,2", "--dir", "1,0"], "--x 0,1,2 has 3 coordinates"),
             (["visible", "--x", "0,1", "--dir", "1,0", "--dir", "1"],
@@ -342,6 +344,12 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             # a direction net of 1.3e13 cells cannot be allocated
             (["orchard", "--seq", "golden-angle", "--eps", "1e-6", "--V", "1e6"],
              "needs more memory than is available"),
+            # a net mesh eps/(4V) that underflows, and directions with no unit vector
+            (["orchard", "--eps", "0.1", "--V", "1e308"], "--eps 0.1 and --V 1e+308"),
+            (["orchard", "--seq", "constant", "--d", "2", "--v", "0,0,0", "--eps", "0.2",
+              "--V", "2"], "constant direction v [0.0, 0.0, 0.0] cannot be normalized"),
+            (["orchard", "--seq", "file", "--d", "2", "--seq-file", str(nan_rows),
+              "--eps", "0.2", "--V", "2"], f"{nan_rows}: row 2 (nan 0.0 1.0) cannot be"),
             # argument shapes the checks cannot run on
             (["orchard", "--eps", "0.1,0.2", "--V", "1,2,3"],
              "--eps and --V must have matching lengths"),

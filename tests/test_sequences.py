@@ -180,6 +180,17 @@ def test_file_normalizes_on_load(tmp_path):
     assert np.allclose(np.linalg.norm(loaded, axis=1), 1.0)
 
 
+def test_directions_that_cannot_be_normalized_are_rejected(tmp_path):
+    for v in ([0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="cannot be normalized"):
+            SequenceSpec("constant", d=2, v=np.array(v))
+    path = tmp_path / "rows.txt"
+    for bad in ("nan 0 1", "0 inf 0", "0 0 0", "1e308 1e308 0"):
+        path.write_text(f"0 0 1\n1 0 0\n{bad}\n")
+        with pytest.raises(ValueError, match="row 3 .* cannot be normalized"):
+            load_sequence_file(path, 2)
+
+
 def test_spec_json_round_trip(tmp_path, golden, constant_seq):
     for spec in (golden, constant_seq, SequenceSpec("rational-ladder")):
         blob = json.dumps(spec.to_json())

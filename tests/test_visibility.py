@@ -20,7 +20,8 @@ from spiralvis import (
     visible_point_test,
 )
 from spiralvis.geometry import radial_hit_halfwidth, segment_distances
-from spiralvis.spirals import count_in_ball, point_batch
+from spiralvis.sequences import save_sequence_file
+from spiralvis.spirals import CHUNK, count_in_ball, point_batch
 from spiralvis.visibility import (
     MISS,
     _cap_witnesses,
@@ -61,6 +62,16 @@ def test_orchard_requires_fine_net(golden):
     with pytest.raises(NetMeshError) as err:
         check_orchard(golden, 0.1, 50.0, net=coarse)
     assert err.value.required_mesh == pytest.approx(0.1 / 200.0)
+
+
+def test_rule_mesh_above_pi_builds_the_mesh_pi_net(golden, fib_sphere):
+    # eps/(4V) is 4.17 for V = 0.03 and inf for V = 1e-320
+    for spec in (golden, fib_sphere):
+        for V in (0.03, 1e-320):
+            rep = check_orchard(spec, 0.5, V)
+            assert rep.net["delta"] == math.pi
+            assert rep.net["count"] == len(build_direction_net(spec.d, math.pi))
+            assert rep.certified_tolerance <= 0.5 * 1.25
 
 
 def test_orchard_validates_eps(golden):
@@ -200,6 +211,120 @@ def test_cap_sweep_blocks_agree(fib_sphere):
     for block in (1, 700, 20_000):
         got = _cap_witnesses(fib_sphere, centers, 1, 300, arcs, pairs_per_block=block)
         assert np.array_equal(got, whole)
+
+
+def dense_cap_witnesses(spec, centers, n_lo, n_hi, arcs, pairs_per_block=1 << 21):
+    """Reference for ``_cap_witnesses``: every point of a block against every
+    open center, one matrix product per block."""
+    witness = np.full(len(centers), MISS, dtype=np.int64)
+    open_ = np.arange(len(centers))
+    columns = np.ascontiguousarray(centers.T)
+    lo = max(1, n_lo)
+    while lo <= n_hi and len(open_):
+        hi = min(n_hi, lo + min(CHUNK, max(1, pairs_per_block // len(open_))) - 1)
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        lo = hi + 1
+        radii, coords = point_batch(spec, ns)
+        sides = [(math.cos(flip), h(ns, radii)) for flip, h in arcs]
+        reach = np.any([h >= 0.0 for _, h in sides], axis=0)
+        if not reach.any():
+            continue
+        ns, radii, coords = ns[reach], radii[reach], coords[reach]
+        dots = (coords / radii[:, None]) @ columns[:, open_]
+        inside = np.zeros(dots.shape, dtype=bool)
+        for sign, h in sides:
+            h = h[reach]
+            cos_h = np.where(h < 0.0, np.inf, np.where(h >= math.pi, -np.inf, np.cos(h)))
+            inside |= dots >= cos_h[:, None] if sign > 0 else dots <= -cos_h[:, None]
+        hit = inside.any(axis=0)
+        witness[open_[hit]] = ns[np.argmax(inside, axis=0)[hit]]
+        open_ = open_[~hit]
+    return witness
+
+
+def _cap_ties(spec, centers, n_lo, n_hi, arcs):
+    """Which centers have a point of [n_lo, n_hi] whose signed dot lies within
+    1e-12 of its cap's threshold, where rounding may decide either way."""
+    ns = np.arange(max(1, n_lo), n_hi + 1)
+    radii, coords = point_batch(spec, ns)
+    dots = (coords / radii[:, None]) @ centers.T
+    tie = np.zeros(len(centers), dtype=bool)
+    for flip, reach in arcs:
+        h = reach(ns, radii)
+        ok = (h >= 0.0) & (h < math.pi)
+        tie |= np.any(np.abs(math.cos(flip) * dots[ok] - np.cos(h[ok])[:, None]) <= 1e-12,
+                      axis=0)
+    return tie
+
+
+def _ring(w, angle, count=8):
+    """``count`` unit vectors at geodesic distance ``angle`` from the unit w."""
+    e1 = np.cross(w, [1.0, 0.0, 0.0] if abs(w[0]) < 0.9 else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(w, e1)
+    az = np.arange(count) * (TWO_PI / count)
+    ring = (math.cos(angle) * w + math.sin(angle) * (np.cos(az)[:, None] * e1
+                                                     + np.sin(az)[:, None] * e2))
+    return ring / np.linalg.norm(ring, axis=1, keepdims=True)
+
+
+def _polar_file_case(tmp_path):
+    """A file sequence whose first rows lie at and within 1e-15 of z = +-1,
+    fixed per-index half-widths on both sides (negative, between 0 and pi,
+    and pi or more), and centers from a cube net plus rings 1e-9 inside and
+    outside the caps of the near-pole points."""
+    rng = np.random.default_rng(13)
+    polar = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+    for theta, phi, z in ((1e-8, 0.3, 1.0), (1e-8, 2.0, 1.0), (3e-8, 4.0, -1.0),
+                          (4.4e-8, 1.1, 1.0), (2e-8, 5.5, -1.0)):
+        polar.append((theta * math.cos(phi), theta * math.sin(phi), z))
+    rows = np.concatenate([polar, rng.normal(size=(60, 3))])
+    path = tmp_path / "polar.txt"
+    save_sequence_file(path, rows)
+    spec = SequenceSpec("file", d=2, path=str(path))
+    count = len(rows)
+    # the last two rows reach every direction, on one side each
+    h_plus = np.concatenate([[0.05, 2.5, 0.3, 1.2, 0.7, -1.0, 0.15],
+                             rng.uniform(-0.4, 0.9, count - len(polar) - 2), [-1.0, 4.0]])
+    h_minus = np.concatenate([[-1.0, 0.2, 2.0, 0.45, 0.9, 0.35, 0.25],
+                              rng.uniform(-0.6, 0.6, count - len(polar) - 2), [math.pi, -1.0]])
+    arcs = [(0.0, lambda ns, radii: h_plus[ns - 1]),
+            (math.pi, lambda ns, radii: h_minus[ns - 1])]
+    _, coords = point_batch(spec, np.arange(1, len(polar) + 1))
+    units = coords / np.linalg.norm(coords, axis=1, keepdims=True)
+    rings = [_ring(sign * u, h + side * 1e-9)
+             for u, hp, hm in zip(units, h_plus, h_minus)
+             for sign, h in ((1.0, hp), (-1.0, hm)) if 0.0 < h < math.pi
+             for side in (-1.0, 1.0)]
+    centers = np.concatenate([build_direction_net(2, 0.3).centers, [[0.0, 0.0, 1.0],
+                                                                    [0.0, 0.0, -1.0]], *rings])
+    return spec, centers, 1, count, arcs
+
+
+def test_cap_witnesses_match_dense_oracle(fib_sphere, tmp_path):
+    """The polar-band kernel against the dense one: equal witness arrays
+    except at most 2 centers whose dot lies within 1e-12 of a threshold."""
+    const3 = SequenceSpec("constant", d=3, v=build_direction_net(3, 1.0).centers[7])
+    rng = np.random.default_rng(14)
+    cases = [_polar_file_case(tmp_path)]
+    for spec, delta, far in ((fib_sphere, 0.25, 20.0), (const3, 1.0, 4.0)):
+        centers = build_direction_net(spec.d, delta).centers
+        for where in ("negative", "straddling 0", "far"):
+            eps = float(rng.uniform(0.2, 0.9))
+            V = float(rng.uniform(1.0, 3.0))
+            t0 = {"negative": -V - rng.uniform(0.5, 5.0),
+                  "straddling 0": -rng.uniform(0.1, V - 0.1),
+                  "far": far + rng.uniform(0.0, 2.0)}[where]
+            cases.append((spec, centers, *_window_arcs(spec, t0, t0 + V, eps, 10**7)))
+        cases.append((spec, centers, *_certificate_arcs(spec, 0.5, 5.0, 1.0, 3.0, 10**7)))
+    for spec, centers, n_lo, n_hi, arcs in cases:
+        tie = _cap_ties(spec, centers, n_lo, n_hi, arcs)
+        assert tie.sum() <= 2
+        want = dense_cap_witnesses(spec, centers, n_lo, n_hi, arcs)
+        assert np.any(want != MISS)
+        for block in (1, 37, 1 << 21):
+            got = _cap_witnesses(spec, centers, n_lo, n_hi, arcs, pairs_per_block=block)
+            assert np.array_equal(got[~tie], want[~tie])
 
 
 def test_sphere_certificate_matches_arccos_formula(fib_sphere):
