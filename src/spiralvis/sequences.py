@@ -140,7 +140,7 @@ class SequenceSpec:
             norm = np.linalg.norm(v)
             if not 0.0 < norm < math.inf:
                 raise ValueError(f"constant direction v {v.tolist()} cannot be normalized: "
-                                 "it must be finite and nonzero")
+                                 "its norm must be finite and nonzero")
             self.v = v / norm
         if self.kind == "file" and self.path is None:
             raise ValueError("file kind needs a path")
@@ -174,7 +174,7 @@ class SequenceSpec:
 
 def load_sequence_file(path: str | Path, d: int) -> np.ndarray:
     """One point per line, d+1 whitespace-separated decimals, normalized on
-    load; a row that is not finite and nonzero is rejected."""
+    load; a row whose norm is not finite and nonzero is rejected."""
     pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
     if pts.shape[1] != d + 1:
         raise ValueError(f"{path}: expected {d + 1} columns, found {pts.shape[1]}")
@@ -183,7 +183,7 @@ def load_sequence_file(path: str | Path, d: int) -> np.ndarray:
     bad = np.flatnonzero(~((norms[:, 0] > 0.0) & (norms[:, 0] < math.inf)))
     if len(bad):
         raise ValueError(f"{path}: row {bad[0] + 1} ({' '.join(map(str, pts[bad[0]]))}) "
-                         "cannot be normalized: a point must be finite and nonzero")
+                         "cannot be normalized: its norm must be finite and nonzero")
     return pts / norms
 
 

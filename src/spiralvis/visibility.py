@@ -375,7 +375,8 @@ def _circle_cover(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
         _stamp_first(first, cells, ns, start, stop)
         depth = np.bincount(start, minlength=K + 1)
         depth -= np.bincount(stop, minlength=K + 1)
-        open_ &= np.cumsum(depth[:K]) == 0
+        open_ &= np.cumsum(depth, out=depth)[:K] == 0
+        del depth  # freed before the next block's bincount: two K-long arrays at most
         if not open_.any():
             break
     return open_, first
