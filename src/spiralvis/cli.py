@@ -162,7 +162,7 @@ def _cmd_check(spec, ns):
             raise ValueError(f"--eps {eps} and --V {V} ask for a direction net of mesh "
                              "eps/(4V), which underflows to 0")
     reports = [CHECKS[ns.subcommand](spec, eps, V, ns) for eps, V in zip(ns.eps, v_list)]
-    return {"reports": [r.to_json() for r in reports]}, not all(r.passed for r in reports)
+    return {"reports": reports}, not all(r.passed for r in reports)
 
 
 def _cmd_visible(spec, ns):

@@ -86,17 +86,18 @@ def radial_hit_halfwidth(r, t_lo: float, t_hi: float, eps: float) -> np.ndarray:
 
     foot = np.sqrt(np.maximum(0.0, r * r - eps * eps))
     interior = solvable & (r >= eps) & (foot >= t_lo) & (foot <= t_hi)
-    np.copyto(out, np.arcsin(np.clip(eps / np.maximum(r, 1e-300), 0.0, 1.0)), where=interior)
+    out[interior] = np.arcsin(np.clip(eps / np.maximum(r[interior], 1e-300), 0.0, 1.0))
 
     at_lo = solvable & ~interior & ((r < eps) | (foot < t_lo))
     at_hi = solvable & ~interior & ~at_lo
     for sel, t_end in ((at_lo, t_lo), (at_hi, t_hi)):
         if not np.any(sel):
             continue
+        rs = r[sel]
         if t_end <= 0.0:  # window endpoint at the origin: distance r at all angles
-            np.copyto(out, np.where(r <= eps, math.pi, -1.0), where=sel)
+            out[sel] = np.where(rs <= eps, math.pi, -1.0)
             continue
-        cosv = (r * r + t_end * t_end - eps * eps) / (2.0 * r * t_end)
-        np.copyto(out, np.arccos(np.clip(cosv, -1.0, 1.0)), where=sel)
-    np.copyto(out, math.pi, where=hits_everywhere)
+        cosv = (rs * rs + t_end * t_end - eps * eps) / (2.0 * rs * t_end)
+        out[sel] = np.arccos(np.clip(cosv, -1.0, 1.0))
+    out[hits_everywhere] = math.pi
     return out

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .sphere import normalized
+
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 TWO_PI = 2.0 * math.pi
 
@@ -137,11 +139,11 @@ class SequenceSpec:
             v = np.asarray(self.v, dtype=np.float64)
             if v.size != self.d + 1:
                 raise ValueError(f"constant direction has {v.size} coords, expected {self.d + 1}")
-            norm = np.linalg.norm(v)
-            if not 0.0 < norm < math.inf:
+            u = normalized(v)
+            if not np.isfinite(u).all():
                 raise ValueError(f"constant direction v {v.tolist()} cannot be normalized: "
                                  "its norm must be finite and nonzero")
-            self.v = v / norm
+            self.v = u
         if self.kind == "file" and self.path is None:
             raise ValueError("file kind needs a path")
 
@@ -174,17 +176,16 @@ class SequenceSpec:
 
 def load_sequence_file(path: str | Path, d: int) -> np.ndarray:
     """One point per line, d+1 whitespace-separated decimals, normalized on
-    load; a row whose norm is not finite and nonzero is rejected."""
+    load; a zero or non-finite row is rejected."""
     pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
     if pts.shape[1] != d + 1:
         raise ValueError(f"{path}: expected {d + 1} columns, found {pts.shape[1]}")
-    with np.errstate(over="ignore"):  # a row whose norm overflows is rejected below
-        norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    bad = np.flatnonzero(~((norms[:, 0] > 0.0) & (norms[:, 0] < math.inf)))
+    units = normalized(pts)
+    bad = np.flatnonzero(~np.isfinite(units).all(axis=1))
     if len(bad):
         raise ValueError(f"{path}: row {bad[0] + 1} ({' '.join(map(str, pts[bad[0]]))}) "
                          "cannot be normalized: its norm must be finite and nonzero")
-    return pts / norms
+    return units
 
 
 def save_sequence_file(path: str | Path, points: np.ndarray) -> None:

@@ -16,15 +16,35 @@ import numpy as np
 NORM_TOL = 1e-12
 
 
+def normalized(v) -> np.ndarray:
+    """A vector divided by its norm, or each row of a matrix by its own.
+
+    A vector whose norm underflows to 0 or overflows to inf is first divided
+    by its largest |coordinate|, so every finite nonzero vector comes out a
+    unit vector; any other keeps the bits of the plain division. A zero or
+    non-finite vector comes out with a NaN coordinate.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norm = np.linalg.norm(v, axis=None if v.ndim == 1 else 1, keepdims=True)
+        out = v / norm
+        rescale = (norm == 0.0) | (norm == math.inf)
+        if rescale.any():
+            rows, flat = np.atleast_2d(v), rescale.reshape(-1)
+            scaled = rows[flat] / np.abs(rows[flat]).max(axis=1, keepdims=True)
+            np.atleast_2d(out)[flat] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
+    return out
+
+
 def unit_vector(coords) -> np.ndarray:
     """Normalize ``coords`` to a unit vector in R^(d+1), d+1 >= 2."""
     v = np.asarray(coords, dtype=np.float64)
     if v.ndim != 1 or v.size < 2:
         raise ValueError(f"unit vector needs at least 2 coordinates, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if not math.isfinite(norm) or norm == 0.0:
+    u = normalized(v)
+    if not np.isfinite(u).all():
         raise ValueError("cannot normalize a zero or non-finite vector")
-    return v / norm
+    return u
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -150,9 +170,11 @@ def _project(grids) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _cube_face(d: int, m: int) -> tuple[np.ndarray, float]:
+def _cube_face(d: int, m: int, corner: bool = False) -> tuple[np.ndarray, float]:
     """The m^d equiangular cells of the cube face x_0 = 1: their centers on
-    S^d and the largest center-to-vertex angle over all of them.
+    S^d and the largest center-to-vertex angle over all of them; with
+    ``corner`` only the cell at the face's corner, whose angle is then a
+    lower bound on the face's.
 
     A cell is bounded by great spheres through the origin, so it is convex;
     below pi/2 the farthest point of a convex spherical cell from its center
@@ -160,14 +182,17 @@ def _cube_face(d: int, m: int) -> tuple[np.ndarray, float]:
     of a cell to the cell's own center: a proved covering radius for the
     face. (A point's nearest center may be a neighbour's, and nearer.)
     """
+    k = 1 if corner else m
     step = (math.pi / 2) / m
-    edges = np.tan(-math.pi / 4 + step * np.arange(m + 1))
-    edges[0], edges[-1] = -1.0, 1.0  # the faces must meet exactly
-    mids = np.tan(-math.pi / 4 + step * (np.arange(m) + 0.5))
+    edges = np.tan(-math.pi / 4 + step * np.arange(k + 1))
+    edges[0] = -1.0  # the faces must meet exactly
+    if k == m:
+        edges[-1] = 1.0
+    mids = np.tan(-math.pi / 4 + step * (np.arange(k) + 0.5))
     centers = _project(np.meshgrid(*[mids] * d, indexing="ij"))
     widest = 0.0
-    for corner in itertools.product((0, 1), repeat=d):
-        verts = _project(np.meshgrid(*[edges[c:m + c] for c in corner], indexing="ij"))
+    for offsets in itertools.product((0, 1), repeat=d):
+        verts = _project(np.meshgrid(*[edges[c:k + c] for c in offsets], indexing="ij"))
         widest = max(widest, float(np.linalg.norm(verts - centers, axis=1).max()))
     return centers, 2.0 * math.asin(widest / 2.0)
 
@@ -179,10 +204,14 @@ def _cube_sphere_net(d: int, delta: float) -> DirectionNet:
 
     The scan starts from an area bound: 2(d+1) m^d caps of radius delta must
     cover S^d, and a cap's area is at most area(S^(d-1)) delta^d / d, so no
-    smaller m can qualify.
+    smaller m can qualify. Nor can an m whose corner cell alone has a
+    center-to-vertex angle above delta, so the scan reads one cell per grid
+    until that cell fits and builds whole faces only from there.
     """
     m = max(1, math.floor(
         (d * _sphere_area(d) / (2 * (d + 1) * _sphere_area(d - 1))) ** (1 / d) / delta))
+    while _cube_face(d, m, corner=True)[1] > delta:
+        m += 1
     while True:
         face, radius = _cube_face(d, m)
         if radius <= delta:

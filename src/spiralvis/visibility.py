@@ -47,6 +47,7 @@ import numpy as np
 
 from ._par import parallel_map
 from .geometry import radial_hit_halfwidth, ray_to_ray_distance, segment_distances
+from .reports import DirectionFailures
 from .sequences import SequenceSpec, angle_batch, triangular_decompose
 from .sphere import DirectionNet, build_direction_net
 from .spirals import (
@@ -156,30 +157,6 @@ class VisibilityCurve:
         }
 
 
-@dataclass(eq=False)
-class DirectionFailures:
-    """The failing net directions of a check, with the window start of each
-    for shifted windows; their {"direction": j[, "t0": t0]} rows are built
-    only for the entries read."""
-
-    directions: np.ndarray
-    t0: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.directions)
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return [self[i] for i in range(len(self))[item]]
-        row = {"direction": int(self.directions[item])}
-        if self.t0 is not None:
-            row["t0"] = float(self.t0[item])
-        return row
-
-    def __iter__(self):
-        return iter(self[:])
-
-
 @dataclass
 class CheckReport:
     property: str
@@ -203,6 +180,16 @@ class CheckReport:
         return 1.0 - len(self.failures) / self.total_checks
 
     def to_json(self) -> dict:
+        return self._json(self.failures[:1000])
+
+    def json_payload(self) -> dict:
+        """``to_json()`` with the written failures left as arrays when they
+        are a ``DirectionFailures``, so the report writer builds no rows."""
+        failures = self.failures
+        return self._json(failures.head(1000) if isinstance(failures, DirectionFailures)
+                          else failures[:1000])
+
+    def _json(self, failures) -> dict:
         return {
             "property": self.property,
             "spec": self.spec,
@@ -212,7 +199,7 @@ class CheckReport:
             "net": self.net,
             "total_checks": self.total_checks,
             "pass_fraction": self.pass_fraction,
-            "failures": self.failures[:1000],
+            "failures": failures,
             "failure_count": len(self.failures),
             "witness_count": self.witness_count,
             "witnesses": self.witnesses[:100],

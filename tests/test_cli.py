@@ -143,13 +143,30 @@ def test_uniform_and_covering_and_criterion(capsys):
 
 def test_negative_infinity_is_written_as_minus_inf(capsys):
     # an empty grid leaves the running maximum at -inf, which is not +inf
-    from spiralvis.reports import to_jsonable
-    assert to_jsonable([-math.inf, math.inf, math.nan, np.float64(-math.inf)]) == [
-        "-inf", "inf", "nan", "-inf"]
+    from spiralvis.reports import dump_json
+    assert dump_json([-math.inf, math.inf, math.nan, np.float64(-math.inf)]) == (
+        '[\n  "-inf",\n  "inf",\n  "nan",\n  "-inf"\n]\n')
     _, out = run(capsys, "covering", "--m", "")
     assert json.loads(out)["estimate"]["uniform_covering_parameter"] == "-inf"
     _, out = run(capsys, "criterion", "--eps", "")
     assert json.loads(out)["table"]["sup"] == "-inf"
+
+
+def test_tiny_and_huge_directions_are_normalized(capsys):
+    # squared norms that underflow to 0 or overflow to inf
+    argv = ["visible", "--seq", "golden-angle", "--x", "0.3,0.1", "--eps-floor", "0.2",
+            "--Tmax", "100"]
+    for tiny, huge in (("1e-200,0", "1e300,0"), ("3e-170,4e-170", "3e307,4e307")):
+        verdicts = []
+        for text in (tiny, huge):
+            code, out = run(capsys, *argv, "--dir", text)
+            assert code == 0
+            verdicts.append(json.loads(out)["verdicts"])
+        assert verdicts[0] == verdicts[1]
+    code, out = run(capsys, "orchard", "--seq", "constant", "--v", "1e-200,0",
+                    "--eps", "0.2", "--V", "2")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["spec"]["params"]["v"] == [1.0, 0.0]
 
 
 def test_forest_strip_line_fails(capsys):
@@ -348,6 +365,12 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["orchard", "--eps", "0.1", "--V", "1e308"], "--eps 0.1 and --V 1e+308"),
             (["orchard", "--seq", "constant", "--d", "2", "--v", "0,0,0", "--eps", "0.2",
               "--V", "2"], "constant direction v [0.0, 0.0, 0.0] cannot be normalized"),
+            (["visible", "--x", "0,1", "--dir", "0,0"],
+             "cannot normalize a zero or non-finite vector"),
+            (["visible", "--x", "0,1", "--dir", "1,nan"],
+             "cannot normalize a zero or non-finite vector"),
+            (["orchard", "--seq", "constant", "--v", "inf,0", "--eps", "0.2",
+              "--V", "2"], "constant direction v [inf, 0.0] cannot be normalized"),
             (["orchard", "--seq", "file", "--d", "2", "--seq-file", str(nan_rows),
               "--eps", "0.2", "--V", "2"], f"{nan_rows}: row 2 (nan 0.0 1.0) cannot be"),
             # argument shapes the checks cannot run on

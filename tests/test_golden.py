@@ -96,6 +96,12 @@ def test_golden_csv(name):
     assert render_csv(*CSV_CASES[name]) == want
 
 
+def test_every_golden_file_has_a_case():
+    # a stored payload with no case would silently stop being checked
+    cases = {f"{name}.json" for name in CASES} | {f"{name}.csv" for name in CSV_CASES}
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir() if p.name not in cases) == []
+
+
 if __name__ == "__main__":
     known = set(CASES) | set(CSV_CASES)
     names = sys.argv[1:] or sorted(known)

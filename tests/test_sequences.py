@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from spiralvis import (
     sequence_term,
     star_discrepancy,
     triangular_decompose,
+    unit_vector,
 )
 from spiralvis.sequences import (
     angle_batch,
@@ -185,10 +187,36 @@ def test_directions_that_cannot_be_normalized_are_rejected(tmp_path):
         with pytest.raises(ValueError, match="cannot be normalized"):
             SequenceSpec("constant", d=2, v=np.array(v))
     path = tmp_path / "rows.txt"
-    for bad in ("nan 0 1", "0 inf 0", "0 0 0", "1e308 1e308 0"):
+    for bad in ("nan 0 1", "0 inf 0", "0 0 0", "1e308 inf 0"):
         path.write_text(f"0 0 1\n1 0 0\n{bad}\n")
         with pytest.raises(ValueError, match="row 3 .* cannot be normalized"):
             load_sequence_file(path, 2)
+
+
+def test_tiny_and_huge_directions_are_normalized(tmp_path):
+    # squared norms that underflow to 0 or overflow to inf, and their unit vectors
+    cases = {(1e-200, 0.0): (1.0, 0.0), (3e-170, 4e-170): (0.6, 0.8),
+             (1e308, 1e308): (math.sqrt(0.5), math.sqrt(0.5)),
+             (-5e-324, 0.0): (-1.0, 0.0)}
+    path = tmp_path / "rows.txt"
+    path.write_text("".join(f"{x!r} {y!r}\n" for x, y in cases))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = load_sequence_file(path, 1)
+        for (v, want), row in zip(cases.items(), rows):
+            for got in (SequenceSpec("constant", d=1, v=list(v)).v, unit_vector(v), row):
+                assert got == pytest.approx(want, rel=1e-15)
+    # a direction whose norm is representable keeps the bits of v / |v|
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-150, 150, (200, 1))
+    save_sequence_file(path, pts)
+    pts = np.loadtxt(path)
+    assert np.array_equal(load_sequence_file(path, 2),
+                          pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    for v in pts[:20]:
+        want = v / np.linalg.norm(v)
+        assert np.array_equal(SequenceSpec("constant", d=2, v=v).v, want)
+        assert np.array_equal(unit_vector(v), want)
 
 
 def test_spec_json_round_trip(tmp_path, golden, constant_seq):

@@ -258,3 +258,53 @@ def test_sphere_net_is_seedless():
         assert np.array_equal(a.centers, b.centers)
         assert a.covering_radius == b.covering_radius
     assert np.allclose(np.linalg.norm(a.centers, axis=1), 1.0, atol=1e-15)
+
+
+def old_cube_face(d, m):
+    """The face builder the net scanned with before it skipped grids by their
+    corner cell: every grid builds the whole face."""
+    step = (math.pi / 2) / m
+    edges = np.tan(-math.pi / 4 + step * np.arange(m + 1))
+    edges[0], edges[-1] = -1.0, 1.0
+    mids = np.tan(-math.pi / 4 + step * (np.arange(m) + 0.5))
+
+    def project(grids):
+        pts = np.stack([np.ones(grids[0].size)] + [g.ravel() for g in grids], axis=1)
+        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+    centers = project(np.meshgrid(*[mids] * d, indexing="ij"))
+    widest = 0.0
+    for corner in itertools.product((0, 1), repeat=d):
+        verts = project(np.meshgrid(*[edges[c:m + c] for c in corner], indexing="ij"))
+        widest = max(widest, float(np.linalg.norm(verts - centers, axis=1).max()))
+    return centers, 2.0 * math.asin(widest / 2.0)
+
+
+def old_cube_sphere_net(d, delta):
+    """(m, covering radius, centers) of the full-face m-scan."""
+    area = 2 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
+    rim = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
+    m = max(1, math.floor((d * area / (2 * (d + 1) * rim)) ** (1 / d) / delta))
+    while True:
+        face, radius = old_cube_face(d, m)
+        if radius <= delta:
+            break
+        m += 1
+    faces = []
+    for axis in range(d + 1):
+        for sign in (1.0, -1.0):
+            img = np.empty_like(face)
+            img[:, axis] = sign * face[:, 0]
+            img[:, [i for i in range(d + 1) if i != axis]] = face[:, 1:]
+            faces.append(img)
+    return m, radius, np.concatenate(faces)
+
+
+@pytest.mark.parametrize("d, delta", [(2, float(x)) for x in np.geomspace(0.005, 1.5, 21)]
+                         + [(3, x) for x in (0.08, 0.1, 0.15, 0.3, 0.6, 1.0, 1.5)])
+def test_corner_cell_scan_matches_full_face_scan(d, delta):
+    m, radius, centers = old_cube_sphere_net(d, delta)
+    net = build_direction_net(d, delta)
+    assert len(net) == 2 * (d + 1) * m ** d
+    assert net.covering_radius == radius
+    assert np.array_equal(net.centers, centers)
