@@ -10,19 +10,19 @@ is rigorous rather than heuristic.
 
 Window sweeps turn each point into a cap of directions it reaches
 (``geometry.radial_hit_halfwidth``) and read points in index order until no
-direction is open. On the circle grid the orchard, uniform and certificate
-checks are one cover pass (``_circle_cover``): each arc is a run of integer
-cells (``_arc_cells``), one difference array per block of points marks
-every cell the block's runs cover, and those cells leave a K-long open mask;
-the cells left open fail. The reported witnesses, the first writers of the
-first 100 hit cells, are tracked for cells 0-99 during the pass and found by
-a rescan from the start (``_first_writers``) only when one of those fails.
-``_circle_sweep``, which hands each point the still-open cells it reaches
-(``_mark_windows``), serves only the minimal-visibility reach. On S^d (and
-on any net that is not the circle grid) ``_cap_witnesses`` keeps the open
-centers sorted by their last coordinate z and tests each point only against
-the run of centers whose z lies in its cap's polar band
-(``_polar_bands``), a superset of the cap's centers.
+direction is open. The orchard, uniform and certificate checks each pick
+their arcs (``_window_arcs``, ``_certificate_arcs``) and hand them to one
+``_net_check``. On the circle grid it is one cover pass (``_circle_check``):
+each arc is a run of integer cells (``_arc_cells``), one difference array
+per block of points marks every cell the block's runs cover, and the cells
+left open fail; the witnesses of the first 100 hit cells are tracked for
+cells 0-99 during the pass and found by a rescan (``_first_writers``) only
+when one of those fails. On any other net (S^d) ``_directional_window_check``
+runs ``_cap_witnesses``, which keeps the open centers sorted by their last
+coordinate z and tests each point only against the run of centers whose z
+lies in its cap's polar band (``_polar_bands``). On the circle grid the
+minimal-visibility reach (``_window_reach``) hands each point of a block
+(``_arc_blocks``) the still-unsettled cells it reaches (``_mark_windows``).
 
 Segment scans (the forest windows and the visible-point rays) take their
 points from one candidate source, ``_segment_candidates``: blocks, in index
@@ -309,19 +309,6 @@ def _arc_blocks(spec: SequenceSpec, n_lo: int, n_hi: int, arcs):
                np.column_stack([reach(ns, radii) for _, reach in arcs]))
 
 
-def _circle_sweep(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
-                  is_open, write) -> None:
-    """Hand ``write(ns, radii, theta, at, cells)`` each block of
-    ``_arc_blocks`` and the cells its point ``at`` reaches (``_mark_windows``);
-    ``is_open(r)`` names the cells that points of radius r or more may still
-    change, and the sweep stops when it names none."""
-    for ns, radii, theta, angles, halfw in _arc_blocks(spec, n_lo, n_hi, arcs):
-        _mark_windows(K, lambda: is_open(radii[0]), angles, halfw,
-                      lambda at, cells: write(ns, radii, theta, at, cells))
-        if not is_open(radii[-1]).any():
-            return
-
-
 def _cell_runs(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs):
     """(ns, start, stop) per block of ``_arc_blocks``: one run of cells
     start..stop-1 (0 <= start < stop <= K) and the index ``ns`` of its point
@@ -495,18 +482,17 @@ def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int
     return witness
 
 
-def _directional_window_check(spec: SequenceSpec, centers: np.ndarray,
-                              t_lo: float, t_hi: float, eps: float, index_budget: int):
-    """(witness, exact): the smallest-index witness per direction for the
-    window [t_lo, t_hi], and ``exact(cells)``, the exact (t, distance) of
-    those directions' witnesses.
-
-    The window is split at the origin as in ``_window_arcs``; its negative
-    half is tested against -c.
-    """
-    witness = _cap_witnesses(spec, centers, *_window_arcs(spec, t_lo, t_hi, eps, index_budget))
-    return witness, lambda cells: _exact_direction_witnesses(spec, centers, witness, cells,
-                                                             t_lo, t_hi)
+def _directional_window_check(spec: SequenceSpec, centers: np.ndarray, n_lo: int,
+                              n_hi: int, arcs, t_lo: float, t_hi: float):
+    """(failures, witnesses, hits) of the cap sweep (``_cap_witnesses``) on
+    ``centers``: the directions no arc reaches, the witnesses of the first
+    100 hit directions with their exact (t, distance) on [t_lo, t_hi], and
+    the hit count."""
+    witness = _cap_witnesses(spec, centers, n_lo, n_hi, arcs)
+    hits = np.flatnonzero(witness != MISS)
+    top = hits[:100]
+    t, dist = _exact_direction_witnesses(spec, centers, witness, top, t_lo, t_hi)
+    return np.flatnonzero(witness == MISS), _hit_witnesses(witness[top], t, dist), len(hits)
 
 
 def _exact_direction_witnesses(spec: SequenceSpec, centers: np.ndarray, witness: np.ndarray,
@@ -520,28 +506,18 @@ def _exact_direction_witnesses(spec: SequenceSpec, centers: np.ndarray, witness:
     return t_best, np.linalg.norm(coords - t_best[:, None] * c, axis=1)
 
 
-def _window_check(spec: SequenceSpec, net: DirectionNet, t_lo: float,
-                  t_hi: float, eps: float, index_budget: int):
-    """(failures, witnesses, hits) of the window [t_lo, t_hi] on ``net``:
-    the cover on the circle grid, the cap sweep on any other net."""
-    if spec.d == 1 and net.uniform_grid:
-        return _circle_check(spec, len(net), *_window_arcs(spec, t_lo, t_hi, eps,
-                                                           index_budget), t_lo, t_hi)
-    return _collect(*_directional_window_check(spec, net.centers, t_lo, t_hi, eps,
-                                               index_budget))
-
-
 def _hit_witnesses(ns, t, dist) -> list[HitWitness]:
     return [HitWitness(int(n), float(tj), float(dj)) for n, tj, dj in zip(ns, t, dist)]
 
 
-def _collect(witness, exact):
-    """(failures, witnesses, hits) from a per-direction witness array: the
-    failing directions, the first 100 hits with their exact (t, distance),
-    and the hit count."""
-    failures = np.flatnonzero(witness == MISS)
-    hits = np.flatnonzero(witness != MISS)
-    return failures, _hit_witnesses(witness[hits[:100]], *exact(hits[:100])), len(hits)
+def _net_check(spec: SequenceSpec, net: DirectionNet, n_lo: int, n_hi: int, arcs,
+               t_lo: float, t_hi: float):
+    """(failures, witnesses, hits) of the arcs of the indices [n_lo, n_hi] on
+    ``net``, witnesses measured against [t_lo, t_hi]: the cover on the circle
+    grid, the cap sweep on any other net."""
+    if net.uniform_grid:
+        return _circle_check(spec, len(net), n_lo, n_hi, arcs, t_lo, t_hi)
+    return _directional_window_check(spec, net.centers, n_lo, n_hi, arcs, t_lo, t_hi)
 
 
 def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
@@ -558,33 +534,19 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
     net = _require_net(spec, eps, V_value, net)
     constants = dict(constants or {})
     if method == "direct":
-        failures, witnesses, hits = _window_check(spec, net, 0.0, V_value, eps,
-                                                  index_budget)
+        window = _window_arcs(spec, 0.0, V_value, eps, index_budget)
     elif method == "certificate":
-        K_const = constants.setdefault("K", 1.0)
-        kappa = constants.setdefault("kappa", 1.0)
-        failures, witnesses, hits = _certificate_witnesses(spec, net, eps, V_value,
-                                                           K_const, kappa, index_budget)
+        window = _certificate_arcs(spec, eps, V_value, constants.setdefault("K", 1.0),
+                                   constants.setdefault("kappa", 1.0), index_budget)
     else:
         raise ValueError(f"unknown method {method!r}")
+    failures, witnesses, hits = _net_check(spec, net, *window, 0.0, V_value)
     return CheckReport(
         property=f"orchard[{method}]", spec=spec.to_json(), eps=eps, V=V_value,
         constants=constants, net=_net_info(net), total_checks=len(net),
         failures=DirectionFailures(failures), witness_count=hits, witnesses=witnesses,
         certified_tolerance=eps + V_value * net.mesh, passed=not len(failures),
     )
-
-
-def _certificate_witnesses(spec: SequenceSpec, net: DirectionNet, eps: float,
-                           V: float, K_const: float, kappa: float,
-                           index_budget: int):
-    """(failures, witnesses, hits) of the certificate route on ``net``."""
-    n_lo, n_hi, arcs = _certificate_arcs(spec, eps, V, K_const, kappa, index_budget)
-    if spec.d == 1 and net.uniform_grid:
-        return _circle_check(spec, len(net), n_lo, n_hi, arcs, 0.0, V)
-    witness = _cap_witnesses(spec, net.centers, n_lo, n_hi, arcs)
-    return _collect(witness, lambda cells: _exact_direction_witnesses(
-        spec, net.centers, witness, cells, 0.0, V))
 
 
 def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
@@ -601,8 +563,9 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
     hits_total = 0
     per_t0 = {}
     for t0 in t0_list:
-        failures, witnesses, hits = _window_check(spec, net, t0, t0 + V_value, eps,
-                                                  index_budget)
+        failures, witnesses, hits = _net_check(
+            spec, net, *_window_arcs(spec, t0, t0 + V_value, eps, index_budget),
+            t0, t0 + V_value)
         all_failures.append(failures)
         all_witnesses.extend(witnesses[:10])
         hits_total += hits
@@ -722,19 +685,15 @@ def _shell_span_indices(k, base, j0, count) -> np.ndarray:
     return np.concatenate([ns, ns[p == 0] + kk[p == 0]])
 
 
-def _exact_distances(coords, a, b, exclude=None):
-    """Distances and arc parameters to the segment [a, b]; a point at
-    ``exclude`` gets distance inf."""
-    dist, t = segment_distances(coords, a, b)
-    if exclude is not None:
-        dist[np.linalg.norm(coords - exclude, axis=1) <= 1e-12] = math.inf
-    return dist, t
-
-
 def _candidate_distances(spec, a, b, reach, n_lo, n_hi, exclude=None):
-    """The exact filter over ``_segment_candidates``: (ns, dist, t) blocks."""
+    """The exact filter over ``_segment_candidates``: (ns, dist, t) blocks of
+    distances and arc parameters to the segment [a, b]; a point at
+    ``exclude`` gets distance inf."""
     for ns, _, coords in _segment_candidates(spec, a, b, reach, n_lo, n_hi):
-        yield (ns, *_exact_distances(coords, a, b, exclude))
+        dist, t = segment_distances(coords, a, b)
+        if exclude is not None:
+            dist[np.linalg.norm(coords - exclude, axis=1) <= 1e-12] = math.inf
+        yield ns, dist, t
 
 
 def _closer(best, ns, dist, t):
@@ -1034,14 +993,17 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
     def unsettled(r):
         return best > (r - 3.0 * eps - t0 if r > 3.0 * eps - t0 else -math.inf)
 
-    def write(ns, radii, theta, at, cells):
-        r, delta = radii[at], theta[at] - cells * (TWO_PI / len(net))
-        np.minimum.at(best, cells, _reach_offsets(r * np.cos(delta), r * np.sin(delta),
-                                                  eps, t0))
-
     n_lo, n_hi, arcs = _window_arcs(spec, t0, t0 + V, eps, index_budget)
-    if spec.d == 1 and net.uniform_grid:
-        _circle_sweep(spec, len(net), n_lo, n_hi, arcs, unsettled, write)
+    if net.uniform_grid:  # each point's arcs meet the cells still unsettled
+        for _, radii, theta, angles, halfw in _arc_blocks(spec, n_lo, n_hi, arcs):
+            def write(at, cells, radii=radii, theta=theta):
+                r, delta = radii[at], theta[at] - cells * (TWO_PI / len(net))
+                np.minimum.at(best, cells, _reach_offsets(r * np.cos(delta),
+                                                          r * np.sin(delta), eps, t0))
+
+            _mark_windows(len(net), lambda r=radii[0]: unsettled(r), angles, halfw, write)
+            if not unsettled(radii[-1]).any():
+                break
         return best
     for _, radii, coords in iter_point_chunks(spec, n_lo, n_hi,
                                               max(1, (1 << 21) // len(net))):

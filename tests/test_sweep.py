@@ -23,13 +23,12 @@ from spiralvis.visibility import (
     DEFAULT_BUDGET,
     MISS,
     _certificate_arcs,
-    _certificate_witnesses,
     _circle_check,
     _first_writers,
     _line_reach,
+    _net_check,
     _passes,
     _window_arcs,
-    _window_check,
     _window_reach,
 )
 
@@ -147,8 +146,8 @@ def test_certificate_sweep_matches_stamping(kind, count, eps, V, K_const, kappa,
     spec = SPECS[kind]
     net = build_direction_net(1, math.pi / (count - 0.5))
     assert len(net) == count
-    got = _certificate_witnesses(spec, net, eps, V, K_const, kappa, budget)
     arcs = _certificate_arcs(spec, eps, V, K_const, kappa, budget)
+    got = _net_check(spec, net, *arcs, 0.0, V)
     n_cap = min(budget, math.ceil(K_const * V**2))
     witness = _stamped(spec, count, [(0.0, 1, n_cap,
                                       lambda r: np.minimum(kappa * eps / r, math.pi))])
@@ -169,7 +168,8 @@ def test_sweep_stops_when_every_cell_is_resolved(ladder, monkeypatch):
         return real(spec, ns)
 
     monkeypatch.setattr(vis, "angle_batch", counting)
-    failures, witnesses, hits = _window_check(ladder, net, 0.0, V, eps, DEFAULT_BUDGET)
+    failures, witnesses, hits = _net_check(
+        ladder, net, *_window_arcs(ladder, 0.0, V, eps, DEFAULT_BUDGET), 0.0, V)
     assert not len(failures) and hits == len(net) and len(witnesses) == 100
     assert 0 < sum(read) < annulus_index_range(0.0, V + eps, 1)[1] / 4
 

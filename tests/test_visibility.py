@@ -26,12 +26,11 @@ from spiralvis.visibility import (
     MISS,
     _cap_witnesses,
     _certificate_arcs,
-    _certificate_witnesses,
     _directional_window_check,
     _exact_direction_witnesses,
     _first_writers,
+    _net_check,
     _window_arcs,
-    _window_check,
 )
 
 TWO_PI = 2 * math.pi
@@ -138,15 +137,15 @@ def test_uniform_negative_window_matches_generic(golden, ladder):
             eps = float(rng.uniform(0.2, 0.9))
             t0 = float(rng.uniform(-30, 20))
             V = float(rng.uniform(5, 40))
-            failures, witnesses, hits = _window_check(spec, net, t0, t0 + V, eps, 10**6)
-            slow, _ = _directional_window_check(spec, net.centers, t0, t0 + V, eps, 10**6)
+            window = _window_arcs(spec, t0, t0 + V, eps, 10**6)
+            failures, witnesses, hits = _net_check(spec, net, *window, t0, t0 + V)
+            slow = _cap_witnesses(spec, net.centers, *window)
             hit = np.flatnonzero(slow != MISS)
             assert np.array_equal(failures, np.flatnonzero(slow == MISS))
             assert hits == len(hit)
             assert [w.n for w in witnesses] == slow[hit[:100]].tolist()
             # the cover's first writer of every hit cell, through the rescan
-            first = _first_writers(spec, len(net), *_window_arcs(spec, t0, t0 + V, eps,
-                                                                 10**6), hit)
+            first = _first_writers(spec, len(net), *window, hit)
             assert np.array_equal(first, slow[hit])
 
 
@@ -182,14 +181,22 @@ def test_sphere_sweep_matches_brute(fib_sphere):
             t0 = {"negative": -V - rng.uniform(0.5, 5.0),
                   "straddling 0": -rng.uniform(0.1, V - 0.1),
                   "far": rng.uniform(20.0, 22.0)}[where]
-            witness, exact = _directional_window_check(spec, centers, t0, t0 + V,
-                                                       eps, 10**7)
+            window = _window_arcs(spec, t0, t0 + V, eps, 10**7)
+            witness = _cap_witnesses(spec, centers, *window)
             want, tie = _brute_window_witnesses(spec, centers, t0, t0 + V, eps)
             assert tie.sum() <= 2
             assert np.array_equal(witness[~tie], want[~tie])
             hit = np.flatnonzero(witness != MISS)
             assert len(hit) and len(hit) < len(centers)
-            t, dist = exact(hit)
+            t, dist = _exact_direction_witnesses(spec, centers, witness, hit, t0, t0 + V)
+            # the check's triple: the failures, the hit count, and the first
+            # 100 hits of that array with their exact (t, distance)
+            failures, witnesses, hits = _directional_window_check(spec, centers, *window,
+                                                                  t0, t0 + V)
+            assert np.array_equal(failures, np.flatnonzero(witness == MISS))
+            assert hits == len(hit)
+            assert [(w.n, w.t, w.distance) for w in witnesses] == list(
+                zip(witness[hit[:100]].tolist(), t[:100].tolist(), dist[:100].tolist()))
             _, pts = point_batch(spec, witness[hit])
             c = centers[hit]
             assert np.all((t >= t0) & (t <= t0 + V))
@@ -332,10 +339,9 @@ def test_sphere_certificate_matches_arccos_formula(fib_sphere):
     # min(kappa eps / r, pi) of the center, by arccos of the clipped dot
     net = build_direction_net(2, 0.1)
     for eps, V, K_const, kappa in ((0.2, 12.0, 1.0, 1.0), (0.3, 9.0, 0.5, 2.5)):
-        got = _cap_witnesses(fib_sphere, net.centers,
-                             *_certificate_arcs(fib_sphere, eps, V, K_const, kappa, 10**7))
-        failures, _, hits = _certificate_witnesses(fib_sphere, net, eps, V, K_const, kappa,
-                                                   10**7)
+        cert = _certificate_arcs(fib_sphere, eps, V, K_const, kappa, 10**7)
+        got = _cap_witnesses(fib_sphere, net.centers, *cert)
+        failures, _, hits = _net_check(fib_sphere, net, *cert, 0.0, V)
         assert np.array_equal(failures, np.flatnonzero(got == MISS))
         assert hits == np.sum(got != MISS)
         ns = np.arange(1, math.ceil(K_const * V ** 3) + 1)
@@ -355,12 +361,12 @@ def test_sphere_certificate_witnesses_match_brute(fib_sphere):
     [0, V] along their direction, as a dense scan over t finds them."""
     net = build_direction_net(2, 0.1)
     V = 12.0
-    witness = _cap_witnesses(fib_sphere, net.centers,
-                             *_certificate_arcs(fib_sphere, 0.5, V, 1.0, 1.0, 10**7))
+    cert = _certificate_arcs(fib_sphere, 0.5, V, 1.0, 1.0, 10**7)
+    witness = _cap_witnesses(fib_sphere, net.centers, *cert)
     hit = np.flatnonzero(witness != MISS)
     assert 0 < len(hit) < len(net)
     t, dist = _exact_direction_witnesses(fib_sphere, net.centers, witness, hit, 0.0, V)
-    _, reported, _ = _certificate_witnesses(fib_sphere, net, 0.5, V, 1.0, 1.0, 10**7)
+    _, reported, _ = _net_check(fib_sphere, net, *cert, 0.0, V)
     assert [(w.n, w.t, w.distance) for w in reported] == list(
         zip(witness[hit[:100]].tolist(), t[:100].tolist(), dist[:100].tolist()))
     assert np.all((t >= 0.0) & (t <= V))
@@ -611,7 +617,8 @@ def test_failure_rows_are_built_for_the_written_prefix(ladder):
     # a clipped budget leaves ~11k of the 25k ladder directions unmet
     eps, V = 0.05, 100.0
     net = build_direction_net(1, eps / (4 * V))
-    want = {t0: _window_check(ladder, net, t0, t0 + V, eps, 1000)[0] for t0 in (0.0, 5.0)}
+    want = {t0: _net_check(ladder, net, *_window_arcs(ladder, t0, t0 + V, eps, 1000),
+                           t0, t0 + V)[0] for t0 in (0.0, 5.0)}
     rep = check_orchard(ladder, eps, V, index_budget=1000).to_json()
     assert rep["failure_count"] == len(want[0.0]) > 1000
     assert rep["failures"] == [{"direction": int(j)} for j in want[0.0][:1000]]
