@@ -520,6 +520,26 @@ def _net_check(spec: SequenceSpec, net: DirectionNet, n_lo: int, n_hi: int, arcs
     return _directional_window_check(spec, net.centers, n_lo, n_hi, arcs, t_lo, t_hi)
 
 
+def _require_in_budget(n_lo: int, n_hi: int, index_budget: int, window: str) -> None:
+    """Reject a window whose eps-widened annulus holds indices [n_lo, n_hi]
+    that all exceed the budget: no point of it would be read, so its
+    failures would come from the budget, not from the points."""
+    if n_hi >= n_lo > index_budget:
+        raise ValueError(f"{window} lies wholly past the index budget {index_budget}: "
+                         "every index of its eps-widened annulus exceeds it")
+
+
+def _budget_window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
+                        index_budget: int):
+    """``_window_arcs`` of a check's window, which ``_require_in_budget``
+    rejects when the budget clips every index of it."""
+    window = _window_arcs(spec, t_lo, t_hi, eps, index_budget)
+    if window[0] > index_budget:
+        n_lo, n_hi, _ = _window_arcs(spec, t_lo, t_hi, eps, math.inf)
+        _require_in_budget(n_lo, n_hi, index_budget, f"the window [{t_lo!r}, {t_hi!r}]")
+    return window
+
+
 def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
                   net: DirectionNet | None = None,
                   index_budget: int = DEFAULT_BUDGET,
@@ -534,7 +554,7 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
     net = _require_net(spec, eps, V_value, net)
     constants = dict(constants or {})
     if method == "direct":
-        window = _window_arcs(spec, 0.0, V_value, eps, index_budget)
+        window = _budget_window_arcs(spec, 0.0, V_value, eps, index_budget)
     elif method == "certificate":
         window = _certificate_arcs(spec, eps, V_value, constants.setdefault("K", 1.0),
                                    constants.setdefault("kappa", 1.0), index_budget)
@@ -564,7 +584,7 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
     per_t0 = {}
     for t0 in t0_list:
         failures, witnesses, hits = _net_check(
-            spec, net, *_window_arcs(spec, t0, t0 + V_value, eps, index_budget),
+            spec, net, *_budget_window_arcs(spec, t0, t0 + V_value, eps, index_budget),
             t0, t0 + V_value)
         all_failures.append(failures)
         all_witnesses.extend(witnesses[:10])
@@ -748,10 +768,15 @@ def _first_hit(spec, a, b, eps, n_lo, n_hi, exclude=None):
 def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
                        eps: float, index_budget: int):
     """``_first_hit`` for a forest window: over the indices of its annulus
-    widened by eps, up to the budget."""
-    near, far = segment_norm_range(a, b)
-    n_lo, n_hi = annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
+    widened by eps (``_forest_range``), up to the budget."""
+    n_lo, n_hi = _forest_range(spec, a, b, eps)
     return _first_hit(spec, a, b, eps, n_lo, min(n_hi, index_budget))
+
+
+def _forest_range(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, eps: float):
+    """The indices of the forest window [a, b]'s annulus widened by eps."""
+    near, far = segment_norm_range(a, b)
+    return annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
 
 
 def segment_overflows(a: np.ndarray, b: np.ndarray) -> bool:
@@ -780,9 +805,12 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
     """Every supplied window (anywhere, any direction) must be approached."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    for line in lines:
+    for i, line in enumerate(lines):
         if abs(line.length - V_value) > 1e-9 * max(1.0, V_value):
             raise ValueError("every line window must have length V")
+        a, b = line.point(line.t0), line.point(line.t1)
+        _require_in_budget(*_forest_range(spec, a, b, eps), index_budget,
+                           f"forest window {i}, from {a.tolist()} to {b.tolist()},")
 
     def run(item):
         i, line = item
@@ -852,8 +880,6 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"ray origin must be finite, got {x}")
-    if isinstance(directions, DirectionNet):
-        directions = directions.centers
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     below = math.nextafter(eps_floor, 0.0)  # dist <= below iff dist < eps_floor
 
@@ -987,21 +1013,23 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
     """Per net direction, the least W (min of ``_reach_offsets``) with
     [t0, t0 + W] within eps of a point, or above V. Points of radius
     r > 2*eps - t0 have a >= r - 2*eps, so a direction at most r - 3*eps - t0
-    is settled."""
+    is settled. On the circle grid each block's points (``_arc_blocks``)
+    write only the unsettled cells they reach (``_mark_windows``), and the
+    sweep stops when no cell is unsettled."""
     best = np.full(len(net), math.inf)
 
     def unsettled(r):
         return best > (r - 3.0 * eps - t0 if r > 3.0 * eps - t0 else -math.inf)
 
     n_lo, n_hi, arcs = _window_arcs(spec, t0, t0 + V, eps, index_budget)
-    if net.uniform_grid:  # each point's arcs meet the cells still unsettled
+    if net.uniform_grid:
         for _, radii, theta, angles, halfw in _arc_blocks(spec, n_lo, n_hi, arcs):
-            def write(at, cells, radii=radii, theta=theta):
+            def write(at, cells):
                 r, delta = radii[at], theta[at] - cells * (TWO_PI / len(net))
                 np.minimum.at(best, cells, _reach_offsets(r * np.cos(delta),
                                                           r * np.sin(delta), eps, t0))
 
-            _mark_windows(len(net), lambda r=radii[0]: unsettled(r), angles, halfw, write)
+            _mark_windows(len(net), lambda: unsettled(radii[0]), angles, halfw, write)
             if not unsettled(radii[-1]).any():
                 break
         return best

@@ -2,13 +2,16 @@
 looks up by module and name, and its counters read some of their arguments
 by position. A rename that drops one breaks traced benchmark runs, and a
 moved argument silently miscounts, while the rest of the suite passes, so
-each lookup and each counted argument is checked here."""
+each lookup and each counted argument is checked here, and so is that the
+hooked visibility layers still have callers."""
 
 import importlib
 import inspect
 import re
 import runpy
 from pathlib import Path
+
+import spiralvis.visibility as vis
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
@@ -50,3 +53,23 @@ def test_tracer_counted_arguments_keep_their_positions():
             assert params[position] == name, \
                 f"spiralvis.{mod}.{attr} argument {position} is {params[position]!r}, " \
                 f"but perfbench/tracer.py reads it as {name!r}"
+
+
+def test_hooked_layers_stay_on_production_paths(monkeypatch, ladder, fib_sphere, golden):
+    # a layer the tracer times but no check calls any more reads 0 in every
+    # traced run; perfbench/smoke.py notices only after minutes
+    calls = {name: 0 for name in
+             ("_mark_windows", "_exact_cell_witnesses", "_directional_window_check")}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(vis, name, counted(name, getattr(vis, name)))
+    vis.check_orchard(ladder, 0.2, 10.0)
+    vis.check_uniform_orchard(fib_sphere, 0.5, 1.0, [0.0])
+    vis.estimate_min_visibility(golden, "orchard", [0.3])
+    assert all(calls.values()), calls

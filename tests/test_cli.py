@@ -324,6 +324,15 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             main(["delone", *argv])
         assert err.value.code == 2
     assert "finite" in capsys.readouterr().err
+    for argv in (["uniform", "--t0", "1e200", "--V", "5", "--eps", "0.1"],
+                 ["forest", "--seq", "golden-angle", "--eps", "0.1", "--V", "44",
+                  "--line", "1,0,5000,5044"]):  # no index of the window within budget
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "past the index budget 10000000" in message
+        assert max(map(len, message.split())) < 40  # names no 400-digit index
     with pytest.raises(SystemExit) as err:  # an empty index range is no verdict
         main(["visible", "--seq", "rational-ladder", "--x", "0,1", "--dir", "1,0",
               "--budget", "-3", "--Tmax", "50"])

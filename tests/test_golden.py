@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from conftest import assert_same
 
 from spiralvis.cli import main
 
@@ -87,13 +88,13 @@ def render_csv(argv, flag) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_payload(name):
     want = (GOLDEN_DIR / f"{name}.json").read_text()
-    assert render(CASES[name]) == want
+    assert_same(render(CASES[name]), want)
 
 
 @pytest.mark.parametrize("name", sorted(CSV_CASES))
 def test_golden_csv(name):
     want = (GOLDEN_DIR / f"{name}.csv").read_text()
-    assert render_csv(*CSV_CASES[name]) == want
+    assert_same(render_csv(*CSV_CASES[name]), want)
 
 
 def test_every_golden_file_has_a_case():

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_same
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -42,16 +43,6 @@ def to_jsonable(obj):
 
 def oracle(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
-
-
-def assert_same(got: str, want: str) -> None:
-    """Equal texts; else fail naming the first differing line (a full diff of
-    a thousand-row payload takes pytest minutes)."""
-    if got != want:
-        got_lines, want_lines = got.split("\n"), want.split("\n")
-        i = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
-                 min(len(got_lines), len(want_lines)))
-        pytest.fail(f"line {i + 1}: wrote {got_lines[i:i + 1]}, want {want_lines[i:i + 1]}")
 
 
 @dataclasses.dataclass

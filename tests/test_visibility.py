@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spiralvis import (
+    DirectionNet,
     LineParam,
     NetMeshError,
     SequenceSpec,
@@ -21,7 +22,7 @@ from spiralvis import (
 )
 from spiralvis.geometry import radial_hit_halfwidth, segment_distances
 from spiralvis.sequences import save_sequence_file
-from spiralvis.spirals import CHUNK, count_in_ball, point_batch
+from spiralvis.spirals import CHUNK, annulus_index_range, count_in_ball, point_batch
 from spiralvis.visibility import (
     MISS,
     _cap_witnesses,
@@ -31,6 +32,7 @@ from spiralvis.visibility import (
     _first_writers,
     _net_check,
     _window_arcs,
+    segment_norm_range,
 )
 
 TWO_PI = 2 * math.pi
@@ -632,3 +634,58 @@ def test_failure_rows_are_built_for_the_written_prefix(ladder):
     assert rep["failure_count"] == len(rows)
     assert rep["pass_fraction"] == 1.0 - len(rows) / (2 * len(net))
     assert not rep["passed"]
+
+
+def test_windows_past_the_budget_are_rejected(golden):
+    # when every index of a window's eps-widened annulus exceeds the budget,
+    # no point is read, and every direction would fail for want of reading
+    eps, V, t0 = 0.1, 5.0, 10.0
+    first = annulus_index_range(t0 - eps, t0 + V + eps + 1e-12, 1)[0]
+    rep = check_uniform_orchard(golden, eps, V, [t0], index_budget=first)
+    assert rep.witness_count > 0 and {w.n for w in rep.witnesses} == {first}
+    with pytest.raises(ValueError, match=f"window \\[{t0!r}, {t0 + V!r}\\] lies wholly "
+                                         "past the index budget"):
+        check_uniform_orchard(golden, eps, V, [t0], index_budget=first - 1)
+    line = LineParam.at_angle(1.0, 0.0, t0, t0 + V)
+    near, far = segment_norm_range(line.point(t0), line.point(t0 + V))
+    first = annulus_index_range(near - eps, far + eps, 1)[0]
+    rep = check_dense_forest(golden, eps, V, [line], index_budget=first)
+    assert rep.failures[0]["min_distance"] < math.inf  # index `first` was read
+    with pytest.raises(ValueError, match="forest window .* past the index budget"):
+        check_dense_forest(golden, eps, V, [line], index_budget=first - 1)
+    # an annulus that holds no index keeps its verdict, budget or not
+    assert annulus_index_range(100.1 - 1e-6, 100.1 + 2e-6, 1) == (10021, 10020)
+    rep = check_uniform_orchard(golden, 1e-6, 1e-6, [100.1], index_budget=10)
+    assert not rep.passed and len(rep.failures) == rep.total_checks
+
+
+def test_public_checks_agree_on_the_grid_and_a_stored_circle_net(golden, ladder):
+    # net.uniform_grid alone selects the engine: the same d=1 centers stored
+    # in a plain net take the cap sweep; both must give the same failures,
+    # hit counts and witness indices, except at most 2 directions that a
+    # float tie at a cap's edge may decide either way
+    def by_direction(rep):
+        failed = np.array([row["direction"] for row in rep.failures], dtype=np.int64)
+        hit = np.setdiff1d(np.arange(rep.total_checks), failed)
+        return failed, dict(zip(hit.tolist(), (w.n for w in rep.witnesses)))
+
+    for spec, eps, V, t0 in ((golden, 0.2, 8.0, -12.5), (ladder, 0.3, 12.0, -7.0)):
+        grid = build_direction_net(1, eps / (4 * V))
+        net = DirectionNet.from_centers(grid.centers, dimension=1, mesh=grid.mesh,
+                                        covering_radius=grid.covering_radius)
+        assert grid.uniform_grid and not net.uniform_grid
+        for run in (lambda n: check_orchard(spec, eps, V, net=n),
+                    lambda n: check_orchard(spec, eps, V, net=n, method="certificate"),
+                    lambda n: check_uniform_orchard(spec, eps, V, [t0], net=n)):
+            want, got = run(grid), run(net)
+            (fail_w, wit_w), (fail_g, wit_g) = by_direction(want), by_direction(got)
+            ties = set(np.setxor1d(fail_w, fail_g).tolist())
+            ties |= {j for j in wit_w.keys() & wit_g.keys() if wit_w[j] != wit_g[j]}
+            assert len(ties) <= 2
+            assert abs(want.witness_count - got.witness_count) <= 2
+            assert 0 < len(fail_w) < len(grid)  # some directions fail, some are hit
+            assert len(want.witnesses) == len(got.witnesses)
+            if not ties:
+                assert np.array_equal(fail_w, fail_g)
+                assert want.witness_count == got.witness_count
+                assert [w.n for w in want.witnesses] == [w.n for w in got.witnesses]
