@@ -805,12 +805,9 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
     """Every supplied window (anywhere, any direction) must be approached."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    for i, line in enumerate(lines):
+    for line in lines:
         if abs(line.length - V_value) > 1e-9 * max(1.0, V_value):
             raise ValueError("every line window must have length V")
-        a, b = line.point(line.t0), line.point(line.t1)
-        _require_in_budget(*_forest_range(spec, a, b, eps), index_budget,
-                           f"forest window {i}, from {a.tolist()} to {b.tolist()},")
 
     def run(item):
         i, line = item
@@ -820,6 +817,11 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
         return i, hit, dist, n, line.t0 + t_arc
 
     results = parallel_map(run, list(enumerate(lines)))
+    for i, _, _, n, _ in results:
+        if n < 0:  # no point read: an empty annulus, or one wholly past the budget
+            a, b = lines[i].point(lines[i].t0), lines[i].point(lines[i].t1)
+            _require_in_budget(*_forest_range(spec, a, b, eps), index_budget,
+                               f"forest window {i}, from {a.tolist()} to {b.tolist()},")
     failures = [{"line": i, "min_distance": dist}
                 for i, hit, dist, _, _ in results if not hit]
     witnesses = [HitWitness(n, t, dist)
