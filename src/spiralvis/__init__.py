@@ -12,9 +12,7 @@ from .covering import (
     CoveringRadiusResult,
     CriterionTable,
     UniformCoveringEstimate,
-    WindowSet,
     covering_radius,
-    direction_window,
     uniform_covering_parameter,
     uniform_orchard_criterion,
     visibility_from_covering,
@@ -27,15 +25,11 @@ from .sequences import (
     TriangularDecomposition,
     direction_batch,
     sequence_term,
-    star_discrepancy,
     triangular_decompose,
 )
 from .sphere import (
     DirectionNet,
-    SphericalCap,
     build_direction_net,
-    geodesic_distance,
-    polar_distance,
     unit_vector,
 )
 from .spirals import (

@@ -70,39 +70,6 @@ def covering_radius(points, d: int | None = None, mode: str = "auto",
     return CoveringRadiusResult(value, False, net.mesh)
 
 
-@dataclass
-class WindowSet:
-    """The floor(x) consecutive directions following index h^(d+1)."""
-
-    h: int
-    x: float
-    d: int
-    indices: np.ndarray
-    members: np.ndarray
-
-    def __post_init__(self):
-        if len(self.indices) != int(self.x):
-            raise ValueError("window holds floor(x) members")
-
-
-def direction_window(spec: SequenceSpec, h: int, x: float,
-                     index_budget: int = 10**8) -> WindowSet:
-    """Members u_{h^(d+1)+1} .. u_{h^(d+1)+floor(x)}."""
-    if h < 1:
-        raise ValueError(f"window base h must be >= 1, got {h}")
-    if x < 1:
-        raise ValueError(f"window length x must be >= 1, got {x}")
-    start = h ** (spec.d + 1)
-    top = start + int(x)
-    if top > index_budget:
-        raise BudgetExceededError(
-            f"window [{start + 1}, {top}] exceeds index budget {index_budget}"
-        )
-    indices = np.arange(start + 1, top + 1, dtype=np.int64)
-    return WindowSet(h=h, x=x, d=spec.d, indices=indices,
-                     members=direction_batch(spec, indices))
-
-
 def _window_radius(spec: SequenceSpec, start: int, count: int,
                    resolution: float | None, cache: dict) -> float:
     key = (start, count)
@@ -183,15 +150,6 @@ class CriterionTable:
             "constants": {"K": self.K, "c_U": self.c_U, "kappa_U": self.kappa_U},
             "rows": self.rows,
         }
-
-    def growth_along_h(self) -> dict[float, list]:
-        """Per-eps ratios of consecutive cell values as h doubles."""
-        out: dict[float, list] = {}
-        for eps in sorted({row["eps"] for row in self.rows}, reverse=True):
-            vals = [r["value"] for r in self.rows
-                    if r["eps"] == eps and r["status"] == "ok"]
-            out[eps] = [b / a for a, b in zip(vals, vals[1:]) if a > 0]
-        return out
 
 
 def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,

@@ -14,9 +14,6 @@ import numpy as np
 from .sequences import SequenceSpec
 from .spirals import count_in_ball, iter_point_chunks
 
-GOLDEN_RATIO_QUOTIENTS = itertools.repeat(1)
-
-
 def _fraction_quotients(x: Fraction):
     """Finite continued-fraction expansion of a rational."""
     num, den = x.numerator, x.denominator
@@ -88,13 +85,6 @@ def _badness_from_quotients(quotients, Q: int, tail_terms: int = 48) -> float:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
     return best
-
-
-def brute_badness(theta: float, Q: int) -> float:
-    """Reference scan over every q <= Q in float arithmetic (test oracle)."""
-    q = np.arange(1, Q + 1, dtype=np.float64)
-    frac = (q * theta) % 1.0
-    return float((q * np.minimum(frac, 1.0 - frac)).min())
 
 
 def liouville_like(levels: int = 3) -> Fraction:

@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 
 def segment_distances(points: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each point to the closed segment [a, b].
@@ -59,12 +57,6 @@ def ray_to_ray_distance(x, v, u, s_min: float = 0.0) -> float:
     t1 = max(0.0, float(-(x - s_min * u) @ v))
     best = min(best, val(t1, s_min))
     return best
-
-
-def wrap_angle(angles):
-    """Wrap to (-pi, pi]."""
-    a = np.mod(np.asarray(angles, dtype=np.float64) + math.pi, TWO_PI) - math.pi
-    return np.where(a == -math.pi, math.pi, a)
 
 
 def radial_hit_halfwidth(r, t_lo: float, t_hi: float, eps: float) -> np.ndarray:

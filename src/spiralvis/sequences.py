@@ -9,7 +9,6 @@ Fibonacci lattice stands in for explicit higher-dimensional constructions;
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,10 +30,6 @@ class TriangularDecomposition:
 
     k: int
     p: int
-
-    @property
-    def n(self) -> int:
-        return self.k * (self.k + 1) // 2 + self.p
 
 
 def triangular_decompose(n: int) -> TriangularDecomposition:
@@ -188,10 +183,6 @@ def load_sequence_file(path: str | Path, d: int) -> np.ndarray:
     return units
 
 
-def save_sequence_file(path: str | Path, points: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(points, dtype=np.float64), fmt="%.17g")
-
-
 def direction_batch(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
     """Directions u_n for an array of indices, as an (m, d+1) array."""
     ns = np.asarray(ns, dtype=np.int64)
@@ -232,11 +223,3 @@ def sequence_term(spec: SequenceSpec, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     return direction_batch(spec, np.array([n]))[0]
-
-
-def star_discrepancy(values: np.ndarray) -> float:
-    """Star discrepancy of a sample in [0, 1): max deviation of the empirical CDF."""
-    xs = np.sort(np.asarray(values, dtype=np.float64))
-    n = len(xs)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - xs), np.max(xs - (i - 1) / n)))

@@ -1,4 +1,4 @@
-"""Spherical geometry kernels: geodesic/polar distances, caps, and direction nets.
+"""Unit vectors and direction nets on S^d.
 
 All geodesic quantities are in radians, all Euclidean quantities unit-free.
 Directions live on the d-sphere embedded in R^(d+1) as float64 arrays.
@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-NORM_TOL = 1e-12
 
 
 def normalized(v) -> np.ndarray:
@@ -47,67 +45,9 @@ def unit_vector(coords) -> np.ndarray:
     return u
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def geodesic_distance(a, b) -> float:
-    """Great-circle distance on S^d, in [0, pi].
-
-    The inner product is clamped to [-1, 1] before arccos; float drift at
-    near-identical vectors would otherwise leave the domain.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_same_dim(a, b)
-    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-
-
-def polar_distance(r: float, a, rho: float, b) -> float:
-    """Euclidean distance between r*a and rho*b for unit vectors a, b.
-
-    Expanding sqrt(r^2 + rho^2 - 2*r*rho*cos(theta)) cancels catastrophically
-    at r ~ rho, a ~ b; the identity (r-rho)^2 + r*rho*|a-b|^2 is used instead.
-    """
-    if not (math.isfinite(r) and math.isfinite(rho)):
-        raise ValueError("radii must be finite")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_same_dim(a, b)
-    chord = float(np.linalg.norm(a - b))
-    return math.hypot(r - rho, math.sqrt(max(r * rho, 0.0)) * chord)
-
-
-@dataclass(frozen=True)
-class SphericalCap:
-    """Geodesic cap: all directions within ``radius`` of ``center``."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.radius <= math.pi:
-            raise ValueError(f"cap radius must be in [0, pi], got {self.radius}")
-
-    def contains(self, v) -> bool:
-        return geodesic_distance(self.center, v) <= self.radius
-
-
 def _sphere_area(d: int) -> float:
     """Surface area of S^d."""
     return 2 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
-
-
-def _cap_packing_count_bound(d: int) -> float:
-    """Upper bound on the number of pairwise-(3*delta/4)-separated directions,
-    as a multiple of delta^-d.
-
-    From disjoint caps of radius 3*delta/8 and sin(t) >= (2/pi) t on [0, pi/2]:
-    count <= C1(d) * (4*pi/(3*delta))^d with C1 = 2 d surf(S^d)/(pi surf(S^(d-1))).
-    """
-    c1 = 2 * d * _sphere_area(d) / (math.pi * _sphere_area(d - 1))
-    return c1 * (4 * math.pi / 3) ** d
 
 
 @dataclass
@@ -125,12 +65,7 @@ class DirectionNet:
     mesh: float
     count: int
     covering_radius: float
-    c_net: float = field(default=0.0)
     uniform_grid: bool = False
-
-    def __post_init__(self):
-        if self.c_net == 0.0:
-            self.c_net = 4.0 if self.dimension == 1 else _cap_packing_count_bound(self.dimension)
 
     @classmethod
     def from_centers(cls, centers: np.ndarray, **kwargs) -> "DirectionNet":
@@ -147,15 +82,6 @@ class DirectionNet:
 
     def __len__(self) -> int:
         return self.count
-
-    @property
-    def angles(self) -> np.ndarray:
-        if self.dimension != 1:
-            raise ValueError("angles are only defined for circle nets")
-        return np.arctan2(self.centers[:, 1], self.centers[:, 0]) % (2 * math.pi)
-
-    def count_bound_ok(self) -> bool:
-        return self.count <= self.c_net * self.mesh ** (-self.dimension)
 
 
 def _uniform_circle_net(delta: float) -> DirectionNet:

@@ -255,11 +255,6 @@ def write_point_blocks(path: str | Path, d: int, n_lo: int, n_hi: int, blocks) -
             write(ns, coords)
 
 
-def read_points_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return body[:, 0].astype(np.int64), body[:, 1:]
-
-
 def read_points_binary(path: str | Path) -> tuple[int, int, int, np.ndarray]:
     """Inverse of ``write_points_binary``; a header that disagrees with the
     file size is a ValueError."""

@@ -3,10 +3,12 @@
 Each continuum property ("every direction", "every line") is certified on a
 finite direction net whose covering radius is proved (the uniform circle grid
 for d=1, the cube sphere of ``sphere.build_direction_net`` for d>=2); with
-net mesh at most eps/(4V) a pass certifies the continuum statement at
-tolerance eps + V*mesh, which every report records. Candidate indices are
-capped in closed form from the query window, inflated by eps, so truncation
-is rigorous rather than heuristic.
+net mesh at most eps/(4V) a pass certifies the continuum statement for the
+window [0, V] at tolerance eps + V*mesh. For a shifted window [t0, t0 + V]
+the triangle inequality gives only eps + max(|t0|, |t0 + V|)*mesh; every
+report, the uniform check's included, still records eps + V*mesh. Candidate
+indices are capped in closed form from the query window, inflated by eps,
+so truncation is rigorous rather than heuristic.
 
 Window sweeps turn each point into a cap of directions it reaches
 (``geometry.radial_hit_halfwidth``) and read points in index order until no
@@ -18,11 +20,15 @@ per block of points marks every cell the block's runs cover, and the cells
 left open fail; the witnesses of the first 100 hit cells are tracked for
 cells 0-99 during the pass and found by a rescan (``_first_writers``) only
 when one of those fails. On any other net (S^d) ``_directional_window_check``
-runs ``_cap_witnesses``, which keeps the open centers sorted by their last
-coordinate z and tests each point only against the run of centers whose z
-lies in its cap's polar band (``_polar_bands``). On the circle grid the
-minimal-visibility reach (``_window_reach``) hands each point of a block
-(``_arc_blocks``) the still-unsettled cells it reaches (``_mark_windows``).
+runs ``_cap_witnesses``. It and the S^d minimal-visibility reach
+(``_window_reach``) share one pair sweep, ``_band_pairs``, which keeps the
+open centers sorted by their last coordinate z and pairs each point only
+with the run of centers whose z lies in its cap's polar band
+(``_polar_bands``), so no point-by-center matrix is formed: the checks keep
+the pairs that pass the exact cap test and lower each center's witness, the
+reach lowers each center's least reach offset. On the circle grid the reach
+hands each point of a block (``_arc_blocks``) the still-unsettled cells it
+reaches (``_mark_windows``).
 
 Segment scans (the forest windows and the visible-point rays) take their
 points from one candidate source, ``_segment_candidates``: blocks, in index
@@ -430,27 +436,35 @@ def _polar_bands(z: np.ndarray, s: np.ndarray, cos_h: np.ndarray):
     return lo, hi
 
 
-def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int,
-                   arcs, pairs_per_block: int = 1 << 21) -> np.ndarray:
-    """Smallest index in [n_lo, n_hi] per center whose point lies in that
-    center's cap: u.c >= cos(h) for the point's direction u and half-width
-    h = reach(ns, radii), per (flip, reach) in ``arcs``, about c for flip 0
-    and u.c <= -cos(h), about -c, for flip pi (negative half-widths never
-    hit, half-widths of pi or more always do).
+def _band_pairs(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int, arcs,
+                still_open, write, pairs_per_block: int = 1 << 21) -> None:
+    """Hand ``write(ns, radii, units, point, center, dots, sign, cos_h)``
+    each chunk of the (point, center) pairs of [n_lo, n_hi] x ``centers``
+    whose center may lie in the point's cap: ``point`` indexes the block's
+    ``ns``, ``radii`` and unit directions ``units``, ``center`` indexes
+    ``centers``, ``dots`` is u.c, and the cap is {c : sign * u.c >= cos_h},
+    about c for flip 0 (sign 1) and about -c for flip pi (sign -1), of
+    half-width h = reach(ns, radii) per (flip, reach) in ``arcs`` (negative
+    half-widths reach nothing; half-widths of pi or more have cos_h = -inf).
 
     The open centers are kept sorted by their last coordinate, so the
     centers a cap about +-u can hold are one contiguous run, found by
     ``searchsorted`` on its polar band (``_polar_bands``); only those pairs
-    are tested. Points are read in index order, in blocks of at most
-    ``pairs_per_block`` // (open centers) points (and at most ``CHUNK``);
-    a block's (point, candidate) pairs are tested in chunks of at most
-    ``pairs_per_block``, and the centers it resolves leave the sweep.
+    are handed on. Points are read in index order, in blocks of at most
+    ``pairs_per_block`` // (open centers) points (and at most ``CHUNK``),
+    and a block's pairs go in chunks of at most ``pairs_per_block``. Before
+    each block, the centers (indices ``c`` into ``centers``) for which
+    ``still_open(c, r)`` is false leave the sweep, r the radius of the
+    block's first point; the sweep stops when none is left.
     """
-    witness = np.full(len(centers), MISS, dtype=np.int64)
     open_ = np.argsort(centers[:, -1], kind="stable")
     ordered = centers[open_]
     lo = max(1, n_lo)
-    while lo <= n_hi and len(open_):
+    while lo <= n_hi:
+        keep = still_open(open_, radius_of_index(lo, spec.d))
+        open_, ordered = open_[keep], ordered[keep]
+        if not len(open_):
+            return
         hi = min(n_hi, lo + min(CHUNK, max(1, pairs_per_block // len(open_))) - 1)
         ns = np.arange(lo, hi + 1, dtype=np.int64)
         lo = hi + 1
@@ -475,10 +489,23 @@ def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int
             row = np.searchsorted(ends, q, side="right")
             at = start[row] + q - (ends[row] - count[row])
             dots = np.einsum("ij,ij->i", units[point[row]], ordered[at])
-            inside = np.flatnonzero(sign[row] * dots >= cos_h[row])
-            np.minimum.at(witness, open_[at[inside]], ns[point[row[inside]]])
-        keep = witness[open_] == MISS
-        open_, ordered = open_[keep], ordered[keep]
+            write(ns, radii, units, point[row], open_[at], dots, sign[row], cos_h[row])
+
+
+def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int,
+                   arcs, pairs_per_block: int = 1 << 21) -> np.ndarray:
+    """Smallest index in [n_lo, n_hi] per center whose point lies in that
+    center's cap, from the pair sweep (``_band_pairs``): the pairs that pass
+    the exact test sign * u.c >= cos(h) lower their center's witness, and a
+    center leaves the sweep once it has one."""
+    witness = np.full(len(centers), MISS, dtype=np.int64)
+
+    def write(ns, radii, units, point, center, dots, sign, cos_h):
+        inside = np.flatnonzero(sign * dots >= cos_h)
+        np.minimum.at(witness, center[inside], ns[point[inside]])
+
+    _band_pairs(spec, centers, n_lo, n_hi, arcs, lambda c, r: witness[c] == MISS, write,
+                pairs_per_block)
     return witness
 
 
@@ -1017,13 +1044,16 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
     r > 2*eps - t0 have a >= r - 2*eps, so a direction at most r - 3*eps - t0
     is settled. On the circle grid each block's points (``_arc_blocks``)
     write only the unsettled cells they reach (``_mark_windows``), and the
-    sweep stops when no cell is unsettled."""
+    sweep stops when no cell is unsettled; on any other net the pairs of the
+    cap sweep (``_band_pairs``) lower their unsettled centers. A window the
+    checks reject as wholly past the budget (``_budget_window_arcs``) is
+    rejected here too."""
     best = np.full(len(net), math.inf)
 
     def unsettled(r):
         return best > (r - 3.0 * eps - t0 if r > 3.0 * eps - t0 else -math.inf)
 
-    n_lo, n_hi, arcs = _window_arcs(spec, t0, t0 + V, eps, index_budget)
+    n_lo, n_hi, arcs = _budget_window_arcs(spec, t0, t0 + V, eps, index_budget)
     if net.uniform_grid:
         for _, radii, theta, angles, halfw in _arc_blocks(spec, n_lo, n_hi, arcs):
             def write(at, cells):
@@ -1035,11 +1065,15 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
             if not unsettled(radii[-1]).any():
                 break
         return best
-    for _, radii, coords in iter_point_chunks(spec, n_lo, n_hi,
-                                              max(1, (1 << 21) // len(net))):
-        along = coords @ net.centers.T
-        perp = np.sqrt(np.maximum(radii[:, None] ** 2 - along**2, 0.0))
-        np.minimum(best, _reach_offsets(along, perp, eps, t0).min(axis=0), out=best)
+
+    def write(ns, radii, units, point, center, dots, sign, cos_h):
+        # perp is r |u - (u.c) c|: sqrt(r^2 - along^2) cancels for a point
+        # near the line, losing ~1e-11 of a reach at t0 = -70
+        r = radii[point]
+        perp = r * np.linalg.norm(units[point] - dots[:, None] * net.centers[center], axis=1)
+        np.minimum.at(best, center, _reach_offsets(r * dots, perp, eps, t0))
+
+    _band_pairs(spec, net.centers, n_lo, n_hi, arcs, lambda c, r: unsettled(r)[c], write)
     return best
 
 

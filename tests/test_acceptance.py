@@ -24,6 +24,7 @@ from spiralvis import (
     verify_proximity_sandwich,
     visible_point_test,
 )
+from oracles import growth_along_h
 from spiralvis.cli import main as cli_main
 from spiralvis.geometry import segment_distances
 from spiralvis.sequences import triangular_decompose_batch
@@ -145,8 +146,7 @@ def test_criterion_5(golden, constant_seq):
     diverged = estimate_min_visibility(constant_seq, "uniform", [0.1],
                                        v_cap=64.0)
     assert diverged.entries[0].status == "diverged"
-    growth = uniform_orchard_criterion(
-        constant_seq, lambda e: 1.0 / e).growth_along_h()
+    growth = growth_along_h(uniform_orchard_criterion(constant_seq, lambda e: 1.0 / e))
     assert all(r >= 1.5 for rs in growth.values() for r in rs)
     verdict = visible_point_test(constant_seq, np.array([0.0, 2.0]),
                                  np.array([[0.0, 1.0]]), eps_floor=0.1,
@@ -216,7 +216,7 @@ def test_criterion_7(golden, constant_seq):
     assert table.sup == pytest.approx(CRITERION_SUP_GOLDEN, rel=1e-9)
     assert table.sup < 8.0  # bounded on the default grid
     const_table = uniform_orchard_criterion(constant_seq, lambda e: 1.0 / e)
-    for ratios in const_table.growth_along_h().values():
+    for ratios in growth_along_h(const_table).values():
         assert ratios and all(r >= 1.5 for r in ratios)
     # matches the pass/fail outcomes of the direct check on the same specs
     eps = 0.1

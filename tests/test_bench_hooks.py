@@ -3,17 +3,21 @@ looks up by module and name, and its counters read some of their arguments
 by position. A rename that drops one breaks traced benchmark runs, and a
 moved argument silently miscounts, while the rest of the suite passes, so
 each lookup and each counted argument is checked here, and so is that the
-hooked visibility layers still have callers."""
+hooked visibility layers still have callers. So is that every public name
+has a caller outside the tests."""
 
+import ast
 import importlib
 import inspect
 import re
 import runpy
 from pathlib import Path
 
+import spiralvis
 import spiralvis.visibility as vis
 
-TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_tracer_hooks_resolve():
@@ -73,3 +77,39 @@ def test_hooked_layers_stay_on_production_paths(monkeypatch, ladder, fib_sphere,
     vis.check_uniform_orchard(fib_sphere, 0.5, 1.0, [0.0])
     vis.estimate_min_visibility(golden, "orchard", [0.3])
     assert all(calls.values()), calls
+
+
+# public names that only the tests call, each with its reason
+NO_PRODUCTION_CALLER = {
+    "line_proximity_check": "acceptance pins the sandwich constants",
+    "verify_proximity_sandwich": "acceptance pins the sandwich constants",
+    "calibrate_proximity_sandwich": "acceptance pins the sandwich constants",
+}
+
+
+def _referenced(path: Path) -> set[str]:
+    """The names a file's code reads: loaded names, attributes, imported
+    names and modules, and strings (the tracer names its hooks by string)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+            found.update((node.module or "").split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_public_names_have_production_callers():
+    # a public name that only tests call is library code kept for the tests:
+    # an oracle belongs in tests/oracles.py, anything else nowhere
+    files = [path for path in (ROOT / "src" / "spiralvis").glob("*.py")
+             if path.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*map(_referenced, files))
+    orphans = sorted(set(spiralvis.__all__) - used - set(NO_PRODUCTION_CALLER))
+    assert not orphans, f"public names that only the tests call: {orphans}"
+    assert set(NO_PRODUCTION_CALLER) <= set(spiralvis.__all__) - used

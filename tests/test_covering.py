@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from oracles import growth_along_h
 from spiralvis import (
-    BudgetExceededError,
     covering_radius,
     direction_batch,
-    direction_window,
     uniform_covering_parameter,
     uniform_orchard_criterion,
     visibility_from_covering,
 )
 
 GOLDEN_100_RADIUS = 0.04132959128021163  # exact gap scan, first 100 terms
+
+
+def window_indices(spec, h, x):
+    """The indices h^(d+1)+1 .. h^(d+1)+floor(x) of a window of the windowed
+    covering criteria."""
+    start = h ** (spec.d + 1)
+    return np.arange(start + 1, start + int(x) + 1)
 
 
 def circle_points(angles):
@@ -71,29 +77,12 @@ def test_covering_radius_errors():
         covering_radius(np.eye(3), d=2)  # needs net or resolution
 
 
-def test_direction_window_examples(ladder, golden, fib_sphere):
-    w = direction_window(ladder, 1, 3.0)
-    assert w.indices.tolist() == [2, 3, 4]
-    assert np.array_equal(w.members, direction_batch(ladder, w.indices))
-    assert direction_window(golden, 2, 1.0).indices.tolist() == [5]
-    assert direction_window(fib_sphere, 2, 2.0).indices.tolist() == [9, 10]
-
-
-def test_direction_window_budget_refusal(golden):
-    with pytest.raises(BudgetExceededError):
-        direction_window(golden, 10**5, 10.0, index_budget=10**6)
-    with pytest.raises(ValueError):
-        direction_window(golden, 0, 3.0)
-    with pytest.raises(ValueError):
-        direction_window(golden, 1, 0.5)
-
-
 def test_window_nesting_and_monotone_covering(golden):
-    small = direction_window(golden, 3, 10.0)
-    large = direction_window(golden, 3, 25.0)
-    assert set(small.indices.tolist()) <= set(large.indices.tolist())
-    r_small = covering_radius(small.members, d=1).value
-    r_large = covering_radius(large.members, d=1).value
+    small = window_indices(golden, 3, 10.0)
+    large = window_indices(golden, 3, 25.0)
+    assert set(small.tolist()) <= set(large.tolist())
+    r_small = covering_radius(direction_batch(golden, small), d=1).value
+    r_large = covering_radius(direction_batch(golden, large), d=1).value
     assert r_large <= r_small + 1e-15
 
 
@@ -106,7 +95,7 @@ def test_ucp_constant_diverges(constant_seq):
 
 def test_ucp_single_window_reduction(golden):
     est = uniform_covering_parameter(golden, 1.0, [5], [1])
-    w = direction_window(golden, 1, 1.0)  # any single direction covers at pi
+    # any single direction covers at pi
     assert est.value == pytest.approx(math.pi)
 
 
@@ -122,8 +111,8 @@ def test_criterion_cells_reproducible(golden):
                                       eps_grid=(0.1,), h_mults=(2,))
     row = table.rows[0]
     h, eps = row["h"], row["eps"]
-    w = direction_window(golden, h, 1.0 * h * (1.0 / eps))
-    again = covering_radius(w.members, d=1).value
+    w = window_indices(golden, h, 1.0 * h * (1.0 / eps))
+    again = covering_radius(direction_batch(golden, w), d=1).value
     assert row["radius"] == pytest.approx(again, abs=0)
     assert row["value"] == pytest.approx(h / eps * again, abs=0)
 
@@ -132,7 +121,7 @@ def test_criterion_golden_bounded_constant_grows(golden, constant_seq):
     tab = uniform_orchard_criterion(golden, lambda e: 1.0 / e)
     assert tab.sup < 8.0
     tab_const = uniform_orchard_criterion(constant_seq, lambda e: 1.0 / e)
-    for ratios in tab_const.growth_along_h().values():
+    for ratios in growth_along_h(tab_const).values():
         assert all(r >= 1.5 for r in ratios)
 
 

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spiralvis.geometry import (
-    radial_hit_halfwidth,
-    ray_to_ray_distance,
-    segment_distances,
-    wrap_angle,
-)
+from spiralvis.geometry import radial_hit_halfwidth, ray_to_ray_distance, segment_distances
 
 
 def test_segment_distances_basic():
@@ -46,12 +41,6 @@ def test_ray_to_ray_exact():
         pts_v = x + tg[:, None] * v
         brute = min(np.linalg.norm(pts_v - s * u, axis=1).min() for s in sg[::50])
         assert exact <= brute + 1e-9
-
-
-def test_wrap_angle():
-    assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(-math.pi / 2) == pytest.approx(-math.pi / 2)
-    assert wrap_angle(2 * math.pi + 0.3) == pytest.approx(0.3)
 
 
 def brute_halfwidth(r, t_lo, t_hi, eps, samples=20001):

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import save_sequence_file, star_discrepancy
 from spiralvis import (
     GOLDEN_RATIO,
     SequenceSpec,
     direction_batch,
     sequence_term,
-    star_discrepancy,
     triangular_decompose,
     unit_vector,
 )
@@ -21,7 +21,6 @@ from spiralvis.sequences import (
     angle_batch,
     fractional_multiples,
     load_sequence_file,
-    save_sequence_file,
     triangular_decompose_batch,
 )
 
@@ -33,7 +32,7 @@ TWO_PI = 2 * math.pi
 def test_triangular_examples(n, k, p):
     got = triangular_decompose(n)
     assert (got.k, got.p) == (k, p)
-    assert got.n == n
+    assert got.k * (got.k + 1) // 2 + got.p == n
 
 
 def test_triangular_rejects_nonpositive():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import read_points_csv
 from spiralvis import (
     PunctureSpec,
     PunctureUnresolvedError,
@@ -22,7 +23,6 @@ from spiralvis.spirals import (
     puncture_batch,
     radius_of_index,
     read_points_binary,
-    read_points_csv,
     write_points_binary,
     write_points_csv,
 )

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import save_sequence_file
 import spiralvis.visibility as vis
 from spiralvis import SequenceSpec, build_direction_net, estimate_min_visibility
 from spiralvis.geometry import radial_hit_halfwidth
-from spiralvis.sequences import save_sequence_file
 from spiralvis.spirals import annulus_index_range, iter_point_chunks, point_batch
 from spiralvis.visibility import (
     DEFAULT_BUDGET,
@@ -188,9 +188,9 @@ def _brute_reach(spec, centers, eps, t0, n_max):
             theta = np.arctan2(coords[:, 1], coords[:, 0])
             delta = theta[:, None] - np.arange(len(centers)) * (TWO_PI / len(centers))
             along, perp = radii[:, None] * np.cos(delta), radii[:, None] * np.sin(delta)
-        else:
+        else:  # |p - along c|, not sqrt(r^2 - along^2), which cancels near the line
             along = coords @ centers.T
-            perp = np.sqrt(np.maximum(radii[:, None] ** 2 - along**2, 0.0))
+            perp = np.linalg.norm(coords[:, None, :] - along[:, :, None] * centers, axis=2)
         half = np.sqrt(np.maximum(eps * eps - perp * perp, 0.0))
         ok = (np.abs(perp) <= eps) & (along + half >= t0)
         need = np.where(ok, np.maximum(along - half - t0, 0.0), math.inf)
@@ -208,10 +208,13 @@ def _brute_reach(spec, centers, eps, t0, n_max):
     ("file", 1, 0.004, 0.9, 20.0),
     ("fibonacci-sphere", 2, 0.3, 0.5, 0.0),
     ("fibonacci-sphere", 2, 0.3, 0.5, 4.0),
+    ("fibonacci-sphere", 2, 0.3, 0.5, -7.0),
+    ("fibonacci-sphere", 2, 0.3, 0.5, -70.0),
 ])
 def test_window_reach_matches_brute(kind, d, delta, eps, t0, tmp_path):
     # circle grid and cube-sphere nets; window starts ahead of, at and behind
-    # the origin. Random directions (the file kind) put later points within
+    # the origin, and on S^2 windows straddling 0 and wholly behind it, which
+    # only the flipped caps reach. Random directions (the file kind) put later points within
     # eps of a direction with a smaller a, which the early stop must wait for.
     budget = DEFAULT_BUDGET
     if kind == "file":
@@ -222,8 +225,10 @@ def test_window_reach_matches_brute(kind, d, delta, eps, t0, tmp_path):
     else:
         spec = SPECS[kind] if kind in SPECS else SequenceSpec(kind, d=d)
     net, V = build_direction_net(d, delta), 60.0
-    # points beyond radius |t0| + V + eps cannot come within eps of a window
-    n_max = min(budget, annulus_index_range(0.0, abs(t0) + V + eps + 1.0, d)[1])
+    # points beyond radius max(|t0|, |t0 + V|) + eps cannot come within eps
+    # of a window
+    n_max = min(budget, annulus_index_range(
+        0.0, max(abs(t0), abs(t0 + V)) + eps + 1.0, d)[1])
     want = _brute_reach(spec, net.centers, eps, t0, n_max)
     fits = want <= V
     assert fits.any()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import save_sequence_file
 from spiralvis import (
     DirectionNet,
     LineParam,
@@ -21,7 +22,6 @@ from spiralvis import (
     visible_point_test,
 )
 from spiralvis.geometry import radial_hit_halfwidth, segment_distances
-from spiralvis.sequences import save_sequence_file
 from spiralvis.spirals import CHUNK, annulus_index_range, count_in_ball, point_batch
 from spiralvis.visibility import (
     MISS,
@@ -657,6 +657,15 @@ def test_windows_past_the_budget_are_rejected(golden):
     assert annulus_index_range(100.1 - 1e-6, 100.1 + 2e-6, 1) == (10021, 10020)
     rep = check_uniform_orchard(golden, 1e-6, 1e-6, [100.1], index_budget=10)
     assert not rep.passed and len(rep.failures) == rep.total_checks
+
+
+def test_estimate_rejects_a_window_past_the_budget(golden, fib_sphere):
+    # the reach reads no point of such a window, so every reach would be inf
+    # and the curve would read "diverged" instead of the checks' rejection
+    with pytest.raises(ValueError, match="past the index budget"):
+        estimate_min_visibility(golden, "uniform", [0.3], t0_list=(1e200,), v_cap=64.0)
+    with pytest.raises(ValueError, match="past the index budget"):
+        estimate_min_visibility(fib_sphere, "uniform", [0.3], t0_list=(1e200,), v_cap=4.0)
 
 
 def test_public_checks_agree_on_the_grid_and_a_stored_circle_net(golden, ladder):
