@@ -214,8 +214,9 @@ def _brute_reach(spec, centers, eps, t0, n_max):
 def test_window_reach_matches_brute(kind, d, delta, eps, t0, tmp_path):
     # circle grid and cube-sphere nets; window starts ahead of, at and behind
     # the origin, and on S^2 windows straddling 0 and wholly behind it, which
-    # only the flipped caps reach. Random directions (the file kind) put later points within
-    # eps of a direction with a smaller a, which the early stop must wait for.
+    # only the flipped caps reach. Random directions (the file kind) put later
+    # points within eps of a direction with a smaller a, which the early stop
+    # must wait for.
     budget = DEFAULT_BUDGET
     if kind == "file":
         angles = np.random.default_rng(4).uniform(0.0, TWO_PI, 4000)
