@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequences import SequenceSpec, direction_batch
-from .sphere import DirectionNet, build_direction_net
+from .sphere import build_direction_net
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,13 +41,12 @@ def _circular_covering_radius(points: np.ndarray) -> float:
 
 
 def covering_radius(points, d: int | None = None, mode: str = "auto",
-                    net: DirectionNet | None = None,
                     resolution: float | None = None) -> CoveringRadiusResult:
     """Largest geodesic distance from any direction to the set.
 
-    On the circle this is half the largest gap, exact. Otherwise the sup is
-    taken over a net and the value carries a one-sided error of at most the
-    net mesh.
+    On the circle this is half the largest gap, exact. Otherwise (net mode)
+    the sup is taken over the net ``build_direction_net(d, resolution)`` and
+    the value carries a one-sided error of at most that net's mesh.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] == 0:
@@ -59,10 +58,9 @@ def covering_radius(points, d: int | None = None, mode: str = "auto",
         return CoveringRadiusResult(_circular_covering_radius(pts), True, 0.0)
     if mode == "exact":
         raise ValueError("exact covering radius is only available on the circle")
-    if net is None:
-        if resolution is None:
-            raise ValueError("net mode needs a net or a resolution")
-        net = build_direction_net(dim, resolution)
+    if resolution is None:
+        raise ValueError("net mode needs a resolution")
+    net = build_direction_net(dim, resolution)
     value = 0.0
     for chunk in np.array_split(net.centers, max(1, len(net.centers) // 4096)):
         dots = chunk @ pts.T
@@ -71,16 +69,11 @@ def covering_radius(points, d: int | None = None, mode: str = "auto",
 
 
 def _window_radius(spec: SequenceSpec, start: int, count: int,
-                   resolution: float | None, cache: dict) -> float:
-    key = (start, count)
-    if key not in cache:
-        if count < 1:
-            cache[key] = math.inf
-        else:
-            idx = np.arange(start + 1, start + count + 1, dtype=np.int64)
-            pts = direction_batch(spec, idx)
-            cache[key] = covering_radius(pts, d=spec.d, resolution=resolution).value
-    return cache[key]
+                   resolution: float | None) -> float:
+    if count < 1:
+        return math.inf
+    pts = direction_batch(spec, np.arange(start + 1, start + count + 1, dtype=np.int64))
+    return covering_radius(pts, d=spec.d, resolution=resolution).value
 
 
 @dataclass
@@ -113,7 +106,6 @@ def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
     {u_(m+n) : 1 <= n <= C*N}; divergence shows as growth along the grids."""
     if C <= 0:
         raise ValueError("scale constant C must be positive")
-    cache: dict = {}
     rows = []
     best, arg = -math.inf, (0, 0)
     for m in m_grid:
@@ -123,7 +115,7 @@ def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
                 raise BudgetExceededError(
                     f"window [{m + 1}, {m + count}] exceeds index budget {index_budget}"
                 )
-            radius = _window_radius(spec, int(m), count, resolution, cache)
+            radius = _window_radius(spec, int(m), count, resolution)
             scaled = N ** (1.0 / spec.d) * radius
             rows.append((int(m), int(N), radius, scaled))
             if scaled > best:
@@ -163,7 +155,6 @@ def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
     ``V`` maps eps to a visibility value; the evaluated function is
     W(eps) = c_U * V(kappa_U * eps).
     """
-    cache: dict = {}
     rows = []
     sup, argmax = -math.inf, None
     for eps in eps_grid:
@@ -178,7 +169,7 @@ def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
                 rows.append({"eps": eps, "h": h, "x": x, "radius": None,
                              "value": None, "status": "skipped"})
                 continue
-            radius = _window_radius(spec, start, int(x), resolution, cache)
+            radius = _window_radius(spec, start, int(x), resolution)
             value = h / eps * radius
             rows.append({"eps": eps, "h": h, "x": x, "radius": radius,
                          "value": value, "status": "ok"})
@@ -206,12 +197,11 @@ class CoveringVisibilityCurve:
 
 
 def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
-                             h_cap: int = 256, h_growth: float = 2.0,
+                             h_cap: int = 256,
                              resolution: float | None = None,
                              index_budget: int = 10**8) -> CoveringVisibilityCurve:
     """Evaluate V(eps) = sup{x : sup_(h>x) h * R(window at h, length h^d x) <= eps}
     on finite grids, keeping the inner-sup trajectory observable."""
-    cache: dict = {}
     inner_rows = []
     inners = {}
     for x in x_grid:
@@ -221,14 +211,14 @@ def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
         h = max(1, math.floor(x) + 1)
         while h <= h_cap:
             hs.append(h)
-            h = max(h + 1, math.ceil(h * h_growth))
+            h *= 2
         sup_val, sup_h = -math.inf, None
         for h in hs:
             start = h ** (spec.d + 1)
             count = int(h**spec.d * x)
             if start + count > index_budget:
                 continue
-            radius = _window_radius(spec, start, count, resolution, cache)
+            radius = _window_radius(spec, start, count, resolution)
             val = h * radius
             if val > sup_val:
                 sup_val, sup_h = val, h

@@ -14,6 +14,10 @@ import numpy as np
 from .sequences import SequenceSpec
 from .spirals import count_in_ball, iter_point_chunks
 
+# partial quotients read ahead to sum each tail value [a_(k+1); a_(k+2), ...]
+_TAIL_TERMS = 48
+
+
 def _fraction_quotients(x: Fraction):
     """Finite continued-fraction expansion of a rational."""
     num, den = x.numerator, x.denominator
@@ -60,9 +64,9 @@ def badness(theta, Q: int, quotients=None) -> float:
     return best
 
 
-def _badness_from_quotients(quotients, Q: int, tail_terms: int = 48) -> float:
+def _badness_from_quotients(quotients, Q: int) -> float:
     qs_iter = iter(quotients)
-    window: list[int] = list(itertools.islice(qs_iter, tail_terms + 2))
+    window: list[int] = list(itertools.islice(qs_iter, _TAIL_TERMS + 2))
     if not window:
         raise ValueError("empty quotient stream")
     best = math.inf

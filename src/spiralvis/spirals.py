@@ -195,7 +195,6 @@ def puncture_transform(pspec: PunctureSpec, n: int) -> SpiralPoint:
         outside = ~pspec.in_region(r * dirs, np.full(len(ms), r))
         hits = np.flatnonzero(outside)
         if hits.size:
-            m = int(ms[hits[0]])
             return SpiralPoint(n=n, radius=r, direction=dirs[hits[0]])
         lo = hi + 1
     raise PunctureUnresolvedError(n, pspec.scan_cap)

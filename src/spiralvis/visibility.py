@@ -2,7 +2,7 @@
 
 Each continuum property ("every direction", "every line") is certified on a
 finite direction net whose covering radius is proved (the uniform circle grid
-for d=1, the cube sphere of ``sphere.build_direction_net`` for d>=2); with
+for d=1, the equiangular cube sphere for d>=2); with
 net mesh at most eps/(4V) a pass certifies the continuum statement for the
 window [0, V] at tolerance eps + V*mesh. For a shifted window [t0, t0 + V]
 the triangle inequality gives only eps + max(|t0|, |t0 + V|)*mesh; every
@@ -1106,16 +1106,16 @@ def _passes(spec: SequenceSpec, kind: str, eps: float, V: float, t0_list,
 def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
                             net: DirectionNet | None = None,
                             t0_list=(0.0,), v_cap: float = 2.0**20,
-                            rtol: float = 0.02, lines_per_eps: int = 64,
-                            seed: int = 0,
+                            lines_per_eps: int = 64,
                             index_budget: int = DEFAULT_BUDGET) -> VisibilityCurve:
     """Smallest V per eps for which the chosen check passes, computed: a
     point whose eps-disc covers [a, b] of a direction's line reaches the
     window [t0, t0 + V] iff b >= t0 and a <= t0 + V, so V is the max over
     directions and t0s (or seeded forest windows) of a min over points of
-    max(a - t0, 0). It is read on the eps/(4V) net of a bound doubled from
-    the previous entry's V, and one check (``_passes``) on that net confirms
-    it; while that fails V grows by 1 + rtol, so ``rtol`` is that step.
+    max(a - t0, 0). Each round reads V on ``_require_net``'s net for a bound
+    (1, then the previous entry's V) and confirms it by one check
+    (``_passes``) on that same net; a V above the bound, or one that fails
+    the check, doubles the bound, up to ``v_cap``.
 
     A supplied ``net`` is used as given, so it must meet the eps/(4V) rule at
     ``V = v_cap``; entries whose V exceeds ``v_cap`` are marked diverged.
@@ -1126,31 +1126,29 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
     for i, eps in enumerate(eps_grid):
         if net is not None:
             _require_net(spec, eps, v_cap, net)
-        while True:  # V on the eps/(4*bound) net, the bound doubling until V fits
+        while True:
             if kind == "forest":
-                lines = random_lines(np.random.default_rng(seed + i), lines_per_eps, bound)
+                lines = random_lines(np.random.default_rng(i), lines_per_eps, bound)
                 grid, reaches = None, (_line_reach(spec, line, eps, index_budget)
                                        for line in lines)
             else:
-                grid = net if net is not None else build_direction_net(spec.d, eps / (4 * bound))
+                grid = _require_net(spec, eps, bound, net)
                 reaches = (float(_window_reach(spec, grid, t0, eps, bound, index_budget).max())
                            for t0 in (t0_list if kind == "uniform" else [0.0]))
             V = 0.0
             for reach in reaches:
                 if (V := max(V, reach)) > bound:
                     break
-            if V <= bound or bound >= v_cap:
+            V = max(V * (1.0 + 1e-9), 2.0**-6)  # float rounding may miss the exact boundary
+            if V <= bound and _passes(spec, kind, eps, V, t0_list, i, lines_per_eps,
+                                      index_budget, grid):
+                entries.append(CurveEntry(eps=eps, V=V, status="ok"))
+                bound = V
+                break
+            if bound >= v_cap:
+                entries.append(CurveEntry(eps=eps, V=math.inf, status="diverged"))
                 break
             bound = min(2.0 * bound, v_cap)
-        V = max(V * (1.0 + 1e-9), 2.0**-6)  # float rounding may miss the exact boundary
-        while V <= v_cap and not _passes(spec, kind, eps, V, t0_list, seed + i,
-                                         lines_per_eps, index_budget, grid):
-            V, grid = V * (1.0 + rtol), net
-        if V > v_cap:
-            entries.append(CurveEntry(eps=eps, V=math.inf, status="diverged"))
-            continue
-        entries.append(CurveEntry(eps=eps, V=V, status="ok"))
-        bound = V
     # monotone cleanup: V may not decrease as eps shrinks
     best = -math.inf
     for e in entries:

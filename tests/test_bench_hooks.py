@@ -4,7 +4,8 @@ by position. A rename that drops one breaks traced benchmark runs, and a
 moved argument silently miscounts, while the rest of the suite passes, so
 each lookup and each counted argument is checked here, and so is that the
 hooked visibility layers still have callers. So is that every public name
-has a caller outside the tests."""
+has a caller outside the tests, and that every defaulted parameter of a
+public function is passed by some call."""
 
 import ast
 import importlib
@@ -113,3 +114,67 @@ def test_public_names_have_production_callers():
     orphans = sorted(set(spiralvis.__all__) - used - set(NO_PRODUCTION_CALLER))
     assert not orphans, f"public names that only the tests call: {orphans}"
     assert set(NO_PRODUCTION_CALLER) <= set(spiralvis.__all__) - used
+
+
+# defaulted parameters that no parsed call passes, each with its reason
+NO_CALLER_SETS = {
+    ("PunctureSpec.factorial", "scale_constant"): "cli calls it through getattr",
+    ("calibrate_proximity_sandwich", "c_grid"): "acceptance pins the sandwich constants",
+    ("calibrate_proximity_sandwich", "cp_grid"): "acceptance pins the sandwich constants",
+    ("uniform_orchard_criterion", "c_U"): "the criterion payload reports it",
+    ("uniform_orchard_criterion", "kappa_U"): "the criterion payload reports it",
+}
+
+
+def _passed(paths) -> dict:
+    """Per called function or attribute name, the argument positions and
+    keywords its calls pass; None once a call passes *args or **kwargs,
+    which may pass anything."""
+    passed = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if passed.get(name, ()) is None:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(kw.arg is None for kw in node.keywords):
+                passed[name] = None
+            else:
+                passed.setdefault(name, set()).update(
+                    range(len(node.args)), (kw.arg for kw in node.keywords))
+    return passed
+
+
+def _public_functions():
+    """(qualified name, call name, function) for each function and each
+    classmethod of each class in ``spiralvis.__all__``."""
+    for name in spiralvis.__all__:
+        obj = getattr(spiralvis, name)
+        if inspect.isfunction(obj):
+            yield name, name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if isinstance(member, classmethod):
+                    yield f"{name}.{attr}", attr, getattr(obj, attr)
+
+
+def test_public_parameters_have_callers():
+    # a defaulted parameter that no call sets is a knob nothing turns: its
+    # default is the behaviour, and the parameter is code to keep for nothing
+    files = [path for folder in (ROOT / "src" / "spiralvis", ROOT / "perfbench",
+                                 ROOT / "tests") for path in sorted(folder.glob("*.py"))]
+    passed = _passed(files)
+    unset = set()
+    for qualname, call, func in _public_functions():
+        args = passed.get(call, set())
+        if args is None:
+            continue
+        for i, param in enumerate(inspect.signature(func).parameters.values()):
+            position = i if param.kind is param.POSITIONAL_OR_KEYWORD else None
+            if param.default is not param.empty and not {position, param.name} & args:
+                unset.add((qualname, param.name))
+    assert unset - set(NO_CALLER_SETS) == set(), \
+        f"defaulted parameters that no call passes: {sorted(unset - set(NO_CALLER_SETS))}"
+    assert set(NO_CALLER_SETS) <= unset

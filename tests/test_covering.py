@@ -74,7 +74,7 @@ def test_covering_radius_errors():
     with pytest.raises(ValueError):
         covering_radius(np.eye(3), d=2, mode="exact")
     with pytest.raises(ValueError):
-        covering_radius(np.eye(3), d=2)  # needs net or resolution
+        covering_radius(np.eye(3), d=2)  # net mode needs a resolution
 
 
 def test_window_nesting_and_monotone_covering(golden):

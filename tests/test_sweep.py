@@ -262,17 +262,17 @@ def test_line_reach_matches_brute(golden, ladder):
 ])
 def test_estimate_on_supplied_net(golden, kind, eps_grid, t0_list):
     # V is the brute max over the net's cells and the t0s (one part in 1e9
-    # above it); its check passes there and fails one step below
-    rtol, v_cap = 0.02, 64.0
+    # above it); its check passes there and fails one 2% step below
+    step, v_cap = 0.02, 64.0
     net = build_direction_net(1, min(eps_grid) / (4 * v_cap))
     curve = estimate_min_visibility(golden, kind, eps_grid, net=net, v_cap=v_cap,
-                                    t0_list=t0_list, rtol=rtol)
+                                    t0_list=t0_list)
     for i, e in enumerate(curve.entries):
         assert e.status == "ok"
         want = max(_brute_reach(golden, net.centers, e.eps, t0, math.ceil(
             (abs(t0) + e.V + 1.0) ** 2)).max() for t0 in t0_list)
         assert e.V == pytest.approx(want * (1 + 1e-9), rel=1e-12)
-        for V, passes in ((e.V, True), (e.V / (1 + rtol), False)):
+        for V, passes in ((e.V, True), (e.V / (1 + step), False)):
             assert _passes(golden, kind, e.eps, V, t0_list, i, 64, DEFAULT_BUDGET,
                            net) is passes
 
@@ -310,6 +310,7 @@ def _bisection_curve(spec, kind, eps_grid, t0_list=(0.0,), v_cap=2.0**20, rtol=0
     ("forest", "golden-angle", [0.2], (0.0,), 16),
 ])
 def test_estimate_within_rtol_of_bisection(kind, seq, eps_grid, t0_list, lines):
+    # one confirming check per eps, and V within 2% of the old bisection
     spec, rtol = SequenceSpec(seq), 0.02
     trials = []
     real = vis._passes
@@ -320,8 +321,8 @@ def test_estimate_within_rtol_of_bisection(kind, seq, eps_grid, t0_list, lines):
 
     with mock.patch.object(vis, "_passes", counting):
         curve = estimate_min_visibility(spec, kind, eps_grid, t0_list=t0_list,
-                                        lines_per_eps=lines, rtol=rtol)
-    assert len(trials) <= 2 * len(eps_grid)
+                                        lines_per_eps=lines)
+    assert len(trials) == len(eps_grid)
     old = _bisection_curve(spec, kind, eps_grid, t0_list, rtol=rtol, lines_per_eps=lines)
     for e, V_old in zip(curve.entries, old):
         assert e.status == "ok"

@@ -668,6 +668,26 @@ def test_estimate_rejects_a_window_past_the_budget(golden, fib_sphere):
         estimate_min_visibility(fib_sphere, "uniform", [0.3], t0_list=(1e200,), v_cap=4.0)
 
 
+def test_estimate_clamps_a_coarse_rule_mesh_to_pi():
+    # the first entry is V = 2**-6, so the second eps's rule mesh
+    # 0.337 / (4 * 2**-6) = 5.39 exceeds pi; the net must take the mesh-pi
+    # net, as the checks do, instead of raising
+    spec = SequenceSpec("golden-angle", theta=0.123456789)
+    curve = estimate_min_visibility(spec, "uniform", [0.479, 0.337],
+                                    t0_list=(56.11819025207575, 108.72426131822803))
+    assert len(curve.entries) == 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a shifted window's pass "
+                   "is certified only to eps + max(|t0|, |t0 + V|)*mesh")
+def test_uniform_rule_net_rejects_a_window_that_fails_finer():
+    # the eps/(4V) rule gives this window a one-direction net that passes;
+    # on build_direction_net(1, 1e-3) it fails 5,314 of its 6,284 checks
+    spec = SequenceSpec("golden-angle", theta=0.123456789)
+    t0_list = [56.11819025207575, 108.72426131822803]
+    assert not check_uniform_orchard(spec, 0.479, 0.015625, t0_list).passed
+
+
 def test_public_checks_agree_on_the_grid_and_a_stored_circle_net(golden, ladder):
     # net.uniform_grid alone selects the engine: the same d=1 centers stored
     # in a plain net take the cap sweep; both must give the same failures,
