@@ -27,6 +27,7 @@ from .reports import dump_json, write_csv
 from .sequences import GOLDEN_RATIO, SequenceSpec
 from .sphere import unit_vector
 from .spirals import (
+    DEFAULT_BUDGET,
     PunctureSpec,
     PunctureUnresolvedError,
     count_in_ball,
@@ -53,6 +54,12 @@ def _floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _point(text: str) -> np.ndarray:
     return np.array(_floats(text), dtype=np.float64)
 
@@ -76,9 +83,6 @@ def _write_points(ns, d: int, n_hi: int, blocks) -> dict:
 
 def _cmd_generate(spec, ns):
     n_hi = min(ns.n, ns.budget)
-    if n_hi < 1:
-        raise ValueError(f"generate needs at least one point, got --n {ns.n} "
-                         f"and --budget {ns.budget}")
     blocks = ((idx, coords) for idx, _, coords in
               iter_point_chunks(spec, 1, n_hi, GENERATE_BLOCK))
     return _write_points(ns, spec.d, n_hi, blocks), False
@@ -183,6 +187,8 @@ def _cmd_visible(spec, ns):
 
 
 def _criterion_table(spec, ns):
+    if not all(eps > 0 for eps in ns.eps):
+        raise ValueError(f"criterion --eps values must be positive, got {ns.eps}")
     power = ns.V_power if ns.V_power is not None else float(spec.d)
     return uniform_orchard_criterion(
         spec, lambda e: ns.V_const * e ** (-power), K=ns.K, eps_grid=ns.eps,
@@ -221,9 +227,6 @@ def _cmd_delone(spec, ns):
 
 def _cmd_puncture(spec, ns):
     n_hi = min(ns.n, ns.budget)
-    if n_hi < 1:
-        raise ValueError(f"puncture needs at least one point, got --n {ns.n} "
-                         f"and --budget {ns.budget}")
     pspec = getattr(PunctureSpec, ns.schedule)(spec, _point(ns.v0), ns.delta, ns.m_lo,
                                                ns.m_hi, scale_constant=ns.strip_C)
     all_ns, coords = puncture_batch(pspec, 1, n_hi)
@@ -252,7 +255,7 @@ def build_parser():
     common.add_argument("--v", default=None, help="direction for constant kind, e.g. 1,0")
     common.add_argument("--seq-file", default=None, help="points file for file kind")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int, default=10**7,
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="cap on any touched sequence index")
     common.add_argument("--out", default=None, help="output path")
     common.add_argument("--config", default=None,
@@ -289,7 +292,7 @@ def build_parser():
 
     p = add("forest", _cmd_check, "anywhere-window visibility check", check)
     p.add_argument("--lines", type=int, default=0, help="random line count")
-    p.add_argument("--lam-max", type=float, default=100.0)
+    p.add_argument("--lam-max", type=_finite, default=100.0)
     p.add_argument("--line", action="append",
                    help="explicit window lam,angle,t0,t1 (repeatable)")
 
@@ -301,7 +304,7 @@ def build_parser():
     p.add_argument("--Tmax", type=float, default=1e3)
 
     p = add("covering", _cmd_table, "uniform covering parameter estimate", table)
-    p.add_argument("--C", type=float, default=1.0)
+    p.add_argument("--C", type=_finite, default=1.0)
     p.add_argument("--m", type=_floats, default=[0, 1000, 1000000])
     p.add_argument("--N", type=_floats, default=[100, 1000, 10000])
 
@@ -394,12 +397,16 @@ def main(argv=None) -> int:
     if ns.budget < 1:
         parser.error(f"--budget caps the sequence indices and must be at least 1, "
                      f"got {ns.budget}")
+    if "n" in required and ns.n < 1:
+        parser.error(f"{ns.subcommand} needs at least one point, got --n {ns.n}")
     try:
         spec = SequenceSpec(kind=ns.seq, d=ns.d, theta=ns.theta,
                             v=_point(ns.v) if ns.v else None, path=ns.seq_file)
         payload, failed = ns.func(spec, ns)
     except (ValueError, IndexError, FileNotFoundError, PunctureUnresolvedError) as exc:
         parser.error(str(exc))
+    except ArithmeticError as exc:  # e.g. a power of the input past the float range
+        parser.error(f"the input's arithmetic failed: {exc}")
     except MemoryError as exc:  # e.g. a direction net too fine to allocate
         parser.error(f"the input needs more memory than is available: {exc}")
     args = {k: v for k, v in sorted(vars(ns).items()) if k != "func"}

@@ -13,6 +13,7 @@ import numpy as np
 
 from .sequences import SequenceSpec, direction_batch
 from .sphere import build_direction_net
+from .spirals import DEFAULT_BUDGET
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,21 +102,19 @@ class UniformCoveringEstimate:
 
 def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
                                resolution: float | None = None,
-                               index_budget: int = 10**8) -> UniformCoveringEstimate:
+                               index_budget: int = DEFAULT_BUDGET) -> UniformCoveringEstimate:
     """Grid-truncated sup over (m, N) of N^(1/d) * covering radius of
     {u_(m+n) : 1 <= n <= C*N}; divergence shows as growth along the grids."""
-    if C <= 0:
-        raise ValueError("scale constant C must be positive")
+    if not C > 0:
+        raise ValueError(f"scale constant C must be positive, got {C}")
     rows = []
     best, arg = -math.inf, (0, 0)
     for m in m_grid:
         for N in N_grid:
-            count = int(C * N)
-            if m + count > index_budget:
+            if C * N >= index_budget - m + 1:  # m + int(C*N) > budget, or C*N is inf
                 raise BudgetExceededError(
-                    f"window [{m + 1}, {m + count}] exceeds index budget {index_budget}"
-                )
-            radius = _window_radius(spec, int(m), count, resolution)
+                    f"window [{m + 1}, {m + C * N}] exceeds index budget {index_budget}")
+            radius = _window_radius(spec, int(m), int(C * N), resolution)
             scaled = N ** (1.0 / spec.d) * radius
             rows.append((int(m), int(N), radius, scaled))
             if scaled > best:
@@ -148,7 +147,7 @@ def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
                               eps_grid=(0.2, 0.1, 0.05), h_mults=(1, 2, 4, 8),
                               c_U: float = 1.0, kappa_U: float = 1.0,
                               resolution: float | None = None,
-                              index_budget: int = 10**8) -> CriterionTable:
+                              index_budget: int = DEFAULT_BUDGET) -> CriterionTable:
     """Tabulate the windowed-covering criterion equivalent to the
     uniform-orchard property; boundedness of the sup is the pass signal.
 
@@ -159,13 +158,15 @@ def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
     sup, argmax = -math.inf, None
     for eps in eps_grid:
         W = c_U * V(kappa_U * eps)
-        if W <= 0:
-            raise ValueError("visibility must be positive")
+        if not 0 < W < math.inf:
+            raise ValueError(f"visibility must be finite and positive, got {W}")
         for mult in h_mults:
             h = max(1, math.ceil(W * mult))
             x = K * h**spec.d * W
+            if not math.isfinite(x):
+                raise ValueError(f"eps {eps}, h-mult {mult}: window size past the float range")
             start = h ** (spec.d + 1)
-            if start + int(x) > index_budget or x < 1:
+            if x < 1 or x >= index_budget - start + 1:  # start + int(x) > budget
                 rows.append({"eps": eps, "h": h, "x": x, "radius": None,
                              "value": None, "status": "skipped"})
                 continue
@@ -199,7 +200,7 @@ class CoveringVisibilityCurve:
 def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
                              h_cap: int = 256,
                              resolution: float | None = None,
-                             index_budget: int = 10**8) -> CoveringVisibilityCurve:
+                             index_budget: int = DEFAULT_BUDGET) -> CoveringVisibilityCurve:
     """Evaluate V(eps) = sup{x : sup_(h>x) h * R(window at h, length h^d x) <= eps}
     on finite grids, keeping the inner-sup trajectory observable."""
     inner_rows = []
@@ -215,10 +216,10 @@ def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
         sup_val, sup_h = -math.inf, None
         for h in hs:
             start = h ** (spec.d + 1)
-            count = int(h**spec.d * x)
-            if start + count > index_budget:
+            size = h**spec.d * x
+            if size >= index_budget - start + 1:  # start + int(size) > budget
                 continue
-            radius = _window_radius(spec, start, count, resolution)
+            radius = _window_radius(spec, start, int(size), resolution)
             val = h * radius
             if val > sup_val:
                 sup_val, sup_h = val, h

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .sequences import SequenceSpec
-from .spirals import count_in_ball, iter_point_chunks
+from .spirals import DEFAULT_BUDGET, count_in_ball, iter_point_chunks
 
 # partial quotients read ahead to sum each tail value [a_(k+1); a_(k+2), ...]
 _TAIL_TERMS = 48
@@ -225,7 +225,7 @@ def covering_estimate(coords: np.ndarray, T: float, resolution: float) -> float:
 
 
 def delone_report(spec: SequenceSpec, T: float, probe_resolution: float,
-                  index_budget: int = 10**8) -> DeloneReport:
+                  index_budget: int = DEFAULT_BUDGET) -> DeloneReport:
     """Packing and covering radii of the spiral inside B(0, T).
 
     Packing is exact; covering is a max over a probe grid of mesh
@@ -238,10 +238,8 @@ def delone_report(spec: SequenceSpec, T: float, probe_resolution: float,
     if not math.isfinite(probe_resolution) or probe_resolution <= 0:
         raise ValueError("probe resolution must be finite and positive, "
                          f"got {probe_resolution}")
-    n_hi = count_in_ball(T, spec.d)
-    if n_hi > index_budget:
-        n_hi = index_budget
-    chunks = [c for _, _, c in iter_point_chunks(spec, 1, n_hi)]
+    chunks = [c for _, _, c in
+              iter_point_chunks(spec, 1, min(count_in_ball(T, spec.d), index_budget))]
     coords = np.vstack(chunks)
     packing = min_pairwise_distance(coords)
     covering = covering_estimate(coords, T, probe_resolution)

@@ -17,6 +17,7 @@ import numpy as np
 from .sequences import SequenceSpec, direction_batch, sequence_term
 
 CHUNK = 1 << 18
+DEFAULT_BUDGET = 10**7  # the default largest index any scan, table or CLI run reads
 
 
 class PunctureUnresolvedError(RuntimeError):

@@ -47,7 +47,7 @@ is [1, budget], and its eps is just below eps_floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .sequences import SequenceSpec, angle_batch, triangular_decompose
 from .sphere import DirectionNet, build_direction_net
 from .spirals import (
     CHUNK,
+    DEFAULT_BUDGET,
     annulus_index_range,
     iter_point_chunks,
     point_batch,
@@ -66,7 +67,6 @@ from .spirals import (
 
 TWO_PI = 2.0 * math.pi
 MISS = np.iinfo(np.int64).max
-DEFAULT_BUDGET = 10**7
 
 # vacant-strip half-width of the rational-ladder spiral: proven for every n
 # (exhaustive scan covers k <= 1413; for larger k the bound
@@ -155,12 +155,7 @@ class VisibilityCurve:
             raise ValueError("V must be nondecreasing as eps decreases")
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "slope": self.slope,
-            "entries": [{"eps": e.eps, "V": e.V, "status": e.status}
-                        for e in self.entries],
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -933,10 +928,7 @@ def line_proximity_check(spec: SequenceSpec, n: int, lam: float, t: float,
     """True iff index n satisfies both split inequalities against the line
     point lam*v + t*w: radius within eps, and angular distance within
     c*eps/|lam*v + t*w|."""
-    got = line_proximity_check_batch(
-        spec, np.array([n]), np.array([lam]), np.array([t]), v, w, eps, c
-    )
-    return bool(got[0])
+    return bool(line_proximity_check_batch(spec, [n], [lam], [t], v, w, eps, c)[0])
 
 
 def line_proximity_check_batch(spec: SequenceSpec, ns, lams, ts, v, w,
@@ -952,18 +944,23 @@ def line_proximity_check_batch(spec: SequenceSpec, ns, lams, ts, v, w,
     rho = np.hypot(lams, ts)
     if np.any(rho == 0):
         raise ValueError("(lam, t) must not vanish")
-    ns = np.asarray(ns, dtype=np.int64)
-    radii, coords = point_batch(spec, ns)
-    targets = (lams[:, None] * v + ts[:, None] * w) / rho[:, None]
-    cosang = np.einsum("ij,ij->i", coords / radii[:, None], targets)
+    radii, coords = point_batch(spec, np.asarray(ns, dtype=np.int64))
+    return _split_test(radii, coords, rho, lams[:, None] * v + ts[:, None] * w,
+                       np.asarray(eps, dtype=np.float64), c)
+
+
+def _split_test(radii, coords, rho, targets, eps, c: float) -> np.ndarray:
+    """Both split inequalities of points ``coords`` at ``radii`` against line
+    points ``targets`` at ``rho``: radius within eps, angle within c*eps/rho."""
+    cosang = np.einsum("ij,ij->i", coords / radii[:, None], targets / rho[:, None])
     ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-    eps = np.asarray(eps, dtype=np.float64)
     return (np.abs(radii - rho) <= eps) & (ang <= c * eps / rho)
 
 
-def _sandwich_samples(spec: SequenceSpec, n_samples: int, seed: int):
-    """Random (point, line-point, eps) instances with exact distances and the
-    split radial/angular measurements, for sandwich calibration."""
+def verify_proximity_sandwich(spec: SequenceSpec, c: float, cp: float,
+                              n_samples: int = 10**4, seed: int = 0) -> int:
+    """Violation count of: exact <= eps/c' => split check (eps, c) => exact
+    <= c'*eps, over ``n_samples`` random (point, line-point, eps) instances."""
     rng = np.random.default_rng(seed)
     ns = rng.integers(1, 10**6, n_samples)
     radii, coords = point_batch(spec, ns)
@@ -980,37 +977,23 @@ def _sandwich_samples(spec: SequenceSpec, n_samples: int, seed: int):
     t_signed = rho * np.sin(phase)
     targets = lams[:, None] * vs + t_signed[:, None] * ws
     exact = np.linalg.norm(coords - targets, axis=1)
-    cosang = np.einsum("ij,ij->i", coords / radii[:, None], targets / rho[:, None])
-    ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-    return exact, radii, rho, ang, eps
-
-
-def _sandwich_violations(exact, radii, rho, ang, eps, c: float, cp: float) -> int:
-    check = (np.abs(radii - rho) <= eps) & (ang <= c * eps / rho)
-    forward_bad = int(np.sum(~check[exact <= eps / cp]))
-    backward_bad = int(np.sum(exact[check] > cp * eps[check]))
-    return forward_bad + backward_bad
-
-
-def verify_proximity_sandwich(spec: SequenceSpec, c: float, cp: float,
-                              n_samples: int = 10**4, seed: int = 0) -> int:
-    """Violation count of: exact <= eps/c' => split check (eps, c) => exact <= c'*eps."""
-    return _sandwich_violations(*_sandwich_samples(spec, n_samples, seed), c, cp)
+    check = _split_test(radii, coords, rho, targets, eps, c)
+    return int(np.sum(~check[exact <= eps / cp])) + int(np.sum(exact[check] > cp * eps[check]))
 
 
 def calibrate_proximity_sandwich(spec: SequenceSpec, n_samples: int = 10**4,
                                  seed: int = 0,
                                  c_grid=(0.9, 1.0, 1.2, 1.5, 1.8),
                                  cp_grid=(1.3, 1.5, 1.7, 2.0, 2.5, 3.0)):
-    """Find (c, c') with zero violations of the sandwich: exact distance
-    <= eps/c' implies the split check at (eps, c) implies exact <= c'*eps.
+    """Find (c, c') with zero violations of the sandwich
+    (``verify_proximity_sandwich``): exact distance <= eps/c' implies the
+    split check at (eps, c) implies exact <= c'*eps.
 
     Returns (c, c', samples) with the smallest passing c'.
     """
-    samples = _sandwich_samples(spec, n_samples, seed)
     for cp in sorted(cp_grid):
         for c in c_grid:
-            if _sandwich_violations(*samples, c, cp) == 0:
+            if verify_proximity_sandwich(spec, c, cp, n_samples, seed) == 0:
                 return float(c), float(cp), n_samples
     raise RuntimeError("no sandwich constants found on the calibration grids")
 
@@ -1103,10 +1086,20 @@ def _passes(spec: SequenceSpec, kind: str, eps: float, V: float, t0_list,
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _budget_cap(spec: SequenceSpec, eps: float, windows, index_budget: int) -> float:
+    """The largest V with every window [t0, t0 + V] at offset lam, (lam, t0)
+    in ``windows``, inside the budget: its far radius hypot(lam, max(|t0|,
+    |t0 + V|)), widened by eps, within that of index ``index_budget``."""
+    far = radius_of_index(index_budget, spec.d) - eps - 1e-12
+    cap = math.inf
+    for lam, t0 in windows:
+        half = math.sqrt((far - lam) * (far + lam)) if far >= lam else -math.inf
+        cap = min(cap, half - t0 if abs(t0) <= half else -math.inf)
+    return cap
+
+
 def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
-                            net: DirectionNet | None = None,
-                            t0_list=(0.0,), v_cap: float = 2.0**20,
-                            lines_per_eps: int = 64,
+                            t0_list=(0.0,), lines_per_eps: int = 64,
                             index_budget: int = DEFAULT_BUDGET) -> VisibilityCurve:
     """Smallest V per eps for which the chosen check passes, computed: a
     point whose eps-disc covers [a, b] of a direction's line reaches the
@@ -1115,46 +1108,49 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
     max(a - t0, 0). Each round reads V on ``_require_net``'s net for a bound
     (1, then the previous entry's V) and confirms it by one check
     (``_passes``) on that same net; a V above the bound, or one that fails
-    the check, doubles the bound, up to ``v_cap``.
+    the check, doubles the bound, up to the eps's cap (``_budget_cap``), the
+    largest V whose windows the budget reads whole.
 
-    A supplied ``net`` is used as given, so it must meet the eps/(4V) rule at
-    ``V = v_cap``; entries whose V exceeds ``v_cap`` are marked diverged.
+    An entry that still fails at the cap is ``diverged``: its V lies beyond
+    what ``index_budget`` reads, which does not prove it infinite. Every
+    ``ok`` entry was read and confirmed on windows inside the budget.
     """
     eps_grid = sorted(set(float(e) for e in eps_grid), reverse=True)
-    entries = []
-    bound = 1.0
+    entries, bound, best = [], 1.0, -math.inf
     for i, eps in enumerate(eps_grid):
-        if net is not None:
-            _require_net(spec, eps, v_cap, net)
+        if kind == "forest":
+            windows = [(line.lam, line.t0) for line in
+                       random_lines(np.random.default_rng(i), lines_per_eps, 1.0)]
+        else:
+            windows = [(0.0, t0) for t0 in (t0_list if kind == "uniform" else [0.0])]
+        cap = _budget_cap(spec, eps, windows, index_budget)
+        # a cap below the least V reported still gets one round, which
+        # rejects a window wholly past the budget as the checks do
+        bound = max(min(bound, cap), 2.0**-6)
         while True:
             if kind == "forest":
                 lines = random_lines(np.random.default_rng(i), lines_per_eps, bound)
                 grid, reaches = None, (_line_reach(spec, line, eps, index_budget)
                                        for line in lines)
             else:
-                grid = _require_net(spec, eps, bound, net)
+                grid = _require_net(spec, eps, bound, None)
                 reaches = (float(_window_reach(spec, grid, t0, eps, bound, index_budget).max())
-                           for t0 in (t0_list if kind == "uniform" else [0.0]))
+                           for _, t0 in windows)
             V = 0.0
             for reach in reaches:
                 if (V := max(V, reach)) > bound:
                     break
             V = max(V * (1.0 + 1e-9), 2.0**-6)  # float rounding may miss the exact boundary
-            if V <= bound and _passes(spec, kind, eps, V, t0_list, i, lines_per_eps,
-                                      index_budget, grid):
-                entries.append(CurveEntry(eps=eps, V=V, status="ok"))
+            if V <= bound <= cap and _passes(spec, kind, eps, V, t0_list, i, lines_per_eps,
+                                             index_budget, grid):
+                best = max(best, V)  # the reported V may not decrease as eps shrinks
+                entries.append(CurveEntry(eps=eps, V=best, status="ok"))
                 bound = V
                 break
-            if bound >= v_cap:
+            if bound >= cap:
                 entries.append(CurveEntry(eps=eps, V=math.inf, status="diverged"))
                 break
-            bound = min(2.0 * bound, v_cap)
-    # monotone cleanup: V may not decrease as eps shrinks
-    best = -math.inf
-    for e in entries:
-        if e.status == "ok":
-            best = max(best, e.V)
-            e.V = best
+            bound = min(2.0 * bound, cap)
     oks = [e for e in entries if e.status == "ok"]
     slope = None
     if len(oks) >= 2:

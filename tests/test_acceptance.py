@@ -143,8 +143,9 @@ def test_criterion_5(golden, constant_seq):
     # negative control fails the other criteria and has a certified witness
     assert not check_orchard(constant_seq, 0.1, 40.0).passed
     assert not check_uniform_orchard(constant_seq, 0.1, 40.0, [0.0, 100.0]).passed
+    # sqrt(4500) - eps caps the bound near 66 (the default budget: near 3162)
     diverged = estimate_min_visibility(constant_seq, "uniform", [0.1],
-                                       v_cap=64.0)
+                                       index_budget=4500)
     assert diverged.entries[0].status == "diverged"
     growth = growth_along_h(uniform_orchard_criterion(constant_seq, lambda e: 1.0 / e))
     assert all(r >= 1.5 for rs in growth.values() for r in rs)

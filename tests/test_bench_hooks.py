@@ -5,7 +5,8 @@ moved argument silently miscounts, while the rest of the suite passes, so
 each lookup and each counted argument is checked here, and so is that the
 hooked visibility layers still have callers. So is that every public name
 has a caller outside the tests, and that every defaulted parameter of a
-public function is passed by some call."""
+public function is passed by some call, and that one constant sets every
+default index budget."""
 
 import ast
 import importlib
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import spiralvis
 import spiralvis.visibility as vis
+from spiralvis.cli import build_parser
+from spiralvis.spirals import DEFAULT_BUDGET
 
 ROOT = Path(__file__).parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -83,7 +86,6 @@ def test_hooked_layers_stay_on_production_paths(monkeypatch, ladder, fib_sphere,
 # public names that only the tests call, each with its reason
 NO_PRODUCTION_CALLER = {
     "line_proximity_check": "acceptance pins the sandwich constants",
-    "verify_proximity_sandwich": "acceptance pins the sandwich constants",
     "calibrate_proximity_sandwich": "acceptance pins the sandwich constants",
 }
 
@@ -178,3 +180,16 @@ def test_public_parameters_have_callers():
     assert unset - set(NO_CALLER_SETS) == set(), \
         f"defaulted parameters that no call passes: {sorted(unset - set(NO_CALLER_SETS))}"
     assert set(NO_CALLER_SETS) <= unset
+
+
+def test_every_default_budget_is_the_one_constant():
+    # a default budget of its own would let one layer read past (or stop
+    # short of) what the others and the CLI read by default
+    defaults = {qualname: inspect.signature(func).parameters["index_budget"].default
+                for qualname, _, func in _public_functions()
+                if "index_budget" in inspect.signature(func).parameters}
+    assert len(defaults) >= 9, sorted(defaults)
+    assert set(defaults.values()) == {DEFAULT_BUDGET}, defaults
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "subcommand").choices
+    assert {parser.parse_args([name]).budget for name in commands} == {DEFAULT_BUDGET}

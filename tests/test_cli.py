@@ -324,6 +324,17 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             main(["delone", *argv])
         assert err.value.code == 2
     assert "finite" in capsys.readouterr().err
+    for argv, problem in (
+            (["criterion", "--eps", "0"], "--eps"),
+            (["criterion", "--eps", "1e-300"], "past the float range"),
+            (["criterion", "--eps", "0.1", "--V-power", "1e3"], "arithmetic failed"),
+            (["covering", "--C", "inf"], "--C"),
+            (["forest", "--eps", "0.5", "--V", "1", "--lines", "1", "--lam-max", "inf"],
+             "--lam-max")):  # bad numbers that once ended in a traceback
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert problem in capsys.readouterr().err.strip().splitlines()[-1]
     for argv in (["uniform", "--t0", "1e200", "--V", "5", "--eps", "0.1"],
                  ["forest", "--seq", "golden-angle", "--eps", "0.1", "--V", "44",
                   "--line", "1,0,5000,5044"]):  # no index of the window within budget

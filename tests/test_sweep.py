@@ -260,21 +260,26 @@ def test_line_reach_matches_brute(golden, ladder):
     ("orchard", [0.2, 0.1], (0.0,)),
     ("uniform", [0.2], (0.0, 30.0, -10.0)),
 ])
-def test_estimate_on_supplied_net(golden, kind, eps_grid, t0_list):
-    # V is the brute max over the net's cells and the t0s (one part in 1e9
-    # above it); its check passes there and fails one 2% step below
-    step, v_cap = 0.02, 64.0
-    net = build_direction_net(1, min(eps_grid) / (4 * v_cap))
-    curve = estimate_min_visibility(golden, kind, eps_grid, net=net, v_cap=v_cap,
-                                    t0_list=t0_list)
-    for i, e in enumerate(curve.entries):
+def test_estimate_on_its_own_net(golden, kind, eps_grid, t0_list, monkeypatch):
+    # V is the brute max over the cells of the net its check confirmed it on
+    # (the last net built before that check) and the t0s (one part in 1e9
+    # above it); its check passes there and fails one 2% step below. The
+    # budget caps the bound near 64 at the largest t0.
+    step, budget = 0.02, math.ceil((max(t0_list) + 65.0) ** 2)
+    nets, confirmed, build, passes = [], [], vis.build_direction_net, vis._passes
+    monkeypatch.setattr(vis, "build_direction_net", lambda *a: nets.append(build(*a)) or nets[-1])
+    monkeypatch.setattr(vis, "_passes", lambda *a: confirmed.append(nets[-1]) or passes(*a))
+    curve = estimate_min_visibility(golden, kind, eps_grid, t0_list=t0_list,
+                                    index_budget=budget)
+    assert len(confirmed) == len(curve.entries)
+    for i, (e, net) in enumerate(zip(curve.entries, confirmed)):
         assert e.status == "ok"
         want = max(_brute_reach(golden, net.centers, e.eps, t0, math.ceil(
             (abs(t0) + e.V + 1.0) ** 2)).max() for t0 in t0_list)
         assert e.V == pytest.approx(want * (1 + 1e-9), rel=1e-12)
-        for V, passes in ((e.V, True), (e.V / (1 + step), False)):
-            assert _passes(golden, kind, e.eps, V, t0_list, i, 64, DEFAULT_BUDGET,
-                           net) is passes
+        for V, passes_at_V in ((e.V, True), (e.V / (1 + step), False)):
+            assert _passes(golden, kind, e.eps, V, t0_list, i, 64, budget,
+                           net) is passes_at_V
 
 
 def _bisection_curve(spec, kind, eps_grid, t0_list=(0.0,), v_cap=2.0**20, rtol=0.02,

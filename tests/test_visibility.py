@@ -40,6 +40,11 @@ TWO_PI = 2 * math.pi
 # calibrated on the golden-angle spiral during development; reports record it
 GOLDEN_UNIFORM_C = 5.0
 
+# sqrt(4500) - eps caps the estimator's bound near 66 for windows at t0 = 0,
+# about the v_cap = 64 these tests once passed; the default budget caps it
+# near 3162, which costs 5-8 s per diverging constant-spiral call
+CAP64_BUDGET = 4500
+
 
 def test_orchard_ladder_paper_constant(ladder):
     eps = 0.2
@@ -573,7 +578,7 @@ def test_visible_validates_args(golden):
 
 def test_estimate_constant_diverges(constant_seq):
     curve = estimate_min_visibility(constant_seq, "orchard", [0.2, 0.1],
-                                    v_cap=64.0)
+                                    index_budget=CAP64_BUDGET)
     assert all(e.status == "diverged" for e in curve.entries)
     assert curve.slope is None
 
@@ -594,18 +599,25 @@ def test_estimate_uniform_golden_slope(golden):
     assert all(e.status == "ok" for e in curve.entries)
 
 
-def test_estimate_uses_supplied_net(golden, monkeypatch):
+def test_estimate_confirms_on_the_net_it_reads(golden, monkeypatch):
+    # the confirming check runs on the net its round read V on and builds
+    # none of its own; the budget caps the bound near 64 at t0 = 100
     import spiralvis.visibility as vis
 
-    net = build_direction_net(1, 0.2 / (4 * 64.0))
+    nets, build, passes = [], vis.build_direction_net, vis._passes
 
-    def no_build(*args, **kwargs):
-        raise AssertionError("a net was built although one was supplied")
+    def confirm(*args):
+        built = len(nets)
+        ok = passes(*args)
+        assert len(nets) == built, "the confirming check built a net of its own"
+        assert args[-1] is nets[-1]
+        return ok
 
-    monkeypatch.setattr(vis, "build_direction_net", no_build)
+    monkeypatch.setattr(vis, "build_direction_net", lambda *a: nets.append(build(*a)) or nets[-1])
+    monkeypatch.setattr(vis, "_passes", confirm)
     for kind in ("orchard", "uniform"):
-        curve = estimate_min_visibility(golden, kind, [0.2], net=net, v_cap=64.0,
-                                        t0_list=(0.0, 100.0))
+        curve = estimate_min_visibility(golden, kind, [0.2], t0_list=(0.0, 100.0),
+                                        index_budget=165**2)
         assert curve.entries[0].status == "ok"
         assert curve.entries[0].V <= 64.0
 
@@ -663,9 +675,58 @@ def test_estimate_rejects_a_window_past_the_budget(golden, fib_sphere):
     # the reach reads no point of such a window, so every reach would be inf
     # and the curve would read "diverged" instead of the checks' rejection
     with pytest.raises(ValueError, match="past the index budget"):
-        estimate_min_visibility(golden, "uniform", [0.3], t0_list=(1e200,), v_cap=64.0)
+        estimate_min_visibility(golden, "uniform", [0.3], t0_list=(1e200,),
+                                index_budget=CAP64_BUDGET)
     with pytest.raises(ValueError, match="past the index budget"):
-        estimate_min_visibility(fib_sphere, "uniform", [0.3], t0_list=(1e200,), v_cap=4.0)
+        estimate_min_visibility(fib_sphere, "uniform", [0.3], t0_list=(1e200,),
+                                index_budget=CAP64_BUDGET)
+
+
+def test_estimate_stops_doubling_at_the_budget_cap(monkeypatch):
+    # the bound doubles only up to the largest V whose windows the budget
+    # reads whole; under an uncapped bound this call built nets of ~5e7 cells
+    import spiralvis.visibility as vis
+
+    nets, build = [], vis.build_direction_net
+    monkeypatch.setattr(vis, "build_direction_net", lambda *a: nets.append(build(*a)) or nets[-1])
+    eps_grid, t0_list, budget = [0.477, 0.369, 0.265], (225.95, 56.118), 300**2
+    curve = estimate_min_visibility(SequenceSpec("rational-ladder"), "uniform", eps_grid,
+                                    t0_list=t0_list, index_budget=budget)
+    assert curve.entries[-1].status == "diverged"
+    cap = math.sqrt(budget) - min(eps_grid) - max(t0_list)
+    assert 70 < cap < 74
+    assert max(map(len, nets)) <= math.ceil(math.pi / (min(eps_grid) / (4 * cap)))
+
+
+def test_estimate_reads_only_inside_the_budget(monkeypatch):
+    # every window a round reads, so every window of an ok entry, lies whole
+    # inside the budget; an entry that needs more is diverged
+    import spiralvis.visibility as vis
+
+    rounds, reach = [], vis._window_reach
+
+    def recorded(spec, net, t0, eps, V, budget):
+        rounds.append((spec, t0, eps, V, budget))
+        return reach(spec, net, t0, eps, V, budget)
+
+    monkeypatch.setattr(vis, "_window_reach", recorded)
+    rng, statuses = np.random.default_rng(1), set()
+    for kind, spec in (("orchard", SequenceSpec("golden-angle")),
+                       ("uniform", SequenceSpec("golden-angle", theta=math.sqrt(2) - 1)),
+                       ("uniform", SequenceSpec("golden-angle")),
+                       ("orchard", SequenceSpec("rational-ladder"))):
+        eps_grid = rng.uniform(0.1, 0.5, 3).tolist()
+        t0_list = tuple(rng.uniform(-40.0, 80.0, 2).tolist()) if kind == "uniform" else (0.0,)
+        budget = int((max(map(abs, t0_list)) + rng.uniform(5.0, 40.0)) ** 2)
+        curve = estimate_min_visibility(spec, kind, eps_grid, t0_list=t0_list,
+                                        index_budget=budget)
+        for e in curve.entries:
+            statuses.add(e.status)
+            for t0 in t0_list if e.status == "ok" else ():
+                assert _window_arcs(spec, t0, t0 + e.V, e.eps, math.inf)[1] <= budget
+    assert statuses == {"ok", "diverged"}
+    for spec, t0, eps, V, budget in rounds:
+        assert _window_arcs(spec, t0, t0 + V, eps, math.inf)[1] <= budget
 
 
 def test_estimate_clamps_a_coarse_rule_mesh_to_pi():
