@@ -1118,7 +1118,7 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
     eps_grid = sorted(set(float(e) for e in eps_grid), reverse=True)
     entries, bound, best = [], 1.0, -math.inf
     for i, eps in enumerate(eps_grid):
-        if kind == "forest":
+        if kind == "forest":  # a seeded window's lam and t0 do not depend on V
             windows = [(line.lam, line.t0) for line in
                        random_lines(np.random.default_rng(i), lines_per_eps, 1.0)]
         else:
