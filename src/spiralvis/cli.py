@@ -60,6 +60,23 @@ def _finite(text: str) -> float:
     return value
 
 
+def _require(flag: str, values, ok, what: str) -> None:
+    """Name ``flag`` and the first of its values that is not ``what``."""
+    for value in values:
+        if not ok(value):
+            raise ValueError(f"{flag} {value!r} is not {what}")
+
+
+def _positive(flag: str, values) -> None:
+    _require(flag, values, lambda x: 0 < x < math.inf, "finite and positive")
+
+
+def _whole(flag: str, values, least: int) -> list[int]:
+    _require(flag, values, lambda x: float(x).is_integer() and x >= least,
+             f"a whole number >= {least}")
+    return [int(x) for x in values]
+
+
 def _point(text: str) -> np.ndarray:
     return np.array(_floats(text), dtype=np.float64)
 
@@ -89,6 +106,7 @@ def _cmd_generate(spec, ns):
 
 
 def _cmd_plot(spec, ns):
+    _positive("--T", [ns.T])
     n_hi = min(count_in_ball(ns.T, spec.d), ns.budget)
     _, coords = point_batch(spec, np.arange(1, n_hi + 1, dtype=np.int64))
     strip = tuple(_floats(ns.strip)) if ns.strip else None
@@ -186,25 +204,37 @@ def _cmd_visible(spec, ns):
     return {"verdicts": verdicts}, not any(v.visible_at_scale for v in verdicts)
 
 
+def _covering_table(spec, ns):
+    m_grid = _whole("--m", ns.m, 0)
+    _require("--m", ns.m, lambda m: m < ns.budget, f"below --budget {ns.budget}")
+    return uniform_covering_parameter(spec, ns.C, m_grid, _whole("--N", ns.N, 1),
+                                      resolution=ns.resolution, index_budget=ns.budget)
+
+
 def _criterion_table(spec, ns):
-    if not all(eps > 0 for eps in ns.eps):
-        raise ValueError(f"criterion --eps values must be positive, got {ns.eps}")
+    _positive("--eps", ns.eps)
     power = ns.V_power if ns.V_power is not None else float(spec.d)
     return uniform_orchard_criterion(
         spec, lambda e: ns.V_const * e ** (-power), K=ns.K, eps_grid=ns.eps,
-        h_mults=[int(m) for m in ns.h_mults], resolution=ns.resolution,
+        h_mults=_whole("--h-mults", ns.h_mults, 1), resolution=ns.resolution,
         index_budget=ns.budget)
+
+
+def _defvisi_curve(spec, ns):
+    _positive("--eps", ns.eps)
+    _positive("--x-grid", ns.x_grid)
+    # the window scales of x run h = floor(x) + 1, doubling, up to --h-cap
+    _require("--x-grid", ns.x_grid, lambda x: x < ns.h_cap,
+             f"below --h-cap {ns.h_cap}, so no window scale h > x is measured")
+    return visibility_from_covering(spec, ns.eps, ns.x_grid, h_cap=ns.h_cap,
+                                    resolution=ns.resolution, index_budget=ns.budget)
 
 
 # subcommand -> (payload key, key of its row list, build(spec, ns))
 TABLES = {
-    "covering": ("estimate", "rows", lambda spec, ns: uniform_covering_parameter(
-        spec, ns.C, [int(m) for m in ns.m], [int(n) for n in ns.N],
-        resolution=ns.resolution, index_budget=ns.budget)),
+    "covering": ("estimate", "rows", _covering_table),
     "criterion": ("table", "rows", _criterion_table),
-    "defvisi": ("curve", "curve", lambda spec, ns: visibility_from_covering(
-        spec, ns.eps, ns.x_grid, h_cap=ns.h_cap, resolution=ns.resolution,
-        index_budget=ns.budget)),
+    "defvisi": ("curve", "curve", _defvisi_curve),
 }
 
 
@@ -227,8 +257,13 @@ def _cmd_delone(spec, ns):
 
 def _cmd_puncture(spec, ns):
     n_hi = min(ns.n, ns.budget)
-    pspec = getattr(PunctureSpec, ns.schedule)(spec, _point(ns.v0), ns.delta, ns.m_lo,
-                                               ns.m_hi, scale_constant=ns.strip_C)
+    try:
+        pspec = getattr(PunctureSpec, ns.schedule)(spec, _point(ns.v0), ns.delta, ns.m_lo,
+                                                   ns.m_hi, scale_constant=ns.strip_C)
+    except ValueError as exc:  # name the flags the schedule is built from
+        raise ValueError(f"--schedule {ns.schedule} with --v0 {ns.v0}, --delta {ns.delta}, "
+                         f"--m-lo {ns.m_lo}, --m-hi {ns.m_hi}, --strip-C {ns.strip_C}: "
+                         f"{exc}") from None
     all_ns, coords = puncture_batch(pspec, 1, n_hi)
     moved = int(np.sum(np.any(coords != point_batch(spec, all_ns)[1], axis=1)))
     still_inside = int(pspec.in_region(coords).sum())

@@ -41,27 +41,28 @@ def _circular_covering_radius(points: np.ndarray) -> float:
     return widest / 2.0
 
 
-def covering_radius(points, d: int | None = None, mode: str = "auto",
+def covering_radius(points, d: int | None = None,
                     resolution: float | None = None) -> CoveringRadiusResult:
     """Largest geodesic distance from any direction to the set.
 
-    On the circle this is half the largest gap, exact. Otherwise (net mode)
-    the sup is taken over the net ``build_direction_net(d, resolution)`` and
-    the value carries a one-sided error of at most that net's mesh.
+    On the circle (d=1) this is half the largest gap, exact. On S^d, d >= 2,
+    it is ``_net_covering_radius``: a sup over a net of mesh ``resolution``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] == 0:
         raise ValueError("covering radius of an empty set is undefined")
     dim = pts.shape[1] - 1 if d is None else d
-    if mode not in ("auto", "exact", "net"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if dim == 1 and mode in ("auto", "exact"):
+    if dim == 1:
         return CoveringRadiusResult(_circular_covering_radius(pts), True, 0.0)
-    if mode == "exact":
-        raise ValueError("exact covering radius is only available on the circle")
     if resolution is None:
-        raise ValueError("net mode needs a resolution")
-    net = build_direction_net(dim, resolution)
+        raise ValueError(f"the covering radius on S^{dim} needs a resolution")
+    return _net_covering_radius(pts, dim, resolution)
+
+
+def _net_covering_radius(pts: np.ndarray, d: int, resolution: float) -> CoveringRadiusResult:
+    """The sup over the net ``build_direction_net(d, resolution)`` of the
+    distance to the set: below the true radius by at most the net's mesh."""
+    net = build_direction_net(d, resolution)
     value = 0.0
     for chunk in np.array_split(net.centers, max(1, len(net.centers) // 4096)):
         dots = chunk @ pts.T
@@ -123,6 +124,10 @@ def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
                                    m_grid=list(m_grid), N_grid=list(N_grid))
 
 
+# the criterion's W(eps) = C_U * V(KAPPA_U * eps), at the paper's constants
+C_U = KAPPA_U = 1.0
+
+
 @dataclass
 class CriterionTable:
     """Cells h * eps^-1 * R(window at h of length K h^d W(eps)), h >= W(eps)."""
@@ -131,33 +136,30 @@ class CriterionTable:
     sup: float
     argmax: dict | None
     K: float
-    c_U: float
-    kappa_U: float
 
     def to_json(self) -> dict:
         return {
             "sup": self.sup,
             "argmax": self.argmax,
-            "constants": {"K": self.K, "c_U": self.c_U, "kappa_U": self.kappa_U},
+            "constants": {"K": self.K, "c_U": C_U, "kappa_U": KAPPA_U},
             "rows": self.rows,
         }
 
 
 def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
                               eps_grid=(0.2, 0.1, 0.05), h_mults=(1, 2, 4, 8),
-                              c_U: float = 1.0, kappa_U: float = 1.0,
                               resolution: float | None = None,
                               index_budget: int = DEFAULT_BUDGET) -> CriterionTable:
     """Tabulate the windowed-covering criterion equivalent to the
     uniform-orchard property; boundedness of the sup is the pass signal.
 
     ``V`` maps eps to a visibility value; the evaluated function is
-    W(eps) = c_U * V(kappa_U * eps).
+    W(eps) = C_U * V(KAPPA_U * eps).
     """
     rows = []
     sup, argmax = -math.inf, None
     for eps in eps_grid:
-        W = c_U * V(kappa_U * eps)
+        W = C_U * V(KAPPA_U * eps)
         if not 0 < W < math.inf:
             raise ValueError(f"visibility must be finite and positive, got {W}")
         for mult in h_mults:
@@ -176,8 +178,7 @@ def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
                          "value": value, "status": "ok"})
             if value > sup:
                 sup, argmax = value, {"eps": eps, "h": h}
-    return CriterionTable(rows=rows, sup=sup, argmax=argmax, K=K, c_U=c_U,
-                          kappa_U=kappa_U)
+    return CriterionTable(rows=rows, sup=sup, argmax=argmax, K=K)
 
 
 @dataclass

@@ -14,10 +14,6 @@ import numpy as np
 from .sequences import SequenceSpec
 from .spirals import DEFAULT_BUDGET, count_in_ball, iter_point_chunks
 
-# partial quotients read ahead to sum each tail value [a_(k+1); a_(k+2), ...]
-_TAIL_TERMS = 48
-
-
 def _fraction_quotients(x: Fraction):
     """Finite continued-fraction expansion of a rational."""
     num, den = x.numerator, x.denominator
@@ -27,28 +23,21 @@ def _fraction_quotients(x: Fraction):
         num, den = den, rem
 
 
-def _tail_value(quotients: list[int]) -> float:
-    """Numeric value of [a0; a1, a2, ...] from a finite quotient list."""
-    val = math.inf
-    for a in reversed(quotients):
-        val = a + (0.0 if val == math.inf else 1.0 / val)
-    return val
-
-
-def badness(theta, Q: int, quotients=None) -> float:
+def badness(theta, Q: int) -> float:
     """min over 1 <= q <= Q of q * distance(q*theta, Z), via convergents.
 
     The minimum over q <= Q is attained at a convergent denominator (best
-    approximations), so only those are evaluated. A float theta is treated as
-    the exact rational it represents; for irrational targets pass their
-    partial quotients (e.g. ``itertools.repeat(1)`` for the golden ratio),
-    since float64 error alone distorts q*||q*theta|| by ~Q^2 * 1e-16.
+    approximations), so only those are evaluated, in exact arithmetic. A
+    float theta is treated as the exact rational it represents. For an
+    irrational target pass a ``Fraction`` convergent whose denominator is far
+    above Q: its convergents up to Q are the target's, and each q*||q*theta||
+    moves by at most q^2 times the convergent's distance from the target.
+    A float will not do: float64 error alone distorts q*||q*theta|| by
+    ~Q^2 * 1e-16.
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
-    if quotients is not None:
-        return _badness_from_quotients(quotients, Q)
-    frac = theta if isinstance(theta, Fraction) else Fraction(theta)
+    frac = Fraction(theta)
     qs = list(_fraction_quotients(frac))
     best = math.inf
     p_prev, q_prev = 1, 0
@@ -61,33 +50,6 @@ def badness(theta, Q: int, quotients=None) -> float:
         if q_cur > Q:
             break
         best = min(best, float(q_cur * abs(q_cur * frac - p_cur)))
-    return best
-
-
-def _badness_from_quotients(quotients, Q: int) -> float:
-    qs_iter = iter(quotients)
-    window: list[int] = list(itertools.islice(qs_iter, _TAIL_TERMS + 2))
-    if not window:
-        raise ValueError("empty quotient stream")
-    best = math.inf
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = window[0], 1
-    k = 0
-    while q_cur <= Q:
-        # |q_k theta - p_k| = 1 / (alpha_(k+1) q_k + q_(k-1))
-        tail = window[k + 1:]
-        nxt = next(qs_iter, None)
-        if nxt is not None:
-            window.append(nxt)
-        if not tail:
-            best = min(best, 0.0)  # rational: exact hit at its denominator
-            break
-        alpha = _tail_value(tail)
-        best = min(best, q_cur / (alpha * q_cur + q_prev))
-        k += 1
-        a = window[k]
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
     return best
 
 

@@ -96,42 +96,34 @@ def _project(grids) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _cube_face(d: int, m: int) -> tuple[np.ndarray, float]:
-    """The m^d equiangular cells of the cube face x_0 = 1: their centers on
-    S^d and the largest center-to-vertex angle over all of them.
+def _cube_face(d: int, m: int, cells: int | None = None) -> tuple[np.ndarray, float]:
+    """The equiangular cells of the cube face x_0 = 1 with m per axis, or
+    only the first ``cells`` per axis of them (the corner block): their
+    centers on S^d and the largest center-to-vertex angle over all of them.
 
     A cell is bounded by great spheres through the origin, so it is convex;
     below pi/2 the farthest point of a convex spherical cell from its center
-    is a vertex. So that angle is exactly the largest distance from a point
-    of a cell to the cell's own center: a proved covering radius for the
-    face. (A point's nearest center may be a neighbour's, and nearer.)
+    is a vertex. So over the whole face that angle is exactly the largest
+    distance from a point of a cell to the cell's own center: a proved
+    covering radius for the face. (A point's nearest center may be a
+    neighbour's, and nearer.) Over a corner block it is a lower bound.
     """
+    cells = m if cells is None else cells
     step = (math.pi / 2) / m
-    edges = np.tan(-math.pi / 4 + step * np.arange(m + 1))
-    edges[0], edges[-1] = -1.0, 1.0  # the faces must meet exactly
-    mids = np.tan(-math.pi / 4 + step * (np.arange(m) + 0.5))
+    edges = np.tan(-math.pi / 4 + step * np.arange(cells + 1))
+    edges[0] = -1.0  # the faces must meet exactly
+    if cells == m:
+        edges[-1] = 1.0
+    mids = np.tan(-math.pi / 4 + step * (np.arange(cells) + 0.5))
     centers = _project(np.meshgrid(*[mids] * d, indexing="ij"))
+    # every grid vertex projected once, then each cell corner's slice of them
+    verts = _project(np.meshgrid(*[edges] * d, indexing="ij"))
+    verts = verts.reshape((cells + 1,) * d + (d + 1,))
     widest = 0.0
     for corner in itertools.product((0, 1), repeat=d):
-        verts = _project(np.meshgrid(*[edges[c:m + c] for c in corner], indexing="ij"))
-        widest = max(widest, float(np.linalg.norm(verts - centers, axis=1).max()))
+        corners = verts[tuple(slice(c, cells + c) for c in corner)].reshape(-1, d + 1)
+        widest = max(widest, float(np.linalg.norm(corners - centers, axis=1).max()))
     return centers, 2.0 * math.asin(widest / 2.0)
-
-
-def _corner_cell_radius(d: int, m: int) -> float:
-    """The center-to-vertex angle of the corner cell (0, ..., 0) of
-    ``_cube_face(d, m)``, in the same float operations: one of the angles
-    that face maximizes over, so a lower bound on its covering radius."""
-    step = (math.pi / 2) / m
-    edges = np.tan(-math.pi / 4 + step * np.arange(2))
-    edges[0] = -1.0
-    if m == 1:
-        edges[1] = 1.0
-    mid = np.tan(-math.pi / 4 + step * 0.5)
-    pts = np.array([[1.0] + [mid] * d]
-                   + [[1.0, *edges[list(c)]] for c in itertools.product((0, 1), repeat=d)])
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    return 2.0 * math.asin(float(np.linalg.norm(pts[1:] - pts[0], axis=1).max()) / 2.0)
 
 
 def _cube_sphere_net(d: int, delta: float) -> DirectionNet:
@@ -147,7 +139,7 @@ def _cube_sphere_net(d: int, delta: float) -> DirectionNet:
     """
     m = max(1, math.floor(
         (d * _sphere_area(d) / (2 * (d + 1) * _sphere_area(d - 1))) ** (1 / d) / delta))
-    while _corner_cell_radius(d, m) > delta:
+    while _cube_face(d, m, cells=1)[1] > delta:
         m += 1
     while True:
         face, radius = _cube_face(d, m)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .sequences import SequenceSpec, direction_batch, sequence_term
+from .sphere import unit_vector
 
 CHUNK = 1 << 18
 DEFAULT_BUDGET = 10**7  # the default largest index any scan, table or CLI run reads
@@ -125,17 +126,22 @@ class PunctureSpec:
     scan_cap: int = 100_000
 
     def __post_init__(self):
-        self.v0 = np.asarray(self.v0, dtype=np.float64)
-        self.v0 = self.v0 / np.linalg.norm(self.v0)
+        self.v0 = unit_vector(self.v0)
+        if len(self.v0) != self.base.d + 1:
+            raise ValueError(f"v0 has {len(self.v0)} coordinates; a d={self.base.d} "
+                             f"spiral lies in R^{self.base.d + 1}")
         self.outer_radii = np.asarray(self.outer_radii, dtype=np.float64)
         self.thicknesses = np.asarray(self.thicknesses, dtype=np.float64)
-        if self.delta <= 0:
-            raise ValueError("strip half-width delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"strip half-width delta must be finite and positive, "
+                             f"got {self.delta}")
+        if not len(self.outer_radii):
+            raise ValueError("the schedule holds no annulus")
         if len(self.outer_radii) != len(self.thicknesses):
             raise ValueError("outer radii and thicknesses must pair up")
-        if np.any(np.diff(self.outer_radii) <= 0):
-            raise ValueError("outer radii must increase")
-        if np.any(self.thicknesses <= 0):
+        if not (np.isfinite(self.outer_radii).all() and np.all(np.diff(self.outer_radii) > 0)):
+            raise ValueError("outer radii must be finite and increase")
+        if not np.all(self.thicknesses > 0):
             raise ValueError("thicknesses must be positive")
         if np.any(self.outer_radii - self.thicknesses <= 0):
             raise ValueError("every annulus needs outer radius minus thickness > 0")

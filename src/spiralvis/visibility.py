@@ -565,21 +565,22 @@ def _budget_window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float
 def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
                   net: DirectionNet | None = None,
                   index_budget: int = DEFAULT_BUDGET,
-                  method: str = "direct",
-                  constants: dict | None = None) -> CheckReport:
+                  method: str = "direct") -> CheckReport:
     """Every net direction must approach some point at parameter 0 < t < V.
 
     ``direct`` measures exact segment distances; ``certificate`` instead
     checks the arithmetic condition: an index n <= K*V^(d+1) with angular
-    distance to the direction at most kappa*eps/n^(1/(d+1)).
+    distance to the direction at most kappa*eps/n^(1/(d+1)). Its constants
+    are fixed at K = kappa = 1, and the report records them.
     """
     net = _require_net(spec, eps, V_value, net)
-    constants = dict(constants or {})
     if method == "direct":
+        constants = {}
         window = _budget_window_arcs(spec, 0.0, V_value, eps, index_budget)
     elif method == "certificate":
-        window = _certificate_arcs(spec, eps, V_value, constants.setdefault("K", 1.0),
-                                   constants.setdefault("kappa", 1.0), index_budget)
+        constants = {"K": 1.0, "kappa": 1.0}
+        window = _certificate_arcs(spec, eps, V_value, constants["K"], constants["kappa"],
+                                   index_budget)
     else:
         raise ValueError(f"unknown method {method!r}")
     failures, witnesses, hits = _net_check(spec, net, *window, 0.0, V_value)
@@ -593,8 +594,7 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
 
 def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
                           t0_list, net: DirectionNet | None = None,
-                          index_budget: int = DEFAULT_BUDGET,
-                          constants: dict | None = None) -> CheckReport:
+                          index_budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Orchard condition with the window shifted to (t0, t0 + V), for each
     distinct t0 in first-seen order."""
     net = _require_net(spec, eps, V_value, net)
@@ -616,8 +616,7 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
                                  np.repeat(t0_list, [len(f) for f in all_failures]))
     return CheckReport(
         property="uniform-orchard", spec=spec.to_json(), eps=eps, V=V_value,
-        constants=dict(constants or {}), net=_net_info(net),
-        total_checks=len(net) * len(t0_list),
+        constants={}, net=_net_info(net), total_checks=len(net) * len(t0_list),
         failures=failures, witness_count=hits_total, witnesses=all_witnesses,
         certified_tolerance=eps + V_value * net.mesh, passed=not len(failures),
         extra={"t0": per_t0},
@@ -982,19 +981,17 @@ def verify_proximity_sandwich(spec: SequenceSpec, c: float, cp: float,
 
 
 def calibrate_proximity_sandwich(spec: SequenceSpec, n_samples: int = 10**4,
-                                 seed: int = 0,
-                                 c_grid=(0.9, 1.0, 1.2, 1.5, 1.8),
-                                 cp_grid=(1.3, 1.5, 1.7, 2.0, 2.5, 3.0)):
+                                 seed: int = 0):
     """Find (c, c') with zero violations of the sandwich
     (``verify_proximity_sandwich``): exact distance <= eps/c' implies the
     split check at (eps, c) implies exact <= c'*eps.
 
     Returns (c, c', samples) with the smallest passing c'.
     """
-    for cp in sorted(cp_grid):
-        for c in c_grid:
+    for cp in (1.3, 1.5, 1.7, 2.0, 2.5, 3.0):
+        for c in (0.9, 1.0, 1.2, 1.5, 1.8):
             if verify_proximity_sandwich(spec, c, cp, n_samples, seed) == 0:
-                return float(c), float(cp), n_samples
+                return c, cp, n_samples
     raise RuntimeError("no sandwich constants found on the calibration grids")
 
 
@@ -1072,15 +1069,14 @@ def _line_reach(spec: SequenceSpec, line: LineParam, eps: float,
 
 
 def _passes(spec: SequenceSpec, kind: str, eps: float, V: float, t0_list,
-            lines_seed: int, lines_per_eps: int, index_budget: int,
-            net: DirectionNet | None) -> bool:
+            lines_seed: int, index_budget: int, net: DirectionNet | None) -> bool:
     if kind == "orchard":
         return check_orchard(spec, eps, V, net=net, index_budget=index_budget).passed
     if kind == "uniform":
         return check_uniform_orchard(spec, eps, V, t0_list, net=net,
                                      index_budget=index_budget).passed
     if kind == "forest":
-        lines = random_lines(np.random.default_rng(lines_seed), lines_per_eps, V)
+        lines = random_lines(np.random.default_rng(lines_seed), LINES_PER_EPS, V)
         return check_dense_forest(spec, eps, V, lines,
                                   index_budget=index_budget).passed
     raise ValueError(f"unknown kind {kind!r}")
@@ -1098,8 +1094,10 @@ def _budget_cap(spec: SequenceSpec, eps: float, windows, index_budget: int) -> f
     return cap
 
 
-def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
-                            t0_list=(0.0,), lines_per_eps: int = 64,
+LINES_PER_EPS = 64  # seeded forest windows per eps
+
+
+def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid, t0_list=(0.0,),
                             index_budget: int = DEFAULT_BUDGET) -> VisibilityCurve:
     """Smallest V per eps for which the chosen check passes, computed: a
     point whose eps-disc covers [a, b] of a direction's line reaches the
@@ -1120,7 +1118,7 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
     for i, eps in enumerate(eps_grid):
         if kind == "forest":  # a seeded window's lam and t0 do not depend on V
             windows = [(line.lam, line.t0) for line in
-                       random_lines(np.random.default_rng(i), lines_per_eps, 1.0)]
+                       random_lines(np.random.default_rng(i), LINES_PER_EPS, 1.0)]
         else:
             windows = [(0.0, t0) for t0 in (t0_list if kind == "uniform" else [0.0])]
         cap = _budget_cap(spec, eps, windows, index_budget)
@@ -1129,7 +1127,7 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
         bound = max(min(bound, cap), 2.0**-6)
         while True:
             if kind == "forest":
-                lines = random_lines(np.random.default_rng(i), lines_per_eps, bound)
+                lines = random_lines(np.random.default_rng(i), LINES_PER_EPS, bound)
                 grid, reaches = None, (_line_reach(spec, line, eps, index_budget)
                                        for line in lines)
             else:
@@ -1141,8 +1139,8 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid,
                 if (V := max(V, reach)) > bound:
                     break
             V = max(V * (1.0 + 1e-9), 2.0**-6)  # float rounding may miss the exact boundary
-            if V <= bound <= cap and _passes(spec, kind, eps, V, t0_list, i, lines_per_eps,
-                                             index_budget, grid):
+            if V <= bound <= cap and _passes(spec, kind, eps, V, t0_list, i, index_budget,
+                                             grid):
                 best = max(best, V)  # the reported V may not decrease as eps shrinks
                 entries.append(CurveEntry(eps=eps, V=best, status="ok"))
                 bound = V

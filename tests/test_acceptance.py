@@ -26,6 +26,7 @@ from spiralvis import (
 )
 from oracles import growth_along_h
 from spiralvis.cli import main as cli_main
+from spiralvis.covering import _net_covering_radius
 from spiralvis.geometry import segment_distances
 from spiralvis.sequences import triangular_decompose_batch
 from spiralvis.spirals import iter_point_chunks
@@ -119,9 +120,8 @@ def test_criterion_4(golden):
     for eps in (0.1, 0.05):
         report = check_uniform_orchard(
             golden, eps, GOLDEN_UNIFORM_C / eps, [0.0, 100.0, 1000.0],
-            index_budget=BUDGET, constants={"C": GOLDEN_UNIFORM_C})
+            index_budget=BUDGET)
         assert report.passed
-        assert report.constants["C"] == GOLDEN_UNIFORM_C
 
 
 @criterion("5 hidden-points-implication")
@@ -195,7 +195,7 @@ def test_criterion_6(golden, ladder, fib_sphere):
         angles = rng.uniform(0, 2 * math.pi, rng.integers(2, 40))
         pts = np.column_stack([np.cos(angles), np.sin(angles)])
         exact = covering_radius(pts, d=1).value
-        approx = covering_radius(pts, d=1, mode="net", resolution=0.05)
+        approx = _net_covering_radius(pts, 1, 0.05)
         assert abs(approx.value - exact) <= approx.resolution
     _, coords = point_batch(fib_sphere, np.arange(1, 44**3 + 1, dtype=np.int64))
     rng = np.random.default_rng(9)

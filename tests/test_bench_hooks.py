@@ -4,9 +4,10 @@ by position. A rename that drops one breaks traced benchmark runs, and a
 moved argument silently miscounts, while the rest of the suite passes, so
 each lookup and each counted argument is checked here, and so is that the
 hooked visibility layers still have callers. So is that every public name
-has a caller outside the tests, and that every defaulted parameter of a
-public function is passed by some call, and that one constant sets every
-default index budget."""
+has a caller outside the tests, that every defaulted parameter of a public
+function is passed by some call outside the tests, that one constant sets
+every default index budget, and that no module imports a name it never
+reads."""
 
 import ast
 import importlib
@@ -118,13 +119,12 @@ def test_public_names_have_production_callers():
     assert set(NO_PRODUCTION_CALLER) <= set(spiralvis.__all__) - used
 
 
-# defaulted parameters that no parsed call passes, each with its reason
+# defaulted parameters that no production call passes, each with its reason
 NO_CALLER_SETS = {
-    ("PunctureSpec.factorial", "scale_constant"): "cli calls it through getattr",
-    ("calibrate_proximity_sandwich", "c_grid"): "acceptance pins the sandwich constants",
-    ("calibrate_proximity_sandwich", "cp_grid"): "acceptance pins the sandwich constants",
-    ("uniform_orchard_criterion", "c_U"): "the criterion payload reports it",
-    ("uniform_orchard_criterion", "kappa_U"): "the criterion payload reports it",
+    (f"PunctureSpec.{schedule}", param): "cli calls the schedule through getattr"
+    for schedule, params in (("geometric", ("m_lo", "m_hi", "scale_constant")),
+                             ("factorial", ("n_lo", "n_hi", "scale_constant")))
+    for param in params
 }
 
 
@@ -163,19 +163,21 @@ def _public_functions():
 
 
 def test_public_parameters_have_callers():
-    # a defaulted parameter that no call sets is a knob nothing turns: its
-    # default is the behaviour, and the parameter is code to keep for nothing
-    files = [path for folder in (ROOT / "src" / "spiralvis", ROOT / "perfbench",
-                                 ROOT / "tests") for path in sorted(folder.glob("*.py"))]
+    # a defaulted parameter that no production call sets is a knob nothing
+    # turns: its default is the behaviour, and the parameter is code kept for
+    # the tests. Index budgets are resource settings, pinned below.
+    files = [path for folder in (ROOT / "src" / "spiralvis", ROOT / "perfbench")
+             for path in sorted(folder.glob("*.py"))]
     passed = _passed(files)
     unset = set()
     for qualname, call, func in _public_functions():
         args = passed.get(call, set())
-        if args is None:
+        if args is None or qualname in NO_PRODUCTION_CALLER:
             continue
         for i, param in enumerate(inspect.signature(func).parameters.values()):
             position = i if param.kind is param.POSITIONAL_OR_KEYWORD else None
-            if param.default is not param.empty and not {position, param.name} & args:
+            if param.default is not param.empty and param.name != "index_budget" \
+                    and not {position, param.name} & args:
                 unset.add((qualname, param.name))
     assert unset - set(NO_CALLER_SETS) == set(), \
         f"defaulted parameters that no call passes: {sorted(unset - set(NO_CALLER_SETS))}"
@@ -193,3 +195,30 @@ def test_every_default_budget_is_the_one_constant():
     parser = build_parser()
     commands = next(a for a in parser._actions if a.dest == "subcommand").choices
     assert {parser.parse_args([name]).budget for name in commands} == {DEFAULT_BUDGET}
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """The names a module imports (``__future__`` aside) but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(imported.items(), key=lambda item: item[1])
+            if name not in read]
+
+
+def test_no_unread_imports():
+    # an import nothing reads is a dependency kept for nothing, and it hides
+    # which helpers a refactor left without a caller
+    files = [path for path in sorted((ROOT / "src" / "spiralvis").glob("*.py"))
+             if path.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+    unread = [entry for path in files for entry in _unread_imports(path)]
+    assert not unread, f"imported names that nothing reads: {unread}"

@@ -11,6 +11,7 @@ from spiralvis import (
     uniform_orchard_criterion,
     visibility_from_covering,
 )
+from spiralvis.covering import _net_covering_radius
 
 GOLDEN_100_RADIUS = 0.04132959128021163  # exact gap scan, first 100 terms
 
@@ -61,20 +62,28 @@ def test_covering_radius_net_mode_agrees_with_exact():
     for _ in range(100):
         pts = circle_points(rng.uniform(0, 2 * math.pi, rng.integers(2, 50)))
         exact = covering_radius(pts, d=1).value
-        approx = covering_radius(pts, d=1, mode="net", resolution=0.02)
+        approx = _net_covering_radius(pts, 1, 0.02)
         assert not approx.exact
         assert abs(approx.value - exact) <= approx.resolution
+
+
+def test_sphere_net_radius_agrees_across_resolutions(fib_sphere):
+    # each net value lies at most its mesh below the true radius and never
+    # above it, so the values at two resolutions bracket each other
+    for start, count in ((0, 40), (1000, 300), (8**3, 64)):
+        pts = direction_batch(fib_sphere, np.arange(start + 1, start + count + 1))
+        coarse = covering_radius(pts, d=2, resolution=0.1)
+        fine = covering_radius(pts, d=2, resolution=0.03)
+        assert not coarse.exact and not fine.exact
+        assert coarse.value <= fine.value + fine.resolution
+        assert fine.value <= coarse.value + coarse.resolution
 
 
 def test_covering_radius_errors():
     with pytest.raises(ValueError):
         covering_radius(np.zeros((0, 2)), d=1)
-    with pytest.raises(ValueError):
-        covering_radius(circle_points([0.0]), d=1, mode="sideways")
-    with pytest.raises(ValueError):
-        covering_radius(np.eye(3), d=2, mode="exact")
-    with pytest.raises(ValueError):
-        covering_radius(np.eye(3), d=2)  # net mode needs a resolution
+    with pytest.raises(ValueError, match="needs a resolution"):
+        covering_radius(np.eye(3), d=2)
 
 
 def test_window_nesting_and_monotone_covering(golden):

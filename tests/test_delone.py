@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -17,12 +16,26 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 BADNESS_PHI = 2.0 - GOLDEN
 BADNESS_SQRT2M1 = 6.0 - 4.0 * math.sqrt(2)
 
+
+def convergent(quotients) -> Fraction:
+    """The rational [a0; a1, ..., ak]."""
+    value = Fraction(quotients[-1])
+    for a in reversed(quotients[:-1]):
+        value = a + 1 / value
+    return value
+
+
+# exact convergents far past every Q below: [1; 1 x 60] = F(62)/F(61) for phi
+# and the Pell ratio [0; 2 x 33] for sqrt(2) - 1, denominators above 1e12
+PHI_CONVERGENT = convergent([1] * 61)
+SQRT2M1_CONVERGENT = convergent([0] + [2] * 33)
+
 GOLDEN_T30_PACKING = 1.601950235208494
 GOLDEN_T30_COVERING = 1.6244147739035049
 
 
 def test_badness_phi_frozen():
-    got = badness(None, 10**6, quotients=itertools.repeat(1))
+    got = badness(PHI_CONVERGENT, 10**6)
     assert got == pytest.approx(BADNESS_PHI, abs=1e-9)
 
 
@@ -42,13 +55,12 @@ def test_badness_rational_hits_zero():
 
 
 def test_badness_sqrt2_minus_one():
-    got = badness(None, 10**4, quotients=itertools.chain([0], itertools.repeat(2)))
+    got = badness(SQRT2M1_CONVERGENT, 10**4)
     assert got == pytest.approx(BADNESS_SQRT2M1, abs=1e-9)
 
 
 def test_badness_nonincreasing_in_Q():
-    vals = [badness(None, Q, quotients=itertools.repeat(1))
-            for Q in (1, 10, 100, 10**4, 10**6)]
+    vals = [badness(PHI_CONVERGENT, Q) for Q in (1, 10, 100, 10**4, 10**6)]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 

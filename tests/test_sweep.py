@@ -29,7 +29,6 @@ from spiralvis.visibility import (
     _net_check,
     _passes,
     _window_arcs,
-    _window_reach,
 )
 
 TWO_PI = 2 * math.pi
@@ -278,19 +277,17 @@ def test_estimate_on_its_own_net(golden, kind, eps_grid, t0_list, monkeypatch):
             (abs(t0) + e.V + 1.0) ** 2)).max() for t0 in t0_list)
         assert e.V == pytest.approx(want * (1 + 1e-9), rel=1e-12)
         for V, passes_at_V in ((e.V, True), (e.V / (1 + step), False)):
-            assert _passes(golden, kind, e.eps, V, t0_list, i, 64, budget,
-                           net) is passes_at_V
+            assert _passes(golden, kind, e.eps, V, t0_list, i, budget, net) is passes_at_V
 
 
 def _bisection_curve(spec, kind, eps_grid, t0_list=(0.0,), v_cap=2.0**20, rtol=0.02,
-                     lines_per_eps=64, seed=0):
+                     seed=0):
     """The search that the direct estimate replaced: doubling from V = 1, then
     bisection to rtol, each trial a full check on its own eps/(4V) net."""
     values = []
     for i, eps in enumerate(sorted(set(eps_grid), reverse=True)):
         def ok(V):
-            return _passes(spec, kind, eps, V, t0_list, seed + i, lines_per_eps,
-                           DEFAULT_BUDGET, None)
+            return _passes(spec, kind, eps, V, t0_list, seed + i, DEFAULT_BUDGET, None)
 
         V = 1.0
         while V <= v_cap and not ok(V):
@@ -309,12 +306,12 @@ def _bisection_curve(spec, kind, eps_grid, t0_list=(0.0,), v_cap=2.0**20, rtol=0
     return values
 
 
-@pytest.mark.parametrize("kind, seq, eps_grid, t0_list, lines", [
-    ("uniform", "golden-angle", [0.2, 0.1], (0.0, 100.0), 64),
-    ("orchard", "rational-ladder", [0.2, 0.1, 0.05], (0.0,), 64),
-    ("forest", "golden-angle", [0.2], (0.0,), 16),
+@pytest.mark.parametrize("kind, seq, eps_grid, t0_list", [
+    ("uniform", "golden-angle", [0.2, 0.1], (0.0, 100.0)),
+    ("orchard", "rational-ladder", [0.2, 0.1, 0.05], (0.0,)),
+    ("forest", "golden-angle", [0.2], (0.0,)),
 ])
-def test_estimate_within_rtol_of_bisection(kind, seq, eps_grid, t0_list, lines):
+def test_estimate_within_rtol_of_bisection(kind, seq, eps_grid, t0_list):
     # one confirming check per eps, and V within 2% of the old bisection
     spec, rtol = SequenceSpec(seq), 0.02
     trials = []
@@ -325,10 +322,9 @@ def test_estimate_within_rtol_of_bisection(kind, seq, eps_grid, t0_list, lines):
         return real(*args)
 
     with mock.patch.object(vis, "_passes", counting):
-        curve = estimate_min_visibility(spec, kind, eps_grid, t0_list=t0_list,
-                                        lines_per_eps=lines)
+        curve = estimate_min_visibility(spec, kind, eps_grid, t0_list=t0_list)
     assert len(trials) == len(eps_grid)
-    old = _bisection_curve(spec, kind, eps_grid, t0_list, rtol=rtol, lines_per_eps=lines)
+    old = _bisection_curve(spec, kind, eps_grid, t0_list, rtol=rtol)
     for e, V_old in zip(curve.entries, old):
         assert e.status == "ok"
         assert abs(math.log(e.V / V_old)) <= math.log(1 + rtol)

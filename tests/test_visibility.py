@@ -106,10 +106,9 @@ def test_orchard_witness_soundness(ladder):
 
 def test_orchard_certificate_route(ladder, constant_seq):
     eps = 0.1
-    rep = check_orchard(ladder, eps, 4 * math.pi / eps, method="certificate",
-                        constants={"K": 1.0, "kappa": 2 * math.pi})
+    rep = check_orchard(ladder, eps, 4 * math.pi / eps, method="certificate")
     assert rep.passed
-    assert rep.constants == {"K": 1.0, "kappa": 2 * math.pi}
+    assert rep.constants == {"K": 1.0, "kappa": 1.0}
     bad = check_orchard(constant_seq, eps, 20.0, method="certificate")
     assert not bad.passed
 
