@@ -406,18 +406,16 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         assert err.value.code == 2
         assert problem in capsys.readouterr().err
     puncture = ["puncture", "--n", "2000", "--out", str(tmp_path / "p.csv")]
-    for argv, problem in (  # once a silent wrong number, or a message naming no flag
+    for argv, *problems in (  # once a silent wrong number, or a message naming no flag
             (["covering", "--N", "0,-3"], "--N 0.0 is not a whole number >= 1"),
             (["covering", "--N", "inf"], "--N inf is not a whole number"),
             (["covering", "--N", "nan"], "--N nan is not a whole number"),
             (["covering", "--m", "-5"], "--m -5.0 is not a whole number >= 0"),
             (["covering", "--m", "1e300"], "--m 1e+300 is not below --budget 10000000"),
-            (puncture + ["--delta", "nan"], "--delta nan, "),
-            (puncture + ["--delta", "nan"], "delta must be finite and positive"),
-            (puncture + ["--v0", "0,0"], "--v0 0,0, "),
-            (puncture + ["--v0", "0,0"], "cannot normalize a zero or non-finite vector"),
-            (puncture + ["--m-lo", "5", "--m-hi", "2"], "--m-lo 5, --m-hi 2, "),
-            (puncture + ["--m-lo", "5", "--m-hi", "2"], "the schedule holds no annulus"),
+            (puncture + ["--delta", "nan"], "--delta nan, ", "delta must be finite and positive"),
+            (puncture + ["--v0", "0,0"], "--v0 0,0, ", "cannot normalize a zero or non-finite"),
+            (puncture + ["--m-lo", "5", "--m-hi", "2"], "--m-lo 5, --m-hi 2, ",
+             "the schedule holds no annulus"),
             (["defvisi", "--eps", "nan"], "--eps nan is not finite and positive"),
             (["defvisi", "--h-cap", "0"], "--x-grid 1 is not below --h-cap 0"),
             (["defvisi", "--x-grid", "inf"], "--x-grid inf is not finite"),
@@ -429,7 +427,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             main(argv)
         assert err.value.code == 2
         message = capsys.readouterr().err.strip().splitlines()[-1]
-        assert problem in message
+        assert all(problem in message for problem in problems), message
         assert max(map(len, message.split())) < 40  # names no 301-digit index
     cfg = tmp_path / "cfg.json"
     for text, problem in (
