@@ -1,9 +1,10 @@
-"""Frozen CLI output: each argv must reproduce its stored JSON payload, and
-each CSV case the file it writes, byte for byte.
+"""Frozen output: each argv must reproduce its stored JSON payload, each CSV
+case the file it writes, and each library case the ``dump_json`` of its
+result, byte for byte.
 
 Regenerate after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py [NAME ...]`` (every case when no
-name is given; a name in both tables regenerates both files) and review the
+name is given; a name in two tables regenerates both files) and review the
 diff.
 """
 
@@ -17,7 +18,9 @@ from pathlib import Path
 import pytest
 from conftest import assert_same
 
+from spiralvis import SequenceSpec, estimate_min_visibility
 from spiralvis.cli import main
+from spiralvis.reports import dump_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -70,6 +73,14 @@ CSV_CASES = {
                          "--delta", "0.5", "--n", "300"], "--out"),
 }
 
+# name -> a library call with no CLI subcommand, frozen as its dump_json
+LIBRARY_CASES = {
+    # the circle-sweep workload's minimal-visibility query
+    "estimate-golden-uniform": lambda: estimate_min_visibility(
+        SequenceSpec("golden-angle"), "uniform", [0.2, 0.1, 0.05, 0.025],
+        t0_list=(0, 100, 1000)),
+}
+
 
 def render(argv) -> str:
     buf = io.StringIO()
@@ -97,14 +108,21 @@ def test_golden_csv(name):
     assert_same(render_csv(*CSV_CASES[name]), want)
 
 
+@pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
+def test_golden_library(name):
+    want = (GOLDEN_DIR / f"{name}.json").read_text()
+    assert_same(dump_json(LIBRARY_CASES[name]()), want)
+
+
 def test_every_golden_file_has_a_case():
     # a stored payload with no case would silently stop being checked
-    cases = {f"{name}.json" for name in CASES} | {f"{name}.csv" for name in CSV_CASES}
+    cases = ({f"{name}.json" for name in CASES | LIBRARY_CASES}
+             | {f"{name}.csv" for name in CSV_CASES})
     assert sorted(p.name for p in GOLDEN_DIR.iterdir() if p.name not in cases) == []
 
 
 if __name__ == "__main__":
-    known = set(CASES) | set(CSV_CASES)
+    known = set(CASES) | set(CSV_CASES) | set(LIBRARY_CASES)
     names = sys.argv[1:] or sorted(known)
     unknown = sorted(set(names) - known)
     if unknown:
@@ -116,3 +134,5 @@ if __name__ == "__main__":
             (GOLDEN_DIR / f"{name}.json").write_text(render(CASES[name]))
         if name in CSV_CASES:
             (GOLDEN_DIR / f"{name}.csv").write_text(render_csv(*CSV_CASES[name]))
+        if name in LIBRARY_CASES:
+            (GOLDEN_DIR / f"{name}.json").write_text(dump_json(LIBRARY_CASES[name]()))
