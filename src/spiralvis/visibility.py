@@ -17,9 +17,12 @@ their arcs (``_window_arcs``, ``_certificate_arcs``) and hand them to one
 ``_net_check``. On the circle grid it is one cover pass (``_circle_check``):
 each arc is a run of integer cells (``_arc_cells``), one difference array
 per block of points marks every cell the block's runs cover, and the cells
-left open fail; the witnesses of the first 100 hit cells are tracked for
-cells 0-99 during the pass and found by a rescan (``_first_writers``) only
-when one of those fails. On any other net (S^d) ``_directional_window_check``
+left open fail. The first block's array spans all K cells; once the runs
+and the open cells number under K/4, a block's runs are ranked in the list
+of open cells and its array spans those ranks only (``_circle_cover``). The
+witnesses of the first 100 hit cells are tracked for cells 0-99 during the
+pass and found by a rescan (``_first_writers``) only when one of those
+fails. On any other net (S^d) ``_directional_window_check``
 runs ``_cap_witnesses``. It and the S^d minimal-visibility reach
 (``_window_reach``) share one pair sweep, ``_band_pairs``, which keeps the
 open centers sorted by their last coordinate z and pairs each point only
@@ -27,8 +30,10 @@ with the run of centers whose z lies in its cap's polar band
 (``_polar_bands``), so no point-by-center matrix is formed: the checks keep
 the pairs that pass the exact cap test and lower each center's witness, the
 reach lowers each center's least reach offset. On the circle grid the reach
-hands each point of a block (``_arc_blocks``) the still-unsettled cells it
-reaches (``_mark_windows``).
+hands each point of a block (``_arc_blocks``) the still-open cells it
+reaches (``_mark_windows``), in batches of about 2^16 (point, cell) marks;
+before each batch the cells its first point's radius settles leave the open
+list, and an int32 prefix count over that list ranks the batch's arcs.
 
 Segment scans (the forest windows and the visible-point rays) take their
 points from one candidate source, ``_segment_candidates``: blocks, in index
@@ -247,27 +252,30 @@ def _arc_cells(K: int, angles: np.ndarray, halfw: np.ndarray):
     return np.indices(lo.shape)[0].ravel(), lo.ravel() % K, counts
 
 
-def _mark_windows(K: int, is_open, angles: np.ndarray, halfw: np.ndarray, write,
+def _mark_windows(K: int, still_open, angles: np.ndarray, halfw: np.ndarray, write,
                   marks_per_batch: int | None = None) -> None:
     """Hand ``write(at, cells)`` each row ``at`` (a point; columns are more
-    arcs of it) with the open cells of its arcs (``_arc_cells``), in blocks
-    of at most ``marks_per_batch`` pairs (default K within [2^18, 2^20]);
-    before each, a prefix count over ``is_open()`` turns every arc into a run
-    of ranks in the list of open cells."""
+    arcs of it) with the open cells of its arcs (``_arc_cells``), in batches
+    of at most ``marks_per_batch`` pairs (default 2^16). Before each batch,
+    ``still_open(row)`` gives the cells open at its first row (sorted), and
+    an int32 prefix count over them turns every arc into a run of ranks in
+    that list."""
     at, lo, counts = _arc_cells(K, angles, halfw)
+    limit = marks_per_batch or 1 << 16
     while len(lo):
-        is_open_now = is_open()
-        prefix = np.concatenate(([0], np.cumsum(is_open_now)))
-        if not (R := int(prefix[-1])):
+        open_ = still_open(at[0])
+        if not (R := len(open_)):
             return
+        prefix = np.zeros(K + 1, dtype=np.int32)
+        prefix[open_ + 1] = 1
+        np.cumsum(prefix, out=prefix)
         wrap = lo + counts > K
         runs = prefix[lo + counts - K * wrap] - prefix[lo] + R * wrap
         bounds = np.cumsum(runs)
-        stop = max(1, int(np.searchsorted(
-            bounds, marks_per_batch or min(max(K, 1 << 18), 1 << 20), side="right")))
+        stop = max(1, int(np.searchsorted(bounds, limit, side="right")))
         c = runs[:stop]
         ranks = np.repeat(prefix[lo[:stop]] - bounds[:stop] + c, c) + np.arange(bounds[stop - 1])
-        write(np.repeat(at[:stop], c), np.flatnonzero(is_open_now)[ranks % R])
+        write(np.repeat(at[:stop], c), open_[ranks % R])
         lo, counts, at = lo[stop:], counts[stop:], at[stop:]
 
 
@@ -299,15 +307,19 @@ def _certificate_arcs(spec: SequenceSpec, eps: float, V: float, K_const: float,
 def _arc_blocks(spec: SequenceSpec, n_lo: int, n_hi: int, arcs):
     """(ns, radii, theta, angles, halfw) per block of CHUNK // 4 indices of
     [n_lo, n_hi], in index order: theta the polar angles (``angle_batch``),
-    and one column of angles theta + flip and one of half-widths
-    reach(ns, radii) per (flip, reach) in ``arcs``."""
+    and one column of angles (theta + flip) mod 2*pi and one of half-widths
+    reach(ns, radii) per (flip, reach) in ``arcs``. A lone flip-0 arc whose
+    angles already lie in [0, 2*pi) takes theta as its column: the remainder
+    is the identity there."""
     block = CHUNK // 4
     for lo in range(max(1, n_lo), n_hi + 1, block):
         ns = np.arange(lo, min(n_hi, lo + block - 1) + 1, dtype=np.int64)
         radii, theta = radius_of_index(ns, 1), angle_batch(spec, ns)
-        yield (ns, radii, theta,
-               np.column_stack([(theta + flip) % TWO_PI for flip, _ in arcs]),
-               np.column_stack([reach(ns, radii) for _, reach in arcs]))
+        if len(arcs) == 1 and arcs[0][0] == 0.0 and 0.0 <= theta.min() and theta.max() < TWO_PI:
+            angles = theta[:, None]
+        else:
+            angles = np.column_stack([(theta + flip) % TWO_PI for flip, _ in arcs])
+        yield ns, radii, theta, angles, np.column_stack([reach(ns, radii) for _, reach in arcs])
 
 
 def _cell_runs(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs):
@@ -339,22 +351,31 @@ def _stamp_first(first: np.ndarray, cells: np.ndarray, ns, start, stop) -> None:
 
 def _circle_cover(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
                   cells: np.ndarray):
-    """(open, first): the mask of the cells j*2*pi/K that no arc of an index
-    in [n_lo, n_hi] reaches, and the smallest index whose arc reaches each of
-    ``cells`` (sorted; MISS where none does). Per block, a difference array
-    over the block's runs marks every cell they cover, which leaves the open
-    mask; the sweep stops when no cell is open."""
-    open_ = np.ones(K, dtype=bool)
+    """(open, first): the cells j*2*pi/K that no arc of an index in
+    [n_lo, n_hi] reaches (sorted), and the smallest index whose arc reaches
+    each of ``cells`` (sorted; MISS where none does). Per block, a difference
+    array marks every cell the block's runs cover: one over all K cells,
+    unless the runs and the cells still open number under K/4 together, when
+    the runs are ranked in the list of open cells and it spans their ranks
+    only. The sweep stops when no cell is open."""
+    open_ = None  # the open cells, sorted; None while every cell is
     first = np.full(len(cells), MISS, dtype=np.int64)
     for ns, start, stop in _cell_runs(spec, K, n_lo, n_hi, arcs):
         _stamp_first(first, cells, ns, start, stop)
-        depth = np.bincount(start, minlength=K + 1)
-        depth -= np.bincount(stop, minlength=K + 1)
-        open_ &= np.cumsum(depth, out=depth)[:K] == 0
-        del depth  # freed before the next block's bincount: two K-long arrays at most
-        if not open_.any():
+        R = K if open_ is None else len(open_)
+        if 4 * (len(start) + R) < K:  # sorted keys keep the bisections local
+            depth = np.bincount(np.searchsorted(open_, np.sort(start)), minlength=R + 1)
+            depth -= np.bincount(np.searchsorted(open_, np.sort(stop)), minlength=R + 1)
+            open_ = open_[np.cumsum(depth, out=depth)[:R] == 0]
+        else:
+            depth = np.bincount(start, minlength=K + 1)
+            depth -= np.bincount(stop, minlength=K + 1)
+            still = np.cumsum(depth, out=depth)[:K] == 0
+            open_ = np.flatnonzero(still) if open_ is None else open_[still[open_]]
+        del depth  # freed before the next block's runs
+        if not len(open_):
             break
-    return open_, first
+    return np.arange(K) if open_ is None else open_, first
 
 
 def _first_writers(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
@@ -377,9 +398,9 @@ def _circle_check(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
     cells 0-99; only when one of them fails are the first 100 hit cells
     found again by a rescan from the start."""
     tracked = np.arange(min(K, 100))
-    open_, first = _circle_cover(spec, K, n_lo, n_hi, arcs, tracked)
-    failures = np.flatnonzero(open_)
-    cells = tracked if first.max(initial=0) < MISS else np.flatnonzero(~open_)[:100]
+    failures, first = _circle_cover(spec, K, n_lo, n_hi, arcs, tracked)
+    cells = tracked if first.max(initial=0) < MISS else np.setdiff1d(
+        np.arange(min(K, len(failures) + 100)), failures, assume_unique=True)[:100]
     if len(cells) and cells[-1] >= len(tracked):
         writers = _first_writers(spec, K, n_lo, n_hi, arcs, cells)
     else:
@@ -1023,26 +1044,34 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
     [t0, t0 + W] within eps of a point, or above V. Points of radius
     r > 2*eps - t0 have a >= r - 2*eps, so a direction at most r - 3*eps - t0
     is settled. On the circle grid each block's points (``_arc_blocks``)
-    write only the unsettled cells they reach (``_mark_windows``), and the
-    sweep stops when no cell is unsettled; on any other net the pairs of the
-    cap sweep (``_band_pairs``) lower their unsettled centers. A window the
+    write only the open cells they reach (``_mark_windows``), the open list
+    settled again before each batch of marks at the radius of its first
+    point, and the sweep stops when no cell is open; on any other net the
+    pairs of the cap sweep (``_band_pairs``) lower their unsettled centers. A window the
     checks reject as wholly past the budget (``_budget_window_arcs``) is
     rejected here too."""
     best = np.full(len(net), math.inf)
 
-    def unsettled(r):
-        return best > (r - 3.0 * eps - t0 if r > 3.0 * eps - t0 else -math.inf)
+    def still_open(c, r):
+        return best[c] > (r - 3.0 * eps - t0 if r > 3.0 * eps - t0 else -math.inf)
 
     n_lo, n_hi, arcs = _budget_window_arcs(spec, t0, t0 + V, eps, index_budget)
     if net.uniform_grid:
+        open_ = np.arange(len(net))
+
+        def settle(r):
+            nonlocal open_
+            open_ = open_[still_open(open_, r)]
+            return open_
+
         for _, radii, theta, angles, halfw in _arc_blocks(spec, n_lo, n_hi, arcs):
             def write(at, cells):
                 r, delta = radii[at], theta[at] - cells * (TWO_PI / len(net))
                 np.minimum.at(best, cells, _reach_offsets(r * np.cos(delta),
                                                           r * np.sin(delta), eps, t0))
 
-            _mark_windows(len(net), lambda: unsettled(radii[0]), angles, halfw, write)
-            if not unsettled(radii[-1]).any():
+            _mark_windows(len(net), lambda row: settle(radii[row]), angles, halfw, write)
+            if not len(settle(radii[-1])):
                 break
         return best
 
@@ -1053,7 +1082,7 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
         perp = r * np.linalg.norm(units[point] - dots[:, None] * net.centers[center], axis=1)
         np.minimum.at(best, center, _reach_offsets(r * dots, perp, eps, t0))
 
-    _band_pairs(spec, net.centers, n_lo, n_hi, arcs, lambda c, r: unsettled(r)[c], write)
+    _band_pairs(spec, net.centers, n_lo, n_hi, arcs, still_open, write)
     return best
 
 

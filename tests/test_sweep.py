@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import save_sequence_file
@@ -238,6 +238,66 @@ def test_window_reach_matches_brute(kind, d, delta, eps, t0, tmp_path):
             got = vis._window_reach(spec, net, t0, eps, V, budget)
         assert np.allclose(got[fits], want[fits], rtol=1e-12, atol=0)
         assert np.all(got[~fits] > V)
+
+
+@pytest.fixture(scope="module")
+def random_directions(tmp_path_factory):
+    """A file spiral of 4000 random directions: later points come within eps
+    of a direction with a smaller a, which settling must wait for."""
+    path = tmp_path_factory.mktemp("reach") / "random.txt"
+    angles = np.random.default_rng(4).uniform(0.0, TWO_PI, 4000)
+    save_sequence_file(path, np.column_stack([np.cos(angles), np.sin(angles)]))
+    return SequenceSpec("file", path=str(path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(SPECS) + ["file"]),
+       K=st.integers(3, 400),
+       eps=st.floats(0.05, 0.9),
+       t0=st.one_of(st.floats(-30.0, -0.5), st.floats(-0.5, 0.0), st.floats(40.0, 80.0)),
+       V=st.floats(0.3, 20.0),
+       marks=st.sampled_from([1, 37, 1 << 10, None]),
+       points=st.sampled_from([None, 1, 50]))
+def test_window_reach_d1_matches_brute(random_directions, kind, K, eps, t0, V, marks,
+                                       points):
+    # windows behind the origin (only the flipped arcs reach them),
+    # straddling it and far ahead of it; batches down to one mark settle the
+    # open cells at every batch's first point, blocks down to one point
+    spec, budget = (random_directions, 4000) if kind == "file" else (SPECS[kind],
+                                                                       DEFAULT_BUDGET)
+    # the file's 4000 points end at radius sqrt(4000) = 63.2
+    assume(kind != "file" or t0 + V + eps < 63.0)
+    net = build_direction_net(1, math.pi / (K - 0.5))
+    assert len(net) == K
+    n_max = min(budget, annulus_index_range(
+        0.0, max(abs(t0), abs(t0 + V)) + eps + 1.0, 1)[1])
+    want = _brute_reach(spec, net.centers, eps, t0, n_max)
+    fits = want <= V
+    with _small_chunks(points), _small_blocks(marks):
+        got = vis._window_reach(spec, net, t0, eps, V, budget)
+    # a reach a - t0 cancels: its rounding scales with |t0| + V, not with it
+    assert np.allclose(got[fits], want[fits], rtol=0, atol=1e-12 * (1.0 + abs(t0) + V))
+    assert np.all(got[~fits] > V)
+
+
+def test_window_reach_marks_settle_per_batch(golden, monkeypatch):
+    # the largest round of the golden uniform curve at eps 0.025 (t0 = 0,
+    # bound 258.54): cells settled at each batch's first point take no more
+    # marks, which keeps the (point, cell) pairs written under 200,000 (the
+    # block-level settling wrote 527,992)
+    eps, V, marks = 0.025, 258.54, []
+    real = vis._mark_windows
+
+    def counting(K, still_open, angles, halfw, write, *args, **kwargs):
+        def counted(at, cells):
+            marks.append(len(cells))
+            write(at, cells)
+        real(K, still_open, angles, halfw, counted, *args, **kwargs)
+
+    monkeypatch.setattr(vis, "_mark_windows", counting)
+    vis._window_reach(golden, vis._require_net(golden, eps, V, None), 0.0, eps, V,
+                      DEFAULT_BUDGET)
+    assert 0 < sum(marks) <= 200_000
 
 
 def test_line_reach_matches_brute(golden, ladder):
