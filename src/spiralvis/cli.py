@@ -187,13 +187,21 @@ def _cmd_check(spec, ns):
     return {"reports": reports}, not all(r.passed for r in reports)
 
 
+def _direction(text: str) -> np.ndarray:
+    """The unit vector of a --dir value, or an error naming it."""
+    try:
+        return unit_vector(_point(text))
+    except ValueError as exc:
+        raise ValueError(f"--dir {text}: {exc}") from None
+
+
 def _cmd_visible(spec, ns):
     for flag, text in [("--x", ns.x)] + [("--dir", t) for t in ns.dir]:
         count = len(_floats(text))
         if count != spec.d + 1:
             raise ValueError(f"{flag} {text} has {count} coordinates; "
                              f"a d={spec.d} spiral lies in R^{spec.d + 1}")
-    x, dirs = _point(ns.x), np.array([unit_vector(_point(t)) for t in ns.dir])
+    x, dirs = _point(ns.x), np.array([_direction(t) for t in ns.dir])
     _in_float_range(f"--x {ns.x}", x, x)
     for text, v in zip(ns.dir, dirs):
         _in_float_range(f"--Tmax {ns.Tmax} from --x {ns.x} along --dir {text}",
@@ -205,6 +213,7 @@ def _cmd_visible(spec, ns):
 
 
 def _covering_table(spec, ns):
+    _positive("--C", [ns.C])
     m_grid = _whole("--m", ns.m, 0)
     _require("--m", ns.m, lambda m: m < ns.budget, f"below --budget {ns.budget}")
     return uniform_covering_parameter(spec, ns.C, m_grid, _whole("--N", ns.N, 1),
@@ -213,6 +222,7 @@ def _covering_table(spec, ns):
 
 def _criterion_table(spec, ns):
     _positive("--eps", ns.eps)
+    _positive("--K", [ns.K])
     power = ns.V_power if ns.V_power is not None else float(spec.d)
     return uniform_orchard_criterion(
         spec, lambda e: ns.V_const * e ** (-power), K=ns.K, eps_grid=ns.eps,
@@ -241,6 +251,8 @@ TABLES = {
 def _cmd_table(spec, ns):
     """A table payload; --csv writes its row list."""
     key, rows, build = TABLES[ns.subcommand]
+    if ns.resolution is not None:
+        _positive("--resolution", [ns.resolution])
     table = build(spec, ns).to_json()
     if ns.csv:
         write_csv(ns.csv, table[rows])

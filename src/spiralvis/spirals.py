@@ -155,8 +155,9 @@ class PunctureSpec:
         schedule overflows desk scale.
         """
         ms = np.arange(m_lo, m_hi + 1)
-        outer = 2.0**ms
-        thick = 2.0 * scale_constant * 2.0 ** (ms * base.d / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # the spec rejects inf and nan
+            outer = 2.0**ms
+            thick = 2.0 * scale_constant * 2.0 ** (ms * base.d / 2.0)
         return cls(base=base, v0=v0, delta=delta, outer_radii=outer, thicknesses=thick, **kw)
 
     @classmethod
@@ -164,7 +165,8 @@ class PunctureSpec:
         """Outer radii n! with thickness 2*C*2^(n*d); d=1 only fits up to 7!."""
         ns = np.arange(n_lo, n_hi + 1)
         outer = np.array([float(math.factorial(int(n))) for n in ns])
-        thick = 2.0 * scale_constant * 2.0 ** (ns * base.d)
+        with np.errstate(over="ignore", invalid="ignore"):  # the spec rejects inf and nan
+            thick = 2.0 * scale_constant * 2.0 ** (ns * base.d)
         return cls(base=base, v0=v0, delta=delta, outer_radii=outer, thicknesses=thick, **kw)
 
     def in_kept_annulus(self, radii) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -422,7 +423,20 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["defvisi", "--x-grid", "nan"], "--x-grid nan is not finite"),
             (["criterion", "--h-mults", "inf"], "--h-mults inf is not a whole number"),
             (["plot", "--out", str(tmp_path / "p.svg"), "--T", "nan"],
-             "--T nan is not finite and positive")):
+             "--T nan is not finite and positive"),
+            # a window constant K <= 0 measured nothing yet exited 0
+            (["criterion", "--K", "-1"], "--K -1.0 is not finite and positive"),
+            (["criterion", "--K", "0"], "--K 0.0 is not finite and positive"),
+            (["criterion", "--K", "nan"], "--K nan is not finite and positive"),
+            (["visible", "--x", "0,1", "--dir", "0,0"], "--dir 0,0: ",
+             "cannot normalize a zero or non-finite vector"),
+            (["defvisi", "--seq", "fibonacci-sphere", "--d", "2", "--resolution", "nan"],
+             "--resolution nan is not finite and positive"),
+            (["defvisi", "--seq", "fibonacci-sphere", "--d", "2", "--resolution", "0"],
+             "--resolution 0.0 is not finite and positive"),
+            (["defvisi", "--seq", "fibonacci-sphere", "--d", "2", "--resolution", "-1"],
+             "--resolution -1.0 is not finite and positive"),
+            (["covering", "--C", "-1"], "--C -1.0 is not finite and positive")):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
@@ -445,6 +459,21 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
                   "--config", str(cfg if text is not None else tmp_path / "none.json")])
         assert err.value.code == 2
         assert problem in capsys.readouterr().err
+
+
+def test_puncture_overflowing_schedule_warns_nothing(tmp_path, capsys):
+    # outer radii 2^m past m = 1023 overflow to inf, which the spec rejects;
+    # numpy's overflow warning must not come first (-W error made it a
+    # traceback)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for extra in ([], ["--strip-C", "0"]):
+            with pytest.raises(SystemExit) as err:
+                main(["puncture", "--n", "2000", "--out", str(tmp_path / "p.csv"),
+                      "--m-hi", "2000", *extra])
+            assert err.value.code == 2
+            message = capsys.readouterr().err.strip().splitlines()[-1]
+            assert "--m-hi 2000" in message and "outer radii must be finite" in message
 
 
 def test_environment_thread_cap(monkeypatch):
