@@ -49,13 +49,10 @@ from .visibility import (
     NetMeshError,
     RayVerdict,
     VisibilityCurve,
-    calibrate_proximity_sandwich,
-    verify_proximity_sandwich,
     check_dense_forest,
     check_orchard,
     check_uniform_orchard,
     estimate_min_visibility,
-    line_proximity_check,
     visible_point_test,
 )
 

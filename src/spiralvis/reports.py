@@ -5,12 +5,12 @@
 plain JSON types: numpy scalars and arrays as numbers and lists, dataclasses
 as the dict of their public fields, tuples as lists, dict keys through
 ``str``, and inf, -inf and nan as the strings "inf", "-inf" and "nan". An
-object with a ``to_json`` method is written as what that returns, or as what
-its ``json_payload`` returns when it has one: the same content, with its
-``DirectionFailures`` left as arrays instead of rows. The writer makes one
-recursive pass, escapes strings with the C ``encode_basestring_ascii`` and
-writes numbers by ``float.__repr__`` and ``int.__repr__``, so it needs
-neither the intermediate copy nor ``json``'s pure-Python indenting encoder.
+object with a ``to_json`` method is written as what that returns, and a
+``DirectionFailures`` as its rows, straight from its arrays. The writer
+makes one recursive pass, escapes strings with the C
+``encode_basestring_ascii`` and writes numbers by ``float.__repr__`` and
+``int.__repr__``, so it needs neither the intermediate copy nor ``json``'s
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ def _write(obj, nl: str, out: list[str]) -> None:
         out.append(_rows(obj, nl))
         return
     elif hasattr(obj, "to_json"):
-        view = getattr(obj, "json_payload", None)
-        _write(view() if view is not None else obj.to_json(), nl, out)
+        _write(obj.to_json(), nl, out)
         return
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name)

@@ -186,16 +186,9 @@ class CheckReport:
         return 1.0 - len(self.failures) / self.total_checks
 
     def to_json(self) -> dict:
-        return self._json(self.failures[:1000])
-
-    def json_payload(self) -> dict:
-        """``to_json()`` with the written failures left as arrays when they
-        are a ``DirectionFailures``, so the report writer builds no rows."""
+        """The payload: the first 1,000 failures (still arrays when they are
+        a ``DirectionFailures``) and the first 100 witnesses."""
         failures = self.failures
-        return self._json(failures.head(1000) if isinstance(failures, DirectionFailures)
-                          else failures[:1000])
-
-    def _json(self, failures) -> dict:
         return {
             "property": self.property,
             "spec": self.spec,
@@ -205,8 +198,9 @@ class CheckReport:
             "net": self.net,
             "total_checks": self.total_checks,
             "pass_fraction": self.pass_fraction,
-            "failures": failures,
-            "failure_count": len(self.failures),
+            "failures": (failures.head(1000) if isinstance(failures, DirectionFailures)
+                         else failures[:1000]),
+            "failure_count": len(failures),
             "witness_count": self.witness_count,
             "witnesses": self.witnesses[:100],
             "certified_tolerance": self.certified_tolerance,
@@ -938,82 +932,6 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
                           certificate=cert, eps_floor=eps_floor, T_max=T_max)
 
     return parallel_map(run, list(directions))
-
-
-# -- arithmetic line-proximity check (radial + angular split) ---------------
-
-
-def line_proximity_check(spec: SequenceSpec, n: int, lam: float, t: float,
-                         v, w, eps: float, c: float) -> bool:
-    """True iff index n satisfies both split inequalities against the line
-    point lam*v + t*w: radius within eps, and angular distance within
-    c*eps/|lam*v + t*w|."""
-    return bool(line_proximity_check_batch(spec, [n], [lam], [t], v, w, eps, c)[0])
-
-
-def line_proximity_check_batch(spec: SequenceSpec, ns, lams, ts, v, w,
-                               eps, c: float) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if abs(float(v @ w)) > 1e-10:
-        raise ValueError("v and w must be orthogonal")
-    lams = np.asarray(lams, dtype=np.float64)
-    ts = np.asarray(ts, dtype=np.float64)
-    if np.any(lams < 0):
-        raise ValueError("lam must be nonnegative")
-    rho = np.hypot(lams, ts)
-    if np.any(rho == 0):
-        raise ValueError("(lam, t) must not vanish")
-    radii, coords = point_batch(spec, np.asarray(ns, dtype=np.int64))
-    return _split_test(radii, coords, rho, lams[:, None] * v + ts[:, None] * w,
-                       np.asarray(eps, dtype=np.float64), c)
-
-
-def _split_test(radii, coords, rho, targets, eps, c: float) -> np.ndarray:
-    """Both split inequalities of points ``coords`` at ``radii`` against line
-    points ``targets`` at ``rho``: radius within eps, angle within c*eps/rho."""
-    cosang = np.einsum("ij,ij->i", coords / radii[:, None], targets / rho[:, None])
-    ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-    return (np.abs(radii - rho) <= eps) & (ang <= c * eps / rho)
-
-
-def verify_proximity_sandwich(spec: SequenceSpec, c: float, cp: float,
-                              n_samples: int = 10**4, seed: int = 0) -> int:
-    """Violation count of: exact <= eps/c' => split check (eps, c) => exact
-    <= c'*eps, over ``n_samples`` random (point, line-point, eps) instances."""
-    rng = np.random.default_rng(seed)
-    ns = rng.integers(1, 10**6, n_samples)
-    radii, coords = point_batch(spec, ns)
-    # aim half the samples near the point radius so both sandwich sides bind
-    rho = np.where(rng.random(n_samples) < 0.5,
-                   radii * np.exp(rng.normal(0, 0.02, n_samples)),
-                   rng.uniform(1.0, 1000.0, n_samples))
-    phase = rng.uniform(0, TWO_PI, n_samples)
-    angles_v = rng.uniform(0, TWO_PI, n_samples)
-    eps = np.exp(rng.uniform(math.log(0.01), math.log(0.5), n_samples))
-    vs = np.column_stack([np.cos(angles_v), np.sin(angles_v)])
-    ws = np.column_stack([-np.sin(angles_v), np.cos(angles_v)])
-    lams = rho * np.abs(np.cos(phase))
-    t_signed = rho * np.sin(phase)
-    targets = lams[:, None] * vs + t_signed[:, None] * ws
-    exact = np.linalg.norm(coords - targets, axis=1)
-    check = _split_test(radii, coords, rho, targets, eps, c)
-    return int(np.sum(~check[exact <= eps / cp])) + int(np.sum(exact[check] > cp * eps[check]))
-
-
-def calibrate_proximity_sandwich(spec: SequenceSpec, n_samples: int = 10**4,
-                                 seed: int = 0):
-    """Find (c, c') with zero violations of the sandwich
-    (``verify_proximity_sandwich``): exact distance <= eps/c' implies the
-    split check at (eps, c) implies exact <= c'*eps.
-
-    Returns (c, c', samples) with the smallest passing c'.
-    """
-    for cp in (1.3, 1.5, 1.7, 2.0, 2.5, 3.0):
-        for c in (0.9, 1.0, 1.2, 1.5, 1.8):
-            if verify_proximity_sandwich(spec, c, cp, n_samples, seed) == 0:
-                return c, cp, n_samples
-    raise RuntimeError("no sandwich constants found on the calibration grids")
 
 
 # -- minimal-visibility estimation -------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from spiralvis.sphere import _sphere_area
+from spiralvis.spirals import point_batch
 
 
 def brute_badness(theta: float, Q: int) -> float:
@@ -54,3 +55,49 @@ def growth_along_h(table) -> dict[float, list]:
         vals = [r["value"] for r in table.rows if r["eps"] == eps and r["status"] == "ok"]
         out[eps] = [b / a for a, b in zip(vals, vals[1:]) if a > 0]
     return out
+
+
+def _split_test(radii, coords, rho, targets, eps, c: float) -> np.ndarray:
+    """Both split inequalities of points ``coords`` at ``radii`` against line
+    points ``targets`` at ``rho``: radius within eps, angle within c*eps/rho."""
+    cosang = np.einsum("ij,ij->i", coords / radii[:, None], targets / rho[:, None])
+    ang = np.arccos(np.clip(cosang, -1.0, 1.0))
+    return (np.abs(radii - rho) <= eps) & (ang <= c * eps / rho)
+
+
+def verify_proximity_sandwich(spec, c: float, cp: float, n_samples: int = 10**4,
+                              seed: int = 0) -> int:
+    """Violation count of: exact <= eps/c' => split check (eps, c) => exact
+    <= c'*eps, over ``n_samples`` random (point, line-point, eps) instances."""
+    rng = np.random.default_rng(seed)
+    ns = rng.integers(1, 10**6, n_samples)
+    radii, coords = point_batch(spec, ns)
+    # aim half the samples near the point radius so both sandwich sides bind
+    rho = np.where(rng.random(n_samples) < 0.5,
+                   radii * np.exp(rng.normal(0, 0.02, n_samples)),
+                   rng.uniform(1.0, 1000.0, n_samples))
+    phase = rng.uniform(0, 2 * math.pi, n_samples)
+    angles_v = rng.uniform(0, 2 * math.pi, n_samples)
+    eps = np.exp(rng.uniform(math.log(0.01), math.log(0.5), n_samples))
+    vs = np.column_stack([np.cos(angles_v), np.sin(angles_v)])
+    ws = np.column_stack([-np.sin(angles_v), np.cos(angles_v)])
+    lams = rho * np.abs(np.cos(phase))
+    t_signed = rho * np.sin(phase)
+    targets = lams[:, None] * vs + t_signed[:, None] * ws
+    exact = np.linalg.norm(coords - targets, axis=1)
+    check = _split_test(radii, coords, rho, targets, eps, c)
+    return int(np.sum(~check[exact <= eps / cp])) + int(np.sum(exact[check] > cp * eps[check]))
+
+
+def calibrate_proximity_sandwich(spec, n_samples: int = 10**4, seed: int = 0):
+    """Find (c, c') with zero violations of the sandwich
+    (``verify_proximity_sandwich``): exact distance <= eps/c' implies the
+    split check at (eps, c) implies exact <= c'*eps.
+
+    Returns (c, c', samples) with the smallest passing c'.
+    """
+    for cp in (1.3, 1.5, 1.7, 2.0, 2.5, 3.0):
+        for c in (0.9, 1.0, 1.2, 1.5, 1.8):
+            if verify_proximity_sandwich(spec, c, cp, n_samples, seed) == 0:
+                return c, cp, n_samples
+    raise RuntimeError("no sandwich constants found on the calibration grids")

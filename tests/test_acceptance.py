@@ -13,7 +13,6 @@ from spiralvis import (
     SequenceSpec,
     LineParam,
     annulus_index_range,
-    calibrate_proximity_sandwich,
     check_dense_forest,
     check_orchard,
     check_uniform_orchard,
@@ -21,10 +20,9 @@ from spiralvis import (
     estimate_min_visibility,
     point_batch,
     uniform_orchard_criterion,
-    verify_proximity_sandwich,
     visible_point_test,
 )
-from oracles import growth_along_h
+from oracles import calibrate_proximity_sandwich, growth_along_h, verify_proximity_sandwich
 from spiralvis.cli import main as cli_main
 from spiralvis.covering import _net_covering_radius
 from spiralvis.geometry import segment_distances

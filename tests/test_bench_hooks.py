@@ -85,10 +85,7 @@ def test_hooked_layers_stay_on_production_paths(monkeypatch, ladder, fib_sphere,
 
 
 # public names that only the tests call, each with its reason
-NO_PRODUCTION_CALLER = {
-    "line_proximity_check": "acceptance pins the sandwich constants",
-    "calibrate_proximity_sandwich": "acceptance pins the sandwich constants",
-}
+NO_PRODUCTION_CALLER = {}
 
 
 def _referenced(path: Path) -> set[str]:

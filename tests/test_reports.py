@@ -117,7 +117,7 @@ def test_direction_failure_rows(count, shifted):
         passed=not count, extra={"t0": {0.0: {"failures": count, "hits": 5}}})
     assert_same(dump_json(report), oracle(report.to_json()))
     assert_same(dump_json(report), oracle(report))
-    assert report.to_json()["failures"] == rows[:1000]
+    assert list(report.to_json()["failures"]) == rows[:1000]
 
 
 def test_dump_json_writes_the_file_it_returns(tmp_path):

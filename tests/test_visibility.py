@@ -3,22 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import save_sequence_file
+from oracles import calibrate_proximity_sandwich, save_sequence_file, verify_proximity_sandwich
 from spiralvis import (
     DirectionNet,
     LineParam,
     NetMeshError,
     SequenceSpec,
     build_direction_net,
-    calibrate_proximity_sandwich,
     check_dense_forest,
     check_orchard,
     check_uniform_orchard,
     estimate_min_visibility,
-    line_proximity_check,
-    sequence_term,
     spiral_point,
-    verify_proximity_sandwich,
     visible_point_test,
 )
 from spiralvis.geometry import radial_hit_halfwidth, segment_distances
@@ -477,27 +473,7 @@ def test_line_param_validation():
         LineParam.at_angle(0.0, math.inf, 0.0, 1.0)
 
 
-# -- arithmetic split check ---------------------------------------------------
-
-
-def test_line_proximity_trivial_cases(golden):
-    u1 = sequence_term(golden, 1)
-    v = np.array([-u1[1], u1[0]])
-    assert line_proximity_check(golden, 1, 0.0, 1.0, v, u1, eps=0.01, c=0.01)
-    # radial gap of 9 fails the first inequality for any eps below it
-    assert not line_proximity_check(golden, 1, 10.0, 0.0, u1, v, eps=7.9, c=100.0)
-
-
-def test_line_proximity_validation(golden):
-    v = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        line_proximity_check(golden, 1, 0.0, 1.0, v, v, eps=0.1, c=1.0)
-    with pytest.raises(ValueError):
-        line_proximity_check(golden, 1, 0.0, 0.0, v, np.array([0.0, 1.0]),
-                             eps=0.1, c=1.0)
-    with pytest.raises(ValueError):
-        line_proximity_check(golden, 1, -1.0, 1.0, v, np.array([0.0, 1.0]),
-                             eps=0.1, c=1.0)
+# -- radial/angular split check (tests/oracles.py) ----------------------------
 
 
 def test_proximity_sandwich(golden):
@@ -634,14 +610,14 @@ def test_failure_rows_are_built_for_the_written_prefix(ladder):
                            t0, t0 + V)[0] for t0 in (0.0, 5.0)}
     rep = check_orchard(ladder, eps, V, index_budget=1000).to_json()
     assert rep["failure_count"] == len(want[0.0]) > 1000
-    assert rep["failures"] == [{"direction": int(j)} for j in want[0.0][:1000]]
+    assert list(rep["failures"]) == [{"direction": int(j)} for j in want[0.0][:1000]]
     assert rep["pass_fraction"] == 1.0 - len(want[0.0]) / len(net)
     report = check_uniform_orchard(ladder, eps, V, [0.0, 5.0, 0.0], index_budget=1000)
     rows = [{"direction": int(j), "t0": t0} for t0 in (0.0, 5.0) for j in want[t0]]
     assert list(report.failures) == rows
     assert report.failures[len(want[0.0]) - 1:][:2] == rows[len(want[0.0]) - 1:][:2]
     rep = report.to_json()
-    assert rep["failures"] == rows[:1000]
+    assert list(rep["failures"]) == rows[:1000]
     assert rep["failure_count"] == len(rows)
     assert rep["pass_fraction"] == 1.0 - len(rows) / (2 * len(net))
     assert not rep["passed"]
