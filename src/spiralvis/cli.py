@@ -25,7 +25,7 @@ from .delone import badness, delone_report
 from .plotting import scatter_svg
 from .reports import dump_json, write_csv
 from .sequences import GOLDEN_RATIO, SequenceSpec
-from .sphere import unit_vector
+from .sphere import MAX_DIRECTIONS, least_directions, unit_vector
 from .spirals import (
     DEFAULT_BUDGET,
     PunctureSpec,
@@ -107,6 +107,7 @@ def _cmd_generate(spec, ns):
 
 def _cmd_plot(spec, ns):
     _positive("--T", [ns.T])
+    _positive("--marker", [ns.marker])
     n_hi = min(count_in_ball(ns.T, spec.d), ns.budget)
     _, coords = point_batch(spec, np.arange(1, n_hi + 1, dtype=np.int64))
     strip = tuple(_floats(ns.strip)) if ns.strip else None
@@ -142,6 +143,8 @@ def _forest_check(spec, eps, V, ns):
     if len(ns.eps) != 1 or len(ns.V) != 1:
         raise ValueError(f"forest checks one window size: give one --eps and one --V, "
                          f"got {len(ns.eps)} and {len(ns.V)} values")
+    _whole("--lines", [ns.lines], 0)
+    _require("--lam-max", [ns.lam_max], lambda x: x >= 0, ">= 0")
     lines = []
     for text in ns.line or []:
         values = _floats(text)
@@ -180,9 +183,16 @@ def _cmd_check(spec, ns):
         raise ValueError(f"--eps and --V must have matching lengths, got "
                          f"{len(ns.eps)} and {len(v_list)} values")
     for eps, V in zip(ns.eps, v_list):
-        if ns.subcommand != "forest" and 0 < eps and 0 < V < math.inf and eps / (4 * V) == 0:
+        if ns.subcommand == "forest" or not (0 < eps and 0 < V < math.inf):
+            continue
+        mesh = min(eps / (4 * V), math.pi)
+        if mesh == 0:
             raise ValueError(f"--eps {eps} and --V {V} ask for a direction net of mesh "
                              "eps/(4V), which underflows to 0")
+        if least_directions(spec.d, mesh) > MAX_DIRECTIONS:
+            raise ValueError(f"--eps {eps} and --V {V} ask for a direction net of mesh "
+                             f"eps/(4V) = {mesh!r}, with more directions than an int64 "
+                             "array can hold")
     reports = [CHECKS[ns.subcommand](spec, eps, V, ns) for eps, V in zip(ns.eps, v_list)]
     return {"reports": reports}, not all(r.passed for r in reports)
 

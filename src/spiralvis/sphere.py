@@ -84,6 +84,20 @@ class DirectionNet:
         return self.count
 
 
+# the most entries an int64 array can hold: its byte count must fit an intp
+MAX_DIRECTIONS = np.iinfo(np.intp).max // 8
+
+
+def least_directions(d: int, delta: float) -> float:
+    """A lower bound on the directions of ``build_direction_net(d, delta)``:
+    pi/delta on the circle, and on S^d 2(d+1) m^d at the cube net's
+    area-bound starting grid m; inf past the float range."""
+    if d == 1:
+        return math.pi / delta
+    m = _area_grid(d, delta)
+    return m if m == math.inf else 2 * (d + 1) * max(1, math.floor(m)) ** d
+
+
 def _uniform_circle_net(delta: float) -> DirectionNet:
     count = max(1, math.ceil(math.pi / delta))
     return DirectionNet(dimension=1, mesh=delta, count=count,
@@ -126,19 +140,23 @@ def _cube_face(d: int, m: int, cells: int | None = None) -> tuple[np.ndarray, fl
     return centers, 2.0 * math.asin(widest / 2.0)
 
 
+def _area_grid(d: int, delta: float) -> float:
+    """The cube net's area bound on m: 2(d+1) m^d caps of radius delta must
+    cover S^d, and a cap's area is at most area(S^(d-1)) delta^d / d."""
+    return (d * _sphere_area(d) / (2 * (d + 1) * _sphere_area(d - 1))) ** (1 / d) / delta
+
+
 def _cube_sphere_net(d: int, delta: float) -> DirectionNet:
     """Equiangular gnomonic cube ("cubed sphere") net of S^d: 2(d+1) faces
     with m^d cells each, centers at the cell midpoints, m the smallest grid
     whose covering radius is at most delta.
 
-    The scan starts from an area bound: 2(d+1) m^d caps of radius delta must
-    cover S^d, and a cap's area is at most area(S^(d-1)) delta^d / d, so no
-    smaller m can qualify. Nor can an m whose corner cell alone has a
-    center-to-vertex angle above delta, so the scan reads one cell per grid
-    until that cell fits and builds whole faces only from there.
+    The scan starts from an area bound (``_area_grid``), below which no m can
+    qualify. Nor can an m whose corner cell alone has a center-to-vertex
+    angle above delta, so the scan reads one cell per grid until that cell
+    fits and builds whole faces only from there.
     """
-    m = max(1, math.floor(
-        (d * _sphere_area(d) / (2 * (d + 1) * _sphere_area(d - 1))) ** (1 / d) / delta))
+    m = max(1, math.floor(_area_grid(d, delta)))
     while _cube_face(d, m, cells=1)[1] > delta:
         m += 1
     while True:
@@ -171,6 +189,9 @@ def build_direction_net(d: int, delta: float, seed: int = 0) -> DirectionNet:
         raise ValueError(f"net mesh must be at most pi, got {delta}")
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
+    if least_directions(d, delta) > MAX_DIRECTIONS:  # before the cube net's scan
+        raise ValueError(f"a net of mesh {delta} on S^{d} has more directions than "
+                         f"an int64 array can hold ({MAX_DIRECTIONS})")
     if d == 1:
         return _uniform_circle_net(delta)
     return _cube_sphere_net(d, delta)

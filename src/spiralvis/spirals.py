@@ -164,7 +164,8 @@ class PunctureSpec:
     def factorial(cls, base, v0, delta, n_lo=5, n_hi=7, scale_constant=1.0, **kw):
         """Outer radii n! with thickness 2*C*2^(n*d); d=1 only fits up to 7!."""
         ns = np.arange(n_lo, n_hi + 1)
-        outer = np.array([float(math.factorial(int(n))) for n in ns])
+        # 170! is the last factorial below the float range; the spec rejects inf
+        outer = np.array([float(math.factorial(int(n))) if n <= 170 else math.inf for n in ns])
         with np.errstate(over="ignore", invalid="ignore"):  # the spec rejects inf and nan
             thick = 2.0 * scale_constant * 2.0 ** (ns * base.d)
         return cls(base=base, v0=v0, delta=delta, outer_radii=outer, thicknesses=thick, **kw)

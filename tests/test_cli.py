@@ -436,7 +436,27 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
              "--resolution 0.0 is not finite and positive"),
             (["defvisi", "--seq", "fibonacci-sphere", "--d", "2", "--resolution", "-1"],
              "--resolution -1.0 is not finite and positive"),
-            (["covering", "--C", "-1"], "--C -1.0 is not finite and positive")):
+            (["covering", "--C", "-1"], "--C -1.0 is not finite and positive"),
+            # factorial radii past 170! overflow the float range
+            (["puncture", "--n", "20", "--out", str(tmp_path / "p.csv"), "--schedule",
+              "factorial", "--m-hi", "2000"], "--schedule factorial with ", "--m-hi 2000, ",
+             "outer radii must be finite"),
+            # direction nets too large for an index array; the S^2 scan once never ended
+            (["orchard", "--eps", "0.5", "--V", "1e300"], "--eps 0.5 and --V 1e+300 ",
+             "more directions than an int64 array can hold"),
+            (["orchard", "--eps", "0.5", "--V", "1e17"], "--eps 0.5 and --V 1e+17 ",
+             "more directions than an int64 array can hold"),
+            (["orchard", "--seq", "fibonacci-sphere", "--d", "2", "--eps", "0.5", "--V",
+              "1e300"], "--eps 0.5 and --V 1e+300 ",
+             "more directions than an int64 array can hold"),
+            (["forest", "--eps", "0.1", "--V", "44", "--lines", "2", "--lam-max", "-5"],
+             "--lam-max -5.0 is not >= 0"),
+            (["forest", "--eps", "0.1", "--V", "44", "--lines", "-3"],
+             "--lines -3 is not a whole number >= 0"),
+            (["plot", "--T", "3", "--out", str(tmp_path / "p.svg"), "--marker", "-2"],
+             "--marker -2.0 is not finite and positive"),
+            (["plot", "--T", "3", "--out", str(tmp_path / "p.svg"), "--marker", "nan"],
+             "--marker nan is not finite and positive")):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

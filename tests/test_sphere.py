@@ -6,7 +6,7 @@ import pytest
 
 from oracles import count_bound_ok
 from spiralvis import SequenceSpec, build_direction_net, check_orchard, unit_vector
-from spiralvis.sphere import _cube_face
+from spiralvis.sphere import _cube_face, least_directions
 
 
 def random_units(rng, count, dim):
@@ -86,6 +86,10 @@ def test_net_rejects_bad_mesh():
         build_direction_net(1, 0.0)
     with pytest.raises(ValueError):
         build_direction_net(2, 4.0)
+    # rejected before any allocation or grid scan (the S^2 scan once never ended)
+    for d, delta in ((1, 1e-300), (1, 5e-324), (1, 1e-18), (2, 1e-300), (3, 1e-9)):
+        with pytest.raises(ValueError, match="more directions than an int64 array can hold"):
+            build_direction_net(d, delta)
 
 
 def covering_defect(net, directions) -> float:
@@ -229,5 +233,7 @@ def test_corner_cell_scan_matches_full_face_scan(d, delta):
     m, radius, centers = old_cube_sphere_net(d, delta)
     net = build_direction_net(d, delta)
     assert len(net) == 2 * (d + 1) * m ** d
+    assert least_directions(d, delta) <= len(net)
+    assert least_directions(1, delta) <= len(build_direction_net(1, delta))
     assert net.covering_radius == radius
     assert np.array_equal(net.centers, centers)
