@@ -53,12 +53,6 @@ def badness(theta, Q: int) -> float:
     return best
 
 
-def liouville_like(levels: int = 3) -> Fraction:
-    """Sum of 10^(-j!) up to ``levels``: huge partial quotients, nearly rational."""
-    return sum((Fraction(1, 10 ** math.factorial(j)) for j in range(1, levels + 1)),
-               Fraction(0))
-
-
 @dataclass(frozen=True)
 class DeloneReport:
     T: float

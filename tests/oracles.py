@@ -1,7 +1,9 @@
-"""Reference implementations the tests compare the library against, and
-helpers that build their inputs; the library itself does not use them."""
+"""Reference implementations the tests compare the library against, helpers
+that build their inputs, and the radial/angular proximity sandwich whose
+constants acceptance 8 pins; the library itself does not use them."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -14,6 +16,12 @@ def brute_badness(theta: float, Q: int) -> float:
     q = np.arange(1, Q + 1, dtype=np.float64)
     frac = (q * theta) % 1.0
     return float((q * np.minimum(frac, 1.0 - frac)).min())
+
+
+def liouville_like(levels: int = 3) -> Fraction:
+    """Sum of 10^(-j!) up to ``levels``: huge partial quotients, nearly rational."""
+    return sum((Fraction(1, 10 ** math.factorial(j)) for j in range(1, levels + 1)),
+               Fraction(0))
 
 
 def star_discrepancy(values: np.ndarray) -> float:

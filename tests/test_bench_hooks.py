@@ -3,8 +3,9 @@ looks up by module and name, and its counters read some of their arguments
 by position. A rename that drops one breaks traced benchmark runs, and a
 moved argument silently miscounts, while the rest of the suite passes, so
 each lookup and each counted argument is checked here, and so is that the
-hooked visibility layers still have callers. So is that every public name
-has a caller outside the tests, that every defaulted parameter of a public
+hooked visibility layers still have callers. So is that every public name,
+and every module-level function and class, has a caller outside the tests,
+that every defaulted parameter of a public
 function is passed by some call outside the tests, that one constant sets
 every default index budget, and that no module imports a name it never
 reads."""
@@ -84,8 +85,11 @@ def test_hooked_layers_stay_on_production_paths(monkeypatch, ladder, fib_sphere,
     assert all(calls.values()), calls
 
 
-# public names that only the tests call, each with its reason
-NO_PRODUCTION_CALLER = {}
+# module-level names in src/spiralvis that only the tests call, each with its reason
+NO_PRODUCTION_CALLER = {
+    "write_points_csv": "the reference for generate's blocked CSV output, as "
+                        "write_points_binary is for .bin",
+}
 
 
 def _referenced(path: Path) -> set[str]:
@@ -106,14 +110,18 @@ def _referenced(path: Path) -> set[str]:
 
 
 def test_public_names_have_production_callers():
-    # a public name that only tests call is library code kept for the tests:
-    # an oracle belongs in tests/oracles.py, anything else nowhere
-    files = [path for path in (ROOT / "src" / "spiralvis").glob("*.py")
-             if path.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
-    used = set().union(*map(_referenced, files))
-    orphans = sorted(set(spiralvis.__all__) - used - set(NO_PRODUCTION_CALLER))
-    assert not orphans, f"public names that only the tests call: {orphans}"
-    assert set(NO_PRODUCTION_CALLER) <= set(spiralvis.__all__) - used
+    # a name that only tests call is library code kept for the tests: an
+    # oracle belongs in tests/oracles.py, anything else nowhere. Checked are
+    # the public names and every module-level function and class.
+    modules = [path for path in (ROOT / "src" / "spiralvis").glob("*.py")
+               if path.name != "__init__.py"]
+    used = set().union(*map(_referenced, modules + sorted((ROOT / "perfbench").glob("*.py"))))
+    defined = {node.name for path in modules for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names = set(spiralvis.__all__) | defined
+    orphans = sorted(names - used - set(NO_PRODUCTION_CALLER))
+    assert not orphans, f"names that only the tests call: {orphans}"
+    assert set(NO_PRODUCTION_CALLER) <= names - used
 
 
 # defaulted parameters that no production call passes, each with its reason

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_badness
+from oracles import brute_badness, liouville_like
 from spiralvis import SequenceSpec, badness, delone, delone_report, point_batch
-from spiralvis.delone import _probe_grid, covering_estimate, liouville_like, min_pairwise_distance
+from spiralvis.delone import _probe_grid, covering_estimate, min_pairwise_distance
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 # frozen oracle values: min_q q*||q*theta|| hits its smallest value at a small
