@@ -5,10 +5,9 @@ moved argument silently miscounts, while the rest of the suite passes, so
 each lookup and each counted argument is checked here, and so is that the
 hooked visibility layers still have callers. So is that every public name,
 and every module-level function and class, has a caller outside the tests,
-that every defaulted parameter of a public
-function is passed by some call outside the tests, that one constant sets
-every default index budget, and that no module imports a name it never
-reads."""
+that every defaulted parameter of a public function is passed by some call
+outside the tests, that one constant sets every default index budget, and
+that no module imports a name it never reads."""
 
 import ast
 import importlib

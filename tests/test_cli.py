@@ -441,7 +441,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["puncture", "--n", "20", "--out", str(tmp_path / "p.csv"), "--schedule",
               "factorial", "--m-hi", "2000"], "--schedule factorial with ", "--m-hi 2000, ",
              "outer radii must be finite"),
-            # direction nets too large for an index array; the S^2 scan once never ended
+            # direction nets too large for an index array, rejected before any scan
             (["orchard", "--eps", "0.5", "--V", "1e300"], "--eps 0.5 and --V 1e+300 ",
              "more directions than an int64 array can hold"),
             (["orchard", "--eps", "0.5", "--V", "1e17"], "--eps 0.5 and --V 1e+17 ",

@@ -86,7 +86,8 @@ def test_net_rejects_bad_mesh():
         build_direction_net(1, 0.0)
     with pytest.raises(ValueError):
         build_direction_net(2, 4.0)
-    # rejected before any allocation or grid scan (the S^2 scan once never ended)
+    # rejected before any allocation or grid scan: at mesh 1e-300 the S^2
+    # scan's m += 1 would not change its float step
     for d, delta in ((1, 1e-300), (1, 5e-324), (1, 1e-18), (2, 1e-300), (3, 1e-9)):
         with pytest.raises(ValueError, match="more directions than an int64 array can hold"):
             build_direction_net(d, delta)
