@@ -270,7 +270,10 @@ def _cmd_table(spec, ns):
 
 
 def _cmd_delone(spec, ns):
-    payload = {"report": delone_report(spec, ns.T, ns.probe_res, index_budget=ns.budget)}
+    try:
+        payload = {"report": delone_report(spec, ns.T, ns.probe_res, index_budget=ns.budget)}
+    except (ValueError, MemoryError) as exc:  # e.g. a probe grid too large to hold
+        raise ValueError(f"--T {ns.T} and --probe-res {ns.probe_res}: {exc}") from None
     if ns.badness_Q:
         payload["badness"] = {"theta": spec.theta, "Q": ns.badness_Q,
                               "value": badness(spec.theta, ns.badness_Q)}

@@ -62,95 +62,102 @@ class DeloneReport:
     n_points: int
 
 
-def min_pairwise_distance(coords: np.ndarray) -> float:
-    """Exact minimum pairwise distance of radius-sorted points.
+_PAIR_BUDGET = 1 << 17  # query-point pairs per gather, at most twice this
 
-    Stride sweep: pairs (i, i+k) for growing k, stopping once the smallest
-    radial gap at stride k already exceeds the best distance found (radial
-    gap lower-bounds Euclidean distance).
-    """
-    n = len(coords)
+
+def _cell_ids(cols, origin, side: float, per_axis: int) -> np.ndarray:
+    """Cube of each point (as coordinate columns) among ``per_axis`` per axis of
+    edge ``side`` from ``origin`` (the border ones also holding the points
+    beyond), numbered last axis fastest inside a ring of empty cubes."""
+    ids = 0
+    for x, o in zip(cols, origin):
+        ids = ids * (per_axis + 2) + 1 + np.clip(
+            np.floor((x - o) / side), 0, per_axis - 1).astype(np.int64)
+    return ids
+
+
+def _cell_grid(cols, origin, side: float, per_axis: int) -> tuple:
+    """The points sorted by cube, each cube's first offset (closed by the
+    point count) and the cubes' parameters."""
+    ids = _cell_ids(cols, origin, side, per_axis)
+    order = np.argsort(ids, kind="stable")
+    offsets = np.zeros((per_axis + 2) ** len(cols) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=len(offsets) - 1), out=offsets[1:])
+    return [x[order] for x in cols], offsets, origin, side, per_axis
+
+
+def _nearest_sq(qcols, grid: tuple, first=None) -> np.ndarray:
+    """Least squared distance from each query to the grid points in the 3^dim
+    cubes around its own (inf if none; from sorted index ``first[q]`` on, if
+    given). Three cubes along the last axis are one run of points; runs are
+    cut at the pair budget, gathered at most two budgets at a time, and summed
+    per coordinate: the float operations of ``(diff * diff).sum(-1)``."""
+    pcols, offsets, *cubes = grid
+    rows = [sum(s * (cubes[-1] + 2) ** (len(shift) - k) for k, s in enumerate(shift))
+            for shift in itertools.product((-1, 0, 1), repeat=len(pcols) - 1)]
+    out = np.full(len(qcols[0]), math.inf)
+    for lo in range(0, len(out), _PAIR_BUDGET // 8):  # blocks keep the run arrays small
+        ids = _cell_ids([c[lo:lo + _PAIR_BUDGET // 8] for c in qcols], *cubes)
+        start, stop = (np.stack([offsets[ids + row + k] for row in rows], 1) for k in (-1, 2))
+        start = start if first is None else np.maximum(start, first[lo:lo + len(ids), None])
+        kept = np.flatnonzero(stop > start)
+        start, stop, query = start.ravel()[kept], stop.ravel()[kept], kept // len(rows) + lo
+        pieces = -(-(stop - start) // _PAIR_BUDGET)
+        if pieces.max(initial=1) > 1:  # cut the runs longer than the budget
+            run = np.repeat(np.arange(len(pieces)), pieces)
+            cut = np.arange(len(run)) - (np.cumsum(pieces) - pieces)[run]
+            start, stop, query = start[run] + cut * _PAIR_BUDGET, stop[run], query[run]
+        size = np.minimum(stop - start, _PAIR_BUDGET)
+        cuts = list(np.flatnonzero(np.diff((np.cumsum(size) - size) // _PAIR_BUDGET)) + 1)
+        for a, b in zip([0, *cuts], [*cuts, len(size)]):
+            seg, q = size[a:b], query[a:b]
+            seg_first = np.cumsum(seg) - seg
+            point = np.arange(seg.sum()) + np.repeat(start[a:b] - seg_first, seg)
+            sq = 0.0
+            for qc, pc in zip(qcols, pcols):
+                sq = sq + (np.repeat(qc[q], seg) - pc[point]) ** 2
+            new = np.flatnonzero(np.diff(q, prepend=-1))  # a query's runs are adjacent
+            out[q[new]] = np.minimum(out[q[new]], np.minimum.reduceat(sq, seg_first[new]))
+    return out
+
+
+def min_pairwise_distance(coords: np.ndarray) -> float:
+    """Exact minimum pairwise distance: each pair of points in neighbouring
+    cubes on their bounding box, about two per cube along its longest edge, is
+    measured once. A closer pair than the edge lies in neighbouring cubes, so a
+    minimum below the edge is the global one; else the edge doubles, until
+    every pair is neighbours."""
+    n, dim = coords.shape
     if n < 2:
         return math.inf
-    radii = np.linalg.norm(coords, axis=1)
-    order = np.argsort(radii, kind="stable")
-    coords = coords[order]
-    radii = radii[order]
-    best = math.inf
-    for k in range(1, n):
-        gaps = radii[k:] - radii[:-k]
-        if float(gaps.min()) > best:
-            break
-        d = np.linalg.norm(coords[k:] - coords[:-k], axis=1)
-        best = min(best, float(d.min()))
-    return best
+    origin = coords.min(axis=0)
+    extent = float((coords.max(axis=0) - origin).max())
+    side = extent * (2 / n) ** (1 / dim) or 1.0  # coincident points: one cube
+    while True:
+        grid = _cell_grid(list(coords.T), origin, side, int(extent // side) + 1)
+        best = math.sqrt(float(_nearest_sq(grid[0], grid, np.arange(1, n + 1)).min()))
+        if best < side * (1 - 1e-9) or grid[-1] <= 2:  # the margin absorbs cube rounding
+            return best
+        side *= 2
 
 
 def _probe_grid(T: float, resolution: float, dim: int) -> np.ndarray:
+    """The points in B(0, T) of the grid of mesh ``resolution`` on [-T, T]^dim,
+    last axis fastest; a grid past an int64 array is refused before allocating."""
+    if not ((T + resolution / 2) + T) / resolution <= (2 ** 63 // 8) ** (1 / dim):
+        raise ValueError(f"a probe grid of mesh {resolution!r} on [-{T!r}, {T!r}]^{dim} "
+                         "has more points than an int64 array can hold")
     axis = np.arange(-T, T + resolution / 2, resolution)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    return pts[np.linalg.norm(pts, axis=1) <= T]
+    total = sq = axis * axis
+    for _ in range(dim - 1):  # (x^2 + y^2) + z^2, the order of np.linalg.norm
+        total = np.add.outer(total, sq)
+    return np.column_stack([axis[i] for i in np.nonzero(np.sqrt(total) <= T)])
 
 
 def _brute_min_distance(probes: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Distance from each probe to the nearest point, over every point."""
-    out = []
-    for pchunk in np.array_split(probes, max(1, len(probes) // 2048)):
-        dmin = np.full(len(pchunk), math.inf)
-        for cchunk in np.array_split(coords, max(1, len(coords) // 4096)):
-            diff = pchunk[:, None, :] - cchunk[None, :, :]
-            np.minimum(dmin, np.sqrt((diff * diff).sum(axis=2)).min(axis=1), out=dmin)
-        out.append(dmin)
-    return np.concatenate(out)
-
-
-_PAIR_BUDGET = 1 << 17  # probe-point pairs per gather, at most twice this
-
-
-def _block_min_distance(probes: np.ndarray, coords: np.ndarray, T: float,
-                        side: float) -> np.ndarray:
-    """Distance from each probe to the nearest point of its 3^dim cell block.
-
-    Points are binned into cubes of edge ``side`` tiling [-T, T]^dim (points
-    beyond it clamp into the border cells, which only adds candidates), kept in
-    cell order with per-cell offsets. A probe with no candidate, or with more
-    than the pair budget, gets inf.
-    """
-    dim = probes.shape[1]
-    per_axis = int(2 * T // side) + 1
-    strides = per_axis ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-
-    def cell_of(x):
-        return np.clip(np.floor((x + T) / side), 0, per_axis - 1).astype(np.int64)
-
-    cells = cell_of(coords) @ strides
-    order = np.argsort(cells, kind="stable")
-    pts = coords[order]
-    counts = np.bincount(cells, minlength=per_axis ** dim)
-    starts = np.cumsum(counts) - counts
-    block = np.array(list(itertools.product((-1, 0, 1), repeat=dim)), dtype=np.int64)
-    out = np.full(len(probes), math.inf)
-    for lo in range(0, len(probes), 4096):
-        chunk = probes[lo:lo + 4096]
-        nbr = cell_of(chunk)[:, None, :] + block
-        inside = ((nbr >= 0) & (nbr < per_axis)).all(axis=2)
-        ids = np.where(inside, nbr @ strides, 0)
-        cnt = np.where(inside, counts[ids], 0)
-        beg = starts[ids]
-        total = cnt.sum(axis=1)
-        ok = np.flatnonzero((total > 0) & (total <= _PAIR_BUDGET))
-        first = np.cumsum(total[ok]) - total[ok]
-        for rows in np.split(ok, np.flatnonzero(np.diff(first // _PAIR_BUDGET)) + 1):
-            seg = cnt[rows].ravel()
-            seg_first = np.cumsum(seg) - seg
-            point = (np.arange(seg.sum())
-                     + np.repeat(beg[rows].ravel() - seg_first, seg))
-            diff = chunk[np.repeat(rows, total[rows])] - pts[point]
-            dist = np.sqrt((diff * diff).sum(axis=-1))
-            row_first = np.cumsum(total[rows]) - total[rows]
-            out[lo + rows] = np.minimum.reduceat(dist, row_first)
-    return out
+    """Distance from each probe to the nearest of all points: one cube's gather."""
+    grid = _cell_grid(list(coords.T), [0.0] * probes.shape[1], 1.0, 1)
+    return np.sqrt(_nearest_sq(list(probes.T), grid))
 
 
 def covering_estimate(coords: np.ndarray, T: float, resolution: float) -> float:
@@ -158,22 +165,17 @@ def covering_estimate(coords: np.ndarray, T: float, resolution: float) -> float:
     distance from the probe to the point set; underestimates the true covering
     radius by at most the resolution.
 
-    Points are bucketed into cubes whose edge ``side`` holds about two points
-    of B(0,T) on average (never below ``resolution``). Each probe is measured
-    against the points of the 3^dim cubes around its own: every other point
-    differs from it by at least ``side`` in some coordinate, so a block
-    minimum below ``side`` is the minimum over the whole set. The few probes
-    without that certificate (an empty block, the hole of a shell, a cluster
-    too crowded for one gather) are measured against every point. Every
-    distance is computed with the same float operations in either pass, so
-    the result is exactly that of the all-pairs scan.
-    """
+    Each probe is measured against the points in the 3^dim cubes around its
+    own, of an edge ``side`` holding about two points of B(0,T) (at least
+    ``resolution``), which certifies a minimum below ``side``. The rest (an
+    empty block, the hole of a shell) are measured against every point with
+    the same float operations: the result is that of the all-pairs scan."""
     dim = coords.shape[1]
     probes = _probe_grid(T, resolution, dim)
     ball_volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * T ** dim
     side = max(resolution, (2 * ball_volume / max(1, len(coords))) ** (1 / dim))
-    dmin = _block_min_distance(probes, coords, T, side)
-    # the margin absorbs the float rounding of the cell assignment
+    grid = _cell_grid(list(coords.T), [-T] * dim, side, int(2 * T // side) + 1)
+    dmin = np.sqrt(_nearest_sq(list(probes.T), grid))
     uncertified = dmin > side * (1 - 1e-9)
     if uncertified.any():
         dmin[uncertified] = _brute_min_distance(probes[uncertified], coords)
@@ -189,15 +191,13 @@ def delone_report(spec: SequenceSpec, T: float, probe_resolution: float,
     resolution.
     """
     if not math.isfinite(T) or T <= 1:
-        raise ValueError(f"T must be finite and exceed 1 so the ball holds points, "
-                         f"got {T}")
+        raise ValueError(f"T must be finite and exceed 1 so the ball holds points, got {T}")
     if not math.isfinite(probe_resolution) or probe_resolution <= 0:
         raise ValueError("probe resolution must be finite and positive, "
                          f"got {probe_resolution}")
-    chunks = [c for _, _, c in
-              iter_point_chunks(spec, 1, min(count_in_ball(T, spec.d), index_budget))]
-    coords = np.vstack(chunks)
-    packing = min_pairwise_distance(coords)
-    covering = covering_estimate(coords, T, probe_resolution)
-    return DeloneReport(T=float(T), packing=packing, covering=covering,
+    _probe_grid(T, probe_resolution, spec.d + 1)  # fails fast, before any point is read
+    coords = np.vstack([c for _, _, c in
+                        iter_point_chunks(spec, 1, min(count_in_ball(T, spec.d), index_budget))])
+    return DeloneReport(T=float(T), packing=min_pairwise_distance(coords),
+                        covering=covering_estimate(coords, T, probe_resolution),
                         probe_resolution=float(probe_resolution), n_points=len(coords))

@@ -146,19 +146,38 @@ def _area_grid(d: int, delta: float) -> float:
     return (d * _sphere_area(d) / (2 * (d + 1) * _sphere_area(d - 1))) ** (1 / d) / delta
 
 
+def _corner_grid(d: int, delta: float) -> int:
+    """The least m from the area bound (``_area_grid``) whose corner cell has
+    a center-to-vertex angle of at most delta. That angle falls as m grows,
+    so one corner cell per grid is read, galloping up from the bound and then
+    bisecting; the m found fits and m - 1 was read and does not (or is the
+    bound's floor)."""
+    def fits(m):
+        return _cube_face(d, m, cells=1)[1] <= delta
+
+    lo = max(1, math.floor(_area_grid(d, delta)))
+    if fits(lo):
+        return lo
+    step = 1
+    while not fits(lo + step):  # lo fails throughout
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
 def _cube_sphere_net(d: int, delta: float) -> DirectionNet:
     """Equiangular gnomonic cube ("cubed sphere") net of S^d: 2(d+1) faces
     with m^d cells each, centers at the cell midpoints, m the smallest grid
     whose covering radius is at most delta.
 
-    The scan starts from an area bound (``_area_grid``), below which no m can
-    qualify. Nor can an m whose corner cell alone has a center-to-vertex
-    angle above delta, so the scan reads one cell per grid until that cell
-    fits and builds whole faces only from there.
+    No m below the area bound (``_area_grid``) can qualify, nor can one whose
+    corner cell alone has a center-to-vertex angle above delta, so whole faces
+    are built only from ``_corner_grid``'s m on.
     """
-    m = max(1, math.floor(_area_grid(d, delta)))
-    while _cube_face(d, m, cells=1)[1] > delta:
-        m += 1
+    m = _corner_grid(d, delta)
     while True:
         face, radius = _cube_face(d, m)
         if radius <= delta:

@@ -325,6 +325,14 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             main(["delone", *argv])
         assert err.value.code == 2
     assert "finite" in capsys.readouterr().err
+    # probe grids past the int64 bound, and within it but past any machine's
+    # memory (1.4e14 probes), fail before a point is read
+    for argv in (["--T", "1e300", "--probe-res", "1"], ["--T", "3e5", "--probe-res", "0.05"]):
+        with pytest.raises(SystemExit) as err:
+            main(["delone", "--seq", "golden-angle", *argv])
+        assert err.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"--T {float(argv[1])} and --probe-res {float(argv[3])}" in message
     for argv, problem in (
             (["criterion", "--eps", "0"], "--eps"),
             (["criterion", "--eps", "1e-300"], "past the float range"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import brute_badness, liouville_like
 from spiralvis import SequenceSpec, badness, delone, delone_report, point_batch
-from spiralvis.delone import _probe_grid, covering_estimate, min_pairwise_distance
+from spiralvis.delone import (_brute_min_distance, _probe_grid, covering_estimate,
+                              min_pairwise_distance)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 # frozen oracle values: min_q q*||q*theta|| hits its smallest value at a small
@@ -77,14 +79,18 @@ def test_badness_validates_Q():
         badness(0.5, 0)
 
 
-def test_min_pairwise_matches_exhaustive(golden):
-    ns = np.arange(1, 2001, dtype=np.int64)
-    _, coords = point_batch(golden, ns)
-    got = min_pairwise_distance(coords)
+def packing_oracle(coords):
+    """All-pairs minimum distance between distinct indices."""
     diffs = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diffs**2).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
-    assert got == pytest.approx(float(dist.min()), abs=0)
+    return float(dist.min(initial=math.inf))
+
+
+def test_min_pairwise_matches_exhaustive(golden):
+    ns = np.arange(1, 2001, dtype=np.int64)
+    _, coords = point_batch(golden, ns)
+    assert min_pairwise_distance(coords) == packing_oracle(coords)
 
 
 def test_golden_delone_baselines(golden):
@@ -201,3 +207,55 @@ def test_covering_estimate_golden_needs_no_fallback(monkeypatch, golden):
     seen = _count_fallback(monkeypatch)
     assert covering_estimate(coords, 30.0, 0.5) == GOLDEN_T30_COVERING
     assert seen == []
+
+
+def test_min_pairwise_distance_widens_past_a_pair_two_cubes_apart():
+    # an fcc lattice is sparser than the first cubes (two points per edge), and
+    # the closest pair, P and Q, lies two cubes apart along x: the first pass
+    # misses it, and no minimum it finds lies below the cube edge
+    lattice = np.array([p for p in itertools.product(range(4), repeat=3) if sum(p) % 2 == 0]) / 3
+    P, Q = np.array([0.38, 0.0, 1.0]), np.array([0.82, 0.0, 1.0])
+    far = (np.linalg.norm(lattice - P, axis=1) > 0.45) & (np.linalg.norm(lattice - Q, axis=1) > 0.45)
+    coords = np.vstack([lattice[far], P, Q])
+    assert packing_oracle(coords) < packing_oracle(coords[:-1])  # P and Q are closest
+    assert min_pairwise_distance(coords) == packing_oracle(coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(clouds(), st.data())
+def test_min_pairwise_distance_equals_all_pairs_oracle(cloud, data):
+    coords, _, _ = cloud
+    copies = data.draw(st.lists(st.integers(0, len(coords) - 1), max_size=4))
+    coords = np.vstack([coords, coords[copies]])  # exact duplicates are 0 apart
+    assert min_pairwise_distance(coords) == packing_oracle(coords)
+
+
+def test_small_pair_budget_keeps_both_radii_exact(monkeypatch):
+    # the drawn clouds are too small to cut a run or split a gather at the
+    # default budget; at 64 pairs, crowded cubes are cut and every call gathers
+    # many times, and the shell's hole sends probes to the one-cube fallback
+    monkeypatch.setattr(delone, "_PAIR_BUDGET", 64)
+    seen = _count_fallback(monkeypatch)
+    rng = np.random.default_rng(11)
+    T, res = 4.0, 0.5
+    v = rng.normal(size=(400, 3))
+    shell = T * rng.uniform(0.7, 1.0, (400, 1)) * v / np.linalg.norm(v, axis=1, keepdims=True)
+    crowd = rng.uniform(-0.3, 0.3, (300, 2))
+    crowd[::7] = crowd[1::7][:len(crowd[::7])]  # exact duplicates
+    for coords in (shell, crowd, rng.uniform(-T, T, (300, 3))):
+        assert covering_estimate(coords, T, res) == covering_oracle(coords, T, res)
+        assert min_pairwise_distance(coords) == packing_oracle(coords)
+    assert seen and min(seen) > 0
+    probes = _probe_grid(T, res, 3)
+    for coords in (shell, shell[:100]):  # one run of 7 pieces, and of 2
+        diff = probes[:, None, :] - coords[None, :, :]
+        nearest = np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
+        assert np.array_equal(_brute_min_distance(probes, coords), nearest)
+    # three clusters of 100 points, each inside one cube: runs cut mid-array
+    points = np.repeat(rng.uniform(-2, 2, (3, 2)), 100, axis=0)
+    points += rng.normal(scale=1e-3, size=points.shape)
+    queries = points + rng.normal(scale=0.05, size=points.shape)
+    diff = queries[:, None, :] - points[None, :, :]
+    grid = delone._cell_grid(list(points.T), [-3.0, -3.0], 0.5, 12)
+    assert np.array_equal(delone._nearest_sq(list(queries.T), grid),
+                          (diff * diff).sum(axis=2).min(axis=1))

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import count_bound_ok
 from spiralvis import SequenceSpec, build_direction_net, check_orchard, unit_vector
-from spiralvis.sphere import _cube_face, least_directions
+from spiralvis.sphere import _area_grid, _corner_grid, _cube_face, least_directions
 
 
 def random_units(rng, count, dim):
@@ -238,3 +238,21 @@ def test_corner_cell_scan_matches_full_face_scan(d, delta):
     assert least_directions(1, delta) <= len(build_direction_net(1, delta))
     assert net.covering_radius == radius
     assert np.array_equal(net.centers, centers)
+
+
+def linear_corner_scan(d, delta):
+    """The least m from the area bound whose corner cell fits, one m at a time."""
+    m = max(1, math.floor(_area_grid(d, delta)))
+    while _cube_face(d, m, cells=1)[1] > delta:
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_corner_search_matches_linear_scan(d):
+    deltas = [float(x) for x in np.geomspace(2e-3, 1.5, 30)]
+    for m in (1, 2, 3, 5, 17, 64, 250, 900):  # where m steps by one: at a corner angle
+        corner = _cube_face(d, m, cells=1)[1]  # m is the first fit, and just below it
+        deltas += [corner, math.nextafter(corner, 0.0)]  # m fails and m + 1 is the first
+    for delta in deltas:
+        assert _corner_grid(d, delta) == linear_corner_scan(d, delta), delta
