@@ -133,6 +133,14 @@ def test_delone_report_rejects_non_finite(golden, T, res):
         delone_report(golden, T, res)
 
 
+@pytest.mark.parametrize("T, res, dim", [(30.0, 0.5, 2), (7.3, 0.37, 2), (5.0, 0.5, 3),
+                                         (4.1, 0.29, 3)])
+def test_probe_grid_is_the_masked_meshgrid(T, res, dim):
+    axis = np.arange(-T, T + res / 2, res)
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(*([axis] * dim), indexing="ij")])
+    assert np.array_equal(_probe_grid(T, res, dim), pts[np.linalg.norm(pts, axis=1) <= T])
+
+
 def covering_oracle(coords, T, resolution):
     """All-pairs probes x points scan: every probe against every point."""
     probes = _probe_grid(T, resolution, coords.shape[1])
