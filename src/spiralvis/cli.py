@@ -25,7 +25,7 @@ from .delone import badness, delone_report
 from .plotting import scatter_svg
 from .reports import dump_json, write_csv
 from .sequences import GOLDEN_RATIO, SequenceSpec
-from .sphere import MAX_DIRECTIONS, least_directions, unit_vector
+from .sphere import unit_vector
 from .spirals import (
     DEFAULT_BUDGET,
     PunctureSpec,
@@ -42,7 +42,7 @@ from .visibility import (
     check_orchard,
     check_uniform_orchard,
     random_lines,
-    segment_overflows,
+    segment_norm_range,
     visible_point_test,
 )
 
@@ -81,11 +81,20 @@ def _point(text: str) -> np.ndarray:
     return np.array(_floats(text), dtype=np.float64)
 
 
-def _in_float_range(flags: str, a: np.ndarray, b: np.ndarray) -> None:
-    """Name ``flags`` when the window [a, b] leaves the float range."""
-    if segment_overflows(a, b):
-        raise ValueError(f"{flags}: the segment from {a.tolist()} to {b.tolist()} "
-                         "leaves the float range: its squared norm overflows")
+# the categories of library error that main words, each its own way
+ERRORS = (ValueError, MemoryError, ArithmeticError)
+
+
+def _named(flags: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, with ``flags`` put before the message of an
+    error of one of the ``ERRORS`` categories that it raises. The error is
+    raised again as its category (numpy's ``_ArrayMemoryError`` as a
+    MemoryError, say), so ``main`` words it the same."""
+    try:
+        return call(*args, **kwargs)
+    except ERRORS as exc:
+        category = next(c for c in ERRORS if isinstance(exc, c))
+        raise category(f"{flags}: {exc}") from None
 
 
 def _write_points(ns, d: int, n_hi: int, blocks) -> dict:
@@ -158,7 +167,7 @@ def _forest_check(spec, eps, V, ns):
     if not lines:
         raise ValueError("forest needs --line or --lines")
     for flags, line in lines:
-        _in_float_range(flags, line.point(line.t0), line.point(line.t1))
+        _named(flags, segment_norm_range, line.point(line.t0), line.point(line.t1))
     return check_dense_forest(spec, eps, V, [line for _, line in lines],
                               index_budget=ns.budget)
 
@@ -182,27 +191,9 @@ def _cmd_check(spec, ns):
     if len(v_list) != len(ns.eps):
         raise ValueError(f"--eps and --V must have matching lengths, got "
                          f"{len(ns.eps)} and {len(v_list)} values")
-    for eps, V in zip(ns.eps, v_list):
-        if ns.subcommand == "forest" or not (0 < eps and 0 < V < math.inf):
-            continue
-        mesh = min(eps / (4 * V), math.pi)
-        if mesh == 0:
-            raise ValueError(f"--eps {eps} and --V {V} ask for a direction net of mesh "
-                             "eps/(4V), which underflows to 0")
-        if least_directions(spec.d, mesh) > MAX_DIRECTIONS:
-            raise ValueError(f"--eps {eps} and --V {V} ask for a direction net of mesh "
-                             f"eps/(4V) = {mesh!r}, with more directions than an int64 "
-                             "array can hold")
-    reports = [CHECKS[ns.subcommand](spec, eps, V, ns) for eps, V in zip(ns.eps, v_list)]
+    reports = [_named(f"--eps {eps} and --V {V}", CHECKS[ns.subcommand], spec, eps, V, ns)
+               for eps, V in zip(ns.eps, v_list)]
     return {"reports": reports}, not all(r.passed for r in reports)
-
-
-def _direction(text: str) -> np.ndarray:
-    """The unit vector of a --dir value, or an error naming it."""
-    try:
-        return unit_vector(_point(text))
-    except ValueError as exc:
-        raise ValueError(f"--dir {text}: {exc}") from None
 
 
 def _cmd_visible(spec, ns):
@@ -211,11 +202,11 @@ def _cmd_visible(spec, ns):
         if count != spec.d + 1:
             raise ValueError(f"{flag} {text} has {count} coordinates; "
                              f"a d={spec.d} spiral lies in R^{spec.d + 1}")
-    x, dirs = _point(ns.x), np.array([_direction(t) for t in ns.dir])
-    _in_float_range(f"--x {ns.x}", x, x)
-    for text, v in zip(ns.dir, dirs):
-        _in_float_range(f"--Tmax {ns.Tmax} from --x {ns.x} along --dir {text}",
-                        x, x + ns.Tmax * v)
+    x = _point(ns.x)
+    dirs = np.array([_named(f"--dir {t}", unit_vector, _point(t)) for t in ns.dir])
+    for text, v in zip(ns.dir, dirs):  # each ray's check covers --x as well
+        _named(f"--Tmax {ns.Tmax} from --x {ns.x} along --dir {text}", segment_norm_range,
+               x, x + ns.Tmax * v)
     verdicts = visible_point_test(spec, x, dirs, ns.eps_floor, ns.Tmax,
                                   index_budget=ns.budget)
     # --assert fails when no direction is visible at this scale
@@ -270,10 +261,8 @@ def _cmd_table(spec, ns):
 
 
 def _cmd_delone(spec, ns):
-    try:
-        payload = {"report": delone_report(spec, ns.T, ns.probe_res, index_budget=ns.budget)}
-    except (ValueError, MemoryError) as exc:  # e.g. a probe grid too large to hold
-        raise ValueError(f"--T {ns.T} and --probe-res {ns.probe_res}: {exc}") from None
+    payload = {"report": _named(f"--T {ns.T} and --probe-res {ns.probe_res}", delone_report,
+                                spec, ns.T, ns.probe_res, index_budget=ns.budget)}
     if ns.badness_Q:
         payload["badness"] = {"theta": spec.theta, "Q": ns.badness_Q,
                               "value": badness(spec.theta, ns.badness_Q)}
@@ -282,13 +271,12 @@ def _cmd_delone(spec, ns):
 
 def _cmd_puncture(spec, ns):
     n_hi = min(ns.n, ns.budget)
-    try:
-        pspec = getattr(PunctureSpec, ns.schedule)(spec, _point(ns.v0), ns.delta, ns.m_lo,
-                                                   ns.m_hi, scale_constant=ns.strip_C)
-    except ValueError as exc:  # name the flags the schedule is built from
-        raise ValueError(f"--schedule {ns.schedule} with --v0 {ns.v0}, --delta {ns.delta}, "
-                         f"--m-lo {ns.m_lo}, --m-hi {ns.m_hi}, --strip-C {ns.strip_C}: "
-                         f"{exc}") from None
+    # --v0 is parsed inside the call, so an error parsing it names the flags too
+    pspec = _named(f"--schedule {ns.schedule} with --v0 {ns.v0}, --delta {ns.delta}, "
+                   f"--m-lo {ns.m_lo}, --m-hi {ns.m_hi}, --strip-C {ns.strip_C}",
+                   lambda: getattr(PunctureSpec, ns.schedule)(
+                       spec, _point(ns.v0), ns.delta, ns.m_lo, ns.m_hi,
+                       scale_constant=ns.strip_C))
     all_ns, coords = puncture_batch(pspec, 1, n_hi)
     moved = int(np.sum(np.any(coords != point_batch(spec, all_ns)[1], axis=1)))
     still_inside = int(pspec.in_region(coords).sum())

@@ -59,13 +59,19 @@ def covering_radius(points, d: int | None = None,
     return _net_covering_radius(pts, dim, resolution)
 
 
+_DOTS_PER_PRODUCT = 1 << 22  # center-point dots per product of the S^d covering radius
+
+
 def _net_covering_radius(pts: np.ndarray, d: int, resolution: float) -> CoveringRadiusResult:
     """The sup over the net ``build_direction_net(d, resolution)`` of the
-    distance to the set: below the true radius by at most the net's mesh."""
+    distance to the set: below the true radius by at most the net's mesh.
+    The centers go in blocks of ``_DOTS_PER_PRODUCT`` // len(pts) (at least
+    one), so no product of a block with the points outgrows that or them."""
     net = build_direction_net(d, resolution)
+    step = max(1, _DOTS_PER_PRODUCT // len(pts))
     value = 0.0
-    for chunk in np.array_split(net.centers, max(1, len(net.centers) // 4096)):
-        dots = chunk @ pts.T
+    for lo in range(0, len(net.centers), step):
+        dots = net.centers[lo:lo + step] @ pts.T
         value = max(value, float(np.arccos(np.clip(dots.max(axis=1), -1, 1)).max()))
     return CoveringRadiusResult(value, False, net.mesh)
 

@@ -246,16 +246,17 @@ def _arc_cells(K: int, angles: np.ndarray, halfw: np.ndarray):
     return np.indices(lo.shape)[0].ravel(), lo.ravel() % K, counts
 
 
-def _mark_windows(K: int, still_open, angles: np.ndarray, halfw: np.ndarray, write,
-                  marks_per_batch: int | None = None) -> None:
+_MARKS_PER_BATCH = 1 << 16  # (point, cell) marks per batch of the circle reach
+
+
+def _mark_windows(K: int, still_open, angles: np.ndarray, halfw: np.ndarray, write) -> None:
     """Hand ``write(at, cells)`` each row ``at`` (a point; columns are more
     arcs of it) with the open cells of its arcs (``_arc_cells``), in batches
-    of at most ``marks_per_batch`` pairs (default 2^16). Before each batch,
+    of at most ``_MARKS_PER_BATCH`` pairs. Before each batch,
     ``still_open(row)`` gives the cells open at its first row (sorted), and
     an int32 prefix count over them turns every arc into a run of ranks in
     that list."""
     at, lo, counts = _arc_cells(K, angles, halfw)
-    limit = marks_per_batch or 1 << 16
     while len(lo):
         open_ = still_open(at[0])
         if not (R := len(open_)):
@@ -266,7 +267,7 @@ def _mark_windows(K: int, still_open, angles: np.ndarray, halfw: np.ndarray, wri
         wrap = lo + counts > K
         runs = prefix[lo + counts - K * wrap] - prefix[lo] + R * wrap
         bounds = np.cumsum(runs)
-        stop = max(1, int(np.searchsorted(bounds, limit, side="right")))
+        stop = max(1, int(np.searchsorted(bounds, _MARKS_PER_BATCH, side="right")))
         c = runs[:stop]
         ranks = np.repeat(prefix[lo[:stop]] - bounds[:stop] + c, c) + np.arange(bounds[stop - 1])
         write(np.repeat(at[:stop], c), open_[ranks % R])
@@ -421,6 +422,7 @@ def _exact_cell_witnesses(spec: SequenceSpec, K: int, cells: np.ndarray,
 # rounding allowance of the polar band: it covers the error of a computed
 # dot of near-unit vectors and that of the band's edges
 BAND_SLACK = 8 * np.finfo(np.float64).eps
+_PAIRS_PER_BLOCK = 1 << 21  # (point, center) pairs per chunk of the cap sweep
 
 
 def _polar_bands(z: np.ndarray, s: np.ndarray, cos_h: np.ndarray):
@@ -447,7 +449,7 @@ def _polar_bands(z: np.ndarray, s: np.ndarray, cos_h: np.ndarray):
 
 
 def _band_pairs(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int, arcs,
-                still_open, write, pairs_per_block: int = 1 << 21) -> None:
+                still_open, write) -> None:
     """Hand ``write(ns, radii, units, point, center, dots, sign, cos_h)``
     each chunk of the (point, center) pairs of [n_lo, n_hi] x ``centers``
     whose center may lie in the point's cap: ``point`` indexes the block's
@@ -461,8 +463,8 @@ def _band_pairs(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int, a
     centers a cap about +-u can hold are one contiguous run, found by
     ``searchsorted`` on its polar band (``_polar_bands``); only those pairs
     are handed on. Points are read in index order, in blocks of at most
-    ``pairs_per_block`` // (open centers) points (and at most ``CHUNK``),
-    and a block's pairs go in chunks of at most ``pairs_per_block``. Before
+    ``_PAIRS_PER_BLOCK`` // (open centers) points (and at most ``CHUNK``),
+    and a block's pairs go in chunks of at most ``_PAIRS_PER_BLOCK``. Before
     each block, the centers (indices ``c`` into ``centers``) for which
     ``still_open(c, r)`` is false leave the sweep, r the radius of the
     block's first point; the sweep stops when none is left.
@@ -475,7 +477,7 @@ def _band_pairs(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int, a
         open_, ordered = open_[keep], ordered[keep]
         if not len(open_):
             return
-        hi = min(n_hi, lo + min(CHUNK, max(1, pairs_per_block // len(open_))) - 1)
+        hi = min(n_hi, lo + min(CHUNK, max(1, _PAIRS_PER_BLOCK // len(open_))) - 1)
         ns = np.arange(lo, hi + 1, dtype=np.int64)
         lo = hi + 1
         radii, coords = point_batch(spec, ns)
@@ -494,8 +496,8 @@ def _band_pairs(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int, a
                          np.searchsorted(zs, band_hi, side="right") - first))
         point, sign, cos_h, start, count = map(np.concatenate, zip(*rows))
         ends, total = np.cumsum(count), int(count.sum())
-        for q0 in range(0, total, pairs_per_block):
-            q = np.arange(q0, min(q0 + pairs_per_block, total))
+        for q0 in range(0, total, _PAIRS_PER_BLOCK):
+            q = np.arange(q0, min(q0 + _PAIRS_PER_BLOCK, total))
             row = np.searchsorted(ends, q, side="right")
             at = start[row] + q - (ends[row] - count[row])
             dots = np.einsum("ij,ij->i", units[point[row]], ordered[at])
@@ -503,7 +505,7 @@ def _band_pairs(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int, a
 
 
 def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int,
-                   arcs, pairs_per_block: int = 1 << 21) -> np.ndarray:
+                   arcs) -> np.ndarray:
     """Smallest index in [n_lo, n_hi] per center whose point lies in that
     center's cap, from the pair sweep (``_band_pairs``): the pairs that pass
     the exact test sign * u.c >= cos(h) lower their center's witness, and a
@@ -514,8 +516,7 @@ def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int
         inside = np.flatnonzero(sign * dots >= cos_h)
         np.minimum.at(witness, center[inside], ns[point[inside]])
 
-    _band_pairs(spec, centers, n_lo, n_hi, arcs, lambda c, r: witness[c] == MISS, write,
-                pairs_per_block)
+    _band_pairs(spec, centers, n_lo, n_hi, arcs, lambda c, r: witness[c] == MISS, write)
     return witness
 
 
@@ -815,22 +816,17 @@ def _forest_range(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, eps: float):
     return annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
 
 
-def segment_overflows(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether |a|^2, |b|^2 or |b - a|^2 overflows, which the segment scans
-    form (Python floats overflow to inf without a warning)."""
-    a, b = a.tolist(), b.tolist()
-    return math.isinf(max(sum(x * x for x in a), sum(y * y for y in b),
-                          sum((y - x) * (y - x) for x, y in zip(a, b))))
-
-
 def segment_norm_range(a, b) -> tuple[float, float]:
-    """[min, max] of |a + s(b-a)| over s in [0,1]; a segment whose squared
-    norms overflow (``segment_overflows``) is rejected."""
+    """[min, max] of |a + s(b-a)| over s in [0,1]; a segment is rejected when
+    |a|^2, |b|^2 or |b - a|^2, which the segment scans form, overflows
+    (Python floats overflow to inf without a warning)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if segment_overflows(a, b):
-        raise ValueError(f"the segment from {a.tolist()} to {b.tolist()} leaves the "
-                         "float range: its squared norm overflows")
+    x, y = a.tolist(), b.tolist()
+    if math.isinf(max(sum(u * u for u in x), sum(v * v for v in y),
+                      sum((v - u) * (v - u) for u, v in zip(x, y)))):
+        raise ValueError(f"the segment from {x} to {y} leaves the float range: its "
+                         "squared norm overflows")
     d, _ = segment_distances(np.zeros((1, len(a))), a, b)
     return float(d[0]), max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
 

@@ -5,9 +5,10 @@ moved argument silently miscounts, while the rest of the suite passes, so
 each lookup and each counted argument is checked here, and so is that the
 hooked visibility layers still have callers. So is that every public name,
 and every module-level function and class, has a caller outside the tests,
-that every defaulted parameter of a public function is passed by some call
-outside the tests, that one constant sets every default index budget, and
-that no module imports a name it never reads."""
+that every defaulted parameter of a public function or of a module-level
+private one is passed by some call outside the tests, that one constant
+sets every default index budget, and that no module imports a name it never
+reads."""
 
 import ast
 import importlib
@@ -166,15 +167,27 @@ def _public_functions():
                     yield f"{name}.{attr}", attr, getattr(obj, attr)
 
 
+def _private_functions():
+    """(qualified name, call name, function) for each module-level function
+    of a spiralvis module whose name starts with an underscore."""
+    for path in sorted((ROOT / "src" / "spiralvis").glob("*.py")):
+        module = importlib.import_module(f"spiralvis.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") and inspect.isfunction(obj) \
+                    and obj.__module__ == module.__name__:
+                yield f"{path.stem}.{name}", name, obj
+
+
 def test_public_parameters_have_callers():
     # a defaulted parameter that no production call sets is a knob nothing
     # turns: its default is the behaviour, and the parameter is code kept for
-    # the tests. Index budgets are resource settings, pinned below.
+    # the tests (a batch size the tests shrink is a module constant they
+    # patch). Index budgets are resource settings, pinned below.
     files = [path for folder in (ROOT / "src" / "spiralvis", ROOT / "perfbench")
              for path in sorted(folder.glob("*.py"))]
     passed = _passed(files)
     unset = set()
-    for qualname, call, func in _public_functions():
+    for qualname, call, func in [*_public_functions(), *_private_functions()]:
         args = passed.get(call, set())
         if args is None or qualname in NO_PRODUCTION_CALLER:
             continue

@@ -423,6 +423,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["covering", "--m", "1e300"], "--m 1e+300 is not below --budget 10000000"),
             (puncture + ["--delta", "nan"], "--delta nan, ", "delta must be finite and positive"),
             (puncture + ["--v0", "0,0"], "--v0 0,0, ", "cannot normalize a zero or non-finite"),
+            (puncture + ["--v0", "0,x"], "--v0 0,x, ", "could not convert string to float"),
             (puncture + ["--m-lo", "5", "--m-hi", "2"], "--m-lo 5, --m-hi 2, ",
              "the schedule holds no annulus"),
             (["defvisi", "--eps", "nan"], "--eps nan is not finite and positive"),
@@ -450,13 +451,18 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
               "factorial", "--m-hi", "2000"], "--schedule factorial with ", "--m-hi 2000, ",
              "outer radii must be finite"),
             # direction nets too large for an index array, rejected before any scan
-            (["orchard", "--eps", "0.5", "--V", "1e300"], "--eps 0.5 and --V 1e+300 ",
+            (["orchard", "--eps", "0.5", "--V", "1e300"], "--eps 0.5 and --V 1e+300: ",
              "more directions than an int64 array can hold"),
-            (["orchard", "--eps", "0.5", "--V", "1e17"], "--eps 0.5 and --V 1e+17 ",
+            (["orchard", "--eps", "0.5", "--V", "1e17"], "--eps 0.5 and --V 1e+17: ",
              "more directions than an int64 array can hold"),
             (["orchard", "--seq", "fibonacci-sphere", "--d", "2", "--eps", "0.5", "--V",
-              "1e300"], "--eps 0.5 and --V 1e+300 ",
+              "1e300"], "--eps 0.5 and --V 1e+300: ",
              "more directions than an int64 array can hold"),
+            # within the int64 bound, but a net (7.7 TiB) or probe grid past memory
+            (["orchard", "--seq", "fibonacci-sphere", "--d", "2", "--eps", "0.5", "--V",
+              "1e5"], "needs more memory", "--eps 0.5 and --V 100000.0: "),
+            (["delone", "--T", "3e5", "--probe-res", "0.05"], "needs more memory",
+             "--T 300000.0 and --probe-res 0.05: "),
             (["forest", "--eps", "0.1", "--V", "44", "--lines", "2", "--lam-max", "-5"],
              "--lam-max -5.0 is not >= 0"),
             (["forest", "--eps", "0.1", "--V", "44", "--lines", "-3"],

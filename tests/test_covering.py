@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import growth_along_h
+import spiralvis.covering as covering
 from spiralvis import (
+    build_direction_net,
     covering_radius,
     direction_batch,
     uniform_covering_parameter,
@@ -77,6 +80,33 @@ def test_sphere_net_radius_agrees_across_resolutions(fib_sphere):
         assert not coarse.exact and not fine.exact
         assert coarse.value <= fine.value + fine.resolution
         assert fine.value <= coarse.value + coarse.resolution
+
+
+def test_sphere_net_radius_blocks_agree_and_stay_small(monkeypatch):
+    # blocks of centers down to one row give the sup of the one product of
+    # all centers with all points, up to rounding: BLAS may take another
+    # kernel for a block of another shape and round its dots differently
+    rng = np.random.default_rng(6)
+    for d, resolution in ((2, 0.1), (3, 0.2)):
+        pts = rng.normal(size=(700, d + 1))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        centers = build_direction_net(d, resolution).centers
+        whole = float(np.arccos(np.clip((centers @ pts.T).max(axis=1), -1, 1)).max())
+        for dots in (1, 700, 5000, 1 << 22):
+            monkeypatch.setattr(covering, "_DOTS_PER_PRODUCT", dots)
+            got = _net_covering_radius(pts, d, resolution)
+            assert got.value == pytest.approx(whole, rel=0, abs=1e-12)
+    # 1014 centers x 5000 points take 40 MB in one product, 0.5 MB per block
+    pts = rng.normal(size=(5000, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    monkeypatch.setattr(covering, "_DOTS_PER_PRODUCT", 1 << 16)
+    tracemalloc.start()
+    try:
+        _net_covering_radius(pts, 2, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_covering_radius_errors():

@@ -105,8 +105,7 @@ def _assert_same(got, first, want):
 
 
 def _small_blocks(marks):
-    return mock.patch.object(vis, "_mark_windows",
-                             functools.partial(vis._mark_windows, marks_per_batch=marks))
+    return mock.patch.object(vis, "_MARKS_PER_BATCH", marks if marks else vis._MARKS_PER_BATCH)
 
 
 def _small_chunks(points):

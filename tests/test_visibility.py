@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import calibrate_proximity_sandwich, save_sequence_file, verify_proximity_sandwich
+import spiralvis.visibility as vis
 from spiralvis import (
     DirectionNet,
     LineParam,
@@ -209,16 +210,18 @@ def test_sphere_sweep_matches_brute(fib_sphere):
     assert cases == 6
 
 
-def test_cap_sweep_blocks_agree(fib_sphere):
+def test_cap_sweep_blocks_agree(fib_sphere, monkeypatch):
     # blocks of a few pairs resolve centers across many blocks; one block
     # holding every pair sees them all at once
     centers = build_direction_net(2, 0.1).centers
     arcs = [(0.0, lambda ns, radii: radial_hit_halfwidth(radii, 2.0, 4.0, 0.5)),
             (math.pi, lambda ns, radii: radial_hit_halfwidth(radii, 0.0, 1.5, 0.5))]
-    whole = _cap_witnesses(fib_sphere, centers, 1, 300, arcs, pairs_per_block=10**9)
+    monkeypatch.setattr(vis, "_PAIRS_PER_BLOCK", 10**9)
+    whole = _cap_witnesses(fib_sphere, centers, 1, 300, arcs)
     assert 0 < np.sum(whole != MISS) < len(centers)
     for block in (1, 700, 20_000):
-        got = _cap_witnesses(fib_sphere, centers, 1, 300, arcs, pairs_per_block=block)
+        monkeypatch.setattr(vis, "_PAIRS_PER_BLOCK", block)
+        got = _cap_witnesses(fib_sphere, centers, 1, 300, arcs)
         assert np.array_equal(got, whole)
 
 
@@ -310,7 +313,7 @@ def _polar_file_case(tmp_path):
     return spec, centers, 1, count, arcs
 
 
-def test_cap_witnesses_match_dense_oracle(fib_sphere, tmp_path):
+def test_cap_witnesses_match_dense_oracle(fib_sphere, tmp_path, monkeypatch):
     """The polar-band kernel against the dense one: equal witness arrays
     except at most 2 centers whose dot lies within 1e-12 of a threshold."""
     const3 = SequenceSpec("constant", d=3, v=build_direction_net(3, 1.0).centers[7])
@@ -332,7 +335,8 @@ def test_cap_witnesses_match_dense_oracle(fib_sphere, tmp_path):
         want = dense_cap_witnesses(spec, centers, n_lo, n_hi, arcs)
         assert np.any(want != MISS)
         for block in (1, 37, 1 << 21):
-            got = _cap_witnesses(spec, centers, n_lo, n_hi, arcs, pairs_per_block=block)
+            monkeypatch.setattr(vis, "_PAIRS_PER_BLOCK", block)
+            got = _cap_witnesses(spec, centers, n_lo, n_hi, arcs)
             assert np.array_equal(got[~tie], want[~tie])
 
 
