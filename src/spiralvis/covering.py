@@ -65,8 +65,9 @@ _DOTS_PER_PRODUCT = 1 << 22  # center-point dots per product of the S^d covering
 def _net_covering_radius(pts: np.ndarray, d: int, resolution: float) -> CoveringRadiusResult:
     """The sup over the net ``build_direction_net(d, resolution)`` of the
     distance to the set: below the true radius by at most the net's mesh.
-    The centers go in blocks of ``_DOTS_PER_PRODUCT`` // len(pts) (at least
-    one), so no product of a block with the points outgrows that or them."""
+    The centers go in blocks of ``_DOTS_PER_PRODUCT`` // len(pts) rows, so
+    a block's product holds at most that many dots (one row's worth when the
+    points alone are more)."""
     net = build_direction_net(d, resolution)
     step = max(1, _DOTS_PER_PRODUCT // len(pts))
     value = 0.0
