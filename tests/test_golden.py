@@ -53,6 +53,16 @@ CASES = {
     "forest-ladder-lines": ["forest", "--seq", "rational-ladder", "--eps", "0.5",
                             "--V", "44", "--line=1.5,1.5707963267948966,-700,-656",
                             "--lines", "6", "--seed", "3"],
+    # four misses, each reported with its exact minimum
+    "forest-golden-misses": ["forest", "--seq", "golden-angle", "--eps", "0.1",
+                             "--V", "44", "--lines", "40", "--seed", "1"],
+    # the same windows on sqrt(2)'s convergents: every window hits
+    "forest-sqrt2-lines": ["forest", "--seq", "golden-angle", "--theta",
+                           "1.4142135623730951", "--eps", "0.1", "--V", "44",
+                           "--lines", "40", "--seed", "1"],
+    # a golden ray with no point below eps_floor: the exact minimum, n=610
+    "visible-golden-miss": ["visible", "--seq", "golden-angle", "--x", "0.3,0.1",
+                            "--dir", "1,0", "--eps-floor", "0.01", "--Tmax", "50"],
     "delone-badness": ["delone", "--T", "10", "--probe-res", "1.0",
                        "--badness-Q", "100"],
     "delone-ladder": ["delone", "--seq", "rational-ladder", "--T", "25",
