@@ -37,6 +37,7 @@ from .spirals import (
     write_point_blocks,
 )
 from .visibility import (
+    ForestWindowError,
     LineParam,
     check_dense_forest,
     check_orchard,
@@ -166,10 +167,11 @@ def _forest_check(spec, eps, V, ns):
                   random_lines(np.random.default_rng(ns.seed), ns.lines, V, ns.lam_max)]
     if not lines:
         raise ValueError("forest needs --line or --lines")
-    for flags, line in lines:
-        _named(flags, segment_norm_range, line.point(line.t0), line.point(line.t1))
-    return check_dense_forest(spec, eps, V, [line for _, line in lines],
-                              index_budget=ns.budget)
+    try:
+        return check_dense_forest(spec, eps, V, [line for _, line in lines],
+                                  index_budget=ns.budget)
+    except ForestWindowError as exc:  # the flags of the window it names
+        raise ValueError(f"{lines[exc.window][0]}: {exc}") from None
 
 
 # subcommand -> check(spec, eps, V, ns) -> CheckReport
@@ -225,10 +227,11 @@ def _criterion_table(spec, ns):
     _positive("--eps", ns.eps)
     _positive("--K", [ns.K])
     power = ns.V_power if ns.V_power is not None else float(spec.d)
-    return uniform_orchard_criterion(
-        spec, lambda e: ns.V_const * e ** (-power), K=ns.K, eps_grid=ns.eps,
-        h_mults=_whole("--h-mults", ns.h_mults, 1), resolution=ns.resolution,
-        index_budget=ns.budget)
+    h_mults = _whole("--h-mults", ns.h_mults, 1)
+    return _named(f"--V-const {ns.V_const} and --V-power {power}",
+                  lambda: uniform_orchard_criterion(
+                      spec, lambda e: ns.V_const * e ** (-power), K=ns.K, eps_grid=ns.eps,
+                      h_mults=h_mults, resolution=ns.resolution, index_budget=ns.budget))
 
 
 def _defvisi_curve(spec, ns):

@@ -9,6 +9,7 @@ Fibonacci lattice stands in for explicit higher-dimensional constructions;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -84,6 +85,34 @@ def fractional_multiples(theta: float, ns: np.ndarray) -> np.ndarray:
     fixed = np.asarray(ns, dtype=np.int64).view(np.uint64) * np.uint64(alpha.numerator)
     fixed >>= np.uint64(11)
     return fixed * 2.0**-53
+
+
+MAX_CONVERGENT = 1 << 31  # j * p^-1 mod q stays inside int64 for q up to this
+
+
+@functools.cache
+def rotation_convergents(theta: float):
+    """(q, p, p^-1 mod q) arrays of the continued-fraction convergents p/q of
+    x = alpha / 2^64 with q <= MAX_CONVERGENT, q nondecreasing, or None when
+    alpha = {theta} * 2^64 is no integer (``fractional_multiples``' float
+    fallback). Each satisfies |x - p/q| < 1/(q q'), q' the next convergent's
+    denominator, or x = p/q, so {(b + j) x} lies within j/(q q') < 1/q of
+    {b x} + (j p mod q)/q for 0 <= j < q: the three-distance structure of
+    {n theta} (Sos 1958) in the form the golden segment scans read."""
+    alpha = Fraction(theta) % 1 * 2**64
+    if alpha.denominator != 1:
+        return None
+    qs, ps = [0, 1], [1, 0]  # q_-1, q_0 and p_-1, p_0 of x = [0; a_1, a_2, ...]
+    num, den = 2**64, alpha.numerator
+    while den and (num // den) * qs[-1] + qs[-2] <= MAX_CONVERGENT:
+        a = num // den
+        qs.append(a * qs[-1] + qs[-2])
+        ps.append(a * ps[-1] + ps[-2])
+        num, den = den, num % den
+    qs, ps = qs[1:], ps[1:]
+    return (np.array(qs, dtype=np.int64), np.array(ps, dtype=np.int64),
+            np.array([pow(p, -1, q) if q > 1 else 0 for q, p in zip(qs, ps)],
+                     dtype=np.int64))
 
 
 def _fibonacci_sphere_block(ns: np.ndarray) -> np.ndarray:

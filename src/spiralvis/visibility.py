@@ -38,15 +38,22 @@ list, and an int32 prefix count over that list ranks the batch's arcs.
 Segment scans (the forest windows and the visible-point rays) take their
 points from one candidate source, ``_segment_candidates``: blocks, in index
 order, holding every index of a range whose point lies within a reach D of
-the segment, taken from the segment's annulus widened by D. On the rational
-ladder, shell k's points sit at angles 2*pi*p/k, so the candidates are a
-closed-form p-interval per shell and per sub-segment, O(shells) work instead
-of O(points); every other kind reads the annulus whole, starting with a
-small block. One exact filter (``geometry.segment_distances``) and one
-query (``_first_hit``) serve both scans: the smallest index within eps,
-else the exact minimum over the range, for which D grows until a candidate
-lies within it. A forest window's range is its eps-widened annulus; a ray's
-is [1, budget], and its eps is just below eps_floor.
+the segment, taken from the segment's annulus widened by D. Two kinds have
+closed-form candidates, O(shells) work instead of O(points): per shell and
+per sub-segment of the segment inside it (``_shell_arcs``), the rational
+ladder's shell k, at angles 2*pi*p/k, gives a p-interval, and the golden
+angle's shell [s^2, s^2 + 2s], read through a convergent p/q of theta
+(``rotation_convergents``), gives intervals of j*p mod q. The golden source
+needs alpha = {theta} * 2^64 to be an integer, as every theta >= 2^-12
+has; any other kind or theta reads the annulus whole, starting with a small
+block. One exact filter (``geometry.segment_distances``) and one query
+(``_first_hit``) serve the rays and ``_line_min_distance``: the smallest
+index within eps, else the exact minimum over the range, for which D grows
+until a candidate lies within it. ``check_dense_forest`` draws the
+closed-form candidates of all its windows in one pass (``_forest_hits``) and
+sends only the windows with no point within eps through
+``_line_min_distance``. A forest window's range is its eps-widened annulus;
+a ray's is [1, budget], and its eps is just below eps_floor.
 """
 
 from __future__ import annotations
@@ -59,7 +66,13 @@ import numpy as np
 from ._par import parallel_map
 from .geometry import radial_hit_halfwidth, ray_to_ray_distance, segment_distances
 from .reports import DirectionFailures
-from .sequences import SequenceSpec, angle_batch, triangular_decompose
+from .sequences import (
+    SequenceSpec,
+    angle_batch,
+    fractional_multiples,
+    rotation_convergents,
+    triangular_decompose,
+)
 from .sphere import DirectionNet, build_direction_net
 from .spirals import (
     CHUNK,
@@ -644,6 +657,190 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
 
 NO_POINT = (math.inf, -1, math.nan)  # (distance, n, t) before any point is seen
 FIRST_BLOCK = 1 << 12
+FIRST_SHELLS = 1 << 6  # the closed-form scans' first slice, FIRST_BLOCK indices at the origin
+
+
+class ForestWindowError(ValueError):
+    """A forest window the checks cannot scan; ``window`` is its position in
+    the list of windows."""
+
+    def __init__(self, window: int, message: str):
+        super().__init__(message)
+        self.window = window
+
+
+def _shell_arcs(a, b, reach: float, pad, r1, r2):
+    """(lo, hi, take, whole) per row i: the segment [a[i], b[i]] (rows of
+    ``a`` and ``b``) against the shell of radii [r1[i], r2[i]], with
+    ``pad[i]`` of float slack on the radii.
+
+    A shell point within ``reach`` of the segment is within reach of the
+    segment's part inside the annulus [r1 - reach, r2 + reach], which is at
+    most two sub-segments, and its angle lies within asin(reach / (r1 -
+    reach)) of theirs. ``lo``, ``hi`` and ``take`` hold one array per
+    sub-segment: the angles [lo, hi] (radians) of its span so widened, and
+    whether it exists. ``whole`` marks the shells to take whole: those the
+    segment reaches with r1 - reach <= reach, where the angle bound fails,
+    and every shell of a segment of length 0.
+    """
+    ab = b - a
+    length_sq = np.einsum("ij,ij->i", ab, ab)
+    point = length_sq == 0.0
+    length_sq[point] = 1.0
+    r_in = r1 - reach - pad
+    r_out = r2 + reach + pad
+    # |a + s*ab|^2 = h^2 + |ab|^2 * (s - foot)^2
+    foot = -np.einsum("ij,ij->i", a, ab) / length_sq
+    h = np.abs(a[:, 0] * ab[:, 1] - a[:, 1] * ab[:, 0]) / np.sqrt(length_sq)
+    s_out = np.sqrt(np.maximum(0.0, (r_out - h) * (r_out + h)) / length_sq)
+    r_cut = np.maximum(r_in, 0.0)
+    s_in = np.sqrt(np.maximum(0.0, (r_cut - h) * (r_cut + h)) / length_sq)
+    widen = np.arcsin(reach / np.maximum(r_in, reach))
+    lo, hi, take = [], [], []
+    for s0, s1 in ((np.maximum(foot - s_out, 0.0), np.minimum(foot - s_in, 1.0)),
+                   (np.maximum(foot + s_in, 0.0), np.minimum(foot + s_out, 1.0))):
+        q0 = a + s0[:, None] * ab
+        q1 = a + s1[:, None] * ab
+        theta = np.arctan2(q0[:, 1], q0[:, 0])
+        turn = np.arctan2(q0[:, 0] * q1[:, 1] - q0[:, 1] * q1[:, 0],
+                          np.einsum("ij,ij->i", q0, q1))
+        lo.append(theta + np.minimum(turn, 0.0) - widen)
+        hi.append(theta + np.maximum(turn, 0.0) + widen)
+        take.append((s0 <= s1) & (r_out >= h))
+    return lo, hi, take, point | ((r_in <= reach) & (take[0] | take[1]))
+
+
+def _ladder_boxes(spec: SequenceSpec, k, i0, i1, a, b, reach: float, pad):
+    """Boxes (``_box_members``) of the ladder's shells k, indices [i0, i1]
+    of k(k+1)/2 + p, 0 <= p <= k, at angle 2*pi*p/k (p = k shares angle 0
+    with p = 0). Each arc of ``_shell_arcs`` gives a p-interval mod k,
+    padded by one step, and a p-interval holding p = 0 holds p = k too."""
+    base = k * (k + 1) // 2
+    lo, hi, take, whole = _shell_arcs(a, b, reach, pad, np.sqrt(i0), np.sqrt(i1))
+    row, ones = np.arange(len(k)), np.ones(len(k), dtype=np.int64)
+    boxes = []
+    for arc in range(2):
+        j_lo = np.ceil(lo[arc] * k / TWO_PI).astype(np.int64) - 1
+        j_hi = np.floor(hi[arc] * k / TWO_PI).astype(np.int64) + 1
+        full = whole | (j_hi - j_lo + 1 >= k)
+        start = np.where(full, 0, j_lo % k)
+        count = np.where(full, k, j_hi - j_lo + 1) * (whole | take[arc] if arc == 0
+                                                      else take[arc] & ~whole)
+        boxes.append((row, base, start, count, ones, k, k))
+        twin = (count > 0) & ((start == 0) | (start + count > k))
+        boxes.append((row, base + k, 0 * ones, twin.astype(np.int64), ones, ones, ones))
+    return boxes
+
+
+def _golden_boxes(spec: SequenceSpec, s, i0, i1, a, b, reach: float, pad):
+    """Boxes (``_box_members``) of the golden angle's shells s, indices
+    [i0, i1] of [s^2, s^2 + 2s], from the rotation's convergents p/q
+    (``rotation_convergents``). A shell row of m indices takes q the
+    largest denominator not above m and splits into parts of q indices from
+    i0. Index b + j of the part from b, 0 <= j < q, sits at turn {b*theta}
+    + (j*p mod q)/q within 1/q, so the j whose turn lies in an arc
+    [u_lo, u_hi] of ``_shell_arcs`` are rho * p^-1 mod q for the integers
+    rho in q*(u - {b*theta}) + (-1, 1), taken from floor(q*(u_lo - {b*theta}))
+    - 1 to ceil(q*(u_hi - {b*theta})) + 1 against rounding: about
+    q*(u_hi - u_lo) + 3 candidates per part and arc."""
+    qs, _, inverses = rotation_convergents(spec.theta)
+    lo, hi, take, whole = _shell_arcs(a, b, reach, pad, np.sqrt(i0), np.sqrt(i1))
+    m = i1 - i0 + 1
+    at = np.searchsorted(qs, m, side="right") - 1
+    parts = -(-m // qs[at])
+    row = np.repeat(np.arange(len(m)), parts)
+    q, inverse = qs[at][row], inverses[at][row]
+    base = i0[row] + q * (np.arange(len(row)) - np.repeat(np.cumsum(parts) - parts, parts))
+    size = np.minimum(q, i1[row] - base + 1)
+    phase = fractional_multiples(spec.theta, base)
+    boxes = []
+    for arc in range(2):
+        rho = np.floor((lo[arc][row] / TWO_PI - phase) * q).astype(np.int64) - 1
+        count = np.ceil((hi[arc][row] / TWO_PI - phase) * q).astype(np.int64) + 2 - rho
+        full = whole[row] | (count >= q)
+        keep = (whole | take[arc] if arc == 0 else take[arc] & ~whole)[row]
+        boxes.append((row, base, np.where(full, 0, rho % q), np.where(full, size, count) * keep,
+                      np.where(full, 1, inverse), q, size))
+    return boxes
+
+
+SHELL_LIMIT = 1 << 62  # a shell's last index stays inside int64 below this
+
+
+def _closed_form(spec: SequenceSpec, n_hi: int):
+    """(shell of an index, first indices of shells, boxes) of the kinds whose
+    candidates come in closed form, for ranges below SHELL_LIMIT: the
+    ladder's shells k(k+1)/2 + [0, k], and the golden angle's [s^2, s^2 +
+    2s] when its alpha = {theta} * 2^64 is an integer; else None."""
+    if n_hi >= SHELL_LIMIT:
+        return None
+    if spec.kind == "rational-ladder":
+        return lambda n: triangular_decompose(n).k, lambda k: k * (k + 1) // 2, _ladder_boxes
+    if spec.kind == "golden-angle" and rotation_convergents(spec.theta) is not None:
+        return math.isqrt, lambda s: s * s, _golden_boxes
+    return None
+
+
+def _box_members(base, start, count, mult, mod, limit):
+    """(box, n) per member of each box: n = base + ((start + i) mod q *
+    mult mod q) for 0 <= i < count, q = mod, kept when the offset is below
+    ``limit``."""
+    box = np.repeat(np.arange(len(count)), count)
+    i = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)
+    offset = (start[box] + i) % mod[box] * mult[box] % mod[box]
+    keep = offset < limit[box]
+    return box[keep], base[box[keep]] + offset[keep]
+
+
+def _distinct(ns: np.ndarray) -> np.ndarray:
+    """The distinct values of ``ns``, sorted: one sort, which on int64 runs
+    many times faster than ``np.unique``'s hash table."""
+    ns = np.sort(ns)
+    keep = np.ones(len(ns), dtype=bool)
+    keep[1:] = ns[1:] != ns[:-1]
+    return ns[keep]
+
+
+def _candidate_groups(spec: SequenceSpec, shells, a, b, reach: float, pad, lo, hi,
+                      first_hit=None):
+    """(win, ns) per group of shells, in order of window, then shell: every
+    index of [lo[w], hi[w]] whose point lies within ``reach`` of the segment
+    [a[w], b[w]] (rows of ``a``, ``b``; ``pad[w]`` of slack on its radii),
+    w = win, from the closed-form boxes of ``shells`` (``_closed_form``).
+    Indices may repeat where arcs overlap. The (window, shell) rows are
+    built CHUNK at a time, and a group holds at most CHUNK candidates or
+    one shell. A shell whose first index in range exceeds ``first_hit[w]``
+    is left out, so a window found to hit reads no later shell."""
+    shell_of, first, boxes_of = shells
+    s_lo = np.array([shell_of(max(1, int(n))) for n in lo], dtype=np.int64)
+    s_hi = np.array([shell_of(max(1, int(n))) for n in hi], dtype=np.int64)
+    per = np.where(hi >= lo, s_hi - s_lo + 1, 0)
+    ends = np.cumsum(per)
+    for r0 in range(0, int(ends[-1]), CHUNK):
+        r = np.arange(r0, min(r0 + CHUNK, int(ends[-1])))
+        win = np.searchsorted(ends, r, side="right")
+        shell = s_lo[win] + r - (ends[win] - per[win])
+        i0 = np.maximum(first(shell), lo[win])
+        i1 = np.minimum(first(shell + 1) - 1, hi[win])
+        row, *box = map(np.concatenate, zip(*boxes_of(spec, shell, i0, i1, a[win], b[win],
+                                                        reach, pad[win])))
+        order = np.argsort(row, kind="stable")
+        row, box = row[order], [field[order] for field in box]
+        edges = np.searchsorted(row, np.arange(len(r) + 1))
+        bounds = np.cumsum(np.bincount(row, weights=box[2], minlength=len(r)))
+        g0 = 0
+        while g0 < len(r):
+            g1 = max(g0 + 1, int(np.searchsorted(bounds, (bounds[g0 - 1] if g0 else 0) + CHUNK,
+                                                 side="right")))
+            sel = slice(edges[g0], edges[g1])
+            base, start, count, mult, mod, limit = (field[sel] for field in box)
+            if first_hit is not None:
+                count = count * (i0[row[sel]] <= first_hit[win[row[sel]]])
+            at, ns = _box_members(base, start, count, mult, mod, limit)
+            at = row[sel][at]
+            inside = (ns >= i0[at]) & (ns <= i1[at])
+            yield win[at[inside]], ns[inside]
+            g0 = g1
 
 
 def _segment_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
@@ -652,94 +849,34 @@ def _segment_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
     [n_lo, n_hi] whose point lies within ``reach`` of the segment [a, b].
 
     Only the indices of the segment's annulus widened by ``reach`` are read.
-    The rational ladder narrows them to a closed-form set
-    (``_ladder_candidates``); any other kind reads them all, a first block of
-    FIRST_BLOCK points, so that a hit near the start reads few, then CHUNK
-    blocks.
+    The ladder and the golden angle narrow them to closed-form boxes
+    (``_candidate_groups``), in two slices, the range's first FIRST_SHELLS
+    shells and then the rest, so that a hit near the start reads few; any
+    other kind reads them all, a first block of FIRST_BLOCK points, then
+    CHUNK blocks.
     """
     near, far = segment_norm_range(a, b)
     pad = 1e-9 * (1.0 + far)  # float slack on radii; the exact filter decides
     lo, hi = annulus_index_range(max(0.0, near - reach - pad), far + reach + pad, spec.d)
     lo, hi = max(lo, n_lo), min(hi, n_hi)
-    if spec.kind == "rational-ladder":
-        yield from _ladder_candidates(spec, a, b, reach, pad, lo, hi)
-    elif lo <= hi:
-        yield from iter_point_chunks(spec, lo, min(hi, lo + FIRST_BLOCK - 1), FIRST_BLOCK)
-        yield from iter_point_chunks(spec, lo + FIRST_BLOCK, hi)
-
-
-def _ladder_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
-                       reach: float, pad: float, lo: int, hi: int):
-    """Shell k of the ladder holds n = k(k+1)/2 + p, 0 <= p <= k, at angle
-    2*pi*p/k (p = k shares angle 0 with p = 0) and radii in [r1, r2]. A shell
-    point within ``reach`` of the segment is within reach of the segment's
-    part inside the annulus [r1 - reach, r2 + reach], which is at most two
-    sub-segments, and its angle lies within asin(reach / (r1 - reach)) of
-    theirs. That gives one p-interval per sub-segment, padded by one step;
-    shells with r1 <= 2*reach are taken whole. Radii carry ``pad`` of float
-    slack, and only indices in [lo, hi] are yielded, in blocks of at most
-    CHUNK points.
-    """
-    if hi < lo:
+    shells = _closed_form(spec, hi)
+    if shells is None:
+        if lo <= hi:
+            yield from iter_point_chunks(spec, lo, min(hi, lo + FIRST_BLOCK - 1), FIRST_BLOCK)
+            yield from iter_point_chunks(spec, lo + FIRST_BLOCK, hi)
         return
-    ab = b - a
-    length_sq = float(ab @ ab)
-    if length_sq == 0.0:
-        yield from iter_point_chunks(spec, lo, hi)
-        return
-    k = np.arange(triangular_decompose(lo).k, triangular_decompose(hi).k + 1,
-                  dtype=np.int64)
-    base = k * (k + 1) // 2
-    r_in = np.sqrt(base) - reach - pad
-    r_out = np.sqrt(base + k) + reach + pad
-    # |a + s*ab|^2 = h^2 + |ab|^2 * (s - foot)^2
-    foot = -float(a @ ab) / length_sq
-    h = abs(float(a[0] * ab[1] - a[1] * ab[0])) / math.sqrt(length_sq)
-    s_out = np.sqrt(np.maximum(0.0, (r_out - h) * (r_out + h)) / length_sq)
-    r_cut = np.maximum(r_in, 0.0)
-    s_in = np.sqrt(np.maximum(0.0, (r_cut - h) * (r_cut + h)) / length_sq)
-    widen = np.arcsin(reach / np.maximum(r_in, reach))
-    starts, counts = [], []
-    for s0, s1 in ((np.maximum(foot - s_out, 0.0), np.minimum(foot - s_in, 1.0)),
-                   (np.maximum(foot + s_in, 0.0), np.minimum(foot + s_out, 1.0))):
-        q0 = a + s0[:, None] * ab
-        q1 = a + s1[:, None] * ab
-        theta = np.arctan2(q0[:, 1], q0[:, 0])
-        turn = np.arctan2(q0[:, 0] * q1[:, 1] - q0[:, 1] * q1[:, 0],
-                          np.einsum("ij,ij->i", q0, q1))
-        j_lo = np.ceil((theta + np.minimum(turn, 0.0) - widen) * k / TWO_PI) - 1
-        j_hi = np.floor((theta + np.maximum(turn, 0.0) + widen) * k / TWO_PI) + 1
-        starts.append(j_lo.astype(np.int64))
-        counts.append(np.where((s0 <= s1) & (r_out >= h),
-                               (j_hi - j_lo + 1).astype(np.int64), 0))
-    whole = (((r_in <= reach) & (counts[0] + counts[1] > 0))
-             | (counts[0] >= k) | (counts[1] >= k))
-    starts[0] = np.where(whole, 0, starts[0])
-    counts = [np.where(whole, k, counts[0]), np.where(whole, 0, counts[1])]
-    bounds = np.cumsum(counts[0] + counts[1] + 2)  # a span has at most one p = k twin
-    first = 0
-    while first < len(k):
-        start = bounds[first - 1] if first else 0
-        last = max(first + 1, int(np.searchsorted(bounds, start + CHUNK, side="right")))
-        sel = slice(first, last)
-        ns = np.unique(np.concatenate(
-            [_shell_span_indices(k[sel], base[sel], j[sel], c[sel])
-             for j, c in zip(starts, counts)]))
-        ns = ns[(ns >= lo) & (ns <= hi)]
-        for i in range(0, len(ns), CHUNK):
-            radii, coords = point_batch(spec, ns[i:i + CHUNK])
-            yield ns[i:i + CHUNK], radii, coords
-        first = last
-
-
-def _shell_span_indices(k, base, j0, count) -> np.ndarray:
-    """Indices base + (j mod k) for j in [j0, j0 + count), plus the p = k twin
-    of every p = 0."""
-    offsets = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
-    kk = np.repeat(k, count)
-    p = (np.repeat(j0, count) + offsets) % kk
-    ns = np.repeat(base, count) + p
-    return np.concatenate([ns, ns[p == 0] + kk[p == 0]])
+    shell_of, first, _ = shells
+    split = min(hi, first(shell_of(lo) + FIRST_SHELLS) - 1)
+    ends = np.array([a, b], dtype=np.float64)[:, None]
+    for start, stop in ((lo, split), (split + 1, hi)):
+        if start > stop:
+            break
+        for _, ns in _candidate_groups(spec, shells, *ends, reach, np.array([pad]),
+                                       np.array([start]), np.array([stop])):
+            ns = _distinct(ns)
+            for i in range(0, len(ns), CHUNK):
+                radii, coords = point_batch(spec, ns[i:i + CHUNK])
+                yield ns[i:i + CHUNK], radii, coords
 
 
 def _candidate_distances(spec, a, b, reach, n_lo, n_hi, exclude=None):
@@ -831,34 +968,85 @@ def segment_norm_range(a, b) -> tuple[float, float]:
     return float(d[0]), max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
 
 
+def _forest_hits(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, pad: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray, eps: float) -> dict:
+    """{w: (distance, n, t)} for each forest window [a[w], b[w]] with a point
+    of [lo[w], hi[w]] within eps: its smallest such index, from one pass
+    over every window's closed-form candidates (``_candidate_groups``), at
+    most CHUNK a round. Each round reads the points of its candidates with
+    one ``point_batch`` and measures each window's own candidates with one
+    ``segment_distances``, as ``_first_hit`` does. Empty for a kind with no
+    closed form."""
+    shells = _closed_form(spec, int(hi.max(initial=0)))
+    first = np.full(len(lo), MISS, dtype=np.int64)
+    found = {}
+    if shells is None:
+        return found
+    for win, ns in _candidate_groups(spec, shells, a, b, eps, pad, lo, hi, first):
+        for i in range(0, len(ns), CHUNK):
+            wins, part = win[i:i + CHUNK], ns[i:i + CHUNK]
+            points = _distinct(part)
+            _, coords = point_batch(spec, points)
+            coords = coords[np.searchsorted(points, part)]
+            cuts = [0, *(np.flatnonzero(np.diff(wins)) + 1).tolist(), len(wins)]
+            for start, stop in zip(cuts, cuts[1:]):  # the runs of one window each
+                w = int(wins[start])
+                dist, t = segment_distances(coords[start:stop], a[w], b[w])
+                within = np.flatnonzero(dist <= eps)
+                if len(within):
+                    j = within[np.argmin(part[start:stop][within])]
+                    if part[start + j] < first[w]:
+                        first[w] = part[start + j]
+                        found[w] = (float(dist[j]), int(first[w]), float(t[j]))
+    return found
+
+
 def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
                        lines: list[LineParam],
                        index_budget: int = DEFAULT_BUDGET) -> CheckReport:
-    """Every supplied window (anywhere, any direction) must be approached."""
+    """Every supplied window (anywhere, any direction) must be approached:
+    its witness is the smallest index within eps, and a window with none
+    records its exact minimum distance (``_line_min_distance``).
+
+    Each window's norm and index ranges are computed once; a window whose
+    squared norms overflow raises ``ForestWindowError`` naming it, and one
+    wholly past the budget a ValueError. The hits come from one pass over
+    every window's candidates (``_forest_hits``); only the windows it finds
+    no point for, and every window of a kind with no closed-form
+    candidates, go through ``_line_min_distance``.
+    """
+    ends = [(line.point(line.t0), line.point(line.t1)) for line in lines]
+    norms = []
+    for i, (a, b) in enumerate(ends):
+        try:
+            norms.append(segment_norm_range(a, b))
+        except ValueError as exc:
+            raise ForestWindowError(i, str(exc)) from None
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     for line in lines:
         if abs(line.length - V_value) > 1e-9 * max(1.0, V_value):
             raise ValueError("every line window must have length V")
-
-    def run(item):
-        i, line = item
-        a = line.point(line.t0)
-        b = line.point(line.t1)
-        (dist, n, t_arc), hit = _line_min_distance(spec, a, b, eps, index_budget)
-        return i, hit, dist, n, line.t0 + t_arc
-
-    results = parallel_map(run, list(enumerate(lines)))
-    for i, _, _, n, _ in results:
-        if n < 0:  # no point read: an empty annulus, or one wholly past the budget
-            a, b = lines[i].point(lines[i].t0), lines[i].point(lines[i].t1)
-            _require_in_budget(*_forest_range(spec, a, b, eps), index_budget,
-                               f"forest window {i}, from {a.tolist()} to {b.tolist()},")
+    ranges = []  # each window's, clipped to int64 shells: a hit below is still the first
+    for i, ((a, b), (near, far)) in enumerate(zip(ends, norms)):
+        n_lo, n_hi = annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
+        _require_in_budget(n_lo, n_hi, index_budget,
+                           f"forest window {i}, from {a.tolist()} to {b.tolist()},")
+        ranges.append((min(n_lo, SHELL_LIMIT), min(n_hi, index_budget, SHELL_LIMIT - 1)))
+    found = {}
+    if lines:
+        found = _forest_hits(spec, *(np.array(side, dtype=np.float64) for side in zip(*ends)),
+                             np.array([1e-9 * (1.0 + far) for _, far in norms]),
+                             *np.array(ranges, dtype=np.int64).T, eps)
+    results = []
+    for i, (line, (a, b)) in enumerate(zip(lines, ends)):
+        (dist, n, t_arc), hit = (found[i], True) if i in found else \
+            _line_min_distance(spec, a, b, eps, index_budget)
+        results.append((hit, dist, n, line.t0 + t_arc))
     failures = [{"line": i, "min_distance": dist}
-                for i, hit, dist, _, _ in results if not hit]
-    witnesses = [HitWitness(n, t, dist)
-                 for _, hit, dist, n, t in results if hit][:100]
-    hits = sum(1 for _, hit, *_ in results if hit)
+                for i, (hit, dist, _, _) in enumerate(results) if not hit]
+    witnesses = [HitWitness(n, t, dist) for hit, dist, n, t in results if hit][:100]
+    hits = len(lines) - len(failures)
     return CheckReport(
         property="dense-forest", spec=spec.to_json(), eps=eps, V=V_value,
         constants={}, net={"delta": None, "count": len(lines), "seed": None},

@@ -13,6 +13,7 @@ reads."""
 import ast
 import importlib
 import inspect
+import math
 import re
 import runpy
 from pathlib import Path
@@ -68,8 +69,8 @@ def test_tracer_counted_arguments_keep_their_positions():
 def test_hooked_layers_stay_on_production_paths(monkeypatch, ladder, fib_sphere, golden):
     # a layer the tracer times but no check calls any more reads 0 in every
     # traced run; perfbench/smoke.py notices only after minutes
-    calls = {name: 0 for name in
-             ("_mark_windows", "_exact_cell_witnesses", "_directional_window_check")}
+    calls = {name: 0 for name in ("_mark_windows", "_exact_cell_witnesses",
+                                  "_directional_window_check", "_line_min_distance")}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -82,6 +83,9 @@ def test_hooked_layers_stay_on_production_paths(monkeypatch, ladder, fib_sphere,
     vis.check_orchard(ladder, 0.2, 10.0)
     vis.check_uniform_orchard(fib_sphere, 0.5, 1.0, [0.0])
     vis.estimate_min_visibility(golden, "orchard", [0.3])
+    # a forest window in the ladder's vacant strip misses: its exact minimum
+    strip = vis.LineParam.at_angle(1.0, math.pi / 2, -60.0, -20.0)
+    assert not vis.check_dense_forest(ladder, 0.5, 40.0, [strip]).passed
     assert all(calls.values()), calls
 
 

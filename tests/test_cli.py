@@ -433,6 +433,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["criterion", "--h-mults", "inf"], "--h-mults inf is not a whole number"),
             (["plot", "--out", str(tmp_path / "p.svg"), "--T", "nan"],
              "--T nan is not finite and positive"),
+            # V(eps) = --V-const * eps^(-power) overflows inside the criterion
+            (["criterion", "--eps", "0.1", "--V-power", "1e3"], "arithmetic failed",
+             "--V-const 1.0 and --V-power 1000.0: "),
             # a window constant K <= 0 measured nothing yet exited 0
             (["criterion", "--K", "-1"], "--K -1.0 is not finite and positive"),
             (["criterion", "--K", "0"], "--K 0.0 is not finite and positive"),

@@ -1,7 +1,9 @@
 """The forest scan's segment query against brute force over every stored
 point: a hit is the smallest index within eps, a miss means no stored point
-comes within eps. On the rational ladder, whose candidates come in closed
-form, the segment query is also pinned exactly. The visible-ray verdict, the
+comes within eps. On the rational ladder and the golden angle, whose
+candidates come in closed form, the candidate sources are pinned against
+every stored point, and the ladder's segment query exactly. The batched
+forest check equals its window-by-window query. The visible-ray verdict, the
 first index below eps_floor else the minimum over the budget, is pinned
 exactly on the ladder and the golden angle."""
 
@@ -9,17 +11,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import save_sequence_file
 
-from spiralvis import annulus_index_range, point_batch
+from spiralvis import (
+    GOLDEN_RATIO,
+    LineParam,
+    SequenceSpec,
+    annulus_index_range,
+    check_dense_forest,
+    point_batch,
+)
 from spiralvis.geometry import segment_distances
+from spiralvis.sequences import rotation_convergents
 from spiralvis.sphere import unit_vector
 from spiralvis.spirals import CHUNK, iter_point_chunks
 from spiralvis import visibility
 from spiralvis.visibility import (
+    ForestWindowError,
     HitWitness,
     _closer,
     _line_min_distance,
     _segment_candidates,
+    random_lines,
     segment_norm_range,
     visible_point_test,
 )
@@ -108,17 +123,130 @@ def test_ladder_candidates_cover_every_point_within_reach(ladder):
         b = a + rng.uniform(-40, 40, 2)
         reach = math.exp(rng.uniform(math.log(0.05), math.log(60.0)))
         n_lo, n_hi = sorted(int(n) for n in rng.integers(1, len(ns) + 1, 2))
-        blocks = list(_segment_candidates(ladder, a, b, reach, n_lo, n_hi))
-        got = np.concatenate([blk[0] for blk in blocks]) if blocks else ns[:0]
-        assert all(0 < len(blk[0]) <= CHUNK for blk in blocks)
-        assert np.all(np.diff(got) > 0) and np.all((got >= n_lo) & (got <= n_hi))
-        for blk_ns, _, blk_coords in blocks:
-            assert np.array_equal(blk_coords, coords[blk_ns - 1])
-        dist, _ = segment_distances(coords[n_lo - 1:n_hi], a, b)
-        within = ns[n_lo - 1:n_hi][dist <= reach]
-        assert np.all(np.isin(within, got))
+        got = _assert_candidates_cover(ladder, a, b, reach, n_lo, n_hi, ns, coords)
         if reach <= 1.0:
             assert len(got) <= max(1000, (n_hi - n_lo + 1) // 20)
+
+
+def _assert_candidates_cover(spec, a, b, reach, n_lo, n_hi, ns, coords):
+    """``_segment_candidates`` yields, in index order and in blocks of at
+    most CHUNK, the stored coordinates of every index of [n_lo, n_hi] within
+    reach of [a, b], ``ns`` and ``coords`` being the stored points from 1
+    on; returns the candidates."""
+    blocks = list(_segment_candidates(spec, a, b, reach, n_lo, n_hi))
+    got = np.concatenate([blk[0] for blk in blocks]) if blocks else ns[:0]
+    assert all(0 < len(blk[0]) <= CHUNK for blk in blocks)
+    assert np.all(np.diff(got) > 0) and np.all((got >= n_lo) & (got <= n_hi))
+    for blk_ns, _, blk_coords in blocks:
+        assert np.array_equal(blk_coords, coords[blk_ns - 1])
+    dist, _ = segment_distances(coords[n_lo - 1:n_hi], a, b)
+    within = ns[n_lo - 1:n_hi][dist <= reach]
+    assert np.all(np.isin(within, got))
+    return got
+
+
+GOLDEN_SIDE = 300  # the golden property test stores indices up to 300^2
+COORD = st.floats(-200.0, 200.0)
+STEP = st.floats(-40.0, 40.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(theta=st.sampled_from([GOLDEN_RATIO, math.sqrt(2.0), 0.123456789, 1e-4])
+       | st.floats(2.0**-12, 8.0),
+       a=st.tuples(COORD, COORD), step=st.tuples(STEP, STEP),
+       reach=st.floats(math.log(0.01), math.log(60.0)).map(math.exp),
+       shell=st.integers(1, GOLDEN_SIDE - 1), data=st.data())
+@example(theta=GOLDEN_RATIO, a=(-120.0, 35.0), step=(30.0, 25.0), reach=0.05, shell=90,
+         data=None)
+def test_golden_candidates_cover_every_point_within_reach(theta, a, step, reach, shell,
+                                                          data):
+    """The golden source, closed form when {theta} * 2^64 is an integer
+    (1e-4 is below 2^-12 and reads its annulus whole), over ranges that
+    start anywhere in a shell [s^2, s^2 + 2s]. On phi and sqrt(2), whose
+    partial quotients are small, it stays as small as the ladder's."""
+    spec = SequenceSpec("golden-angle", theta=theta)
+    ns = np.arange(1, GOLDEN_SIDE**2 + 1, dtype=np.int64)
+    _, coords = point_batch(spec, ns)
+    a = np.array(a)
+    b = a + np.array(step)
+    n_lo = shell * shell + (data.draw(st.integers(0, 2 * shell)) if data else shell)
+    n_hi = data.draw(st.integers(n_lo, len(ns))) if data else len(ns)
+    got = _assert_candidates_cover(spec, a, b, reach, n_lo, n_hi, ns, coords)
+    if reach <= 1.0 and theta in (GOLDEN_RATIO, math.sqrt(2.0)):
+        assert len(got) <= max(1000, (n_hi - n_lo + 1) // 20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.sampled_from([GOLDEN_RATIO, math.sqrt(2.0), 0.123456789, 0.11])
+       | st.floats(2.0**-12, 1e6), m=st.integers(1, 10**12), b=st.integers(0, 2**62),
+       j=st.floats(0.0, 1.0))
+def test_convergent_turns_stay_within_one_step(theta, m, b, j):
+    """What the golden source relies on: for q the largest convergent
+    denominator at most m, index b + j, 0 <= j < q, sits within 1/q of turn
+    {b x} + (j p mod q)/q, x = {theta}, on the circle."""
+    from fractions import Fraction
+
+    qs, ps, inverses = rotation_convergents(theta)
+    at = int(np.searchsorted(qs, m, side="right")) - 1
+    q, p, inverse = int(qs[at]), int(ps[at]), int(inverses[at])
+    assert q * inverse % q == 0 if q == 1 else p * inverse % q == 1
+    j = min(q - 1, int(j * q))
+    x = Fraction(theta) % 1
+    off = ((b + j) * x - b * x - Fraction(j * p % q, q)) % 1
+    assert min(off, 1 - off) < Fraction(1, q)
+
+
+def _forest_by_windows(spec, eps, lines, budget):
+    """The forest check's failures, witnesses and hit count, window by
+    window through ``_line_min_distance``."""
+    got = [_line_min_distance(spec, line.point(line.t0), line.point(line.t1), eps, budget)
+           for line in lines]
+    failures = [{"line": i, "min_distance": dist}
+                for i, ((dist, _, _), hit) in enumerate(got) if not hit]
+    witnesses = [HitWitness(n, line.t0 + t, dist)
+                 for line, ((dist, n, t), hit) in zip(lines, got) if hit][:100]
+    return failures, witnesses, sum(hit for _, hit in got)
+
+
+def test_batched_forest_matches_window_by_window(tmp_path, golden, ladder, constant_seq):
+    """One pass over every window's candidates reports exactly what the
+    window-by-window query does, misses with their exact minima, on each
+    kind: closed-form candidates (golden angle, sqrt(2), ladder) and whole
+    annuli (constant, file). Windows through the origin are included."""
+    path = tmp_path / "directions.txt"
+    save_sequence_file(path, np.random.default_rng(3).normal(size=(30_000, 2)))
+    cases = [  # (spec, eps, V, lam_max, budget)
+        (golden, 0.1, 44.0, 100.0, 10**7),
+        (SequenceSpec("golden-angle", theta=math.sqrt(2.0)), 0.03, 44.0, 100.0, 10**7),
+        (ladder, 0.3, 30.0, 60.0, 10**7),
+        (constant_seq, 0.2, 20.0, 20.0, 10**7),
+        (SequenceSpec("file", path=str(path)), 0.15, 20.0, 40.0, 30_000),
+    ]
+    for i, (spec, eps, V, lam_max, budget) in enumerate(cases):
+        rng = np.random.default_rng(40 + i)
+        lines = random_lines(rng, 40, V, lam_max)
+        lines += [LineParam.at_angle(0.0, rng.uniform(0, 2 * math.pi), -V / 3, 2 * V / 3)
+                  for _ in range(3)]  # through the origin
+        report = check_dense_forest(spec, eps, V, lines, index_budget=budget)
+        failures, witnesses, hits = _forest_by_windows(spec, eps, lines, budget)
+        assert report.failures == failures and report.witnesses == witnesses
+        assert report.witness_count == hits and 0 < hits < len(lines), spec.kind
+
+
+def test_forest_errors_name_their_window(golden):
+    eps, V = 0.1, 5.0
+    near = LineParam.at_angle(1.0, 0.0, 0.0, V)
+    far = LineParam.at_angle(1.0, 0.0, 5000.0, 5000.0 + V)
+    a, b = far.point(far.t0), far.point(far.t1)
+    with pytest.raises(ValueError) as err:
+        check_dense_forest(golden, eps, V, [near, far], index_budget=10**6)
+    assert str(err.value) == (f"forest window 1, from {a.tolist()} to {b.tolist()}, lies "
+                              "wholly past the index budget 1000000: every index of its "
+                              "eps-widened annulus exceeds it")
+    huge = LineParam.at_angle(1e300, 0.0, 0.0, V)
+    with pytest.raises(ForestWindowError, match="squared norm overflows") as err:
+        check_dense_forest(golden, eps, V, [near, far, huge])
+    assert err.value.window == 2  # its overflow comes before the budget's check
 
 
 def _brute_ray(spec, x, v, eps_floor, T_max, budget):
