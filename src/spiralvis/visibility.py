@@ -742,14 +742,18 @@ def _golden_boxes(spec: SequenceSpec, s, i0, i1, a, b, reach: float, pad):
     [u_lo, u_hi] of ``_shell_arcs`` are rho * p^-1 mod q for the integers
     rho in q*(u - {b*theta}) + (-1, 1), taken from floor(q*(u_lo - {b*theta}))
     - 1 to ceil(q*(u_hi - {b*theta})) + 1 against rounding: about
-    q*(u_hi - u_lo) + 3 candidates per part and arc."""
+    q*(u_hi - u_lo) + 3 candidates per part and arc. A row that would split
+    into more than MAX_PARTS parts, theta lying too near p/q for its size,
+    is read whole as one part."""
     qs, _, inverses = rotation_convergents(spec.theta)
     lo, hi, take, whole = _shell_arcs(a, b, reach, pad, np.sqrt(i0), np.sqrt(i1))
     m = i1 - i0 + 1
     at = np.searchsorted(qs, m, side="right") - 1
-    parts = -(-m // qs[at])
+    coarse = m > MAX_PARTS * qs[at]
+    q = np.where(coarse, m, qs[at])
+    parts = -(-m // q)
     row = np.repeat(np.arange(len(m)), parts)
-    q, inverse = qs[at][row], inverses[at][row]
+    q, inverse, coarse = q[row], inverses[at][row], coarse[row]
     base = i0[row] + q * (np.arange(len(row)) - np.repeat(np.cumsum(parts) - parts, parts))
     size = np.minimum(q, i1[row] - base + 1)
     phase = fractional_multiples(spec.theta, base)
@@ -757,7 +761,7 @@ def _golden_boxes(spec: SequenceSpec, s, i0, i1, a, b, reach: float, pad):
     for arc in range(2):
         rho = np.floor((lo[arc][row] / TWO_PI - phase) * q).astype(np.int64) - 1
         count = np.ceil((hi[arc][row] / TWO_PI - phase) * q).astype(np.int64) + 2 - rho
-        full = whole[row] | (count >= q)
+        full = whole[row] | coarse | (count >= q)
         keep = (whole | take[arc] if arc == 0 else take[arc] & ~whole)[row]
         boxes.append((row, base, np.where(full, 0, rho % q), np.where(full, size, count) * keep,
                       np.where(full, 1, inverse), q, size))
@@ -765,6 +769,7 @@ def _golden_boxes(spec: SequenceSpec, s, i0, i1, a, b, reach: float, pad):
 
 
 SHELL_LIMIT = 1 << 62  # a shell's last index stays inside int64 below this
+MAX_PARTS = 1 << 6  # parts of one golden shell row, each with its own boxes
 
 
 def _closed_form(spec: SequenceSpec, n_hi: int):

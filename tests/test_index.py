@@ -151,7 +151,7 @@ STEP = st.floats(-40.0, 40.0)
 
 
 @settings(max_examples=120, deadline=None)
-@given(theta=st.sampled_from([GOLDEN_RATIO, math.sqrt(2.0), 0.123456789, 1e-4])
+@given(theta=st.sampled_from([GOLDEN_RATIO, math.sqrt(2.0), 0.123456789, 1.0, 1e-4])
        | st.floats(2.0**-12, 8.0),
        a=st.tuples(COORD, COORD), step=st.tuples(STEP, STEP),
        reach=st.floats(math.log(0.01), math.log(60.0)).map(math.exp),
@@ -161,9 +161,11 @@ STEP = st.floats(-40.0, 40.0)
 def test_golden_candidates_cover_every_point_within_reach(theta, a, step, reach, shell,
                                                           data):
     """The golden source, closed form when {theta} * 2^64 is an integer
-    (1e-4 is below 2^-12 and reads its annulus whole), over ranges that
-    start anywhere in a shell [s^2, s^2 + 2s]. On phi and sqrt(2), whose
-    partial quotients are small, it stays as small as the ladder's."""
+    (1e-4 is below 2^-12 and reads its annulus whole; theta = 1 puts every
+    point at angle 0, so its shells of over 64 indices are read whole), over
+    ranges that start anywhere in a shell [s^2, s^2 + 2s]. On phi and
+    sqrt(2), whose partial quotients are small, it stays as small as the
+    ladder's."""
     spec = SequenceSpec("golden-angle", theta=theta)
     ns = np.arange(1, GOLDEN_SIDE**2 + 1, dtype=np.int64)
     _, coords = point_batch(spec, ns)
