@@ -770,6 +770,7 @@ def _golden_boxes(spec: SequenceSpec, s, i0, i1, a, b, reach: float, pad):
 
 SHELL_LIMIT = 1 << 62  # a shell's last index stays inside int64 below this
 MAX_PARTS = 1 << 6  # parts of one golden shell row, each with its own boxes
+ROWS_PER_PIECE = CHUNK // MAX_PARTS  # so the parts of a piece's rows number at most CHUNK
 
 
 def _closed_form(spec: SequenceSpec, n_hi: int):
@@ -813,16 +814,16 @@ def _candidate_groups(spec: SequenceSpec, shells, a, b, reach: float, pad, lo, h
     [a[w], b[w]] (rows of ``a``, ``b``; ``pad[w]`` of slack on its radii),
     w = win, from the closed-form boxes of ``shells`` (``_closed_form``).
     Indices may repeat where arcs overlap. The (window, shell) rows are
-    built CHUNK at a time, and a group holds at most CHUNK candidates or
-    one shell. A shell whose first index in range exceeds ``first_hit[w]``
+    built ROWS_PER_PIECE at a time, and a group holds at most CHUNK
+    candidates or one shell. A shell whose first index in range exceeds ``first_hit[w]``
     is left out, so a window found to hit reads no later shell."""
     shell_of, first, boxes_of = shells
     s_lo = np.array([shell_of(max(1, int(n))) for n in lo], dtype=np.int64)
     s_hi = np.array([shell_of(max(1, int(n))) for n in hi], dtype=np.int64)
     per = np.where(hi >= lo, s_hi - s_lo + 1, 0)
     ends = np.cumsum(per)
-    for r0 in range(0, int(ends[-1]), CHUNK):
-        r = np.arange(r0, min(r0 + CHUNK, int(ends[-1])))
+    for r0 in range(0, int(ends[-1]), ROWS_PER_PIECE):
+        r = np.arange(r0, min(r0 + ROWS_PER_PIECE, int(ends[-1])))
         win = np.searchsorted(ends, r, side="right")
         shell = s_lo[win] + r - (ends[win] - per[win])
         i0 = np.maximum(first(shell), lo[win])
@@ -848,6 +849,15 @@ def _candidate_groups(spec: SequenceSpec, shells, a, b, reach: float, pad, lo, h
             g0 = g1
 
 
+def _first_shells_end(shells, lo, hi) -> np.ndarray:
+    """Per range [lo[w], hi[w]], the last index of its first FIRST_SHELLS
+    shells (at most hi[w]): a closed-form scan reads up to it first, so that
+    a hit near the start of a long range reads few."""
+    shell_of, first, _ = shells
+    return np.array([min(int(h), first(shell_of(int(n)) + FIRST_SHELLS) - 1)
+                     for n, h in zip(lo, hi)], dtype=np.int64)
+
+
 def _segment_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
                         reach: float, n_lo: int, n_hi: int):
     """(ns, radii, coords) blocks, in index order, holding every index of
@@ -870,14 +880,14 @@ def _segment_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
             yield from iter_point_chunks(spec, lo, min(hi, lo + FIRST_BLOCK - 1), FIRST_BLOCK)
             yield from iter_point_chunks(spec, lo + FIRST_BLOCK, hi)
         return
-    shell_of, first, _ = shells
-    split = min(hi, first(shell_of(lo) + FIRST_SHELLS) - 1)
+    lo, hi = np.array([lo]), np.array([hi])
+    split = _first_shells_end(shells, lo, hi)
     ends = np.array([a, b], dtype=np.float64)[:, None]
     for start, stop in ((lo, split), (split + 1, hi)):
-        if start > stop:
+        if start[0] > stop[0]:
             break
         for _, ns in _candidate_groups(spec, shells, *ends, reach, np.array([pad]),
-                                       np.array([start]), np.array([stop])):
+                                       start, stop):
             ns = _distinct(ns)
             for i in range(0, len(ns), CHUNK):
                 radii, coords = point_batch(spec, ns[i:i + CHUNK])
@@ -978,16 +988,21 @@ def _forest_hits(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, pad: np.ndarr
     """{w: (distance, n, t)} for each forest window [a[w], b[w]] with a point
     of [lo[w], hi[w]] within eps: its smallest such index, from one pass
     over every window's closed-form candidates (``_candidate_groups``), at
-    most CHUNK a round. Each round reads the points of its candidates with
-    one ``point_batch`` and measures each window's own candidates with one
-    ``segment_distances``, as ``_first_hit`` does. Empty for a kind with no
-    closed form."""
+    most CHUNK a round: the first FIRST_SHELLS shells of each range, then
+    the rest of the ranges of the windows with no hit yet. Each round reads
+    the points of its candidates with one ``point_batch`` and measures each
+    window's own candidates with one ``segment_distances``, as
+    ``_first_hit`` does. Empty for a kind with no closed form."""
     shells = _closed_form(spec, int(hi.max(initial=0)))
     first = np.full(len(lo), MISS, dtype=np.int64)
     found = {}
     if shells is None:
         return found
-    for win, ns in _candidate_groups(spec, shells, a, b, eps, pad, lo, hi, first):
+    split = _first_shells_end(shells, lo, hi)
+    rounds = (_candidate_groups(spec, shells, a, b, eps, pad, start,
+                                np.where(first < MISS, start - 1, stop), first)
+              for start, stop in ((lo, split), (split + 1, hi)))
+    for win, ns in (group for groups in rounds for group in groups):
         for i in range(0, len(ns), CHUNK):
             wins, part = win[i:i + CHUNK], ns[i:i + CHUNK]
             points = _distinct(part)
