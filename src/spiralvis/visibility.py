@@ -815,8 +815,9 @@ def _candidate_groups(spec: SequenceSpec, shells, a, b, reach: float, pad, lo, h
     w = win, from the closed-form boxes of ``shells`` (``_closed_form``).
     Indices may repeat where arcs overlap. The (window, shell) rows are
     built ROWS_PER_PIECE at a time, and a group holds at most CHUNK
-    candidates or one shell. A shell whose first index in range exceeds ``first_hit[w]``
-    is left out, so a window found to hit reads no later shell."""
+    candidates or one shell. A shell whose first index in range exceeds
+    ``first_hit[w]`` is left out, so a window found to hit reads no later
+    shell."""
     shell_of, first, boxes_of = shells
     s_lo = np.array([shell_of(max(1, int(n))) for n in lo], dtype=np.int64)
     s_hi = np.array([shell_of(max(1, int(n))) for n in hi], dtype=np.int64)
@@ -999,25 +1000,24 @@ def _forest_hits(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, pad: np.ndarr
     if shells is None:
         return found
     split = _first_shells_end(shells, lo, hi)
-    rounds = (_candidate_groups(spec, shells, a, b, eps, pad, start,
-                                np.where(first < MISS, start - 1, stop), first)
-              for start, stop in ((lo, split), (split + 1, hi)))
-    for win, ns in (group for groups in rounds for group in groups):
-        for i in range(0, len(ns), CHUNK):
-            wins, part = win[i:i + CHUNK], ns[i:i + CHUNK]
-            points = _distinct(part)
-            _, coords = point_batch(spec, points)
-            coords = coords[np.searchsorted(points, part)]
-            cuts = [0, *(np.flatnonzero(np.diff(wins)) + 1).tolist(), len(wins)]
-            for start, stop in zip(cuts, cuts[1:]):  # the runs of one window each
-                w = int(wins[start])
-                dist, t = segment_distances(coords[start:stop], a[w], b[w])
-                within = np.flatnonzero(dist <= eps)
-                if len(within):
-                    j = within[np.argmin(part[start:stop][within])]
-                    if part[start + j] < first[w]:
-                        first[w] = part[start + j]
-                        found[w] = (float(dist[j]), int(first[w]), float(t[j]))
+    for start, stop in ((lo, split), (split + 1, hi)):
+        stop = np.where(first < MISS, start - 1, stop)  # a window with a hit is done
+        for win, ns in _candidate_groups(spec, shells, a, b, eps, pad, start, stop, first):
+            for i in range(0, len(ns), CHUNK):
+                wins, part = win[i:i + CHUNK], ns[i:i + CHUNK]
+                points = _distinct(part)
+                _, coords = point_batch(spec, points)
+                coords = coords[np.searchsorted(points, part)]
+                cuts = [0, *(np.flatnonzero(np.diff(wins)) + 1).tolist(), len(wins)]
+                for c0, c1 in zip(cuts, cuts[1:]):  # the runs of one window each
+                    w = int(wins[c0])
+                    dist, t = segment_distances(coords[c0:c1], a[w], b[w])
+                    within = np.flatnonzero(dist <= eps)
+                    if len(within):
+                        j = within[np.argmin(part[c0:c1][within])]
+                        if part[c0 + j] < first[w]:
+                            first[w] = part[c0 + j]
+                            found[w] = (float(dist[j]), int(first[w]), float(t[j]))
     return found
 
 
