@@ -8,6 +8,7 @@ first index below eps_floor else the minimum over the budget, is pinned
 exactly on the ladder and the golden angle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,12 +187,10 @@ def test_convergent_turns_stay_within_one_step(theta, m, b, j):
     """What the golden source relies on: for q the largest convergent
     denominator at most m, index b + j, 0 <= j < q, sits within 1/q of turn
     {b x} + (j p mod q)/q, x = {theta}, on the circle."""
-    from fractions import Fraction
-
     qs, ps, inverses = rotation_convergents(theta)
     at = int(np.searchsorted(qs, m, side="right")) - 1
     q, p, inverse = int(qs[at]), int(ps[at]), int(inverses[at])
-    assert q * inverse % q == 0 if q == 1 else p * inverse % q == 1
+    assert q == 1 or p * inverse % q == 1
     j = min(q - 1, int(j * q))
     x = Fraction(theta) % 1
     off = ((b + j) * x - b * x - Fraction(j * p % q, q)) % 1
