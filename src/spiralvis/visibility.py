@@ -50,9 +50,10 @@ block. One exact filter (``geometry.segment_distances``) and one query
 (``_first_hit``) serve the rays and ``_line_min_distance``: the smallest
 index within eps, else the exact minimum over the range, for which D grows
 until a candidate lies within it. ``check_dense_forest`` draws the
-closed-form candidates of all its windows in one pass (``_forest_hits``) and
-sends only the windows with no point within eps through
-``_line_min_distance``. A forest window's range is its eps-widened annulus;
+closed-form candidates of all its windows in one pass (``_forest_hits``), one
+pass per thread, and sends only the windows with no point within eps through
+``_line_min_distance``, which widens D from the nearest candidate that pass
+read. A forest window's range is its eps-widened annulus;
 a ray's is [1, budget], and its eps is just below eps_floor.
 """
 
@@ -63,7 +64,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._par import parallel_map
+from ._par import parallel_map, thread_count
 from .geometry import radial_hit_halfwidth, ray_to_ray_distance, segment_distances
 from .reports import DirectionFailures
 from .sequences import (
@@ -850,15 +851,6 @@ def _candidate_groups(spec: SequenceSpec, shells, a, b, reach: float, pad, lo, h
             g0 = g1
 
 
-def _first_shells_end(shells, lo, hi) -> np.ndarray:
-    """Per range [lo[w], hi[w]], the last index of its first FIRST_SHELLS
-    shells (at most hi[w]): a closed-form scan reads up to it first, so that
-    a hit near the start of a long range reads few."""
-    shell_of, first, _ = shells
-    return np.array([min(int(h), first(shell_of(int(n)) + FIRST_SHELLS) - 1)
-                     for n, h in zip(lo, hi)], dtype=np.int64)
-
-
 def _segment_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
                         reach: float, n_lo: int, n_hi: int):
     """(ns, radii, coords) blocks, in index order, holding every index of
@@ -881,14 +873,14 @@ def _segment_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
             yield from iter_point_chunks(spec, lo, min(hi, lo + FIRST_BLOCK - 1), FIRST_BLOCK)
             yield from iter_point_chunks(spec, lo + FIRST_BLOCK, hi)
         return
-    lo, hi = np.array([lo]), np.array([hi])
-    split = _first_shells_end(shells, lo, hi)
+    shell_of, first, _ = shells
+    split = min(hi, first(shell_of(lo) + FIRST_SHELLS) - 1)
     ends = np.array([a, b], dtype=np.float64)[:, None]
     for start, stop in ((lo, split), (split + 1, hi)):
-        if start[0] > stop[0]:
+        if start > stop:
             break
         for _, ns in _candidate_groups(spec, shells, *ends, reach, np.array([pad]),
-                                       start, stop):
+                                       np.array([start]), np.array([stop])):
             ns = _distinct(ns)
             for i in range(0, len(ns), CHUNK):
                 radii, coords = point_batch(spec, ns[i:i + CHUNK])
@@ -956,11 +948,18 @@ def _first_hit(spec, a, b, eps, n_lo, n_hi, exclude=None):
 
 
 def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
-                       eps: float, index_budget: int):
+                       eps: float, index_budget: int, best=None, n_range=None):
     """``_first_hit`` for a forest window: over the indices of its annulus
-    widened by eps (``_forest_range``), up to the budget."""
-    n_lo, n_hi = _forest_range(spec, a, b, eps)
-    return _first_hit(spec, a, b, eps, n_lo, min(n_hi, index_budget))
+    widened by eps (``n_range``, else ``_forest_range``), up to the budget.
+    Given ``best``, the nearest point (or ``NO_POINT``) of a pass over
+    candidates that held every point within eps and found none, only the
+    exact minimum is left: ``_nearest`` from that distance."""
+    n_lo, n_hi = n_range or _forest_range(spec, a, b, eps)
+    n_hi = min(n_hi, index_budget)
+    if best is None:
+        return _first_hit(spec, a, b, eps, n_lo, n_hi)
+    reach = best[0] if best[0] < math.inf else 2.0 * eps
+    return _nearest(spec, a, b, reach, [(n_lo, n_hi)], best=best), False
 
 
 def _forest_range(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, eps: float):
@@ -985,40 +984,39 @@ def segment_norm_range(a, b) -> tuple[float, float]:
 
 
 def _forest_hits(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, pad: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray, eps: float) -> dict:
-    """{w: (distance, n, t)} for each forest window [a[w], b[w]] with a point
-    of [lo[w], hi[w]] within eps: its smallest such index, from one pass
-    over every window's closed-form candidates (``_candidate_groups``), at
-    most CHUNK a round: the first FIRST_SHELLS shells of each range, then
-    the rest of the ranges of the windows with no hit yet. Each round reads
-    the points of its candidates with one ``point_batch`` and measures each
-    window's own candidates with one ``segment_distances``, as
-    ``_first_hit`` does. Empty for a kind with no closed form."""
+                 lo: np.ndarray, hi: np.ndarray, eps: float):
+    """Per forest window [a[w], b[w]], ((distance, n, t), hit): its smallest
+    index of [lo[w], hi[w]] within eps, else the nearest of the candidates
+    read (``NO_POINT`` for none), from one pass over every window's
+    closed-form candidates (``_candidate_groups``), at most CHUNK a round; a
+    window with a hit reads no later shell. Each round reads the points of
+    its candidates with one ``point_batch`` and measures each window's own
+    candidates with one ``segment_distances``, as ``_first_hit`` does. None
+    for a kind with no closed form."""
     shells = _closed_form(spec, int(hi.max(initial=0)))
-    first = np.full(len(lo), MISS, dtype=np.int64)
-    found = {}
     if shells is None:
-        return found
-    split = _first_shells_end(shells, lo, hi)
-    for start, stop in ((lo, split), (split + 1, hi)):
-        stop = np.where(first < MISS, start - 1, stop)  # a window with a hit is done
-        for win, ns in _candidate_groups(spec, shells, a, b, eps, pad, start, stop, first):
-            for i in range(0, len(ns), CHUNK):
-                wins, part = win[i:i + CHUNK], ns[i:i + CHUNK]
-                points = _distinct(part)
-                _, coords = point_batch(spec, points)
-                coords = coords[np.searchsorted(points, part)]
-                cuts = [0, *(np.flatnonzero(np.diff(wins)) + 1).tolist(), len(wins)]
-                for c0, c1 in zip(cuts, cuts[1:]):  # the runs of one window each
-                    w = int(wins[c0])
-                    dist, t = segment_distances(coords[c0:c1], a[w], b[w])
-                    within = np.flatnonzero(dist <= eps)
-                    if len(within):
-                        j = within[np.argmin(part[c0:c1][within])]
-                        if part[c0 + j] < first[w]:
-                            first[w] = part[c0 + j]
-                            found[w] = (float(dist[j]), int(first[w]), float(t[j]))
-    return found
+        return None
+    first = np.full(len(lo), MISS, dtype=np.int64)
+    best = [NO_POINT] * len(lo)
+    for win, ns in _candidate_groups(spec, shells, a, b, eps, pad, lo, hi, first):
+        for i in range(0, len(ns), CHUNK):
+            wins, part = win[i:i + CHUNK], ns[i:i + CHUNK]
+            points = _distinct(part)
+            _, coords = point_batch(spec, points)
+            coords = coords[np.searchsorted(points, part)]
+            cuts = [0, *(np.flatnonzero(np.diff(wins)) + 1).tolist(), len(wins)]
+            for c0, c1 in zip(cuts, cuts[1:]):  # the runs of one window each
+                w = int(wins[c0])
+                dist, t = segment_distances(coords[c0:c1], a[w], b[w])
+                within = np.flatnonzero(dist <= eps)
+                if len(within):
+                    j = within[np.argmin(part[c0:c1][within])]
+                    if part[c0 + j] < first[w]:
+                        first[w] = part[c0 + j]
+                        best[w] = (float(dist[j]), int(first[w]), float(t[j]))
+                elif first[w] == MISS:
+                    best[w] = _closer(best[w], part[c0:c1], dist, t)
+    return [(found, n < MISS) for found, n in zip(best, first)]
 
 
 def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
@@ -1030,10 +1028,12 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
 
     Each window's norm and index ranges are computed once; a window whose
     squared norms overflow raises ``ForestWindowError`` naming it, and one
-    wholly past the budget a ValueError. The hits come from one pass over
-    every window's candidates (``_forest_hits``); only the windows it finds
-    no point for, and every window of a kind with no closed-form
-    candidates, go through ``_line_min_distance``.
+    wholly past the budget a ValueError. The windows are dealt out to one
+    group per thread (``parallel_map``). The hits of a group come from one
+    pass over its windows' candidates (``_forest_hits``); a window it finds
+    no point for goes through ``_line_min_distance`` from the nearest
+    candidate the pass read, and every window of a kind with no closed-form
+    candidates from the start.
     """
     ends = [(line.point(line.t0), line.point(line.t1)) for line in lines]
     norms = []
@@ -1047,25 +1047,35 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
     for line in lines:
         if abs(line.length - V_value) > 1e-9 * max(1.0, V_value):
             raise ValueError("every line window must have length V")
-    ranges = []  # each window's, clipped to int64 shells: a hit below is still the first
+    ranges = []
     for i, ((a, b), (near, far)) in enumerate(zip(ends, norms)):
-        n_lo, n_hi = annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
-        _require_in_budget(n_lo, n_hi, index_budget,
+        ranges.append(annulus_index_range(max(0.0, near - eps), far + eps, spec.d))
+        _require_in_budget(*ranges[-1], index_budget,
                            f"forest window {i}, from {a.tolist()} to {b.tolist()},")
-        ranges.append((min(n_lo, SHELL_LIMIT), min(n_hi, index_budget, SHELL_LIMIT - 1)))
-    found = {}
-    if lines:
-        found = _forest_hits(spec, *(np.array(side, dtype=np.float64) for side in zip(*ends)),
-                             np.array([1e-9 * (1.0 + far) for _, far in norms]),
-                             *np.array(ranges, dtype=np.int64).T, eps)
-    results = []
-    for i, (line, (a, b)) in enumerate(zip(lines, ends)):
-        (dist, n, t_arc), hit = (found[i], True) if i in found else \
-            _line_min_distance(spec, a, b, eps, index_budget)
-        results.append((hit, dist, n, line.t0 + t_arc))
+
+    def scan(group):
+        scanned = _forest_hits(
+            spec, *(np.array([ends[i][side] for i in group], dtype=np.float64)
+                    for side in range(2)),
+            np.array([1e-9 * (1.0 + norms[i][1]) for i in group]),
+            # clipped to int64 shells: a hit below is still the first
+            *np.array([(min(ranges[i][0], SHELL_LIMIT),
+                        min(ranges[i][1], index_budget, SHELL_LIMIT - 1)) for i in group],
+                      dtype=np.int64).T, eps)
+        return [(found, True) if hit else _line_min_distance(
+                    spec, *ends[i], eps, index_budget, best=found, n_range=ranges[i])
+                for i, (found, hit) in zip(group, scanned or [(None, False)] * len(group))]
+
+    count = min(thread_count(), len(lines))
+    groups = [range(g, len(lines), count) for g in range(count)]
+    results = [None] * len(lines)
+    for group, got in zip(groups, parallel_map(scan, groups, min_chunk=2)):
+        for i, found in zip(group, got):
+            results[i] = found
     failures = [{"line": i, "min_distance": dist}
-                for i, (hit, dist, _, _) in enumerate(results) if not hit]
-    witnesses = [HitWitness(n, t, dist) for hit, dist, n, t in results if hit][:100]
+                for i, ((dist, _, _), hit) in enumerate(results) if not hit]
+    witnesses = [HitWitness(n, line.t0 + t, dist)
+                 for line, ((dist, n, t), hit) in zip(lines, results) if hit][:100]
     hits = len(lines) - len(failures)
     return CheckReport(
         property="dense-forest", spec=spec.to_json(), eps=eps, V=V_value,
