@@ -227,11 +227,11 @@ def _criterion_table(spec, ns):
     _positive("--eps", ns.eps)
     _positive("--K", [ns.K])
     power = ns.V_power if ns.V_power is not None else float(spec.d)
-    h_mults = _whole("--h-mults", ns.h_mults, 1)
-    return _named(f"--V-const {ns.V_const} and --V-power {power}",
-                  lambda: uniform_orchard_criterion(
-                      spec, lambda e: ns.V_const * e ** (-power), K=ns.K, eps_grid=ns.eps,
-                      h_mults=h_mults, resolution=ns.resolution, index_budget=ns.budget))
+    flags = f"--V-const {ns.V_const} and --V-power {power}"
+    return uniform_orchard_criterion(
+        spec, lambda e: _named(flags, lambda: ns.V_const * e ** (-power)), K=ns.K,
+        eps_grid=ns.eps, h_mults=_whole("--h-mults", ns.h_mults, 1),
+        resolution=ns.resolution, index_budget=ns.budget)
 
 
 def _defvisi_curve(spec, ns):

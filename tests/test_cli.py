@@ -436,6 +436,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             # V(eps) = --V-const * eps^(-power) overflows inside the criterion
             (["criterion", "--eps", "0.1", "--V-power", "1e3"], "arithmetic failed",
              "--V-const 1.0 and --V-power 1000.0: "),
+            # ... and only V(eps) names those flags
+            (["criterion", "--seq", "fibonacci-sphere", "--d", "2"],
+             "error: the covering radius on S^2 needs a resolution"),
             # a window constant K <= 0 measured nothing yet exited 0
             (["criterion", "--K", "-1"], "--K -1.0 is not finite and positive"),
             (["criterion", "--K", "0"], "--K 0.0 is not finite and positive"),
