@@ -209,11 +209,16 @@ def _forest_by_windows(spec, eps, lines, budget):
     return failures, witnesses, sum(hit for _, hit in got)
 
 
-def test_batched_forest_matches_window_by_window(tmp_path, golden, ladder, constant_seq):
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_batched_forest_matches_window_by_window(tmp_path, monkeypatch, threads, golden,
+                                                 ladder, constant_seq):
     """One pass over every window's candidates reports exactly what the
     window-by-window query does, misses with their exact minima, on each
     kind: closed-form candidates (golden angle, sqrt(2), ladder) and whole
-    annuli (constant, file). Windows through the origin are included."""
+    annuli (constant, file), whether the windows share one pass or are
+    dealt out to three groups, one per thread. Windows through the origin
+    are included."""
+    monkeypatch.setenv("SPIRAL_THREADS", threads)
     path = tmp_path / "directions.txt"
     save_sequence_file(path, np.random.default_rng(3).normal(size=(30_000, 2)))
     cases = [  # (spec, eps, V, lam_max, budget)
