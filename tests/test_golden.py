@@ -63,6 +63,15 @@ CASES = {
     # a golden ray with no point below eps_floor: the exact minimum, n=610
     "visible-golden-miss": ["visible", "--seq", "golden-angle", "--x", "0.3,0.1",
                             "--dir", "1,0", "--eps-floor", "0.01", "--Tmax", "50"],
+    # windows through and behind the origin: both halves of each window's arcs
+    "uniform-golden-origin": ["uniform", "--seq", "golden-angle", "--eps", "0.05",
+                              "--V", "80", "--t0=-40,-100,5.5"],
+    # 276 of 2,514 cells fail: the failure list and the witness rescan
+    "orchard-golden-failures": ["orchard", "--seq", "golden-angle", "--eps", "0.1",
+                                "--V", "20"],
+    # K = 1,579,137 cells: later blocks ranked in the list of open cells
+    "orchard-ladder-ranked": ["orchard", "--seq", "rational-ladder", "--eps", "0.01",
+                              "--V", "1256.6370614359173"],
     "delone-badness": ["delone", "--T", "10", "--probe-res", "1.0",
                        "--badness-Q", "100"],
     "delone-ladder": ["delone", "--seq", "rational-ladder", "--T", "25",
