@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -66,30 +67,43 @@ def radial_hit_halfwidth(r, t_lo: float, t_hi: float, eps: float) -> np.ndarray:
     on the ray of direction angle alpha (0 <= t_lo <= t_hi), the distance to
     the segment is nondecreasing in |theta - alpha|; this returns the offset
     where it crosses eps: pi when every angle hits, -1 when none does.
+
+    Float predicates, each monotone in r, pick one of five cases: pi where
+    r + t_lo <= eps; else -1 where t_lo - r > eps or max(r - t_hi, 0) > eps;
+    else, with foot = sqrt(max(r^2 - eps^2, 0)), the cap at t_lo unless
+    r >= eps and foot >= t_lo, the cap at t_hi where also foot > t_hi, and
+    arcsin(eps/r) between. So on sorted r each case is one run: ``r`` is
+    argsorted when it is not sorted, the runs' edges are found by bisecting
+    the predicates, and each formula is evaluated on its own run only.
+    ``r`` holds no NaN.
     """
     if not 0.0 <= t_lo <= t_hi:
         raise ValueError(f"need 0 <= t_lo <= t_hi, got [{t_lo}, {t_hi}]")
     r = np.asarray(r, dtype=np.float64)
-    out = np.full(r.shape, -1.0)
-    hits_everywhere = r + t_lo <= eps  # farthest configuration is the antipode
-    nearest = np.maximum(t_lo - r, np.maximum(r - t_hi, 0.0))
-    misses = nearest > eps
-    solvable = ~hits_everywhere & ~misses
+    flat = r.ravel()
+    order = None if np.all(flat[1:] >= flat[:-1]) else np.argsort(flat, kind="stable")
+    rs = flat if order is None else flat[order]
+    ee = eps * eps
 
-    foot = np.sqrt(np.maximum(0.0, r * r - eps * eps))
-    interior = solvable & (r >= eps) & (foot >= t_lo) & (foot <= t_hi)
-    out[interior] = np.arcsin(np.clip(eps / np.maximum(r[interior], 1e-300), 0.0, 1.0))
+    def foot(x):
+        return math.sqrt(max(0.0, x * x - ee))
 
-    at_lo = solvable & ~interior & ((r < eps) | (foot < t_lo))
-    at_hi = solvable & ~interior & ~at_lo
-    for sel, t_end in ((at_lo, t_lo), (at_hi, t_hi)):
-        if not np.any(sel):
-            continue
-        rs = r[sel]
-        if t_end <= 0.0:  # window endpoint at the origin: distance r at all angles
-            out[sel] = np.where(rs <= eps, math.pi, -1.0)
-            continue
-        cosv = (rs * rs + t_end * t_end - eps * eps) / (2.0 * rs * t_end)
-        out[sel] = np.arccos(np.clip(cosv, -1.0, 1.0))
-    out[hits_everywhere] = math.pi
-    return out
+    def edge(pred):  # the first index of rs where the monotone pred turns True
+        return bisect.bisect_left(rs, True, key=lambda x: pred(float(x)))
+
+    everywhere = edge(lambda x: not (x + t_lo <= eps))
+    s0 = max(everywhere, edge(lambda x: not (t_lo - x > eps)))  # the solvable run [s0, s1)
+    s1 = max(s0, edge(lambda x: max(x - t_hi, 0.0) > eps))
+    mid = min(max(edge(lambda x: x >= eps and foot(x) >= t_lo), s0), s1)
+    far = min(max(edge(lambda x: x >= eps and foot(x) > t_hi), mid), s1)
+    out = np.full(len(rs), -1.0)
+    out[:everywhere] = math.pi
+    out[mid:far] = np.arcsin(np.clip(eps / np.maximum(rs[mid:far], 1e-300), 0.0, 1.0))
+    # a cap at t_end = 0 has an empty run: its radii hit everywhere or miss
+    for i, j, t_end in ((s0, mid, t_lo), (far, s1, t_hi)):
+        rr = rs[i:j]
+        cosv = (rr * rr + t_end * t_end - eps * eps) / (2.0 * rr * t_end)
+        out[i:j] = np.arccos(np.clip(cosv, -1.0, 1.0))
+    if order is not None:
+        out[order] = out.copy()
+    return out.reshape(r.shape)

@@ -251,13 +251,19 @@ def _arc_cells(K: int, angles: np.ndarray, halfw: np.ndarray):
     arcs of that row), the ``counts`` cells j*2*pi/K within halfw of its
     angle, from cell ``lo`` on, mod K. A negative half-width reaches none and
     one of pi or more reaches all K (rounded, pi/step may fall just short of
-    K/2)."""
+    K/2). For angles in [0, 2*pi] and half-widths in [-1, 2*pi] the first
+    cell lies in [-K, 2K], so one add and one subtract of K take it mod K,
+    to K instead of 0 only for a K = 1 arc that reaches no cell."""
     step = TWO_PI / K
-    lo = np.ceil((angles - halfw) / step).astype(np.int64)
-    hi = np.floor((angles + halfw) / step).astype(np.int64)
-    counts = np.where(halfw < 0.0, 0,
-                      np.where(halfw >= math.pi, K, np.clip(hi - lo + 1, 0, K))).ravel()
-    return np.indices(lo.shape)[0].ravel(), lo.ravel() % K, counts
+    lo = np.ceil((angles - halfw) / step).astype(np.int64).ravel()
+    counts = np.floor((angles + halfw) / step).astype(np.int64).ravel()
+    counts -= lo - 1
+    np.clip(counts, 0, K, out=counts)
+    counts[halfw.ravel() < 0.0] = 0
+    counts[halfw.ravel() >= math.pi] = K
+    np.add(lo, K, out=lo, where=lo < 0)
+    np.subtract(lo, K, out=lo, where=lo >= K)
+    return np.repeat(np.arange(angles.shape[0]), angles.shape[1]), lo, counts
 
 
 _MARKS_PER_BATCH = 1 << 16  # (point, cell) marks per batch of the circle reach
@@ -299,8 +305,14 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
     for flip, lo, hi in halves:
         n_lo, n_hi = annulus_index_range(max(0.0, lo - eps), hi + eps + 1e-12, spec.d)
         ranges.append((n_lo, min(n_hi, index_budget)))
-        arcs.append((flip, lambda ns, radii, lo=lo, hi=hi, r=ranges[-1]: np.where(
-            (ns >= r[0]) & (ns <= r[1]), radial_hit_halfwidth(radii, lo, hi, eps), -1.0)))
+
+        def reach(ns, radii, lo=lo, hi=hi, r=ranges[-1]):  # ns sorted
+            out = np.full(len(ns), -1.0)
+            i, j = np.searchsorted(ns, r[0]), np.searchsorted(ns, r[1], side="right")
+            out[i:j] = radial_hit_halfwidth(radii[i:j], lo, hi, eps)
+            return out
+
+        arcs.append((flip, reach))
     return min(r[0] for r in ranges), max(r[1] for r in ranges), arcs
 
 
@@ -333,13 +345,13 @@ def _arc_blocks(spec: SequenceSpec, n_lo: int, n_hi: int, arcs):
 
 def _cell_runs(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs):
     """(ns, start, stop) per block of ``_arc_blocks``: one run of cells
-    start..stop-1 (0 <= start < stop <= K) and the index ``ns`` of its point
-    per arc that reaches a cell; an arc that wraps past cell K - 1 is two
-    runs."""
+    start..stop-1 (0 <= start <= stop <= K) and the index ``ns`` of its point
+    per arc; an arc that wraps past cell K - 1 is two runs, and one that
+    reaches no cell is an empty run (start == stop), which covers and stamps
+    nothing."""
     for ns, _, _, angles, halfw in _arc_blocks(spec, n_lo, n_hi, arcs):
         at, lo, counts = _arc_cells(K, angles, halfw)
-        keep = counts > 0
-        at, lo, end = at[keep], lo[keep], lo[keep] + counts[keep]
+        end = lo + counts
         wrap = end > K
         yield (ns[np.concatenate([at, at[wrap]])],
                np.concatenate([lo, np.zeros(int(wrap.sum()), dtype=np.int64)]),
@@ -791,17 +803,22 @@ def _closed_form(spec: SequenceSpec, n_hi: int):
 def _box_members(base, start, count, mult, mod, limit):
     """(box, n) per member of each box: n = base + ((start + i) mod q *
     mult mod q) for 0 <= i < count, q = mod, kept when the offset is below
-    ``limit``."""
+    ``limit``. When every box is a run, mult 1 and start + count <= q, the
+    offset is start + i."""
     box = np.repeat(np.arange(len(count)), count)
-    i = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)
-    offset = (start[box] + i) % mod[box] * mult[box] % mod[box]
+    offset = np.arange(len(box)) - np.repeat(np.cumsum(count) - count - start, count)
+    if np.any(mult != 1) or np.any(start + count > mod):
+        offset = offset % mod[box] * mult[box] % mod[box]
     keep = offset < limit[box]
     return box[keep], base[box[keep]] + offset[keep]
 
 
 def _distinct(ns: np.ndarray) -> np.ndarray:
-    """The distinct values of ``ns``, sorted: one sort, which on int64 runs
-    many times faster than ``np.unique``'s hash table."""
+    """The distinct values of ``ns``, sorted: ``ns`` itself when it is
+    strictly increasing, else one sort, which on int64 runs many times
+    faster than ``np.unique``'s hash table."""
+    if np.all(ns[1:] > ns[:-1]):
+        return ns
     ns = np.sort(ns)
     keep = np.ones(len(ns), dtype=bool)
     keep[1:] = ns[1:] != ns[:-1]

@@ -65,6 +65,37 @@ def growth_along_h(table) -> dict[float, list]:
     return out
 
 
+def mask_halfwidth(r, t_lo: float, t_hi: float, eps: float) -> np.ndarray:
+    """``geometry.radial_hit_halfwidth`` in its mask form, the reference for
+    its run form: every case is a boolean mask over all of ``r``."""
+    if not 0.0 <= t_lo <= t_hi:
+        raise ValueError(f"need 0 <= t_lo <= t_hi, got [{t_lo}, {t_hi}]")
+    r = np.asarray(r, dtype=np.float64)
+    out = np.full(r.shape, -1.0)
+    hits_everywhere = r + t_lo <= eps  # farthest configuration is the antipode
+    nearest = np.maximum(t_lo - r, np.maximum(r - t_hi, 0.0))
+    misses = nearest > eps
+    solvable = ~hits_everywhere & ~misses
+
+    foot = np.sqrt(np.maximum(0.0, r * r - eps * eps))
+    interior = solvable & (r >= eps) & (foot >= t_lo) & (foot <= t_hi)
+    out[interior] = np.arcsin(np.clip(eps / np.maximum(r[interior], 1e-300), 0.0, 1.0))
+
+    at_lo = solvable & ~interior & ((r < eps) | (foot < t_lo))
+    at_hi = solvable & ~interior & ~at_lo
+    for sel, t_end in ((at_lo, t_lo), (at_hi, t_hi)):
+        if not np.any(sel):
+            continue
+        rs = r[sel]
+        if t_end <= 0.0:  # window endpoint at the origin: distance r at all angles
+            out[sel] = np.where(rs <= eps, math.pi, -1.0)
+            continue
+        cosv = (rs * rs + t_end * t_end - eps * eps) / (2.0 * rs * t_end)
+        out[sel] = np.arccos(np.clip(cosv, -1.0, 1.0))
+    out[hits_everywhere] = math.pi
+    return out
+
+
 def _split_test(radii, coords, rho, targets, eps, c: float) -> np.ndarray:
     """Both split inequalities of points ``coords`` at ``radii`` against line
     points ``targets`` at ``rho``: radius within eps, angle within c*eps/rho."""

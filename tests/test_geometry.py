@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import mask_halfwidth
 from spiralvis.geometry import radial_hit_halfwidth, ray_to_ray_distance, segment_distances
 
 
@@ -94,3 +97,36 @@ def test_radial_halfwidth_randomized():
             assert got <= 1e-3
         else:
             assert got == pytest.approx(want, abs=2e-3)
+
+
+def _formula_edges(t_lo, t_hi, eps):
+    """The radii where the half-width changes formula, t_lo +- eps, t_hi +-
+    eps, eps and hypot(t, eps), with their float neighbours."""
+    edges = [t_lo - eps, t_lo + eps, t_hi - eps, t_hi + eps, eps,
+             math.hypot(t_lo, eps), math.hypot(t_hi, eps)]
+    near = [x for r in edges for x in (np.nextafter(r, -np.inf), r, np.nextafter(r, np.inf))]
+    return np.array([x for x in near if x >= 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_lo=st.one_of(st.just(0.0), st.floats(0.0, 2000.0)),
+       length=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+       eps=st.one_of(st.floats(1e-6, 0.99), st.floats(1.0, 50.0)),
+       anchor=st.sampled_from(["t_lo", "t_hi", "eps"]),
+       count=st.integers(0, 3000),
+       extra=st.lists(st.floats(0.0, 3000.0), max_size=30),
+       seed=st.integers(0, 2**32 - 1))
+def test_radial_halfwidth_runs_match_masks(t_lo, length, eps, anchor, count, extra, seed):
+    # bit for bit against the mask form: a sorted block of sqrt(n) about
+    # t_lo, t_hi or eps, and the formula edges with random radii, sorted and
+    # shuffled; t_lo = 0 and t_lo = t_hi included
+    t_hi = t_lo + length
+    at = {"t_lo": t_lo, "t_hi": t_hi, "eps": eps}[anchor]
+    n_lo = max(1, int(at * at) - count // 2)
+    block = np.sqrt(np.arange(n_lo, n_lo + count, dtype=np.int64))
+    mixed = np.concatenate([_formula_edges(t_lo, t_hi, eps), extra, block[::97]])
+    shuffled = np.random.default_rng(seed).permutation(mixed)
+    for r in (block, np.sort(mixed), shuffled, shuffled.reshape(1, -1)):
+        got, want = radial_hit_halfwidth(r, t_lo, t_hi, eps), mask_halfwidth(r, t_lo, t_hi, eps)
+        assert got.shape == r.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -14,10 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import save_sequence_file
+from oracles import mask_halfwidth, save_sequence_file
 import spiralvis.visibility as vis
 from spiralvis import SequenceSpec, build_direction_net, estimate_min_visibility
-from spiralvis.geometry import radial_hit_halfwidth
 from spiralvis.spirals import annulus_index_range, iter_point_chunks, point_batch
 from spiralvis.visibility import (
     DEFAULT_BUDGET,
@@ -84,7 +83,7 @@ def _stamped_window(spec, K, t_lo, t_hi, eps, budget):
             continue
         n_lo, n_hi = annulus_index_range(max(0.0, lo - eps), hi + eps + 1e-12, spec.d)
         parts.append((flip, n_lo, min(n_hi, budget),
-                      functools.partial(radial_hit_halfwidth, t_lo=lo, t_hi=hi, eps=eps)))
+                      functools.partial(mask_halfwidth, t_lo=lo, t_hi=hi, eps=eps)))
     witness = _stamped(spec, K, parts)
     return (witness, *_recomputed(spec, witness, t_lo, t_hi))
 
@@ -151,6 +150,82 @@ def test_certificate_sweep_matches_stamping(kind, count, eps, V, K_const, kappa,
                                       lambda r: np.minimum(kappa * eps / r, math.pi))])
     _assert_same(got, lambda cells: _first_writers(spec, count, *arcs, cells),
                  (witness, *_recomputed(spec, witness, 0.0, V)))
+
+
+def _brute_cells(K, angle, halfw):
+    """The cells of one arc, cell by cell: those j with j + m*K, for some
+    integer m, between the float ends ceil((angle - halfw)/step) and
+    floor((angle + halfw)/step); every cell from half-width pi, none below 0."""
+    step = TWO_PI / K
+    lo, hi = math.ceil((angle - halfw) / step), math.floor((angle + halfw) / step)
+    if halfw < 0.0:
+        return set()
+    if halfw >= math.pi:
+        return set(range(K))
+    return {j for j in range(K) if any(lo <= j + m * K <= hi for m in range(-2, 4))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.one_of(st.integers(1, 2), st.integers(3, 40)),
+       columns=st.integers(1, 2),
+       arcs=st.lists(st.tuples(
+           st.one_of(st.sampled_from(["first", "last", "top"]), st.floats(0.0, TWO_PI)),
+           st.one_of(st.sampled_from([-1.0, 0.0, math.pi, 4.0, TWO_PI]),
+                     st.floats(0.0, 1.0), st.integers(0, 3))), min_size=2, max_size=40))
+def test_arc_cells_and_runs_match_each_cell(K, columns, arcs):
+    # arcs about cell 0, cell K - 1 and 2*pi (wrapping past either end),
+    # half-widths -1, 0, pi and above, and whole cell steps; K = 1 and 2
+    step = TWO_PI / K
+    angles, halfw = [], []
+    for where, h in arcs[:len(arcs) // columns * columns]:
+        angles.append({"first": 0.0, "last": (K - 1) * step, "top": TWO_PI}.get(where, where))
+        halfw.append(min(h * step, TWO_PI) if isinstance(h, int) else h)
+    angles = np.array(angles).reshape(-1, columns)
+    halfw = np.array(halfw).reshape(-1, columns)
+    want = [_brute_cells(K, a, h) for a, h in zip(angles.ravel(), halfw.ravel())]
+    at, lo, counts = vis._arc_cells(K, angles, halfw)
+    assert np.array_equal(at, np.arange(angles.size) // columns)
+    assert all(0 <= s < K or (s == K and c == 0) for s, c in zip(lo, counts))
+    assert [set((s + np.arange(c)) % K) for s, c in zip(lo, counts)] == want
+    ns = np.arange(10, 10 + len(angles))
+    with mock.patch.object(vis, "_arc_blocks", lambda *_: iter([(ns, None, None, angles, halfw)])):
+        (run_ns, start, stop), = vis._cell_runs(None, K, 0, 0, None)
+    assert np.all((0 <= start) & (start <= stop) & (stop <= K))
+    per_point = {n: [0] * K for n in ns.tolist()}
+    for n, a, b in zip(run_ns.tolist(), start.tolist(), stop.tolist()):
+        for j in range(a, b):
+            per_point[n][j] += 1
+    for row, n in enumerate(ns.tolist()):  # each cell once per arc that reaches it
+        reached = want[row * columns:(row + 1) * columns]
+        assert per_point[n] == [sum(j in cells for cells in reached) for j in range(K)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), K=st.one_of(st.integers(1, 2), st.integers(3, 400)))
+def test_circle_cover_ignores_empty_runs(data, K):
+    # blocks of runs, the later ones a few runs each so that the cover ranks
+    # them among the open cells, with empty runs (start == stop) at any cell
+    # from 0 to K, open or not: the cover gives the same (open, first) with
+    # and without them, and the same as marking each run's cells
+    run = st.integers(0, K).flatmap(lambda a: st.tuples(st.just(a), st.integers(a, K)))
+    empty = st.integers(0, K).map(lambda a: (a, a))
+    blocks = data.draw(st.lists(st.lists(st.one_of(run, empty), min_size=1, max_size=6),
+                                min_size=1, max_size=12))
+    cells = np.array(sorted(data.draw(st.sets(st.integers(0, K - 1), max_size=20))),
+                     dtype=np.int64)
+    runs = [(np.arange(len(b), dtype=np.int64) + 100 * i, *np.array(b, dtype=np.int64).T)
+            for i, b in enumerate(blocks)]
+    covered = np.full(K, MISS, dtype=np.int64)
+    for ns, start, stop in runs:
+        for n, a, b in zip(ns, start, stop):
+            covered[a:b] = np.minimum(covered[a:b], n)
+    want = (np.flatnonzero(covered == MISS), covered[cells])
+    for keep_empty in (True, False):
+        source = [(ns[keep], start[keep], stop[keep]) for ns, start, stop in runs
+                  for keep in [keep_empty | (stop > start)]]
+        with mock.patch.object(vis, "_cell_runs", lambda *_: iter(source)):
+            open_, first = vis._circle_cover(None, K, 0, 0, None, cells)
+        assert np.array_equal(open_, want[0]) and np.array_equal(first, want[1])
 
 
 def test_sweep_stops_when_every_cell_is_resolved(ladder, monkeypatch):
