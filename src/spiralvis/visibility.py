@@ -12,14 +12,21 @@ so truncation is rigorous rather than heuristic.
 
 Window sweeps turn each point into a cap of directions it reaches
 (``geometry.radial_hit_halfwidth``) and read points in index order until no
-direction is open. The orchard, uniform and certificate checks each pick
+direction is open. A block's radii are sorted, so the half-width splits
+them by radius class: the run of each of its five cases is found by
+bisection and each formula is evaluated on its run only, and each half of a
+window through the origin hands it only the block's slice inside that
+half's index range. The orchard, uniform and certificate checks each pick
 their arcs (``_window_arcs``, ``_certificate_arcs``) and hand them to one
 ``_net_check``. On the circle grid it is one cover pass (``_circle_check``):
-each arc is a run of integer cells (``_arc_cells``), one difference array
-per block of points marks every cell the block's runs cover, and the cells
-left open fail. The first block's array spans all K cells; once the runs
-and the open cells number under K/4, a block's runs are ranked in the list
-of open cells and its array spans those ranks only (``_circle_cover``). The
+each arc is a run of integer cells (``_arc_cells``, which masks only the
+arcs that reach no cell or every cell and takes the first cell mod K by one
+conditional add and one conditional subtract), an arc that reaches no cell
+is an empty run, which cancels, one difference array per block of points
+marks every cell the block's runs cover, and the cells left open fail. The
+first block's array spans all K cells; once the runs and the open cells
+number under K/4, a block's runs are ranked in the list of open cells and
+its array spans those ranks only (``_circle_cover``). The
 witnesses of the first 100 hit cells are tracked for cells 0-99 during the
 pass and found by a rescan (``_first_writers``) only when one of those
 fails. On any other net (S^d) ``_directional_window_check``

@@ -220,9 +220,9 @@ def test_circle_cover_ignores_empty_runs(data, K):
         for n, a, b in zip(ns, start, stop):
             covered[a:b] = np.minimum(covered[a:b], n)
     want = (np.flatnonzero(covered == MISS), covered[cells])
-    for keep_empty in (True, False):
-        source = [(ns[keep], start[keep], stop[keep]) for ns, start, stop in runs
-                  for keep in [keep_empty | (stop > start)]]
+    nonempty = [(ns[stop > start], start[stop > start], stop[stop > start])
+                for ns, start, stop in runs]
+    for source in (runs, nonempty):
         with mock.patch.object(vis, "_cell_runs", lambda *_: iter(source)):
             open_, first = vis._circle_cover(None, K, 0, 0, None, cells)
         assert np.array_equal(open_, want[0]) and np.array_equal(first, want[1])
