@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .covering import (
+    DEFAULT_H_CAP,
     uniform_covering_parameter,
     uniform_orchard_criterion,
     visibility_from_covering,
@@ -370,7 +371,7 @@ def build_parser():
     p = add("defvisi", _cmd_table, "visibility curve from covering radii", table)
     p.add_argument("--eps", type=_floats, default=[0.2, 0.1, 0.05])
     p.add_argument("--x-grid", type=_floats, default=[1, 2, 4, 8, 16, 32, 64])
-    p.add_argument("--h-cap", type=int, default=512)
+    p.add_argument("--h-cap", type=int, default=DEFAULT_H_CAP)
 
     p = add("delone", _cmd_delone, "packing/covering diagnostics in a ball")
     p.add_argument("--T", type=float, default=30.0)

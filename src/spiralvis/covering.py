@@ -16,6 +16,7 @@ from .sphere import build_direction_net
 from .spirals import DEFAULT_BUDGET
 
 TWO_PI = 2.0 * math.pi
+DEFAULT_H_CAP = 512  # the default largest window scale h of the visibility curve
 
 
 class BudgetExceededError(ValueError):
@@ -41,8 +42,7 @@ def _circular_covering_radius(points: np.ndarray) -> float:
     return widest / 2.0
 
 
-def covering_radius(points, d: int | None = None,
-                    resolution: float | None = None) -> CoveringRadiusResult:
+def covering_radius(points, d: int, resolution: float | None = None) -> CoveringRadiusResult:
     """Largest geodesic distance from any direction to the set.
 
     On the circle (d=1) this is half the largest gap, exact. On S^d, d >= 2,
@@ -51,12 +51,11 @@ def covering_radius(points, d: int | None = None,
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] == 0:
         raise ValueError("covering radius of an empty set is undefined")
-    dim = pts.shape[1] - 1 if d is None else d
-    if dim == 1:
+    if d == 1:
         return CoveringRadiusResult(_circular_covering_radius(pts), True, 0.0)
     if resolution is None:
-        raise ValueError(f"the covering radius on S^{dim} needs a resolution")
-    return _net_covering_radius(pts, dim, resolution)
+        raise ValueError(f"the covering radius on S^{d} needs a resolution")
+    return _net_covering_radius(pts, d, resolution)
 
 
 _DOTS_PER_PRODUCT = 1 << 22  # center-point dots per product of the S^d covering radius
@@ -206,7 +205,7 @@ class CoveringVisibilityCurve:
 
 
 def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
-                             h_cap: int = 256,
+                             h_cap: int = DEFAULT_H_CAP,
                              resolution: float | None = None,
                              index_budget: int = DEFAULT_BUDGET) -> CoveringVisibilityCurve:
     """Evaluate V(eps) = sup{x : sup_(h>x) h * R(window at h, length h^d x) <= eps}

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+SVG_SIZE = 800  # canvas side in pixels
+
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
@@ -13,7 +15,7 @@ def _fmt(x: float) -> str:
 
 def scatter_svg(path: str | Path, coords: np.ndarray, T: float,
                 marker: float = 1.5, strip: tuple[float, float] | None = None,
-                rays=None, crosses=None, size: int = 800) -> None:
+                rays=None, crosses=None) -> None:
     """Points of B(0, T) on a square canvas, y axis upward.
 
     ``strip`` shades a horizontal band y in (lo, hi); ``rays`` draws
@@ -22,7 +24,7 @@ def scatter_svg(path: str | Path, coords: np.ndarray, T: float,
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     if coords.shape[1] != 2:
         raise ValueError("SVG scatter plots are planar only")
-    scale = size / (2.0 * T)
+    scale = SVG_SIZE / (2.0 * T)
 
     def sx(x):
         return (x + T) * scale
@@ -33,14 +35,14 @@ def scatter_svg(path: str | Path, coords: np.ndarray, T: float,
     keep = np.linalg.norm(coords, axis=1) <= T
     pts = coords[keep]
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     if strip is not None:
         lo, hi = strip
         out.append(
-            f'<rect x="0" y="{_fmt(sy(hi))}" width="{size}" '
+            f'<rect x="0" y="{_fmt(sy(hi))}" width="{SVG_SIZE}" '
             f'height="{_fmt((hi - lo) * scale)}" fill="#fde2e2"/>'
         )
     for x, y in pts:

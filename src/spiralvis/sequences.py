@@ -36,16 +36,12 @@ class TriangularDecomposition:
 def triangular_decompose(n: int) -> TriangularDecomposition:
     """Unique (k, p) with n = k(k+1)/2 + p, 0 <= p <= k.
 
-    Integer square root plus local correction; never floating point alone.
+    k(k+1)/2 <= n exactly when 2k+1 <= isqrt(8n+1), so the integer square
+    root gives k with no correction; never floating point.
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     k = (math.isqrt(8 * n + 1) - 1) // 2
-    while (k + 1) * (k + 2) // 2 <= n:
-        k += 1
-    while k * (k + 1) // 2 > n:
-        k -= 1
-    k = max(k, 1)
     return TriangularDecomposition(k=k, p=n - k * (k + 1) // 2)
 
 
@@ -57,8 +53,7 @@ def triangular_decompose_batch(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = ((np.sqrt(8.0 * ns + 1.0) - 1.0) / 2.0).astype(np.int64)
     # float sqrt can be off by one near triangular boundaries
     k += (k + 1) * (k + 2) // 2 <= ns
-    k -= (k * (k + 1) // 2 > ns) & (k > 1)
-    np.maximum(k, 1, out=k)
+    k -= k * (k + 1) // 2 > ns
     p = ns - k * (k + 1) // 2
     return k, p
 
@@ -146,7 +141,8 @@ class SequenceSpec:
     theta: float = GOLDEN_RATIO
     v: np.ndarray | None = None
     path: str | None = None
-    _file_points: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _file_points: np.ndarray | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:

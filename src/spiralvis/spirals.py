@@ -19,6 +19,7 @@ from .sphere import unit_vector
 
 CHUNK = 1 << 18
 DEFAULT_BUDGET = 10**7  # the default largest index any scan, table or CLI run reads
+PUNCTURE_SCAN_CAP = 100_000  # the most indices past n a replacement direction is sought in
 
 
 class PunctureUnresolvedError(RuntimeError):
@@ -123,7 +124,6 @@ class PunctureSpec:
     delta: float
     outer_radii: np.ndarray
     thicknesses: np.ndarray
-    scan_cap: int = 100_000
 
     def __post_init__(self):
         self.v0 = unit_vector(self.v0)
@@ -147,7 +147,7 @@ class PunctureSpec:
             raise ValueError("every annulus needs outer radius minus thickness > 0")
 
     @classmethod
-    def geometric(cls, base, v0, delta, m_lo=4, m_hi=20, scale_constant=1.0, **kw):
+    def geometric(cls, base, v0, delta, m_lo=4, m_hi=20, scale_constant=1.0):
         """Outer radii 2^m paired with target scale 2^(-m/2).
 
         Thickness 2*C*(2^(-m/2))^(-d) keeps thickness/radius -> 0, which is
@@ -158,17 +158,17 @@ class PunctureSpec:
         with np.errstate(over="ignore", invalid="ignore"):  # the spec rejects inf and nan
             outer = 2.0**ms
             thick = 2.0 * scale_constant * 2.0 ** (ms * base.d / 2.0)
-        return cls(base=base, v0=v0, delta=delta, outer_radii=outer, thicknesses=thick, **kw)
+        return cls(base=base, v0=v0, delta=delta, outer_radii=outer, thicknesses=thick)
 
     @classmethod
-    def factorial(cls, base, v0, delta, n_lo=5, n_hi=7, scale_constant=1.0, **kw):
+    def factorial(cls, base, v0, delta, n_lo=5, n_hi=7, scale_constant=1.0):
         """Outer radii n! with thickness 2*C*2^(n*d); d=1 only fits up to 7!."""
         ns = np.arange(n_lo, n_hi + 1)
         # 170! is the last factorial below the float range; the spec rejects inf
         outer = np.array([float(math.factorial(int(n))) if n <= 170 else math.inf for n in ns])
         with np.errstate(over="ignore", invalid="ignore"):  # the spec rejects inf and nan
             thick = 2.0 * scale_constant * 2.0 ** (ns * base.d)
-        return cls(base=base, v0=v0, delta=delta, outer_radii=outer, thicknesses=thick, **kw)
+        return cls(base=base, v0=v0, delta=delta, outer_radii=outer, thicknesses=thick)
 
     def in_kept_annulus(self, radii) -> np.ndarray:
         r = np.atleast_1d(np.asarray(radii, dtype=np.float64))
@@ -198,8 +198,8 @@ def puncture_transform(pspec: PunctureSpec, n: int) -> SpiralPoint:
         return base_pt
     r = base_pt.radius
     lo = n
-    while lo <= n + pspec.scan_cap:
-        hi = min(n + pspec.scan_cap, lo + 511)
+    while lo <= n + PUNCTURE_SCAN_CAP:
+        hi = min(n + PUNCTURE_SCAN_CAP, lo + 511)
         ms = np.arange(lo, hi + 1, dtype=np.int64)
         dirs = direction_batch(pspec.base, ms)
         outside = ~pspec.in_region(r * dirs, np.full(len(ms), r))
@@ -207,7 +207,7 @@ def puncture_transform(pspec: PunctureSpec, n: int) -> SpiralPoint:
         if hits.size:
             return SpiralPoint(n=n, radius=r, direction=dirs[hits[0]])
         lo = hi + 1
-    raise PunctureUnresolvedError(n, pspec.scan_cap)
+    raise PunctureUnresolvedError(n, PUNCTURE_SCAN_CAP)
 
 
 def puncture_batch(pspec: PunctureSpec, n_lo: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -238,11 +238,6 @@ def _binary_writer(fh, d: int, n_lo: int, n_hi: int):
     return lambda ns, coords: fh.write(np.ascontiguousarray(coords, dtype="<f8").data)
 
 
-def write_points_csv(path: str | Path, ns: np.ndarray, coords: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        _csv_writer(fh, coords.shape[1])(ns, coords)
-
-
 def write_points_binary(path: str | Path, d: int, n_lo: int, n_hi: int,
                         coords: np.ndarray) -> None:
     """Header {d, n_lo, n_hi} as little-endian int64, then (d+1) float64 per point."""
@@ -256,7 +251,8 @@ def write_points_binary(path: str | Path, d: int, n_lo: int, n_hi: int,
 def write_point_blocks(path: str | Path, d: int, n_lo: int, n_hi: int, blocks) -> None:
     """Points n_lo..n_hi, given as (ns, coords) ``blocks`` in index order, to
     ``path``: the bytes of ``write_points_binary`` for a ``.bin`` path, else
-    those of ``write_points_csv``, holding one block at a time."""
+    CSV (header n,x0,...,x_d, then n and the coordinates in %.17g per row),
+    holding one block at a time."""
     binary = str(path).endswith(".bin")
     with open(path, "wb" if binary else "w") as fh:
         write = _binary_writer(fh, d, n_lo, n_hi) if binary else _csv_writer(fh, d + 1)

@@ -59,8 +59,9 @@ index within eps, else the exact minimum over the range, for which D grows
 until a candidate lies within it. ``check_dense_forest`` draws the
 closed-form candidates of all its windows in one pass (``_forest_hits``), one
 pass per thread, and sends only the windows with no point within eps through
-``_line_min_distance``, which widens D from the nearest candidate that pass
-read. A forest window's range is its eps-widened annulus;
+``_line_min_distance(spec, a, b, eps, index_budget, best, n_range)``, which
+reads the range the check computed and widens D from ``best``, the nearest
+candidate that pass read. A forest window's range is its eps-widened annulus;
 a ray's is [1, budget], and its eps is just below eps_floor.
 """
 
@@ -93,6 +94,9 @@ from .spirals import (
 
 TWO_PI = 2.0 * math.pi
 MISS = np.iinfo(np.int64).max
+# the certificate route's K and kappa: indices n <= K * V^(d+1), each reaching
+# the directions within kappa * eps / r of its own
+K_CERT = KAPPA_CERT = 1.0
 
 # vacant-strip half-width of the rational-ladder spiral: proven for every n
 # (exhaustive scan covers k <= 1413; for larger k the bound
@@ -323,13 +327,12 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
     return min(r[0] for r in ranges), max(r[1] for r in ranges), arcs
 
 
-def _certificate_arcs(spec: SequenceSpec, eps: float, V: float, K_const: float,
-                      kappa: float, index_budget: int):
+def _certificate_arcs(spec: SequenceSpec, eps: float, V: float, index_budget: int):
     """(1, n_cap, arcs) of the certificate route: each index n <= K*V^(d+1)
     (budget-clipped) reaches the directions within min(kappa*eps/r, pi) of
-    its own."""
-    n_cap = min(index_budget, math.ceil(K_const * V ** (spec.d + 1)))
-    return 1, n_cap, [(0.0, lambda ns, radii: np.minimum(kappa * eps / radii, math.pi))]
+    its own, K = ``K_CERT`` and kappa = ``KAPPA_CERT``."""
+    n_cap = min(index_budget, math.ceil(K_CERT * V ** (spec.d + 1)))
+    return 1, n_cap, [(0.0, lambda ns, radii: np.minimum(KAPPA_CERT * eps / radii, math.pi))]
 
 
 def _arc_blocks(spec: SequenceSpec, n_lo: int, n_hi: int, arcs):
@@ -627,9 +630,8 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
         constants = {}
         window = _budget_window_arcs(spec, 0.0, V_value, eps, index_budget)
     elif method == "certificate":
-        constants = {"K": 1.0, "kappa": 1.0}
-        window = _certificate_arcs(spec, eps, V_value, constants["K"], constants["kappa"],
-                                   index_budget)
+        constants = {"K": K_CERT, "kappa": KAPPA_CERT}
+        window = _certificate_arcs(spec, eps, V_value, index_budget)
     else:
         raise ValueError(f"unknown method {method!r}")
     failures, witnesses, hits = _net_check(spec, net, *window, 0.0, V_value)
@@ -911,7 +913,7 @@ def _segment_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
                 yield ns[i:i + CHUNK], radii, coords
 
 
-def _candidate_distances(spec, a, b, reach, n_lo, n_hi, exclude=None):
+def _candidate_distances(spec, a, b, reach, n_lo, n_hi, exclude):
     """The exact filter over ``_segment_candidates``: (ns, dist, t) blocks of
     distances and arc parameters to the segment [a, b]; a point at
     ``exclude`` gets distance inf."""
@@ -929,7 +931,7 @@ def _closer(best, ns, dist, t):
     return (float(dist[j]), int(ns[j]), float(t[j])) if (dist[j], ns[j]) < best[:2] else best
 
 
-def _nearest(spec, a, b, reach, ranges, exclude=None, best=NO_POINT):
+def _nearest(spec, a, b, reach, ranges, exclude, best):
     """(distance, n, t) of the point nearest the segment [a, b] among ``best``
     and the indices of ``ranges`` (inclusive (lo, hi) pairs), smallest index
     on ties. The reach doubles until a candidate lies within it, so every
@@ -972,24 +974,17 @@ def _first_hit(spec, a, b, eps, n_lo, n_hi, exclude=None):
 
 
 def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
-                       eps: float, index_budget: int, best=None, n_range=None):
-    """``_first_hit`` for a forest window: over the indices of its annulus
-    widened by eps (``n_range``, else ``_forest_range``), up to the budget.
-    Given ``best``, the nearest point (or ``NO_POINT``) of a pass over
-    candidates that held every point within eps and found none, only the
-    exact minimum is left: ``_nearest`` from that distance."""
-    n_lo, n_hi = n_range or _forest_range(spec, a, b, eps)
-    n_hi = min(n_hi, index_budget)
+                       eps: float, index_budget: int, best, n_range):
+    """``_first_hit`` for a forest window over ``n_range``, the indices of
+    its annulus widened by eps, up to the budget. Given ``best``, the nearest
+    point (or ``NO_POINT``) of a pass over candidates that held every point
+    within eps and found none, only the exact minimum is left: ``_nearest``
+    from that distance; with ``best`` None the range is read from the start."""
+    n_lo, n_hi = n_range[0], min(n_range[1], index_budget)
     if best is None:
         return _first_hit(spec, a, b, eps, n_lo, n_hi)
     reach = best[0] if best[0] < math.inf else 2.0 * eps
-    return _nearest(spec, a, b, reach, [(n_lo, n_hi)], best=best), False
-
-
-def _forest_range(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, eps: float):
-    """The indices of the forest window [a, b]'s annulus widened by eps."""
-    near, far = segment_norm_range(a, b)
-    return annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
+    return _nearest(spec, a, b, reach, [(n_lo, n_hi)], None, best), False
 
 
 def segment_norm_range(a, b) -> tuple[float, float]:

@@ -32,6 +32,15 @@ def star_discrepancy(values: np.ndarray) -> float:
     return float(max(np.max(i / n - xs), np.max(xs - (i - 1) / n)))
 
 
+def write_points_csv(path, ns: np.ndarray, coords: np.ndarray) -> None:
+    """A point dump as CSV in one ``np.savetxt``: header n,x0,...,x_d, then
+    each index and its coordinates in %.17g."""
+    width = coords.shape[1]
+    np.savetxt(path, np.column_stack([np.asarray(ns, dtype=np.float64), coords]),
+               delimiter=",", header=",".join(["n"] + [f"x{i}" for i in range(width)]),
+               comments="", fmt=["%d"] + ["%.17g"] * width)
+
+
 def read_points_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """(indices, coordinates) of a point dump written as CSV."""
     body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

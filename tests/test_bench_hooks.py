@@ -5,12 +5,13 @@ moved argument silently miscounts, while the rest of the suite passes, so
 each lookup and each counted argument is checked here, and so is that the
 hooked visibility layers still have callers. So is that every public name,
 and every module-level function and class, has a caller outside the tests,
-that every defaulted parameter of a public function or of a module-level
-private one is passed by some call outside the tests, that one constant
-sets every default index budget, and that no module imports a name it never
-reads."""
+that every defaulted parameter of a module-level function or classmethod,
+and every defaulted dataclass field, is passed by some call outside the
+tests, that one constant sets every default index budget, and that no
+module imports a name it never reads."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import math
@@ -90,10 +91,7 @@ def test_hooked_layers_stay_on_production_paths(monkeypatch, ladder, fib_sphere,
 
 
 # module-level names in src/spiralvis that only the tests call, each with its reason
-NO_PRODUCTION_CALLER = {
-    "write_points_csv": "the reference for generate's blocked CSV output, as "
-                        "write_points_binary is for .bin",
-}
+NO_PRODUCTION_CALLER = {}
 
 
 def _referenced(path: Path) -> set[str]:
@@ -158,42 +156,37 @@ def _passed(paths) -> dict:
     return passed
 
 
-def _public_functions():
-    """(qualified name, call name, function) for each function and each
-    classmethod of each class in ``spiralvis.__all__``."""
-    for name in spiralvis.__all__:
-        obj = getattr(spiralvis, name)
-        if inspect.isfunction(obj):
-            yield name, name, obj
-        elif inspect.isclass(obj):
-            for attr, member in vars(obj).items():
-                if isinstance(member, classmethod):
-                    yield f"{name}.{attr}", attr, getattr(obj, attr)
-
-
-def _private_functions():
-    """(qualified name, call name, function) for each module-level function
-    of a spiralvis module whose name starts with an underscore."""
+def _functions():
+    """(qualified name, call name, callable) for each module-level function of
+    a spiralvis module, each classmethod of its classes, and each of its
+    dataclasses, whose constructor takes the fields, called by class name."""
     for path in sorted((ROOT / "src" / "spiralvis").glob("*.py")):
         module = importlib.import_module(f"spiralvis.{path.stem}")
         for name, obj in vars(module).items():
-            if name.startswith("_") and inspect.isfunction(obj) \
-                    and obj.__module__ == module.__name__:
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
                 yield f"{path.stem}.{name}", name, obj
+            elif inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    yield name, name, obj
+                for attr, member in vars(obj).items():
+                    if isinstance(member, classmethod):
+                        yield f"{name}.{attr}", attr, getattr(obj, attr)
 
 
 def test_public_parameters_have_callers():
-    # a defaulted parameter that no production call sets is a knob nothing
-    # turns: its default is the behaviour, and the parameter is code kept for
-    # the tests (a batch size the tests shrink is a module constant they
-    # patch). Index budgets are resource settings, pinned below.
+    # a defaulted parameter or dataclass field that no production call sets
+    # is a knob nothing turns: its default is the behaviour, and the knob is
+    # code kept for the tests (a batch size the tests shrink is a module
+    # constant they patch). Index budgets are resource settings, pinned below.
     files = [path for folder in (ROOT / "src" / "spiralvis", ROOT / "perfbench")
              for path in sorted(folder.glob("*.py"))]
     passed = _passed(files)
     unset = set()
-    for qualname, call, func in [*_public_functions(), *_private_functions()]:
+    for qualname, call, func in _functions():
         args = passed.get(call, set())
-        if args is None or qualname in NO_PRODUCTION_CALLER:
+        if args is None or call in NO_PRODUCTION_CALLER:
             continue
         for i, param in enumerate(inspect.signature(func).parameters.values()):
             position = i if param.kind is param.POSITIONAL_OR_KEYWORD else None
@@ -208,9 +201,10 @@ def test_public_parameters_have_callers():
 def test_every_default_budget_is_the_one_constant():
     # a default budget of its own would let one layer read past (or stop
     # short of) what the others and the CLI read by default
-    defaults = {qualname: inspect.signature(func).parameters["index_budget"].default
-                for qualname, _, func in _public_functions()
-                if "index_budget" in inspect.signature(func).parameters}
+    budgets = {qualname: inspect.signature(func).parameters.get("index_budget")
+               for qualname, _, func in _functions()}
+    defaults = {qualname: param.default for qualname, param in budgets.items()
+                if param is not None and param.default is not param.empty}
     assert len(defaults) >= 9, sorted(defaults)
     assert set(defaults.values()) == {DEFAULT_BUDGET}, defaults
     parser = build_parser()

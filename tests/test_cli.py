@@ -4,11 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import write_points_csv
 
 from spiralvis import SequenceSpec, point_batch
 from spiralvis import cli
 from spiralvis.cli import main
-from spiralvis.spirals import write_points_binary, write_points_csv
+from spiralvis.spirals import write_points_binary
 
 
 def run(capsys, *argv):
@@ -360,6 +361,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     assert "--budget" in capsys.readouterr().err
     nan_rows = tmp_path / "nan-rows.txt"
     nan_rows.write_text("0 0 1\nnan 0 1\n")
+    three_cols = tmp_path / "three-cols.txt"
+    three_cols.write_text("0 0 1\n1 0 0\n")
     for argv, problem in (
             (["visible", "--x", "0,1,2", "--dir", "1,0"], "--x 0,1,2 has 3 coordinates"),
             (["visible", "--x", "0,1", "--dir", "1,0", "--dir", "1"],
@@ -409,7 +412,19 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["forest", "--eps", "0.1", "--V", "20", "--line", "1,2,3"],
              "a --line needs lam,angle,t0,t1"),
             (["forest", "--eps", "0.1,0.5", "--V", "44", "--lines", "2"],
-             "one --eps and one --V")):
+             "one --eps and one --V"),
+            # input checks of the library, each reached through the CLI
+            (["forest", "--eps", "1.5", "--V", "10", "--lines", "2"],
+             "eps must lie in (0, 1)"),
+            (["covering", "--C", "1e7", "--m", "0", "--N", "100"], "exceeds index budget"),
+            (["orchard", "--seq", "constant", "--v", "1,0,0", "--eps", "0.1", "--V", "5"],
+             "constant direction has 3 coords"),
+            (["plot", "--seq", "fibonacci-sphere", "--d", "2", "--out",
+              str(tmp_path / "sphere.svg")], "planar only"),
+            (["orchard", "--seq", "file", "--seq-file", str(three_cols), "--eps", "0.2",
+              "--V", "2"], "expected 2 columns"),
+            (["puncture", "--v0", "0,1,0", "--n", "10", "--out", str(tmp_path / "v0.csv")],
+             "v0 has 3 coordinates")):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

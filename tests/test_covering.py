@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -14,7 +15,8 @@ from spiralvis import (
     uniform_orchard_criterion,
     visibility_from_covering,
 )
-from spiralvis.covering import _net_covering_radius
+from spiralvis.cli import build_parser
+from spiralvis.covering import DEFAULT_H_CAP, _net_covering_radius
 
 GOLDEN_100_RADIUS = 0.04132959128021163  # exact gap scan, first 100 terms
 
@@ -173,13 +175,18 @@ def test_criterion_skips_over_budget(golden):
 
 def test_visibility_from_covering_monotone(golden):
     curve = visibility_from_covering(golden, (0.2, 0.1, 0.05),
-                                     (1, 2, 4, 8, 16, 32, 64, 128, 256),
-                                     h_cap=512)
+                                     (1, 2, 4, 8, 16, 32, 64, 128, 256))
     vals = dict(curve.entries)
     assert vals[0.05] <= vals[0.1] <= vals[0.2]
     assert vals[0.2] > 0
     inner = [s for _, s, _ in curve.inner]
     assert all(b <= a * 1.05 for a, b in zip(inner, inner[1:]))  # trajectory sinks
+
+
+def test_one_default_window_scale_cap():
+    # defvisi and the library read the same window scales by default
+    default = inspect.signature(visibility_from_covering).parameters["h_cap"].default
+    assert default == DEFAULT_H_CAP == build_parser().parse_args(["defvisi"]).h_cap
 
 
 def test_visibility_from_covering_constant_zero(constant_seq):

@@ -41,8 +41,16 @@ from spiralvis.visibility import (
 )
 
 
+def _window_range(spec, a, b, eps):
+    """The indices the forest check reads for the window [a, b]: its annulus
+    widened by eps."""
+    near, far = segment_norm_range(a, b)
+    return annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
+
+
 def _assert_first_witness_matches_brute(spec, ns, coords, a, b, eps):
-    (got_dist, got_n, got_t), hit = _line_min_distance(spec, a, b, eps, len(ns))
+    (got_dist, got_n, got_t), hit = _line_min_distance(
+        spec, a, b, eps, len(ns), None, _window_range(spec, a, b, eps))
     dist, t = segment_distances(coords, a, b)
     want = np.flatnonzero(dist <= eps)
     assert hit == bool(len(want))
@@ -103,7 +111,8 @@ def test_ladder_segments_match_brute(ladder):
         dist, t = segment_distances(coords, a, b)
         inside = (ns >= n_lo) & (ns <= n_hi)
         assert not np.any(dist[~inside] <= eps)
-        (got_dist, got_n, got_t), hit = _line_min_distance(ladder, a, b, eps, len(ns))
+        (got_dist, got_n, got_t), hit = _line_min_distance(ladder, a, b, eps, len(ns),
+                                                           None, (n_lo, n_hi))
         want = np.flatnonzero(dist <= eps)
         assert hit == bool(len(want))
         j = int(want[0]) if hit else n_lo - 1 + int(np.argmin(dist[inside]))
@@ -200,8 +209,9 @@ def test_convergent_turns_stay_within_one_step(theta, m, b, j):
 def _forest_by_windows(spec, eps, lines, budget):
     """The forest check's failures, witnesses and hit count, window by
     window through ``_line_min_distance``."""
-    got = [_line_min_distance(spec, line.point(line.t0), line.point(line.t1), eps, budget)
-           for line in lines]
+    ends = [(line.point(line.t0), line.point(line.t1)) for line in lines]
+    got = [_line_min_distance(spec, a, b, eps, budget, None, _window_range(spec, a, b, eps))
+           for a, b in ends]
     failures = [{"line": i, "min_distance": dist}
                 for i, ((dist, _, _), hit) in enumerate(got) if not hit]
     witnesses = [HitWitness(n, line.t0 + t, dist)

@@ -49,6 +49,23 @@ def test_triangular_round_trip_to_1e7():
     assert np.all(k >= 1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2**53), k=st.integers(1, 2**31 - 1), step=st.integers(-1, 1))
+@example(n=2**53, k=2**27, step=-1)
+@example(n=1, k=1, step=-1)
+def test_triangular_bracket(n, k, step):
+    """Both forms give the k with k(k+1)/2 <= n < (k+1)(k+2)/2 and p = n -
+    k(k+1)/2, for any n in [1, 2^53] and next to the triangular numbers up to
+    k = 2^31: at k(k+1)/2 - 1 for most k from 2^27 on, the batch form's float
+    square root is one too large, and its correction takes it back."""
+    ns = [n, max(1, k * (k + 1) // 2 + step)]
+    ks, ps = triangular_decompose_batch(np.array(ns, dtype=np.int64))
+    for m, k_batch, p_batch in zip(ns, ks.tolist(), ps.tolist()):
+        got = triangular_decompose(m)
+        assert got.k * (got.k + 1) // 2 <= m < (got.k + 1) * (got.k + 2) // 2
+        assert (got.k, got.p) == (k_batch, p_batch) == (got.k, m - got.k * (got.k + 1) // 2)
+
+
 def test_ladder_terms(ladder):
     assert np.allclose(sequence_term(ladder, 1), [1.0, 0.0], atol=1e-15)
     # n=4 -> k=2, p=1 -> angle pi

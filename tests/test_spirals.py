@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import read_points_csv
+from oracles import read_points_csv, write_points_csv
 from spiralvis import (
     PunctureSpec,
     PunctureUnresolvedError,
@@ -17,14 +17,15 @@ from spiralvis import (
     puncture_transform,
     spiral_point,
 )
+from spiralvis import spirals
 from spiralvis.sequences import GOLDEN_RATIO, fractional_multiples
 from spiralvis.spirals import (
     iter_point_chunks,
     puncture_batch,
     radius_of_index,
     read_points_binary,
+    write_point_blocks,
     write_points_binary,
-    write_points_csv,
 )
 
 
@@ -185,12 +186,13 @@ def test_puncture_agrees_on_annuli(ladder):
     assert np.array_equal(coords[kept], base[kept])
 
 
-def test_puncture_unresolved_error():
+def test_puncture_unresolved_error(monkeypatch):
+    monkeypatch.setattr(spirals, "PUNCTURE_SCAN_CAP", 500)
     stuck = SequenceSpec("constant", d=1, v=np.array([0.0, 1.0]))
-    ps = PunctureSpec.geometric(stuck, np.array([0.0, 1.0]), 0.5, scan_cap=500)
+    ps = PunctureSpec.geometric(stuck, np.array([0.0, 1.0]), 0.5)
     with pytest.raises(PunctureUnresolvedError) as err:
         puncture_transform(ps, 2)
-    assert "n=2" in str(err.value)
+    assert "n=2: no replacement within 500 indices" in str(err.value)
 
 
 def test_puncture_schedule_validation(ladder):
@@ -207,7 +209,7 @@ def test_point_dump_round_trips(tmp_path, golden):
     ns = np.arange(1, 101, dtype=np.int64)
     _, coords = point_batch(golden, ns)
     csv = tmp_path / "pts.csv"
-    write_points_csv(csv, ns, coords)
+    write_point_blocks(csv, 1, 1, 100, [(ns, coords)])
     back_n, back_x = read_points_csv(csv)
     assert np.array_equal(back_n, ns)
     assert np.allclose(back_x, coords, atol=0)
@@ -222,9 +224,9 @@ def test_point_dump_round_trips(tmp_path, golden):
 def test_csv_dump_matches_one_savetxt(tmp_path, golden):
     ns = np.arange(1, 301, dtype=np.int64)
     _, coords = point_batch(golden, ns)
-    write_points_csv(tmp_path / "got.csv", ns, coords)
-    np.savetxt(tmp_path / "want.csv", np.column_stack([ns.astype(np.float64), coords]),
-               delimiter=",", header="n,x0,x1", comments="", fmt=["%d", "%.17g", "%.17g"])
+    write_point_blocks(tmp_path / "got.csv", 1, 1, 300,
+                       [(ns[:128], coords[:128]), (ns[128:], coords[128:])])
+    write_points_csv(tmp_path / "want.csv", ns, coords)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 

@@ -143,13 +143,14 @@ def test_certificate_sweep_matches_stamping(kind, count, eps, V, K_const, kappa,
     spec = SPECS[kind]
     net = build_direction_net(1, math.pi / (count - 0.5))
     assert len(net) == count
-    arcs = _certificate_arcs(spec, eps, V, K_const, kappa, budget)
-    got = _net_check(spec, net, *arcs, 0.0, V)
     n_cap = min(budget, math.ceil(K_const * V**2))
     witness = _stamped(spec, count, [(0.0, 1, n_cap,
                                       lambda r: np.minimum(kappa * eps / r, math.pi))])
-    _assert_same(got, lambda cells: _first_writers(spec, count, *arcs, cells),
-                 (witness, *_recomputed(spec, witness, 0.0, V)))
+    with mock.patch.multiple(vis, K_CERT=K_const, KAPPA_CERT=kappa):
+        arcs = _certificate_arcs(spec, eps, V, budget)
+        _assert_same(_net_check(spec, net, *arcs, 0.0, V),
+                     lambda cells: _first_writers(spec, count, *arcs, cells),
+                     (witness, *_recomputed(spec, witness, 0.0, V)))
 
 
 def _brute_cells(K, angle, halfw):

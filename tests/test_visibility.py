@@ -317,6 +317,7 @@ def test_cap_witnesses_match_dense_oracle(fib_sphere, tmp_path, monkeypatch):
     """The polar-band kernel against the dense one: equal witness arrays
     except at most 2 centers whose dot lies within 1e-12 of a threshold."""
     const3 = SequenceSpec("constant", d=3, v=build_direction_net(3, 1.0).centers[7])
+    monkeypatch.setattr(vis, "KAPPA_CERT", 3.0)  # certificate caps three times wider
     rng = np.random.default_rng(14)
     cases = [_polar_file_case(tmp_path)]
     for spec, delta, far in ((fib_sphere, 0.25, 20.0), (const3, 1.0, 4.0)):
@@ -328,7 +329,7 @@ def test_cap_witnesses_match_dense_oracle(fib_sphere, tmp_path, monkeypatch):
                   "straddling 0": -rng.uniform(0.1, V - 0.1),
                   "far": far + rng.uniform(0.0, 2.0)}[where]
             cases.append((spec, centers, *_window_arcs(spec, t0, t0 + V, eps, 10**7)))
-        cases.append((spec, centers, *_certificate_arcs(spec, 0.5, 5.0, 1.0, 3.0, 10**7)))
+        cases.append((spec, centers, *_certificate_arcs(spec, 0.5, 5.0, 10**7)))
     for spec, centers, n_lo, n_hi, arcs in cases:
         tie = _cap_ties(spec, centers, n_lo, n_hi, arcs)
         assert tie.sum() <= 2
@@ -340,12 +341,14 @@ def test_cap_witnesses_match_dense_oracle(fib_sphere, tmp_path, monkeypatch):
             assert np.array_equal(got[~tie], want[~tie])
 
 
-def test_sphere_certificate_matches_arccos_formula(fib_sphere):
+def test_sphere_certificate_matches_arccos_formula(fib_sphere, monkeypatch):
     # the parent's rule: n <= K V^3 whose direction is within
     # min(kappa eps / r, pi) of the center, by arccos of the clipped dot
     net = build_direction_net(2, 0.1)
     for eps, V, K_const, kappa in ((0.2, 12.0, 1.0, 1.0), (0.3, 9.0, 0.5, 2.5)):
-        cert = _certificate_arcs(fib_sphere, eps, V, K_const, kappa, 10**7)
+        monkeypatch.setattr(vis, "K_CERT", K_const)
+        monkeypatch.setattr(vis, "KAPPA_CERT", kappa)
+        cert = _certificate_arcs(fib_sphere, eps, V, 10**7)
         got = _cap_witnesses(fib_sphere, net.centers, *cert)
         failures, _, hits = _net_check(fib_sphere, net, *cert, 0.0, V)
         assert np.array_equal(failures, np.flatnonzero(got == MISS))
@@ -367,7 +370,7 @@ def test_sphere_certificate_witnesses_match_brute(fib_sphere):
     [0, V] along their direction, as a dense scan over t finds them."""
     net = build_direction_net(2, 0.1)
     V = 12.0
-    cert = _certificate_arcs(fib_sphere, 0.5, V, 1.0, 1.0, 10**7)
+    cert = _certificate_arcs(fib_sphere, 0.5, V, 10**7)
     witness = _cap_witnesses(fib_sphere, net.centers, *cert)
     hit = np.flatnonzero(witness != MISS)
     assert 0 < len(hit) < len(net)
