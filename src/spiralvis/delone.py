@@ -11,16 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sequences import SequenceSpec
+from .sequences import SequenceSpec, convergents
 from .spirals import DEFAULT_BUDGET, count_in_ball, iter_point_chunks
-
-def _fraction_quotients(x: Fraction):
-    """Finite continued-fraction expansion of a rational."""
-    num, den = x.numerator, x.denominator
-    while den:
-        a, rem = divmod(num, den)
-        yield int(a)
-        num, den = den, rem
 
 
 def badness(theta, Q: int) -> float:
@@ -38,19 +30,8 @@ def badness(theta, Q: int) -> float:
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     frac = Fraction(theta)
-    qs = list(_fraction_quotients(frac))
-    best = math.inf
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = qs[0], 1
-    if q_cur <= Q:
-        best = min(best, float(q_cur * abs(q_cur * frac - p_cur)))
-    for a in qs[1:]:
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if q_cur > Q:
-            break
-        best = min(best, float(q_cur * abs(q_cur * frac - p_cur)))
-    return best
+    return min(float(q * abs(q * frac - p)) for p, q in
+               itertools.takewhile(lambda c: c[1] <= Q, convergents(frac)))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ Fibonacci lattice stands in for explicit higher-dimensional constructions;
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,6 +83,18 @@ def fractional_multiples(theta: float, ns: np.ndarray) -> np.ndarray:
     return fixed * 2.0**-53
 
 
+def convergents(x: Fraction):
+    """(p, q) of each continued-fraction convergent p/q of the rational x,
+    from p/q = floor(x)/1 to x itself; q is nondecreasing and each p/q lies
+    within 1/(q q') of x, q' the next convergent's denominator."""
+    num, den = x.numerator, x.denominator
+    p_prev, q_prev, p, q = 0, 1, 1, 0  # p/q of the indices -2 and -1
+    while den:
+        a, (num, den) = num // den, (den, num % den)
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        yield p, q
+
+
 MAX_CONVERGENT = 1 << 31  # j * p^-1 mod q stays inside int64 for q up to this
 
 
@@ -97,14 +110,8 @@ def rotation_convergents(theta: float):
     alpha = Fraction(theta) % 1 * 2**64
     if alpha.denominator != 1:
         return None
-    qs, ps = [0, 1], [1, 0]  # q_-1, q_0 and p_-1, p_0 of x = [0; a_1, a_2, ...]
-    num, den = 2**64, alpha.numerator
-    while den and (num // den) * qs[-1] + qs[-2] <= MAX_CONVERGENT:
-        a = num // den
-        qs.append(a * qs[-1] + qs[-2])
-        ps.append(a * ps[-1] + ps[-2])
-        num, den = den, num % den
-    qs, ps = qs[1:], ps[1:]
+    ps, qs = zip(*itertools.takewhile(lambda c: c[1] <= MAX_CONVERGENT,
+                                      convergents(alpha / 2**64)))
     return (np.array(qs, dtype=np.int64), np.array(ps, dtype=np.int64),
             np.array([pow(p, -1, q) if q > 1 else 0 for q, p in zip(qs, ps)],
                      dtype=np.int64))

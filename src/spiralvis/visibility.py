@@ -615,7 +615,6 @@ def _budget_window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float
 
 
 def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
-                  net: DirectionNet | None = None,
                   index_budget: int = DEFAULT_BUDGET,
                   method: str = "direct") -> CheckReport:
     """Every net direction must approach some point at parameter 0 < t < V.
@@ -625,7 +624,7 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
     distance to the direction at most kappa*eps/n^(1/(d+1)). Its constants
     are fixed at K = kappa = 1, and the report records them.
     """
-    net = _require_net(spec, eps, V_value, net)
+    net = _require_net(spec, eps, V_value, None)
     if method == "direct":
         constants = {}
         window = _budget_window_arcs(spec, 0.0, V_value, eps, index_budget)
@@ -643,15 +642,22 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
     )
 
 
+def _window_starts(t0_list) -> list[float]:
+    """The distinct window starts of ``t0_list`` in first-seen order, which
+    must be finite and nonempty."""
+    t0_list = list(dict.fromkeys(float(t0) for t0 in t0_list))
+    if not t0_list or not all(math.isfinite(t0) for t0 in t0_list):
+        raise ValueError(f"window starts t0 must be finite and nonempty, got {t0_list}")
+    return t0_list
+
+
 def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
                           t0_list, net: DirectionNet | None = None,
                           index_budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Orchard condition with the window shifted to (t0, t0 + V), for each
     distinct t0 in first-seen order."""
     net = _require_net(spec, eps, V_value, net)
-    t0_list = list(dict.fromkeys(float(t0) for t0 in t0_list))
-    if not t0_list or not all(math.isfinite(t0) for t0 in t0_list):
-        raise ValueError(f"window starts t0 must be finite and nonempty, got {t0_list}")
+    t0_list = _window_starts(t0_list)
     all_failures, all_witnesses = [], []
     hits_total = 0
     per_t0 = {}
@@ -1038,6 +1044,17 @@ def _forest_hits(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, pad: np.ndarr
     return [(found, n < MISS) for found, n in zip(best, first)]
 
 
+def random_lines(rng, count: int, V: float, lam_max: float = 100.0) -> list[LineParam]:
+    """``count`` length-V windows in the plane; each draws its angle, then t0
+    in [-100, 100], then lam in [0, lam_max]."""
+    lines = []
+    for _ in range(count):
+        angle = rng.uniform(0, TWO_PI)
+        t0 = rng.uniform(-100.0, 100.0)
+        lines.append(LineParam.at_angle(rng.uniform(0, lam_max), angle, t0, t0 + V))
+    return lines
+
+
 def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
                        lines: list[LineParam],
                        index_budget: int = DEFAULT_BUDGET) -> CheckReport:
@@ -1170,17 +1187,6 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
 # -- minimal-visibility estimation -------------------------------------------
 
 
-def random_lines(rng, count: int, V: float, lam_max: float = 100.0) -> list[LineParam]:
-    """``count`` length-V windows in the plane; each draws its angle, then t0
-    in [-100, 100], then lam in [0, lam_max]."""
-    lines = []
-    for _ in range(count):
-        angle = rng.uniform(0, TWO_PI)
-        t0 = rng.uniform(-100.0, 100.0)
-        lines.append(LineParam.at_angle(rng.uniform(0, lam_max), angle, t0, t0 + V))
-    return lines
-
-
 def _reach_offsets(along, perp, eps: float, t0: float):
     """max(a - t0, 0) for points at (along, perp) whose eps-disc covers [a, b]
     of the line; inf where it misses or b < t0."""
@@ -1237,90 +1243,58 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
     return best
 
 
-def _line_reach(spec: SequenceSpec, line: LineParam, eps: float,
-                index_budget: int) -> float:
-    """``_window_reach`` for one forest window, from one candidate pass."""
-    a, b = line.point(line.t0), line.point(line.t1)
-    best = math.inf
-    for _, _, coords in _segment_candidates(spec, a, b, eps, 1, index_budget):
-        offsets = _reach_offsets(coords @ line.w, coords @ line.v - line.lam, eps, line.t0)
-        best = min(best, float(np.min(offsets, initial=math.inf)))
-    return best
+def _passes(spec: SequenceSpec, eps: float, V: float, t0_list, index_budget: int,
+            net: DirectionNet) -> bool:
+    return check_uniform_orchard(spec, eps, V, t0_list, net=net,
+                                 index_budget=index_budget).passed
 
 
-def _passes(spec: SequenceSpec, kind: str, eps: float, V: float, t0_list,
-            lines_seed: int, index_budget: int, net: DirectionNet | None) -> bool:
-    if kind == "orchard":
-        return check_orchard(spec, eps, V, net=net, index_budget=index_budget).passed
-    if kind == "uniform":
-        return check_uniform_orchard(spec, eps, V, t0_list, net=net,
-                                     index_budget=index_budget).passed
-    if kind == "forest":
-        lines = random_lines(np.random.default_rng(lines_seed), LINES_PER_EPS, V)
-        return check_dense_forest(spec, eps, V, lines,
-                                  index_budget=index_budget).passed
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _budget_cap(spec: SequenceSpec, eps: float, windows, index_budget: int) -> float:
-    """The largest V with every window [t0, t0 + V] at offset lam, (lam, t0)
-    in ``windows``, inside the budget: its far radius hypot(lam, max(|t0|,
-    |t0 + V|)), widened by eps, within that of index ``index_budget``."""
+def _budget_cap(spec: SequenceSpec, eps: float, t0_list, index_budget: int) -> float:
+    """The largest V with every window [t0, t0 + V], t0 in ``t0_list``,
+    inside the budget: its far radius max(|t0|, |t0 + V|), widened by eps,
+    within that of index ``index_budget``; -inf once some |t0| lies past it."""
     far = radius_of_index(index_budget, spec.d) - eps - 1e-12
-    cap = math.inf
-    for lam, t0 in windows:
-        half = math.sqrt((far - lam) * (far + lam)) if far >= lam else -math.inf
-        cap = min(cap, half - t0 if abs(t0) <= half else -math.inf)
-    return cap
-
-
-LINES_PER_EPS = 64  # seeded forest windows per eps
+    return min(far - t0 if abs(t0) <= far else -math.inf for t0 in t0_list)
 
 
 def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid, t0_list=(0.0,),
                             index_budget: int = DEFAULT_BUDGET) -> VisibilityCurve:
-    """Smallest V per eps for which the chosen check passes, computed: a
-    point whose eps-disc covers [a, b] of a direction's line reaches the
-    window [t0, t0 + V] iff b >= t0 and a <= t0 + V, so V is the max over
-    directions and t0s (or seeded forest windows) of a min over points of
-    max(a - t0, 0). Each round reads V on ``_require_net``'s net for a bound
-    (1, then the previous entry's V) and confirms it by one check
+    """Smallest V per eps for which the uniform orchard check over the
+    windows [t0, t0 + V], t0 in ``t0_list``, passes; the ``orchard`` kind is
+    the same search at t0 = 0. It is computed: a point whose eps-disc covers
+    [a, b] of a direction's line reaches the window iff b >= t0 and
+    a <= t0 + V, so V is the max over directions and t0s of a min over points
+    of max(a - t0, 0). Each round reads V on ``_require_net``'s net for a
+    bound (1, then the previous entry's V) and confirms it by one check
     (``_passes``) on that same net; a V above the bound, or one that fails
     the check, doubles the bound, up to the eps's cap (``_budget_cap``), the
     largest V whose windows the budget reads whole.
 
     An entry that still fails at the cap is ``diverged``: its V lies beyond
     what ``index_budget`` reads, which does not prove it infinite. Every
-    ``ok`` entry was read and confirmed on windows inside the budget.
+    ``ok`` entry was read and confirmed on windows inside the budget. There
+    is no forest kind: V over every segment needs a sweep over every segment
+    in a ball, and a sample of windows understates it.
     """
+    if kind not in ("orchard", "uniform"):
+        raise ValueError(f"unknown kind {kind!r}: the estimate reads 'orchard' or 'uniform'")
+    t0_list = _window_starts(t0_list if kind == "uniform" else [0.0])
     eps_grid = sorted(set(float(e) for e in eps_grid), reverse=True)
     entries, bound, best = [], 1.0, -math.inf
-    for i, eps in enumerate(eps_grid):
-        if kind == "forest":  # a seeded window's lam and t0 do not depend on V
-            windows = [(line.lam, line.t0) for line in
-                       random_lines(np.random.default_rng(i), LINES_PER_EPS, 1.0)]
-        else:
-            windows = [(0.0, t0) for t0 in (t0_list if kind == "uniform" else [0.0])]
-        cap = _budget_cap(spec, eps, windows, index_budget)
+    for eps in eps_grid:
+        cap = _budget_cap(spec, eps, t0_list, index_budget)
         # a cap below the least V reported still gets one round, which
         # rejects a window wholly past the budget as the checks do
         bound = max(min(bound, cap), 2.0**-6)
         while True:
-            if kind == "forest":
-                lines = random_lines(np.random.default_rng(i), LINES_PER_EPS, bound)
-                grid, reaches = None, (_line_reach(spec, line, eps, index_budget)
-                                       for line in lines)
-            else:
-                grid = _require_net(spec, eps, bound, None)
-                reaches = (float(_window_reach(spec, grid, t0, eps, bound, index_budget).max())
-                           for _, t0 in windows)
+            net = _require_net(spec, eps, bound, None)
             V = 0.0
-            for reach in reaches:
-                if (V := max(V, reach)) > bound:
+            for t0 in t0_list:
+                reach = _window_reach(spec, net, t0, eps, bound, index_budget)
+                if (V := max(V, float(reach.max()))) > bound:
                     break
             V = max(V * (1.0 + 1e-9), 2.0**-6)  # float rounding may miss the exact boundary
-            if V <= bound <= cap and _passes(spec, kind, eps, V, t0_list, i, index_budget,
-                                             grid):
+            if V <= bound <= cap and _passes(spec, eps, V, t0_list, index_budget, net):
                 best = max(best, V)  # the reported V may not decrease as eps shrinks
                 entries.append(CurveEntry(eps=eps, V=best, status="ok"))
                 bound = V

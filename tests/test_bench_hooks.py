@@ -137,8 +137,9 @@ NO_CALLER_SETS = {
 
 def _passed(paths) -> dict:
     """Per called function or attribute name, the argument positions and
-    keywords its calls pass; None once a call passes *args or **kwargs,
-    which may pass anything."""
+    keywords its calls pass: the positions before a call's first *args and
+    its named keywords; None once a call passes **kwargs, which may pass
+    every keyword."""
     passed = {}
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -147,12 +148,13 @@ def _passed(paths) -> dict:
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if passed.get(name, ()) is None:
                 continue
-            if any(isinstance(a, ast.Starred) for a in node.args) or \
-                    any(kw.arg is None for kw in node.keywords):
+            if any(kw.arg is None for kw in node.keywords):
                 passed[name] = None
             else:
+                positions = next((i for i, a in enumerate(node.args)
+                                  if isinstance(a, ast.Starred)), len(node.args))
                 passed.setdefault(name, set()).update(
-                    range(len(node.args)), (kw.arg for kw in node.keywords))
+                    range(positions), (kw.arg for kw in node.keywords))
     return passed
 
 

@@ -19,6 +19,7 @@ from spiralvis import (
 )
 from spiralvis.sequences import (
     angle_batch,
+    convergents,
     fractional_multiples,
     load_sequence_file,
     triangular_decompose_batch,
@@ -119,6 +120,20 @@ def test_fractional_multiples_fine_theta_falls_back(theta, n):
     got = fractional_multiples(theta, np.array([n], dtype=np.int64))[0]
     err = abs(got - float(Fraction(theta) * n % 1))
     assert min(err, 1.0 - err) <= 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.fractions(max_denominator=2**70)
+       | st.floats(-1e6, 1e6, allow_nan=False).map(Fraction))
+@example(x=Fraction(0))
+@example(x=Fraction(1, 2))
+def test_convergents_end_at_x_and_approach_it(x):
+    pairs = list(convergents(x))
+    assert pairs[0] == (math.floor(x), 1)
+    assert Fraction(*pairs[-1]) == x
+    for (p, q), (_, q_next) in zip(pairs, pairs[1:]):
+        assert q <= q_next
+        assert abs(x - Fraction(p, q)) <= Fraction(1, q * q_next)
 
 
 def test_fractional_multiples_branches():

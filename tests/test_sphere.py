@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import count_bound_ok
-from spiralvis import SequenceSpec, build_direction_net, check_orchard, unit_vector
+from spiralvis import (
+    SequenceSpec,
+    build_direction_net,
+    check_orchard,
+    check_uniform_orchard,
+    unit_vector,
+)
 from spiralvis.sphere import _area_grid, _corner_grid, _cube_face, least_directions
 
 
@@ -76,7 +82,7 @@ def test_circle_net_length_without_centers():
     # neither len(net) nor a circle check and its report builds the centers
     net = build_direction_net(1, 0.2 / (4 * 20.0))
     assert len(net) == math.ceil(math.pi / (0.2 / 80.0)) and count_bound_ok(net)
-    rep = check_orchard(SequenceSpec("golden-angle"), 0.2, 20.0, net=net)
+    rep = check_uniform_orchard(SequenceSpec("golden-angle"), 0.2, 20.0, [0.0], net=net)
     assert rep.net["count"] == rep.total_checks == len(net)
     assert "centers" not in vars(net)
 

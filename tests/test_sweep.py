@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from oracles import mask_halfwidth, save_sequence_file
 import spiralvis.visibility as vis
-from spiralvis import SequenceSpec, build_direction_net, estimate_min_visibility
+from spiralvis import (
+    SequenceSpec,
+    build_direction_net,
+    check_uniform_orchard,
+    estimate_min_visibility,
+)
 from spiralvis.spirals import annulus_index_range, iter_point_chunks, point_batch
 from spiralvis.visibility import (
     DEFAULT_BUDGET,
@@ -24,7 +29,6 @@ from spiralvis.visibility import (
     _certificate_arcs,
     _circle_check,
     _first_writers,
-    _line_reach,
     _net_check,
     _passes,
     _window_arcs,
@@ -375,21 +379,6 @@ def test_window_reach_marks_settle_per_batch(golden, monkeypatch):
     assert 0 < sum(marks) <= 200_000
 
 
-def test_line_reach_matches_brute(golden, ladder):
-    eps, V = 0.3, 60.0
-    for spec in (golden, ladder):
-        lines = vis.random_lines(np.random.default_rng(5), 12, V)
-        far = max(np.linalg.norm(line.point(t)) for line in lines for t in (line.t0, line.t1))
-        _, coords = point_batch(spec, np.arange(1, math.ceil((far + eps + 1) ** 2)))
-        for line in lines:
-            along, perp = coords @ line.w, coords @ line.v - line.lam
-            half = np.sqrt(np.maximum(eps * eps - perp * perp, 0.0))
-            ok = (np.abs(perp) <= eps) & (along + half >= line.t0)
-            want = np.where(ok, np.maximum(along - half - line.t0, 0.0), math.inf).min()
-            got = _line_reach(spec, line, eps, DEFAULT_BUDGET)
-            assert got == want if want <= V else got > V
-
-
 @pytest.mark.parametrize("kind, eps_grid, t0_list", [
     ("orchard", [0.2, 0.1], (0.0,)),
     ("uniform", [0.2], (0.0, 30.0, -10.0)),
@@ -412,17 +401,16 @@ def test_estimate_on_its_own_net(golden, kind, eps_grid, t0_list, monkeypatch):
             (abs(t0) + e.V + 1.0) ** 2)).max() for t0 in t0_list)
         assert e.V == pytest.approx(want * (1 + 1e-9), rel=1e-12)
         for V, passes_at_V in ((e.V, True), (e.V / (1 + step), False)):
-            assert _passes(golden, kind, e.eps, V, t0_list, i, budget, net) is passes_at_V
+            assert _passes(golden, e.eps, V, t0_list, budget, net) is passes_at_V
 
 
-def _bisection_curve(spec, kind, eps_grid, t0_list=(0.0,), v_cap=2.0**20, rtol=0.02,
-                     seed=0):
+def _bisection_curve(spec, eps_grid, t0_list, v_cap=2.0**20, rtol=0.02):
     """The search that the direct estimate replaced: doubling from V = 1, then
     bisection to rtol, each trial a full check on its own eps/(4V) net."""
     values = []
-    for i, eps in enumerate(sorted(set(eps_grid), reverse=True)):
+    for eps in sorted(set(eps_grid), reverse=True):
         def ok(V):
-            return _passes(spec, kind, eps, V, t0_list, seed + i, DEFAULT_BUDGET, None)
+            return check_uniform_orchard(spec, eps, V, t0_list).passed
 
         V = 1.0
         while V <= v_cap and not ok(V):
@@ -444,7 +432,6 @@ def _bisection_curve(spec, kind, eps_grid, t0_list=(0.0,), v_cap=2.0**20, rtol=0
 @pytest.mark.parametrize("kind, seq, eps_grid, t0_list", [
     ("uniform", "golden-angle", [0.2, 0.1], (0.0, 100.0)),
     ("orchard", "rational-ladder", [0.2, 0.1, 0.05], (0.0,)),
-    ("forest", "golden-angle", [0.2], (0.0,)),
 ])
 def test_estimate_within_rtol_of_bisection(kind, seq, eps_grid, t0_list):
     # one confirming check per eps, and V within 2% of the old bisection
@@ -453,13 +440,13 @@ def test_estimate_within_rtol_of_bisection(kind, seq, eps_grid, t0_list):
     real = vis._passes
 
     def counting(*args):
-        trials.append(args[3])
+        trials.append(args[2])
         return real(*args)
 
     with mock.patch.object(vis, "_passes", counting):
         curve = estimate_min_visibility(spec, kind, eps_grid, t0_list=t0_list)
     assert len(trials) == len(eps_grid)
-    old = _bisection_curve(spec, kind, eps_grid, t0_list, rtol=rtol)
+    old = _bisection_curve(spec, eps_grid, t0_list, rtol=rtol)
     for e, V_old in zip(curve.entries, old):
         assert e.status == "ok"
         assert abs(math.log(e.V / V_old)) <= math.log(1 + rtol)

@@ -21,6 +21,7 @@ from spiralvis import (
 from spiralvis.geometry import radial_hit_halfwidth, segment_distances
 from spiralvis.spirals import CHUNK, annulus_index_range, count_in_ball, point_batch
 from spiralvis.visibility import (
+    DEFAULT_BUDGET,
     MISS,
     _cap_witnesses,
     _certificate_arcs,
@@ -63,7 +64,7 @@ def test_orchard_constant_fails_antipode(constant_seq):
 def test_orchard_requires_fine_net(golden):
     coarse = build_direction_net(1, 0.1)
     with pytest.raises(NetMeshError) as err:
-        check_orchard(golden, 0.1, 50.0, net=coarse)
+        check_uniform_orchard(golden, 0.1, 50.0, [0.0], net=coarse)
     assert err.value.required_mesh == pytest.approx(0.1 / 200.0)
 
 
@@ -604,6 +605,25 @@ def test_estimate_confirms_on_the_net_it_reads(golden, monkeypatch):
         assert curve.entries[0].V <= 64.0
 
 
+def test_orchard_estimate_is_the_uniform_search_at_zero(golden, ladder, monkeypatch):
+    # one search serves both kinds: only the curve's kind differs
+    for spec, eps_grid in ((golden, [0.2, 0.1]), (ladder, [0.2, 0.1, 0.05])):
+        orchard = estimate_min_visibility(spec, "orchard", eps_grid)
+        uniform = estimate_min_visibility(spec, "uniform", eps_grid, t0_list=(0.0,))
+        assert (orchard.kind, uniform.kind) == ("orchard", "uniform")
+        assert orchard.entries == uniform.entries
+        assert orchard.slope == uniform.slope
+    # no kind or window start outside the search reads a point
+    reads = []
+    monkeypatch.setattr(vis, "_window_reach", lambda *a: reads.append(a))
+    with pytest.raises(ValueError, match="'forest'"):
+        estimate_min_visibility(golden, "forest", [0.2])
+    for t0_list in ((math.inf,), (math.nan,), ()):
+        with pytest.raises(ValueError, match="window starts t0 must be finite and nonempty"):
+            estimate_min_visibility(golden, "uniform", [0.2], t0_list=t0_list)
+    assert not reads
+
+
 def test_estimate_rejects_duplicate_eps(golden):
     curve = estimate_min_visibility(golden, "orchard", [0.2, 0.2, 0.1])
     assert len(curve.entries) == 2  # deduplicated, strictly decreasing
@@ -736,28 +756,32 @@ def test_public_checks_agree_on_the_grid_and_a_stored_circle_net(golden, ladder)
     # in a plain net take the cap sweep; both must give the same failures,
     # hit counts and witness indices, except at most 2 directions that a
     # float tie at a cap's edge may decide either way
-    def by_direction(rep):
-        failed = np.array([row["direction"] for row in rep.failures], dtype=np.int64)
-        hit = np.setdiff1d(np.arange(rep.total_checks), failed)
-        return failed, dict(zip(hit.tolist(), (w.n for w in rep.witnesses)))
+    def checked(rep):  # a report as _net_check's (failures, witnesses, hits)
+        return rep.failures.directions, rep.witnesses, rep.witness_count
+
+    def by_direction(failures, witnesses, hits):
+        failed = np.asarray(failures, dtype=np.int64)
+        hit = np.setdiff1d(np.arange(len(failed) + hits), failed)
+        return failed, dict(zip(hit.tolist(), (w.n for w in witnesses)))
 
     for spec, eps, V, t0 in ((golden, 0.2, 8.0, -12.5), (ladder, 0.3, 12.0, -7.0)):
         grid = build_direction_net(1, eps / (4 * V))
         net = DirectionNet.from_centers(grid.centers, dimension=1, mesh=grid.mesh,
                                         covering_radius=grid.covering_radius)
         assert grid.uniform_grid and not net.uniform_grid
-        for run in (lambda n: check_orchard(spec, eps, V, net=n),
-                    lambda n: check_orchard(spec, eps, V, net=n, method="certificate"),
-                    lambda n: check_uniform_orchard(spec, eps, V, [t0], net=n)):
+        certificate = _certificate_arcs(spec, eps, V, DEFAULT_BUDGET)
+        for run in (lambda n: checked(check_uniform_orchard(spec, eps, V, [0.0], net=n)),
+                    lambda n: _net_check(spec, n, *certificate, 0.0, V),
+                    lambda n: checked(check_uniform_orchard(spec, eps, V, [t0], net=n))):
             want, got = run(grid), run(net)
-            (fail_w, wit_w), (fail_g, wit_g) = by_direction(want), by_direction(got)
+            (fail_w, wit_w), (fail_g, wit_g) = by_direction(*want), by_direction(*got)
             ties = set(np.setxor1d(fail_w, fail_g).tolist())
             ties |= {j for j in wit_w.keys() & wit_g.keys() if wit_w[j] != wit_g[j]}
             assert len(ties) <= 2
-            assert abs(want.witness_count - got.witness_count) <= 2
+            assert abs(want[2] - got[2]) <= 2
             assert 0 < len(fail_w) < len(grid)  # some directions fail, some are hit
-            assert len(want.witnesses) == len(got.witnesses)
+            assert len(want[1]) == len(got[1])
             if not ties:
                 assert np.array_equal(fail_w, fail_g)
-                assert want.witness_count == got.witness_count
-                assert [w.n for w in want.witnesses] == [w.n for w in got.witnesses]
+                assert want[2] == got[2]
+                assert [w.n for w in want[1]] == [w.n for w in got[1]]
