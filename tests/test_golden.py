@@ -11,6 +11,7 @@ diff.
 import contextlib
 import io
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -81,6 +82,12 @@ CASES = {
     "covering": ["covering", "--m", "0,1000", "--N", "100,1000"],
     "criterion": ["criterion", "--eps", "0.2,0.1"],
     "defvisi": ["defvisi", "--eps", "0.2,0.1", "--x-grid", "1,2,4,8"],
+    # the dumps' payloads: a relative --out, written in render's temporary cwd
+    "puncture-ladder": ["puncture", "--seq", "rational-ladder", "--v0", "0,1",
+                        "--delta", "0.5", "--n", "300", "--out", "points.csv"],
+    # three blocks of spirals.CHUNK points
+    "puncture-golden": ["puncture", "--seq", "golden-angle", "--v0", "1,0",
+                        "--delta", "0.5", "--n", "600000", "--out", "points.bin"],
 }
 
 # name -> (argv, the flag naming the CSV file it writes)
@@ -102,9 +109,16 @@ LIBRARY_CASES = {
 
 
 def render(argv) -> str:
+    """The stdout payload of ``argv``, run in a temporary working directory
+    that takes whatever file it writes."""
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert main(list(argv)) == 0
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(buf):
+        os.chdir(tmp)
+        try:
+            assert main(list(argv)) == 0
+        finally:
+            os.chdir(cwd)
     return buf.getvalue()
 
 
