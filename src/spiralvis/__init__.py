@@ -24,7 +24,6 @@ from .sequences import (
     SequenceSpec,
     TriangularDecomposition,
     direction_batch,
-    sequence_term,
     triangular_decompose,
 )
 from .sphere import (
@@ -35,12 +34,9 @@ from .sphere import (
 from .spirals import (
     PunctureSpec,
     PunctureUnresolvedError,
-    SpiralPoint,
     annulus_index_range,
     count_in_ball,
     point_batch,
-    puncture_transform,
-    spiral_point,
 )
 from .visibility import (
     CheckReport,

@@ -30,11 +30,10 @@ from .sphere import unit_vector
 from .spirals import (
     DEFAULT_BUDGET,
     PunctureSpec,
-    PunctureUnresolvedError,
     count_in_ball,
     iter_point_chunks,
     point_batch,
-    puncture_batch,
+    puncture_blocks,
     write_point_blocks,
 )
 from .visibility import (
@@ -275,16 +274,21 @@ def _cmd_delone(spec, ns):
 
 def _cmd_puncture(spec, ns):
     n_hi = min(ns.n, ns.budget)
+    flags = (f"--schedule {ns.schedule} with --v0 {ns.v0}, --delta {ns.delta}, "
+             f"--m-lo {ns.m_lo}, --m-hi {ns.m_hi}, --strip-C {ns.strip_C}")
     # --v0 is parsed inside the call, so an error parsing it names the flags too
-    pspec = _named(f"--schedule {ns.schedule} with --v0 {ns.v0}, --delta {ns.delta}, "
-                   f"--m-lo {ns.m_lo}, --m-hi {ns.m_hi}, --strip-C {ns.strip_C}",
-                   lambda: getattr(PunctureSpec, ns.schedule)(
-                       spec, _point(ns.v0), ns.delta, ns.m_lo, ns.m_hi,
-                       scale_constant=ns.strip_C))
-    all_ns, coords = puncture_batch(pspec, 1, n_hi)
-    moved = int(np.sum(np.any(coords != point_batch(spec, all_ns)[1], axis=1)))
-    still_inside = int(pspec.in_region(coords).sum())
-    written = _write_points(ns, spec.d, n_hi, [(all_ns, coords)])
+    pspec = _named(flags, lambda: getattr(PunctureSpec, ns.schedule)(
+        spec, _point(ns.v0), ns.delta, ns.m_lo, ns.m_hi, scale_constant=ns.strip_C))
+    moved = still_inside = 0
+
+    def counted():  # tallied block by block as the blocks stream to --out
+        nonlocal moved, still_inside
+        for idx, coords in puncture_blocks(pspec, 1, n_hi):
+            moved += int(np.any(coords != point_batch(spec, idx)[1], axis=1).sum())
+            still_inside += int(pspec.in_region(coords).sum())
+            yield idx, coords
+
+    written = _named(flags, _write_points, ns, spec.d, n_hi, counted())
     return {**written, "redirected": moved,
             "remaining_in_region": still_inside}, still_inside > 0
 
@@ -455,7 +459,7 @@ def main(argv=None) -> int:
         spec = SequenceSpec(kind=ns.seq, d=ns.d, theta=ns.theta,
                             v=_point(ns.v) if ns.v else None, path=ns.seq_file)
         payload, failed = ns.func(spec, ns)
-    except (ValueError, IndexError, FileNotFoundError, PunctureUnresolvedError) as exc:
+    except (ValueError, IndexError, FileNotFoundError) as exc:
         parser.error(str(exc))
     except ArithmeticError as exc:  # e.g. a power of the input past the float range
         parser.error(f"the input's arithmetic failed: {exc}")

@@ -248,10 +248,3 @@ def angle_batch(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
         return TWO_PI * (p / k)
     u = direction_batch(spec, ns)
     return np.arctan2(u[:, 1], u[:, 0])
-
-
-def sequence_term(spec: SequenceSpec, n: int) -> np.ndarray:
-    """The direction u_n, a unit vector in R^(d+1)."""
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    return direction_batch(spec, np.array([n]))[0]

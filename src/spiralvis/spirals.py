@@ -1,7 +1,8 @@
 """Spiral point sets: radius n^(1/(d+1)) along the n-th sequence direction.
 
-Also materializes the punctured variant (a ray neighborhood emptied except on
-a sparse family of annuli) and the point-dump file formats.
+Also streams the punctured variant (a ray neighborhood emptied except on a
+sparse family of annuli) block by block, and writes the point-dump file
+formats.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .sequences import SequenceSpec, direction_batch, sequence_term
+from .sequences import SequenceSpec, direction_batch
 from .sphere import unit_vector
 
 CHUNK = 1 << 18
 DEFAULT_BUDGET = 10**7  # the default largest index any scan, table or CLI run reads
 PUNCTURE_SCAN_CAP = 100_000  # the most indices past n a replacement direction is sought in
+PUNCTURE_ROUND = 512  # points redirected together, and candidates each reads, per round
 
 
-class PunctureUnresolvedError(RuntimeError):
+class PunctureUnresolvedError(ValueError):
     """No replacement direction found within the scan cap."""
 
     def __init__(self, n: int, cap: int):
@@ -42,23 +44,6 @@ def radius_of_index(n, d: int):
         r = np.exp(np.log(ns) / (d + 1))
         r = r - (r ** (d + 1) - ns) / ((d + 1) * r**d)
     return r if isinstance(n, np.ndarray) else float(r)
-
-
-@dataclass(frozen=True)
-class SpiralPoint:
-    n: int
-    radius: float
-    direction: np.ndarray
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self.radius * self.direction
-
-
-def spiral_point(spec: SequenceSpec, n: int) -> SpiralPoint:
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    return SpiralPoint(n=n, radius=radius_of_index(n, spec.d), direction=sequence_term(spec, n))
 
 
 def point_batch(spec: SequenceSpec, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,40 +172,40 @@ class PunctureSpec:
         return (dist_to_ray <= self.delta) & ~self.in_kept_annulus(r)
 
 
-def puncture_transform(pspec: PunctureSpec, n: int) -> SpiralPoint:
-    """The n-th punctured point: unchanged outside D, redirected inside.
+def puncture_blocks(pspec: PunctureSpec, n_lo: int, n_hi: int):
+    """Yield (ns, coords) of the punctured spiral over [n_lo, n_hi], one
+    ``iter_point_chunks`` block at a time.
 
-    The replacement direction is the first u_m, m >= n, whose point at radius
-    n^(1/(d+1)) leaves D; a scan cap turns non-termination into an error.
+    A point outside D stays. A point in D keeps its radius and takes the
+    first direction u_m, n <= m <= n + PUNCTURE_SCAN_CAP, whose point at that
+    radius leaves D; a ``file`` sequence's candidates stop at its last point.
+    A block's points in D move together, in rounds of at most PUNCTURE_ROUND
+    points by PUNCTURE_ROUND candidates, each point reading its candidates in
+    index order. When a point has no such direction, PunctureUnresolvedError
+    names the smallest such n.
     """
-    base_pt = spiral_point(pspec.base, n)
-    if not pspec.in_region(base_pt.coords[None, :], np.array([base_pt.radius]))[0]:
-        return base_pt
-    r = base_pt.radius
-    lo = n
-    while lo <= n + PUNCTURE_SCAN_CAP:
-        hi = min(n + PUNCTURE_SCAN_CAP, lo + 511)
-        ms = np.arange(lo, hi + 1, dtype=np.int64)
-        dirs = direction_batch(pspec.base, ms)
-        outside = ~pspec.in_region(r * dirs, np.full(len(ms), r))
-        hits = np.flatnonzero(outside)
-        if hits.size:
-            return SpiralPoint(n=n, radius=r, direction=dirs[hits[0]])
-        lo = hi + 1
-    raise PunctureUnresolvedError(n, PUNCTURE_SCAN_CAP)
-
-
-def puncture_batch(pspec: PunctureSpec, n_lo: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ns, coords) of the punctured spiral over an index range."""
-    all_ns = []
-    all_coords = []
-    for ns, radii, coords in iter_point_chunks(pspec.base, n_lo, n_hi):
-        inside = pspec.in_region(coords, radii)
-        for i in np.flatnonzero(inside):
-            coords[i] = puncture_transform(pspec, int(ns[i])).coords
-        all_ns.append(ns)
-        all_coords.append(coords)
-    return np.concatenate(all_ns), np.vstack(all_coords)
+    base = pspec.base
+    last = len(base.file_points()) if base.kind == "file" else n_hi + PUNCTURE_SCAN_CAP
+    for ns, radii, coords in iter_point_chunks(base, n_lo, n_hi):
+        inside = np.flatnonzero(pspec.in_region(coords, radii))
+        for start in range(0, len(inside), PUNCTURE_ROUND):
+            rows = inside[start:start + PUNCTURE_ROUND]  # still in D, in index order
+            lo = 0  # the offset from each row's n that this round reads first
+            while rows.size and lo <= min(PUNCTURE_SCAN_CAP, last - ns[rows[0]]):
+                ms = ns[rows, None] + np.arange(
+                    lo, min(PUNCTURE_SCAN_CAP, lo + PUNCTURE_ROUND - 1) + 1)
+                r = np.repeat(radii[rows], ms.shape[1])
+                dirs = direction_batch(base, np.minimum(ms, last).ravel())
+                leaves = ~pspec.in_region(r[:, None] * dirs, r).reshape(ms.shape) & (ms <= last)
+                hit = leaves.any(axis=1)
+                first = dirs.reshape(*ms.shape, -1)[hit, leaves.argmax(axis=1)[hit]]
+                coords[rows[hit]] = radii[rows[hit], None] * first
+                rows = rows[~hit]
+                lo += PUNCTURE_ROUND
+            if rows.size:
+                n = int(ns[rows[0]])
+                raise PunctureUnresolvedError(n, min(PUNCTURE_SCAN_CAP, last - n))
+        yield ns, coords
 
 
 def _csv_writer(fh, width: int):
@@ -252,12 +237,17 @@ def write_point_blocks(path: str | Path, d: int, n_lo: int, n_hi: int, blocks) -
     """Points n_lo..n_hi, given as (ns, coords) ``blocks`` in index order, to
     ``path``: the bytes of ``write_points_binary`` for a ``.bin`` path, else
     CSV (header n,x0,...,x_d, then n and the coordinates in %.17g per row),
-    holding one block at a time."""
+    holding one block at a time. A dump that an error cuts short is removed."""
     binary = str(path).endswith(".bin")
-    with open(path, "wb" if binary else "w") as fh:
-        write = _binary_writer(fh, d, n_lo, n_hi) if binary else _csv_writer(fh, d + 1)
-        for ns, coords in blocks:
-            write(ns, coords)
+    fh = open(path, "wb" if binary else "w")
+    try:
+        with fh:
+            write = _binary_writer(fh, d, n_lo, n_hi) if binary else _csv_writer(fh, d + 1)
+            for ns, coords in blocks:
+                write(ns, coords)
+    except BaseException:  # leave no partial dump behind
+        os.remove(path)
+        raise
 
 
 def read_points_binary(path: str | Path) -> tuple[int, int, int, np.ndarray]:

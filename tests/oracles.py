@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from spiralvis import spirals
+from spiralvis.sequences import direction_batch
 from spiralvis.sphere import _sphere_area
-from spiralvis.spirals import point_batch
+from spiralvis.spirals import PunctureUnresolvedError, point_batch
 
 
 def brute_badness(theta: float, Q: int) -> float:
@@ -30,6 +32,28 @@ def star_discrepancy(values: np.ndarray) -> float:
     n = len(xs)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - xs), np.max(xs - (i - 1) / n)))
+
+
+def puncture_scan(pspec, n: int) -> np.ndarray:
+    """The n-th point of the punctured spiral, one index at a time: the base
+    point outside D; inside, the point at its radius along the first u_m,
+    n <= m <= n + PUNCTURE_SCAN_CAP and m no later than a ``file``
+    sequence's last point, that leaves D, read 512 candidates at a time;
+    PunctureUnresolvedError when there is none."""
+    base = pspec.base
+    radii, coords = point_batch(base, [n])
+    r = radii[0]
+    if not pspec.in_region(coords, radii)[0]:
+        return coords[0]
+    last = n + spirals.PUNCTURE_SCAN_CAP
+    if base.kind == "file":
+        last = min(last, len(base.file_points()))
+    for lo in range(n, last + 1, 512):
+        dirs = direction_batch(base, np.arange(lo, min(last, lo + 511) + 1))
+        hits = np.flatnonzero(~pspec.in_region(r * dirs, np.full(len(dirs), r)))
+        if hits.size:
+            return r * dirs[hits[0]]
+    raise PunctureUnresolvedError(n, last - n)
 
 
 def write_points_csv(path, ns: np.ndarray, coords: np.ndarray) -> None:

@@ -4,12 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import write_points_csv
+from oracles import save_sequence_file, write_points_csv
 
-from spiralvis import SequenceSpec, point_batch
+from spiralvis import SequenceSpec, direction_batch, point_batch
 from spiralvis import cli
 from spiralvis.cli import main
-from spiralvis.spirals import write_points_binary
+from spiralvis.spirals import CHUNK, write_points_binary
 
 
 def run(capsys, *argv):
@@ -201,6 +201,67 @@ def test_puncture_clears_region(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 20001
 
 
+def test_puncture_streams_blocks_of_at_most_chunk_points(tmp_path, capsys, monkeypatch):
+    sizes, write = [], cli.write_point_blocks
+
+    def sized(blocks):
+        for ns, coords in blocks:
+            sizes.append(len(coords))
+            yield ns, coords
+
+    monkeypatch.setattr(cli, "write_point_blocks", lambda path, d, n_lo, n_hi, blocks:
+                        write(path, d, n_lo, n_hi, sized(blocks)))
+    code, text = run(capsys, "puncture", "--seq", "golden-angle", "--v0", "1,0",
+                     "--n", str(CHUNK + 1000), "--out", str(tmp_path / "p.bin"))
+    assert code == 0 and json.loads(text)["redirected"] > 0
+    assert sizes == [CHUNK, 1000]
+
+
+def _one_direction_in_strip(path, count):
+    """A ``file`` sequence of ``count`` directions whose u_300 is (1, 0) and
+    whose other directions lie at angles in [1, 2*pi - 1], far from (1, 0)."""
+    angles = np.linspace(1.0, 2 * math.pi - 1.0, count)
+    angles[299] = 0.0
+    save_sequence_file(path, np.column_stack([np.cos(angles), np.sin(angles)]))
+    return str(path)
+
+
+def test_puncture_redirect_stops_at_the_file_end(tmp_path, capsys):
+    seq = _one_direction_in_strip(tmp_path / "dirs.txt", 600)
+    out = tmp_path / "p.csv"
+    # u_301 leaves the strip; the scan once read on to u_811 and failed
+    code, text = run(capsys, "puncture", "--seq", "file", "--seq-file", seq, "--v0", "1,0",
+                     "--delta", "0.5", "--n", "600", "--out", str(out))
+    assert code == 0
+    payload = json.loads(text)
+    assert (payload["redirected"], payload["remaining_in_region"]) == (1, 0)
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    u_301 = direction_batch(SequenceSpec("file", path=seq), [301])[0]
+    assert np.array_equal(rows[299], [300, *(math.sqrt(300) * u_301)])
+    # with u_300 the file's last point, no candidate is left
+    seq = _one_direction_in_strip(tmp_path / "short.txt", 300)
+    with pytest.raises(SystemExit) as err:
+        main(["puncture", "--seq", "file", "--seq-file", seq, "--v0", "1,0",
+              "--delta", "0.5", "--n", "300", "--out", str(out)])
+    assert err.value.code == 2
+    assert "puncture unresolved for n=300: no replacement within 0 indices" \
+        in capsys.readouterr().err
+
+
+def test_failed_dump_leaves_no_file(tmp_path, capsys):
+    seq = _one_direction_in_strip(tmp_path / "dirs.txt", 600)
+    for suffix in (".bin", ".csv"):
+        for argv in (["generate", "--seq", "file", "--seq-file", seq, "--n", "70000"],
+                     ["puncture", "--seq", "constant", "--v", "1,0", "--v0", "1,0",
+                      "--n", "100"]):
+            out = tmp_path / f"dump{suffix}"
+            with pytest.raises(SystemExit) as err:
+                main([*argv, "--out", str(out)])
+            assert err.value.code == 2
+            assert not out.exists(), (argv, suffix)
+    assert "index 65536 requested" in capsys.readouterr().err
+
+
 def test_plot_svg_structure(tmp_path, capsys):
     out = tmp_path / "spiral.svg"
     code, _ = run(capsys, "plot", "--seq", "rational-ladder", "--T", "20",
@@ -313,11 +374,6 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             main(["orchard", f"--theta={theta}", "--eps", "0.1", "--V", "50"])
         assert err.value.code == 2
         assert "theta must be finite" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as err:  # every replacement stays in the region
-        main(["puncture", "--seq", "constant", "--v", "0,1", "--v0", "0,1",
-              "--n", "50", "--out", str(tmp_path / "p.csv")])
-    assert err.value.code == 2
-    assert "puncture unresolved" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:  # a zero direction has no unit vector
         main(["visible", "--x", "0,1", "--dir", "1,0", "--dir", "0,0", "--Tmax", "50"])
     assert err.value.code == 2
@@ -441,6 +497,11 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (puncture + ["--v0", "0,x"], "--v0 0,x, ", "could not convert string to float"),
             (puncture + ["--m-lo", "5", "--m-hi", "2"], "--m-lo 5, --m-hi 2, ",
              "the schedule holds no annulus"),
+            # every replacement stays in the region
+            (["puncture", "--seq", "constant", "--v", "1,0", "--v0", "1,0", "--delta", "0.5",
+              "--n", "100", "--out", str(tmp_path / "p.csv")],
+             "--schedule geometric with --v0 1,0, --delta 0.5, ",
+             "puncture unresolved for n=1: no replacement within 100000 indices"),
             (["defvisi", "--eps", "nan"], "--eps nan is not finite and positive"),
             (["defvisi", "--h-cap", "0"], "--x-grid 1 is not below --h-cap 0"),
             (["defvisi", "--x-grid", "inf"], "--x-grid inf is not finite"),

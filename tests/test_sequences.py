@@ -13,7 +13,6 @@ from spiralvis import (
     GOLDEN_RATIO,
     SequenceSpec,
     direction_batch,
-    sequence_term,
     triangular_decompose,
     unit_vector,
 )
@@ -68,13 +67,13 @@ def test_triangular_bracket(n, k, step):
 
 
 def test_ladder_terms(ladder):
-    assert np.allclose(sequence_term(ladder, 1), [1.0, 0.0], atol=1e-15)
+    assert np.allclose(direction_batch(ladder, [1]), [[1.0, 0.0]], atol=1e-15)
     # n=4 -> k=2, p=1 -> angle pi
-    assert np.allclose(sequence_term(ladder, 4), [-1.0, 0.0], atol=1e-12)
+    assert np.allclose(direction_batch(ladder, [4]), [[-1.0, 0.0]], atol=1e-12)
 
 
 def test_golden_angle_first_term(golden):
-    u = sequence_term(golden, 1)
+    u = direction_batch(golden, [1])[0]
     angle = math.atan2(u[1], u[0]) % TWO_PI
     assert angle == pytest.approx(TWO_PI * (GOLDEN_RATIO - 1.0), abs=1e-9)
 
@@ -199,9 +198,9 @@ def test_file_sequence_round_trip(tmp_path):
     path = tmp_path / "seq.txt"
     save_sequence_file(path, pts)
     spec = SequenceSpec("file", d=1, path=str(path))
-    assert np.allclose(sequence_term(spec, 7), pts[6], atol=1e-12)
+    assert np.allclose(direction_batch(spec, [7]), pts[6:7], atol=1e-12)
     with pytest.raises(IndexError):
-        sequence_term(spec, 51)
+        direction_batch(spec, [51])
     loaded = load_sequence_file(path, 1)
     assert np.allclose(loaded, pts, atol=1e-12)
 
@@ -263,6 +262,6 @@ def test_spec_json_round_trip(tmp_path, golden, constant_seq):
 
 def test_indices_must_be_positive(golden):
     with pytest.raises(ValueError):
-        sequence_term(golden, 0)
+        direction_batch(golden, [0])
     with pytest.raises(ValueError):
         direction_batch(golden, np.array([3, -1]))

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import read_points_csv, write_points_csv
+from oracles import puncture_scan, read_points_csv, save_sequence_file, write_points_csv
 from spiralvis import (
     PunctureSpec,
     PunctureUnresolvedError,
@@ -14,14 +15,12 @@ from spiralvis import (
     annulus_index_range,
     count_in_ball,
     point_batch,
-    puncture_transform,
-    spiral_point,
 )
 from spiralvis import spirals
 from spiralvis.sequences import GOLDEN_RATIO, fractional_multiples
 from spiralvis.spirals import (
     iter_point_chunks,
-    puncture_batch,
+    puncture_blocks,
     radius_of_index,
     read_points_binary,
     write_point_blocks,
@@ -30,11 +29,10 @@ from spiralvis.spirals import (
 
 
 def test_spiral_point_examples(ladder, golden):
-    assert np.allclose(spiral_point(ladder, 1).coords, [1.0, 0.0], atol=1e-15)
-    assert np.allclose(spiral_point(ladder, 4).coords, [-2.0, 0.0], atol=1e-12)
-    p = spiral_point(golden, 100)
-    assert p.radius == pytest.approx(10.0, abs=1e-12)
-    angle = math.atan2(p.coords[1], p.coords[0]) % (2 * math.pi)
+    assert np.allclose(point_batch(ladder, [1, 4])[1], [[1.0, 0.0], [-2.0, 0.0]], atol=1e-12)
+    (radius,), (p,) = point_batch(golden, [100])
+    assert radius == pytest.approx(10.0, abs=1e-12)
+    angle = math.atan2(p[1], p[0]) % (2 * math.pi)
     want = 2 * math.pi * fractional_multiples(GOLDEN_RATIO, np.array([100]))[0]
     assert angle == pytest.approx(want, abs=1e-9)
 
@@ -164,35 +162,96 @@ def test_puncture_membership_geometry(ladder):
 
 def test_puncture_keeps_outside_points(ladder):
     ps = make_puncture(ladder)
-    pt = spiral_point(ladder, 1)  # (1, 0): far from the +y ray
-    assert puncture_transform(ps, 1).coords == pytest.approx(pt.coords)
+    (ns, coords), = puncture_blocks(ps, 1, 1)  # (1, 0): far from the +y ray
+    assert np.array_equal(coords, point_batch(ladder, ns)[1])
 
 
 def test_puncture_clears_region_up_to_1e6(ladder):
     ps = make_puncture(ladder)
-    ns, coords = puncture_batch(ps, 1, 10**6)
-    assert int(ps.in_region(coords).sum()) == 0
-    # redirected points keep their radius
-    radii = np.linalg.norm(coords, axis=1)
-    assert np.allclose(radii, radius_of_index(ns, 1), atol=1e-9)
+    for ns, coords in puncture_blocks(ps, 1, 10**6):
+        assert int(ps.in_region(coords).sum()) == 0
+        # redirected points keep their radius
+        radii = np.linalg.norm(coords, axis=1)
+        assert np.allclose(radii, radius_of_index(ns, 1), atol=1e-9)
 
 
 def test_puncture_agrees_on_annuli(ladder):
     ps = make_puncture(ladder)
-    ns, coords = puncture_batch(ps, 1, 10**5)
+    (ns, coords), = puncture_blocks(ps, 1, 10**5)
     base = point_batch(ladder, ns)[1]
     kept = ps.in_kept_annulus(np.linalg.norm(base, axis=1))
     assert kept.sum() > 0
     assert np.array_equal(coords[kept], base[kept])
 
 
+def scanned(ps, n_lo, n_hi):
+    """The oracle's points over [n_lo, n_hi], or the error it raises first."""
+    try:
+        return np.array([puncture_scan(ps, n) for n in range(n_lo, n_hi + 1)])
+    except PunctureUnresolvedError as exc:
+        return exc
+
+
+def streamed(ps, n_lo, n_hi):
+    """``puncture_blocks``' points over [n_lo, n_hi], or the error it raises."""
+    try:
+        return np.vstack([coords for _, coords in puncture_blocks(ps, n_lo, n_hi)])
+    except PunctureUnresolvedError as exc:
+        return exc
+
+
 def test_puncture_unresolved_error(monkeypatch):
     monkeypatch.setattr(spirals, "PUNCTURE_SCAN_CAP", 500)
     stuck = SequenceSpec("constant", d=1, v=np.array([0.0, 1.0]))
     ps = PunctureSpec.geometric(stuck, np.array([0.0, 1.0]), 0.5)
-    with pytest.raises(PunctureUnresolvedError) as err:
-        puncture_transform(ps, 2)
-    assert "n=2: no replacement within 500 indices" in str(err.value)
+    for n_lo in (1, 2):  # every index is in D, so the first one fails
+        got, want = streamed(ps, n_lo, 100), scanned(ps, n_lo, 100)
+        assert isinstance(got, PunctureUnresolvedError)
+        assert got.n == want.n == n_lo and str(got) == str(want)
+    assert str(got) == "puncture unresolved for n=2: no replacement within 500 indices"
+
+
+def test_puncture_error_is_a_value_error():
+    assert issubclass(PunctureUnresolvedError, ValueError)
+
+
+FILE_LENGTH = 2500
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["golden", "sqrt2", "ladder", "file"]),
+       v0_angle=st.floats(0.0, 2 * math.pi), delta=st.floats(0.05, 2.0),
+       n_lo=st.one_of(st.integers(1, FILE_LENGTH), st.integers(1, 10**6)),
+       count=st.integers(1, 1500), seed=st.integers(0, 2**32 - 1),
+       round_size=st.sampled_from([1, 7, 64, spirals.PUNCTURE_ROUND]))
+def test_puncture_blocks_match_the_scalar_scan(tmp_path_factory, kind, v0_angle, delta,
+                                               n_lo, count, seed, round_size):
+    v0 = np.array([math.cos(v0_angle), math.sin(v0_angle)])
+    if kind == "file":
+        # most directions within a few strip widths of v0, so that redirects
+        # read many candidates, and run into the file's end
+        rng = np.random.default_rng(seed)
+        near = v0_angle + rng.normal(0.0, 0.02, FILE_LENGTH)
+        angles = np.where(rng.random(FILE_LENGTH) < 0.8, near,
+                          rng.uniform(0.0, 2 * math.pi, FILE_LENGTH))
+        path = tmp_path_factory.mktemp("seq") / "dirs.txt"
+        save_sequence_file(path, np.column_stack([np.cos(angles), np.sin(angles)]))
+        base = SequenceSpec("file", path=str(path))
+        n_lo = min(n_lo, FILE_LENGTH)
+        n_hi = min(n_lo + count - 1, FILE_LENGTH)
+    else:
+        base = {"golden": SequenceSpec("golden-angle"),
+                "sqrt2": SequenceSpec("golden-angle", theta=math.sqrt(2.0)),
+                "ladder": SequenceSpec("rational-ladder")}[kind]
+        n_hi = n_lo + count - 1
+    ps = PunctureSpec.geometric(base, v0, delta)
+    with mock.patch.object(spirals, "PUNCTURE_ROUND", round_size):
+        got = streamed(ps, n_lo, n_hi)
+    want = scanned(ps, n_lo, n_hi)
+    if isinstance(want, PunctureUnresolvedError):
+        assert isinstance(got, PunctureUnresolvedError) and str(got) == str(want)
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_puncture_schedule_validation(ladder):

@@ -15,7 +15,6 @@ from spiralvis import (
     check_orchard,
     check_uniform_orchard,
     estimate_min_visibility,
-    spiral_point,
     visible_point_test,
 )
 from spiralvis.geometry import radial_hit_halfwidth, segment_distances
@@ -98,7 +97,7 @@ def test_orchard_witness_soundness(ladder):
     j = 3  # witnesses come ordered by direction index for a full pass
     alpha = j * TWO_PI / count
     v = np.array([math.cos(alpha), math.sin(alpha)])
-    p = spiral_point(ladder, w.n).coords
+    p = point_batch(ladder, [w.n])[1][0]
     assert np.linalg.norm(p - w.t * v) == pytest.approx(w.distance, abs=1e-9)
 
 
@@ -403,7 +402,7 @@ def test_monotonicity_in_eps_and_V(golden):
 
 
 def test_forest_line_through_point(golden):
-    p = spiral_point(golden, 7).coords
+    p = point_batch(golden, [7])[1][0]
     u = p / np.linalg.norm(p)
     w = np.array([-u[1], u[0]])
     line = LineParam(lam=float(np.linalg.norm(p)), v=u, w=w, t0=-5.0, t1=5.0)
@@ -506,7 +505,7 @@ def test_visible_ladder_strip_certified(ladder):
 
 
 def test_visible_excludes_the_query_point(golden):
-    p = spiral_point(golden, 5).coords
+    p = point_batch(golden, [5])[1][0]
     verdicts = visible_point_test(golden, p, np.array([[0.0, 1.0]]),
                                   eps_floor=1e-6, T_max=50.0)
     assert verdicts[0].min_distance > 0.0
