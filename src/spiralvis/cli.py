@@ -30,6 +30,7 @@ from .sphere import unit_vector
 from .spirals import (
     DEFAULT_BUDGET,
     PunctureSpec,
+    PunctureUnresolvedError,
     count_in_ball,
     iter_point_chunks,
     point_batch,
@@ -288,7 +289,10 @@ def _cmd_puncture(spec, ns):
             still_inside += int(pspec.in_region(coords).sum())
             yield idx, coords
 
-    written = _named(flags, _write_points, ns, spec.d, n_hi, counted())
+    try:
+        written = _write_points(ns, spec.d, n_hi, counted())
+    except PunctureUnresolvedError as exc:  # a --seq-file error names only the file
+        raise ValueError(f"{flags}: {exc}") from None
     return {**written, "redirected": moved,
             "remaining_in_region": still_inside}, still_inside > 0
 

@@ -229,7 +229,7 @@ def _one_direction_in_strip(path, count):
 def test_puncture_redirect_stops_at_the_file_end(tmp_path, capsys):
     seq = _one_direction_in_strip(tmp_path / "dirs.txt", 600)
     out = tmp_path / "p.csv"
-    # u_301 leaves the strip; the scan once read on to u_811 and failed
+    # u_301 leaves the strip, and no candidate past the last point is read
     code, text = run(capsys, "puncture", "--seq", "file", "--seq-file", seq, "--v0", "1,0",
                      "--delta", "0.5", "--n", "600", "--out", str(out))
     assert code == 0
@@ -479,6 +479,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
               str(tmp_path / "sphere.svg")], "planar only"),
             (["orchard", "--seq", "file", "--seq-file", str(three_cols), "--eps", "0.2",
               "--V", "2"], "expected 2 columns"),
+            # the file's own error, with no puncture flag before it
+            (["puncture", "--seq", "file", "--seq-file", str(three_cols), "--n", "2",
+              "--out", str(tmp_path / "p.csv")], f"error: {three_cols}: expected 2 columns"),
             (["puncture", "--v0", "0,1,0", "--n", "10", "--out", str(tmp_path / "v0.csv")],
              "v0 has 3 coordinates")):
         with pytest.raises(SystemExit) as err:

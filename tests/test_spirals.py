@@ -211,10 +211,6 @@ def test_puncture_unresolved_error(monkeypatch):
     assert str(got) == "puncture unresolved for n=2: no replacement within 500 indices"
 
 
-def test_puncture_error_is_a_value_error():
-    assert issubclass(PunctureUnresolvedError, ValueError)
-
-
 FILE_LENGTH = 2500
 
 
