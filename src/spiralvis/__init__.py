@@ -22,7 +22,6 @@ from .geometry import ray_to_ray_distance, segment_distances
 from .sequences import (
     GOLDEN_RATIO,
     SequenceSpec,
-    TriangularDecomposition,
     direction_batch,
     triangular_decompose,
 )

@@ -2,8 +2,9 @@
 
 Planar kinds: ``golden-angle`` (angle 2*pi*n*theta, default theta the golden
 ratio) and ``rational-ladder`` (angle 2*pi*p/k from the triangular
-decomposition n = k(k+1)/2 + p). For S^2 a block-structured spherical
-Fibonacci lattice stands in for explicit higher-dimensional constructions;
+decomposition n = k(k+1)/2 + p, which ``triangular_decompose`` reads exactly
+for every int64 index). For S^2 a block-structured spherical Fibonacci
+lattice stands in for explicit higher-dimensional constructions;
 ``constant`` is a negative control and ``file`` reads user-supplied points.
 """
 
@@ -26,37 +27,34 @@ TWO_PI = 2.0 * math.pi
 KINDS = ("golden-angle", "rational-ladder", "fibonacci-sphere", "constant", "file")
 
 
-@dataclass(frozen=True)
-class TriangularDecomposition:
-    """n = k(k+1)/2 + p with k >= 1 and 0 <= p <= k; unique."""
-
-    k: int
-    p: int
-
-
-def triangular_decompose(n: int) -> TriangularDecomposition:
-    """Unique (k, p) with n = k(k+1)/2 + p, 0 <= p <= k.
-
-    k(k+1)/2 <= n exactly when 2k+1 <= isqrt(8n+1), so the integer square
-    root gives k with no correction; never floating point.
-    """
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    k = (math.isqrt(8 * n + 1) - 1) // 2
-    return TriangularDecomposition(k=k, p=n - k * (k + 1) // 2)
+def shell_start(k):
+    """k(k+1)/2, the first index of the ladder's shell k, for a Python int
+    or an int64 array. The array product is taken in uint64, so it is exact
+    for every k < 2^32, which holds the shell of every int64 index."""
+    if isinstance(k, np.ndarray):
+        k = k.view(np.uint64)
+        return (k * (k + 1) >> np.uint64(1)).view(np.int64)
+    return k * (k + 1) // 2
 
 
-def triangular_decompose_batch(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (k, p) arrays for an int64 index array."""
-    ns = np.asarray(ns, dtype=np.int64)
-    if ns.size and ns.min() < 1:
+def triangular_decompose(n):
+    """The unique (k, p) with n = k(k+1)/2 + p, 0 <= p <= k, for a Python
+    int n >= 1 or an int64 array of them, exact for every n < 2^63. An int
+    takes the largest k with 2k+1 <= isqrt(8n+1). For an array, (sqrt(8n) -
+    1)/2 lies in (k - 1/2, k + 1), below k only at a shell's first index, so
+    its float floor is off by at most one, either way, and one
+    ``shell_start`` picks the way."""
+    if not isinstance(n, np.ndarray):
+        if n < 1:
+            raise ValueError(f"index must be >= 1, got {n}")
+        k = (math.isqrt(8 * n + 1) - 1) // 2
+        return k, n - shell_start(k)
+    if n.size and n.min() < 1:
         raise ValueError("indices must be >= 1")
-    k = ((np.sqrt(8.0 * ns + 1.0) - 1.0) / 2.0).astype(np.int64)
-    # float sqrt can be off by one near triangular boundaries
-    k += (k + 1) * (k + 2) // 2 <= ns
-    k -= k * (k + 1) // 2 > ns
-    p = ns - k * (k + 1) // 2
-    return k, p
+    k = ((np.sqrt(8.0 * n) - 1.0) / 2.0).astype(np.int64)
+    start = shell_start(k)
+    k += (n - start > k).astype(np.int64) - (start > n)
+    return k, n - shell_start(k)
 
 
 def fractional_multiples(theta: float, ns: np.ndarray) -> np.ndarray:
@@ -124,10 +122,10 @@ def _fibonacci_sphere_block(ns: np.ndarray) -> np.ndarray:
     dyadic tail window contains one full lattice.
     """
     ns = np.asarray(ns, dtype=np.int64)
-    b = np.int64(np.floor(np.log2(ns)))
-    # guard against log2 rounding at exact powers of two
-    b += (np.int64(1) << (b + 1)) <= ns
-    b -= (np.int64(1) << b) > ns
+    b = np.floor(np.log2(ns)).astype(np.int64)
+    # the float log2 can round across a power of two; n >> b is 1 when b is right
+    lead = ns >> b
+    b += (lead > 1).astype(np.int64) - (lead == 0)
     size = np.int64(1) << b
     i = ns - size
     z = 1.0 - (2.0 * i + 1.0) / size
@@ -244,7 +242,7 @@ def angle_batch(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
     if spec.kind == "golden-angle":
         return TWO_PI * fractional_multiples(spec.theta, ns)
     if spec.kind == "rational-ladder":
-        k, p = triangular_decompose_batch(ns)
+        k, p = triangular_decompose(np.asarray(ns, dtype=np.int64))
         return TWO_PI * (p / k)
     u = direction_batch(spec, ns)
     return np.arctan2(u[:, 1], u[:, 0])

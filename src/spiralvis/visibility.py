@@ -80,6 +80,7 @@ from .sequences import (
     angle_batch,
     fractional_multiples,
     rotation_convergents,
+    shell_start,
     triangular_decompose,
 )
 from .sphere import DirectionNet, build_direction_net
@@ -709,14 +710,15 @@ def _shell_arcs(a, b, reach: float, pad, r1, r2):
     sub-segment: the angles [lo, hi] (radians) of its span so widened, and
     whether it exists. ``whole`` marks the shells to take whole: those the
     segment reaches with r1 - reach <= reach, where the angle bound fails,
-    and every shell of a segment of length 0.
+    and every shell of a segment below the float resolution of r2 + reach,
+    read as a point so that no division by its length overflows.
     """
     ab = b - a
     length_sq = np.einsum("ij,ij->i", ab, ab)
-    point = length_sq == 0.0
-    length_sq[point] = 1.0
     r_in = r1 - reach - pad
     r_out = r2 + reach + pad
+    point = length_sq <= (2.0**-52 * r_out) ** 2
+    length_sq[point] = 1.0
     # |a + s*ab|^2 = h^2 + |ab|^2 * (s - foot)^2
     foot = -np.einsum("ij,ij->i", a, ab) / length_sq
     h = np.abs(a[:, 0] * ab[:, 1] - a[:, 1] * ab[:, 0]) / np.sqrt(length_sq)
@@ -743,7 +745,7 @@ def _ladder_boxes(spec: SequenceSpec, k, i0, i1, a, b, reach: float, pad):
     of k(k+1)/2 + p, 0 <= p <= k, at angle 2*pi*p/k (p = k shares angle 0
     with p = 0). Each arc of ``_shell_arcs`` gives a p-interval mod k,
     padded by one step, and a p-interval holding p = 0 holds p = k too."""
-    base = k * (k + 1) // 2
+    base = shell_start(k)
     lo, hi, take, whole = _shell_arcs(a, b, reach, pad, np.sqrt(i0), np.sqrt(i1))
     row, ones = np.arange(len(k)), np.ones(len(k), dtype=np.int64)
     boxes = []
@@ -809,7 +811,7 @@ def _closed_form(spec: SequenceSpec, n_hi: int):
     if n_hi >= SHELL_LIMIT:
         return None
     if spec.kind == "rational-ladder":
-        return lambda n: triangular_decompose(n).k, lambda k: k * (k + 1) // 2, _ladder_boxes
+        return lambda n: triangular_decompose(n)[0], shell_start, _ladder_boxes
     if spec.kind == "golden-angle" and rotation_convergents(spec.theta) is not None:
         return math.isqrt, lambda s: s * s, _golden_boxes
     return None

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from spiralvis import spirals
-from spiralvis.sequences import direction_batch
+from spiralvis.sequences import GOLDEN_RATIO, TWO_PI, direction_batch
 from spiralvis.sphere import _sphere_area
 from spiralvis.spirals import PunctureUnresolvedError, point_batch
 
@@ -32,6 +32,27 @@ def star_discrepancy(values: np.ndarray) -> float:
     n = len(xs)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - xs), np.max(xs - (i - 1) / n)))
+
+
+def triangular_isqrt(n: int) -> tuple[int, int]:
+    """(k, p) with n = k(k+1)/2 + p, 0 <= p <= k, in Python ints: k(k+1)/2
+    <= n exactly when 2k+1 <= isqrt(8n+1)."""
+    if n < 1:
+        raise ValueError(f"index must be >= 1, got {n}")
+    k = (math.isqrt(8 * n + 1) - 1) // 2
+    return k, n - k * (k + 1) // 2
+
+
+def fibonacci_sphere_direction(n: int) -> np.ndarray:
+    """u_n of the blocked spherical Fibonacci lattice from Python ints: n in
+    [2^b, 2^(b+1)) is point i = n - 2^b of 2^b, at z = 1 - (2i+1)/2^b and
+    turn {i (phi - 1)} floored to 2^-53 (``fractional_multiples``)."""
+    b = n.bit_length() - 1
+    i = n - (1 << b)
+    z = 1.0 - (2 * i + 1) / (1 << b)
+    turn = math.floor(Fraction(GOLDEN_RATIO - 1.0) * i % 1 * 2**53) / 2**53
+    s = math.sqrt(max(0.0, 1.0 - z * z))
+    return np.array([s * math.cos(TWO_PI * turn), s * math.sin(TWO_PI * turn), z])
 
 
 def puncture_scan(pspec, n: int) -> np.ndarray:

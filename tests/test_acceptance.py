@@ -26,7 +26,7 @@ from oracles import calibrate_proximity_sandwich, growth_along_h, verify_proximi
 from spiralvis.cli import main as cli_main
 from spiralvis.covering import _net_covering_radius
 from spiralvis.geometry import segment_distances
-from spiralvis.sequences import triangular_decompose_batch
+from spiralvis.sequences import triangular_decompose
 from spiralvis.spirals import iter_point_chunks
 from spiralvis.visibility import _line_min_distance
 
@@ -84,7 +84,7 @@ def test_criterion_1(ladder):
 def test_criterion_2(ladder):
     best = math.inf
     for ns, radii, _ in iter_point_chunks(ladder, 1, 10**6):
-        k, p = triangular_decompose_batch(ns)
+        k, p = triangular_decompose(ns)
         keep = (p > 0) & (2 * p < k)  # exactly the points with y > 0
         y = radii[keep] * np.sin(2 * np.pi * p[keep] / k[keep])
         if len(y):

@@ -188,6 +188,27 @@ def test_golden_candidates_cover_every_point_within_reach(theta, a, step, reach,
         assert len(got) <= max(1000, (n_hi - n_lo + 1) // 20)
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["golden-angle", "rational-ladder"]),
+       a=st.tuples(COORD, COORD), scale=st.sampled_from([1.0, 2.0**-500, 2.0**-1000, 0.0]),
+       length=st.integers(-1074, -40).map(lambda e: 2.0**e),
+       angle=st.floats(0.0, 2.0 * math.pi),
+       reach=st.floats(math.log(0.05), math.log(5.0)).map(math.exp))
+@example(kind="golden-angle", a=(1.0, 0.0), scale=1.0, length=1e-160, angle=math.pi / 2,
+         reach=0.5)
+def test_candidates_cover_segments_of_subnormal_length(kind, a, scale, length, angle, reach):
+    """Segments far shorter than the float resolution of their radii, down
+    to subnormal lengths and squared lengths, near the origin and away from
+    it: the closed-form sources still yield every index within reach, and
+    no division by the length overflows."""
+    spec = SequenceSpec(kind)
+    ns = np.arange(1, GOLDEN_SIDE**2 + 1, dtype=np.int64)
+    _, coords = point_batch(spec, ns)
+    a = np.array(a) * scale
+    b = a + length * np.array([math.cos(angle), math.sin(angle)])
+    _assert_candidates_cover(spec, a, b, reach, 1, len(ns), ns, coords)
+
+
 @settings(max_examples=200, deadline=None)
 @given(theta=st.sampled_from([GOLDEN_RATIO, math.sqrt(2.0), 0.123456789, 0.11])
        | st.floats(2.0**-12, 1e6), m=st.integers(1, 10**12), b=st.integers(0, 2**62),
@@ -247,6 +268,35 @@ def test_batched_forest_matches_window_by_window(tmp_path, monkeypatch, threads,
         failures, witnesses, hits = _forest_by_windows(spec, eps, lines, budget)
         assert report.failures == failures and report.witnesses == witnesses
         assert report.witness_count == hits and 0 < hits < len(lines), spec.kind
+
+
+# 2^62 - 5 and the first index of ladder shell 3,037,000,499, the shell from
+# which on k(k+1) passes 2^63: the last shells the closed-form scans read
+# below SHELL_LIMIT
+LADDER_SHELL_START = 4_611_686_016_981_624_750
+
+
+@pytest.mark.parametrize("n", [2**62 - 5, LADDER_SHELL_START])
+@pytest.mark.parametrize("kind", ["golden-angle", "rational-ladder"])
+def test_closed_form_scans_reach_the_last_shells(kind, n):
+    """A forest window and a visible ray, the segment of length 2 up the
+    vertical through u_n sqrt(n), find n at distance 0: the smallest index
+    within eps = 1e-3, whose tube holds about 1e-3 points. A ladder shell's
+    first index shares its direction with the previous shell's p = k twin,
+    2.3e-10 nearer the origin, so there the twin comes first, at a distance
+    of float noise."""
+    spec = SequenceSpec(kind)
+    want = n - 1 if (kind, n) == ("rational-ladder", LADDER_SHELL_START) else n
+    _, (point,) = point_batch(spec, np.array([n], dtype=np.int64))
+    budget = visibility.SHELL_LIMIT - 1
+    line = LineParam(lam=abs(point[0]), v=np.array([math.copysign(1.0, point[0]), 0.0]),
+                     w=np.array([0.0, 1.0]), t0=point[1] - 1.0, t1=point[1] + 1.0)
+    report = check_dense_forest(spec, 1e-3, 2.0, [line], index_budget=budget)
+    (ray,) = visible_point_test(spec, point - [0.0, 1.0], [[0.0, 1.0]], 1e-3, 2.0,
+                                index_budget=budget)
+    for hit in (*report.witnesses, ray.witness):
+        assert hit.n == want and hit.distance <= 1e-9
+    assert len(report.witnesses) == 1
 
 
 def test_forest_errors_name_their_window(golden):

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import save_sequence_file, star_discrepancy
+from oracles import (
+    fibonacci_sphere_direction,
+    save_sequence_file,
+    star_discrepancy,
+    triangular_isqrt,
+)
 from spiralvis import (
     GOLDEN_RATIO,
     SequenceSpec,
@@ -21,7 +26,7 @@ from spiralvis.sequences import (
     convergents,
     fractional_multiples,
     load_sequence_file,
-    triangular_decompose_batch,
+    shell_start,
 )
 
 TWO_PI = 2 * math.pi
@@ -30,40 +35,51 @@ TWO_PI = 2 * math.pi
 @pytest.mark.parametrize("n,k,p", [(1, 1, 0), (10, 4, 0), (12, 4, 2), (2, 1, 1),
                                    (3, 2, 0), (5, 2, 2), (6, 3, 0)])
 def test_triangular_examples(n, k, p):
-    got = triangular_decompose(n)
-    assert (got.k, got.p) == (k, p)
-    assert got.k * (got.k + 1) // 2 + got.p == n
+    assert triangular_decompose(n) == (k, p)
+    ks, ps = triangular_decompose(np.array([n], dtype=np.int64))
+    assert (ks.tolist(), ps.tolist()) == ([k], [p])
+    assert shell_start(k) + p == n
 
 
 def test_triangular_rejects_nonpositive():
     with pytest.raises(ValueError):
         triangular_decompose(0)
+    with pytest.raises(ValueError):
+        triangular_decompose(np.array([3, 0], dtype=np.int64))
 
 
 def test_triangular_round_trip_to_1e7():
     ns = np.arange(1, 10**7 + 1, dtype=np.int64)
-    k, p = triangular_decompose_batch(ns)
-    assert np.all(k * (k + 1) // 2 + p == ns)
+    k, p = triangular_decompose(ns)
+    assert np.all(shell_start(k) + p == ns)
     assert np.all(p >= 0)
     assert np.all(p <= k)
     assert np.all(k >= 1)
 
 
+INT64_MAX = 2**63 - 1
+
+
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 2**53), k=st.integers(1, 2**31 - 1), step=st.integers(-1, 1))
+@given(n=st.integers(1, INT64_MAX), k=st.integers(1, 2**32 - 1),
+       step=st.sampled_from([-1, 0, 1, "k", "k+1"]))
+@example(n=INT64_MAX, k=2**32 - 1, step=0)
+@example(n=2**62 - 5, k=3_037_000_499, step=-1)
 @example(n=2**53, k=2**27, step=-1)
 @example(n=1, k=1, step=-1)
 def test_triangular_bracket(n, k, step):
-    """Both forms give the k with k(k+1)/2 <= n < (k+1)(k+2)/2 and p = n -
-    k(k+1)/2, for any n in [1, 2^53] and next to the triangular numbers up to
-    k = 2^31: at k(k+1)/2 - 1 for most k from 2^27 on, the batch form's float
-    square root is one too large, and its correction takes it back."""
-    ns = [n, max(1, k * (k + 1) // 2 + step)]
-    ks, ps = triangular_decompose_batch(np.array(ns, dtype=np.int64))
-    for m, k_batch, p_batch in zip(ns, ks.tolist(), ps.tolist()):
-        got = triangular_decompose(m)
-        assert got.k * (got.k + 1) // 2 <= m < (got.k + 1) * (got.k + 2) // 2
-        assert (got.k, got.p) == (k_batch, p_batch) == (got.k, m - got.k * (got.k + 1) // 2)
+    """Both forms, the Python int's and the int64 array's, give the isqrt
+    reference's (k, p) for any index n in [1, 2^63 - 1] and next to the
+    triangular numbers up to k = 2^32 - 1, the last shell an int64 index
+    reaches: at k(k+1)/2 - 1, k(k+1)/2, k(k+1)/2 + 1 and the shell's last
+    two indices. There the array form's float root is one off either way,
+    and k(k+1) passes 2^63 from k = 3,037,000,499 on."""
+    step = {"k": k, "k+1": k + 1}.get(step, step)
+    ns = [n, min(INT64_MAX, max(1, k * (k + 1) // 2 + step))]
+    ks, ps = triangular_decompose(np.array(ns, dtype=np.int64))
+    assert list(zip(ks.tolist(), ps.tolist())) == [triangular_isqrt(m) for m in ns]
+    assert [triangular_decompose(m) for m in ns] == [triangular_isqrt(m) for m in ns]
+    assert np.array_equal(shell_start(ks), [shell_start(j) for j in ks.tolist()])
 
 
 def test_ladder_terms(ladder):
@@ -180,6 +196,21 @@ def test_kind_dimension_validation():
         SequenceSpec("file", d=1)  # needs path
     with pytest.raises(ValueError):
         SequenceSpec("spiral-of-doom", d=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2**53, INT64_MAX))
+@example(n=2**62 - 1)
+@example(n=2**62)
+@example(n=2**62 + 5)
+@example(n=INT64_MAX)
+def test_fibonacci_sphere_matches_int_formula(n):
+    """The block of n is its bit length less one for every int64 index: the
+    float log2 rounds up to the next power of two below it, and no shift
+    passes bit 62."""
+    spec = SequenceSpec("fibonacci-sphere", d=2)
+    got = direction_batch(spec, np.array([n], dtype=np.int64))[0]
+    assert np.allclose(got, fibonacci_sphere_direction(n), rtol=0.0, atol=1e-12)
 
 
 def test_fibonacci_sphere_blocks(fib_sphere):
