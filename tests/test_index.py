@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import save_sequence_file
+from oracles import save_sequence_file, triangular_isqrt
 
 from spiralvis import (
     GOLDEN_RATIO,
@@ -279,15 +279,20 @@ LADDER_SHELL_START = 4_611_686_016_981_624_750
 @pytest.mark.parametrize("n", [2**62 - 5, LADDER_SHELL_START])
 @pytest.mark.parametrize("kind", ["golden-angle", "rational-ladder"])
 def test_closed_form_scans_reach_the_last_shells(kind, n):
-    """A forest window and a visible ray, the segment of length 2 up the
-    vertical through u_n sqrt(n), find n at distance 0: the smallest index
-    within eps = 1e-3, whose tube holds about 1e-3 points. A ladder shell's
-    first index shares its direction with the previous shell's p = k twin,
-    2.3e-10 nearer the origin, so there the twin comes first, at a distance
-    of float noise."""
+    """The ladder's point u_n sqrt(n) is the Python-int formula's, and a
+    forest window and a visible ray, the segment of length 2 up the vertical
+    through it, find n at distance 0: the smallest index within eps = 1e-3,
+    whose tube holds about 1e-3 points. A ladder shell's first index shares
+    its direction with the previous shell's p = k twin, 2.3e-10 nearer the
+    origin, so there the twin comes first, at a distance of float noise."""
     spec = SequenceSpec(kind)
     want = n - 1 if (kind, n) == ("rational-ladder", LADDER_SHELL_START) else n
     _, (point,) = point_batch(spec, np.array([n], dtype=np.int64))
+    if kind == "rational-ladder":  # the point from Python ints
+        k, p = triangular_isqrt(n)
+        turn = 2.0 * math.pi * (p / k)
+        assert np.allclose(point, math.sqrt(n) * np.array([math.cos(turn), math.sin(turn)]),
+                           rtol=1e-12, atol=0.0)
     budget = visibility.SHELL_LIMIT - 1
     line = LineParam(lam=abs(point[0]), v=np.array([math.copysign(1.0, point[0]), 0.0]),
                      w=np.array([0.0, 1.0]), t0=point[1] - 1.0, t1=point[1] + 1.0)
