@@ -50,20 +50,21 @@ closed-form candidates, O(shells) work instead of O(points): per shell and
 per sub-segment of the segment inside it (``_shell_arcs``), the rational
 ladder's shell k, at angles 2*pi*p/k, gives a p-interval, and the golden
 angle's shell [s^2, s^2 + 2s], read through a convergent p/q of theta
-(``rotation_convergents``), gives intervals of j*p mod q. The golden source
-needs alpha = {theta} * 2^64 to be an integer, as every theta >= 2^-12
-has; any other kind or theta reads the annulus whole, starting with a small
-block. One exact filter (``geometry.segment_distances``) and one query
-(``_first_hit``) serve the rays and ``_line_min_distance``: the smallest
-index within eps, else the exact minimum over the range, for which D grows
-until a candidate lies within it. ``check_dense_forest`` draws the
-closed-form candidates of all its windows in one pass (``_forest_hits``), one
-pass per thread, and sends only the windows with no point within eps through
-``_line_min_distance(spec, a, b, eps, index_budget, best, n_range)``, which
-reads the range the check computed and widens D from ``best``, the nearest
-candidate that pass read. A forest window's range is its eps-widened annulus;
-a ray's is [1, budget], and its eps is just below eps_floor.
-"""
+(``rotation_convergents``), gives intervals of j*p mod q. Both read every
+int64 index. The golden source needs alpha = {theta} * 2^64 to be an
+integer, as every theta >= 2^-12 has; any other kind or theta reads the
+annulus whole, starting with a small block. One exact filter
+(``geometry.segment_distances``) and one query (``_first_hit``) serve the
+rays and ``_line_min_distance``: the smallest index within eps, else the
+exact minimum over the range, for which D grows until a candidate lies
+within it. ``check_dense_forest`` draws the closed-form candidates of all
+its windows in one pass (``_forest_hits``), one pass per thread, and sends
+only the windows with no point within eps through
+``_line_min_distance(spec, a, b, eps, best, n_range)``, which reads the
+range the check computed and widens D from ``best``, the nearest candidate
+that pass read. A forest window's range is its eps-widened annulus, clipped
+by the budget where the check forms it; a ray's is [1, budget], and its eps
+is just below eps_floor. No range may reach past 2^63 - 1."""
 
 from __future__ import annotations
 
@@ -126,7 +127,7 @@ class HitWitness:
 
 @dataclass(frozen=True)
 class LineParam:
-    """Line {lam*v + t*w}, v orthogonal to w, restricted to t in [t0, t1]."""
+    """Line {lam*v + t*w}, v and w orthonormal, restricted to t in [t0, t1]."""
 
     lam: float
     v: np.ndarray
@@ -140,6 +141,8 @@ class LineParam:
                 raise ValueError(f"line {name} must be finite, got {getattr(self, name)}")
         if self.lam < 0:
             raise ValueError("line offset lam must be nonnegative")
+        if not all(abs(np.linalg.norm(u) - 1.0) <= 1e-10 for u in (self.v, self.w)):
+            raise ValueError(f"v and w must be unit vectors, got {self.v} and {self.w}")
         if abs(float(np.dot(self.v, self.w))) > 1e-10:
             raise ValueError("v and w must be orthogonal")
         if not self.t1 > self.t0:
@@ -310,13 +313,13 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
                  index_budget: int):
     """(n_lo, n_hi, arcs): the window split at the origin, its t < 0 half as
     [max(-t_hi, 0), -t_lo] along -c (flip pi); the halves' index range (their
-    annuli widened by eps, budget-clipped) and (flip, reach(ns, radii)) each."""
+    annuli widened by eps, through ``_require_in_budget``) and (flip,
+    reach(ns, radii)) each."""
     ranges, arcs = [], []
     halves = [(0.0, max(t_lo, 0.0), t_hi)] if t_hi >= 0 else []
     halves += [(math.pi, max(-t_hi, 0.0), -t_lo)] if t_lo < 0 else []
     for flip, lo, hi in halves:
-        n_lo, n_hi = annulus_index_range(max(0.0, lo - eps), hi + eps + 1e-12, spec.d)
-        ranges.append((n_lo, min(n_hi, index_budget)))
+        ranges.append(annulus_index_range(max(0.0, lo - eps), hi + eps + 1e-12, spec.d))
 
         def reach(ns, radii, lo=lo, hi=hi, r=ranges[-1]):  # ns sorted
             out = np.full(len(ns), -1.0)
@@ -325,7 +328,8 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
             return out
 
         arcs.append((flip, reach))
-    return min(r[0] for r in ranges), max(r[1] for r in ranges), arcs
+    return (*_require_in_budget(min(r[0] for r in ranges), max(r[1] for r in ranges),
+                                index_budget, f"the window [{t_lo!r}, {t_hi!r}]"), arcs)
 
 
 def _certificate_arcs(spec: SequenceSpec, eps: float, V: float, index_budget: int):
@@ -595,24 +599,18 @@ def _net_check(spec: SequenceSpec, net: DirectionNet, n_lo: int, n_hi: int, arcs
     return _directional_window_check(spec, net.centers, n_lo, n_hi, arcs, t_lo, t_hi)
 
 
-def _require_in_budget(n_lo: int, n_hi: int, index_budget: int, window: str) -> None:
-    """Reject a window whose eps-widened annulus holds indices [n_lo, n_hi]
-    that all exceed the budget: no point of it would be read, so its
-    failures would come from the budget, not from the points."""
+def _require_in_budget(n_lo: int, n_hi: int, index_budget: int, window: str):
+    """The indices of a window's eps-widened annulus [n_lo, n_hi] within the
+    budget. A window wholly past it is rejected (no point of it would be
+    read, so its failures would come from the budget, not from the points),
+    and so is one whose range reaches past 2^63 - 1."""
     if n_hi >= n_lo > index_budget:
         raise ValueError(f"{window} lies wholly past the index budget {index_budget}: "
                          "every index of its eps-widened annulus exceeds it")
-
-
-def _budget_window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
-                        index_budget: int):
-    """``_window_arcs`` of a check's window, which ``_require_in_budget``
-    rejects when the budget clips every index of it."""
-    window = _window_arcs(spec, t_lo, t_hi, eps, index_budget)
-    if window[0] > index_budget:
-        n_lo, n_hi, _ = _window_arcs(spec, t_lo, t_hi, eps, math.inf)
-        _require_in_budget(n_lo, n_hi, index_budget, f"the window [{t_lo!r}, {t_hi!r}]")
-    return window
+    n_hi = min(n_hi, index_budget)
+    if max(n_lo, n_hi) > MISS:
+        raise ValueError(f"{window} reaches index {max(n_lo, n_hi)}, past 2^63 - 1")
+    return n_lo, n_hi
 
 
 def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
@@ -628,7 +626,7 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
     net = _require_net(spec, eps, V_value, None)
     if method == "direct":
         constants = {}
-        window = _budget_window_arcs(spec, 0.0, V_value, eps, index_budget)
+        window = _window_arcs(spec, 0.0, V_value, eps, index_budget)
     elif method == "certificate":
         constants = {"K": K_CERT, "kappa": KAPPA_CERT}
         window = _certificate_arcs(spec, eps, V_value, index_budget)
@@ -664,7 +662,7 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
     per_t0 = {}
     for t0 in t0_list:
         failures, witnesses, hits = _net_check(
-            spec, net, *_budget_window_arcs(spec, t0, t0 + V_value, eps, index_budget),
+            spec, net, *_window_arcs(spec, t0, t0 + V_value, eps, index_budget),
             t0, t0 + V_value)
         all_failures.append(failures)
         all_witnesses.extend(witnesses[:10])
@@ -709,19 +707,21 @@ def _shell_arcs(a, b, reach: float, pad, r1, r2):
     reach)) of theirs. ``lo``, ``hi`` and ``take`` hold one array per
     sub-segment: the angles [lo, hi] (radians) of its span so widened, and
     whether it exists. ``whole`` marks the shells to take whole: those the
-    segment reaches with r1 - reach <= reach, where the angle bound fails,
-    and every shell of a segment below the float resolution of r2 + reach,
-    read as a point so that no division by its length overflows.
+    segment reaches with r1 - reach <= reach, where the angle bound fails.
+    A segment below the float resolution of r2 + reach is read as its end a,
+    its reach widened by its length, so that no division by it overflows.
     """
     ab = b - a
     length_sq = np.einsum("ij,ij->i", ab, ab)
+    point = length_sq <= (2.0**-52 * (r2 + reach + pad)) ** 2
+    reach = reach + point * np.hypot(ab[:, 0], ab[:, 1])
     r_in = r1 - reach - pad
     r_out = r2 + reach + pad
-    point = length_sq <= (2.0**-52 * r_out) ** 2
-    length_sq[point] = 1.0
-    # |a + s*ab|^2 = h^2 + |ab|^2 * (s - foot)^2
+    ab[point], length_sq[point] = 0.0, 1.0
+    # |a + s*ab|^2 = h^2 + |ab|^2 * (s - foot)^2, h = |a| for a point
     foot = -np.einsum("ij,ij->i", a, ab) / length_sq
-    h = np.abs(a[:, 0] * ab[:, 1] - a[:, 1] * ab[:, 0]) / np.sqrt(length_sq)
+    h = np.where(point, np.hypot(a[:, 0], a[:, 1]),
+                 np.abs(a[:, 0] * ab[:, 1] - a[:, 1] * ab[:, 0]) / np.sqrt(length_sq))
     s_out = np.sqrt(np.maximum(0.0, (r_out - h) * (r_out + h)) / length_sq)
     r_cut = np.maximum(r_in, 0.0)
     s_in = np.sqrt(np.maximum(0.0, (r_cut - h) * (r_cut + h)) / length_sq)
@@ -737,17 +737,20 @@ def _shell_arcs(a, b, reach: float, pad, r1, r2):
         lo.append(theta + np.minimum(turn, 0.0) - widen)
         hi.append(theta + np.maximum(turn, 0.0) + widen)
         take.append((s0 <= s1) & (r_out >= h))
-    return lo, hi, take, point | ((r_in <= reach) & (take[0] | take[1]))
+    take[1] &= ~point  # a point's one span is its first, when r_in <= |a| <= r_out
+    return lo, hi, take, (r_in <= reach) & (take[0] | take[1])
 
 
 def _ladder_boxes(spec: SequenceSpec, k, i0, i1, a, b, reach: float, pad):
     """Boxes (``_box_members``) of the ladder's shells k, indices [i0, i1]
     of k(k+1)/2 + p, 0 <= p <= k, at angle 2*pi*p/k (p = k shares angle 0
     with p = 0). Each arc of ``_shell_arcs`` gives a p-interval mod k,
-    padded by one step, and a p-interval holding p = 0 holds p = k too."""
+    padded by one step, and a p-interval holding p = 0 holds p = k too, when
+    i1 is that twin. No member past i1, or past int64, is formed."""
     base = shell_start(k)
     lo, hi, take, whole = _shell_arcs(a, b, reach, pad, np.sqrt(i0), np.sqrt(i1))
     row, ones = np.arange(len(k)), np.ones(len(k), dtype=np.int64)
+    limit = np.minimum(k, i1 - base + 1)
     boxes = []
     for arc in range(2):
         j_lo = np.ceil(lo[arc] * k / TWO_PI).astype(np.int64) - 1
@@ -756,9 +759,9 @@ def _ladder_boxes(spec: SequenceSpec, k, i0, i1, a, b, reach: float, pad):
         start = np.where(full, 0, j_lo % k)
         count = np.where(full, k, j_hi - j_lo + 1) * (whole | take[arc] if arc == 0
                                                       else take[arc] & ~whole)
-        boxes.append((row, base, start, count, ones, k, k))
-        twin = (count > 0) & ((start == 0) | (start + count > k))
-        boxes.append((row, base + k, 0 * ones, twin.astype(np.int64), ones, ones, ones))
+        boxes.append((row, base, start, count, ones, k, limit))
+        twin = (i1 - base == k) & (count > 0) & ((start == 0) | (start + count > k))
+        boxes.append((row, i1, 0 * ones, twin.astype(np.int64), ones, ones, ones))
     return boxes
 
 
@@ -798,22 +801,19 @@ def _golden_boxes(spec: SequenceSpec, s, i0, i1, a, b, reach: float, pad):
     return boxes
 
 
-SHELL_LIMIT = 1 << 62  # a shell's last index stays inside int64 below this
 MAX_PARTS = 1 << 6  # parts of one golden shell row, each with its own boxes
 ROWS_PER_PIECE = CHUNK // MAX_PARTS  # so the parts of a piece's rows number at most CHUNK
 
 
-def _closed_form(spec: SequenceSpec, n_hi: int):
-    """(shell of an index, first indices of shells, boxes) of the kinds whose
-    candidates come in closed form, for ranges below SHELL_LIMIT: the
-    ladder's shells k(k+1)/2 + [0, k], and the golden angle's [s^2, s^2 +
-    2s] when its alpha = {theta} * 2^64 is an integer; else None."""
-    if n_hi >= SHELL_LIMIT:
-        return None
+def _closed_form(spec: SequenceSpec):
+    """(shell of an index, a shell's first index, its span, boxes) of the
+    kinds whose candidates come in closed form: the ladder's shells
+    k(k+1)/2 + [0, k], and the golden angle's s^2 + [0, 2s] when its alpha =
+    {theta} * 2^64 is an integer; else None."""
     if spec.kind == "rational-ladder":
-        return lambda n: triangular_decompose(n)[0], shell_start, _ladder_boxes
+        return lambda n: triangular_decompose(n)[0], shell_start, lambda k: k, _ladder_boxes
     if spec.kind == "golden-angle" and rotation_convergents(spec.theta) is not None:
-        return math.isqrt, lambda s: s * s, _golden_boxes
+        return math.isqrt, lambda s: s * s, lambda s: 2 * s, _golden_boxes
     return None
 
 
@@ -852,8 +852,8 @@ def _candidate_groups(spec: SequenceSpec, shells, a, b, reach: float, pad, lo, h
     built ROWS_PER_PIECE at a time, and a group holds at most CHUNK
     candidates or one shell. A shell whose first index in range exceeds
     ``first_hit[w]`` is left out, so a window found to hit reads no later
-    shell."""
-    shell_of, first, boxes_of = shells
+    shell. A shell ends in range at min(first, hi - span) + span <= hi."""
+    shell_of, first, span, boxes_of = shells
     s_lo = np.array([shell_of(max(1, int(n))) for n in lo], dtype=np.int64)
     s_hi = np.array([shell_of(max(1, int(n))) for n in hi], dtype=np.int64)
     per = np.where(hi >= lo, s_hi - s_lo + 1, 0)
@@ -863,7 +863,7 @@ def _candidate_groups(spec: SequenceSpec, shells, a, b, reach: float, pad, lo, h
         win = np.searchsorted(ends, r, side="right")
         shell = s_lo[win] + r - (ends[win] - per[win])
         i0 = np.maximum(first(shell), lo[win])
-        i1 = np.minimum(first(shell + 1) - 1, hi[win])
+        i1 = np.minimum(first(shell), hi[win] - span(shell)) + span(shell)
         row, *box = map(np.concatenate, zip(*boxes_of(spec, shell, i0, i1, a[win], b[win],
                                                         reach, pad[win])))
         order = np.argsort(row, kind="stable")
@@ -895,19 +895,22 @@ def _segment_candidates(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
     (``_candidate_groups``), in two slices, the range's first FIRST_SHELLS
     shells and then the rest, so that a hit near the start reads few; any
     other kind reads them all, a first block of FIRST_BLOCK points, then
-    CHUNK blocks.
+    CHUNK blocks. A range reaching past 2^63 - 1 is rejected.
     """
     near, far = segment_norm_range(a, b)
     pad = 1e-9 * (1.0 + far)  # float slack on radii; the exact filter decides
     lo, hi = annulus_index_range(max(0.0, near - reach - pad), far + reach + pad, spec.d)
     lo, hi = max(lo, n_lo), min(hi, n_hi)
-    shells = _closed_form(spec, hi)
+    if hi > MISS:
+        raise ValueError(f"the segment from {a.tolist()} to {b.tolist()}, widened by "
+                         f"{reach!r}, reaches index {hi}, past 2^63 - 1")
+    shells = _closed_form(spec)
     if shells is None:
         if lo <= hi:
             yield from iter_point_chunks(spec, lo, min(hi, lo + FIRST_BLOCK - 1), FIRST_BLOCK)
             yield from iter_point_chunks(spec, lo + FIRST_BLOCK, hi)
         return
-    shell_of, first, _ = shells
+    shell_of, first, _, _ = shells
     split = min(hi, first(shell_of(lo) + FIRST_SHELLS) - 1)
     ends = np.array([a, b], dtype=np.float64)[:, None]
     for start, stop in ((lo, split), (split + 1, hi)):
@@ -939,12 +942,13 @@ def _closer(best, ns, dist, t):
     return (float(dist[j]), int(ns[j]), float(t[j])) if (dist[j], ns[j]) < best[:2] else best
 
 
-def _nearest(spec, a, b, reach, ranges, exclude, best):
+def _nearest(spec, a, b, eps, ranges, exclude, best):
     """(distance, n, t) of the point nearest the segment [a, b] among ``best``
     and the indices of ``ranges`` (inclusive (lo, hi) pairs), smallest index
-    on ties. The reach doubles until a candidate lies within it, so every
-    point at the minimum is a candidate, or until the source yields every
-    index."""
+    on ties. The reach starts at best's distance (2*eps for ``NO_POINT``) and
+    doubles until a candidate lies within it, so every point at the minimum
+    is a candidate, or until the source yields every index."""
+    reach = best[0] if best[0] < math.inf else 2.0 * eps
     ranges = [(lo, hi) for lo, hi in ranges if lo <= hi]
     size = sum(hi - lo + 1 for lo, hi in ranges)
     while True:
@@ -972,27 +976,23 @@ def _first_hit(spec, a, b, eps, n_lo, n_hi, exclude=None):
         seen += len(ns)
         read = (min(read[0], int(ns[0])), int(ns[-1]))
     if seen < n_hi - n_lo + 1:  # the source left out points farther than eps
-        # every point at the minimum lies within the best distance seen; when
-        # the blocks read one whole index range, only the rest is read again
-        reach = best[0] if best[0] < math.inf else 2.0 * eps
+        # when the blocks read one whole index range, only the rest is read again
         ranges = [(n_lo, read[0] - 1), (read[1] + 1, n_hi)] \
             if seen == read[1] - read[0] + 1 else [(n_lo, n_hi)]
-        best = _nearest(spec, a, b, reach, ranges, exclude, best)
+        best = _nearest(spec, a, b, eps, ranges, exclude, best)
     return best, False
 
 
 def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
-                       eps: float, index_budget: int, best, n_range):
+                       eps: float, best, n_range):
     """``_first_hit`` for a forest window over ``n_range``, the indices of
     its annulus widened by eps, up to the budget. Given ``best``, the nearest
     point (or ``NO_POINT``) of a pass over candidates that held every point
     within eps and found none, only the exact minimum is left: ``_nearest``
     from that distance; with ``best`` None the range is read from the start."""
-    n_lo, n_hi = n_range[0], min(n_range[1], index_budget)
     if best is None:
-        return _first_hit(spec, a, b, eps, n_lo, n_hi)
-    reach = best[0] if best[0] < math.inf else 2.0 * eps
-    return _nearest(spec, a, b, reach, [(n_lo, n_hi)], None, best), False
+        return _first_hit(spec, a, b, eps, *n_range)
+    return _nearest(spec, a, b, eps, [n_range], None, best), False
 
 
 def segment_norm_range(a, b) -> tuple[float, float]:
@@ -1020,7 +1020,7 @@ def _forest_hits(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, pad: np.ndarr
     its candidates with one ``point_batch`` and measures each window's own
     candidates with one ``segment_distances``, as ``_first_hit`` does. None
     for a kind with no closed form."""
-    shells = _closed_form(spec, int(hi.max(initial=0)))
+    shells = _closed_form(spec)
     if shells is None:
         return None
     first = np.full(len(lo), MISS, dtype=np.int64)
@@ -1038,12 +1038,12 @@ def _forest_hits(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, pad: np.ndarr
                 within = np.flatnonzero(dist <= eps)
                 if len(within):
                     j = within[np.argmin(part[c0:c1][within])]
-                    if part[c0 + j] < first[w]:
+                    if part[c0 + j] <= first[w]:  # MISS is itself an index
                         first[w] = part[c0 + j]
                         best[w] = (float(dist[j]), int(first[w]), float(t[j]))
                 elif first[w] == MISS:
                     best[w] = _closer(best[w], part[c0:c1], dist, t)
-    return [(found, n < MISS) for found, n in zip(best, first)]
+    return [(found, found[0] <= eps) for found in best]
 
 
 def random_lines(rng, count: int, V: float, lam_max: float = 100.0) -> list[LineParam]:
@@ -1064,9 +1064,10 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
     its witness is the smallest index within eps, and a window with none
     records its exact minimum distance (``_line_min_distance``).
 
-    Each window's norm and index ranges are computed once; a window whose
-    squared norms overflow raises ``ForestWindowError`` naming it, and one
-    wholly past the budget a ValueError. The windows are dealt out to one
+    Each window's norm and index range (``_require_in_budget``) are
+    computed once; a window whose squared norms overflow raises
+    ``ForestWindowError`` naming it, and one the budget rejects a
+    ValueError. The windows are dealt out to one
     group per thread (``parallel_map``). The hits of a group come from one
     pass over its windows' candidates (``_forest_hits``); a window it finds
     no point for goes through ``_line_min_distance`` from the nearest
@@ -1087,21 +1088,18 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
             raise ValueError("every line window must have length V")
     ranges = []
     for i, ((a, b), (near, far)) in enumerate(zip(ends, norms)):
-        ranges.append(annulus_index_range(max(0.0, near - eps), far + eps, spec.d))
-        _require_in_budget(*ranges[-1], index_budget,
-                           f"forest window {i}, from {a.tolist()} to {b.tolist()},")
+        ranges.append(_require_in_budget(
+            *annulus_index_range(max(0.0, near - eps), far + eps, spec.d), index_budget,
+            f"forest window {i}, from {a.tolist()} to {b.tolist()},"))
 
     def scan(group):
         scanned = _forest_hits(
             spec, *(np.array([ends[i][side] for i in group], dtype=np.float64)
                     for side in range(2)),
             np.array([1e-9 * (1.0 + norms[i][1]) for i in group]),
-            # clipped to int64 shells: a hit below is still the first
-            *np.array([(min(ranges[i][0], SHELL_LIMIT),
-                        min(ranges[i][1], index_budget, SHELL_LIMIT - 1)) for i in group],
-                      dtype=np.int64).T, eps)
+            *np.array([ranges[i] for i in group], dtype=np.int64).T, eps)
         return [(found, True) if hit else _line_min_distance(
-                    spec, *ends[i], eps, index_budget, best=found, n_range=ranges[i])
+                    spec, *ends[i], eps, best=found, n_range=ranges[i])
                 for i, (found, hit) in zip(group, scanned or [(None, False)] * len(group))]
 
     count = min(thread_count(), len(lines))
@@ -1161,7 +1159,7 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
     {x + t v : 0 <= t <= T_max}, x itself left out: the smallest index of
     [1, index_budget] at distance below eps_floor, else the exact minimum
     over that range, smallest index on ties. A semi-decision unless a proven
-    vacant region certifies the whole ray.
+    vacant region certifies the whole ray. Directions must be unit vectors.
     """
     if not 0 < eps_floor < math.inf:
         raise ValueError(f"eps_floor must be finite and positive, got {eps_floor}")
@@ -1171,6 +1169,8 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
     if not np.all(np.isfinite(x)):
         raise ValueError(f"ray origin must be finite, got {x}")
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    if not np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-10):
+        raise ValueError(f"ray directions must be unit vectors, got {directions.tolist()}")
     below = math.nextafter(eps_floor, 0.0)  # dist <= below iff dist < eps_floor
 
     def run(v):
@@ -1206,15 +1206,14 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
     write only the open cells they reach (``_mark_windows``), the open list
     settled again before each batch of marks at the radius of its first
     point, and the sweep stops when no cell is open; on any other net the
-    pairs of the cap sweep (``_band_pairs``) lower their unsettled centers. A window the
-    checks reject as wholly past the budget (``_budget_window_arcs``) is
-    rejected here too."""
+    pairs of the cap sweep (``_band_pairs``) lower their unsettled centers.
+    The window is rejected as the checks reject it (``_window_arcs``)."""
     best = np.full(len(net), math.inf)
 
     def still_open(c, r):
         return best[c] > (r - 3.0 * eps - t0 if r > 3.0 * eps - t0 else -math.inf)
 
-    n_lo, n_hi, arcs = _budget_window_arcs(spec, t0, t0 + V, eps, index_budget)
+    n_lo, n_hi, arcs = _window_arcs(spec, t0, t0 + V, eps, index_budget)
     if net.uniform_grid:
         open_ = np.arange(len(net))
 

@@ -168,8 +168,8 @@ def _assert_scan_matches_brute(spec, coords, a, b, eps):
     dist, t = segment_distances(coords[w_lo - 1:w_hi], a, b)
     inside = (ns >= n_lo) & (ns <= n_hi)
     assert not np.any(dist[~inside] <= eps)
-    (got_dist, got_n, got_t), hit = _line_min_distance(spec, a, b, eps, BUDGET, None,
-                                                       (n_lo, n_hi))
+    (got_dist, got_n, got_t), hit = _line_min_distance(spec, a, b, eps, None,
+                                                       (n_lo, min(n_hi, BUDGET)))
     brute_min = float(dist[inside].min()) if inside.any() else math.inf
     assert hit == (brute_min <= eps)
     if hit:

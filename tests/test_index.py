@@ -29,6 +29,7 @@ from spiralvis.sequences import rotation_convergents
 from spiralvis.sphere import unit_vector
 from spiralvis.spirals import CHUNK, iter_point_chunks
 from spiralvis import visibility
+from spiralvis.cli import main
 from spiralvis.visibility import (
     ForestWindowError,
     HitWitness,
@@ -41,16 +42,17 @@ from spiralvis.visibility import (
 )
 
 
-def _window_range(spec, a, b, eps):
+def _window_range(spec, a, b, eps, budget):
     """The indices the forest check reads for the window [a, b]: its annulus
-    widened by eps."""
+    widened by eps, up to the budget."""
     near, far = segment_norm_range(a, b)
-    return annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
+    n_lo, n_hi = annulus_index_range(max(0.0, near - eps), far + eps, spec.d)
+    return n_lo, min(n_hi, budget)
 
 
 def _assert_first_witness_matches_brute(spec, ns, coords, a, b, eps):
     (got_dist, got_n, got_t), hit = _line_min_distance(
-        spec, a, b, eps, len(ns), None, _window_range(spec, a, b, eps))
+        spec, a, b, eps, None, _window_range(spec, a, b, eps, len(ns)))
     dist, t = segment_distances(coords, a, b)
     want = np.flatnonzero(dist <= eps)
     assert hit == bool(len(want))
@@ -111,8 +113,8 @@ def test_ladder_segments_match_brute(ladder):
         dist, t = segment_distances(coords, a, b)
         inside = (ns >= n_lo) & (ns <= n_hi)
         assert not np.any(dist[~inside] <= eps)
-        (got_dist, got_n, got_t), hit = _line_min_distance(ladder, a, b, eps, len(ns),
-                                                           None, (n_lo, n_hi))
+        (got_dist, got_n, got_t), hit = _line_min_distance(ladder, a, b, eps, None,
+                                                           (n_lo, n_hi))
         want = np.flatnonzero(dist <= eps)
         assert hit == bool(len(want))
         j = int(want[0]) if hit else n_lo - 1 + int(np.argmin(dist[inside]))
@@ -231,7 +233,7 @@ def _forest_by_windows(spec, eps, lines, budget):
     """The forest check's failures, witnesses and hit count, window by
     window through ``_line_min_distance``."""
     ends = [(line.point(line.t0), line.point(line.t1)) for line in lines]
-    got = [_line_min_distance(spec, a, b, eps, budget, None, _window_range(spec, a, b, eps))
+    got = [_line_min_distance(spec, a, b, eps, None, _window_range(spec, a, b, eps, budget))
            for a, b in ends]
     failures = [{"line": i, "min_distance": dist}
                 for i, ((dist, _, _), hit) in enumerate(got) if not hit]
@@ -270,30 +272,35 @@ def test_batched_forest_matches_window_by_window(tmp_path, monkeypatch, threads,
         assert report.witness_count == hits and 0 < hits < len(lines), spec.kind
 
 
-# 2^62 - 5 and the first index of ladder shell 3,037,000,499, the shell from
-# which on k(k+1) passes 2^63: the last shells the closed-form scans read
-# below SHELL_LIMIT
+# the first index of ladder shell 3,037,000,499, from which on k(k+1)
+# passes 2^63, and those of the last shells, ladder 4,294,967,295 and golden
+# 3,037,000,499, which both end past 2^63 - 1
 LADDER_SHELL_START = 4_611_686_016_981_624_750
+LAST_LADDER_SHELL = 9_223_372_034_707_292_160
+LAST_GOLDEN_SHELL = 3_037_000_499**2
+TOP = 2**63 - 1  # the last int64 index
 
 
-@pytest.mark.parametrize("n", [2**62 - 5, LADDER_SHELL_START])
+@pytest.mark.parametrize("n", [2**62 - 5, 2**62, LADDER_SHELL_START, LAST_GOLDEN_SHELL,
+                               LAST_LADDER_SHELL, 2**63 - 6, 2**63 - 3, TOP])
 @pytest.mark.parametrize("kind", ["golden-angle", "rational-ladder"])
 def test_closed_form_scans_reach_the_last_shells(kind, n):
     """The ladder's point u_n sqrt(n) is the Python-int formula's, and a
     forest window and a visible ray, the segment of length 2 up the vertical
-    through it, find n at distance 0: the smallest index within eps = 1e-3,
-    whose tube holds about 1e-3 points. A ladder shell's first index shares
-    its direction with the previous shell's p = k twin, 2.3e-10 nearer the
-    origin, so there the twin comes first, at a distance of float noise."""
+    through it, find n at distance 0 within the budget 2^63 - 1: the
+    smallest index within eps = 1e-3, whose tube holds about 1e-3 points. A
+    ladder shell's first index shares its direction with the previous
+    shell's p = k twin, about 1e-10 nearer the origin, so there the twin
+    comes first, at a distance of float noise."""
     spec = SequenceSpec(kind)
-    want = n - 1 if (kind, n) == ("rational-ladder", LADDER_SHELL_START) else n
+    k, p = triangular_isqrt(n)
+    want = n - 1 if kind == "rational-ladder" and p == 0 else n
     _, (point,) = point_batch(spec, np.array([n], dtype=np.int64))
     if kind == "rational-ladder":  # the point from Python ints
-        k, p = triangular_isqrt(n)
         turn = 2.0 * math.pi * (p / k)
         assert np.allclose(point, math.sqrt(n) * np.array([math.cos(turn), math.sin(turn)]),
                            rtol=1e-12, atol=0.0)
-    budget = visibility.SHELL_LIMIT - 1
+    budget = TOP
     line = LineParam(lam=abs(point[0]), v=np.array([math.copysign(1.0, point[0]), 0.0]),
                      w=np.array([0.0, 1.0]), t0=point[1] - 1.0, t1=point[1] + 1.0)
     report = check_dense_forest(spec, 1e-3, 2.0, [line], index_budget=budget)
@@ -302,6 +309,99 @@ def test_closed_form_scans_reach_the_last_shells(kind, n):
     for hit in (*report.witnesses, ray.witness):
         assert hit.n == want and hit.distance <= 1e-9
     assert len(report.witnesses) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["golden-angle", "rational-ladder"]),
+       base=st.sampled_from([TOP + 1 - 2**20, LAST_LADDER_SHELL - 2**19,
+                             LAST_GOLDEN_SHELL - 2**19]),
+       start=st.integers(0, 2**20 - 1), size=st.integers(1, 2**20), near=st.integers(0),
+       offset=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       step=st.tuples(STEP, STEP),
+       reach=st.floats(math.log(0.05), math.log(5.0)).map(math.exp))
+@example(kind="rational-ladder", base=LAST_LADDER_SHELL - 2**19, start=2**19 - 3, size=7,
+         near=3, offset=(0.0, 0.5), step=(0.0, -1.0), reach=1.0)
+@example(kind="golden-angle", base=LAST_GOLDEN_SHELL - 2**19, start=2**19 - 3, size=7,
+         near=3, offset=(0.5, 0.0), step=(1.0, 1.0), reach=1.0)
+@example(kind="rational-ladder", base=TOP + 1 - 2**20, start=2**20 - 9, size=9, near=8,
+         offset=(0.0, 0.0), step=(-4.0, 0.5), reach=5.0)
+def test_closed_form_candidates_at_the_top_of_int64(kind, base, start, size, near, offset,
+                                                    step, reach):
+    """Ranges of up to 2^20 indices below 2^63 - 1 and around the first
+    indices of the last ladder and golden shells, which end past it: the
+    closed-form sources yield, in index order, every index within reach of a
+    segment near a point of the range, against the range's stored points."""
+    spec = SequenceSpec(kind)
+    n_lo = base + start
+    n_hi = min(base + 2**20 - 1, n_lo + size - 1)
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    _, coords = point_batch(spec, ns)
+    a = coords[near % len(ns)] + reach * np.array(offset)
+    b = a + np.array(step)
+    blocks = list(_segment_candidates(spec, a, b, reach, n_lo, n_hi))
+    got = np.concatenate([blk[0] for blk in blocks]) if blocks else ns[:0]
+    assert np.all(np.diff(got) > 0) and np.all((got >= n_lo) & (got <= n_hi))
+    for blk_ns, _, blk_coords in blocks:
+        assert np.array_equal(blk_coords, coords[blk_ns - n_lo])
+    dist, _ = segment_distances(coords, a, b)
+    assert np.all(np.isin(ns[dist <= reach], got))
+
+
+def test_scans_across_index_2_62(golden, ladder):
+    """A ray and a forest window whose ranges reach 2^62 and past it read
+    the same closed-form candidates as below it: the golden ray finds
+    n = 2^62 - 5 at distance 0, and the ladder's window in the vacant strip
+    misses with the minimum it has at budget 2^62 - 1. At 2^63 - 1 the
+    window reads the ladder's p = 0 points past 2^62, which lie on y = 0 up
+    to float noise."""
+    _, (p,) = point_batch(golden, np.array([2**62 - 5]))
+    line = LineParam.at_angle(1.0, math.pi / 2, -2.0**31 - 1.0, -2.0**31)
+    for budget, want in ((2**62 - 1, 1.055135715914776), (2**62, 1.055135715914776),
+                         (TOP, 0.9999998685045512)):
+        (ray,) = visible_point_test(golden, p - (1.0, 0.0), [(1.0, 0.0)], 0.5, 2.0,
+                                    index_budget=budget)
+        assert ray.witness == HitWitness(2**62 - 5, 1.0, 0.0)
+        report = check_dense_forest(ladder, 0.5, 1.0, [line], index_budget=budget)
+        assert report.failures == [{"line": 0, "min_distance": want}]
+
+
+def test_ranges_past_int64_are_refused(golden, capsys):
+    """With a budget above 2^63 - 1, a forest window or a ray whose range
+    reaches past it is refused, naming it, and the CLI exits 2; rays and
+    windows near the origin keep their verdicts."""
+    budget = 10**19
+    with pytest.raises(ValueError, match=r"forest window 0, .* reaches index \d+, past 2\^63"):
+        check_dense_forest(golden, 0.5, 1.0, [LineParam.at_angle(3.04e9, 0.0, 0.0, 1.0)],
+                           index_budget=budget)
+    with pytest.raises(ValueError, match=r"the segment from .* past 2\^63 - 1"):
+        visible_point_test(golden, (3.04e9, 0.0), [(0.0, 1.0)], 0.5, 1.0, index_budget=budget)
+    (ray,) = visible_point_test(golden, (0.3, 0.1), [(1.0, 0.0)], 0.01, 50.0,
+                                index_budget=budget)
+    assert ray.witness.n == 610
+    report = check_dense_forest(golden, 0.1, 5.0, [LineParam.at_angle(1.0, 0.0, 0.0, 5.0)],
+                                index_budget=budget)
+    assert report.passed
+    for argv in (["visible", "--x", "3040000000,0", "--dir", "0,1", "--Tmax", "1"],
+                 ["forest", "--line", "3040000000,0,0,1", "--eps", "0.5", "--V", "1"]):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--budget", str(budget)])
+        assert err.value.code == 2
+        assert "past 2^63 - 1" in capsys.readouterr().err
+
+
+def test_non_unit_directions_are_refused(constant_seq, golden):
+    """A ray direction or a window's v or w of norm other than 1 is
+    refused: the ray-to-ray bound assumes unit vectors (a direction (2, 0)
+    would certify a bound of sqrt(2) with a point at 1.0), and a window of
+    length V along a w of norm 3 would reach 3V."""
+    with pytest.raises(ValueError, match="ray directions must be unit vectors"):
+        visible_point_test(constant_seq, [0.0, 1.0], [[2.0, 0.0]], 1.2, 50.0)
+    (ray,) = visible_point_test(constant_seq, [0.0, 1.0], [[1.0, 0.0]], 1.2, 50.0)
+    assert ray.certificate["bound"] == 1.0 and not ray.certified
+    with pytest.raises(ValueError, match="v and w must be unit vectors"):
+        LineParam(lam=1.0, v=[2, 0], w=[0, 3], t0=0, t1=5)
+    with pytest.raises(ValueError, match="v and w must be unit vectors"):
+        LineParam(lam=1.0, v=np.array([1.0, 0.0]), w=np.array([0.0, 1.0 + 1e-9]), t0=0, t1=5)
 
 
 def test_forest_errors_name_their_window(golden):

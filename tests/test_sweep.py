@@ -80,14 +80,20 @@ def _recomputed(spec, witness, t_lo, t_hi):
     return t_out, d_out
 
 
-def _stamped_window(spec, K, t_lo, t_hi, eps, budget):
-    parts = []
+def _halves(spec, t_lo, t_hi, eps):
+    """(flip, lo, hi, n_lo, n_hi) per half of the window split at the origin:
+    [lo, hi] along c (flip 0) or -c (flip pi), and the indices of its
+    annulus widened by eps."""
     for flip, lo, hi in ((0.0, max(t_lo, 0.0), t_hi), (math.pi, max(-t_hi, 0.0), -t_lo)):
         if (flip == 0.0 and t_hi < 0) or (flip != 0.0 and t_lo >= 0):
             continue
-        n_lo, n_hi = annulus_index_range(max(0.0, lo - eps), hi + eps + 1e-12, spec.d)
-        parts.append((flip, n_lo, min(n_hi, budget),
-                      functools.partial(mask_halfwidth, t_lo=lo, t_hi=hi, eps=eps)))
+        yield (flip, lo, hi, *annulus_index_range(max(0.0, lo - eps), hi + eps + 1e-12, spec.d))
+
+
+def _stamped_window(spec, K, t_lo, t_hi, eps, budget):
+    parts = [(flip, n_lo, min(n_hi, budget),
+              functools.partial(mask_halfwidth, t_lo=lo, t_hi=hi, eps=eps))
+             for flip, lo, hi, n_lo, n_hi in _halves(spec, t_lo, t_hi, eps)]
     witness = _stamped(spec, K, parts)
     return (witness, *_recomputed(spec, witness, t_lo, t_hi))
 
@@ -126,8 +132,13 @@ def _small_chunks(points):
        points=st.sampled_from([None, 1, 50]))
 def test_window_sweep_matches_stamping(kind, K, eps, t0, V, budget, points):
     # windows behind, straddling and ahead of the origin; clipping budgets;
-    # blocks down to one point
+    # blocks down to one point. A window wholly past the budget is rejected.
     spec = SPECS[kind]
+    _, _, _, n_lo, n_hi = zip(*_halves(spec, t0, t0 + V, eps))
+    if max(n_hi) >= min(n_lo) > budget:
+        with pytest.raises(ValueError, match="lies wholly past the index budget"):
+            _window_arcs(spec, t0, t0 + V, eps, budget)
+        return
     window = _window_arcs(spec, t0, t0 + V, eps, budget)
     with _small_chunks(points):
         got = _circle_check(spec, K, *window, t0, t0 + V)
