@@ -8,8 +8,6 @@ windowed-covering criteria equivalent to them.
 __version__ = "0.1.0"
 
 from .covering import (
-    BudgetExceededError,
-    CoveringRadiusResult,
     CriterionTable,
     UniformCoveringEstimate,
     covering_radius,

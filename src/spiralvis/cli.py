@@ -32,14 +32,15 @@ from .spirals import (
     PunctureSpec,
     PunctureUnresolvedError,
     count_in_ball,
+    index_range,
     iter_point_chunks,
     point_batch,
     puncture_blocks,
     write_point_blocks,
 )
 from .visibility import (
-    ForestWindowError,
     LineParam,
+    RefusedSegmentError,
     check_dense_forest,
     check_orchard,
     check_uniform_orchard,
@@ -110,7 +111,7 @@ def _write_points(ns, d: int, n_hi: int, blocks) -> dict:
 
 
 def _cmd_generate(spec, ns):
-    n_hi = min(ns.n, ns.budget)
+    _, n_hi = index_range(1, ns.n, ns.budget, f"--n {ns.n}")
     blocks = ((idx, coords) for idx, _, coords in
               iter_point_chunks(spec, 1, n_hi, GENERATE_BLOCK))
     return _write_points(ns, spec.d, n_hi, blocks), False
@@ -119,7 +120,7 @@ def _cmd_generate(spec, ns):
 def _cmd_plot(spec, ns):
     _positive("--T", [ns.T])
     _positive("--marker", [ns.marker])
-    n_hi = min(count_in_ball(ns.T, spec.d), ns.budget)
+    _, n_hi = index_range(1, count_in_ball(ns.T, spec.d), ns.budget, f"--T {ns.T}")
     _, coords = point_batch(spec, np.arange(1, n_hi + 1, dtype=np.int64))
     strip = tuple(_floats(ns.strip)) if ns.strip else None
     rays, crosses = [], []
@@ -171,8 +172,8 @@ def _forest_check(spec, eps, V, ns):
     try:
         return check_dense_forest(spec, eps, V, [line for _, line in lines],
                                   index_budget=ns.budget)
-    except ForestWindowError as exc:  # the flags of the window it names
-        raise ValueError(f"{lines[exc.window][0]}: {exc}") from None
+    except RefusedSegmentError as exc:  # the flags of the window it names
+        raise ValueError(f"{lines[exc.position][0]}: {exc}") from None
 
 
 # subcommand -> check(spec, eps, V, ns) -> CheckReport
@@ -210,8 +211,11 @@ def _cmd_visible(spec, ns):
     for text, v in zip(ns.dir, dirs):  # each ray's check covers --x as well
         _named(f"--Tmax {ns.Tmax} from --x {ns.x} along --dir {text}", segment_norm_range,
                x, x + ns.Tmax * v)
-    verdicts = visible_point_test(spec, x, dirs, ns.eps_floor, ns.Tmax,
-                                  index_budget=ns.budget)
+    try:
+        verdicts = visible_point_test(spec, x, dirs, ns.eps_floor, ns.Tmax,
+                                      index_budget=ns.budget)
+    except RefusedSegmentError as exc:  # the flag of the ray it names
+        raise ValueError(f"--dir {ns.dir[exc.position]}: {exc}") from None
     # --assert fails when no direction is visible at this scale
     return {"verdicts": verdicts}, not any(v.visible_at_scale for v in verdicts)
 
@@ -274,7 +278,7 @@ def _cmd_delone(spec, ns):
 
 
 def _cmd_puncture(spec, ns):
-    n_hi = min(ns.n, ns.budget)
+    _, n_hi = index_range(1, ns.n, ns.budget, f"--n {ns.n}")
     flags = (f"--schedule {ns.schedule} with --v0 {ns.v0}, --delta {ns.delta}, "
              f"--m-lo {ns.m_lo}, --m-hi {ns.m_hi}, --strip-C {ns.strip_C}")
     # --v0 is parsed inside the call, so an error parsing it names the flags too

@@ -1,7 +1,9 @@
 """Covering radii of finite direction sets and the windowed covering criteria.
 
 Every quantity defined by an infinite sup is truncated to explicit grids; the
-grids travel with the result so finiteness claims stay scale-qualified.
+grids travel with the result so finiteness claims stay scale-qualified. A
+window meets the index budget only in ``_window_radius``; past it, the
+covering parameter refuses, the criterion skips a row, the curve drops an h.
 """
 
 from __future__ import annotations
@@ -19,21 +21,6 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_H_CAP = 512  # the default largest window scale h of the visibility curve
 
 
-class BudgetExceededError(ValueError):
-    """A window would touch sequence indices beyond the allowed budget."""
-
-
-@dataclass(frozen=True)
-class CoveringRadiusResult:
-    value: float
-    exact: bool
-    resolution: float
-
-    def __post_init__(self):
-        if self.exact and self.resolution != 0.0:
-            raise ValueError("exact results carry zero resolution")
-
-
 def _circular_covering_radius(points: np.ndarray) -> float:
     angles = np.sort(np.arctan2(points[:, 1], points[:, 0]) % TWO_PI)
     gaps = np.diff(angles)
@@ -42,17 +29,18 @@ def _circular_covering_radius(points: np.ndarray) -> float:
     return widest / 2.0
 
 
-def covering_radius(points, d: int, resolution: float | None = None) -> CoveringRadiusResult:
+def covering_radius(points, d: int, resolution: float | None = None) -> float:
     """Largest geodesic distance from any direction to the set.
 
     On the circle (d=1) this is half the largest gap, exact. On S^d, d >= 2,
-    it is ``_net_covering_radius``: a sup over a net of mesh ``resolution``.
+    it is ``_net_covering_radius``: a sup over a net of mesh ``resolution``,
+    so a lower bound within ``resolution`` of the true radius.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] == 0:
         raise ValueError("covering radius of an empty set is undefined")
     if d == 1:
-        return CoveringRadiusResult(_circular_covering_radius(pts), True, 0.0)
+        return _circular_covering_radius(pts)
     if resolution is None:
         raise ValueError(f"the covering radius on S^{d} needs a resolution")
     return _net_covering_radius(pts, d, resolution)
@@ -61,7 +49,7 @@ def covering_radius(points, d: int, resolution: float | None = None) -> Covering
 _DOTS_PER_PRODUCT = 1 << 22  # center-point dots per product of the S^d covering radius
 
 
-def _net_covering_radius(pts: np.ndarray, d: int, resolution: float) -> CoveringRadiusResult:
+def _net_covering_radius(pts: np.ndarray, d: int, resolution: float) -> float:
     """The sup over the net ``build_direction_net(d, resolution)`` of the
     distance to the set: below the true radius by at most the net's mesh.
     The centers go in blocks of ``_DOTS_PER_PRODUCT`` // len(pts) rows, so
@@ -73,15 +61,20 @@ def _net_covering_radius(pts: np.ndarray, d: int, resolution: float) -> Covering
     for lo in range(0, len(net.centers), step):
         dots = net.centers[lo:lo + step] @ pts.T
         value = max(value, float(np.arccos(np.clip(dots.max(axis=1), -1, 1)).max()))
-    return CoveringRadiusResult(value, False, net.mesh)
+    return value
 
 
-def _window_radius(spec: SequenceSpec, start: int, count: int,
-                   resolution: float | None) -> float:
-    if count < 1:
+def _window_radius(spec: SequenceSpec, start: int, size: float,
+                   resolution: float | None, index_budget: int) -> float | None:
+    """The covering radius of the window u_(start+1), ..., u_(start+int(size)):
+    inf when it is empty, None when it reads past ``index_budget`` (as a
+    ``size`` of inf does)."""
+    if size >= index_budget - start + 1:  # start + int(size) > budget, or size is inf
+        return None
+    if size < 1:
         return math.inf
-    pts = direction_batch(spec, np.arange(start + 1, start + count + 1, dtype=np.int64))
-    return covering_radius(pts, d=spec.d, resolution=resolution).value
+    pts = direction_batch(spec, np.arange(start + 1, start + int(size) + 1, dtype=np.int64))
+    return covering_radius(pts, d=spec.d, resolution=resolution)
 
 
 @dataclass
@@ -118,10 +111,10 @@ def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
     best, arg = -math.inf, (0, 0)
     for m in m_grid:
         for N in N_grid:
-            if C * N >= index_budget - m + 1:  # m + int(C*N) > budget, or C*N is inf
-                raise BudgetExceededError(
+            radius = _window_radius(spec, int(m), C * N, resolution, index_budget)
+            if radius is None:
+                raise ValueError(
                     f"window [{m + 1}, {m + C * N}] exceeds index budget {index_budget}")
-            radius = _window_radius(spec, int(m), int(C * N), resolution)
             scaled = N ** (1.0 / spec.d) * radius
             rows.append((int(m), int(N), radius, scaled))
             if scaled > best:
@@ -173,12 +166,11 @@ def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
             x = K * h**spec.d * W
             if not math.isfinite(x):
                 raise ValueError(f"eps {eps}, h-mult {mult}: window size past the float range")
-            start = h ** (spec.d + 1)
-            if x < 1 or x >= index_budget - start + 1:  # start + int(x) > budget
+            radius = _window_radius(spec, h ** (spec.d + 1), x, resolution, index_budget)
+            if radius is None or radius == math.inf:  # past the budget, or empty
                 rows.append({"eps": eps, "h": h, "x": x, "radius": None,
                              "value": None, "status": "skipped"})
                 continue
-            radius = _window_radius(spec, start, int(x), resolution)
             value = h / eps * radius
             rows.append({"eps": eps, "h": h, "x": x, "radius": radius,
                          "value": value, "status": "ok"})
@@ -222,11 +214,10 @@ def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
             h *= 2
         sup_val, sup_h = -math.inf, None
         for h in hs:
-            start = h ** (spec.d + 1)
-            size = h**spec.d * x
-            if size >= index_budget - start + 1:  # start + int(size) > budget
+            radius = _window_radius(spec, h ** (spec.d + 1), h**spec.d * x, resolution,
+                                    index_budget)
+            if radius is None:
                 continue
-            radius = _window_radius(spec, start, int(size), resolution)
             val = h * radius
             if val > sup_val:
                 sup_val, sup_h = val, h

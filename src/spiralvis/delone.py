@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .sequences import SequenceSpec, convergents
-from .spirals import DEFAULT_BUDGET, count_in_ball, iter_point_chunks
+from .spirals import DEFAULT_BUDGET, count_in_ball, index_range, iter_point_chunks
 
 
 def badness(theta, Q: int) -> float:
@@ -177,8 +177,8 @@ def delone_report(spec: SequenceSpec, T: float, probe_resolution: float,
         raise ValueError("probe resolution must be finite and positive, "
                          f"got {probe_resolution}")
     _probe_grid(T, probe_resolution, spec.d + 1)  # fails fast, before any point is read
-    coords = np.vstack([c for _, _, c in
-                        iter_point_chunks(spec, 1, min(count_in_ball(T, spec.d), index_budget))])
+    n_range = index_range(1, count_in_ball(T, spec.d), index_budget, f"the ball of radius {T!r}")
+    coords = np.vstack([c for _, _, c in iter_point_chunks(spec, *n_range)])
     return DeloneReport(T=float(T), packing=min_pairwise_distance(coords),
                         covering=covering_estimate(coords, T, probe_resolution),
                         probe_resolution=float(probe_resolution), n_points=len(coords))

@@ -90,6 +90,19 @@ def annulus_index_range(r: float, R: float, d: int) -> tuple[int, int]:
     return n_lo, n_hi
 
 
+def index_range(n_lo: int, n_hi: int, index_budget: int, what: str) -> tuple[int, int]:
+    """(n_lo, min(n_hi, index_budget)), the indices of [n_lo, n_hi] a scan
+    reads. A nonempty range wholly past the budget (whose verdict would come
+    from the budget, not the points) or past 2^63 - 1 is refused, naming ``what``."""
+    if n_hi >= n_lo > index_budget:
+        raise ValueError(f"{what} lies wholly past the index budget {index_budget}: "
+                         "every index of its eps-widened annulus exceeds it")
+    n_hi = min(n_hi, index_budget)
+    if max(n_lo, n_hi) >= 2**63:
+        raise ValueError(f"{what} reaches index {max(n_lo, n_hi)}, past 2^63 - 1")
+    return n_lo, n_hi
+
+
 def count_in_ball(T: float, d: int) -> int:
     """Exactly floor(T^(d+1)) spiral indices have radius <= T."""
     return annulus_index_range(0.0, T, d)[1]

@@ -63,8 +63,9 @@ only the windows with no point within eps through
 ``_line_min_distance(spec, a, b, eps, best, n_range)``, which reads the
 range the check computed and widens D from ``best``, the nearest candidate
 that pass read. A forest window's range is its eps-widened annulus, clipped
-by the budget where the check forms it; a ray's is [1, budget], and its eps
-is just below eps_floor. No range may reach past 2^63 - 1."""
+by the budget in ``spirals.index_range`` as every check's range is; a ray's
+is [1, budget], and its eps is just below eps_floor. No range may reach past
+2^63 - 1; a refused window or ray raises ``RefusedSegmentError``."""
 
 from __future__ import annotations
 
@@ -89,6 +90,7 @@ from .spirals import (
     CHUNK,
     DEFAULT_BUDGET,
     annulus_index_range,
+    index_range,
     iter_point_chunks,
     point_batch,
     radius_of_index,
@@ -313,7 +315,7 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
                  index_budget: int):
     """(n_lo, n_hi, arcs): the window split at the origin, its t < 0 half as
     [max(-t_hi, 0), -t_lo] along -c (flip pi); the halves' index range (their
-    annuli widened by eps, through ``_require_in_budget``) and (flip,
+    annuli widened by eps, through ``index_range``) and (flip,
     reach(ns, radii)) each."""
     ranges, arcs = [], []
     halves = [(0.0, max(t_lo, 0.0), t_hi)] if t_hi >= 0 else []
@@ -328,16 +330,17 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
             return out
 
         arcs.append((flip, reach))
-    return (*_require_in_budget(min(r[0] for r in ranges), max(r[1] for r in ranges),
-                                index_budget, f"the window [{t_lo!r}, {t_hi!r}]"), arcs)
+    return (*index_range(min(r[0] for r in ranges), max(r[1] for r in ranges),
+                         index_budget, f"the window [{t_lo!r}, {t_hi!r}]"), arcs)
 
 
 def _certificate_arcs(spec: SequenceSpec, eps: float, V: float, index_budget: int):
     """(1, n_cap, arcs) of the certificate route: each index n <= K*V^(d+1)
-    (budget-clipped) reaches the directions within min(kappa*eps/r, pi) of
-    its own, K = ``K_CERT`` and kappa = ``KAPPA_CERT``."""
-    n_cap = min(index_budget, math.ceil(K_CERT * V ** (spec.d + 1)))
-    return 1, n_cap, [(0.0, lambda ns, radii: np.minimum(KAPPA_CERT * eps / radii, math.pi))]
+    (through ``index_range``) reaches the directions within min(kappa*eps/r,
+    pi) of its own, K = ``K_CERT`` and kappa = ``KAPPA_CERT``."""
+    return (*index_range(1, math.ceil(K_CERT * V ** (spec.d + 1)), index_budget,
+                         f"the certificate range of V {V!r}"),
+            [(0.0, lambda ns, radii: np.minimum(KAPPA_CERT * eps / radii, math.pi))])
 
 
 def _arc_blocks(spec: SequenceSpec, n_lo: int, n_hi: int, arcs):
@@ -599,20 +602,6 @@ def _net_check(spec: SequenceSpec, net: DirectionNet, n_lo: int, n_hi: int, arcs
     return _directional_window_check(spec, net.centers, n_lo, n_hi, arcs, t_lo, t_hi)
 
 
-def _require_in_budget(n_lo: int, n_hi: int, index_budget: int, window: str):
-    """The indices of a window's eps-widened annulus [n_lo, n_hi] within the
-    budget. A window wholly past it is rejected (no point of it would be
-    read, so its failures would come from the budget, not from the points),
-    and so is one whose range reaches past 2^63 - 1."""
-    if n_hi >= n_lo > index_budget:
-        raise ValueError(f"{window} lies wholly past the index budget {index_budget}: "
-                         "every index of its eps-widened annulus exceeds it")
-    n_hi = min(n_hi, index_budget)
-    if max(n_lo, n_hi) > MISS:
-        raise ValueError(f"{window} reaches index {max(n_lo, n_hi)}, past 2^63 - 1")
-    return n_lo, n_hi
-
-
 def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
                   index_budget: int = DEFAULT_BUDGET,
                   method: str = "direct") -> CheckReport:
@@ -687,13 +676,22 @@ FIRST_BLOCK = 1 << 12
 FIRST_SHELLS = 1 << 6  # the closed-form scans' first slice, FIRST_BLOCK indices at the origin
 
 
-class ForestWindowError(ValueError):
-    """A forest window the checks cannot scan; ``window`` is its position in
-    the list of windows."""
+class RefusedSegmentError(ValueError):
+    """A forest window or a ray that the scans refuse; ``position`` is its
+    place in the list of windows or of directions."""
 
-    def __init__(self, window: int, message: str):
+    def __init__(self, position: int, message: str):
         super().__init__(message)
-        self.window = window
+        self.position = position
+
+
+def _at(position: int, call, *args):
+    """``call(*args)``; a ValueError it raises is raised again as a
+    ``RefusedSegmentError`` at ``position``."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise RefusedSegmentError(position, str(exc)) from None
 
 
 def _shell_arcs(a, b, reach: float, pad, r1, r2):
@@ -962,10 +960,10 @@ def _nearest(spec, a, b, eps, ranges, exclude, best):
         reach *= 2.0
 
 
-def _first_hit(spec, a, b, eps, n_lo, n_hi, exclude=None):
+def _first_hit(spec, a, b, eps, n_lo, n_hi, exclude):
     """((distance, n, t), hit): the smallest index of [n_lo, n_hi] within eps
     of the segment [a, b], else the exact minimum over the range, smallest
-    index on ties; a point at ``exclude`` is left out."""
+    index on ties; a point at ``exclude`` (if not None) is left out."""
     best, seen, read = NO_POINT, 0, (n_hi + 1, n_hi)
     for ns, dist, t in _candidate_distances(spec, a, b, eps, n_lo, n_hi, exclude):
         hits = np.flatnonzero(dist <= eps)
@@ -991,7 +989,7 @@ def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
     within eps and found none, only the exact minimum is left: ``_nearest``
     from that distance; with ``best`` None the range is read from the start."""
     if best is None:
-        return _first_hit(spec, a, b, eps, *n_range)
+        return _first_hit(spec, a, b, eps, *n_range, None)
     return _nearest(spec, a, b, eps, [n_range], None, best), False
 
 
@@ -1064,10 +1062,10 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
     its witness is the smallest index within eps, and a window with none
     records its exact minimum distance (``_line_min_distance``).
 
-    Each window's norm and index range (``_require_in_budget``) are
-    computed once; a window whose squared norms overflow raises
-    ``ForestWindowError`` naming it, and one the budget rejects a
-    ValueError. The windows are dealt out to one
+    Each window's norm and index range (``index_range``) are computed
+    once; a window whose squared norms overflow, or whose range is refused,
+    raises ``RefusedSegmentError`` naming it, every norm before any range.
+    The windows are dealt out to one
     group per thread (``parallel_map``). The hits of a group come from one
     pass over its windows' candidates (``_forest_hits``); a window it finds
     no point for goes through ``_line_min_distance`` from the nearest
@@ -1075,22 +1073,15 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
     candidates from the start.
     """
     ends = [(line.point(line.t0), line.point(line.t1)) for line in lines]
-    norms = []
-    for i, (a, b) in enumerate(ends):
-        try:
-            norms.append(segment_norm_range(a, b))
-        except ValueError as exc:
-            raise ForestWindowError(i, str(exc)) from None
+    norms = [_at(i, segment_norm_range, a, b) for i, (a, b) in enumerate(ends)]
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     for line in lines:
         if abs(line.length - V_value) > 1e-9 * max(1.0, V_value):
             raise ValueError("every line window must have length V")
-    ranges = []
-    for i, ((a, b), (near, far)) in enumerate(zip(ends, norms)):
-        ranges.append(_require_in_budget(
-            *annulus_index_range(max(0.0, near - eps), far + eps, spec.d), index_budget,
-            f"forest window {i}, from {a.tolist()} to {b.tolist()},"))
+    ranges = [_at(i, index_range, *annulus_index_range(max(0.0, near - eps), far + eps, spec.d),
+                  index_budget, f"forest window {i}, from {a.tolist()} to {b.tolist()},")
+              for i, ((a, b), (near, far)) in enumerate(zip(ends, norms))]
 
     def scan(group):
         scanned = _forest_hits(
@@ -1159,7 +1150,8 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
     {x + t v : 0 <= t <= T_max}, x itself left out: the smallest index of
     [1, index_budget] at distance below eps_floor, else the exact minimum
     over that range, smallest index on ties. A semi-decision unless a proven
-    vacant region certifies the whole ray. Directions must be unit vectors.
+    vacant region certifies the whole ray. Directions must be unit vectors;
+    a ray whose scan is refused raises ``RefusedSegmentError`` naming it.
     """
     if not 0 < eps_floor < math.inf:
         raise ValueError(f"eps_floor must be finite and positive, got {eps_floor}")
@@ -1173,9 +1165,10 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
         raise ValueError(f"ray directions must be unit vectors, got {directions.tolist()}")
     below = math.nextafter(eps_floor, 0.0)  # dist <= below iff dist < eps_floor
 
-    def run(v):
+    def run(i):
+        v = directions[i]
         cert = _vacant_strip_certificate(spec, x, v)
-        best, _ = _first_hit(spec, x, x + T_max * v, below, 1, index_budget, exclude=x)
+        best, _ = _at(i, _first_hit, spec, x, x + T_max * v, below, 1, index_budget, x)
         witness = None if best[1] < 0 else HitWitness(best[1], best[2], best[0])
         certified = cert is not None and cert["bound"] >= eps_floor
         visible = best[0] >= eps_floor
@@ -1183,7 +1176,7 @@ def visible_point_test(spec: SequenceSpec, x, directions, eps_floor: float,
                           visible_at_scale=visible, certified=certified,
                           certificate=cert, eps_floor=eps_floor, T_max=T_max)
 
-    return parallel_map(run, list(directions))
+    return parallel_map(run, range(len(directions)))
 
 
 # -- minimal-visibility estimation -------------------------------------------

@@ -7,8 +7,9 @@ hooked visibility layers still have callers. So is that every public name,
 and every module-level function and class, has a caller outside the tests,
 that every defaulted parameter of a module-level function or classmethod,
 and every defaulted dataclass field, is passed by some call outside the
-tests, that one constant sets every default index budget, and that no
-module imports a name it never reads."""
+tests, that one constant sets every default index budget, that the budget
+meets a range in one function per kind of reading, and that no module
+imports a name it never reads."""
 
 import ast
 import dataclasses
@@ -212,6 +213,43 @@ def test_every_default_budget_is_the_one_constant():
     parser = build_parser()
     commands = next(a for a in parser._actions if a.dest == "subcommand").choices
     assert {parser.parse_args([name]).budget for name in commands} == {DEFAULT_BUDGET}
+
+
+# the functions that may compare an index budget, or take a min or max with
+# it, each with its reason
+BUDGET_RULES = {
+    "spirals.index_range": "forms the index range of every scan",
+    "covering._window_radius": "the one window rule of the covering tables",
+    "cli.main": "refuses a --budget below 1",
+    "cli._covering_table": "refuses an --m at or past --budget, naming it",
+}
+
+
+def _reads_budget(node) -> bool:
+    """Whether ``index_budget`` or ``ns.budget`` is a sub-expression of ``node``."""
+    return any(isinstance(sub, ast.Name) and sub.id == "index_budget"
+               or isinstance(sub, ast.Attribute) and sub.attr == "budget"
+               and getattr(sub.value, "id", None) == "ns" for sub in ast.walk(node))
+
+
+def test_one_budget_rule_per_reading():
+    # a second place that clips a range by the budget clips it its own way,
+    # and a clip that a report is to show must be made where it is recorded
+    sites = set()
+    for path in sorted((ROOT / "src" / "spiralvis").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            functions = top.body if isinstance(top, ast.ClassDef) else [top]
+            for func in functions:
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    called = getattr(node, "func", None)
+                    if isinstance(node, ast.Compare) and _reads_budget(node) or \
+                            getattr(called, "id", getattr(called, "attr", None)) in \
+                            ("min", "max", "minimum", "maximum") and \
+                            any(map(_reads_budget, node.args)):
+                        sites.add(f"{path.stem}.{func.name}")
+    assert sites == set(BUDGET_RULES), sorted(sites)
 
 
 def _unread_imports(path: Path) -> list[str]:

@@ -489,6 +489,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         assert err.value.code == 2
         assert problem in capsys.readouterr().err
     puncture = ["puncture", "--n", "2000", "--out", str(tmp_path / "p.csv")]
+    big = str(10**19)
     for argv, *problems in (  # once a silent wrong number, or a message naming no flag
             (["covering", "--N", "0,-3"], "--N 0.0 is not a whole number >= 1"),
             (["covering", "--N", "inf"], "--N inf is not a whole number"),
@@ -555,7 +556,21 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["plot", "--T", "3", "--out", str(tmp_path / "p.svg"), "--marker", "-2"],
              "--marker -2.0 is not finite and positive"),
             (["plot", "--T", "3", "--out", str(tmp_path / "p.svg"), "--marker", "nan"],
-             "--marker nan is not finite and positive")):
+             "--marker nan is not finite and positive"),
+            # ranges past 2^63 - 1: an OverflowError, or a CSV written without end
+            *((["generate", "--n", big, "--budget", big, "--out", str(tmp_path / out)],
+               f"--n {big} reaches index {big}, past 2^63 - 1") for out in ("g.bin", "g.csv")),
+            (puncture + ["--n", big, "--budget", big], f"--n {big} reaches index {big}, "),
+            (["plot", "--T", "1e10", "--budget", big, "--out", str(tmp_path / "p.svg")],
+             f"--T 10000000000.0 reaches index {big}, "),
+            # a refused window or ray names its own --line or --dir
+            (["forest", "--line", "1,0,0,5", "--line", "1,0,5000,5005", "--eps", "0.1",
+              "--V", "5", "--budget", "1000000"],
+             "--line 1,0,5000,5005: forest window 1, ", "wholly past the index budget"),
+            (["visible", "--x", "3040000000,0", "--dir", "0,1", "--dir", "1,0",
+              "--budget", big], "--dir 0,1: the segment from", "past 2^63 - 1"),
+            (["visible", "--x", "3037000000,0", "--dir=-1,0", "--dir", "1,0", "--Tmax", "1000",
+              "--budget", big], "--dir 1,0: the segment from", "past 2^63 - 1")):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

@@ -35,30 +35,25 @@ def circle_points(angles):
 
 def test_covering_radius_examples():
     four = circle_points([0, math.pi / 2, math.pi, 3 * math.pi / 2])
-    got = covering_radius(four, d=1)
-    assert got.exact
-    assert got.resolution == 0.0
-    assert got.value == pytest.approx(math.pi / 4)
-    single = covering_radius(circle_points([1.3]), d=1)
-    assert single.value == pytest.approx(math.pi)
+    assert covering_radius(four, d=1) == pytest.approx(math.pi / 4)
+    assert covering_radius(circle_points([1.3]), d=1) == pytest.approx(math.pi)
 
 
 def test_covering_radius_golden_100(golden):
     pts = direction_batch(golden, np.arange(1, 101, dtype=np.int64))
-    got = covering_radius(pts, d=1)
-    assert got.value == pytest.approx(GOLDEN_100_RADIUS, abs=1e-12)
+    assert covering_radius(pts, d=1) == pytest.approx(GOLDEN_100_RADIUS, abs=1e-12)
 
 
 def test_covering_radius_invariances():
     rng = np.random.default_rng(0)
     angles = rng.uniform(0, 2 * math.pi, 40)
     pts = circle_points(angles)
-    base = covering_radius(pts, d=1).value
-    perm = covering_radius(pts[rng.permutation(40)], d=1).value
+    base = covering_radius(pts, d=1)
+    perm = covering_radius(pts[rng.permutation(40)], d=1)
     assert perm == pytest.approx(base, abs=1e-15)
     rot = rng.uniform(0, 2 * math.pi)
     R = np.array([[math.cos(rot), -math.sin(rot)], [math.sin(rot), math.cos(rot)]])
-    rotated = covering_radius(pts @ R.T, d=1).value
+    rotated = covering_radius(pts @ R.T, d=1)
     assert rotated == pytest.approx(base, abs=1e-9)
 
 
@@ -66,10 +61,8 @@ def test_covering_radius_net_mode_agrees_with_exact():
     rng = np.random.default_rng(1)
     for _ in range(100):
         pts = circle_points(rng.uniform(0, 2 * math.pi, rng.integers(2, 50)))
-        exact = covering_radius(pts, d=1).value
-        approx = _net_covering_radius(pts, 1, 0.02)
-        assert not approx.exact
-        assert abs(approx.value - exact) <= approx.resolution
+        exact = covering_radius(pts, d=1)
+        assert abs(_net_covering_radius(pts, 1, 0.02) - exact) <= 0.02
 
 
 def test_sphere_net_radius_agrees_across_resolutions(fib_sphere):
@@ -79,9 +72,8 @@ def test_sphere_net_radius_agrees_across_resolutions(fib_sphere):
         pts = direction_batch(fib_sphere, np.arange(start + 1, start + count + 1))
         coarse = covering_radius(pts, d=2, resolution=0.1)
         fine = covering_radius(pts, d=2, resolution=0.03)
-        assert not coarse.exact and not fine.exact
-        assert coarse.value <= fine.value + fine.resolution
-        assert fine.value <= coarse.value + coarse.resolution
+        assert coarse <= fine + 0.03
+        assert fine <= coarse + 0.1
 
 
 def test_sphere_net_radius_blocks_agree_and_stay_small(monkeypatch):
@@ -97,7 +89,7 @@ def test_sphere_net_radius_blocks_agree_and_stay_small(monkeypatch):
         for dots in (1, 700, 5000, 1 << 22):
             monkeypatch.setattr(covering, "_DOTS_PER_PRODUCT", dots)
             got = _net_covering_radius(pts, d, resolution)
-            assert got.value == pytest.approx(whole, rel=0, abs=1e-12)
+            assert got == pytest.approx(whole, rel=0, abs=1e-12)
     # 1014 centers x 5000 points take 40 MB in one product, 0.5 MB per block
     pts = rng.normal(size=(5000, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -122,8 +114,8 @@ def test_window_nesting_and_monotone_covering(golden):
     small = window_indices(golden, 3, 10.0)
     large = window_indices(golden, 3, 25.0)
     assert set(small.tolist()) <= set(large.tolist())
-    r_small = covering_radius(direction_batch(golden, small), d=1).value
-    r_large = covering_radius(direction_batch(golden, large), d=1).value
+    r_small = covering_radius(direction_batch(golden, small), d=1)
+    r_large = covering_radius(direction_batch(golden, large), d=1)
     assert r_large <= r_small + 1e-15
 
 
@@ -153,7 +145,7 @@ def test_criterion_cells_reproducible(golden):
     row = table.rows[0]
     h, eps = row["h"], row["eps"]
     w = window_indices(golden, h, 1.0 * h * (1.0 / eps))
-    again = covering_radius(direction_batch(golden, w), d=1).value
+    again = covering_radius(direction_batch(golden, w), d=1)
     assert row["radius"] == pytest.approx(again, abs=0)
     assert row["value"] == pytest.approx(h / eps * again, abs=0)
 
@@ -171,6 +163,33 @@ def test_criterion_skips_over_budget(golden):
                                     h_mults=(1, 1024), index_budget=10**6)
     statuses = [row["status"] for row in tab.rows]
     assert "skipped" in statuses
+
+
+def test_tables_read_windows_through_one_budget_rule(golden):
+    # one window cut by the budget: covering refuses it, criterion skips its
+    # row, defvisi leaves its h out; a window ending at the budget is read
+    with pytest.raises(ValueError, match=r"^window \[1001, 2000.0\] exceeds index budget 1999$"):
+        uniform_covering_parameter(golden, 1.0, [0, 1000], [100, 1000], index_budget=1999)
+    assert uniform_covering_parameter(golden, 1.0, [0, 1000], [100, 1000],
+                                      index_budget=2000).rows[-1][:2] == (1000, 1000)
+    with pytest.raises(ValueError, match=r"^window \[1, inf\] exceeds index budget"):
+        uniform_covering_parameter(golden, 1e300, [0], [1e10])  # C*N is inf
+    # h = 10 and 20 read [101, 200] and [401, 600]
+    full, cut = (uniform_orchard_criterion(golden, lambda e: 1.0 / e, eps_grid=(0.1,),
+                                           h_mults=(1, 2), index_budget=budget)
+                 for budget in (600, 599))
+    assert [row["status"] for row in full.rows] == ["ok", "ok"]
+    assert full.argmax == {"eps": 0.1, "h": 20}
+    assert [row["status"] for row in cut.rows] == ["ok", "skipped"]
+    assert cut.rows[1]["radius"] is None and cut.rows[0] == full.rows[0]
+    assert (cut.sup, cut.argmax) == (full.rows[0]["value"], {"eps": 0.1, "h": 10})
+    # x = 7 reads h = 8 and 16, [65, 120] and [257, 368]
+    full, cut = (visibility_from_covering(golden, (0.2,), (7,), h_cap=16,
+                                          index_budget=budget).inner[0]
+                 for budget in (368, 367))
+    assert full[2] == 16
+    radius = covering_radius(direction_batch(golden, window_indices(golden, 8, 8 * 7)), d=1)
+    assert cut == (7.0, 8 * radius, 8)
 
 
 def test_visibility_from_covering_monotone(golden):

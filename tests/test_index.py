@@ -31,8 +31,8 @@ from spiralvis.spirals import CHUNK, iter_point_chunks
 from spiralvis import visibility
 from spiralvis.cli import main
 from spiralvis.visibility import (
-    ForestWindowError,
     HitWitness,
+    RefusedSegmentError,
     _closer,
     _line_min_distance,
     _segment_candidates,
@@ -415,9 +415,9 @@ def test_forest_errors_name_their_window(golden):
                               "wholly past the index budget 1000000: every index of its "
                               "eps-widened annulus exceeds it")
     huge = LineParam.at_angle(1e300, 0.0, 0.0, V)
-    with pytest.raises(ForestWindowError, match="squared norm overflows") as err:
+    with pytest.raises(RefusedSegmentError, match="squared norm overflows") as err:
         check_dense_forest(golden, eps, V, [near, far, huge])
-    assert err.value.window == 2  # its overflow comes before the budget's check
+    assert err.value.position == 2  # its overflow comes before the budget's check
 
 
 def _brute_ray(spec, x, v, eps_floor, T_max, budget):

@@ -219,7 +219,7 @@ def test_fibonacci_sphere_blocks(fib_sphere):
     # block at index 2^b holds a full 2^b-point lattice: its covering is small
     from spiralvis import covering_radius
     block = pts[1023:2047]
-    assert covering_radius(block, d=2, resolution=0.1).value < 0.15
+    assert covering_radius(block, d=2, resolution=0.1) < 0.15
 
 
 def test_file_sequence_round_trip(tmp_path):

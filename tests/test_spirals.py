@@ -19,6 +19,7 @@ from spiralvis import (
 from spiralvis import spirals
 from spiralvis.sequences import GOLDEN_RATIO, fractional_multiples
 from spiralvis.spirals import (
+    index_range,
     iter_point_chunks,
     puncture_blocks,
     radius_of_index,
@@ -119,6 +120,21 @@ def test_annulus_range_rejects_bad_args():
         annulus_index_range(2.0, 1.0, 1)
     with pytest.raises(ValueError):
         annulus_index_range(-1.0, 1.0, 1)
+
+
+def test_index_range_edges():
+    assert index_range(5, 20, 10, "w") == (5, 10)
+    assert index_range(10, 20, 10, "w") == (10, 10)  # n_lo at the budget reads it
+    with pytest.raises(ValueError, match="^w lies wholly past the index budget 10: "):
+        index_range(11, 20, 10, "w")
+    assert index_range(11, 10, 10, "w") == (11, 10)  # empty: nothing is read, nothing refused
+    top = 2**63 - 1
+    assert index_range(1, top, 2**64, "w") == (1, top)
+    assert index_range(1, 2**63, top, "w") == (1, top)  # the budget keeps it inside
+    with pytest.raises(ValueError, match=r"^w reaches index 9223372036854775808, past 2\^63 - 1$"):
+        index_range(1, 2**63, 2**64, "w")
+    with pytest.raises(ValueError, match="past 2\\^63 - 1"):
+        index_range(2**63, 2**63, 2**64, "w")
 
 
 def test_finite_density(golden):
