@@ -64,7 +64,9 @@ def _finite(text: str) -> float:
 
 
 def _require(flag: str, values, ok, what: str) -> None:
-    """Name ``flag`` and the first of its values that is not ``what``."""
+    """Name ``flag`` and its first value that is not ``what``, or that it has none."""
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
     for value in values:
         if not ok(value):
             raise ValueError(f"{flag} {value!r} is not {what}")

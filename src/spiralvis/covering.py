@@ -3,7 +3,8 @@
 Every quantity defined by an infinite sup is truncated to explicit grids; the
 grids travel with the result so finiteness claims stay scale-qualified. A
 window meets the index budget only in ``_window_radius``; past it, the
-covering parameter refuses, the criterion skips a row, the curve drops an h.
+covering parameter refuses, the criterion skips a row, the curve drops an h;
+a sup over no window read is inf, so an x with no h read is never feasible.
 """
 
 from __future__ import annotations
@@ -68,12 +69,14 @@ def _window_radius(spec: SequenceSpec, start: int, size: float,
                    resolution: float | None, index_budget: int) -> float | None:
     """The covering radius of the window u_(start+1), ..., u_(start+int(size)):
     inf when it is empty, None when it reads past ``index_budget`` (as a
-    ``size`` of inf does)."""
+    ``size`` of inf does); refused when it reads past 2^63 - 1."""
     if size >= index_budget - start + 1:  # start + int(size) > budget, or size is inf
         return None
     if size < 1:
         return math.inf
-    pts = direction_batch(spec, np.arange(start + 1, start + int(size) + 1, dtype=np.int64))
+    if (last := start + int(size)) >= 2**63:
+        raise ValueError(f"the window [{start + 1}, {last}] reaches index {last}, past 2^63 - 1")
+    pts = direction_batch(spec, np.arange(start + 1, last + 1, dtype=np.int64))
     return covering_radius(pts, d=spec.d, resolution=resolution)
 
 
@@ -176,7 +179,7 @@ def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
                          "value": value, "status": "ok"})
             if value > sup:
                 sup, argmax = value, {"eps": eps, "h": h}
-    return CriterionTable(rows=rows, sup=sup, argmax=argmax, K=K)
+    return CriterionTable(rows=rows, sup=sup if argmax else math.inf, argmax=argmax, K=K)
 
 
 @dataclass
@@ -221,7 +224,7 @@ def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
             val = h * radius
             if val > sup_val:
                 sup_val, sup_h = val, h
-        inners[x] = sup_val if hs else math.inf
+        inners[x] = sup_val if sup_h else math.inf
         inner_rows.append((float(x), inners[x], sup_h))
     entries = []
     for eps in eps_grid:

@@ -54,17 +54,18 @@ angle's shell [s^2, s^2 + 2s], read through a convergent p/q of theta
 int64 index. The golden source needs alpha = {theta} * 2^64 to be an
 integer, as every theta >= 2^-12 has; any other kind or theta reads the
 annulus whole, starting with a small block. One exact filter
-(``geometry.segment_distances``) and one query (``_first_hit``) serve the
-rays and ``_line_min_distance``: the smallest index within eps, else the
-exact minimum over the range, for which D grows until a candidate lies
-within it. ``check_dense_forest`` draws the closed-form candidates of all
-its windows in one pass (``_forest_hits``), one pass per thread, and sends
-only the windows with no point within eps through
-``_line_min_distance(spec, a, b, eps, best, n_range)``, which reads the
-range the check computed and widens D from ``best``, the nearest candidate
-that pass read. A forest window's range is its eps-widened annulus, clipped
-by the budget in ``spirals.index_range`` as every check's range is; a ray's
-is [1, budget], and its eps is just below eps_floor. No range may reach past
+(``geometry.segment_distances``) serves every scan. A query asks for the
+smallest index within eps, else the exact minimum over the range, and two
+drivers answer it: ``_first_hit`` for one segment (a ray, or a forest
+window of a kind with no closed form) and ``_forest_hits`` for a group of
+forest windows, one pass over all their closed-form candidates
+(``check_dense_forest`` runs a group per thread). Each finishes its misses
+with the one exact-minimum search, ``_line_min_distance(spec, a, b, eps,
+ranges, exclude, best)``: D starts at the distance of ``best``, the nearest
+candidate the first pass read, and doubles until a candidate lies within
+it. A forest window's range is its eps-widened annulus, clipped by the
+budget in ``spirals.index_range`` as every check's range is; a ray's is
+[1, budget], and its eps is just below eps_floor. No range may reach past
 2^63 - 1; a refused window or ray raises ``RefusedSegmentError``."""
 
 from __future__ import annotations
@@ -940,30 +941,10 @@ def _closer(best, ns, dist, t):
     return (float(dist[j]), int(ns[j]), float(t[j])) if (dist[j], ns[j]) < best[:2] else best
 
 
-def _nearest(spec, a, b, eps, ranges, exclude, best):
-    """(distance, n, t) of the point nearest the segment [a, b] among ``best``
-    and the indices of ``ranges`` (inclusive (lo, hi) pairs), smallest index
-    on ties. The reach starts at best's distance (2*eps for ``NO_POINT``) and
-    doubles until a candidate lies within it, so every point at the minimum
-    is a candidate, or until the source yields every index."""
-    reach = best[0] if best[0] < math.inf else 2.0 * eps
-    ranges = [(lo, hi) for lo, hi in ranges if lo <= hi]
-    size = sum(hi - lo + 1 for lo, hi in ranges)
-    while True:
-        found, seen = best, 0
-        for lo, hi in ranges:
-            for ns, dist, t in _candidate_distances(spec, a, b, reach, lo, hi, exclude):
-                found = _closer(found, ns, dist, t)
-                seen += len(ns)
-        if found[0] <= reach or seen >= size:
-            return found
-        reach *= 2.0
-
-
 def _first_hit(spec, a, b, eps, n_lo, n_hi, exclude):
     """((distance, n, t), hit): the smallest index of [n_lo, n_hi] within eps
-    of the segment [a, b], else the exact minimum over the range, smallest
-    index on ties; a point at ``exclude`` (if not None) is left out."""
+    of the segment [a, b], else the exact minimum (``_line_min_distance``);
+    a point at ``exclude`` (if not None) is left out."""
     best, seen, read = NO_POINT, 0, (n_hi + 1, n_hi)
     for ns, dist, t in _candidate_distances(spec, a, b, eps, n_lo, n_hi, exclude):
         hits = np.flatnonzero(dist <= eps)
@@ -977,20 +958,29 @@ def _first_hit(spec, a, b, eps, n_lo, n_hi, exclude):
         # when the blocks read one whole index range, only the rest is read again
         ranges = [(n_lo, read[0] - 1), (read[1] + 1, n_hi)] \
             if seen == read[1] - read[0] + 1 else [(n_lo, n_hi)]
-        best = _nearest(spec, a, b, eps, ranges, exclude, best)
+        best = _line_min_distance(spec, a, b, eps, ranges, exclude, best)
     return best, False
 
 
-def _line_min_distance(spec: SequenceSpec, a: np.ndarray, b: np.ndarray,
-                       eps: float, best, n_range):
-    """``_first_hit`` for a forest window over ``n_range``, the indices of
-    its annulus widened by eps, up to the budget. Given ``best``, the nearest
-    point (or ``NO_POINT``) of a pass over candidates that held every point
-    within eps and found none, only the exact minimum is left: ``_nearest``
-    from that distance; with ``best`` None the range is read from the start."""
-    if best is None:
-        return _first_hit(spec, a, b, eps, *n_range, None)
-    return _nearest(spec, a, b, eps, [n_range], None, best), False
+def _line_min_distance(spec, a, b, eps, ranges, exclude, best):
+    """(distance, n, t) of the point nearest the segment [a, b] among ``best``
+    and the indices of ``ranges`` (inclusive (lo, hi) pairs), smallest index
+    on ties; a point at ``exclude`` (if not None) is left out. The reach
+    starts at best's distance (2*eps for ``NO_POINT``) and doubles until a
+    candidate lies within it, so every point at the minimum is a candidate,
+    or until the source yields every index."""
+    reach = best[0] if best[0] < math.inf else 2.0 * eps
+    ranges = [(lo, hi) for lo, hi in ranges if lo <= hi]
+    size = sum(hi - lo + 1 for lo, hi in ranges)
+    while True:
+        found, seen = best, 0
+        for lo, hi in ranges:
+            for ns, dist, t in _candidate_distances(spec, a, b, reach, lo, hi, exclude):
+                found = _closer(found, ns, dist, t)
+                seen += len(ns)
+        if found[0] <= reach or seen >= size:
+            return found
+        reach *= 2.0
 
 
 def segment_norm_range(a, b) -> tuple[float, float]:
@@ -1008,19 +998,15 @@ def segment_norm_range(a, b) -> tuple[float, float]:
     return float(d[0]), max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
 
 
-def _forest_hits(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, pad: np.ndarray,
+def _forest_hits(spec: SequenceSpec, shells, a: np.ndarray, b: np.ndarray, pad: np.ndarray,
                  lo: np.ndarray, hi: np.ndarray, eps: float):
-    """Per forest window [a[w], b[w]], ((distance, n, t), hit): its smallest
-    index of [lo[w], hi[w]] within eps, else the nearest of the candidates
-    read (``NO_POINT`` for none), from one pass over every window's
-    closed-form candidates (``_candidate_groups``), at most CHUNK a round; a
-    window with a hit reads no later shell. Each round reads the points of
-    its candidates with one ``point_batch`` and measures each window's own
-    candidates with one ``segment_distances``, as ``_first_hit`` does. None
-    for a kind with no closed form."""
-    shells = _closed_form(spec)
-    if shells is None:
-        return None
+    """``_first_hit`` per forest window [a[w], b[w]] over [lo[w], hi[w]], the
+    hits from one pass over every window's closed-form candidates
+    (``_candidate_groups`` of ``shells``), at most CHUNK a round; a window
+    with a hit reads no later shell. Each round reads the points of its
+    candidates with one ``point_batch`` and measures each window's own
+    candidates with one ``segment_distances``. A window with no point within
+    eps goes on to ``_line_min_distance`` from the nearest candidate read."""
     first = np.full(len(lo), MISS, dtype=np.int64)
     best = [NO_POINT] * len(lo)
     for win, ns in _candidate_groups(spec, shells, a, b, eps, pad, lo, hi, first):
@@ -1041,7 +1027,11 @@ def _forest_hits(spec: SequenceSpec, a: np.ndarray, b: np.ndarray, pad: np.ndarr
                         best[w] = (float(dist[j]), int(first[w]), float(t[j]))
                 elif first[w] == MISS:
                     best[w] = _closer(best[w], part[c0:c1], dist, t)
-    return [(found, found[0] <= eps) for found in best]
+    # ranges as Python ints: an np.int64 near 2^63 overflows triangular_decompose's 8n + 1
+    return [(found, True) if found[0] <= eps else
+            (_line_min_distance(spec, a[w], b[w], eps, [(int(lo[w]), int(hi[w]))], None,
+                                found), False)
+            for w, found in enumerate(best)]
 
 
 def random_lines(rng, count: int, V: float, lam_max: float = 100.0) -> list[LineParam]:
@@ -1065,12 +1055,10 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
     Each window's norm and index range (``index_range``) are computed
     once; a window whose squared norms overflow, or whose range is refused,
     raises ``RefusedSegmentError`` naming it, every norm before any range.
-    The windows are dealt out to one
-    group per thread (``parallel_map``). The hits of a group come from one
-    pass over its windows' candidates (``_forest_hits``); a window it finds
-    no point for goes through ``_line_min_distance`` from the nearest
-    candidate the pass read, and every window of a kind with no closed-form
-    candidates from the start.
+    The windows are dealt out to one group per thread (``parallel_map``). A
+    group's windows go through one pass over their closed-form candidates
+    (``_forest_hits``), or, for a kind with none, through ``_first_hit``
+    one by one.
     """
     ends = [(line.point(line.t0), line.point(line.t1)) for line in lines]
     norms = [_at(i, segment_norm_range, a, b) for i, (a, b) in enumerate(ends)]
@@ -1082,16 +1070,16 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
     ranges = [_at(i, index_range, *annulus_index_range(max(0.0, near - eps), far + eps, spec.d),
                   index_budget, f"forest window {i}, from {a.tolist()} to {b.tolist()},")
               for i, ((a, b), (near, far)) in enumerate(zip(ends, norms))]
+    shells = _closed_form(spec)
 
     def scan(group):
-        scanned = _forest_hits(
-            spec, *(np.array([ends[i][side] for i in group], dtype=np.float64)
-                    for side in range(2)),
+        if shells is None:
+            return [_first_hit(spec, *ends[i], eps, *ranges[i], None) for i in group]
+        return _forest_hits(
+            spec, shells, *(np.array([ends[i][side] for i in group], dtype=np.float64)
+                            for side in range(2)),
             np.array([1e-9 * (1.0 + norms[i][1]) for i in group]),
             *np.array([ranges[i] for i in group], dtype=np.int64).T, eps)
-        return [(found, True) if hit else _line_min_distance(
-                    spec, *ends[i], eps, best=found, n_range=ranges[i])
-                for i, (found, hit) in zip(group, scanned or [(None, False)] * len(group))]
 
     count = min(thread_count(), len(lines))
     groups = [range(g, len(lines), count) for g in range(count)]

@@ -28,7 +28,7 @@ from spiralvis.covering import _net_covering_radius
 from spiralvis.geometry import segment_distances
 from spiralvis.sequences import triangular_decompose
 from spiralvis.spirals import iter_point_chunks
-from spiralvis.visibility import _line_min_distance
+from spiralvis.visibility import _first_hit
 
 BUDGET = 10**7
 
@@ -168,8 +168,7 @@ def _assert_scan_matches_brute(spec, coords, a, b, eps):
     dist, t = segment_distances(coords[w_lo - 1:w_hi], a, b)
     inside = (ns >= n_lo) & (ns <= n_hi)
     assert not np.any(dist[~inside] <= eps)
-    (got_dist, got_n, got_t), hit = _line_min_distance(spec, a, b, eps, None,
-                                                       (n_lo, min(n_hi, BUDGET)))
+    (got_dist, got_n, got_t), hit = _first_hit(spec, a, b, eps, n_lo, min(n_hi, BUDGET), None)
     brute_min = float(dist[inside].min()) if inside.any() else math.inf
     assert hit == (brute_min <= eps)
     if hit:

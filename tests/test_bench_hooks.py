@@ -89,6 +89,10 @@ def test_hooked_layers_stay_on_production_paths(monkeypatch, ladder, fib_sphere,
     strip = vis.LineParam.at_angle(1.0, math.pi / 2, -60.0, -20.0)
     assert not vis.check_dense_forest(ladder, 0.5, 40.0, [strip]).passed
     assert all(calls.values()), calls
+    # so does a ray along it: rays share the one exact-minimum search
+    calls["_line_min_distance"] = 0
+    [ray] = vis.visible_point_test(ladder, (0, 1), [(1, 0)], 0.5, 300.0)
+    assert ray.visible_at_scale and calls["_line_min_distance"], calls
 
 
 # module-level names in src/spiralvis that only the tests call, each with its reason

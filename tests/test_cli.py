@@ -144,14 +144,15 @@ def test_uniform_and_covering_and_criterion(capsys):
 
 
 def test_negative_infinity_is_written_as_minus_inf(capsys):
-    # an empty grid leaves the running maximum at -inf, which is not +inf
     from spiralvis.reports import dump_json
     assert dump_json([-math.inf, math.inf, math.nan, np.float64(-math.inf)]) == (
         '[\n  "-inf",\n  "inf",\n  "nan",\n  "-inf"\n]\n')
-    _, out = run(capsys, "covering", "--m", "")
-    assert json.loads(out)["estimate"]["uniform_covering_parameter"] == "-inf"
-    _, out = run(capsys, "criterion", "--eps", "")
-    assert json.loads(out)["table"]["sup"] == "-inf"
+    # an empty grid, which once left a running maximum at -inf, is refused
+    for argv, flag in ((["covering", "--m", ""], "--m"), (["criterion", "--eps", ""], "--eps")):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"{flag} needs at least one value" in capsys.readouterr().err
 
 
 def test_tiny_and_huge_directions_are_normalized(capsys):
@@ -391,6 +392,11 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         message = capsys.readouterr().err.strip().splitlines()[-1]
         assert f"--T {float(argv[1])} and --probe-res {float(argv[3])}" in message
     for argv, problem in (
+            # an empty grid: no row, or an argmax outside the grid
+            *(([table, f"--{flag}="], f"--{flag} needs at least one value")
+              for table, flag in (("covering", "m"), ("covering", "N"), ("criterion", "eps"),
+                                  ("criterion", "h-mults"), ("defvisi", "eps"),
+                                  ("defvisi", "x-grid"))),
             (["criterion", "--eps", "0"], "--eps"),
             (["criterion", "--eps", "1e-300"], "past the float range"),
             (["criterion", "--eps", "0.1", "--V-power", "1e3"], "arithmetic failed"),
@@ -563,6 +569,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (puncture + ["--n", big, "--budget", big], f"--n {big} reaches index {big}, "),
             (["plot", "--T", "1e10", "--budget", big, "--out", str(tmp_path / "p.svg")],
              f"--T 10000000000.0 reaches index {big}, "),
+            (["covering", "--m", "0", "--N", big, "--budget", str(10 * int(big))],
+             f"the window [1, {big}] reaches index {big}, past 2^63 - 1"),
             # a refused window or ray names its own --line or --dir
             (["forest", "--line", "1,0,0,5", "--line", "1,0,5000,5005", "--eps", "0.1",
               "--V", "5", "--budget", "1000000"],

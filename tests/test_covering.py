@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import tracemalloc
 
@@ -15,7 +16,7 @@ from spiralvis import (
     uniform_orchard_criterion,
     visibility_from_covering,
 )
-from spiralvis.cli import build_parser
+from spiralvis.cli import build_parser, main
 from spiralvis.covering import DEFAULT_H_CAP, _net_covering_radius
 
 GOLDEN_100_RADIUS = 0.04132959128021163  # exact gap scan, first 100 terms
@@ -212,3 +213,23 @@ def test_visibility_from_covering_constant_zero(constant_seq):
     curve = visibility_from_covering(constant_seq, (0.2, 0.1), (1, 2, 4, 8),
                                      h_cap=64)
     assert all(v == 0.0 for _, v in curve.entries)
+
+
+def test_sup_over_no_measured_window_is_unbounded(capsys):
+    # a budget that cuts every window of an x leaves its inner sup inf, so no
+    # eps holds it feasible; a criterion with no measured row has sup inf
+    def payload(*argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    curve = payload("defvisi", "--budget", "3")["curve"]
+    assert {row["sup"] for row in curve["inner"]} == {"inf"}
+    assert [entry["V"] for entry in curve["curve"]] == [0.0, 0.0, 0.0]
+    curve = payload("defvisi", "--budget", "1000")["curve"]
+    inner = {row["x"]: row for row in curve["inner"]}
+    assert all(inner[x]["sup"] == "inf" and inner[x]["h_argmax"] is None for x in (32.0, 64.0))
+    assert all(isinstance(inner[x]["sup"], float) for x in (1.0, 2.0, 4.0, 8.0, 16.0))
+    assert [entry["V"] for entry in curve["curve"]] == [0.0, 0.0, 0.0]
+    table = payload("criterion", "--budget", "20")["table"]
+    assert {row["status"] for row in table["rows"]} == {"skipped"} and len(table["rows"]) == 12
+    assert (table["sup"], table["argmax"]) == ("inf", None)

@@ -34,7 +34,7 @@ from spiralvis.visibility import (
     HitWitness,
     RefusedSegmentError,
     _closer,
-    _line_min_distance,
+    _first_hit,
     _segment_candidates,
     random_lines,
     segment_norm_range,
@@ -51,8 +51,8 @@ def _window_range(spec, a, b, eps, budget):
 
 
 def _assert_first_witness_matches_brute(spec, ns, coords, a, b, eps):
-    (got_dist, got_n, got_t), hit = _line_min_distance(
-        spec, a, b, eps, None, _window_range(spec, a, b, eps, len(ns)))
+    (got_dist, got_n, got_t), hit = _first_hit(
+        spec, a, b, eps, *_window_range(spec, a, b, eps, len(ns)), None)
     dist, t = segment_distances(coords, a, b)
     want = np.flatnonzero(dist <= eps)
     assert hit == bool(len(want))
@@ -113,8 +113,7 @@ def test_ladder_segments_match_brute(ladder):
         dist, t = segment_distances(coords, a, b)
         inside = (ns >= n_lo) & (ns <= n_hi)
         assert not np.any(dist[~inside] <= eps)
-        (got_dist, got_n, got_t), hit = _line_min_distance(ladder, a, b, eps, None,
-                                                           (n_lo, n_hi))
+        (got_dist, got_n, got_t), hit = _first_hit(ladder, a, b, eps, n_lo, n_hi, None)
         want = np.flatnonzero(dist <= eps)
         assert hit == bool(len(want))
         j = int(want[0]) if hit else n_lo - 1 + int(np.argmin(dist[inside]))
@@ -231,9 +230,9 @@ def test_convergent_turns_stay_within_one_step(theta, m, b, j):
 
 def _forest_by_windows(spec, eps, lines, budget):
     """The forest check's failures, witnesses and hit count, window by
-    window through ``_line_min_distance``."""
+    window through ``_first_hit``."""
     ends = [(line.point(line.t0), line.point(line.t1)) for line in lines]
-    got = [_line_min_distance(spec, a, b, eps, None, _window_range(spec, a, b, eps, budget))
+    got = [_first_hit(spec, a, b, eps, *_window_range(spec, a, b, eps, budget), None)
            for a, b in ends]
     failures = [{"line": i, "min_distance": dist}
                 for i, ((dist, _, _), hit) in enumerate(got) if not hit]
