@@ -208,6 +208,7 @@ def _cmd_visible(spec, ns):
         if count != spec.d + 1:
             raise ValueError(f"{flag} {text} has {count} coordinates; "
                              f"a d={spec.d} spiral lies in R^{spec.d + 1}")
+    _positive("--Tmax", [ns.Tmax])  # before --x + --Tmax * --dir is formed
     x = _point(ns.x)
     dirs = np.array([_named(f"--dir {t}", unit_vector, _point(t)) for t in ns.dir])
     for text, v in zip(ns.dir, dirs):  # each ray's check covers --x as well

@@ -4,7 +4,9 @@ Every quantity defined by an infinite sup is truncated to explicit grids; the
 grids travel with the result so finiteness claims stay scale-qualified. A
 window meets the index budget only in ``_window_radius``; past it, the
 covering parameter refuses, the criterion skips a row, the curve drops an h;
-a sup over no window read is inf, so an x with no h read is never feasible.
+each table's sup is ``_sup``'s: the first greatest of the cells measured,
+and inf, with no argmax, over no measured cell, so an x with no h read is
+never feasible.
 """
 
 from __future__ import annotations
@@ -80,12 +82,19 @@ def _window_radius(spec: SequenceSpec, start: int, size: float,
     return covering_radius(pts, d=spec.d, resolution=resolution)
 
 
+def _sup(cells):
+    """The first greatest (value, key) of ``cells`` whose value is not None;
+    (inf, None) when none has one."""
+    return max((cell for cell in cells if cell[0] is not None),
+               key=lambda cell: cell[0], default=(math.inf, None))
+
+
 @dataclass
 class UniformCoveringEstimate:
     """Truncated sup of N^(1/d) times the windowed covering distance."""
 
     value: float
-    argmax: tuple[int, int]
+    argmax: tuple[int, int] | None
     rows: list  # (m, N, radius, scaled)
     C: float
     m_grid: list
@@ -94,7 +103,7 @@ class UniformCoveringEstimate:
     def to_json(self) -> dict:
         return {
             "uniform_covering_parameter": self.value,
-            "argmax": {"m": self.argmax[0], "N": self.argmax[1]},
+            "argmax": self.argmax and {"m": self.argmax[0], "N": self.argmax[1]},
             "C": self.C,
             "grids": {"m": list(self.m_grid), "N": list(self.N_grid)},
             "rows": [
@@ -110,8 +119,9 @@ def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
     {u_(m+n) : 1 <= n <= C*N}; divergence shows as growth along the grids."""
     if not C > 0:
         raise ValueError(f"scale constant C must be positive, got {C}")
+    if not all(N >= 1 for N in N_grid):  # N = 0 scales an empty window's inf by 0
+        raise ValueError(f"every window count N must be at least 1, got {list(N_grid)}")
     rows = []
-    best, arg = -math.inf, (0, 0)
     for m in m_grid:
         for N in N_grid:
             radius = _window_radius(spec, int(m), C * N, resolution, index_budget)
@@ -120,8 +130,7 @@ def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
                     f"window [{m + 1}, {m + C * N}] exceeds index budget {index_budget}")
             scaled = N ** (1.0 / spec.d) * radius
             rows.append((int(m), int(N), radius, scaled))
-            if scaled > best:
-                best, arg = scaled, (int(m), int(N))
+    best, arg = _sup((s, (m, n)) for m, n, _, s in rows)
     return UniformCoveringEstimate(value=best, argmax=arg, rows=rows, C=C,
                                    m_grid=list(m_grid), N_grid=list(N_grid))
 
@@ -159,7 +168,6 @@ def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
     W(eps) = C_U * V(KAPPA_U * eps).
     """
     rows = []
-    sup, argmax = -math.inf, None
     for eps in eps_grid:
         W = C_U * V(KAPPA_U * eps)
         if not 0 < W < math.inf:
@@ -177,9 +185,8 @@ def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
             value = h / eps * radius
             rows.append({"eps": eps, "h": h, "x": x, "radius": radius,
                          "value": value, "status": "ok"})
-            if value > sup:
-                sup, argmax = value, {"eps": eps, "h": h}
-    return CriterionTable(rows=rows, sup=sup if argmax else math.inf, argmax=argmax, K=K)
+    sup, argmax = _sup((r["value"], {"eps": r["eps"], "h": r["h"]}) for r in rows)
+    return CriterionTable(rows=rows, sup=sup, argmax=argmax, K=K)
 
 
 @dataclass
@@ -206,28 +213,19 @@ def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
     """Evaluate V(eps) = sup{x : sup_(h>x) h * R(window at h, length h^d x) <= eps}
     on finite grids, keeping the inner-sup trajectory observable."""
     inner_rows = []
-    inners = {}
     for x in x_grid:
         if x <= 0:
             raise ValueError("x grid must be positive")
-        hs = []
+        cells = []
         h = max(1, math.floor(x) + 1)
         while h <= h_cap:
-            hs.append(h)
-            h *= 2
-        sup_val, sup_h = -math.inf, None
-        for h in hs:
             radius = _window_radius(spec, h ** (spec.d + 1), h**spec.d * x, resolution,
                                     index_budget)
-            if radius is None:
-                continue
-            val = h * radius
-            if val > sup_val:
-                sup_val, sup_h = val, h
-        inners[x] = sup_val if sup_h else math.inf
-        inner_rows.append((float(x), inners[x], sup_h))
+            cells.append((None if radius is None else h * radius, h))
+            h *= 2
+        inner_rows.append((float(x), *_sup(cells)))
     entries = []
     for eps in eps_grid:
-        feasible = [x for x in x_grid if inners[x] <= eps]
-        entries.append((float(eps), float(max(feasible)) if feasible else 0.0))
+        feasible = [x for x, sup, _ in inner_rows if sup <= eps]
+        entries.append((float(eps), max(feasible, default=0.0)))
     return CoveringVisibilityCurve(entries=entries, inner=inner_rows, h_cap=h_cap)

@@ -124,15 +124,19 @@ def min_pairwise_distance(coords: np.ndarray) -> float:
 
 def _probe_grid(T: float, resolution: float, dim: int) -> np.ndarray:
     """The points in B(0, T) of the grid of mesh ``resolution`` on [-T, T]^dim,
-    last axis fastest; a grid past an int64 array is refused before allocating."""
+    last axis fastest; a grid past an int64 array is refused before allocating,
+    and a grid with no point in B(0, T) after."""
+    grid = f"a probe grid of mesh {resolution!r} on [-{T!r}, {T!r}]^{dim}"
     if not ((T + resolution / 2) + T) / resolution <= (2 ** 63 // 8) ** (1 / dim):
-        raise ValueError(f"a probe grid of mesh {resolution!r} on [-{T!r}, {T!r}]^{dim} "
-                         "has more points than an int64 array can hold")
+        raise ValueError(f"{grid} has more points than an int64 array can hold")
     axis = np.arange(-T, T + resolution / 2, resolution)
     total = sq = axis * axis
     for _ in range(dim - 1):  # (x^2 + y^2) + z^2, the order of np.linalg.norm
         total = np.add.outer(total, sq)
-    return np.column_stack([axis[i] for i in np.nonzero(np.sqrt(total) <= T)])
+    probes = np.column_stack([axis[i] for i in np.nonzero(np.sqrt(total) <= T)])
+    if not len(probes):
+        raise ValueError(f"{grid} has no point in B(0, {T!r})")
+    return probes
 
 
 def _brute_min_distance(probes: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -27,9 +27,8 @@ import numpy as np
 @dataclass(eq=False)
 class DirectionFailures:
     """The failing net directions of a check, with the window start of each
-    for shifted windows; their {"direction": j[, "t0": t0]} rows are built
-    only for the entries read, and ``dump_json`` writes them straight from
-    the arrays."""
+    for shifted windows. It holds arrays only: ``dump_json`` writes their
+    {"direction": j[, "t0": t0]} rows, and no other code forms them."""
 
     directions: np.ndarray
     t0: np.ndarray | None = None
@@ -37,24 +36,10 @@ class DirectionFailures:
     def __len__(self) -> int:
         return len(self.directions)
 
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return [self[i] for i in range(len(self))[item]]
-        row = {"direction": int(self.directions[item])}
-        if self.t0 is not None:
-            row["t0"] = float(self.t0[item])
-        return row
-
-    def __iter__(self):
-        return iter(self[:])
-
     def head(self, count: int) -> "DirectionFailures":
         """The first ``count`` entries, still as arrays."""
         return DirectionFailures(self.directions[:count],
                                  None if self.t0 is None else self.t0[:count])
-
-    def to_json(self) -> list[dict]:
-        return self[:]
 
 
 def _float(x: float) -> str:

@@ -241,12 +241,17 @@ class CheckReport:
         }
 
 
-def _require_net(spec: SequenceSpec, eps: float, V: float,
-                 net: DirectionNet | None) -> DirectionNet:
+def _require_scale(eps: float, V: float) -> None:
+    """Every check's scale: eps in (0, 1), V finite and positive."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not 0 < V < math.inf:
         raise ValueError(f"visibility V must be finite and positive, got {V}")
+
+
+def _require_net(spec: SequenceSpec, eps: float, V: float,
+                 net: DirectionNet | None) -> DirectionNet:
+    _require_scale(eps, V)
     required = eps / (4.0 * V)
     if net is None:  # a rule mesh above pi gets the mesh-pi net, finer than it needs
         return build_direction_net(spec.d, min(required, math.pi))
@@ -1062,8 +1067,9 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
     """
     ends = [(line.point(line.t0), line.point(line.t1)) for line in lines]
     norms = [_at(i, segment_norm_range, a, b) for i, (a, b) in enumerate(ends)]
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    _require_scale(eps, V_value)
+    if not lines:
+        raise ValueError("a forest check needs at least one window")
     for line in lines:
         if abs(line.length - V_value) > 1e-9 * max(1.0, V_value):
             raise ValueError("every line window must have length V")

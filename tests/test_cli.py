@@ -559,6 +559,12 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
              "--lam-max -5.0 is not >= 0"),
             (["forest", "--eps", "0.1", "--V", "44", "--lines", "-3"],
              "--lines -3 is not a whole number >= 0"),
+            # a forest once checked eps alone, and a probe grid could hold no probe
+            *((["forest", "--eps", "0.1", f"--V={V}", "--line", "1,0,0,5", "--assert"],
+               f"--eps 0.1 and --V {V}: visibility V must be finite and positive, got {V}")
+              for V in ("nan", "inf")),
+            (["delone", "--T", "2", "--probe-res", "10"], "--T 2.0 and --probe-res 10.0: ",
+             "a probe grid of mesh 10.0 on [-2.0, 2.0]^2 has no point in B(0, 2.0)"),
             (["plot", "--T", "3", "--out", str(tmp_path / "p.svg"), "--marker", "-2"],
              "--marker -2.0 is not finite and positive"),
             (["plot", "--T", "3", "--out", str(tmp_path / "p.svg"), "--marker", "nan"],
@@ -601,6 +607,41 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
                   "--config", str(cfg if text is not None else tmp_path / "none.json")])
         assert err.value.code == 2
         assert problem in capsys.readouterr().err
+
+
+# each subcommand at small valid values, and the numeric flags it reads
+SWEPT = [
+    (["orchard", "--eps", "0.2", "--V", "5"], ("eps", "V")),
+    (["uniform", "--eps", "0.2", "--V", "5", "--t0", "0"], ("eps", "V", "t0")),
+    (["forest", "--eps", "0.2", "--V", "5", "--line", "1,0,0,5", "--lam-max", "10"],
+     ("eps", "V", "lam-max")),
+    (["visible", "--x", "0,1", "--dir", "1,0", "--eps-floor", "0.1", "--Tmax", "50"],
+     ("eps-floor", "Tmax")),
+    (["delone", "--T", "3", "--probe-res", "0.5"], ("T", "probe-res")),
+    (["covering", "--C", "1", "--m", "0", "--N", "10", "--resolution", "0.1"],
+     ("C", "m", "N", "resolution")),
+    (["criterion", "--V-const", "1", "--V-power", "1", "--K", "1", "--eps", "0.2",
+      "--h-mults", "1", "--resolution", "0.1"],
+     ("V-const", "V-power", "K", "eps", "h-mults", "resolution")),
+    (["defvisi", "--eps", "0.2", "--x-grid", "1", "--h-cap", "4", "--resolution", "0.1"],
+     ("eps", "x-grid", "resolution")),
+]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in SWEPT], ids=lambda argv: argv[0])
+def test_swept_commands_run_at_their_valid_values(capsys, argv):
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv,flag", [(argv, flag) for argv, flags in SWEPT for flag in flags],
+                         ids=lambda x: x if isinstance(x, str) else x[0])
+def test_non_finite_numeric_flags_exit_2(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, f"--{flag}={value}"])  # the later value of a flag wins
+    assert err.value.code == 2
+    capsys.readouterr()
 
 
 def test_puncture_overflowing_schedule_warns_nothing(tmp_path, capsys):

@@ -233,3 +233,14 @@ def test_sup_over_no_measured_window_is_unbounded(capsys):
     table = payload("criterion", "--budget", "20")["table"]
     assert {row["status"] for row in table["rows"]} == {"skipped"} and len(table["rows"]) == 12
     assert (table["sup"], table["argmax"]) == ("inf", None)
+
+
+def test_covering_parameter_over_an_empty_grid_is_unbounded(golden):
+    # once -inf at argmax (0, 0), a cell outside the grid
+    est = uniform_covering_parameter(golden, 1.0, [], [100])
+    assert (est.value, est.argmax, est.rows) == (math.inf, None, [])
+    assert est.to_json()["argmax"] is None
+    # N = 0 scaled an empty window's inf radius by 0: a nan cell
+    for N_grid in ([0], [0, 100], [100, math.nan]):
+        with pytest.raises(ValueError, match="every window count N must be at least 1"):
+            uniform_covering_parameter(golden, 1.0, [0], N_grid)

@@ -124,6 +124,10 @@ def test_delone_report_validates_args(golden):
         delone_report(golden, 0.5, 0.1)
     with pytest.raises(ValueError):
         delone_report(golden, 10.0, 0.0)
+    # the mesh-10 grid on [-2, 2]^2 is the one point (-2, -2), outside B(0, 2):
+    # the covering once read 0.0 from no probe
+    with pytest.raises(ValueError, match=r"has no point in B\(0, 2.0\)"):
+        delone_report(golden, 2.0, 10.0)
 
 
 @pytest.mark.parametrize("T, res", [(math.inf, 0.5), (math.nan, 0.5), (-math.inf, 0.5),

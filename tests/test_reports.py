@@ -1,5 +1,6 @@
 """The report writer against ``json.dumps`` of the plain-type conversion it
-replaced, which is kept here as the oracle."""
+replaced, which is kept here as the oracle, with the failure rows it writes
+from a ``DirectionFailures``'s arrays."""
 
 import dataclasses
 import json
@@ -13,6 +14,15 @@ from hypothesis import strategies as st
 
 from spiralvis.reports import DirectionFailures, dump_json
 from spiralvis.visibility import CheckReport, HitWitness
+
+
+def failure_rows(failures: DirectionFailures) -> list[dict]:
+    """The {"direction": j[, "t0": t0]} rows of ``failures``, one per entry."""
+    rows = [{"direction": int(j)} for j in failures.directions]
+    if failures.t0 is not None:
+        for row, t0 in zip(rows, failures.t0):
+            row["t0"] = float(t0)
+    return rows
 
 
 def to_jsonable(obj):
@@ -29,6 +39,8 @@ def to_jsonable(obj):
         return to_jsonable(float(obj))
     if isinstance(obj, np.ndarray):
         return [to_jsonable(x) for x in obj.tolist()]
+    if isinstance(obj, DirectionFailures):
+        return to_jsonable(failure_rows(obj))
     if hasattr(obj, "to_json"):
         return to_jsonable(obj.to_json())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -108,7 +120,8 @@ def test_direction_failure_rows(count, shifted):
     rows = failures(count, shifted)
     assert_same(dump_json(rows), oracle(rows))
     assert_same(dump_json({"failures": rows, "n": [rows, rows.head(1)]}),
-                oracle({"failures": list(rows), "n": [list(rows), rows[:1]]}))
+                oracle({"failures": failure_rows(rows),
+                        "n": [failure_rows(rows), failure_rows(rows)[:1]]}))
     report = CheckReport(
         property="uniform-orchard", spec={"kind": "golden-angle", "d": 1}, eps=0.1,
         V=50.0, constants={}, net={"delta": 5e-4, "count": 6284, "seed": None},
@@ -117,7 +130,7 @@ def test_direction_failure_rows(count, shifted):
         passed=not count, extra={"t0": {0.0: {"failures": count, "hits": 5}}})
     assert_same(dump_json(report), oracle(report.to_json()))
     assert_same(dump_json(report), oracle(report))
-    assert list(report.to_json()["failures"]) == rows[:1000]
+    assert failure_rows(report.to_json()["failures"]) == failure_rows(rows)[:1000]
 
 
 def test_dump_json_writes_the_file_it_returns(tmp_path):

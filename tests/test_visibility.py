@@ -56,7 +56,7 @@ def test_orchard_constant_fails_antipode(constant_seq):
     assert not rep.passed
     # the antipodal direction (angle pi) is among the failures
     count = rep.net["count"]
-    failed = {f["direction"] for f in rep.failures}
+    failed = set(rep.failures.directions.tolist())
     assert int(round(count / 2)) in failed
 
 
@@ -426,6 +426,17 @@ def test_forest_window_length_enforced(golden):
         check_dense_forest(golden, 0.1, 10.0, [line])
 
 
+def test_forest_refuses_a_bad_scale_and_no_window(golden):
+    # the forest once checked eps alone, so V nan or inf passed every window,
+    # and a list of no window passed with total_checks 0
+    line = LineParam.at_angle(1.0, 0.0, 0.0, 5.0)
+    for V in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="visibility V must be finite and positive"):
+            check_dense_forest(golden, 0.1, V, [line])
+    with pytest.raises(ValueError, match="a forest check needs at least one window"):
+        check_dense_forest(golden, 0.1, 44.0, [])
+
+
 def test_forest_restricted_to_axis_implies_uniform(golden):
     # lam=0 windows reduce the anywhere-check to the shifted-window check
     eps, V = 0.1, GOLDEN_UNIFORM_C / 0.1
@@ -628,7 +639,7 @@ def test_estimate_rejects_duplicate_eps(golden):
     assert len(curve.entries) == 2  # deduplicated, strictly decreasing
 
 
-def test_failure_rows_are_built_for_the_written_prefix(ladder):
+def test_failure_arrays_hold_every_window_and_the_payload_their_head(ladder):
     # a clipped budget leaves ~11k of the 25k ladder directions unmet
     eps, V = 0.05, 100.0
     net = build_direction_net(1, eps / (4 * V))
@@ -636,16 +647,19 @@ def test_failure_rows_are_built_for_the_written_prefix(ladder):
                            t0, t0 + V)[0] for t0 in (0.0, 5.0)}
     rep = check_orchard(ladder, eps, V, index_budget=1000).to_json()
     assert rep["failure_count"] == len(want[0.0]) > 1000
-    assert list(rep["failures"]) == [{"direction": int(j)} for j in want[0.0][:1000]]
+    assert np.array_equal(rep["failures"].directions, want[0.0][:1000])
+    assert rep["failures"].t0 is None
     assert rep["pass_fraction"] == 1.0 - len(want[0.0]) / len(net)
     report = check_uniform_orchard(ladder, eps, V, [0.0, 5.0, 0.0], index_budget=1000)
-    rows = [{"direction": int(j), "t0": t0} for t0 in (0.0, 5.0) for j in want[t0]]
-    assert list(report.failures) == rows
-    assert report.failures[len(want[0.0]) - 1:][:2] == rows[len(want[0.0]) - 1:][:2]
+    directions = np.concatenate([want[0.0], want[5.0]])
+    t0 = np.repeat([0.0, 5.0], [len(want[0.0]), len(want[5.0])])
+    assert np.array_equal(report.failures.directions, directions)
+    assert np.array_equal(report.failures.t0, t0)
     rep = report.to_json()
-    assert list(rep["failures"]) == rows[:1000]
-    assert rep["failure_count"] == len(rows)
-    assert rep["pass_fraction"] == 1.0 - len(rows) / (2 * len(net))
+    assert np.array_equal(rep["failures"].directions, directions[:1000])
+    assert np.array_equal(rep["failures"].t0, t0[:1000])
+    assert rep["failure_count"] == len(directions)
+    assert rep["pass_fraction"] == 1.0 - len(directions) / (2 * len(net))
     assert not rep["passed"]
 
 
