@@ -291,8 +291,8 @@ def _cmd_puncture(spec, ns):
 
     def counted():  # tallied block by block as the blocks stream to --out
         nonlocal moved, still_inside
-        for idx, coords in puncture_blocks(pspec, 1, n_hi):
-            moved += int(np.any(coords != point_batch(spec, idx)[1], axis=1).sum())
+        for idx, coords, redirected in puncture_blocks(pspec, 1, n_hi):
+            moved += redirected
             still_inside += int(pspec.in_region(coords).sum())
             yield idx, coords
 
@@ -470,8 +470,10 @@ def main(argv=None) -> int:
         spec = SequenceSpec(kind=ns.seq, d=ns.d, theta=ns.theta,
                             v=_point(ns.v) if ns.v else None, path=ns.seq_file)
         payload, failed = ns.func(spec, ns)
-    except (ValueError, IndexError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         parser.error(str(exc))
+    except IndexError as exc:  # a file sequence read past its last point
+        parser.error(f"--seq-file {ns.seq_file}: {exc}; --budget caps the indices read")
     except ArithmeticError as exc:  # e.g. a power of the input past the float range
         parser.error(f"the input's arithmetic failed: {exc}")
     except MemoryError as exc:  # e.g. a direction net too fine to allocate

@@ -186,8 +186,9 @@ class PunctureSpec:
 
 
 def puncture_blocks(pspec: PunctureSpec, n_lo: int, n_hi: int):
-    """Yield (ns, coords) of the punctured spiral over [n_lo, n_hi], one
-    ``iter_point_chunks`` block at a time.
+    """Yield (ns, coords, redirected) of the punctured spiral over
+    [n_lo, n_hi], one ``iter_point_chunks`` block at a time, ``redirected``
+    the number of the block's points that moved: every one in D.
 
     A point outside D stays. A point in D keeps its radius and takes the
     first direction u_m, n <= m <= n + PUNCTURE_SCAN_CAP, whose point at that
@@ -218,7 +219,7 @@ def puncture_blocks(pspec: PunctureSpec, n_lo: int, n_hi: int):
             if rows.size:
                 n = int(ns[rows[0]])
                 raise PunctureUnresolvedError(n, min(PUNCTURE_SCAN_CAP, last - n))
-        yield ns, coords
+        yield ns, coords, len(inside)
 
 
 def _csv_writer(fh, width: int):

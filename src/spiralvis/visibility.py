@@ -26,10 +26,10 @@ is an empty run, which cancels, one difference array per block of points
 marks every cell the block's runs cover, and the cells left open fail. The
 first block's array spans all K cells; once the runs and the open cells
 number under K/4, a block's runs are ranked in the list of open cells and
-its array spans those ranks only (``_circle_cover``). The
-witnesses of the first 100 hit cells are tracked for cells 0-99 during the
-pass and found by a rescan (``_first_writers``) only when one of those
-fails. On any other net (S^d) ``_directional_window_check``
+its array spans those ranks only (``_circle_cover``). Blocks come in index
+order, so the same pass stamps the first writers of the first 100 hit cells
+in the block that covers each one. On any other net (S^d)
+``_directional_window_check``
 runs ``_cap_witnesses``. It and the S^d minimal-visibility reach
 (``_window_reach``) share one pair sweep, ``_band_pairs``, which keeps the
 open centers sorted by their last coordinate z and pairs each point only
@@ -382,74 +382,66 @@ def _cell_runs(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs):
                np.concatenate([np.minimum(end, K), end[wrap] - K]))
 
 
-def _stamp_first(first: np.ndarray, cells: np.ndarray, ns, start, stop) -> None:
-    """Lower each unset ``first[i]`` to the smallest of ``ns`` whose run
-    start..stop-1 holds cells[i] (``cells`` sorted)."""
-    if not len(cells) or first.max() < MISS:
-        return
+def _stamp_first(cells: np.ndarray, ns, start, stop) -> np.ndarray:
+    """The smallest of ``ns`` whose run start..stop-1 holds each of ``cells``
+    (sorted, not empty; MISS where none does)."""
+    first = np.full(len(cells), MISS, dtype=np.int64)
     near = (start <= cells[-1]) & (stop > cells[0])
     ns, i0 = ns[near], np.searchsorted(cells, start[near])
     c = np.searchsorted(cells, stop[near]) - i0
     np.minimum.at(first, np.repeat(i0 - np.cumsum(c) + c, c) + np.arange(c.sum()),
                   np.repeat(ns, c))
+    return first
 
 
-def _circle_cover(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
-                  cells: np.ndarray):
-    """(open, first): the cells j*2*pi/K that no arc of an index in
-    [n_lo, n_hi] reaches (sorted), and the smallest index whose arc reaches
-    each of ``cells`` (sorted; MISS where none does). Per block, a difference
-    array marks every cell the block's runs cover: one over all K cells,
-    unless the runs and the cells still open number under K/4 together, when
-    the runs are ranked in the list of open cells and it spans their ranks
-    only. The sweep stops when no cell is open."""
+def _circle_cover(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs):
+    """(open, cells, first): the cells j*2*pi/K that no arc of an index in
+    [n_lo, n_hi] reaches (sorted), the first 100 cells some arc reaches
+    (sorted), and the smallest index whose arc reaches each of those. Per
+    block, a difference array marks every cell the block's runs cover: one
+    over all K cells, unless the runs and the cells still open number under
+    K/4 together, when the runs are ranked in the list of open cells and it
+    spans their ranks only. Blocks come in index order, so a cell's first
+    writer is the least index among the runs of the block that first covers
+    it, and each block stamps its new cells below the 100th kept one. The
+    sweep stops when no cell is open."""
     open_ = None  # the open cells, sorted; None while every cell is
-    first = np.full(len(cells), MISS, dtype=np.int64)
+    cells = first = np.zeros(0, dtype=np.int64)
     for ns, start, stop in _cell_runs(spec, K, n_lo, n_hi, arcs):
-        _stamp_first(first, cells, ns, start, stop)
         R = K if open_ is None else len(open_)
         if 4 * (len(start) + R) < K:  # sorted keys keep the bisections local
             depth = np.bincount(np.searchsorted(open_, np.sort(start)), minlength=R + 1)
             depth -= np.bincount(np.searchsorted(open_, np.sort(stop)), minlength=R + 1)
-            open_ = open_[np.cumsum(depth, out=depth)[:R] == 0]
+            still = np.cumsum(depth, out=depth)[:R] == 0
         else:
             depth = np.bincount(start, minlength=K + 1)
             depth -= np.bincount(stop, minlength=K + 1)
             still = np.cumsum(depth, out=depth)[:K] == 0
-            open_ = np.flatnonzero(still) if open_ is None else open_[still[open_]]
+            still = still if open_ is None else still[open_]
         del depth  # freed before the next block's runs
+        if open_ is None:  # any prefix holds at most len(open_) open cells
+            open_ = np.flatnonzero(still)
+            new = np.flatnonzero(~still[:100 + len(open_)])[:100]
+        else:  # only cells below the 100th kept one can join the kept
+            m = len(open_) if len(cells) < 100 else np.searchsorted(open_, cells[-1])
+            new, open_ = open_[:m][~still[:m]][:100], open_[still]
+        if len(new):
+            cells = np.concatenate([cells, new])
+            first = np.concatenate([first, _stamp_first(new, ns, start, stop)])
+            order = np.argsort(cells)[:100]
+            cells, first = cells[order], first[order]
         if not len(open_):
             break
-    return np.arange(K) if open_ is None else open_, first
-
-
-def _first_writers(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
-                   cells: np.ndarray) -> np.ndarray:
-    """The smallest index in [n_lo, n_hi] whose arc reaches each of ``cells``
-    (sorted, each reached by some arc), reading only until all are found."""
-    first = np.full(len(cells), MISS, dtype=np.int64)
-    for runs in _cell_runs(spec, K, n_lo, n_hi, arcs):
-        _stamp_first(first, cells, *runs)
-        if first.max(initial=0) < MISS:
-            break
-    return first
+    return (np.arange(K) if open_ is None else open_), cells, first
 
 
 def _circle_check(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
                   t_lo: float, t_hi: float):
     """(failures, witnesses, hits) on the circle grid of K cells: the cells
     no arc reaches, the first writers of the first 100 hit cells with their
-    exact (t, distance) on [t_lo, t_hi], and the hit count. The cover tracks
-    cells 0-99; only when one of them fails are the first 100 hit cells
-    found again by a rescan from the start."""
-    tracked = np.arange(min(K, 100))
-    failures, first = _circle_cover(spec, K, n_lo, n_hi, arcs, tracked)
-    cells = tracked if first.max(initial=0) < MISS else np.setdiff1d(
-        np.arange(min(K, len(failures) + 100)), failures, assume_unique=True)[:100]
-    if len(cells) and cells[-1] >= len(tracked):
-        writers = _first_writers(spec, K, n_lo, n_hi, arcs, cells)
-    else:
-        writers = first[cells]
+    exact (t, distance) on [t_lo, t_hi], and the hit count, all from one
+    cover pass (``_circle_cover``)."""
+    failures, cells, writers = _circle_cover(spec, K, n_lo, n_hi, arcs)
     t, dist = _exact_cell_witnesses(spec, K, cells, writers, t_lo, t_hi)
     return failures, _hit_witnesses(writers, t, dist), K - len(failures)
 

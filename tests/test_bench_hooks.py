@@ -8,8 +8,8 @@ and every module-level function and class, has a caller outside the tests,
 that every defaulted parameter of a module-level function or classmethod,
 and every defaulted dataclass field, is passed by some call outside the
 tests, that one constant sets every default index budget, that the budget
-meets a range in one function per kind of reading, and that no module
-imports a name it never reads."""
+meets a range in one function per kind of reading, that no module imports
+a name it never reads, and that the docs name only code that exists."""
 
 import ast
 import dataclasses
@@ -281,3 +281,42 @@ def test_no_unread_imports():
              if path.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
     unread = [entry for path in files for entry in _unread_imports(path)]
     assert not unread, f"imported names that nothing reads: {unread}"
+
+
+def _doc_texts():
+    """(where, text) of README.md, without its fenced code, and of every
+    docstring in src/spiralvis."""
+    readme = (ROOT / "README.md").read_text()
+    yield "README.md", re.sub(r"```.*?```", "", readme, flags=re.S)
+    for path in sorted((ROOT / "src" / "spiralvis").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                if doc := ast.get_docstring(node, clean=False):
+                    yield path.name, doc
+
+
+def test_docs_name_only_code_that_exists():
+    # a backticked private name (``_name``) or module-qualified name
+    # (``module.name``, ``spiralvis.module.name``) in the docs must resolve
+    # in a spiralvis module, so a removal cannot leave a sentence about it
+    modules = {path.stem: importlib.import_module(f"spiralvis.{path.stem}")
+               for path in (ROOT / "src" / "spiralvis").glob("*.py")
+               if path.name != "__init__.py"}
+    modules["spiralvis"] = spiralvis
+
+    def resolves(name):
+        head, *rest = name.split(".")
+        owners = [modules[head]] if rest else modules.values()
+        for part in rest or [head]:
+            owners = [getattr(obj, part) for obj in owners if hasattr(obj, part)]
+        return bool(owners)
+
+    missing = []
+    for where, text in _doc_texts():
+        for quoted in re.findall(r"``([^`]+)``|`([^`]+)`", text):
+            name = re.match(r"[\w.]*", "".join(quoted)).group().rstrip(".")
+            private = name.startswith("_") and not name.startswith("__")
+            qualified = "." in name and name.split(".")[0] in modules
+            if (private or qualified) and name != "_ArrayMemoryError" and not resolves(name):
+                missing.append(f"{where}: {name}")
+    assert not missing, f"docs name code that does not exist: {missing}"

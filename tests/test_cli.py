@@ -644,6 +644,24 @@ def test_non_finite_numeric_flags_exit_2(capsys, argv, flag, value):
     capsys.readouterr()
 
 
+
+@pytest.mark.parametrize("argv,index", [
+    (["visible", "--x", "0.1,0.1", "--dir", "1,0", "--Tmax", "50"], 2520),
+    (["orchard", "--eps", "0.5", "--V", "5"], 30),
+    (["forest", "--line", "1,0,0,5", "--eps", "0.1", "--V", "5"], 27),
+    (["delone", "--T", "5"], 25),
+    (["covering"], 100)], ids=lambda x: x[0] if isinstance(x, list) else str(x))
+def test_file_sequence_read_past_its_end_names_its_flags(tmp_path, capsys, argv, index):
+    # an overrun names the file and the flag that caps the indices read
+    seq = tmp_path / "pts3.txt"
+    save_sequence_file(seq, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--seq", "file", "--seq-file", str(seq)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip().splitlines()[-1]
+    assert message.endswith(f"--seq-file {seq}: sequence file holds 3 points, index "
+                            f"{index} requested; --budget caps the indices read")
+
 def test_puncture_overflowing_schedule_warns_nothing(tmp_path, capsys):
     # outer radii 2^m past m = 1023 overflow to inf, which the spec rejects;
     # numpy's overflow warning must not come first (-W error made it a

@@ -67,7 +67,8 @@ CASES = {
     # windows through and behind the origin: both halves of each window's arcs
     "uniform-golden-origin": ["uniform", "--seq", "golden-angle", "--eps", "0.05",
                               "--V", "80", "--t0=-40,-100,5.5"],
-    # 276 of 2,514 cells fail: the failure list and the witness rescan
+    # 276 of 2,514 cells fail, cell 0 among them: the failure list and the
+    # witnesses the cover stamps for the first 100 hit cells
     "orchard-golden-failures": ["orchard", "--seq", "golden-angle", "--eps", "0.1",
                                 "--V", "20"],
     # K = 1,579,137 cells: later blocks ranked in the list of open cells

@@ -178,13 +178,14 @@ def test_puncture_membership_geometry(ladder):
 
 def test_puncture_keeps_outside_points(ladder):
     ps = make_puncture(ladder)
-    (ns, coords), = puncture_blocks(ps, 1, 1)  # (1, 0): far from the +y ray
+    (ns, coords, redirected), = puncture_blocks(ps, 1, 1)  # (1, 0): far from the +y ray
+    assert redirected == 0
     assert np.array_equal(coords, point_batch(ladder, ns)[1])
 
 
 def test_puncture_clears_region_up_to_1e6(ladder):
     ps = make_puncture(ladder)
-    for ns, coords in puncture_blocks(ps, 1, 10**6):
+    for ns, coords, _ in puncture_blocks(ps, 1, 10**6):
         assert int(ps.in_region(coords).sum()) == 0
         # redirected points keep their radius
         radii = np.linalg.norm(coords, axis=1)
@@ -193,7 +194,7 @@ def test_puncture_clears_region_up_to_1e6(ladder):
 
 def test_puncture_agrees_on_annuli(ladder):
     ps = make_puncture(ladder)
-    (ns, coords), = puncture_blocks(ps, 1, 10**5)
+    (ns, coords, _), = puncture_blocks(ps, 1, 10**5)
     base = point_batch(ladder, ns)[1]
     kept = ps.in_kept_annulus(np.linalg.norm(base, axis=1))
     assert kept.sum() > 0
@@ -209,11 +210,16 @@ def scanned(ps, n_lo, n_hi):
 
 
 def streamed(ps, n_lo, n_hi):
-    """``puncture_blocks``' points over [n_lo, n_hi], or the error it raises."""
+    """``puncture_blocks``' points over [n_lo, n_hi], or the error it raises;
+    each block's redirected count is the number of its points that moved."""
     try:
-        return np.vstack([coords for _, coords in puncture_blocks(ps, n_lo, n_hi)])
+        blocks = list(puncture_blocks(ps, n_lo, n_hi))
     except PunctureUnresolvedError as exc:
         return exc
+    for ns, coords, redirected in blocks:
+        moved = np.any(coords != point_batch(ps.base, ns)[1], axis=1)
+        assert redirected == moved.sum()
+    return np.vstack([coords for _, coords, _ in blocks])
 
 
 def test_puncture_unresolved_error(monkeypatch):

@@ -19,6 +19,7 @@ import spiralvis.visibility as vis
 from spiralvis import (
     SequenceSpec,
     build_direction_net,
+    check_orchard,
     check_uniform_orchard,
     estimate_min_visibility,
 )
@@ -28,7 +29,6 @@ from spiralvis.visibility import (
     MISS,
     _certificate_arcs,
     _circle_check,
-    _first_writers,
     _net_check,
     _passes,
     _window_arcs,
@@ -98,10 +98,10 @@ def _stamped_window(spec, K, t_lo, t_hi, eps, budget):
     return (witness, *_recomputed(spec, witness, t_lo, t_hi))
 
 
-def _assert_same(got, first, want):
-    """The failing cells exactly, the hit count, the 100 reported witnesses
-    with their exact (t, distance), and ``first`` (the rescan's first
-    writer of every hit cell) against the oracle's witness array."""
+def _assert_same(got, want):
+    """The failing cells exactly, the hit count, and the 100 reported
+    witnesses with their exact (t, distance) against the oracle's witness
+    array."""
     failures, witnesses, hits = got
     witness, t, dist = want
     hit = np.flatnonzero(witness != MISS)
@@ -110,7 +110,6 @@ def _assert_same(got, first, want):
     top = hit[:100]
     assert [(w.n, w.t, w.distance) for w in witnesses] == list(
         zip(witness[top].tolist(), t[top].tolist(), dist[top].tolist()))
-    assert np.array_equal(first(hit), witness[hit])
 
 
 def _small_blocks(marks):
@@ -142,8 +141,7 @@ def test_window_sweep_matches_stamping(kind, K, eps, t0, V, budget, points):
     window = _window_arcs(spec, t0, t0 + V, eps, budget)
     with _small_chunks(points):
         got = _circle_check(spec, K, *window, t0, t0 + V)
-        _assert_same(got, lambda cells: _first_writers(spec, K, *window, cells),
-                     _stamped_window(spec, K, t0, t0 + V, eps, budget))
+        _assert_same(got, _stamped_window(spec, K, t0, t0 + V, eps, budget))
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +162,6 @@ def test_certificate_sweep_matches_stamping(kind, count, eps, V, K_const, kappa,
     with mock.patch.multiple(vis, K_CERT=K_const, KAPPA_CERT=kappa):
         arcs = _certificate_arcs(spec, eps, V, budget)
         _assert_same(_net_check(spec, net, *arcs, 0.0, V),
-                     lambda cells: _first_writers(spec, count, *arcs, cells),
                      (witness, *_recomputed(spec, witness, 0.0, V)))
 
 
@@ -221,27 +218,39 @@ def test_arc_cells_and_runs_match_each_cell(K, columns, arcs):
 def test_circle_cover_ignores_empty_runs(data, K):
     # blocks of runs, the later ones a few runs each so that the cover ranks
     # them among the open cells, with empty runs (start == stop) at any cell
-    # from 0 to K, open or not: the cover gives the same (open, first) with
-    # and without them, and the same as marking each run's cells
+    # from 0 to K, open or not: the cover gives the same (open, cells, first)
+    # with and without them, and the same as marking each run's cells: the
+    # open cells, the first 100 covered cells and their least writers
     run = st.integers(0, K).flatmap(lambda a: st.tuples(st.just(a), st.integers(a, K)))
     empty = st.integers(0, K).map(lambda a: (a, a))
     blocks = data.draw(st.lists(st.lists(st.one_of(run, empty), min_size=1, max_size=6),
                                 min_size=1, max_size=12))
-    cells = np.array(sorted(data.draw(st.sets(st.integers(0, K - 1), max_size=20))),
-                     dtype=np.int64)
-    runs = [(np.arange(len(b), dtype=np.int64) + 100 * i, *np.array(b, dtype=np.int64).T)
+    # a block's indices exceed the last block's, in any order within it
+    runs = [(np.array(data.draw(st.permutations(range(len(b)))), dtype=np.int64) + 100 * i,
+             *np.array(b, dtype=np.int64).T)
             for i, b in enumerate(blocks)]
     covered = np.full(K, MISS, dtype=np.int64)
     for ns, start, stop in runs:
         for n, a, b in zip(ns, start, stop):
             covered[a:b] = np.minimum(covered[a:b], n)
-    want = (np.flatnonzero(covered == MISS), covered[cells])
+    hit = np.flatnonzero(covered != MISS)[:100]
+    want = (np.flatnonzero(covered == MISS), hit, covered[hit])
     nonempty = [(ns[stop > start], start[stop > start], stop[stop > start])
                 for ns, start, stop in runs]
     for source in (runs, nonempty):
         with mock.patch.object(vis, "_cell_runs", lambda *_: iter(source)):
-            open_, first = vis._circle_cover(None, K, 0, 0, None, cells)
-        assert np.array_equal(open_, want[0]) and np.array_equal(first, want[1])
+            got = vis._circle_cover(None, K, 0, 0, None)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _counted_reads(monkeypatch) -> list:
+    """The length of each ``angle_batch`` call the circle sweeps make, as
+    they make them."""
+    read = []
+    real = vis.angle_batch
+    monkeypatch.setattr(vis, "angle_batch",
+                        lambda spec, ns: read.append(len(ns)) or real(spec, ns))
+    return read
 
 
 def test_sweep_stops_when_every_cell_is_resolved(ladder, monkeypatch):
@@ -249,18 +258,22 @@ def test_sweep_stops_when_every_cell_is_resolved(ladder, monkeypatch):
     # block of 65,536 points, a sixth of the window's index range
     eps, V = 0.02, 4 * math.pi / 0.02
     net = build_direction_net(1, eps / (4 * V))
-    read = []
-    real = vis.angle_batch
-
-    def counting(spec, ns):
-        read.append(len(ns))
-        return real(spec, ns)
-
-    monkeypatch.setattr(vis, "angle_batch", counting)
+    read = _counted_reads(monkeypatch)
     failures, witnesses, hits = _net_check(
         ladder, net, *_window_arcs(ladder, 0.0, V, eps, DEFAULT_BUDGET), 0.0, V)
     assert not len(failures) and hits == len(net) and len(witnesses) == 100
     assert 0 < sum(read) < annulus_index_range(0.0, V + eps, 1)[1] / 4
+
+
+def test_failing_window_reads_each_block_once(golden, monkeypatch):
+    # the golden orchard at eps 0.1, V 20 fails 276 of 2,514 cells, cell 0
+    # among them, on a range of one 404-index block: the cover stamps the
+    # first 100 hit cells' writers in the same pass
+    read = _counted_reads(monkeypatch)
+    rep = check_orchard(golden, 0.1, 20.0)
+    assert len(rep.failures) == 276 and rep.failures.directions[0] == 0
+    assert rep.total_checks == 2514
+    assert len(rep.witnesses) == 100 and read == [404]
 
 
 # -- the direct minimal visibility ------------------------------------------

@@ -26,7 +26,6 @@ from spiralvis.visibility import (
     _certificate_arcs,
     _directional_window_check,
     _exact_direction_witnesses,
-    _first_writers,
     _net_check,
     _window_arcs,
     segment_norm_range,
@@ -147,9 +146,6 @@ def test_uniform_negative_window_matches_generic(golden, ladder):
             assert np.array_equal(failures, np.flatnonzero(slow == MISS))
             assert hits == len(hit)
             assert [w.n for w in witnesses] == slow[hit[:100]].tolist()
-            # the cover's first writer of every hit cell, through the rescan
-            first = _first_writers(spec, len(net), *window, hit)
-            assert np.array_equal(first, slow[hit])
 
 
 def _brute_window_witnesses(spec, centers, t_lo, t_hi, eps):
