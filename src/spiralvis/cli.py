@@ -25,7 +25,7 @@ from .covering import (
 from .delone import badness, delone_report
 from .plotting import scatter_svg
 from .reports import dump_json, write_csv
-from .sequences import GOLDEN_RATIO, SequenceSpec
+from .sequences import GOLDEN_RATIO, SequenceFileOverrunError, SequenceSpec
 from .sphere import unit_vector
 from .spirals import (
     DEFAULT_BUDGET,
@@ -51,6 +51,7 @@ from .visibility import (
 
 
 GENERATE_BLOCK = 1 << 16  # points per block written by generate
+SCHEDULE_RANGES = {"geometric": (4, 20), "factorial": (5, 7)}  # --schedule -> default annuli
 
 
 def _floats(text: str) -> list[float]:
@@ -119,32 +120,46 @@ def _cmd_generate(spec, ns):
     return _write_points(ns, spec.d, n_hi, blocks), False
 
 
-def _cmd_plot(spec, ns):
-    _positive("--T", [ns.T])
-    _positive("--marker", [ns.marker])
-    _, n_hi = index_range(1, count_in_ball(ns.T, spec.d), ns.budget, f"--T {ns.T}")
-    _, coords = point_batch(spec, np.arange(1, n_hi + 1, dtype=np.int64))
-    strip = tuple(_floats(ns.strip)) if ns.strip else None
-    rays, crosses = [], []
-    if ns.overlay_json:
-        with open(ns.overlay_json) as fh:
+def _overlay(path: str) -> tuple[list, list]:
+    """The rays along the failing directions and the witness points of the
+    d=1 check report, or first report of the CLI payload, in the file ``path``."""
+    try:
+        with open(path) as fh:
             report = json.load(fh)
         if "reports" in report:  # unwrap a CLI payload
             report = report["reports"][0]
         if "spec" not in report:
-            raise ValueError(f"--overlay-json {ns.overlay_json} holds no check "
-                             "report with a 'spec' (orchard, uniform or forest)")
+            raise ValueError("holds no check report with a 'spec' (orchard, uniform or forest)")
         rspec = SequenceSpec.from_json(report["spec"])
         if rspec.d != 1:  # direction indices of an S^d net are not circle angles
-            raise ValueError(f"--overlay-json {ns.overlay_json} holds a d={rspec.d} "
-                             "report; only circle (d=1) reports can be overlaid")
+            raise ValueError(f"holds a d={rspec.d} report; only circle (d=1) reports "
+                             "can be overlaid")
         count = report.get("net", {}).get("count")
+        rays = []
         for f in report.get("failures", []):
             if count and "direction" in f:
                 ang = f["direction"] * 2.0 * math.pi / count
                 rays.append((0.0, 0.0, math.cos(ang), math.sin(ang)))
         wit_n = np.array([w["n"] for w in report.get("witnesses", [])], dtype=np.int64)
-        crosses = [tuple(p) for p in point_batch(rspec, wit_n)[1]]
+        return rays, [tuple(p) for p in point_batch(rspec, wit_n)[1]]
+    except (OSError, ValueError, ArithmeticError, SequenceFileOverrunError) as exc:
+        raise ValueError(f"--overlay-json {path}: {exc}") from None
+    except (LookupError, TypeError, AttributeError) as exc:  # JSON of another shape
+        raise ValueError(f"--overlay-json {path}: not a check report "
+                         f"({type(exc).__name__}: {exc})") from None
+
+
+def _cmd_plot(spec, ns):
+    _positive("--T", [ns.T])
+    _positive("--marker", [ns.marker])
+    strip = None
+    if ns.strip:
+        strip = _named(f"--strip {ns.strip}", _floats, ns.strip)
+        if not (len(strip) == 2 and -math.inf < strip[0] < strip[1] < math.inf):
+            raise ValueError(f"--strip {ns.strip} is not two finite values lo,hi with lo < hi")
+    _, n_hi = index_range(1, count_in_ball(ns.T, spec.d), ns.budget, f"--T {ns.T}")
+    _, coords = point_batch(spec, np.arange(1, n_hi + 1, dtype=np.int64))
+    rays, crosses = _overlay(ns.overlay_json) if ns.overlay_json else ([], [])
     scatter_svg(ns.out, coords, ns.T, marker=ns.marker, strip=strip,
                 rays=rays, crosses=crosses)
     return {"written": ns.out, "points": int(n_hi)}, False
@@ -252,7 +267,7 @@ def _defvisi_curve(spec, ns):
                                     resolution=ns.resolution, index_budget=ns.budget)
 
 
-# subcommand -> (payload key, key of its row list, build(spec, ns))
+# subcommand -> (payload key, field of its row list, build(spec, ns))
 TABLES = {
     "covering": ("estimate", "rows", _covering_table),
     "criterion": ("table", "rows", _criterion_table),
@@ -265,9 +280,9 @@ def _cmd_table(spec, ns):
     key, rows, build = TABLES[ns.subcommand]
     if ns.resolution is not None:
         _positive("--resolution", [ns.resolution])
-    table = build(spec, ns).to_json()
+    table = build(spec, ns)
     if ns.csv:
-        write_csv(ns.csv, table[rows])
+        write_csv(ns.csv, getattr(table, rows))
     return {key: table}, False
 
 
@@ -282,6 +297,9 @@ def _cmd_delone(spec, ns):
 
 def _cmd_puncture(spec, ns):
     _, n_hi = index_range(1, ns.n, ns.budget, f"--n {ns.n}")
+    lo, hi = SCHEDULE_RANGES[ns.schedule]  # put in ns, so the payload records the range run
+    ns.m_lo = lo if ns.m_lo is None else ns.m_lo
+    ns.m_hi = hi if ns.m_hi is None else ns.m_hi
     flags = (f"--schedule {ns.schedule} with --v0 {ns.v0}, --delta {ns.delta}, "
              f"--m-lo {ns.m_lo}, --m-hi {ns.m_hi}, --strip-C {ns.strip_C}")
     # --v0 is parsed inside the call, so an error parsing it names the flags too
@@ -399,8 +417,8 @@ def build_parser():
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--schedule", choices=["geometric", "factorial"],
                    default="geometric")
-    p.add_argument("--m-lo", type=int, default=4)
-    p.add_argument("--m-hi", type=int, default=20)
+    p.add_argument("--m-lo", type=int, default=None, help="first annulus; default by --schedule")
+    p.add_argument("--m-hi", type=int, default=None, help="last annulus; default by --schedule")
     p.add_argument("--strip-C", type=float, default=1.0)
     p.add_argument("--n", type=int, default=None)
 
@@ -472,7 +490,7 @@ def main(argv=None) -> int:
         payload, failed = ns.func(spec, ns)
     except (ValueError, FileNotFoundError) as exc:
         parser.error(str(exc))
-    except IndexError as exc:  # a file sequence read past its last point
+    except SequenceFileOverrunError as exc:  # a file sequence read past its last point
         parser.error(f"--seq-file {ns.seq_file}: {exc}; --budget caps the indices read")
     except ArithmeticError as exc:  # e.g. a power of the input past the float range
         parser.error(f"the input's arithmetic failed: {exc}")

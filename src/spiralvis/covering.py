@@ -6,7 +6,8 @@ window meets the index budget only in ``_window_radius``; past it, the
 covering parameter refuses, the criterion skips a row, the curve drops an h;
 each table's sup is ``_sup``'s: the first greatest of the cells measured,
 and inf, with no argmax, over no measured cell, so an x with no h read is
-never feasible.
+never feasible. A table's result is its payload: its fields are the keys,
+and its dict rows form here once, for ``dump_json`` and ``write_csv`` to write.
 """
 
 from __future__ import annotations
@@ -91,25 +92,14 @@ def _sup(cells):
 
 @dataclass
 class UniformCoveringEstimate:
-    """Truncated sup of N^(1/d) times the windowed covering distance."""
+    """Truncated sup of N^(1/d) times the windowed covering distance over the
+    ``grids``: an {"m", "N", "radius", "scaled"} row per cell; argmax {"m", "N"}."""
 
-    value: float
-    argmax: tuple[int, int] | None
-    rows: list  # (m, N, radius, scaled)
+    uniform_covering_parameter: float
+    argmax: dict | None
     C: float
-    m_grid: list
-    N_grid: list
-
-    def to_json(self) -> dict:
-        return {
-            "uniform_covering_parameter": self.value,
-            "argmax": self.argmax and {"m": self.argmax[0], "N": self.argmax[1]},
-            "C": self.C,
-            "grids": {"m": list(self.m_grid), "N": list(self.N_grid)},
-            "rows": [
-                {"m": m, "N": n, "radius": r, "scaled": s} for m, n, r, s in self.rows
-            ],
-        }
+    grids: dict
+    rows: list
 
 
 def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
@@ -128,11 +118,11 @@ def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
             if radius is None:
                 raise ValueError(
                     f"window [{m + 1}, {m + C * N}] exceeds index budget {index_budget}")
-            scaled = N ** (1.0 / spec.d) * radius
-            rows.append((int(m), int(N), radius, scaled))
-    best, arg = _sup((s, (m, n)) for m, n, _, s in rows)
-    return UniformCoveringEstimate(value=best, argmax=arg, rows=rows, C=C,
-                                   m_grid=list(m_grid), N_grid=list(N_grid))
+            rows.append({"m": int(m), "N": int(N), "radius": radius,
+                         "scaled": N ** (1.0 / spec.d) * radius})
+    best, argmax = _sup((r["scaled"], {"m": r["m"], "N": r["N"]}) for r in rows)
+    return UniformCoveringEstimate(uniform_covering_parameter=best, argmax=argmax, C=C,
+                                   grids={"m": list(m_grid), "N": list(N_grid)}, rows=rows)
 
 
 # the criterion's W(eps) = C_U * V(KAPPA_U * eps), at the paper's constants
@@ -141,20 +131,13 @@ C_U = KAPPA_U = 1.0
 
 @dataclass
 class CriterionTable:
-    """Cells h * eps^-1 * R(window at h of length K h^d W(eps)), h >= W(eps)."""
+    """Cells h * eps^-1 * R(window at h of length K h^d W(eps)), h >= W(eps), as
+    {"eps", "h", "x", "radius", "value", "status"} rows; argmax is {"eps", "h"}."""
 
-    rows: list  # dict per cell
     sup: float
     argmax: dict | None
-    K: float
-
-    def to_json(self) -> dict:
-        return {
-            "sup": self.sup,
-            "argmax": self.argmax,
-            "constants": {"K": self.K, "c_U": C_U, "kappa_U": KAPPA_U},
-            "rows": self.rows,
-        }
+    constants: dict
+    rows: list
 
 
 def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
@@ -186,24 +169,18 @@ def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
             rows.append({"eps": eps, "h": h, "x": x, "radius": radius,
                          "value": value, "status": "ok"})
     sup, argmax = _sup((r["value"], {"eps": r["eps"], "h": r["h"]}) for r in rows)
-    return CriterionTable(rows=rows, sup=sup, argmax=argmax, K=K)
+    return CriterionTable(sup=sup, argmax=argmax, rows=rows,
+                          constants={"K": K, "c_U": C_U, "kappa_U": KAPPA_U})
 
 
 @dataclass
 class CoveringVisibilityCurve:
-    """Visibility read off the windowed covering radii: for each eps the
-    largest grid x whose inner sup over h stays at or below eps."""
+    """Visibility read off the windowed covering radii: an {"eps", "V"} entry per
+    eps, V the largest grid x whose {"x", "sup", "h_argmax"} inner row has sup <= eps."""
 
-    entries: list  # (eps, V)
-    inner: list  # (x, inner sup, h arg)
+    curve: list
+    inner: list
     h_cap: int
-
-    def to_json(self) -> dict:
-        return {
-            "curve": [{"eps": e, "V": v} for e, v in self.entries],
-            "inner": [{"x": x, "sup": s, "h_argmax": h} for x, s, h in self.inner],
-            "h_cap": self.h_cap,
-        }
 
 
 def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
@@ -212,7 +189,7 @@ def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
                              index_budget: int = DEFAULT_BUDGET) -> CoveringVisibilityCurve:
     """Evaluate V(eps) = sup{x : sup_(h>x) h * R(window at h, length h^d x) <= eps}
     on finite grids, keeping the inner-sup trajectory observable."""
-    inner_rows = []
+    inner = []
     for x in x_grid:
         if x <= 0:
             raise ValueError("x grid must be positive")
@@ -223,9 +200,9 @@ def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
                                     index_budget)
             cells.append((None if radius is None else h * radius, h))
             h *= 2
-        inner_rows.append((float(x), *_sup(cells)))
-    entries = []
-    for eps in eps_grid:
-        feasible = [x for x, sup, _ in inner_rows if sup <= eps]
-        entries.append((float(eps), max(feasible, default=0.0)))
-    return CoveringVisibilityCurve(entries=entries, inner=inner_rows, h_cap=h_cap)
+        sup, h_argmax = _sup(cells)
+        inner.append({"x": float(x), "sup": sup, "h_argmax": h_argmax})
+    curve = [{"eps": float(eps),
+              "V": max((r["x"] for r in inner if r["sup"] <= eps), default=0.0)}
+             for eps in eps_grid]
+    return CoveringVisibilityCurve(curve=curve, inner=inner, h_cap=h_cap)

@@ -213,6 +213,10 @@ def load_sequence_file(path: str | Path, d: int) -> np.ndarray:
     return units
 
 
+class SequenceFileOverrunError(IndexError):
+    """An index past the last point of a ``file`` sequence."""
+
+
 def direction_batch(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
     """Directions u_n for an array of indices, as an (m, d+1) array."""
     ns = np.asarray(ns, dtype=np.int64)
@@ -228,7 +232,7 @@ def direction_batch(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
     if spec.kind == "file":
         pts = spec.file_points()
         if ns.size and ns.max() > len(pts):
-            raise IndexError(
+            raise SequenceFileOverrunError(
                 f"sequence file holds {len(pts)} points, index {int(ns.max())} requested"
             )
         return pts[ns - 1]

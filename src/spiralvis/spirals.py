@@ -145,7 +145,7 @@ class PunctureSpec:
             raise ValueError("every annulus needs outer radius minus thickness > 0")
 
     @classmethod
-    def geometric(cls, base, v0, delta, m_lo=4, m_hi=20, scale_constant=1.0):
+    def geometric(cls, base, v0, delta, m_lo, m_hi, scale_constant=1.0):
         """Outer radii 2^m paired with target scale 2^(-m/2).
 
         Thickness 2*C*(2^(-m/2))^(-d) keeps thickness/radius -> 0, which is
@@ -159,7 +159,7 @@ class PunctureSpec:
         return cls(base=base, v0=v0, delta=delta, outer_radii=outer, thicknesses=thick)
 
     @classmethod
-    def factorial(cls, base, v0, delta, n_lo=5, n_hi=7, scale_constant=1.0):
+    def factorial(cls, base, v0, delta, n_lo, n_hi, scale_constant=1.0):
         """Outer radii n! with thickness 2*C*2^(n*d); d=1 only fits up to 7!."""
         ns = np.arange(n_lo, n_hi + 1)
         # 170! is the last factorial below the float range; the spec rejects inf

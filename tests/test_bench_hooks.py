@@ -8,7 +8,8 @@ and every module-level function and class, has a caller outside the tests,
 that every defaulted parameter of a module-level function or classmethod,
 and every defaulted dataclass field, is passed by some call outside the
 tests, that one constant sets every default index budget, that the budget
-meets a range in one function per kind of reading, that no module imports
+meets a range in one function per kind of reading, that only the listed
+results serialize through a ``to_json`` of their own, that no module imports
 a name it never reads, and that the docs name only code that exists."""
 
 import ast
@@ -133,10 +134,8 @@ def test_public_names_have_production_callers():
 
 # defaulted parameters that no production call passes, each with its reason
 NO_CALLER_SETS = {
-    (f"PunctureSpec.{schedule}", param): "cli calls the schedule through getattr"
-    for schedule, params in (("geometric", ("m_lo", "m_hi", "scale_constant")),
-                             ("factorial", ("n_lo", "n_hi", "scale_constant")))
-    for param in params
+    (f"PunctureSpec.{schedule}", "scale_constant"): "cli calls the schedule through getattr"
+    for schedule in ("geometric", "factorial")
 }
 
 
@@ -254,6 +253,26 @@ def test_one_budget_rule_per_reading():
                             any(map(_reads_budget, node.args)):
                         sites.add(f"{path.stem}.{func.name}")
     assert sites == set(BUDGET_RULES), sorted(sites)
+
+
+# the classes that may define a ``to_json``, each with its reason
+TO_JSON = {
+    "CheckReport": "derives pass_fraction and failure_count, caps its failures and "
+                   "witnesses, and leaves out an empty extra",
+    "SequenceSpec": "builds the params of its kind",
+    "VisibilityCurve": "perfbench/child.py digests a curve through it",
+}
+
+
+def test_one_serialization_path_per_result():
+    # a result that writes its fields through a to_json of its own keeps its
+    # payload's layout in a second place; dump_json writes a dataclass's fields
+    owners = [node.name for path in sorted((ROOT / "src" / "spiralvis").glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.ClassDef) and any(
+                  isinstance(member, ast.FunctionDef) and member.name == "to_json"
+                  for member in node.body)]
+    assert sorted(owners) == sorted(TO_JSON), owners
 
 
 def _unread_imports(path: Path) -> list[str]:

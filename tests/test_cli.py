@@ -202,6 +202,21 @@ def test_puncture_clears_region(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 20001
 
 
+def test_puncture_schedules_run_at_their_own_default_ranges(tmp_path, capsys):
+    # factorial once ran geometric's default annuli 4..20, whose small ones
+    # have no inner radius under its thicknesses 2^(m+1)
+    for schedule, annuli in (("geometric", (4, 20)), ("factorial", (5, 7))):
+        code, text = run(capsys, "puncture", "--schedule", schedule, "--n", "1000",
+                         "--out", str(tmp_path / "p.bin"))
+        assert code == 0
+        args = json.loads(text)["config"]["args"]
+        assert (args["m_lo"], args["m_hi"]) == annuli
+    code, text = run(capsys, "puncture", "--schedule", "factorial", "--m-hi", "6", "--n",
+                     "1000", "--out", str(tmp_path / "p.bin"))
+    args = json.loads(text)["config"]["args"]
+    assert code == 0 and (args["m_lo"], args["m_hi"]) == (5, 6)
+
+
 def test_puncture_streams_blocks_of_at_most_chunk_points(tmp_path, capsys, monkeypatch):
     sizes, write = [], cli.write_point_blocks
 
@@ -310,6 +325,45 @@ def test_plot_overlay_of_sphere_report_exits_2(tmp_path, capsys):
     assert err.value.code == 2
     assert "d=2" in capsys.readouterr().err
     assert not svg.exists()
+
+
+OVERLAYS = {  # once a traceback, or a message that named no flag
+    "witness-without-n": '{"spec": {"kind": "golden-angle", "d": 1}, "witnesses": [{"x": 1}]}',
+    "spec-without-kind": '{"spec": {"d": 1}}',
+    "report-not-an-object": '{"reports": [5]}',
+    "direction-not-a-number": '{"spec": {"kind": "golden-angle", "d": 1}, '
+                              '"net": {"count": 8}, "failures": [{"direction": "a"}]}',
+    "no-report": '{"reports": []}',
+    "witness-index-0": '{"spec": {"kind": "golden-angle", "d": 1}, "witnesses": [{"n": 0}]}',
+    "not-json": "not json",
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("name", OVERLAYS)
+def test_plot_overlay_of_malformed_json_exits_2(tmp_path, capsys, name):
+    report = tmp_path / f"{name}.json"
+    if OVERLAYS[name] is not None:
+        report.write_text(OVERLAYS[name])
+    svg = tmp_path / "overlay.svg"
+    with pytest.raises(SystemExit) as err:
+        main(["plot", "--T", "5", "--overlay-json", str(report), "--out", str(svg)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip().splitlines()[-1]
+    assert message.startswith(f"spiralvis: error: --overlay-json {report}: "), message
+    assert not svg.exists()
+
+
+def test_only_a_file_sequence_overrun_names_seq_file(tmp_path, capsys):
+    # an IndexError of the overlay once read as a --seq-file overrun
+    report = tmp_path / "empty.json"
+    report.write_text('{"reports": []}')
+    with pytest.raises(SystemExit) as err:
+        main(["plot", "--T", "5", "--overlay-json", str(report), "--out",
+              str(tmp_path / "p.svg")])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "--seq-file" not in message and f"--overlay-json {report}: " in message
 
 
 def test_byte_identical_reports(capsys):
@@ -569,6 +623,12 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
              "--marker -2.0 is not finite and positive"),
             (["plot", "--T", "3", "--out", str(tmp_path / "p.svg"), "--marker", "nan"],
              "--marker nan is not finite and positive"),
+            # a shaded band of negative, nan or infinite height was written as SVG
+            *((["plot", "--T", "3", "--out", str(tmp_path / "p.svg"), f"--strip={strip}"],
+               f"--strip {strip} is not two finite values lo,hi with lo < hi")
+              for strip in ("3,1", "1,1", "nan,1", "1,inf", "-inf,1", "1", "1,2,3")),
+            (["plot", "--T", "3", "--out", str(tmp_path / "p.svg"), "--strip", "0,x"],
+             "--strip 0,x: could not convert string to float"),
             # ranges past 2^63 - 1: an OverflowError, or a CSV written without end
             *((["generate", "--n", big, "--budget", big, "--out", str(tmp_path / out)],
                f"--n {big} reaches index {big}, past 2^63 - 1") for out in ("g.bin", "g.csv")),

@@ -18,6 +18,7 @@ from spiralvis import (
 )
 from spiralvis.cli import build_parser, main
 from spiralvis.covering import DEFAULT_H_CAP, _net_covering_radius
+from spiralvis.reports import dump_json
 
 GOLDEN_100_RADIUS = 0.04132959128021163  # exact gap scan, first 100 terms
 
@@ -122,7 +123,7 @@ def test_window_nesting_and_monotone_covering(golden):
 
 def test_ucp_constant_diverges(constant_seq):
     est = uniform_covering_parameter(constant_seq, 1.0, [0], [100, 1000, 10000])
-    scaled = [s for _, _, _, s in est.rows]
+    scaled = [row["scaled"] for row in est.rows]
     # distance to the antipode is pi, so the estimate grows like N * pi
     assert scaled == pytest.approx([math.pi * 100, math.pi * 1000, math.pi * 10000])
 
@@ -130,14 +131,14 @@ def test_ucp_constant_diverges(constant_seq):
 def test_ucp_single_window_reduction(golden):
     est = uniform_covering_parameter(golden, 1.0, [5], [1])
     # any single direction covers at pi
-    assert est.value == pytest.approx(math.pi)
+    assert est.uniform_covering_parameter == pytest.approx(math.pi)
 
 
 def test_ucp_golden_bounded(golden):
     est = uniform_covering_parameter(golden, 1.0, [0, 1000, 10**6],
                                      [100, 1000, 10000])
-    assert est.value < 8.0
-    assert est.to_json()["grids"]["N"] == [100, 1000, 10000]
+    assert est.uniform_covering_parameter < 8.0
+    assert est.grids["N"] == [100, 1000, 10000]
 
 
 def test_criterion_cells_reproducible(golden):
@@ -171,8 +172,9 @@ def test_tables_read_windows_through_one_budget_rule(golden):
     # row, defvisi leaves its h out; a window ending at the budget is read
     with pytest.raises(ValueError, match=r"^window \[1001, 2000.0\] exceeds index budget 1999$"):
         uniform_covering_parameter(golden, 1.0, [0, 1000], [100, 1000], index_budget=1999)
-    assert uniform_covering_parameter(golden, 1.0, [0, 1000], [100, 1000],
-                                      index_budget=2000).rows[-1][:2] == (1000, 1000)
+    last = uniform_covering_parameter(golden, 1.0, [0, 1000], [100, 1000],
+                                      index_budget=2000).rows[-1]
+    assert (last["m"], last["N"]) == (1000, 1000)
     with pytest.raises(ValueError, match=r"^window \[1, inf\] exceeds index budget"):
         uniform_covering_parameter(golden, 1e300, [0], [1e10])  # C*N is inf
     # h = 10 and 20 read [101, 200] and [401, 600]
@@ -188,18 +190,18 @@ def test_tables_read_windows_through_one_budget_rule(golden):
     full, cut = (visibility_from_covering(golden, (0.2,), (7,), h_cap=16,
                                           index_budget=budget).inner[0]
                  for budget in (368, 367))
-    assert full[2] == 16
+    assert full["h_argmax"] == 16
     radius = covering_radius(direction_batch(golden, window_indices(golden, 8, 8 * 7)), d=1)
-    assert cut == (7.0, 8 * radius, 8)
+    assert cut == {"x": 7.0, "sup": 8 * radius, "h_argmax": 8}
 
 
 def test_visibility_from_covering_monotone(golden):
     curve = visibility_from_covering(golden, (0.2, 0.1, 0.05),
                                      (1, 2, 4, 8, 16, 32, 64, 128, 256))
-    vals = dict(curve.entries)
+    vals = {entry["eps"]: entry["V"] for entry in curve.curve}
     assert vals[0.05] <= vals[0.1] <= vals[0.2]
     assert vals[0.2] > 0
-    inner = [s for _, s, _ in curve.inner]
+    inner = [row["sup"] for row in curve.inner]
     assert all(b <= a * 1.05 for a, b in zip(inner, inner[1:]))  # trajectory sinks
 
 
@@ -212,7 +214,7 @@ def test_one_default_window_scale_cap():
 def test_visibility_from_covering_constant_zero(constant_seq):
     curve = visibility_from_covering(constant_seq, (0.2, 0.1), (1, 2, 4, 8),
                                      h_cap=64)
-    assert all(v == 0.0 for _, v in curve.entries)
+    assert all(entry["V"] == 0.0 for entry in curve.curve)
 
 
 def test_sup_over_no_measured_window_is_unbounded(capsys):
@@ -238,8 +240,8 @@ def test_sup_over_no_measured_window_is_unbounded(capsys):
 def test_covering_parameter_over_an_empty_grid_is_unbounded(golden):
     # once -inf at argmax (0, 0), a cell outside the grid
     est = uniform_covering_parameter(golden, 1.0, [], [100])
-    assert (est.value, est.argmax, est.rows) == (math.inf, None, [])
-    assert est.to_json()["argmax"] is None
+    assert (est.uniform_covering_parameter, est.argmax, est.rows) == (math.inf, None, [])
+    assert json.loads(dump_json(est))["argmax"] is None
     # N = 0 scaled an empty window's inf radius by 0: a nan cell
     for N_grid in ([0], [0, 100], [100, math.nan]):
         with pytest.raises(ValueError, match="every window count N must be at least 1"):

@@ -159,8 +159,8 @@ def test_chunked_generation_matches_batch(golden):
 # -- puncture ----------------------------------------------------------------
 
 
-def make_puncture(ladder, **kw):
-    return PunctureSpec.geometric(ladder, np.array([0.0, 1.0]), 0.5, **kw)
+def make_puncture(ladder):
+    return PunctureSpec.geometric(ladder, np.array([0.0, 1.0]), 0.5, 4, 20)
 
 
 def test_puncture_membership_geometry(ladder):
@@ -225,7 +225,7 @@ def streamed(ps, n_lo, n_hi):
 def test_puncture_unresolved_error(monkeypatch):
     monkeypatch.setattr(spirals, "PUNCTURE_SCAN_CAP", 500)
     stuck = SequenceSpec("constant", d=1, v=np.array([0.0, 1.0]))
-    ps = PunctureSpec.geometric(stuck, np.array([0.0, 1.0]), 0.5)
+    ps = PunctureSpec.geometric(stuck, np.array([0.0, 1.0]), 0.5, 4, 20)
     for n_lo in (1, 2):  # every index is in D, so the first one fails
         got, want = streamed(ps, n_lo, 100), scanned(ps, n_lo, 100)
         assert isinstance(got, PunctureUnresolvedError)
@@ -262,7 +262,7 @@ def test_puncture_blocks_match_the_scalar_scan(tmp_path_factory, kind, v0_angle,
                 "sqrt2": SequenceSpec("golden-angle", theta=math.sqrt(2.0)),
                 "ladder": SequenceSpec("rational-ladder")}[kind]
         n_hi = n_lo + count - 1
-    ps = PunctureSpec.geometric(base, v0, delta)
+    ps = PunctureSpec.geometric(base, v0, delta, 4, 20)
     with mock.patch.object(spirals, "PUNCTURE_ROUND", round_size):
         got = streamed(ps, n_lo, n_hi)
     want = scanned(ps, n_lo, n_hi)
