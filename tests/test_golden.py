@@ -67,6 +67,10 @@ CASES = {
     # windows through and behind the origin: both halves of each window's arcs
     "uniform-golden-origin": ["uniform", "--seq", "golden-angle", "--eps", "0.05",
                               "--V", "80", "--t0=-40,-100,5.5"],
+    # K = 402,124 cells, windows at the origin and at t0 = 1000: each
+    # window's index block alone covers the circle
+    "uniform-golden-far": ["uniform", "--seq", "golden-angle", "--eps", "0.0125",
+                           "--V", "400", "--t0", "0,1000"],
     # 276 of 2,514 cells fail, cell 0 among them: the failure list and the
     # witnesses the cover stamps for the first 100 hit cells
     "orchard-golden-failures": ["orchard", "--seq", "golden-angle", "--eps", "0.1",
