@@ -140,8 +140,10 @@ def _overlay(path: str) -> tuple[list, list]:
             if count and "direction" in f:
                 ang = f["direction"] * 2.0 * math.pi / count
                 rays.append((0.0, 0.0, math.cos(ang), math.sin(ang)))
-        wit_n = np.array([w["n"] for w in report.get("witnesses", [])], dtype=np.int64)
-        return rays, [tuple(p) for p in point_batch(rspec, wit_n)[1]]
+        wit_n = [w["n"] for w in report.get("witnesses", [])]
+        if bad := [n for n in wit_n if not isinstance(n, int) or isinstance(n, bool)]:
+            raise ValueError(f"witness index {bad[0]!r} is not an integer")
+        return rays, [tuple(p) for p in point_batch(rspec, np.array(wit_n, dtype=np.int64))[1]]
     except (OSError, ValueError, ArithmeticError, SequenceFileOverrunError) as exc:
         raise ValueError(f"--overlay-json {path}: {exc}") from None
     except (LookupError, TypeError, AttributeError) as exc:  # JSON of another shape
@@ -300,6 +302,7 @@ def _cmd_puncture(spec, ns):
     lo, hi = SCHEDULE_RANGES[ns.schedule]  # put in ns, so the payload records the range run
     ns.m_lo = lo if ns.m_lo is None else ns.m_lo
     ns.m_hi = hi if ns.m_hi is None else ns.m_hi
+    ns.v0 = ",".join(["0"] * spec.d + ["1"]) if ns.v0 is None else ns.v0
     flags = (f"--schedule {ns.schedule} with --v0 {ns.v0}, --delta {ns.delta}, "
              f"--m-lo {ns.m_lo}, --m-hi {ns.m_hi}, --strip-C {ns.strip_C}")
     # --v0 is parsed inside the call, so an error parsing it names the flags too
@@ -413,7 +416,8 @@ def build_parser():
                    help="also report the badly-approximable diagnostic")
 
     p = add("puncture", _cmd_puncture, "write the punctured spiral")
-    p.add_argument("--v0", default="0,1", help="emptied ray direction")
+    p.add_argument("--v0", default=None,
+                   help="emptied ray direction; default the last coordinate axis")
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--schedule", choices=["geometric", "factorial"],
                    default="geometric")

@@ -188,7 +188,10 @@ def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
                              resolution: float | None = None,
                              index_budget: int = DEFAULT_BUDGET) -> CoveringVisibilityCurve:
     """Evaluate V(eps) = sup{x : sup_(h>x) h * R(window at h, length h^d x) <= eps}
-    on finite grids, keeping the inner-sup trajectory observable."""
+    on finite grids, keeping the inner-sup trajectory observable. An empty
+    x grid is refused: no x to read, its V would read 0.0."""
+    if len(x_grid) == 0:
+        raise ValueError("the x grid needs at least one value")
     inner = []
     for x in x_grid:
         if x <= 0:

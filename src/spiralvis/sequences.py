@@ -3,7 +3,11 @@
 Planar kinds: ``golden-angle`` (angle 2*pi*n*theta, default theta the golden
 ratio) and ``rational-ladder`` (angle 2*pi*p/k from the triangular
 decomposition n = k(k+1)/2 + p, which ``triangular_decompose`` reads exactly
-for every int64 index). For S^2 a block-structured spherical Fibonacci
+for every int64 index). A golden angle with alpha = {theta} * 2^64 an
+integer is the rotation by alpha / 2^64: ``rotation_convergents`` gives its
+convergents for the segment scans, and ``rotation_largest_gap`` the largest
+gap of any N consecutive multiples, exactly, by the three-distance theorem.
+For S^2 a block-structured spherical Fibonacci
 lattice stands in for explicit higher-dimensional constructions;
 ``constant`` is a negative control and ``file`` reads user-supplied points.
 """
@@ -57,6 +61,13 @@ def triangular_decompose(n):
     return k, n - shell_start(k)
 
 
+def _rotation_alpha(theta: float) -> int | None:
+    """alpha = {theta} * 2^64 when it is an integer, as it is for every
+    float theta of magnitude 2^-12 or more; else None."""
+    alpha = Fraction(theta) % 1 * 2**64
+    return alpha.numerator if alpha.denominator == 1 else None
+
+
 def fractional_multiples(theta: float, ns: np.ndarray) -> np.ndarray:
     """{n * theta} for the float ``theta``, exact to 2^-53.
 
@@ -68,15 +79,15 @@ def fractional_multiples(theta: float, ns: np.ndarray) -> np.ndarray:
     26-bit head (product exact for n < 2^26) and a tail, accurate to ~1e-12
     for n up to 1e7.
     """
-    alpha = Fraction(theta) % 1 * 2**64
-    if alpha.denominator != 1:
+    alpha = _rotation_alpha(theta)
+    if alpha is None:
         ns = np.asarray(ns, dtype=np.float64)
         scale = 2.0**26
         hi = math.floor(theta * scale) / scale
         lo = theta - hi
         frac = (ns * hi) % 1.0 + ns * lo
         return frac % 1.0
-    fixed = np.asarray(ns, dtype=np.int64).view(np.uint64) * np.uint64(alpha.numerator)
+    fixed = np.asarray(ns, dtype=np.int64).view(np.uint64) * np.uint64(alpha)
     fixed >>= np.uint64(11)
     return fixed * 2.0**-53
 
@@ -105,14 +116,43 @@ def rotation_convergents(theta: float):
     denominator, or x = p/q, so {(b + j) x} lies within j/(q q') < 1/q of
     {b x} + (j p mod q)/q for 0 <= j < q: the three-distance structure of
     {n theta} (Sos 1958) in the form the golden segment scans read."""
-    alpha = Fraction(theta) % 1 * 2**64
-    if alpha.denominator != 1:
+    alpha = _rotation_alpha(theta)
+    if alpha is None:
         return None
     ps, qs = zip(*itertools.takewhile(lambda c: c[1] <= MAX_CONVERGENT,
-                                      convergents(alpha / 2**64)))
+                                      convergents(Fraction(alpha, 2**64))))
     return (np.array(qs, dtype=np.int64), np.array(ps, dtype=np.int64),
             np.array([pow(p, -1, q) if q > 1 else 0 for q, p in zip(qs, ps)],
                      dtype=np.int64))
+
+
+def rotation_largest_gap(theta: float, N: int) -> int | None:
+    """The largest gap between circularly adjacent points of N >= 1
+    consecutive multiples n * alpha mod 2^64, in units of 2^-64 turn,
+    exactly; None when alpha = {theta} * 2^64 is no integer. Turning every
+    point by the same angle keeps the gaps, so each block of N consecutive
+    indices has them; one point, or alpha = 0, leaves one gap, 2^64.
+
+    By the three-distance theorem (Sos 1958; van Ravenstein, J. Austral.
+    Math. Soc. A 45, 1988), with p_k/q_k the convergents of alpha / 2^64
+    (``convergents``), eta_k = |q_k alpha - p_k 2^64|, q_(-1) = 0 and
+    eta_(-1) = 2^64: for the largest k with q_k + q_(k-1) <= N and
+    r = (N - q_(k-1)) // q_k, the gaps take the lengths eta_k and
+    eta_(k-1) - r eta_k and their sum eta_(k-1) - (r - 1) eta_k, the
+    largest. Past a rational alpha's denominator Q the points repeat, and
+    the sum reads 2^64 / Q, the gap between distinct points."""
+    alpha = _rotation_alpha(theta)
+    if alpha is None:
+        return None
+    if N < 1:
+        raise ValueError(f"a gap needs N >= 1 points, got {N}")
+    before, last = None, (0, 1 << 64)  # (q, eta) of the convergents k - 1 and k
+    for p, q in convergents(Fraction(alpha, 1 << 64)):
+        if q + last[0] > N:
+            break
+        before, last = last, (q, abs(q * alpha - (p << 64)))
+    (q_prev, eta_prev), (q, eta) = before, last
+    return eta_prev - ((N - q_prev) // q - 1) * eta
 
 
 def _fibonacci_sphere_block(ns: np.ndarray) -> np.ndarray:

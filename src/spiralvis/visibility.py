@@ -28,7 +28,13 @@ first block's array spans all K cells; once the runs and the open cells
 number under K/4, a block's runs are ranked in the list of open cells and
 its array spans those ranks only (``_circle_cover``). Blocks come in index
 order, so the same pass stamps the first writers of the first 100 hit cells
-in the block that covers each one. On any other net (S^d)
+in the block that covers each one. A golden-angle window with t_lo >= 0
+skips that pass when its block bound holds (``_block_margin``): the
+indices of radius in [t_lo, t_hi] have a largest gap, in closed form from
+the three-distance theorem (``rotation_largest_gap``), at most twice their
+least half-width less BLOCK_SLACK, so their arcs alone cover the circle, no
+cell fails, and one segment scan near cells 0..99 stamps those cells' first
+writers (``_block_writers``). On any other net (S^d)
 ``_directional_window_check``
 runs ``_cap_witnesses``. It and the S^d minimal-visibility reach
 (``_window_reach``) share one pair sweep, ``_band_pairs``, which keeps the
@@ -83,6 +89,7 @@ from .sequences import (
     angle_batch,
     fractional_multiples,
     rotation_convergents,
+    rotation_largest_gap,
     shell_start,
     triangular_decompose,
 )
@@ -319,10 +326,13 @@ def _mark_windows(K: int, still_open, angles: np.ndarray, halfw: np.ndarray, wri
 
 def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
                  index_budget: int):
-    """(n_lo, n_hi, arcs): the window split at the origin, its t < 0 half as
-    [max(-t_hi, 0), -t_lo] along -c (flip pi); the halves' index range (their
-    annuli widened by eps, through ``index_range``) and (flip,
-    reach(ns, radii)) each."""
+    """(n_lo, n_hi, arcs, block): the window split at the origin, its t < 0
+    half as [max(-t_hi, 0), -t_lo] along -c (flip pi); the halves' index
+    range (their annuli widened by eps, through ``index_range``) and (flip,
+    reach(ns, radii)) each. ``block`` is (a, b, eps) for a golden-angle
+    window with t_lo >= 0, a..b the indices of [n_lo, n_hi] whose radius
+    lies in [t_lo, t_hi], when they are two or more; their arcs alone may
+    cover the circle (``_block_margin``). It is None for any other window."""
     ranges, arcs = [], []
     halves = [(0.0, max(t_lo, 0.0), t_hi)] if t_hi >= 0 else []
     halves += [(math.pi, max(-t_hi, 0.0), -t_lo)] if t_lo < 0 else []
@@ -336,50 +346,66 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
             return out
 
         arcs.append((flip, reach))
-    return (*index_range(min(r[0] for r in ranges), max(r[1] for r in ranges),
-                         index_budget, f"the window [{t_lo!r}, {t_hi!r}]"), arcs)
+    n_lo, n_hi = index_range(min(r[0] for r in ranges), max(r[1] for r in ranges),
+                             index_budget, f"the window [{t_lo!r}, {t_hi!r}]")
+    block = None
+    if t_lo >= 0 and spec.kind == "golden-angle":
+        a, b = annulus_index_range(t_lo, t_hi, spec.d)
+        if (b := min(b, n_hi)) > a:
+            block = (a, b, eps)
+    return n_lo, n_hi, arcs, block
 
 
 def _certificate_arcs(spec: SequenceSpec, eps: float, V: float, index_budget: int):
-    """(1, n_cap, arcs) of the certificate route: each index n <= K*V^(d+1)
-    (through ``index_range``) reaches the directions within min(kappa*eps/r,
-    pi) of its own, K = ``K_CERT`` and kappa = ``KAPPA_CERT``."""
+    """(1, n_cap, arcs, None) of the certificate route: each index n <=
+    K*V^(d+1) (through ``index_range``) reaches the directions within
+    min(kappa*eps/r, pi) of its own, K = ``K_CERT`` and kappa =
+    ``KAPPA_CERT``; no block bound applies."""
     return (*index_range(1, math.ceil(K_CERT * V ** (spec.d + 1)), index_budget,
                          f"the certificate range of V {V!r}"),
-            [(0.0, lambda ns, radii: np.minimum(KAPPA_CERT * eps / radii, math.pi))])
+            [(0.0, lambda ns, radii: np.minimum(KAPPA_CERT * eps / radii, math.pi))], None)
+
+
+def _point_arcs(spec: SequenceSpec, ns: np.ndarray, arcs):
+    """(radii, theta, angles, halfw) of the sorted indices ``ns``: theta the
+    polar angles (``angle_batch``), and one column of angles (theta + flip)
+    mod 2*pi and one of half-widths reach(ns, radii) per (flip, reach) in
+    ``arcs``. A lone flip-0 arc whose angles already lie in [0, 2*pi) takes
+    theta as its column: the remainder is the identity there."""
+    radii, theta = radius_of_index(ns, 1), angle_batch(spec, ns)
+    if len(arcs) == 1 and arcs[0][0] == 0.0 and 0.0 <= theta.min() and theta.max() < TWO_PI:
+        angles = theta[:, None]
+    else:
+        angles = np.column_stack([(theta + flip) % TWO_PI for flip, _ in arcs])
+    return radii, theta, angles, np.column_stack([reach(ns, radii) for _, reach in arcs])
 
 
 def _arc_blocks(spec: SequenceSpec, n_lo: int, n_hi: int, arcs):
-    """(ns, radii, theta, angles, halfw) per block of CHUNK // 4 indices of
-    [n_lo, n_hi], in index order: theta the polar angles (``angle_batch``),
-    and one column of angles (theta + flip) mod 2*pi and one of half-widths
-    reach(ns, radii) per (flip, reach) in ``arcs``. A lone flip-0 arc whose
-    angles already lie in [0, 2*pi) takes theta as its column: the remainder
-    is the identity there."""
+    """(ns, radii, theta, angles, halfw) (``_point_arcs``) per block of
+    CHUNK // 4 indices of [n_lo, n_hi], in index order."""
     block = CHUNK // 4
     for lo in range(max(1, n_lo), n_hi + 1, block):
         ns = np.arange(lo, min(n_hi, lo + block - 1) + 1, dtype=np.int64)
-        radii, theta = radius_of_index(ns, 1), angle_batch(spec, ns)
-        if len(arcs) == 1 and arcs[0][0] == 0.0 and 0.0 <= theta.min() and theta.max() < TWO_PI:
-            angles = theta[:, None]
-        else:
-            angles = np.column_stack([(theta + flip) % TWO_PI for flip, _ in arcs])
-        yield ns, radii, theta, angles, np.column_stack([reach(ns, radii) for _, reach in arcs])
+        yield ns, *_point_arcs(spec, ns, arcs)
+
+
+def _runs(K: int, ns: np.ndarray, angles: np.ndarray, halfw: np.ndarray):
+    """(ns, start, stop): one run of cells start..stop-1 (0 <= start <= stop
+    <= K) and the index ``ns`` of its point per arc (``_arc_cells``); an arc
+    that wraps past cell K - 1 is two runs, and one that reaches no cell is
+    an empty run (start == stop), which covers and stamps nothing."""
+    at, lo, counts = _arc_cells(K, angles, halfw)
+    end = lo + counts
+    wrap = end > K
+    return (ns[np.concatenate([at, at[wrap]])],
+            np.concatenate([lo, np.zeros(int(wrap.sum()), dtype=np.int64)]),
+            np.concatenate([np.minimum(end, K), end[wrap] - K]))
 
 
 def _cell_runs(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs):
-    """(ns, start, stop) per block of ``_arc_blocks``: one run of cells
-    start..stop-1 (0 <= start <= stop <= K) and the index ``ns`` of its point
-    per arc; an arc that wraps past cell K - 1 is two runs, and one that
-    reaches no cell is an empty run (start == stop), which covers and stamps
-    nothing."""
+    """The runs (``_runs``) of each block of ``_arc_blocks``."""
     for ns, _, _, angles, halfw in _arc_blocks(spec, n_lo, n_hi, arcs):
-        at, lo, counts = _arc_cells(K, angles, halfw)
-        end = lo + counts
-        wrap = end > K
-        yield (ns[np.concatenate([at, at[wrap]])],
-               np.concatenate([lo, np.zeros(int(wrap.sum()), dtype=np.int64)]),
-               np.concatenate([np.minimum(end, K), end[wrap] - K]))
+        yield _runs(K, ns, angles, halfw)
 
 
 def _stamp_first(cells: np.ndarray, ns, start, stop) -> np.ndarray:
@@ -435,13 +461,94 @@ def _circle_cover(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs):
     return (np.arange(K) if open_ is None else open_), cells, first
 
 
-def _circle_check(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs,
+# float error of the block bound, in radians, past the angles' truncation to
+# 53 bits (which the gap bound adds): the 2*pi product of ``angle_batch`` and
+# arcsin(eps/r) of ``radial_hit_halfwidth`` are each within a few ulps of
+# 2*pi, and so are ``_arc_cells``' quotients (angle -+ half-width) / (2*pi/K)
+# before their ceil and floor, measured in radians, at any K
+BLOCK_SLACK = 1e-9
+
+
+def _block_margin(spec: SequenceSpec, block, arcs) -> float:
+    """h_min - gap/2 in radians for a window's ``block`` (a, b, eps) of
+    ``_window_arcs``: gap bounds the largest gap between the float angles of
+    the indices a..b, and h_min is the least of their half-widths (the
+    lone arc's reach); -inf with no block, or when the kind is no rotation
+    (``rotation_largest_gap`` is None). At BLOCK_SLACK or more, every angle
+    lies within h_min - BLOCK_SLACK of a block point's, so the block's runs
+    alone hold every cell of any circle grid.
+
+    The gap: ``angle_batch`` keeps the top 53 of the 64 bits of each exact
+    turn n * alpha mod 2^64, so each float angle lies below its exact turn
+    by less than 2^11 units of 2^-64 turn, in the same order, and every gap
+    is below (G + 2^11) * 2*pi / 2^64, G = rotation_largest_gap(theta,
+    b - a + 1).
+
+    h_min: for t_lo <= r <= t_hi the half-width h(r) of
+    ``radial_hit_halfwidth`` does not increase in r. Neither miss holds (t_lo
+    - r <= 0 and r - t_hi <= 0), and foot(r) = sqrt(r^2 - eps^2) < r <= t_hi
+    rules out the cap at t_hi. After pi (r + t_lo <= eps, the smallest r)
+    come the cap at t_lo, while foot(r) < t_lo, then arcsin(eps/r), which
+    falls. The cap's cosine (r^2 + t_lo^2 - eps^2) / (2 r t_lo) has the
+    derivative (r^2 - t_lo^2 + eps^2) / (2 r^2 t_lo) > 0, so the cap falls
+    too, and at foot(r) = t_lo the cosine is t_lo / r = cos(arcsin(eps/r)):
+    the two meet. So h_min is h at the block's last index. The cap's radii
+    have r^2 < t_lo^2 + eps^2 < t_lo^2 + 1, which holds at most the block's
+    first index, and arccos near 1 loses about an ulp over h there; so h is
+    read at both ends, and h_min is the less."""
+    if block is None:
+        return -math.inf
+    a, b, _ = block
+    gap = rotation_largest_gap(spec.theta, b - a + 1)
+    if gap is None:
+        return -math.inf
+    [(_, reach)] = arcs
+    ends = np.array([a, b], dtype=np.int64)
+    return float(reach(ends, radius_of_index(ends, 1)).min()) - (gap + 2**11) * (math.pi / 2**64)
+
+
+def _block_writers(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs, eps: float,
+                   t_lo: float, t_hi: float) -> np.ndarray:
+    """The least index of [n_lo, n_hi] whose run (``_runs``, formed as the
+    cover forms it) holds each cell 0..m-1, m = min(100, K), of a window
+    whose block covers every cell (``_block_margin``): the cover's first
+    writers. The cells span the wedge of half-angle beta = (m - 1)*pi/K
+    about the angle beta. A point whose float run holds one lies within eps,
+    plus rounding, of that cell's segment, so within eps + far*(beta +
+    2*pi/K) + 1e-9*(1 + far), far = t_hi + eps, of [t_lo u, t_hi u], u at
+    the angle beta: the segment candidates (``_segment_candidates``), in
+    index order, hold every such index. Their runs are stamped
+    (``_stamp_first``) until every cell has a writer; a cell left without
+    one is a fault of the bound, and raises."""
+    m = min(100, K)
+    cells, first = np.arange(m), np.full(m, MISS, dtype=np.int64)
+    beta = (m - 1) * math.pi / K
+    u = np.array([math.cos(beta), math.sin(beta)])
+    far = t_hi + eps
+    reach = eps + far * (beta + TWO_PI / K) + 1e-9 * (1.0 + far)
+    for ns, _, _ in _segment_candidates(spec, t_lo * u, t_hi * u, reach, n_lo, n_hi):
+        _, _, angles, halfw = _point_arcs(spec, ns, arcs)
+        np.minimum(first, _stamp_first(cells, *_runs(K, ns, angles, halfw)), out=first)
+        if first.max() < MISS:
+            return first
+    raise RuntimeError(f"the window [{t_lo!r}, {t_hi!r}], which its block covers, left "
+                       f"cells {cells[first == MISS].tolist()} of {K} with no writer")
+
+
+def _circle_check(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs, block,
                   t_lo: float, t_hi: float):
     """(failures, witnesses, hits) on the circle grid of K cells: the cells
     no arc reaches, the first writers of the first 100 hit cells with their
-    exact (t, distance) on [t_lo, t_hi], and the hit count, all from one
-    cover pass (``_circle_cover``)."""
-    failures, cells, writers = _circle_cover(spec, K, n_lo, n_hi, arcs)
+    exact (t, distance) on [t_lo, t_hi], and the hit count. When the
+    window's ``block`` covers the circle (``_block_margin`` at least
+    BLOCK_SLACK), no cell is open and one scan near cells 0..99 finds their
+    writers (``_block_writers``); otherwise one cover pass gives all three
+    (``_circle_cover``)."""
+    if _block_margin(spec, block, arcs) >= BLOCK_SLACK:
+        failures, cells = np.zeros(0, dtype=np.int64), np.arange(min(100, K))
+        writers = _block_writers(spec, K, n_lo, n_hi, arcs, block[2], t_lo, t_hi)
+    else:
+        failures, cells, writers = _circle_cover(spec, K, n_lo, n_hi, arcs)
     t, dist = _exact_cell_witnesses(spec, K, cells, writers, t_lo, t_hi)
     return failures, _hit_witnesses(writers, t, dist), K - len(failures)
 
@@ -590,13 +697,14 @@ def _hit_witnesses(ns, t, dist) -> list[HitWitness]:
     return [HitWitness(int(n), float(tj), float(dj)) for n, tj, dj in zip(ns, t, dist)]
 
 
-def _net_check(spec: SequenceSpec, net: DirectionNet, n_lo: int, n_hi: int, arcs,
+def _net_check(spec: SequenceSpec, net: DirectionNet, n_lo: int, n_hi: int, arcs, block,
                t_lo: float, t_hi: float):
     """(failures, witnesses, hits) of the arcs of the indices [n_lo, n_hi] on
-    ``net``, witnesses measured against [t_lo, t_hi]: the cover on the circle
-    grid, the cap sweep on any other net."""
+    ``net``, witnesses measured against [t_lo, t_hi]: the circle check, which
+    reads the window's ``block``, on the circle grid, the cap sweep on any
+    other net."""
     if net.uniform_grid:
-        return _circle_check(spec, len(net), n_lo, n_hi, arcs, t_lo, t_hi)
+        return _circle_check(spec, len(net), n_lo, n_hi, arcs, block, t_lo, t_hi)
     return _directional_window_check(spec, net.centers, n_lo, n_hi, arcs, t_lo, t_hi)
 
 
@@ -1192,7 +1300,7 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
     def still_open(c, r):
         return best[c] > (r - 3.0 * eps - t0 if r > 3.0 * eps - t0 else -math.inf)
 
-    n_lo, n_hi, arcs = _window_arcs(spec, t0, t0 + V, eps, index_budget)
+    n_lo, n_hi, arcs, _ = _window_arcs(spec, t0, t0 + V, eps, index_budget)
     if net.uniform_grid:
         open_ = np.arange(len(net))
 

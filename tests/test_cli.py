@@ -217,6 +217,16 @@ def test_puncture_schedules_run_at_their_own_default_ranges(tmp_path, capsys):
     assert code == 0 and (args["m_lo"], args["m_hi"]) == (5, 6)
 
 
+def test_puncture_empties_the_last_axis_by_default(tmp_path, capsys):
+    # the planar default 0,1 once refused every d=2 sequence. (At d=2 the
+    # geometric annuli 2^m are 2*C*2^m thick, so --strip-C must stay below 1/2.)
+    for argv, v0 in ((["--seq", "fibonacci-sphere", "--d", "2", "--strip-C", "0.25"], "0,0,1"),
+                     (["--seq", "rational-ladder"], "0,1")):
+        code, text = run(capsys, "puncture", *argv, "--n", "100",
+                         "--out", str(tmp_path / "p.bin"))
+        assert code == 0 and json.loads(text)["config"]["args"]["v0"] == v0
+
+
 def test_puncture_streams_blocks_of_at_most_chunk_points(tmp_path, capsys, monkeypatch):
     sizes, write = [], cli.write_point_blocks
 
@@ -335,6 +345,9 @@ OVERLAYS = {  # once a traceback, or a message that named no flag
                               '"net": {"count": 8}, "failures": [{"direction": "a"}]}',
     "no-report": '{"reports": []}',
     "witness-index-0": '{"spec": {"kind": "golden-angle", "d": 1}, "witnesses": [{"n": 0}]}',
+    # a float index once drew its cross at the truncated index
+    "witness-index-float": '{"spec": {"kind": "golden-angle", "d": 1}, '
+                           '"witnesses": [{"n": 1.7}]}',
     "not-json": "not json",
     "missing": None,
 }

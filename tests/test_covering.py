@@ -217,6 +217,15 @@ def test_visibility_from_covering_constant_zero(constant_seq):
     assert all(entry["V"] == 0.0 for entry in curve.curve)
 
 
+def test_visibility_from_covering_refuses_an_empty_x_grid(golden, capsys):
+    # an empty grid once read V = 0.0 in the library; the CLI names the flag
+    with pytest.raises(ValueError, match="x grid needs at least one value"):
+        visibility_from_covering(golden, (0.2,), ())
+    with pytest.raises(SystemExit) as err:
+        main(["defvisi", "--eps", "0.2", "--x-grid", ""])
+    assert err.value.code == 2 and "--x-grid" in capsys.readouterr().err
+
+
 def test_sup_over_no_measured_window_is_unbounded(capsys):
     # a budget that cuts every window of an x leaves its inner sup inf, so no
     # eps holds it feasible; a criterion with no measured row has sup inf

@@ -21,11 +21,13 @@ from spiralvis import (
     triangular_decompose,
     unit_vector,
 )
+from spiralvis.covering import _window_radius
 from spiralvis.sequences import (
     angle_batch,
     convergents,
     fractional_multiples,
     load_sequence_file,
+    rotation_largest_gap,
     shell_start,
 )
 
@@ -149,6 +151,44 @@ def test_convergents_end_at_x_and_approach_it(x):
     for (p, q), (_, q_next) in zip(pairs, pairs[1:]):
         assert q <= q_next
         assert abs(x - Fraction(p, q)) <= Fraction(1, q * q_next)
+
+
+def _sorted_gap(alpha: int, start: int, N: int) -> int:
+    """The largest gap between circularly adjacent distinct points of
+    n * alpha mod 2^64, start <= n < start + N, from a sort of Python ints."""
+    turns = sorted({n * alpha % 2**64 for n in range(start, start + N)})
+    return max(b - a for a, b in zip(turns, turns[1:] + [turns[0] + 2**64]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.sampled_from([GOLDEN_RATIO, math.sqrt(2.0), 0.5, 1 / 3, 0.11, 3.0])
+       | st.integers(0, 2**64 - 1).map(lambda alpha: alpha / 2**64)
+       | st.floats(2.0**-12, 1.0),
+       start=st.integers(0, 2**62), N=st.integers(1, 2**12))
+@example(theta=GOLDEN_RATIO, start=0, N=1)
+@example(theta=0.5, start=7, N=3)  # two distinct points repeat: one gap of a half turn
+def test_rotation_largest_gap_matches_a_sort(theta, start, N):
+    alpha = int(Fraction(theta) % 1 * 2**64)
+    assert rotation_largest_gap(theta, N) == _sorted_gap(alpha, start, N)
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=st.floats(2.0**-12, 1e6) | st.sampled_from([GOLDEN_RATIO, math.sqrt(2.0)]),
+       start=st.integers(0, 10**9), N=st.integers(1, 2**16))
+def test_rotation_largest_gap_matches_the_window_radius(theta, start, N):
+    # the float directions' covering radius is half their largest gap: it
+    # lies within the truncation of each turn to 53 bits (2^11 units) and the
+    # rounding of cos, sin and arctan2 (a few ulps of 2*pi) of the kernel's
+    radius = _window_radius(SequenceSpec("golden-angle", theta=theta), start, N, None, 2**62)
+    half = rotation_largest_gap(theta, N) * math.pi / 2**64
+    assert abs(radius - half) <= 2**11 * math.pi / 2**64 + 4 * np.spacing(TWO_PI)
+
+
+def test_rotation_largest_gap_needs_an_integer_alpha_and_a_point():
+    assert rotation_largest_gap(1e-5, 10) is None  # the float fallback's theta
+    assert rotation_largest_gap(0.0, 5) == 2**64
+    with pytest.raises(ValueError, match="N >= 1"):
+        rotation_largest_gap(GOLDEN_RATIO, 0)
 
 
 def test_fractional_multiples_branches():

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from oracles import mask_halfwidth, save_sequence_file
@@ -23,12 +23,16 @@ from spiralvis import (
     check_uniform_orchard,
     estimate_min_visibility,
 )
+from spiralvis.sequences import GOLDEN_RATIO, angle_batch, rotation_largest_gap
 from spiralvis.spirals import annulus_index_range, iter_point_chunks, point_batch
 from spiralvis.visibility import (
+    BLOCK_SLACK,
     DEFAULT_BUDGET,
     MISS,
+    _block_margin,
     _certificate_arcs,
     _circle_check,
+    _circle_cover,
     _net_check,
     _passes,
     _window_arcs,
@@ -274,6 +278,71 @@ def test_failing_window_reads_each_block_once(golden, monkeypatch):
     assert len(rep.failures) == 276 and rep.failures.directions[0] == 0
     assert rep.total_checks == 2514
     assert len(rep.witnesses) == 100 and read == [404]
+
+
+# -- the block bound ----------------------------------------------------------
+
+
+ROTATIONS = (st.sampled_from([GOLDEN_RATIO, math.sqrt(2.0)])
+             | st.floats(-1e-6, 1e-6).map(lambda d: GOLDEN_RATIO + d)
+             | st.floats(2.0**-12, 1.0) | st.floats(2.0**-12, 0.01))
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=ROTATIONS,
+       eps=st.floats(0.03, 0.5),
+       width=st.floats(3.0, 10.0),
+       t0=st.just(0.0) | st.floats(0.0, 150.0),
+       K=st.integers(1, 20000),
+       clip=st.none() | st.floats(0.3, 1.0))
+def test_block_bound_certifies_only_what_the_cover_passes(theta, eps, width, t0, K, clip):
+    # rotation windows at and ahead of the origin, V = width / eps, budgets
+    # that clip the block's end. Where the bound certifies, the cover leaves
+    # no cell open and gives the certified path's failures, witnesses and
+    # hits; the float angles' gap stays within the stated bound, and no
+    # block point's half-width falls below the h_min the bound read
+    spec, V = SequenceSpec("golden-angle", theta=theta), width / eps
+    budget = DEFAULT_BUDGET if clip is None else math.ceil((t0 + clip * V) ** 2)
+    n_lo, n_hi, arcs, block = _window_arcs(spec, t0, t0 + V, eps, budget)
+    margin = _block_margin(spec, block, arcs)
+    event("certified" if margin >= BLOCK_SLACK else "covered")
+    if margin < BLOCK_SLACK:
+        return
+    a, b, _ = block
+    bound = (rotation_largest_gap(theta, b - a + 1) + 2**11) * TWO_PI / 2**64
+    ns = np.arange(a, b + 1)
+    turns = np.sort(angle_batch(spec, ns))
+    gap = max(np.diff(turns).max(), turns[0] + TWO_PI - turns[-1])
+    assert gap <= bound + 4 * np.spacing(TWO_PI)
+    h = arcs[0][1](ns, np.sqrt(ns))
+    assert h.min() >= margin + bound / 2 - 4 * np.spacing(math.pi)
+    assert h.min() - gap / 2 >= BLOCK_SLACK
+    assert not len(_circle_cover(spec, K, n_lo, n_hi, arcs)[0])
+    (f_got, w_got, h_got), (f_want, w_want, h_want) = (
+        _circle_check(spec, K, n_lo, n_hi, arcs, given_block, t0, t0 + V)
+        for given_block in (block, None))
+    assert np.array_equal(f_got, f_want) and w_got == w_want and h_got == h_want == K
+
+
+def test_block_bound_skips_the_cover_of_the_golden_sweep(golden, monkeypatch):
+    # the circle-sweep workload's golden windows, V = 5/eps: the bound
+    # certifies 9 of the 12, all but t0 = 0 at eps 0.1, 0.05 and 0.025
+    # (2 h_min - gap from 1.9e-6 to 6.6e-4 rad), and a certified window
+    # reads only the candidates near cells 0..99, no cover pass
+    certified = {}
+    for eps in (0.1, 0.05, 0.025, 0.0125):
+        for t0 in (0.0, 100.0, 1000.0):
+            window = _window_arcs(golden, t0, t0 + 5.0 / eps, eps, DEFAULT_BUDGET)
+            certified[eps, t0] = 2 * _block_margin(golden, window[3], window[2])
+    assert {key for key, slack in certified.items() if slack < 2 * BLOCK_SLACK} == {
+        (0.1, 0.0), (0.05, 0.0), (0.025, 0.0)}
+    assert 1.8e-6 < min(s for s in certified.values() if s > 0) < 2e-6
+    assert 6.5e-4 < max(certified.values()) < 6.7e-4
+    monkeypatch.setattr(vis, "_circle_cover", None)
+    read = _counted_reads(monkeypatch)
+    report = check_uniform_orchard(golden, 0.0125, 400.0, [1000.0])
+    assert report.passed and report.witness_count == report.total_checks == 402124
+    assert len(report.witnesses) == 10 and 0 < sum(read) < 5000
 
 
 # -- the direct minimal visibility ------------------------------------------

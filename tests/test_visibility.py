@@ -141,7 +141,7 @@ def test_uniform_negative_window_matches_generic(golden, ladder):
             V = float(rng.uniform(5, 40))
             window = _window_arcs(spec, t0, t0 + V, eps, 10**6)
             failures, witnesses, hits = _net_check(spec, net, *window, t0, t0 + V)
-            slow = _cap_witnesses(spec, net.centers, *window)
+            slow = _cap_witnesses(spec, net.centers, *window[:3])
             hit = np.flatnonzero(slow != MISS)
             assert np.array_equal(failures, np.flatnonzero(slow == MISS))
             assert hits == len(hit)
@@ -181,7 +181,7 @@ def test_sphere_sweep_matches_brute(fib_sphere):
                   "straddling 0": -rng.uniform(0.1, V - 0.1),
                   "far": rng.uniform(20.0, 22.0)}[where]
             window = _window_arcs(spec, t0, t0 + V, eps, 10**7)
-            witness = _cap_witnesses(spec, centers, *window)
+            witness = _cap_witnesses(spec, centers, *window[:3])
             want, tie = _brute_window_witnesses(spec, centers, t0, t0 + V, eps)
             assert tie.sum() <= 2
             assert np.array_equal(witness[~tie], want[~tie])
@@ -190,7 +190,7 @@ def test_sphere_sweep_matches_brute(fib_sphere):
             t, dist = _exact_direction_witnesses(spec, centers, witness, hit, t0, t0 + V)
             # the check's triple: the failures, the hit count, and the first
             # 100 hits of that array with their exact (t, distance)
-            failures, witnesses, hits = _directional_window_check(spec, centers, *window,
+            failures, witnesses, hits = _directional_window_check(spec, centers, *window[:3],
                                                                   t0, t0 + V)
             assert np.array_equal(failures, np.flatnonzero(witness == MISS))
             assert hits == len(hit)
@@ -324,8 +324,8 @@ def test_cap_witnesses_match_dense_oracle(fib_sphere, tmp_path, monkeypatch):
             t0 = {"negative": -V - rng.uniform(0.5, 5.0),
                   "straddling 0": -rng.uniform(0.1, V - 0.1),
                   "far": far + rng.uniform(0.0, 2.0)}[where]
-            cases.append((spec, centers, *_window_arcs(spec, t0, t0 + V, eps, 10**7)))
-        cases.append((spec, centers, *_certificate_arcs(spec, 0.5, 5.0, 10**7)))
+            cases.append((spec, centers, *_window_arcs(spec, t0, t0 + V, eps, 10**7)[:3]))
+        cases.append((spec, centers, *_certificate_arcs(spec, 0.5, 5.0, 10**7)[:3]))
     for spec, centers, n_lo, n_hi, arcs in cases:
         tie = _cap_ties(spec, centers, n_lo, n_hi, arcs)
         assert tie.sum() <= 2
@@ -345,7 +345,7 @@ def test_sphere_certificate_matches_arccos_formula(fib_sphere, monkeypatch):
         monkeypatch.setattr(vis, "K_CERT", K_const)
         monkeypatch.setattr(vis, "KAPPA_CERT", kappa)
         cert = _certificate_arcs(fib_sphere, eps, V, 10**7)
-        got = _cap_witnesses(fib_sphere, net.centers, *cert)
+        got = _cap_witnesses(fib_sphere, net.centers, *cert[:3])
         failures, _, hits = _net_check(fib_sphere, net, *cert, 0.0, V)
         assert np.array_equal(failures, np.flatnonzero(got == MISS))
         assert hits == np.sum(got != MISS)
@@ -367,7 +367,7 @@ def test_sphere_certificate_witnesses_match_brute(fib_sphere):
     net = build_direction_net(2, 0.1)
     V = 12.0
     cert = _certificate_arcs(fib_sphere, 0.5, V, 10**7)
-    witness = _cap_witnesses(fib_sphere, net.centers, *cert)
+    witness = _cap_witnesses(fib_sphere, net.centers, *cert[:3])
     hit = np.flatnonzero(witness != MISS)
     assert 0 < len(hit) < len(net)
     t, dist = _exact_direction_witnesses(fib_sphere, net.centers, witness, hit, 0.0, V)
