@@ -508,12 +508,12 @@ def _block_margin(spec: SequenceSpec, block, arcs) -> float:
 
 
 def _block_writers(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs, eps: float,
-                   t_lo: float, t_hi: float) -> np.ndarray:
-    """The least index of [n_lo, n_hi] whose run (``_runs``, formed as the
-    cover forms it) holds each cell 0..m-1, m = min(100, K), of a window
-    whose block covers every cell (``_block_margin``): the cover's first
-    writers. The cells span the wedge of half-angle beta = (m - 1)*pi/K
-    about the angle beta. A point whose float run holds one lies within eps,
+                   t_lo: float, t_hi: float):
+    """(cells, first): the cells 0..m-1, m = min(100, K), of a window whose
+    block covers every cell (``_block_margin``), and the least index of
+    [n_lo, n_hi] whose run (``_runs``, formed as the cover forms it) holds
+    each: the cover's first writers. The cells span the wedge of half-angle
+    beta = (m - 1)*pi/K about the angle beta. A point whose float run holds one lies within eps,
     plus rounding, of that cell's segment, so within eps + far*(beta +
     2*pi/K) + 1e-9*(1 + far), far = t_hi + eps, of [t_lo u, t_hi u], u at
     the angle beta: the segment candidates (``_segment_candidates``), in
@@ -530,7 +530,7 @@ def _block_writers(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs, eps: 
         _, _, angles, halfw = _point_arcs(spec, ns, arcs)
         np.minimum(first, _stamp_first(cells, *_runs(K, ns, angles, halfw)), out=first)
         if first.max() < MISS:
-            return first
+            return cells, first
     raise RuntimeError(f"the window [{t_lo!r}, {t_hi!r}], which its block covers, left "
                        f"cells {cells[first == MISS].tolist()} of {K} with no writer")
 
@@ -545,8 +545,8 @@ def _circle_check(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs, block,
     writers (``_block_writers``); otherwise one cover pass gives all three
     (``_circle_cover``)."""
     if _block_margin(spec, block, arcs) >= BLOCK_SLACK:
-        failures, cells = np.zeros(0, dtype=np.int64), np.arange(min(100, K))
-        writers = _block_writers(spec, K, n_lo, n_hi, arcs, block[2], t_lo, t_hi)
+        failures = np.zeros(0, dtype=np.int64)
+        cells, writers = _block_writers(spec, K, n_lo, n_hi, arcs, block[2], t_lo, t_hi)
     else:
         failures, cells, writers = _circle_cover(spec, K, n_lo, n_hi, arcs)
     t, dist = _exact_cell_witnesses(spec, K, cells, writers, t_lo, t_hi)
