@@ -244,7 +244,10 @@ def _covering_table(spec, ns):
     _positive("--C", [ns.C])
     m_grid = _whole("--m", ns.m, 0)
     _require("--m", ns.m, lambda m: m < ns.budget, f"below --budget {ns.budget}")
-    return uniform_covering_parameter(spec, ns.C, m_grid, _whole("--N", ns.N, 1),
+    N_grid = _whole("--N", ns.N, 1)
+    _require("--N", N_grid, lambda N: ns.C * N >= 1, f"at least 1/--C = {1 / ns.C!r} "
+             f"(--C {ns.C}): its windows of int(--C * --N) points would be empty")
+    return uniform_covering_parameter(spec, ns.C, m_grid, N_grid,
                                       resolution=ns.resolution, index_budget=ns.budget)
 
 
@@ -289,6 +292,9 @@ def _cmd_table(spec, ns):
 
 
 def _cmd_delone(spec, ns):
+    if ns.badness_Q and spec.kind != "golden-angle":
+        raise ValueError(f"--badness-Q reads the rotation theta of --seq golden-angle, "
+                         f"which --seq {ns.seq} does not have")
     payload = {"report": _named(f"--T {ns.T} and --probe-res {ns.probe_res}", delone_report,
                                 spec, ns.T, ns.probe_res, index_budget=ns.budget)}
     if ns.badness_Q:

@@ -109,8 +109,11 @@ def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
     {u_(m+n) : 1 <= n <= C*N}; divergence shows as growth along the grids."""
     if not C > 0:
         raise ValueError(f"scale constant C must be positive, got {C}")
-    if not all(N >= 1 for N in N_grid):  # N = 0 scales an empty window's inf by 0
-        raise ValueError(f"every window count N must be at least 1, got {list(N_grid)}")
+    # a window holds int(C*N) points, and an empty one has no covering radius
+    # (N = 0 would scale its inf by 0)
+    if not all(N >= 1 and C * N >= 1 for N in N_grid):
+        raise ValueError(f"every window count N must be at least 1, and C*N at least 1 so "
+                         f"that no window is empty, got C {C!r} and N {list(N_grid)}")
     rows = []
     for m in m_grid:
         for N in N_grid:

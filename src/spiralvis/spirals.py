@@ -145,12 +145,15 @@ class PunctureSpec:
             raise ValueError("every annulus needs outer radius minus thickness > 0")
 
     @classmethod
-    def geometric(cls, base, v0, delta, m_lo, m_hi, scale_constant=1.0):
+    def geometric(cls, base, v0, delta, m_lo, m_hi, scale_constant):
         """Outer radii 2^m paired with target scale 2^(-m/2).
 
-        Thickness 2*C*(2^(-m/2))^(-d) keeps thickness/radius -> 0, which is
-        what the vanishing-transfer-error argument needs; the factorial
-        schedule overflows desk scale.
+        Thickness 2*C*(2^(-m/2))^(-d) = 2*C*2^(m*d/2), C = ``scale_constant``.
+        Only for d = 1 does thickness/radius, 2*C*2^(-m/2), go to 0, which is
+        what the vanishing-transfer-error argument needs. At d = 2 the
+        thickness is 2*C times the radius for every m, so the schedule holds
+        an annulus only for C < 1/2; for d >= 3 it outgrows the radius. The
+        factorial schedule overflows desk scale.
         """
         ms = np.arange(m_lo, m_hi + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # the spec rejects inf and nan
@@ -159,7 +162,7 @@ class PunctureSpec:
         return cls(base=base, v0=v0, delta=delta, outer_radii=outer, thicknesses=thick)
 
     @classmethod
-    def factorial(cls, base, v0, delta, n_lo, n_hi, scale_constant=1.0):
+    def factorial(cls, base, v0, delta, n_lo, n_hi, scale_constant):
         """Outer radii n! with thickness 2*C*2^(n*d); d=1 only fits up to 7!."""
         ns = np.arange(n_lo, n_hi + 1)
         # 170! is the last factorial below the float range; the spec rejects inf

@@ -77,7 +77,7 @@ budget in ``spirals.index_range`` as every check's range is; a ray's is
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -184,11 +184,11 @@ class CurveEntry:
 
 @dataclass
 class VisibilityCurve:
-    """Estimated minimal visibility per eps, with a log-log slope fit."""
+    """Estimated minimal visibility per eps. ``slope`` is the log-log fit of
+    V against eps over the ``ok`` entries, None below two of them."""
 
     kind: str
     entries: list[CurveEntry]
-    slope: float | None
 
     def __post_init__(self):
         eps = [e.eps for e in self.entries]
@@ -198,12 +198,27 @@ class VisibilityCurve:
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValueError("V must be nondecreasing as eps decreases")
 
+    @property
+    def slope(self) -> float | None:
+        oks = [e for e in self.entries if e.status == "ok"]
+        if len(oks) < 2:
+            return None
+        return float(np.polyfit(np.log([e.eps for e in oks]), np.log([e.V for e in oks]), 1)[0])
+
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "slope": self.slope}
 
 
 @dataclass
 class CheckReport:
+    """What a check measured: ``total_checks`` directions or windows, the
+    ``failures`` among them (a ``DirectionFailures`` for the net checks, a
+    list of rows for the forest) and the first witnesses of the rest. The
+    verdict and its counts are derived: ``passed`` when nothing failed,
+    ``witness_count`` the checks that did not fail, and
+    ``certified_tolerance`` eps + V*mesh, the mesh ``net["delta"]`` (None,
+    read as 0, for the forest's windows)."""
+
     property: str
     spec: dict
     eps: float
@@ -212,11 +227,20 @@ class CheckReport:
     net: dict
     total_checks: int
     failures: list | DirectionFailures
-    witness_count: int
     witnesses: list
-    certified_tolerance: float
-    passed: bool
     extra: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not len(self.failures)
+
+    @property
+    def witness_count(self) -> int:
+        return self.total_checks - len(self.failures)
+
+    @property
+    def certified_tolerance(self) -> float:
+        return self.eps + self.V * (self.net["delta"] or 0)
 
     @property
     def pass_fraction(self) -> float:
@@ -225,27 +249,24 @@ class CheckReport:
         return 1.0 - len(self.failures) / self.total_checks
 
     def to_json(self) -> dict:
-        """The payload: the first 1,000 failures (still arrays when they are
-        a ``DirectionFailures``) and the first 100 witnesses."""
+        """The fields and the derived values, with the first 1,000 failures
+        (still arrays when they are a ``DirectionFailures``) and the first
+        100 witnesses; an empty ``extra`` is left out."""
         failures = self.failures
-        return {
-            "property": self.property,
-            "spec": self.spec,
-            "eps": self.eps,
-            "V": self.V,
-            "constants": self.constants,
-            "net": self.net,
-            "total_checks": self.total_checks,
-            "pass_fraction": self.pass_fraction,
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload.update({
             "failures": (failures.head(1000) if isinstance(failures, DirectionFailures)
                          else failures[:1000]),
             "failure_count": len(failures),
-            "witness_count": self.witness_count,
             "witnesses": self.witnesses[:100],
-            "certified_tolerance": self.certified_tolerance,
             "passed": self.passed,
-            **({"extra": self.extra} if self.extra else {}),
-        }
+            "pass_fraction": self.pass_fraction,
+            "witness_count": self.witness_count,
+            "certified_tolerance": self.certified_tolerance,
+        })
+        if not self.extra:
+            del payload["extra"]
+        return payload
 
 
 def _require_scale(eps: float, V: float) -> None:
@@ -269,8 +290,8 @@ def _require_net(spec: SequenceSpec, eps: float, V: float,
     return net
 
 
-def _net_info(net: DirectionNet) -> dict:
-    return {"delta": net.mesh, "count": len(net), "seed": None}
+def _net_info(delta: float | None, count: int) -> dict:
+    return {"delta": delta, "count": count, "seed": None}
 
 
 # -- circle cover ------------------------------------------------------------
@@ -537,20 +558,19 @@ def _block_writers(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs, eps: 
 
 def _circle_check(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs, block,
                   t_lo: float, t_hi: float):
-    """(failures, witnesses, hits) on the circle grid of K cells: the cells
-    no arc reaches, the first writers of the first 100 hit cells with their
-    exact (t, distance) on [t_lo, t_hi], and the hit count. When the
-    window's ``block`` covers the circle (``_block_margin`` at least
-    BLOCK_SLACK), no cell is open and one scan near cells 0..99 finds their
-    writers (``_block_writers``); otherwise one cover pass gives all three
-    (``_circle_cover``)."""
+    """(failures, witnesses) on the circle grid of K cells: the cells no arc
+    reaches, and the first writers of the first 100 hit cells with their
+    exact (t, distance) on [t_lo, t_hi]. When the window's ``block`` covers
+    the circle (``_block_margin`` at least BLOCK_SLACK), no cell is open and
+    one scan near cells 0..99 finds their writers (``_block_writers``);
+    otherwise one cover pass gives both (``_circle_cover``)."""
     if _block_margin(spec, block, arcs) >= BLOCK_SLACK:
         failures = np.zeros(0, dtype=np.int64)
         cells, writers = _block_writers(spec, K, n_lo, n_hi, arcs, block[2], t_lo, t_hi)
     else:
         failures, cells, writers = _circle_cover(spec, K, n_lo, n_hi, arcs)
     t, dist = _exact_cell_witnesses(spec, K, cells, writers, t_lo, t_hi)
-    return failures, _hit_witnesses(writers, t, dist), K - len(failures)
+    return failures, _hit_witnesses(writers, t, dist)
 
 
 def _exact_cell_witnesses(spec: SequenceSpec, K: int, cells: np.ndarray,
@@ -671,15 +691,14 @@ def _cap_witnesses(spec: SequenceSpec, centers: np.ndarray, n_lo: int, n_hi: int
 
 def _directional_window_check(spec: SequenceSpec, centers: np.ndarray, n_lo: int,
                               n_hi: int, arcs, t_lo: float, t_hi: float):
-    """(failures, witnesses, hits) of the cap sweep (``_cap_witnesses``) on
-    ``centers``: the directions no arc reaches, the witnesses of the first
-    100 hit directions with their exact (t, distance) on [t_lo, t_hi], and
-    the hit count."""
+    """(failures, witnesses) of the cap sweep (``_cap_witnesses``) on
+    ``centers``: the directions no arc reaches, and the witnesses of the
+    first 100 hit directions with their exact (t, distance) on [t_lo,
+    t_hi]."""
     witness = _cap_witnesses(spec, centers, n_lo, n_hi, arcs)
-    hits = np.flatnonzero(witness != MISS)
-    top = hits[:100]
+    top = np.flatnonzero(witness != MISS)[:100]
     t, dist = _exact_direction_witnesses(spec, centers, witness, top, t_lo, t_hi)
-    return np.flatnonzero(witness == MISS), _hit_witnesses(witness[top], t, dist), len(hits)
+    return np.flatnonzero(witness == MISS), _hit_witnesses(witness[top], t, dist)
 
 
 def _exact_direction_witnesses(spec: SequenceSpec, centers: np.ndarray, witness: np.ndarray,
@@ -699,10 +718,11 @@ def _hit_witnesses(ns, t, dist) -> list[HitWitness]:
 
 def _net_check(spec: SequenceSpec, net: DirectionNet, n_lo: int, n_hi: int, arcs, block,
                t_lo: float, t_hi: float):
-    """(failures, witnesses, hits) of the arcs of the indices [n_lo, n_hi] on
+    """(failures, witnesses) of the arcs of the indices [n_lo, n_hi] on
     ``net``, witnesses measured against [t_lo, t_hi]: the circle check, which
     reads the window's ``block``, on the circle grid, the cap sweep on any
-    other net."""
+    other net. Every direction that does not fail is hit, so the hits number
+    len(net) - len(failures)."""
     if net.uniform_grid:
         return _circle_check(spec, len(net), n_lo, n_hi, arcs, block, t_lo, t_hi)
     return _directional_window_check(spec, net.centers, n_lo, n_hi, arcs, t_lo, t_hi)
@@ -727,12 +747,11 @@ def check_orchard(spec: SequenceSpec, eps: float, V_value: float,
         window = _certificate_arcs(spec, eps, V_value, index_budget)
     else:
         raise ValueError(f"unknown method {method!r}")
-    failures, witnesses, hits = _net_check(spec, net, *window, 0.0, V_value)
+    failures, witnesses = _net_check(spec, net, *window, 0.0, V_value)
     return CheckReport(
         property=f"orchard[{method}]", spec=spec.to_json(), eps=eps, V=V_value,
-        constants=constants, net=_net_info(net), total_checks=len(net),
-        failures=DirectionFailures(failures), witness_count=hits, witnesses=witnesses,
-        certified_tolerance=eps + V_value * net.mesh, passed=not len(failures),
+        constants=constants, net=_net_info(net.mesh, len(net)), total_checks=len(net),
+        failures=DirectionFailures(failures), witnesses=witnesses,
     )
 
 
@@ -753,24 +772,20 @@ def check_uniform_orchard(spec: SequenceSpec, eps: float, V_value: float,
     net = _require_net(spec, eps, V_value, net)
     t0_list = _window_starts(t0_list)
     all_failures, all_witnesses = [], []
-    hits_total = 0
     per_t0 = {}
     for t0 in t0_list:
-        failures, witnesses, hits = _net_check(
+        failures, witnesses = _net_check(
             spec, net, *_window_arcs(spec, t0, t0 + V_value, eps, index_budget),
             t0, t0 + V_value)
         all_failures.append(failures)
         all_witnesses.extend(witnesses[:10])
-        hits_total += hits
-        per_t0[t0] = {"failures": len(failures), "hits": hits}
+        per_t0[t0] = {"failures": len(failures), "hits": len(net) - len(failures)}
     failures = DirectionFailures(np.concatenate(all_failures),
                                  np.repeat(t0_list, [len(f) for f in all_failures]))
     return CheckReport(
         property="uniform-orchard", spec=spec.to_json(), eps=eps, V=V_value,
-        constants={}, net=_net_info(net), total_checks=len(net) * len(t0_list),
-        failures=failures, witness_count=hits_total, witnesses=all_witnesses,
-        certified_tolerance=eps + V_value * net.mesh, passed=not len(failures),
-        extra={"t0": per_t0},
+        constants={}, net=_net_info(net.mesh, len(net)), total_checks=len(net) * len(t0_list),
+        failures=failures, witnesses=all_witnesses, extra={"t0": per_t0},
     )
 
 
@@ -1197,12 +1212,10 @@ def check_dense_forest(spec: SequenceSpec, eps: float, V_value: float,
                 for i, ((dist, _, _), hit) in enumerate(results) if not hit]
     witnesses = [HitWitness(n, line.t0 + t, dist)
                  for line, ((dist, n, t), hit) in zip(lines, results) if hit][:100]
-    hits = len(lines) - len(failures)
     return CheckReport(
         property="dense-forest", spec=spec.to_json(), eps=eps, V=V_value,
-        constants={}, net={"delta": None, "count": len(lines), "seed": None},
-        total_checks=len(lines), failures=failures, witness_count=hits,
-        witnesses=witnesses, certified_tolerance=eps, passed=not failures,
+        constants={}, net=_net_info(None, len(lines)), total_checks=len(lines),
+        failures=failures, witnesses=witnesses,
     )
 
 
@@ -1391,9 +1404,4 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid, t0_list=(0.
                 entries.append(CurveEntry(eps=eps, V=math.inf, status="diverged"))
                 break
             bound = min(2.0 * bound, cap)
-    oks = [e for e in entries if e.status == "ok"]
-    slope = None
-    if len(oks) >= 2:
-        slope = float(np.polyfit(np.log([e.eps for e in oks]),
-                                 np.log([e.V for e in oks]), 1)[0])
-    return VisibilityCurve(kind=kind, entries=entries, slope=slope)
+    return VisibilityCurve(kind=kind, entries=entries)

@@ -133,10 +133,7 @@ def test_public_names_have_production_callers():
 
 
 # defaulted parameters that no production call passes, each with its reason
-NO_CALLER_SETS = {
-    (f"PunctureSpec.{schedule}", "scale_constant"): "cli calls the schedule through getattr"
-    for schedule in ("geometric", "factorial")
-}
+NO_CALLER_SETS = {}
 
 
 def _passed(paths) -> dict:
@@ -257,10 +254,12 @@ def test_one_budget_rule_per_reading():
 
 # the classes that may define a ``to_json``, each with its reason
 TO_JSON = {
-    "CheckReport": "derives pass_fraction and failure_count, caps its failures and "
+    "CheckReport": "adds its derived values (passed, pass_fraction, failure_count, "
+                   "witness_count, certified_tolerance), caps its failures and "
                    "witnesses, and leaves out an empty extra",
     "SequenceSpec": "builds the params of its kind",
-    "VisibilityCurve": "perfbench/child.py digests a curve through it",
+    "VisibilityCurve": "adds its derived slope, and perfbench/child.py digests a curve "
+                       "through it",
 }
 
 

@@ -567,6 +567,13 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["covering", "--N", "0,-3"], "--N 0.0 is not a whole number >= 1"),
             (["covering", "--N", "inf"], "--N inf is not a whole number"),
             (["covering", "--N", "nan"], "--N nan is not a whole number"),
+            # a window of int(0.5 * 1) = 0 points once read as divergence, radius inf
+            (["covering", "--C", "0.5", "--m", "0", "--N", "1,100"],
+             "--N 1 is not at least 1/--C", "(--C 0.5)"),
+            # the badness of the default --theta, which a ladder never reads
+            *((["delone", "--seq", seq, "--d", d, "--T", "5", "--badness-Q", "100"],
+               "--badness-Q", f"--seq {seq}")
+              for seq, d in (("rational-ladder", "1"), ("fibonacci-sphere", "2"))),
             (["covering", "--m", "-5"], "--m -5.0 is not a whole number >= 0"),
             (["covering", "--m", "1e300"], "--m 1e+300 is not below --budget 10000000"),
             (puncture + ["--delta", "nan"], "--delta nan, ", "delta must be finite and positive"),

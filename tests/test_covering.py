@@ -255,3 +255,6 @@ def test_covering_parameter_over_an_empty_grid_is_unbounded(golden):
     for N_grid in ([0], [0, 100], [100, math.nan]):
         with pytest.raises(ValueError, match="every window count N must be at least 1"):
             uniform_covering_parameter(golden, 1.0, [0], N_grid)
+    # a window of int(C*N) = 0 points has no covering radius; it once read as inf
+    with pytest.raises(ValueError, match="C\\*N at least 1"):
+        uniform_covering_parameter(golden, 0.5, [0], [1, 100])

@@ -125,9 +125,12 @@ def test_direction_failure_rows(count, shifted):
     report = CheckReport(
         property="uniform-orchard", spec={"kind": "golden-angle", "d": 1}, eps=0.1,
         V=50.0, constants={}, net={"delta": 5e-4, "count": 6284, "seed": None},
-        total_checks=3 * 6284, failures=rows, witness_count=5,
-        witnesses=[HitWitness(7, 1.25, 0.0625)] * 3, certified_tolerance=0.125,
-        passed=not count, extra={"t0": {0.0: {"failures": count, "hits": 5}}})
+        total_checks=3 * 6284, failures=rows, witnesses=[HitWitness(7, 1.25, 0.0625)] * 3,
+        extra={"t0": {0.0: {"failures": count, "hits": 5}}})
+    payload = report.to_json()
+    assert (payload["passed"], payload["witness_count"], payload["failure_count"]) == (
+        not count, 3 * 6284 - count, count)
+    assert payload["certified_tolerance"] == 0.1 + 50.0 * 5e-4
     assert_same(dump_json(report), oracle(report.to_json()))
     assert_same(dump_json(report), oracle(report))
     assert failure_rows(report.to_json()["failures"]) == failure_rows(rows)[:1000]

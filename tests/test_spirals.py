@@ -160,7 +160,7 @@ def test_chunked_generation_matches_batch(golden):
 
 
 def make_puncture(ladder):
-    return PunctureSpec.geometric(ladder, np.array([0.0, 1.0]), 0.5, 4, 20)
+    return PunctureSpec.geometric(ladder, np.array([0.0, 1.0]), 0.5, 4, 20, 1.0)
 
 
 def test_puncture_membership_geometry(ladder):
@@ -225,7 +225,7 @@ def streamed(ps, n_lo, n_hi):
 def test_puncture_unresolved_error(monkeypatch):
     monkeypatch.setattr(spirals, "PUNCTURE_SCAN_CAP", 500)
     stuck = SequenceSpec("constant", d=1, v=np.array([0.0, 1.0]))
-    ps = PunctureSpec.geometric(stuck, np.array([0.0, 1.0]), 0.5, 4, 20)
+    ps = PunctureSpec.geometric(stuck, np.array([0.0, 1.0]), 0.5, 4, 20, 1.0)
     for n_lo in (1, 2):  # every index is in D, so the first one fails
         got, want = streamed(ps, n_lo, 100), scanned(ps, n_lo, 100)
         assert isinstance(got, PunctureUnresolvedError)
@@ -262,7 +262,7 @@ def test_puncture_blocks_match_the_scalar_scan(tmp_path_factory, kind, v0_angle,
                 "sqrt2": SequenceSpec("golden-angle", theta=math.sqrt(2.0)),
                 "ladder": SequenceSpec("rational-ladder")}[kind]
         n_hi = n_lo + count - 1
-    ps = PunctureSpec.geometric(base, v0, delta, 4, 20)
+    ps = PunctureSpec.geometric(base, v0, delta, 4, 20, 1.0)
     with mock.patch.object(spirals, "PUNCTURE_ROUND", round_size):
         got = streamed(ps, n_lo, n_hi)
     want = scanned(ps, n_lo, n_hi)
@@ -277,8 +277,10 @@ def test_puncture_schedule_validation(ladder):
         PunctureSpec(base=ladder, v0=np.array([0.0, 1.0]), delta=0.5,
                      outer_radii=np.array([16.0]), thicknesses=np.array([20.0]))
     with pytest.raises(ValueError):
-        PunctureSpec.factorial(ladder, np.array([0.0, 1.0]), 0.5, n_lo=3, n_hi=7)
-    ok = PunctureSpec.factorial(ladder, np.array([0.0, 1.0]), 0.5, n_lo=5, n_hi=7)
+        PunctureSpec.factorial(ladder, np.array([0.0, 1.0]), 0.5, n_lo=3, n_hi=7,
+                               scale_constant=1.0)
+    ok = PunctureSpec.factorial(ladder, np.array([0.0, 1.0]), 0.5, n_lo=5, n_hi=7,
+                                scale_constant=1.0)
     assert ok.outer_radii[-1] == math.factorial(7)
 
 
