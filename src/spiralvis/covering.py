@@ -4,6 +4,7 @@ Every quantity defined by an infinite sup is truncated to explicit grids; the
 grids travel with the result so finiteness claims stay scale-qualified. A
 window meets the index budget only in ``_window_radius``; past it, the
 covering parameter refuses, the criterion skips a row, the curve drops an h;
+an empty window, which has no covering radius, is refused there by all three;
 each table's sup is ``_sup``'s: the first greatest of the cells measured,
 and inf, with no argmax, over no measured cell, so an x with no h read is
 never feasible. A table's result is its payload: its fields are the keys,
@@ -54,9 +55,9 @@ _DOTS_PER_PRODUCT = 1 << 22  # center-point dots per product of the S^d covering
 
 
 def _net_covering_radius(pts: np.ndarray, d: int, resolution: float) -> float:
-    """The sup over the net ``build_direction_net(d, resolution)`` of the
-    distance to the set: below the true radius by at most the net's mesh.
-    The centers go in blocks of ``_DOTS_PER_PRODUCT`` // len(pts) rows, so
+    """The sup over the net ``build_direction_net(d, resolution)``, d >= 2,
+    of the distance to the set: below the true radius by at most the net's
+    mesh. The centers go in blocks of ``_DOTS_PER_PRODUCT`` // len(pts) rows, so
     a block's product holds at most that many dots (one row's worth when the
     points alone are more)."""
     net = build_direction_net(d, resolution)
@@ -71,12 +72,14 @@ def _net_covering_radius(pts: np.ndarray, d: int, resolution: float) -> float:
 def _window_radius(spec: SequenceSpec, start: int, size: float,
                    resolution: float | None, index_budget: int) -> float | None:
     """The covering radius of the window u_(start+1), ..., u_(start+int(size)):
-    inf when it is empty, None when it reads past ``index_budget`` (as a
-    ``size`` of inf does); refused when it reads past 2^63 - 1."""
+    None when it reads past ``index_budget`` (as a ``size`` of inf does);
+    refused when it is empty (a ``size`` below 1, or nan) or reads past
+    2^63 - 1."""
     if size >= index_budget - start + 1:  # start + int(size) > budget, or size is inf
         return None
-    if size < 1:
-        return math.inf
+    if not size >= 1:
+        raise ValueError(f"the window of {size!r} points after index {start} is empty, "
+                         f"so it has no covering radius")
     if (last := start + int(size)) >= 2**63:
         raise ValueError(f"the window [{start + 1}, {last}] reaches index {last}, past 2^63 - 1")
     pts = direction_batch(spec, np.arange(start + 1, last + 1, dtype=np.int64))
@@ -109,11 +112,6 @@ def uniform_covering_parameter(spec: SequenceSpec, C: float, m_grid, N_grid,
     {u_(m+n) : 1 <= n <= C*N}; divergence shows as growth along the grids."""
     if not C > 0:
         raise ValueError(f"scale constant C must be positive, got {C}")
-    # a window holds int(C*N) points, and an empty one has no covering radius
-    # (N = 0 would scale its inf by 0)
-    if not all(N >= 1 and C * N >= 1 for N in N_grid):
-        raise ValueError(f"every window count N must be at least 1, and C*N at least 1 so "
-                         f"that no window is empty, got C {C!r} and N {list(N_grid)}")
     rows = []
     for m in m_grid:
         for N in N_grid:
@@ -164,7 +162,7 @@ def uniform_orchard_criterion(spec: SequenceSpec, V, K: float = 1.0,
             if not math.isfinite(x):
                 raise ValueError(f"eps {eps}, h-mult {mult}: window size past the float range")
             radius = _window_radius(spec, h ** (spec.d + 1), x, resolution, index_budget)
-            if radius is None or radius == math.inf:  # past the budget, or empty
+            if radius is None:  # past the budget
                 rows.append({"eps": eps, "h": h, "x": x, "radius": None,
                              "value": None, "status": "skipped"})
                 continue
@@ -197,8 +195,6 @@ def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
         raise ValueError("the x grid needs at least one value")
     inner = []
     for x in x_grid:
-        if x <= 0:
-            raise ValueError("x grid must be positive")
         cells = []
         h = max(1, math.floor(x) + 1)
         while h <= h_cap:

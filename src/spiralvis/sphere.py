@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,29 +55,16 @@ class DirectionNet:
 
     ``covering_radius`` is the net's proved covering radius: every direction
     lies within that geodesic distance of some center, and it is at most
-    ``mesh``. ``uniform_grid`` marks the exact equally-spaced circle net
-    (d=1), whose centers are at angles j * 2*pi/count and are built only when
-    ``centers`` is first read; any other net is made by ``from_centers``.
+    ``mesh``. ``centers`` holds the centers as rows, or is None for the
+    uniform circle grid (d=1), whose center j is at angle j * 2*pi/count and
+    which the circle checks read by cell index.
     """
 
     dimension: int
     mesh: float
     count: int
     covering_radius: float
-    uniform_grid: bool = False
-
-    @classmethod
-    def from_centers(cls, centers: np.ndarray, **kwargs) -> "DirectionNet":
-        net = cls(count=len(centers), **kwargs)
-        net.centers = centers  # stored over the cached property, never rebuilt
-        return net
-
-    @cached_property
-    def centers(self) -> np.ndarray:
-        if not self.uniform_grid:
-            raise AttributeError("a net that is not the uniform circle grid stores its centers")
-        angles = np.arange(self.count) * (2 * math.pi / self.count)
-        return np.column_stack([np.cos(angles), np.sin(angles)])
+    centers: np.ndarray | None
 
     def __len__(self) -> int:
         return self.count
@@ -101,7 +87,7 @@ def least_directions(d: int, delta: float) -> float:
 def _uniform_circle_net(delta: float) -> DirectionNet:
     count = max(1, math.ceil(math.pi / delta))
     return DirectionNet(dimension=1, mesh=delta, count=count,
-                        covering_radius=math.pi / count, uniform_grid=True)
+                        covering_radius=math.pi / count, centers=None)
 
 
 def _project(grids) -> np.ndarray:
@@ -191,8 +177,8 @@ def _cube_sphere_net(d: int, delta: float) -> DirectionNet:
             img[:, axis] = sign * face[:, 0]
             img[:, [i for i in range(d + 1) if i != axis]] = face[:, 1:]
             faces.append(img)
-    return DirectionNet.from_centers(np.concatenate(faces), dimension=d, mesh=delta,
-                                     covering_radius=radius)
+    return DirectionNet(dimension=d, mesh=delta, count=len(faces) * len(face),
+                        covering_radius=radius, centers=np.concatenate(faces))
 
 
 def build_direction_net(d: int, delta: float, seed: int = 0) -> DirectionNet:

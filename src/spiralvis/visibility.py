@@ -723,7 +723,7 @@ def _net_check(spec: SequenceSpec, net: DirectionNet, n_lo: int, n_hi: int, arcs
     reads the window's ``block``, on the circle grid, the cap sweep on any
     other net. Every direction that does not fail is hit, so the hits number
     len(net) - len(failures)."""
-    if net.uniform_grid:
+    if net.centers is None:
         return _circle_check(spec, len(net), n_lo, n_hi, arcs, block, t_lo, t_hi)
     return _directional_window_check(spec, net.centers, n_lo, n_hi, arcs, t_lo, t_hi)
 
@@ -1314,7 +1314,7 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
         return best[c] > (r - 3.0 * eps - t0 if r > 3.0 * eps - t0 else -math.inf)
 
     n_lo, n_hi, arcs, _ = _window_arcs(spec, t0, t0 + V, eps, index_budget)
-    if net.uniform_grid:
+    if net.centers is None:
         open_ = np.arange(len(net))
 
         def settle(r):

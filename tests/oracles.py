@@ -109,6 +109,16 @@ def count_bound_ok(net) -> bool:
     return len(net) <= c_net * net.mesh ** (-d)
 
 
+def net_directions(net) -> np.ndarray:
+    """A direction net's centers as rows: the stored ones, or for the uniform
+    circle grid (``centers`` None) the K = len(net) directions at angles
+    j * 2*pi/K."""
+    if net.centers is not None:
+        return net.centers
+    angles = np.arange(len(net)) * (TWO_PI / len(net))
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
 def growth_along_h(table) -> dict[float, list]:
     """Per-eps ratios of consecutive cell values of a ``CriterionTable`` as h
     doubles."""

@@ -13,6 +13,7 @@ from spiralvis import (
     SequenceSpec,
     LineParam,
     annulus_index_range,
+    build_direction_net,
     check_dense_forest,
     check_orchard,
     check_uniform_orchard,
@@ -22,9 +23,13 @@ from spiralvis import (
     uniform_orchard_criterion,
     visible_point_test,
 )
-from oracles import calibrate_proximity_sandwich, growth_along_h, verify_proximity_sandwich
+from oracles import (
+    calibrate_proximity_sandwich,
+    growth_along_h,
+    net_directions,
+    verify_proximity_sandwich,
+)
 from spiralvis.cli import main as cli_main
-from spiralvis.covering import _net_covering_radius
 from spiralvis.geometry import segment_distances
 from spiralvis.sequences import triangular_decompose
 from spiralvis.spirals import iter_point_chunks
@@ -189,11 +194,13 @@ def test_criterion_6(golden, ladder, fib_sphere):
         b = a + rng.uniform(-50, 50, 2)
         eps = rng.uniform(0.05, 2.0)
         _assert_scan_matches_brute(golden, coords, a, b, eps)
+    grid = net_directions(build_direction_net(1, 0.05))
     for _ in range(1000):
         angles = rng.uniform(0, 2 * math.pi, rng.integers(2, 40))
         pts = np.column_stack([np.cos(angles), np.sin(angles)])
         exact = covering_radius(pts, d=1)
-        assert abs(_net_covering_radius(pts, 1, 0.05) - exact) <= 0.05
+        on_net = float(np.arccos(np.clip((grid @ pts.T).max(axis=1), -1, 1)).max())
+        assert abs(on_net - exact) <= 0.05
     _, coords = point_batch(fib_sphere, np.arange(1, 44**3 + 1, dtype=np.int64))
     rng = np.random.default_rng(9)
     for _ in range(40):

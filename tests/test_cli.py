@@ -469,7 +469,14 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["criterion", "--eps", "0.1", "--V-power", "1e3"], "arithmetic failed"),
             (["covering", "--C", "inf"], "--C"),
             (["forest", "--eps", "0.5", "--V", "1", "--lines", "1", "--lam-max", "inf"],
-             "--lam-max")):  # bad numbers that once ended in a traceback
+             "--lam-max"),  # bad numbers that once ended in a traceback
+            # windows of fewer than one point, once read as an unbounded sup
+            (["criterion", "--K", "0.0001", "--eps", "0.2"],
+             "the window of 0.0025 points after index 25 is empty"),
+            (["criterion", "--V-const", "1e-9", "--eps", "0.2"],
+             "the window of 5e-09 points after index 1 is empty"),
+            (["defvisi", "--x-grid", "0.5,1", "--eps", "0.2"],
+             "the window of 0.5 points after index 1 is empty")):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import growth_along_h
+from oracles import growth_along_h, net_directions
 import spiralvis.covering as covering
 from spiralvis import (
     build_direction_net,
@@ -60,11 +60,14 @@ def test_covering_radius_invariances():
 
 
 def test_covering_radius_net_mode_agrees_with_exact():
+    # the sup over a circle net of mesh 0.02 of the distance to the set
+    grid = net_directions(build_direction_net(1, 0.02))
     rng = np.random.default_rng(1)
     for _ in range(100):
         pts = circle_points(rng.uniform(0, 2 * math.pi, rng.integers(2, 50)))
         exact = covering_radius(pts, d=1)
-        assert abs(_net_covering_radius(pts, 1, 0.02) - exact) <= 0.02
+        on_net = float(np.arccos(np.clip((grid @ pts.T).max(axis=1), -1, 1)).max())
+        assert abs(on_net - exact) <= 0.02
 
 
 def test_sphere_net_radius_agrees_across_resolutions(fib_sphere):
@@ -253,8 +256,10 @@ def test_covering_parameter_over_an_empty_grid_is_unbounded(golden):
     assert json.loads(dump_json(est))["argmax"] is None
     # N = 0 scaled an empty window's inf radius by 0: a nan cell
     for N_grid in ([0], [0, 100], [100, math.nan]):
-        with pytest.raises(ValueError, match="every window count N must be at least 1"):
+        with pytest.raises(ValueError, match="is empty, so it has no covering radius"):
             uniform_covering_parameter(golden, 1.0, [0], N_grid)
     # a window of int(C*N) = 0 points has no covering radius; it once read as inf
-    with pytest.raises(ValueError, match="C\\*N at least 1"):
+    with pytest.raises(ValueError, match=r"^the window of 0.5 points after index 0 is empty"):
         uniform_covering_parameter(golden, 0.5, [0], [1, 100])
+    with pytest.raises(ValueError, match="scale constant C must be positive, got 0"):
+        uniform_covering_parameter(golden, 0.0, [0], [100])

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import count_bound_ok
+from oracles import count_bound_ok, net_directions
 from spiralvis import (
     SequenceSpec,
     build_direction_net,
     check_orchard,
     check_uniform_orchard,
+    covering_radius,
     unit_vector,
 )
 from spiralvis.sphere import _area_grid, _corner_grid, _cube_face, least_directions
@@ -59,32 +60,38 @@ def test_circle_net_exact_grid():
     net = build_direction_net(1, math.pi / 2)
     # equally spaced angles cover with radius pi/count <= mesh
     assert math.pi / len(net) <= math.pi / 2
-    assert net.uniform_grid
+    assert net.centers is None
     assert count_bound_ok(net)
 
     fine = build_direction_net(1, 0.01)
     assert math.pi / 0.01 <= len(fine) <= 2 * math.pi / 0.01
     assert fine.covering_radius == math.pi / len(fine) <= 0.01
-    gaps = np.diff(np.sort(np.arctan2(fine.centers[:, 1], fine.centers[:, 0]) % (2 * math.pi)))
+    centers = net_directions(fine)
+    gaps = np.diff(np.sort(np.arctan2(centers[:, 1], centers[:, 0]) % (2 * math.pi)))
     assert gaps.max() == pytest.approx(gaps.min(), rel=1e-9)
 
 
-def test_circle_net_centers_built_on_demand():
-    # the centers the circle net stored before they were built on first read
+def test_net_directions_cover_within_the_net_radius():
+    # the oracle's rows of the circle grid: K unit vectors, the first at
+    # angle 0, whose exact covering radius is the grid's proved pi/K; a
+    # stored net's rows are its centers
     for delta in (math.pi, 0.5, 0.003):
         net = build_direction_net(1, delta)
-        angles = np.arange(len(net)) * (2 * math.pi / len(net))
-        assert np.array_equal(net.centers, np.column_stack([np.cos(angles), np.sin(angles)]))
-        assert net.centers is net.centers
+        rows = net_directions(net)
+        assert rows.shape == (len(net), 2) and np.array_equal(rows[0], [1.0, 0.0])
+        assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert covering_radius(rows, d=1) == pytest.approx(net.covering_radius, rel=1e-12)
+    net = build_direction_net(2, 0.5)
+    assert net_directions(net) is net.centers
 
 
 def test_circle_net_length_without_centers():
-    # neither len(net) nor a circle check and its report builds the centers
+    # neither len(net) nor a circle check and its report needs the centers
     net = build_direction_net(1, 0.2 / (4 * 20.0))
     assert len(net) == math.ceil(math.pi / (0.2 / 80.0)) and count_bound_ok(net)
     rep = check_uniform_orchard(SequenceSpec("golden-angle"), 0.2, 20.0, [0.0], net=net)
     assert rep.net["count"] == rep.total_checks == len(net)
-    assert "centers" not in vars(net)
+    assert net.centers is None
 
 
 def test_net_rejects_bad_mesh():
@@ -92,6 +99,8 @@ def test_net_rejects_bad_mesh():
         build_direction_net(1, 0.0)
     with pytest.raises(ValueError):
         build_direction_net(2, 4.0)
+    with pytest.raises(ValueError, match="sphere dimension must be >= 1, got 0"):
+        build_direction_net(0, 0.1)
     # rejected before any allocation or grid scan: at mesh 1e-300 the S^2
     # scan's m += 1 would not change its float step
     for d, delta in ((1, 1e-300), (1, 5e-324), (1, 1e-18), (2, 1e-300), (3, 1e-9)):

@@ -276,6 +276,11 @@ def test_puncture_schedule_validation(ladder):
     with pytest.raises(ValueError):
         PunctureSpec(base=ladder, v0=np.array([0.0, 1.0]), delta=0.5,
                      outer_radii=np.array([16.0]), thicknesses=np.array([20.0]))
+    for thicknesses, problem in (([1.0], "must pair up"), ([1.0, 0.0], "must be positive"),
+                                 ([1.0, -2.0], "must be positive")):
+        with pytest.raises(ValueError, match=problem):
+            PunctureSpec(base=ladder, v0=np.array([0.0, 1.0]), delta=0.5,
+                         outer_radii=np.array([16.0, 32.0]), thicknesses=np.array(thicknesses))
     with pytest.raises(ValueError):
         PunctureSpec.factorial(ladder, np.array([0.0, 1.0]), 0.5, n_lo=3, n_hi=7,
                                scale_constant=1.0)

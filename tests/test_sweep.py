@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import mask_halfwidth, save_sequence_file
+from oracles import mask_halfwidth, net_directions, save_sequence_file
 import spiralvis.visibility as vis
 from spiralvis import (
     SequenceSpec,
@@ -357,6 +357,10 @@ def test_block_bound_skips_the_cover_of_the_golden_sweep(golden, monkeypatch):
     report = check_uniform_orchard(golden, 0.0125, 400.0, [1000.0])
     assert report.passed and report.witness_count == report.total_checks == 402124
     assert len(report.witnesses) == 10 and 0 < sum(read) < 5000
+    # candidates that hold no writer of a covered cell are a fault of the bound
+    monkeypatch.setattr(vis, "_segment_candidates", lambda *args: iter(()))
+    with pytest.raises(RuntimeError, match=r"which its block covers, left cells \[0, 1, "):
+        check_uniform_orchard(golden, 0.0125, 400.0, [1000.0])
 
 
 # -- the direct minimal visibility ------------------------------------------
@@ -415,7 +419,7 @@ def test_window_reach_matches_brute(kind, d, delta, eps, t0, tmp_path):
     # of a window
     n_max = min(budget, annulus_index_range(
         0.0, max(abs(t0), abs(t0 + V)) + eps + 1.0, d)[1])
-    want = _brute_reach(spec, net.centers, eps, t0, n_max)
+    want = _brute_reach(spec, net_directions(net), eps, t0, n_max)
     fits = want <= V
     assert fits.any()
     # blocks of a few points, and of a few marks, stop the sweep early
@@ -457,7 +461,7 @@ def test_window_reach_d1_matches_brute(random_directions, kind, K, eps, t0, V, m
     assert len(net) == K
     n_max = min(budget, annulus_index_range(
         0.0, max(abs(t0), abs(t0 + V)) + eps + 1.0, 1)[1])
-    want = _brute_reach(spec, net.centers, eps, t0, n_max)
+    want = _brute_reach(spec, net_directions(net), eps, t0, n_max)
     fits = want <= V
     with _small_chunks(points), _small_blocks(marks):
         got = vis._window_reach(spec, net, t0, eps, V, budget)
@@ -504,7 +508,7 @@ def test_estimate_on_its_own_net(golden, kind, eps_grid, t0_list, monkeypatch):
     assert len(confirmed) == len(curve.entries)
     for i, (e, net) in enumerate(zip(curve.entries, confirmed)):
         assert e.status == "ok"
-        want = max(_brute_reach(golden, net.centers, e.eps, t0, math.ceil(
+        want = max(_brute_reach(golden, net_directions(net), e.eps, t0, math.ceil(
             (abs(t0) + e.V + 1.0) ** 2)).max() for t0 in t0_list)
         assert e.V == pytest.approx(want * (1 + 1e-9), rel=1e-12)
         for V, passes_at_V in ((e.V, True), (e.V / (1 + step), False)):

@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from oracles import calibrate_proximity_sandwich, save_sequence_file, verify_proximity_sandwich
+from oracles import (
+    calibrate_proximity_sandwich,
+    net_directions,
+    save_sequence_file,
+    verify_proximity_sandwich,
+)
 import spiralvis.visibility as vis
 from spiralvis import (
     DirectionNet,
     LineParam,
     NetMeshError,
     SequenceSpec,
+    VisibilityCurve,
     build_direction_net,
     check_dense_forest,
     check_orchard,
@@ -22,6 +28,7 @@ from spiralvis.spirals import CHUNK, annulus_index_range, count_in_ball, point_b
 from spiralvis.visibility import (
     DEFAULT_BUDGET,
     MISS,
+    CurveEntry,
     _cap_witnesses,
     _certificate_arcs,
     _directional_window_check,
@@ -59,11 +66,14 @@ def test_orchard_constant_fails_antipode(constant_seq):
     assert int(round(count / 2)) in failed
 
 
-def test_orchard_requires_fine_net(golden):
+def test_orchard_requires_fine_net(golden, fib_sphere):
     coarse = build_direction_net(1, 0.1)
     with pytest.raises(NetMeshError) as err:
         check_uniform_orchard(golden, 0.1, 50.0, [0.0], net=coarse)
     assert err.value.required_mesh == pytest.approx(0.1 / 200.0)
+    # fine enough, but a circle net for an S^2 sequence
+    with pytest.raises(ValueError, match="net dimension does not match the sequence"):
+        check_uniform_orchard(fib_sphere, 0.2, 5.0, [0.0], net=build_direction_net(1, 0.01))
 
 
 def test_rule_mesh_above_pi_builds_the_mesh_pi_net(golden, fib_sphere):
@@ -107,6 +117,8 @@ def test_orchard_certificate_route(ladder, constant_seq):
     assert rep.constants == {"K": 1.0, "kappa": 1.0}
     bad = check_orchard(constant_seq, eps, 20.0, method="certificate")
     assert not bad.passed
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        check_orchard(ladder, eps, 20.0, method="bogus")
 
 
 def test_uniform_orchard_golden(golden):
@@ -141,7 +153,7 @@ def test_uniform_negative_window_matches_generic(golden, ladder):
             V = float(rng.uniform(5, 40))
             window = _window_arcs(spec, t0, t0 + V, eps, 10**6)
             failures, witnesses = _net_check(spec, net, *window, t0, t0 + V)
-            slow = _cap_witnesses(spec, net.centers, *window[:3])
+            slow = _cap_witnesses(spec, net_directions(net), *window[:3])
             hit = np.flatnonzero(slow != MISS)
             assert np.array_equal(failures, np.flatnonzero(slow == MISS))
             assert [w.n for w in witnesses] == slow[hit[:100]].tolist()
@@ -630,6 +642,15 @@ def test_orchard_estimate_is_the_uniform_search_at_zero(golden, ladder, monkeypa
 def test_estimate_rejects_duplicate_eps(golden):
     curve = estimate_min_visibility(golden, "orchard", [0.2, 0.2, 0.1])
     assert len(curve.entries) == 2  # deduplicated, strictly decreasing
+    # the curve itself refuses a repeated eps, and an ok V that falls as eps
+    # decreases; a diverged entry is not compared
+    first, second = curve.entries
+    with pytest.raises(ValueError, match="strictly decreasing eps"):
+        VisibilityCurve("orchard", [first, first])
+    fallen = CurveEntry(second.eps, first.V / 2, "ok")
+    with pytest.raises(ValueError, match="V must be nondecreasing"):
+        VisibilityCurve("orchard", [first, fallen])
+    VisibilityCurve("orchard", [first, CurveEntry(second.eps, first.V / 2, "diverged")])
 
 
 def test_failure_arrays_hold_every_window_and_the_payload_their_head(ladder):
@@ -758,7 +779,7 @@ def test_uniform_rule_net_rejects_a_window_that_fails_finer():
 
 
 def test_public_checks_agree_on_the_grid_and_a_stored_circle_net(golden, ladder):
-    # net.uniform_grid alone selects the engine: the same d=1 centers stored
+    # net.centers is None alone selects the engine: the same d=1 centers stored
     # in a plain net take the cap sweep; both must give the same failures
     # (so the same hit counts) and witness indices, except at most 2
     # directions that a float tie at a cap's edge may decide either way
@@ -772,9 +793,9 @@ def test_public_checks_agree_on_the_grid_and_a_stored_circle_net(golden, ladder)
 
     for spec, eps, V, t0 in ((golden, 0.2, 8.0, -12.5), (ladder, 0.3, 12.0, -7.0)):
         grid = build_direction_net(1, eps / (4 * V))
-        net = DirectionNet.from_centers(grid.centers, dimension=1, mesh=grid.mesh,
-                                        covering_radius=grid.covering_radius)
-        assert grid.uniform_grid and not net.uniform_grid
+        net = DirectionNet(dimension=1, mesh=grid.mesh, count=len(grid),
+                           covering_radius=grid.covering_radius, centers=net_directions(grid))
+        assert grid.centers is None
         certificate = _certificate_arcs(spec, eps, V, DEFAULT_BUDGET)
         for run in (lambda n: checked(check_uniform_orchard(spec, eps, V, [0.0], net=n)),
                     lambda n: _net_check(spec, n, *certificate, 0.0, V),
