@@ -110,6 +110,10 @@ LIBRARY_CASES = {
     "estimate-golden-uniform": lambda: estimate_min_visibility(
         SequenceSpec("golden-angle"), "uniform", [0.2, 0.1, 0.05, 0.025],
         t0_list=(0, 100, 1000)),
+    # a later window start raises V: the first start's reach is not the max
+    "estimate-golden-later-start": lambda: estimate_min_visibility(
+        SequenceSpec("golden-angle"), "uniform", [0.2, 0.1, 0.05],
+        t0_list=(1000, 0, 100)),
 }
 
 
