@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .covering import (
     DEFAULT_H_CAP,
+    EmptyWindowError,
     uniform_covering_parameter,
     uniform_orchard_criterion,
     visibility_from_covering,
@@ -256,10 +257,13 @@ def _criterion_table(spec, ns):
     _positive("--K", [ns.K])
     power = ns.V_power if ns.V_power is not None else float(spec.d)
     flags = f"--V-const {ns.V_const} and --V-power {power}"
-    return uniform_orchard_criterion(
-        spec, lambda e: _named(flags, lambda: ns.V_const * e ** (-power)), K=ns.K,
-        eps_grid=ns.eps, h_mults=_whole("--h-mults", ns.h_mults, 1),
-        resolution=ns.resolution, index_budget=ns.budget)
+    try:
+        return uniform_orchard_criterion(
+            spec, lambda e: _named(flags, lambda: ns.V_const * e ** (-power)), K=ns.K,
+            eps_grid=ns.eps, h_mults=_whole("--h-mults", ns.h_mults, 1),
+            resolution=ns.resolution, index_budget=ns.budget)
+    except EmptyWindowError as exc:  # a window of --K * h^d * V(eps) points
+        raise ValueError(f"--K {ns.K} with {flags}: {exc}") from None
 
 
 def _defvisi_curve(spec, ns):
@@ -268,8 +272,11 @@ def _defvisi_curve(spec, ns):
     # the window scales of x run h = floor(x) + 1, doubling, up to --h-cap
     _require("--x-grid", ns.x_grid, lambda x: x < ns.h_cap,
              f"below --h-cap {ns.h_cap}, so no window scale h > x is measured")
-    return visibility_from_covering(spec, ns.eps, ns.x_grid, h_cap=ns.h_cap,
-                                    resolution=ns.resolution, index_budget=ns.budget)
+    try:
+        return visibility_from_covering(spec, ns.eps, ns.x_grid, h_cap=ns.h_cap,
+                                        resolution=ns.resolution, index_budget=ns.budget)
+    except EmptyWindowError as exc:  # a window of h^d * x points
+        raise ValueError(f"--x-grid {','.join(map(repr, ns.x_grid))}: {exc}") from None
 
 
 # subcommand -> (payload key, field of its row list, build(spec, ns))

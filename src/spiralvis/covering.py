@@ -69,6 +69,10 @@ def _net_covering_radius(pts: np.ndarray, d: int, resolution: float) -> float:
     return value
 
 
+class EmptyWindowError(ValueError):
+    """A window of fewer than one point, which has no covering radius."""
+
+
 def _window_radius(spec: SequenceSpec, start: int, size: float,
                    resolution: float | None, index_budget: int) -> float | None:
     """The covering radius of the window u_(start+1), ..., u_(start+int(size)):
@@ -78,8 +82,8 @@ def _window_radius(spec: SequenceSpec, start: int, size: float,
     if size >= index_budget - start + 1:  # start + int(size) > budget, or size is inf
         return None
     if not size >= 1:
-        raise ValueError(f"the window of {size!r} points after index {start} is empty, "
-                         f"so it has no covering radius")
+        raise EmptyWindowError(f"the window of {size!r} points after index {start} is "
+                               f"empty, so it has no covering radius")
     if (last := start + int(size)) >= 2**63:
         raise ValueError(f"the window [{start + 1}, {last}] reaches index {last}, past 2^63 - 1")
     pts = direction_batch(spec, np.arange(start + 1, last + 1, dtype=np.int64))
@@ -190,9 +194,12 @@ def visibility_from_covering(spec: SequenceSpec, eps_grid, x_grid,
                              index_budget: int = DEFAULT_BUDGET) -> CoveringVisibilityCurve:
     """Evaluate V(eps) = sup{x : sup_(h>x) h * R(window at h, length h^d x) <= eps}
     on finite grids, keeping the inner-sup trajectory observable. An empty
-    x grid is refused: no x to read, its V would read 0.0."""
+    x grid is refused: no x to read, its V would read 0.0; so is a grid
+    holding a non-finite x, which has no first window scale h."""
     if len(x_grid) == 0:
         raise ValueError("the x grid needs at least one value")
+    if bad := [x for x in x_grid if not math.isfinite(x)]:
+        raise ValueError(f"the x grid value {bad[0]!r} is not finite")
     inner = []
     for x in x_grid:
         cells = []

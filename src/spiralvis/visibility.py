@@ -34,7 +34,10 @@ indices of radius in [t_lo, t_hi] have a largest gap, in closed form from
 the three-distance theorem (``rotation_largest_gap``), at most twice their
 least half-width less BLOCK_SLACK, so their arcs alone cover the circle, no
 cell fails, and one segment scan near cells 0..99 stamps those cells' first
-writers (``_block_writers``). On any other net (S^d)
+writers (``_block_writers``). The minimal-visibility estimate reads the same
+bound (``_block_covers``): it skips the reach of a later window start that
+the bound certifies at the V read so far, and its confirmation
+(``_passes``) reads only failures. On any other net (S^d)
 ``_directional_window_check``
 runs ``_cap_witnesses``. It and the S^d minimal-visibility reach
 (``_window_reach``) share one pair sweep, ``_band_pairs``, which keeps the
@@ -528,6 +531,12 @@ def _block_margin(spec: SequenceSpec, block, arcs) -> float:
     return float(reach(ends, radius_of_index(ends, 1)).min()) - (gap + 2**11) * (math.pi / 2**64)
 
 
+def _block_covers(spec: SequenceSpec, block, arcs) -> bool:
+    """Whether a window's ``block`` alone covers the circle: its margin
+    (``_block_margin``) is at least BLOCK_SLACK."""
+    return _block_margin(spec, block, arcs) >= BLOCK_SLACK
+
+
 def _block_writers(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs, eps: float,
                    t_lo: float, t_hi: float):
     """(cells, first): the cells 0..m-1, m = min(100, K), of a window whose
@@ -561,10 +570,10 @@ def _circle_check(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs, block,
     """(failures, witnesses) on the circle grid of K cells: the cells no arc
     reaches, and the first writers of the first 100 hit cells with their
     exact (t, distance) on [t_lo, t_hi]. When the window's ``block`` covers
-    the circle (``_block_margin`` at least BLOCK_SLACK), no cell is open and
-    one scan near cells 0..99 finds their writers (``_block_writers``);
-    otherwise one cover pass gives both (``_circle_cover``)."""
-    if _block_margin(spec, block, arcs) >= BLOCK_SLACK:
+    the circle (``_block_covers``), no cell is open and one scan near cells
+    0..99 finds their writers (``_block_writers``); otherwise one cover pass
+    gives both (``_circle_cover``)."""
+    if _block_covers(spec, block, arcs):
         failures = np.zeros(0, dtype=np.int64)
         cells, writers = _block_writers(spec, K, n_lo, n_hi, arcs, block[2], t_lo, t_hi)
     else:
@@ -1346,8 +1355,21 @@ def _window_reach(spec: SequenceSpec, net: DirectionNet, t0: float, eps: float,
 
 def _passes(spec: SequenceSpec, eps: float, V: float, t0_list, index_budget: int,
             net: DirectionNet) -> bool:
-    return check_uniform_orchard(spec, eps, V, t0_list, net=net,
-                                 index_budget=index_budget).passed
+    """Whether ``check_uniform_orchard`` over the windows [t0, t0 + V], t0 in
+    ``t0_list`` (distinct and finite), passes on ``net`` (fine enough for eps
+    and V), with no witness formed. On the circle grid each window is read
+    as ``_circle_check`` reads it: one its block covers (``_block_covers``)
+    has no failure, and otherwise the open cells of one cover pass
+    (``_circle_cover``) decide; the first failing window ends the reading.
+    Every window is formed first, so one past the budget is refused as the
+    check refuses it. Any other net runs the check."""
+    if net.centers is not None:
+        return check_uniform_orchard(spec, eps, V, t0_list, net=net,
+                                     index_budget=index_budget).passed
+    windows = [_window_arcs(spec, t0, t0 + V, eps, index_budget) for t0 in t0_list]
+    return all(_block_covers(spec, block, arcs)
+               or not len(_circle_cover(spec, len(net), n_lo, n_hi, arcs)[0])
+               for n_lo, n_hi, arcs, block in windows)
 
 
 def _budget_cap(spec: SequenceSpec, eps: float, t0_list, index_budget: int) -> float:
@@ -1371,6 +1393,22 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid, t0_list=(0.
     the check, doubles the bound, up to the eps's cap (``_budget_cap``), the
     largest V whose windows the budget reads whole.
 
+    A round reads V as the running max over the starts of each one's reach
+    (``_window_reach``) and skips a start whose window [t0, t0 + V], at the
+    running V, its block covers (``_block_covers``): that start cannot raise
+    V. The block's indices have radius r in [t0, t0 + V], and there the
+    half-width of ``radial_hit_halfwidth`` does not read t_hi, so each block
+    point's arc under [t0, t0 + bound] is its arc under [t0, t0 + V]. Every
+    cell lies on one of these arcs, BLOCK_SLACK inside its edge, so that
+    point's eps-disc meets the cell's segment [t0, t0 + V], and its reach
+    offset (``_reach_offsets``) there is below r - t0 <= V. The reach reads
+    points in index order and settles a cell only once its offset lies
+    below the radius read so far less t0 (and 3 eps), so a cell settled
+    before that point was read holds an offset below V too: the start's
+    reach.max() <= V. The first start is always read: V is 0 before it. A
+    round whose bound passes the cap skips no start, so a start past the
+    budget is refused with the reach's message.
+
     An entry that still fails at the cap is ``diverged``: its V lies beyond
     what ``index_budget`` reads, which does not prove it infinite. Every
     ``ok`` entry was read and confirmed on windows inside the budget. There
@@ -1391,6 +1429,10 @@ def estimate_min_visibility(spec: SequenceSpec, kind: str, eps_grid, t0_list=(0.
             net = _require_net(spec, eps, bound, None)
             V = 0.0
             for t0 in t0_list:
+                if V and bound <= cap:
+                    _, _, arcs, block = _window_arcs(spec, t0, t0 + V, eps, index_budget)
+                    if _block_covers(spec, block, arcs):
+                        continue
                 reach = _window_reach(spec, net, t0, eps, bound, index_budget)
                 if (V := max(V, float(reach.max()))) > bound:
                     break

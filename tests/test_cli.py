@@ -470,13 +470,16 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["covering", "--C", "inf"], "--C"),
             (["forest", "--eps", "0.5", "--V", "1", "--lines", "1", "--lam-max", "inf"],
              "--lam-max"),  # bad numbers that once ended in a traceback
-            # windows of fewer than one point, once read as an unbounded sup
+            # windows of fewer than one point, once read as an unbounded sup;
+            # the refusal names the flags that sized the window
             (["criterion", "--K", "0.0001", "--eps", "0.2"],
+             "error: --K 0.0001 with --V-const 1.0 and --V-power 1.0: "
              "the window of 0.0025 points after index 25 is empty"),
             (["criterion", "--V-const", "1e-9", "--eps", "0.2"],
+             "error: --K 1.0 with --V-const 1e-09 and --V-power 1.0: "
              "the window of 5e-09 points after index 1 is empty"),
             (["defvisi", "--x-grid", "0.5,1", "--eps", "0.2"],
-             "the window of 0.5 points after index 1 is empty")):
+             "error: --x-grid 0.5,1.0: the window of 0.5 points after index 1 is empty")):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

@@ -229,6 +229,14 @@ def test_visibility_from_covering_refuses_an_empty_x_grid(golden, capsys):
     assert err.value.code == 2 and "--x-grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_visibility_from_covering_refuses_a_non_finite_x(golden, x):
+    # floor(x) once raised a bare ValueError for nan and an OverflowError
+    # for +-inf; the refusal names the value before any window is read
+    with pytest.raises(ValueError, match=f"^the x grid value {x!r} is not finite$"):
+        visibility_from_covering(golden, (0.2,), (2.0, x))
+
+
 def test_sup_over_no_measured_window_is_unbounded(capsys):
     # a budget that cuts every window of an x leaves its inner sup inf, so no
     # eps holds it feasible; a criterion with no measured row has sup inf

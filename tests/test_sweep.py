@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import mask_halfwidth, net_directions, save_sequence_file
 import spiralvis.visibility as vis
 from spiralvis import (
+    DirectionNet,
     SequenceSpec,
     build_direction_net,
     check_orchard,
@@ -29,6 +30,7 @@ from spiralvis.visibility import (
     BLOCK_SLACK,
     DEFAULT_BUDGET,
     MISS,
+    _block_covers,
     _block_margin,
     _certificate_arcs,
     _circle_check,
@@ -361,6 +363,102 @@ def test_block_bound_skips_the_cover_of_the_golden_sweep(golden, monkeypatch):
     monkeypatch.setattr(vis, "_segment_candidates", lambda *args: iter(()))
     with pytest.raises(RuntimeError, match=r"which its block covers, left cells \[0, 1, "):
         check_uniform_orchard(golden, 0.0125, 400.0, [1000.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=ROTATIONS,
+       eps=st.floats(0.03, 0.5),
+       width=st.floats(3.0, 20.0),
+       t0=st.just(0.0) | st.floats(0.0, 150.0),
+       K=st.integers(2, 20000),
+       over=st.just(1.0) | st.floats(1.0, 2.0),
+       clip=st.none() | st.floats(0.3, 1.0))
+def test_block_bound_settles_a_later_start(theta, eps, width, t0, K, over, clip):
+    # the estimator's skip: wherever the block bound certifies [t0, t0 + V],
+    # the reach of that start under any bound >= V stays within V on any
+    # circle grid, so the start cannot raise the round's V
+    spec, V = SequenceSpec("golden-angle", theta=theta), width / eps
+    budget = DEFAULT_BUDGET if clip is None else math.ceil((t0 + clip * V) ** 2)
+    _, _, arcs, block = _window_arcs(spec, t0, t0 + V, eps, budget)
+    certified = _block_covers(spec, block, arcs)
+    event("certified" if certified else "read")
+    if not certified:
+        return
+    net = build_direction_net(1, math.pi / (K - 0.5))
+    assert len(net) == K
+    assert vis._window_reach(spec, net, t0, eps, over * V, budget).max() <= V
+
+
+def _verdict(call):
+    """``call()``, or the message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(SPECS)),
+       theta=ROTATIONS,
+       eps=st.floats(0.05, 0.5),
+       width=st.floats(0.5, 8.0),
+       t0_list=st.lists(st.floats(-20.0, 150.0), min_size=1, max_size=3, unique=True),
+       fine=st.floats(1.0, 3.0),
+       clip=st.none() | st.floats(0.3, 1.0),
+       stored=st.booleans())
+def test_passes_is_the_checks_verdict(kind, theta, eps, width, t0_list, fine, clip, stored):
+    # the estimator's failures-only confirmation gives the check's verdict,
+    # or its refusal of a window past the budget, on the circle grid and on
+    # the same directions stored in a plain net (the cap sweep)
+    spec = SequenceSpec("golden-angle", theta=theta) if kind == "golden-angle" else SPECS[kind]
+    V = width / eps
+    # a budget that clips the farthest window, or refuses it
+    budget = (DEFAULT_BUDGET if clip is None
+              else max(1, math.ceil((clip * (max(map(abs, t0_list)) + V)) ** 2)))
+    net = build_direction_net(1, eps / (4 * V) / fine)
+    if stored:
+        net = DirectionNet(dimension=1, mesh=net.mesh, count=len(net),
+                           covering_radius=net.covering_radius, centers=net_directions(net))
+    got = _verdict(lambda: _passes(spec, eps, V, t0_list, budget, net))
+    want = _verdict(lambda: check_uniform_orchard(spec, eps, V, t0_list, net=net,
+                                                  index_budget=budget).passed)
+    event({True: "passes", False: "fails"}.get(got, "refused"))
+    assert got == want
+
+
+@pytest.mark.parametrize("eps, V, t0_list, budget", [
+    (0.5, 1.0, [0.0, 10.0], DEFAULT_BUDGET),
+    (0.2, 1.25, [0.0, -10.0, 20.0], DEFAULT_BUDGET),
+    (0.5, 2.0, [3.0, 0.0], 100),  # the budget clips the first window
+    (0.5, 2.0, [0.0, 30.0], 1000),  # and refuses the second
+])
+def test_passes_is_the_checks_verdict_on_the_cube_sphere(fib_sphere, eps, V, t0_list, budget):
+    net = build_direction_net(2, eps / (4 * V))
+    assert _verdict(lambda: _passes(fib_sphere, eps, V, t0_list, budget, net)) == _verdict(
+        lambda: check_uniform_orchard(fib_sphere, eps, V, t0_list, net=net,
+                                      index_budget=budget).passed)
+
+
+def test_estimate_of_the_golden_sweep_skips_settled_starts(golden, monkeypatch):
+    # the circle-sweep workload's query: the block bound settles 6 of the 8
+    # later starts (all but t0 = 100 at eps 0.05 and 0.025), so the rounds
+    # run 16 reaches, not 22, and the confirmation forms no witness
+    calls = {name: 0 for name in ("_window_reach", "_passes", "_circle_cover",
+                                  "_block_writers", "_exact_cell_witnesses")}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(vis, name, counted(name, getattr(vis, name)))
+    curve = estimate_min_visibility(golden, "uniform", [0.2, 0.1, 0.05, 0.025],
+                                    t0_list=(0, 100, 1000))
+    assert [e.status for e in curve.entries] == ["ok"] * 4
+    assert calls == {"_window_reach": 16, "_passes": 4, "_circle_cover": 6,
+                     "_block_writers": 0, "_exact_cell_witnesses": 0}
 
 
 # -- the direct minimal visibility ------------------------------------------

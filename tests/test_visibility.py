@@ -709,6 +709,13 @@ def test_estimate_rejects_a_window_past_the_budget(golden, fib_sphere):
     with pytest.raises(ValueError, match="past the index budget"):
         estimate_min_visibility(fib_sphere, "uniform", [0.3], t0_list=(1e200,),
                                 index_budget=CAP64_BUDGET)
+    # a later start past the budget: the first start's reach, 0.0023 on the
+    # one-cell net, lies under the bound 2^-6 of a round past the cap, and
+    # the later start is refused with the reach's window, not the skip test's
+    with pytest.raises(ValueError, match=r"^the window \[5000.0, 5000.015625\] lies wholly "
+                                         "past the index budget 1000000"):
+        estimate_min_visibility(golden, "uniform", [0.9], t0_list=(71.0, 5000.0),
+                                index_budget=10**6)
 
 
 def test_estimate_stops_doubling_at_the_budget_cap(monkeypatch):
