@@ -246,10 +246,11 @@ def _covering_table(spec, ns):
     m_grid = _whole("--m", ns.m, 0)
     _require("--m", ns.m, lambda m: m < ns.budget, f"below --budget {ns.budget}")
     N_grid = _whole("--N", ns.N, 1)
-    _require("--N", N_grid, lambda N: ns.C * N >= 1, f"at least 1/--C = {1 / ns.C!r} "
-             f"(--C {ns.C}): its windows of int(--C * --N) points would be empty")
-    return uniform_covering_parameter(spec, ns.C, m_grid, N_grid,
-                                      resolution=ns.resolution, index_budget=ns.budget)
+    try:
+        return uniform_covering_parameter(spec, ns.C, m_grid, N_grid,
+                                          resolution=ns.resolution, index_budget=ns.budget)
+    except EmptyWindowError as exc:  # a window of --C * --N points
+        raise ValueError(f"--N {','.join(map(str, N_grid))} with --C {ns.C}: {exc}") from None
 
 
 def _criterion_table(spec, ns):

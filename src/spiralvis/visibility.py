@@ -28,12 +28,16 @@ first block's array spans all K cells; once the runs and the open cells
 number under K/4, a block's runs are ranked in the list of open cells and
 its array spans those ranks only (``_circle_cover``). Blocks come in index
 order, so the same pass stamps the first writers of the first 100 hit cells
-in the block that covers each one. A golden-angle window with t_lo >= 0
-skips that pass when its block bound holds (``_block_margin``): the
-indices of radius in [t_lo, t_hi] have a largest gap, in closed form from
-the three-distance theorem (``rotation_largest_gap``), at most twice their
-least half-width less BLOCK_SLACK, so their arcs alone cover the circle, no
-cell fails, and one segment scan near cells 0..99 stamps those cells' first
+in the block that covers each one. A golden-angle or rational-ladder
+window with t_lo >= 0 skips that pass when its block bound holds
+(``_block_margin``): every direction lies within the reach, less
+BLOCK_SLACK, of one of the indices of radius in [t_lo, t_hi]. For the
+golden angle their largest gap, in closed form from the three-distance
+theorem (``rotation_largest_gap``), is at most twice their least
+half-width less BLOCK_SLACK; for the ladder Dirichlet's theorem puts every
+direction near an angle 2*pi*j/q of a whole shell in the block
+(``_ladder_margin``). Then their arcs alone cover the circle, no cell
+fails, and one segment scan near cells 0..99 stamps those cells' first
 writers (``_block_writers``). The minimal-visibility estimate reads the same
 bound (``_block_covers``): it skips the reach of a later window start that
 the bound certifies at the V read so far, and its confirmation
@@ -353,10 +357,12 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
     """(n_lo, n_hi, arcs, block): the window split at the origin, its t < 0
     half as [max(-t_hi, 0), -t_lo] along -c (flip pi); the halves' index
     range (their annuli widened by eps, through ``index_range``) and (flip,
-    reach(ns, radii)) each. ``block`` is (a, b, eps) for a golden-angle
-    window with t_lo >= 0, a..b the indices of [n_lo, n_hi] whose radius
-    lies in [t_lo, t_hi], when they are two or more; their arcs alone may
-    cover the circle (``_block_margin``). It is None for any other window."""
+    reach(ns, radii)) each. ``block`` is (a, b, eps) for a golden-angle or
+    rational-ladder window with t_lo >= 0, a..b the indices of [n_lo, n_hi]
+    whose radius lies in [t_lo, t_hi], when they are two or more; their arcs
+    alone may cover the circle (``_block_margin``: the three-distance gap
+    for the golden angle, Dirichlet's theorem for the ladder). It is None
+    for any other window."""
     ranges, arcs = [], []
     halves = [(0.0, max(t_lo, 0.0), t_hi)] if t_hi >= 0 else []
     halves += [(math.pi, max(-t_hi, 0.0), -t_lo)] if t_lo < 0 else []
@@ -373,7 +379,7 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
     n_lo, n_hi = index_range(min(r[0] for r in ranges), max(r[1] for r in ranges),
                              index_budget, f"the window [{t_lo!r}, {t_hi!r}]")
     block = None
-    if t_lo >= 0 and spec.kind == "golden-angle":
+    if t_lo >= 0 and spec.kind in ("golden-angle", "rational-ladder"):
         a, b = annulus_index_range(t_lo, t_hi, spec.d)
         if (b := min(b, n_hi)) > a:
             block = (a, b, eps)
@@ -494,15 +500,18 @@ BLOCK_SLACK = 1e-9
 
 
 def _block_margin(spec: SequenceSpec, block, arcs) -> float:
-    """h_min - gap/2 in radians for a window's ``block`` (a, b, eps) of
-    ``_window_arcs``: gap bounds the largest gap between the float angles of
-    the indices a..b, and h_min is the least of their half-widths (the
-    lone arc's reach); -inf with no block, or when the kind is no rotation
-    (``rotation_largest_gap`` is None). At BLOCK_SLACK or more, every angle
-    lies within h_min - BLOCK_SLACK of a block point's, so the block's runs
-    alone hold every cell of any circle grid.
+    """The margin in radians by which a window's ``block`` (a, b, eps) of
+    ``_window_arcs`` alone covers the circle: for the golden angle h_min -
+    gap/2, from the three-distance gap; for the ladder ``_ladder_margin``,
+    from Dirichlet's theorem. -inf with no block, or for a golden angle that
+    is no rotation (``rotation_largest_gap`` is None). At BLOCK_SLACK or
+    more, every angle lies within the reach, less BLOCK_SLACK, of a block
+    point's angle, so the block's runs alone hold every cell of any circle
+    grid.
 
-    The gap: ``angle_batch`` keeps the top 53 of the 64 bits of each exact
+    The gap bounds the largest gap between the float angles of the indices
+    a..b, and h_min is the least of their half-widths (the lone arc's
+    reach). ``angle_batch`` keeps the top 53 of the 64 bits of each exact
     turn n * alpha mod 2^64, so each float angle lies below its exact turn
     by less than 2^11 units of 2^-64 turn, in the same order, and every gap
     is below (G + 2^11) * 2*pi / 2^64, G = rotation_largest_gap(theta,
@@ -522,6 +531,8 @@ def _block_margin(spec: SequenceSpec, block, arcs) -> float:
     read at both ends, and h_min is the less."""
     if block is None:
         return -math.inf
+    if spec.kind == "rational-ladder":
+        return _ladder_margin(block, arcs)
     a, b, _ = block
     gap = rotation_largest_gap(spec.theta, b - a + 1)
     if gap is None:
@@ -531,9 +542,50 @@ def _block_margin(spec: SequenceSpec, block, arcs) -> float:
     return float(reach(ends, radius_of_index(ends, 1)).min()) - (gap + 2**11) * (math.pi / 2**64)
 
 
+def _ladder_margin(block, arcs) -> float:
+    """min over q <= M of h_q - 2*pi/(q(M+1)) in radians for a ladder
+    window's ``block`` (a, b, eps) of ``_window_arcs``; -inf when no shell
+    lies wholly in a..b.
+
+    Shell k holds the indices k(k+1)/2 + p, 0 <= p <= k, at the angles
+    2*pi*p/k. Let k1 be the first shell lying wholly in a..b, N the last,
+    and M = min(N - k1 + 1, CHUNK): the cap bounds the work, and what
+    follows holds for any M <= N - k1 + 1. For q <= M, shell s_q =
+    ceil(k1/q)*q lies in [k1, k1 + q - 1], so in [k1, N], and as q divides
+    s_q it holds every angle 2*pi*j/q (p = j*s_q/q). By Dirichlet's theorem
+    every turn x has some q <= M and integer j with |x - j/q| <= 1/(q(M+1)),
+    so every direction lies within 2*pi/(q(M+1)) of an angle of shell s_q.
+    h_q, the lone arc's reach read at both end indices of shell s_q, the
+    less, is at most the reach of each of its indices: h does not increase
+    in r on [t_lo, t_hi], and at the block's first index arccos is read as
+    the golden bound reads it (``_block_margin``). So every direction lies
+    within h_q - margin of the angle of a point whose reach is at least h_q.
+
+    The float angle TWO_PI * (p/k) is TWO_PI times p/k rounded, which is
+    j/q rounded for every shell, so it lies within a few ulps of 2*pi*j/q;
+    BLOCK_SLACK absorbs that with the half-widths' and the cells' error, and
+    no truncation term like the golden angle's 2^11 is needed."""
+    a, b, _ = block
+    k1, p = triangular_decompose(a)
+    k1 += p > 0  # the first shell starting at or after a
+    N, p = triangular_decompose(b)
+    N -= p < N  # the last shell ending at or before b
+    M = min(N - k1 + 1, CHUNK)
+    if M < 1:
+        return -math.inf
+    q = np.arange(1, M + 1, dtype=np.int64)
+    s = -(-k1 // q) * q
+    start = shell_start(s)
+    ends, at = np.unique(np.concatenate([start, start + s]), return_inverse=True)
+    [(_, reach)] = arcs
+    h = reach(ends, radius_of_index(ends, 1))[at].reshape(2, M).min(axis=0)
+    return float((h - TWO_PI / (q * (M + 1.0))).min())
+
+
 def _block_covers(spec: SequenceSpec, block, arcs) -> bool:
     """Whether a window's ``block`` alone covers the circle: its margin
-    (``_block_margin``) is at least BLOCK_SLACK."""
+    (``_block_margin``: the three-distance gap for the golden angle,
+    Dirichlet's theorem for the ladder) is at least BLOCK_SLACK."""
     return _block_margin(spec, block, arcs) >= BLOCK_SLACK
 
 

@@ -579,7 +579,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["covering", "--N", "nan"], "--N nan is not a whole number"),
             # a window of int(0.5 * 1) = 0 points once read as divergence, radius inf
             (["covering", "--C", "0.5", "--m", "0", "--N", "1,100"],
-             "--N 1 is not at least 1/--C", "(--C 0.5)"),
+             "--N 1,100 with --C 0.5: the window of 0.5 points after index 0 is empty"),
             # the badness of the default --theta, which a ladder never reads
             *((["delone", "--seq", seq, "--d", d, "--T", "5", "--badness-Q", "100"],
                "--badness-Q", f"--seq {seq}")

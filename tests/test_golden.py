@@ -75,7 +75,9 @@ CASES = {
     # witnesses the cover stamps for the first 100 hit cells
     "orchard-golden-failures": ["orchard", "--seq", "golden-angle", "--eps", "0.1",
                                 "--V", "20"],
-    # K = 1,579,137 cells: later blocks ranked in the list of open cells
+    # K = 1,579,137 cells, certified by the ladder's block bound with no
+    # cover pass; the cover's ranked blocks give the same payload
+    # (test_block_bound_skips_the_cover_of_the_ladder_sweep)
     "orchard-ladder-ranked": ["orchard", "--seq", "rational-ladder", "--eps", "0.01",
                               "--V", "1256.6370614359173"],
     "delone-badness": ["delone", "--T", "10", "--probe-res", "1.0",

@@ -7,11 +7,12 @@ doubling-then-bisection search it replaced."""
 
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import mask_halfwidth, net_directions, save_sequence_file
@@ -24,8 +25,14 @@ from spiralvis import (
     check_uniform_orchard,
     estimate_min_visibility,
 )
-from spiralvis.sequences import GOLDEN_RATIO, angle_batch, rotation_largest_gap
-from spiralvis.spirals import annulus_index_range, iter_point_chunks, point_batch
+from spiralvis.sequences import (
+    GOLDEN_RATIO,
+    angle_batch,
+    rotation_largest_gap,
+    shell_start,
+    triangular_decompose,
+)
+from spiralvis.spirals import CHUNK, annulus_index_range, iter_point_chunks, point_batch
 from spiralvis.visibility import (
     BLOCK_SLACK,
     DEFAULT_BUDGET,
@@ -258,13 +265,14 @@ def _counted_reads(monkeypatch) -> list:
 
 
 def test_sweep_stops_when_every_cell_is_resolved(ladder, monkeypatch):
-    # the ladder orchard at eps 0.02 resolves every cell within the first
-    # block of 65,536 points, a sixth of the window's index range
+    # the cover of the ladder orchard at eps 0.02 (read with no block, which
+    # would certify it) resolves every cell within the first block of
+    # 65,536 points, a sixth of the window's index range
     eps, V = 0.02, 4 * math.pi / 0.02
     net = build_direction_net(1, eps / (4 * V))
     read = _counted_reads(monkeypatch)
-    failures, witnesses = _net_check(
-        ladder, net, *_window_arcs(ladder, 0.0, V, eps, DEFAULT_BUDGET), 0.0, V)
+    n_lo, n_hi, arcs, _ = _window_arcs(ladder, 0.0, V, eps, DEFAULT_BUDGET)
+    failures, witnesses = _net_check(ladder, net, n_lo, n_hi, arcs, None, 0.0, V)
     assert not len(failures) and len(witnesses) == 100
     assert 0 < sum(read) < annulus_index_range(0.0, V + eps, 1)[1] / 4
 
@@ -365,19 +373,129 @@ def test_block_bound_skips_the_cover_of_the_golden_sweep(golden, monkeypatch):
         check_uniform_orchard(golden, 0.0125, 400.0, [1000.0])
 
 
+def _ladder_shells(a, b):
+    """(k1, N): the first and the last ladder shell k, indices k(k+1)/2 +
+    [0, k], lying wholly in a..b."""
+    k1, N = triangular_decompose(a)[0], triangular_decompose(b)[0]
+    return k1 + (shell_start(k1) < a), N - (shell_start(N) + N > b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.floats(0.03, 0.5),
+       width=st.floats(3.0, 20.0),
+       t0=st.just(0.0) | st.floats(0.0, 5.0) | st.floats(0.0, 150.0),
+       K=st.integers(2, 20000) | st.none(),
+       clip=st.none() | st.floats(0.3, 1.0))
+@example(eps=0.1, width=4.0, t0=0.0, K=None, clip=None)
+@example(eps=0.05, width=4.0, t0=0.0, K=None, clip=None)
+@example(eps=0.2, width=6.0, t0=0.0, K=None, clip=None)
+def test_ladder_bound_certifies_only_what_the_cover_passes(ladder, eps, width, t0, K, clip):
+    # ladder windows at and ahead of the origin, V = width / eps, on grids up
+    # to the eps/(4V) rule's (K None), budgets that clip the block's end.
+    # Where Dirichlet's bound certifies, no reach of a point of shell s_q
+    # falls below the margin plus the gap term 2*pi/(q(M+1)) it read, the
+    # cover leaves no cell open and gives the certified path's failures and
+    # witnesses. The examples at width 4 fall short (their covers leave 50
+    # and 115 cells open), the one at width 6 certifies
+    V = width / eps
+    K = K or math.ceil(TWO_PI / (eps / (4 * V)))
+    budget = DEFAULT_BUDGET if clip is None else math.ceil((t0 + clip * V) ** 2)
+    n_lo, n_hi, arcs, block = _window_arcs(ladder, t0, t0 + V, eps, budget)
+    margin = _block_margin(ladder, block, arcs)
+    event("certified" if margin >= BLOCK_SLACK else "covered")
+    if margin < BLOCK_SLACK:
+        return
+    k1, N = _ladder_shells(*block[:2])
+    M = min(N - k1 + 1, CHUNK)
+    ns = np.arange(shell_start(k1), shell_start(N) + N + 1)
+    h = np.minimum.reduceat(arcs[0][1](ns, np.sqrt(ns)), shell_start(np.arange(k1, N + 1)) - ns[0])
+    q = np.arange(1, M + 1)
+    s = -(-k1 // q) * q
+    assert s.max() <= N
+    assert np.all(h[s - k1] >= margin + TWO_PI / (q * (M + 1)) - 4 * np.spacing(math.pi))
+    assert not len(_circle_cover(ladder, K, n_lo, n_hi, arcs)[0])
+    (f_got, w_got), (f_want, w_want) = (
+        _circle_check(ladder, K, n_lo, n_hi, arcs, given_block, t0, t0 + V)
+        for given_block in (block, None))
+    assert np.array_equal(f_got, f_want) and not len(f_got) and w_got == w_want
+
+
+@pytest.mark.parametrize("seed, k1, M", [(1, 1, 1), (2, 1, 2), (3, 1, 1777), (4, 7, 40),
+                                          (5, 1000, 300), (6, 212, 1565)])
+def test_ladder_shells_hold_a_dirichlet_angle_near_each_direction(ladder, seed, k1, M):
+    # the bound's Dirichlet step on the float angles of ``angle_batch``: each
+    # direction lies within 2*pi/(q(M+1)) of an angle 2*pi*j/q of shell
+    # s_q = ceil(k1/q)*q for some q <= M (k1 = 1, M = 1777 is the eps 0.01
+    # ladder orchard's block)
+    x = np.random.default_rng(seed).uniform(0.0, TWO_PI, 4096)
+    excess = np.full(len(x), math.inf)
+    for q in range(1, M + 1):
+        s = -(-k1 // q) * q
+        angles = angle_batch(ladder, shell_start(s) + np.arange(q) * (s // q))
+        near = angles[np.rint(x * q / TWO_PI).astype(np.int64) % q]
+        gap = np.abs(x - near)
+        np.minimum(excess, np.minimum(gap, TWO_PI - gap) - TWO_PI / (q * (M + 1)), out=excess)
+    assert excess.max() <= 8 * np.spacing(TWO_PI)
+
+
+def test_block_bound_skips_the_cover_of_the_ladder_sweep(ladder, monkeypatch):
+    # the circle-sweep workload's ladder orchards, V = 4*pi/eps: Dirichlet's
+    # bound certifies all five, and the eps 0.01 check, 1,579,137 cells,
+    # runs no cover pass; the cover, in its ranked regime, gives the same
+    margins = {}
+    for eps in (0.2, 0.1, 0.05, 0.02, 0.01):
+        window = _window_arcs(ladder, 0.0, 4 * math.pi / eps, eps, DEFAULT_BUDGET)
+        margins[eps] = _block_margin(ladder, window[3], window[2])
+    assert 2.37e-3 < margins[0.2] < 2.38e-3 and 5.95e-4 < margins[0.1] < 5.96e-4
+    assert 1.49e-4 < margins[0.05] < 1.50e-4 and 2.38e-5 < margins[0.02] < 2.39e-5
+    assert 5.96e-6 < margins[0.01] < 5.97e-6
+    V = 4 * math.pi / 0.01
+    K = len(build_direction_net(1, 0.01 / (4 * V)))
+    n_lo, n_hi, arcs, block = window
+    covered = _circle_check(ladder, K, n_lo, n_hi, arcs, None, 0.0, V)
+    monkeypatch.setattr(vis, "_circle_cover", None)
+    report = check_orchard(ladder, 0.01, V)
+    assert report.passed and report.witness_count == report.total_checks == K == 1579137
+    assert len(report.witnesses) == 100
+    certified = _circle_check(ladder, K, n_lo, n_hi, arcs, block, 0.0, V)
+    assert np.array_equal(certified[0], covered[0]) and certified[1] == covered[1]
+
+
+def test_ladder_bound_reads_a_bounded_number_of_shells(ladder):
+    # a block of about 1e8 whole shells (V 7.1e7, indices to 5e15) reads
+    # CHUNK of them, so its margin forms in a few MB, where all would take
+    # arrays of about 2.8e8 elements. Shells 1..M = CHUNK certify it, with
+    # the margin of shell M, h about sqrt(2)*eps/M, less 2*pi/(M(M+1))
+    V, eps = 1e8 / math.sqrt(2.0), 0.5
+    _, _, arcs, block = _window_arcs(ladder, 0.0, V, eps, 2**62)
+    k1, N = _ladder_shells(*block[:2])
+    assert N - k1 > 0.99e8
+    tracemalloc.start()
+    try:
+        margin = _block_margin(ladder, block, arcs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+    assert math.isclose(margin, (math.sqrt(2.0) * eps - TWO_PI / (CHUNK + 1)) / CHUNK,
+                        rel_tol=1e-4)
+
+
 @settings(max_examples=200, deadline=None)
-@given(theta=ROTATIONS,
+@given(theta=ROTATIONS | st.none(),
        eps=st.floats(0.03, 0.5),
        width=st.floats(3.0, 20.0),
-       t0=st.just(0.0) | st.floats(0.0, 150.0),
+       t0=st.just(0.0) | st.floats(0.0, 5.0) | st.floats(0.0, 150.0),
        K=st.integers(2, 20000),
        over=st.just(1.0) | st.floats(1.0, 2.0),
        clip=st.none() | st.floats(0.3, 1.0))
 def test_block_bound_settles_a_later_start(theta, eps, width, t0, K, over, clip):
     # the estimator's skip: wherever the block bound certifies [t0, t0 + V],
     # the reach of that start under any bound >= V stays within V on any
-    # circle grid, so the start cannot raise the round's V
-    spec, V = SequenceSpec("golden-angle", theta=theta), width / eps
+    # circle grid, so the start cannot raise the round's V (theta None reads
+    # the ladder, certified by Dirichlet's theorem)
+    spec = SPECS["rational-ladder"] if theta is None else SequenceSpec("golden-angle", theta=theta)
+    V = width / eps
     budget = DEFAULT_BUDGET if clip is None else math.ceil((t0 + clip * V) ** 2)
     _, _, arcs, block = _window_arcs(spec, t0, t0 + V, eps, budget)
     certified = _block_covers(spec, block, arcs)
