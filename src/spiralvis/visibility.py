@@ -18,42 +18,43 @@ bisection and each formula is evaluated on its run only, and each half of a
 window through the origin hands it only the block's slice inside that
 half's index range. The orchard, uniform and certificate checks each pick
 their arcs (``_window_arcs``, ``_certificate_arcs``) and hand them to one
-``_net_check``. On the circle grid it is one cover pass (``_circle_check``):
-each arc is a run of integer cells (``_arc_cells``, which masks only the
-arcs that reach no cell or every cell and takes the first cell mod K by one
-conditional add and one conditional subtract), an arc that reaches no cell
-is an empty run, which cancels, one difference array per block of points
-marks every cell the block's runs cover, and the cells left open fail. The
-first block's array spans all K cells; once the runs and the open cells
-number under K/4, a block's runs are ranked in the list of open cells and
-its array spans those ranks only (``_circle_cover``). Blocks come in index
-order, so the same pass stamps the first writers of the first 100 hit cells
-in the block that covers each one. A golden-angle or rational-ladder
-window with t_lo >= 0 skips that pass when its block bound holds
-(``_block_margin``): every direction lies within the reach, less
-BLOCK_SLACK, of one of the indices of radius in [t_lo, t_hi]. For the
+``_net_check``. On the circle grid it is one cover pass
+(``_circle_cover``), handed blocks of points in index order and the cells
+to cover: each arc is a run of integer cells (``_arc_cells``, which masks
+only the arcs that reach no cell or every cell and takes the first cell mod
+K by one conditional add and one conditional subtract), an arc that
+reaches no cell is an empty run, which cancels, one difference array per
+block marks every cell the block's runs cover, and the cells left open
+fail. The array spans all K cells until the runs and the open cells number
+under K/4; then the runs are ranked in the list of open cells and it spans
+those ranks only. Blocks come in index order, so the same pass stamps the
+first writers of the first 100 hit cells in the block that covers each one.
+A window's pass reads every block of its index range on every cell, unless
+it is a golden-angle or rational-ladder window with t_lo >= 0 whose block
+bound holds (``_block_margin``): every direction lies within the reach,
+less BLOCK_SLACK, of one of the indices of radius in [t_lo, t_hi]. For the
 golden angle their largest gap, in closed form from the three-distance
 theorem (``rotation_largest_gap``), is at most twice their least
 half-width less BLOCK_SLACK; for the ladder Dirichlet's theorem puts every
 direction near an angle 2*pi*j/q of a whole shell in the block
 (``_ladder_margin``). Then their arcs alone cover the circle, no cell
-fails, and one segment scan near cells 0..99 stamps those cells' first
-writers (``_block_writers``). The minimal-visibility estimate reads the same
-bound (``_block_covers``): it skips the reach of a later window start that
-the bound certifies at the V read so far, and its confirmation
-(``_passes``) reads only failures. On any other net (S^d)
-``_directional_window_check``
-runs ``_cap_witnesses``. It and the S^d minimal-visibility reach
-(``_window_reach``) share one pair sweep, ``_band_pairs``, which keeps the
-open centers sorted by their last coordinate z and pairs each point only
-with the run of centers whose z lies in its cap's polar band
-(``_polar_bands``), so no point-by-center matrix is formed: the checks keep
-the pairs that pass the exact cap test and lower each center's witness, the
-reach lowers each center's least reach offset. On the circle grid the reach
-hands each point of a block (``_arc_blocks``) the still-open cells it
-reaches (``_mark_windows``), in batches of about 2^16 (point, cell) marks;
-before each batch the cells its first point's radius settles leave the open
-list, and an int32 prefix count over that list ranks the batch's arcs.
+fails, and the pass (``_circle_check``) covers only cells 0..99 from the
+segment candidates of the wedge they span. The minimal-visibility estimate
+reads the same bound (``_block_covers``): it skips the reach of a later
+window start that the bound certifies at the V read so far, and its
+confirmation (``_passes``) reads only failures. On any other net (S^d)
+``_directional_window_check`` runs ``_cap_witnesses``. It and the S^d
+minimal-visibility reach (``_window_reach``) share one pair sweep,
+``_band_pairs``, which keeps the open centers sorted by their last
+coordinate z and pairs each point only with the run of centers whose z
+lies in its cap's polar band (``_polar_bands``), so no point-by-center
+matrix is formed: the checks keep the pairs that pass the exact cap test
+and lower each center's witness, the reach lowers each center's least
+reach offset. On the circle grid the reach hands each point of a block
+(``_arc_blocks``) the still-open cells it reaches (``_mark_windows``), in
+batches of about 2^16 (point, cell) marks; before each batch the cells its
+first point's radius settles leave the open list, and an int32 prefix
+count over that list ranks the batch's arcs.
 
 Segment scans (the forest windows and the visible-point rays) take their
 points from one candidate source, ``_segment_candidates``: blocks, in index
@@ -85,6 +86,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -287,7 +289,7 @@ def _require_scale(eps: float, V: float) -> None:
 def _require_net(spec: SequenceSpec, eps: float, V: float,
                  net: DirectionNet | None) -> DirectionNet:
     _require_scale(eps, V)
-    required = eps / (4.0 * V)
+    required = eps / 4.0 / V  # 4.0 * V overflows for V near the float max
     if net is None:  # a rule mesh above pi gets the mesh-pi net, finer than it needs
         return build_direction_net(spec.d, min(required, math.pi))
     if net.mesh > required * (1 + 1e-12):
@@ -388,11 +390,12 @@ def _window_arcs(spec: SequenceSpec, t_lo: float, t_hi: float, eps: float,
 
 def _certificate_arcs(spec: SequenceSpec, eps: float, V: float, index_budget: int):
     """(1, n_cap, arcs, None) of the certificate route: each index n <=
-    K*V^(d+1) (through ``index_range``) reaches the directions within
+    K*V^(d+1) (through ``index_range``; the floor taken exactly, as
+    ``annulus_index_range`` takes it) reaches the directions within
     min(kappa*eps/r, pi) of its own, K = ``K_CERT`` and kappa =
     ``KAPPA_CERT``; no block bound applies."""
-    return (*index_range(1, math.ceil(K_CERT * V ** (spec.d + 1)), index_budget,
-                         f"the certificate range of V {V!r}"),
+    return (*index_range(1, math.floor(Fraction(K_CERT) * Fraction(V) ** (spec.d + 1)),
+                         index_budget, f"the certificate range of V {V!r}"),
             [(0.0, lambda ns, radii: np.minimum(KAPPA_CERT * eps / radii, math.pi))], None)
 
 
@@ -419,25 +422,6 @@ def _arc_blocks(spec: SequenceSpec, n_lo: int, n_hi: int, arcs):
         yield ns, *_point_arcs(spec, ns, arcs)
 
 
-def _runs(K: int, ns: np.ndarray, angles: np.ndarray, halfw: np.ndarray):
-    """(ns, start, stop): one run of cells start..stop-1 (0 <= start <= stop
-    <= K) and the index ``ns`` of its point per arc (``_arc_cells``); an arc
-    that wraps past cell K - 1 is two runs, and one that reaches no cell is
-    an empty run (start == stop), which covers and stamps nothing."""
-    at, lo, counts = _arc_cells(K, angles, halfw)
-    end = lo + counts
-    wrap = end > K
-    return (ns[np.concatenate([at, at[wrap]])],
-            np.concatenate([lo, np.zeros(int(wrap.sum()), dtype=np.int64)]),
-            np.concatenate([np.minimum(end, K), end[wrap] - K]))
-
-
-def _cell_runs(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs):
-    """The runs (``_runs``) of each block of ``_arc_blocks``."""
-    for ns, _, _, angles, halfw in _arc_blocks(spec, n_lo, n_hi, arcs):
-        yield _runs(K, ns, angles, halfw)
-
-
 def _stamp_first(cells: np.ndarray, ns, start, stop) -> np.ndarray:
     """The smallest of ``ns`` whose run start..stop-1 holds each of ``cells``
     (sorted, not empty; MISS where none does)."""
@@ -450,20 +434,29 @@ def _stamp_first(cells: np.ndarray, ns, start, stop) -> np.ndarray:
     return first
 
 
-def _circle_cover(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs):
-    """(open, cells, first): the cells j*2*pi/K that no arc of an index in
-    [n_lo, n_hi] reaches (sorted), the first 100 cells some arc reaches
-    (sorted), and the smallest index whose arc reaches each of those. Per
-    block, a difference array marks every cell the block's runs cover: one
-    over all K cells, unless the runs and the cells still open number under
-    K/4 together, when the runs are ranked in the list of open cells and it
-    spans their ranks only. Blocks come in index order, so a cell's first
-    writer is the least index among the runs of the block that first covers
-    it, and each block stamps its new cells below the 100th kept one. The
-    sweep stops when no cell is open."""
-    open_ = None  # the open cells, sorted; None while every cell is
+def _circle_cover(K: int, blocks, open_=None):
+    """(open, cells, first): of the cells j*2*pi/K in ``open_`` (sorted;
+    every cell when None), those no arc of ``blocks`` reaches (sorted), the
+    first 100 some arc reaches (sorted), and the least index whose arc
+    reaches each of those. ``blocks`` holds (ns, radii, theta, angles,
+    halfw) in index order, as ``_arc_blocks`` yields them. Each arc
+    (``_arc_cells``) is a run of cells start..stop-1, two where it wraps
+    past cell K - 1; one that reaches no cell is empty, and covers and
+    stamps nothing. Per block, a difference array marks every cell the
+    block's runs cover: over all K cells, unless the runs and the open
+    cells number under K/4 together, when it spans only the runs' ranks in
+    the list of open cells. A cell's first writer is the least index among
+    the runs of the block that first covers it, and each block stamps its
+    new cells below the 100th kept one. The sweep stops when no cell is
+    open."""
     cells = first = np.zeros(0, dtype=np.int64)
-    for ns, start, stop in _cell_runs(spec, K, n_lo, n_hi, arcs):
+    for ns, _, _, angles, halfw in blocks:
+        at, lo, counts = _arc_cells(K, angles, halfw)
+        end = lo + counts
+        wrap = end > K
+        ns = ns[np.concatenate([at, at[wrap]])]
+        start = np.concatenate([lo, np.zeros(int(wrap.sum()), dtype=np.int64)])
+        stop = np.concatenate([np.minimum(end, K), end[wrap] - K])
         R = K if open_ is None else len(open_)
         if 4 * (len(start) + R) < K:  # sorted keys keep the bisections local
             depth = np.bincount(np.searchsorted(open_, np.sort(start)), minlength=R + 1)
@@ -589,47 +582,35 @@ def _block_covers(spec: SequenceSpec, block, arcs) -> bool:
     return _block_margin(spec, block, arcs) >= BLOCK_SLACK
 
 
-def _block_writers(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs, eps: float,
-                   t_lo: float, t_hi: float):
-    """(cells, first): the cells 0..m-1, m = min(100, K), of a window whose
-    block covers every cell (``_block_margin``), and the least index of
-    [n_lo, n_hi] whose run (``_runs``, formed as the cover forms it) holds
-    each: the cover's first writers. The cells span the wedge of half-angle
-    beta = (m - 1)*pi/K about the angle beta. A point whose float run holds one lies within eps,
-    plus rounding, of that cell's segment, so within eps + far*(beta +
-    2*pi/K) + 1e-9*(1 + far), far = t_hi + eps, of [t_lo u, t_hi u], u at
-    the angle beta: the segment candidates (``_segment_candidates``), in
-    index order, hold every such index. Their runs are stamped
-    (``_stamp_first``) until every cell has a writer; a cell left without
-    one is a fault of the bound, and raises."""
-    m = min(100, K)
-    cells, first = np.arange(m), np.full(m, MISS, dtype=np.int64)
-    beta = (m - 1) * math.pi / K
-    u = np.array([math.cos(beta), math.sin(beta)])
-    far = t_hi + eps
-    reach = eps + far * (beta + TWO_PI / K) + 1e-9 * (1.0 + far)
-    for ns, _, _ in _segment_candidates(spec, t_lo * u, t_hi * u, reach, n_lo, n_hi):
-        _, _, angles, halfw = _point_arcs(spec, ns, arcs)
-        np.minimum(first, _stamp_first(cells, *_runs(K, ns, angles, halfw)), out=first)
-        if first.max() < MISS:
-            return cells, first
-    raise RuntimeError(f"the window [{t_lo!r}, {t_hi!r}], which its block covers, left "
-                       f"cells {cells[first == MISS].tolist()} of {K} with no writer")
-
-
 def _circle_check(spec: SequenceSpec, K: int, n_lo: int, n_hi: int, arcs, block,
                   t_lo: float, t_hi: float):
-    """(failures, witnesses) on the circle grid of K cells: the cells no arc
-    reaches, and the first writers of the first 100 hit cells with their
-    exact (t, distance) on [t_lo, t_hi]. When the window's ``block`` covers
-    the circle (``_block_covers``), no cell is open and one scan near cells
-    0..99 finds their writers (``_block_writers``); otherwise one cover pass
-    gives both (``_circle_cover``)."""
+    """(failures, witnesses) on the circle grid of K cells from one cover
+    pass (``_circle_cover``): the cells no arc reaches, and the first
+    writers of the first 100 hit cells with their exact (t, distance) on
+    [t_lo, t_hi]. The pass reads every block of [n_lo, n_hi]
+    (``_arc_blocks``) on every cell, unless the window's ``block`` covers
+    the circle (``_block_covers``). Such a window fails nowhere, and its
+    pass covers only the cells 0..m-1, m = min(100, K), which span the
+    wedge of half-angle beta = (m - 1)*pi/K about the angle beta. A point
+    whose float run holds one lies within eps, plus rounding, of that
+    cell's segment, so within eps + far*(beta + 2*pi/K) + 1e-9*(1 + far),
+    far = t_hi + eps, of [t_lo u, t_hi u], u at the angle beta: the segment
+    candidates (``_segment_candidates``), in index order, hold every such
+    index. A cell that pass leaves open is a fault of the bound, and
+    raises."""
     if _block_covers(spec, block, arcs):
-        failures = np.zeros(0, dtype=np.int64)
-        cells, writers = _block_writers(spec, K, n_lo, n_hi, arcs, block[2], t_lo, t_hi)
+        m, eps = min(100, K), block[2]
+        beta = (m - 1) * math.pi / K
+        u, far = np.array([math.cos(beta), math.sin(beta)]), t_hi + eps
+        reach = eps + far * (beta + TWO_PI / K) + 1e-9 * (1.0 + far)
+        near = _segment_candidates(spec, t_lo * u, t_hi * u, reach, n_lo, n_hi)
+        failures, cells, writers = _circle_cover(
+            K, ((ns, *_point_arcs(spec, ns, arcs)) for ns, _, _ in near), np.arange(m))
+        if len(failures):
+            raise RuntimeError(f"the window [{t_lo!r}, {t_hi!r}], which its block covers, "
+                               f"left cells {failures.tolist()} of {K} with no writer")
     else:
-        failures, cells, writers = _circle_cover(spec, K, n_lo, n_hi, arcs)
+        failures, cells, writers = _circle_cover(K, _arc_blocks(spec, n_lo, n_hi, arcs))
     t, dist = _exact_cell_witnesses(spec, K, cells, writers, t_lo, t_hi)
     return failures, _hit_witnesses(writers, t, dist)
 
@@ -1420,7 +1401,7 @@ def _passes(spec: SequenceSpec, eps: float, V: float, t0_list, index_budget: int
                                      index_budget=index_budget).passed
     windows = [_window_arcs(spec, t0, t0 + V, eps, index_budget) for t0 in t0_list]
     return all(_block_covers(spec, block, arcs)
-               or not len(_circle_cover(spec, len(net), n_lo, n_hi, arcs)[0])
+               or not len(_circle_cover(len(net), _arc_blocks(spec, n_lo, n_hi, arcs))[0])
                for n_lo, n_hi, arcs, block in windows)
 
 

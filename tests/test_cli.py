@@ -468,6 +468,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
             (["criterion", "--eps", "1e-300"], "past the float range"),
             (["criterion", "--eps", "0.1", "--V-power", "1e3"], "arithmetic failed"),
             (["covering", "--C", "inf"], "--C"),
+            # a mesh rule eps/(4V) whose 4V overflows: refused for its size
+            (["orchard", "--eps", "0.1", "--V", "1e308"],
+             "more directions than an int64 array can hold"),
             (["forest", "--eps", "0.5", "--V", "1", "--lines", "1", "--lam-max", "inf"],
              "--lam-max"),  # bad numbers that once ended in a traceback
             # windows of fewer than one point, once read as an unbounded sup;

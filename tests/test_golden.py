@@ -75,8 +75,9 @@ CASES = {
     # witnesses the cover stamps for the first 100 hit cells
     "orchard-golden-failures": ["orchard", "--seq", "golden-angle", "--eps", "0.1",
                                 "--V", "20"],
-    # K = 1,579,137 cells, certified by the ladder's block bound with no
-    # cover pass; the cover's ranked blocks give the same payload
+    # K = 1,579,137 cells, certified by the ladder's block bound, so covered
+    # on cells 0..99 only; the full-range cover's ranked blocks give the
+    # same payload
     # (test_block_bound_skips_the_cover_of_the_ladder_sweep)
     "orchard-ladder-ranked": ["orchard", "--seq", "rational-ladder", "--eps", "0.01",
                               "--V", "1256.6370614359173"],

@@ -8,6 +8,7 @@ doubling-then-bisection search it replaced."""
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -37,6 +38,7 @@ from spiralvis.visibility import (
     BLOCK_SLACK,
     DEFAULT_BUDGET,
     MISS,
+    _arc_blocks,
     _block_covers,
     _block_margin,
     _certificate_arcs,
@@ -167,13 +169,40 @@ def test_certificate_sweep_matches_stamping(kind, count, eps, V, K_const, kappa,
     spec = SPECS[kind]
     net = build_direction_net(1, math.pi / (count - 0.5))
     assert len(net) == count
-    n_cap = min(budget, math.ceil(K_const * V**2))
+    n_cap = min(budget, math.floor(Fraction(K_const) * Fraction(V) ** 2))
     witness = _stamped(spec, count, [(0.0, 1, n_cap,
                                       lambda r: np.minimum(kappa * eps / r, math.pi))])
     with mock.patch.multiple(vis, K_CERT=K_const, KAPPA_CERT=kappa):
         arcs = _certificate_arcs(spec, eps, V, budget)
         _assert_same(_net_check(spec, net, *arcs, 0.0, V),
                      (witness, *_recomputed(spec, witness, 0.0, V)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from([*sorted(SPECS), "fibonacci-sphere"]),
+       theta=st.floats(2.0**-20, 1.0),
+       eps=st.floats(0.05, 0.5),
+       V=st.floats(0.5, 30.0))
+@example(kind="golden-angle", theta=0.4070223282075782, eps=0.13149827824074845,
+         V=1.1533606353246721)
+def test_certificate_failures_hold_the_direct_failures(kind, theta, eps, V):
+    # certificate => direct, direction by direction on one net: an index of
+    # the certificate's range n <= V^(d+1) has r <= V, where the direct
+    # reach arcsin(eps/r) (pi for r <= eps) holds the certificate reach
+    # min(eps/r, pi), and the direct range [1, (V + eps)^(d+1)] holds the
+    # certificate's. Golden angles of any theta, the ladder and the
+    # constant kind in d=1; small-V windows of the Fibonacci sphere in d=2.
+    # The example's V^2 is no integer: an index of radius above V would hit
+    # directions the direct check fails
+    if kind == "fibonacci-sphere":
+        spec, eps, V = SequenceSpec(kind, d=2), 0.2 + eps / 2, 1.0 + V / 15
+    else:
+        spec = SequenceSpec(kind, theta=theta) if kind == "golden-angle" else SPECS[kind]
+    direct = check_orchard(spec, eps, V)
+    certificate = check_orchard(spec, eps, V, method="certificate")
+    assert direct.total_checks == certificate.total_checks
+    assert set(direct.failures.directions.tolist()) <= set(
+        certificate.failures.directions.tolist())
 
 
 def _brute_cells(K, angle, halfw):
@@ -198,7 +227,9 @@ def _brute_cells(K, angle, halfw):
                      st.floats(0.0, 1.0), st.integers(0, 3))), min_size=2, max_size=40))
 def test_arc_cells_and_runs_match_each_cell(K, columns, arcs):
     # arcs about cell 0, cell K - 1 and 2*pi (wrapping past either end),
-    # half-widths -1, 0, pi and above, and whole cell steps; K = 1 and 2
+    # half-widths -1, 0, pi and above, and whole cell steps; K = 1 and 2.
+    # The cover's runs of each point hold exactly its arcs' cells, and over
+    # the block each cell's writer is the least index whose arcs hold it
     step = TWO_PI / K
     angles, halfw = [], []
     for where, h in arcs[:len(arcs) // columns * columns]:
@@ -211,17 +242,18 @@ def test_arc_cells_and_runs_match_each_cell(K, columns, arcs):
     assert np.array_equal(at, np.arange(angles.size) // columns)
     assert all(0 <= s < K or (s == K and c == 0) for s, c in zip(lo, counts))
     assert [set((s + np.arange(c)) % K) for s, c in zip(lo, counts)] == want
-    ns = np.arange(10, 10 + len(angles))
-    with mock.patch.object(vis, "_arc_blocks", lambda *_: iter([(ns, None, None, angles, halfw)])):
-        (run_ns, start, stop), = vis._cell_runs(None, K, 0, 0, None)
-    assert np.all((0 <= start) & (start <= stop) & (stop <= K))
-    per_point = {n: [0] * K for n in ns.tolist()}
-    for n, a, b in zip(run_ns.tolist(), start.tolist(), stop.tolist()):
-        for j in range(a, b):
-            per_point[n][j] += 1
-    for row, n in enumerate(ns.tolist()):  # each cell once per arc that reaches it
-        reached = want[row * columns:(row + 1) * columns]
-        assert per_point[n] == [sum(j in cells for cells in reached) for j in range(K)]
+    ns = np.arange(10 + len(angles), 10, -1)  # the least index comes last
+    reached = [set().union(*want[row * columns:(row + 1) * columns]) for row in range(len(ns))]
+    for row in range(len(ns)):
+        opened, _, _ = _circle_cover(K, [(ns[row:row + 1], None, None, angles[row:row + 1],
+                                          halfw[row:row + 1])])
+        assert set(range(K)) - set(opened.tolist()) == reached[row]
+    least = [min((n for n, cells in zip(ns.tolist(), reached) if j in cells), default=MISS)
+             for j in range(K)]
+    opened, cells, first = _circle_cover(K, [(ns, None, None, angles, halfw)])
+    assert opened.tolist() == [j for j in range(K) if least[j] == MISS]
+    assert cells.tolist() == [j for j in range(K) if least[j] != MISS]
+    assert first.tolist() == [least[j] for j in cells.tolist()]
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,13 +261,18 @@ def test_arc_cells_and_runs_match_each_cell(K, columns, arcs):
 def test_circle_cover_ignores_empty_runs(data, K):
     # blocks of runs, the later ones a few runs each so that the cover ranks
     # them among the open cells, with empty runs (start == stop) at any cell
-    # from 0 to K, open or not: the cover gives the same (open, cells, first)
-    # with and without them, and the same as marking each run's cells: the
-    # open cells, the first 100 covered cells and their least writers
+    # from 0 to K, open or not, and a list of the cells to cover (every cell
+    # when None): the cover gives the same (open, cells, first) with and
+    # without the empty runs, and the same as marking each run's cells: the
+    # listed cells left open, the first 100 listed covered cells and their
+    # least writers. A run start..stop-1 is the arc about its middle reaching
+    # a quarter cell past its end cells; an empty run at cell a is an arc a
+    # tenth of a cell wide, half a cell below a, which reaches no cell
     run = st.integers(0, K).flatmap(lambda a: st.tuples(st.just(a), st.integers(a, K)))
     empty = st.integers(0, K).map(lambda a: (a, a))
     blocks = data.draw(st.lists(st.lists(st.one_of(run, empty), min_size=1, max_size=6),
                                 min_size=1, max_size=12))
+    listed = data.draw(st.none() | st.lists(st.integers(0, K - 1), unique=True).map(sorted))
     # a block's indices exceed the last block's, in any order within it
     runs = [(np.array(data.draw(st.permutations(range(len(b)))), dtype=np.int64) + 100 * i,
              *np.array(b, dtype=np.int64).T)
@@ -244,13 +281,18 @@ def test_circle_cover_ignores_empty_runs(data, K):
     for ns, start, stop in runs:
         for n, a, b in zip(ns, start, stop):
             covered[a:b] = np.minimum(covered[a:b], n)
-    hit = np.flatnonzero(covered != MISS)[:100]
-    want = (np.flatnonzero(covered == MISS), hit, covered[hit])
+    cand = np.arange(K) if listed is None else np.array(listed, dtype=np.int64)
+    hit = cand[covered[cand] != MISS][:100]
+    want = (cand[covered[cand] == MISS], hit, covered[hit])
     nonempty = [(ns[stop > start], start[stop > start], stop[stop > start])
                 for ns, start, stop in runs]
+    step = TWO_PI / K
     for source in (runs, nonempty):
-        with mock.patch.object(vis, "_cell_runs", lambda *_: iter(source)):
-            got = vis._circle_cover(None, K, 0, 0, None)
+        arcs = [(ns, None, None, (np.where(stop > start, (start + stop - 1) / 2, start - 0.5)
+                                  * step)[:, None],
+                 (np.where(stop > start, (stop - 1 - start) / 2 + 0.25, 0.1) * step)[:, None])
+                for ns, start, stop in source]
+        got = _circle_cover(K, arcs, None if listed is None else cand.copy())
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -325,7 +367,7 @@ def test_block_bound_certifies_only_what_the_cover_passes(theta, eps, width, t0,
     h = arcs[0][1](ns, np.sqrt(ns))
     assert h.min() >= margin + bound / 2 - 4 * np.spacing(math.pi)
     assert h.min() - gap / 2 >= BLOCK_SLACK
-    assert not len(_circle_cover(spec, K, n_lo, n_hi, arcs)[0])
+    assert not len(_circle_cover(K, _arc_blocks(spec, n_lo, n_hi, arcs))[0])
     (f_got, w_got), (f_want, w_want) = (
         _circle_check(spec, K, n_lo, n_hi, arcs, given_block, t0, t0 + V)
         for given_block in (block, None))
@@ -335,10 +377,11 @@ def test_block_bound_certifies_only_what_the_cover_passes(theta, eps, width, t0,
 def test_block_bound_needs_a_rotation_of_integer_alpha(monkeypatch):
     # theta = 1e-5 < 2^-12 has no integer alpha = {theta} * 2^64, so there is
     # no three-distance gap: its windows ahead of the origin have a block, yet
-    # read no margin and take the cover pass, as with no block
+    # read no margin and take the full-range cover pass, as with no block,
+    # not the certified wedge's segment candidates
     spec = SequenceSpec("golden-angle", theta=1e-5)
     assert rotation_largest_gap(spec.theta, 100) is None
-    monkeypatch.setattr(vis, "_block_writers", None)
+    monkeypatch.setattr(vis, "_segment_candidates", None)
     for eps, V, t0, K in ((0.3, 20.0, 0.0, 500), (0.1, 50.0, 30.0, 3000)):
         n_lo, n_hi, arcs, block = _window_arcs(spec, t0, t0 + V, eps, DEFAULT_BUDGET)
         assert block is not None and _block_margin(spec, block, arcs) == -math.inf
@@ -351,8 +394,9 @@ def test_block_bound_needs_a_rotation_of_integer_alpha(monkeypatch):
 def test_block_bound_skips_the_cover_of_the_golden_sweep(golden, monkeypatch):
     # the circle-sweep workload's golden windows, V = 5/eps: the bound
     # certifies 9 of the 12, all but t0 = 0 at eps 0.1, 0.05 and 0.025
-    # (2 h_min - gap from 1.9e-6 to 6.6e-4 rad), and a certified window
-    # reads only the candidates near cells 0..99, no cover pass
+    # (2 h_min - gap from 1.9e-6 to 6.6e-4 rad), and a certified window's
+    # cover reads only the candidates near cells 0..99, no block of the
+    # full range
     certified = {}
     for eps in (0.1, 0.05, 0.025, 0.0125):
         for t0 in (0.0, 100.0, 1000.0):
@@ -362,7 +406,7 @@ def test_block_bound_skips_the_cover_of_the_golden_sweep(golden, monkeypatch):
         (0.1, 0.0), (0.05, 0.0), (0.025, 0.0)}
     assert 1.8e-6 < min(s for s in certified.values() if s > 0) < 2e-6
     assert 6.5e-4 < max(certified.values()) < 6.7e-4
-    monkeypatch.setattr(vis, "_circle_cover", None)
+    monkeypatch.setattr(vis, "_arc_blocks", None)
     read = _counted_reads(monkeypatch)
     report = check_uniform_orchard(golden, 0.0125, 400.0, [1000.0])
     assert report.passed and report.witness_count == report.total_checks == 402124
@@ -413,7 +457,7 @@ def test_ladder_bound_certifies_only_what_the_cover_passes(ladder, eps, width, t
     s = -(-k1 // q) * q
     assert s.max() <= N
     assert np.all(h[s - k1] >= margin + TWO_PI / (q * (M + 1)) - 4 * np.spacing(math.pi))
-    assert not len(_circle_cover(ladder, K, n_lo, n_hi, arcs)[0])
+    assert not len(_circle_cover(K, _arc_blocks(ladder, n_lo, n_hi, arcs))[0])
     (f_got, w_got), (f_want, w_want) = (
         _circle_check(ladder, K, n_lo, n_hi, arcs, given_block, t0, t0 + V)
         for given_block in (block, None))
@@ -441,7 +485,8 @@ def test_ladder_shells_hold_a_dirichlet_angle_near_each_direction(ladder, seed, 
 def test_block_bound_skips_the_cover_of_the_ladder_sweep(ladder, monkeypatch):
     # the circle-sweep workload's ladder orchards, V = 4*pi/eps: Dirichlet's
     # bound certifies all five, and the eps 0.01 check, 1,579,137 cells,
-    # runs no cover pass; the cover, in its ranked regime, gives the same
+    # reads no block of the full range; the full-range cover, in its ranked
+    # regime, gives the same
     margins = {}
     for eps in (0.2, 0.1, 0.05, 0.02, 0.01):
         window = _window_arcs(ladder, 0.0, 4 * math.pi / eps, eps, DEFAULT_BUDGET)
@@ -453,7 +498,7 @@ def test_block_bound_skips_the_cover_of_the_ladder_sweep(ladder, monkeypatch):
     K = len(build_direction_net(1, 0.01 / (4 * V)))
     n_lo, n_hi, arcs, block = window
     covered = _circle_check(ladder, K, n_lo, n_hi, arcs, None, 0.0, V)
-    monkeypatch.setattr(vis, "_circle_cover", None)
+    monkeypatch.setattr(vis, "_arc_blocks", None)
     report = check_orchard(ladder, 0.01, V)
     assert report.passed and report.witness_count == report.total_checks == K == 1579137
     assert len(report.witnesses) == 100
@@ -562,7 +607,7 @@ def test_estimate_of_the_golden_sweep_skips_settled_starts(golden, monkeypatch):
     # later starts (all but t0 = 100 at eps 0.05 and 0.025), so the rounds
     # run 16 reaches, not 22, and the confirmation forms no witness
     calls = {name: 0 for name in ("_window_reach", "_passes", "_circle_cover",
-                                  "_block_writers", "_exact_cell_witnesses")}
+                                  "_segment_candidates", "_exact_cell_witnesses")}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -576,7 +621,7 @@ def test_estimate_of_the_golden_sweep_skips_settled_starts(golden, monkeypatch):
                                     t0_list=(0, 100, 1000))
     assert [e.status for e in curve.entries] == ["ok"] * 4
     assert calls == {"_window_reach": 16, "_passes": 4, "_circle_cover": 6,
-                     "_block_writers": 0, "_exact_cell_witnesses": 0}
+                     "_segment_candidates": 0, "_exact_cell_witnesses": 0}
 
 
 # -- the direct minimal visibility ------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -358,7 +359,7 @@ def test_sphere_certificate_matches_arccos_formula(fib_sphere, monkeypatch):
         got = _cap_witnesses(fib_sphere, net.centers, *cert[:3])
         failures, _ = _net_check(fib_sphere, net, *cert, 0.0, V)
         assert np.array_equal(failures, np.flatnonzero(got == MISS))
-        ns = np.arange(1, math.ceil(K_const * V ** 3) + 1)
+        ns = np.arange(1, math.floor(Fraction(K_const) * Fraction(V) ** 3) + 1)
         radii, coords = point_batch(fib_sphere, ns)
         caps = np.minimum(kappa * eps / radii, math.pi)
         ang = np.arccos(np.clip(coords / radii[:, None] @ net.centers.T, -1.0, 1.0))
